@@ -1,7 +1,8 @@
 //! The experiment harness: one function per experiment in DESIGN.md's
-//! index (E1–E17 plus the F2 figure demo), each regenerating the table that
-//! backs one of the paper's quantitative claims. The `expt` binary drives
-//! them; EXPERIMENTS.md records paper-vs-measured.
+//! index (§4), each regenerating the table that backs one of the paper's
+//! quantitative claims. The `expt` binary drives them; EXPERIMENTS.md
+//! records paper-vs-measured. Performance is not measured here: the
+//! repository's one benchmark is the `benchmark/` package (`dcsbench`).
 //!
 //! Every experiment takes a [`Scale`] so CI can smoke-test the full harness
 //! quickly while `expt --full` produces the publication-scale numbers.
@@ -10,8 +11,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod heartbeat;
-pub mod rss;
 pub mod table;
 
 /// How big to run an experiment.

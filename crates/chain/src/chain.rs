@@ -49,14 +49,13 @@ impl StateMachine for NullMachine {
     type Undo = ();
 
     fn apply_block(&mut self, block: &Block) -> Result<(Vec<Receipt>, ()), String> {
-        Ok((
-            block
-                .txs
-                .iter()
-                .map(|tx| Receipt::success(tx.id()))
-                .collect(),
-            (),
-        ))
+        let receipts = block
+            .tx_ids()
+            .iter()
+            .copied()
+            .map(Receipt::success)
+            .collect();
+        Ok((receipts, ()))
     }
 
     fn revert_block(&mut self, _undo: ()) {}

@@ -6,9 +6,9 @@
 //! `S`; the checker enumerates **every** interleaving that respects each
 //! thread's program order, replays each schedule from a fresh state, and
 //! evaluates an invariant after every step. Operations execute atomically
-//! with respect to each other — exactly the granularity of the lock-
-//! protected methods under audit (`SigCache::get`/`insert`, mempool
-//! `admit`), where each call holds a shard lock end-to-end. Races *between*
+//! with respect to each other — exactly the granularity of the methods
+//! under audit: `SigCache::get`/`insert` hold a shard lock end-to-end, and
+//! `Mempool` calls take `&mut self`. Races *between*
 //! calls (check-then-act splits, counter drift, lost updates across a
 //! get→verify→insert handoff) surface as an invariant failure with the
 //! exact failing schedule attached.

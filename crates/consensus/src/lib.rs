@@ -33,7 +33,7 @@ pub mod poet;
 pub mod pos;
 pub mod pow;
 
-pub use mempool::{InsertOutcome, Mempool, MEMPOOL_SHARDS};
+pub use mempool::{InsertOutcome, Mempool};
 pub use metrics::{MempoolMetrics, PbftMetrics};
 pub use node::{is_sync_tag, NodeCore, Recoverable, TAG_SYNC};
 

@@ -3,22 +3,15 @@
 //! pooled into blocks"). FIFO ordering with a capacity bound; duplicates by
 //! transaction id are rejected.
 //!
-//! Admission is **sharded by sender key**: each transaction routes to one of
-//! [`MEMPOOL_SHARDS`] partitions by its sender (the `from` address of an
-//! account transaction, the first spent outpoint of a UTXO transaction), so
-//! per-sender streams stay together and shard maps stay small. A global
-//! admission sequence number threads through every shard; selection is a
-//! k-way merge on that sequence, so block assembly sees the exact same FIFO
-//! order a single-map pool would produce — sharding changes data layout,
-//! never ordering.
+//! Every admitted transaction takes the next admission sequence number. The
+//! pool is two maps kept in step — sequence → transaction (the FIFO) and
+//! id → sequence (duplicate detection and removal by id) — so an id is in
+//! the queue at most once and selection is an in-order walk.
 
 use dcs_crypto::{Hash256, VerifyItem, VerifyPipeline};
 use dcs_primitives::{SealedTx, Transaction};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-/// Number of sender-key partitions in the pool.
-pub const MEMPOOL_SHARDS: usize = 8;
 
 /// Result of a [`Mempool::insert_outcome`] attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,34 +26,7 @@ pub enum InsertOutcome {
     BadWitness,
 }
 
-/// One sender-key partition: id-keyed storage plus the admission order of
-/// this shard's transactions (global sequence number, id).
-#[derive(Debug, Clone, Default)]
-struct Shard {
-    txs: BTreeMap<Hash256, SealedTx>,
-    order: VecDeque<(u64, Hash256)>,
-}
-
-impl Shard {
-    /// Drops order entries whose transaction is no longer stored.
-    fn compact(&mut self) {
-        self.order.retain(|(_, id)| self.txs.contains_key(id));
-    }
-}
-
-/// The shard a transaction's sender key routes to. Deterministic over
-/// content, so duplicates always land in the same shard and removal can
-/// route the same way admission did.
-fn shard_of(tx: &Transaction) -> usize {
-    let key = match tx {
-        Transaction::Account(a) => a.from.as_ref()[0],
-        Transaction::Utxo(u) => u.inputs.first().map_or(0, |i| i.prev_tx.as_ref()[0]),
-        Transaction::Coinbase { .. } => 0,
-    };
-    key as usize % MEMPOOL_SHARDS
-}
-
-/// A bounded FIFO transaction pool, sharded by sender key.
+/// A bounded FIFO transaction pool.
 ///
 /// # Examples
 ///
@@ -80,9 +46,11 @@ fn shard_of(tx: &Transaction) -> usize {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mempool {
-    shards: Vec<Shard>,
-    len: usize,
-    /// Global admission counter: selection merges shards on this.
+    /// Pooled transactions by admission sequence number.
+    queue: BTreeMap<u64, SealedTx>,
+    /// Admission sequence number of every pooled id.
+    seq_of: BTreeMap<Hash256, u64>,
+    /// Next admission sequence number.
     seq: u64,
     capacity: usize,
     admission: Option<Arc<VerifyPipeline>>,
@@ -94,8 +62,8 @@ impl Mempool {
     /// Creates a pool bounded at `capacity` transactions.
     pub fn new(capacity: usize) -> Self {
         Mempool {
-            shards: (0..MEMPOOL_SHARDS).map(|_| Shard::default()).collect(),
-            len: 0,
+            queue: BTreeMap::new(),
+            seq_of: BTreeMap::new(),
             seq: 0,
             capacity,
             admission: None,
@@ -104,14 +72,13 @@ impl Mempool {
         }
     }
 
-    /// Installs live metrics: admission outcomes and pool depths (global
-    /// and per shard). Gauges are seeded from the current contents, so
-    /// installation on a non-empty pool starts accurate. Updates are
-    /// relaxed atomic bumps beside already-taken admission decisions —
-    /// they never influence what is admitted (DESIGN.md §16).
+    /// Installs live metrics: admission outcomes and pool depth. The gauge
+    /// is seeded from the current contents, so installation on a non-empty
+    /// pool starts accurate. Updates are relaxed atomic bumps beside
+    /// already-taken admission decisions — they never influence what is
+    /// admitted (DESIGN.md §16).
     pub fn set_metrics(&mut self, metrics: crate::MempoolMetrics) {
-        metrics.set_depth(self.len);
-        metrics.set_all_shard_depths(&self.shard_lens());
+        metrics.set_depth(self.len());
         self.metrics = Some(metrics);
     }
 
@@ -181,26 +148,17 @@ impl Mempool {
 
     /// Pending transaction count.
     pub fn len(&self) -> usize {
-        self.len
+        self.queue.len()
     }
 
     /// True when no transactions are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Pending transaction count per sender-key shard.
-    pub fn shard_lens(&self) -> [usize; MEMPOOL_SHARDS] {
-        let mut lens = [0usize; MEMPOOL_SHARDS];
-        for (slot, shard) in lens.iter_mut().zip(&self.shards) {
-            *slot = shard.txs.len();
-        }
-        lens
+        self.queue.is_empty()
     }
 
     /// True if the pool holds `id`.
     pub fn contains(&self, id: &Hash256) -> bool {
-        self.shards.iter().any(|s| s.txs.contains_key(id))
+        self.seq_of.contains_key(id)
     }
 
     /// Adds a transaction; returns false if it is a duplicate, the pool is
@@ -217,104 +175,68 @@ impl Mempool {
         if let Some(m) = &self.metrics {
             m.record_outcome(outcome);
             if outcome == InsertOutcome::Added {
-                m.set_depth(self.len);
+                m.set_depth(self.len());
             }
         }
         outcome
     }
 
     fn insert_outcome_inner(&mut self, tx: SealedTx) -> InsertOutcome {
-        if self.len >= self.capacity {
+        if self.len() >= self.capacity {
             return InsertOutcome::Full;
         }
         let id = tx.id();
-        let shard_idx = shard_of(&tx);
-        if self.shards[shard_idx].txs.contains_key(&id) {
+        if self.contains(&id) {
             return InsertOutcome::Duplicate;
         }
         if !self.admit(&tx) {
             self.rejected_invalid += 1;
             return InsertOutcome::BadWitness;
         }
-        let shard = &mut self.shards[shard_idx];
-        shard.order.push_back((self.seq, id));
-        shard.txs.insert(id, tx);
+        self.seq_of.insert(id, self.seq);
+        self.queue.insert(self.seq, tx);
         self.seq += 1;
-        self.len += 1;
-        if let Some(m) = &self.metrics {
-            m.set_shard_depth(shard_idx, self.shards[shard_idx].txs.len());
-        }
         InsertOutcome::Added
     }
 
-    /// Removes a transaction by id alone. The shard cannot be derived from
-    /// an id, so all partitions are probed; prefer [`Mempool::remove_all`]
-    /// when the transaction body is at hand.
+    fn take(&mut self, id: &Hash256) -> Option<SealedTx> {
+        let seq = self.seq_of.remove(id)?;
+        self.queue.remove(&seq)
+    }
+
+    /// Removes a transaction by id.
     pub fn remove(&mut self, id: &Hash256) -> Option<SealedTx> {
-        // `order` is lazily compacted in `select`.
-        for (shard_idx, shard) in self.shards.iter_mut().enumerate() {
-            if let Some(tx) = shard.txs.remove(id) {
-                self.len -= 1;
-                if let Some(m) = &self.metrics {
-                    m.set_depth(self.len);
-                    m.set_shard_depth(shard_idx, shard.txs.len());
-                }
-                return Some(tx);
-            }
+        let tx = self.take(id)?;
+        if let Some(m) = &self.metrics {
+            m.set_depth(self.len());
         }
-        None
+        Some(tx)
     }
 
-    /// Selects up to `limit` transactions in global FIFO (admission) order,
+    /// Selects up to `limit` transactions in FIFO (admission) order,
     /// skipping any whose id is in `exclude` (already on the canonical
-    /// chain). A k-way merge over the shards' order queues on the global
-    /// sequence number — identical output to an unsharded FIFO pool. The
-    /// pool is not modified — selected transactions leave the pool only
-    /// when a block containing them commits.
+    /// chain). The pool is not modified — selected transactions leave the
+    /// pool only when a block containing them commits.
     pub fn select(&mut self, limit: usize, exclude: &BTreeSet<Hash256>) -> Vec<SealedTx> {
-        for shard in &mut self.shards {
-            shard.compact();
-        }
-        let mut heads = [0usize; MEMPOOL_SHARDS];
-        let mut out = Vec::new();
-        while out.len() < limit {
-            // Pick the live head with the smallest admission sequence.
-            let mut best: Option<(u64, usize)> = None;
-            for (i, shard) in self.shards.iter().enumerate() {
-                if let Some(&(seq, _)) = shard.order.get(heads[i]) {
-                    if best.is_none_or(|(b, _)| seq < b) {
-                        best = Some((seq, i));
-                    }
-                }
-            }
-            let Some((_, i)) = best else {
-                break; // every shard exhausted
-            };
-            let (_, id) = self.shards[i].order[heads[i]];
-            heads[i] += 1;
-            if !exclude.contains(&id) {
-                out.push(self.shards[i].txs[&id].clone());
-            }
-        }
-        out
+        self.queue
+            .values()
+            .filter(|tx| !exclude.contains(&tx.id()))
+            .take(limit)
+            .cloned()
+            .collect()
     }
 
-    /// Drops every listed transaction (a committed block), routing each
-    /// removal by content the same way admission did — no cross-shard
-    /// probing and no id recomputation: callers pass the block's cached
-    /// ids zipped with its bodies.
+    /// Drops every listed transaction (a committed block). Callers pass the
+    /// block's bodies zipped with its cached ids, so nothing is rehashed.
     pub fn remove_all<'a>(
         &mut self,
         txs: impl IntoIterator<Item = (&'a Transaction, &'a Hash256)>,
     ) {
-        for (tx, id) in txs {
-            if self.shards[shard_of(tx)].txs.remove(id).is_some() {
-                self.len -= 1;
-            }
+        for (_, id) in txs {
+            self.take(id);
         }
         if let Some(m) = &self.metrics {
-            m.set_depth(self.len);
-            m.set_all_shard_depths(&self.shard_lens());
+            m.set_depth(self.len());
         }
     }
 }
@@ -352,20 +274,12 @@ mod tests {
     }
 
     #[test]
-    fn selection_order_spans_shards() {
-        // Senders at distinct indices scatter over shards; the k-way merge
-        // must still yield exact global admission order.
+    fn selection_order_spans_senders() {
         let mut pool = Mempool::new(300);
         let ts: Vec<SealedTx> = (0..200).map(tx).collect();
         for t in &ts {
             assert!(pool.insert(t.clone()));
         }
-        assert!(
-            pool.shard_lens().iter().filter(|&&n| n > 0).count() > 1,
-            "distinct senders must spread over shards: {:?}",
-            pool.shard_lens()
-        );
-        assert_eq!(pool.shard_lens().iter().sum::<usize>(), pool.len());
         let selected = pool.select(200, &BTreeSet::new());
         assert_eq!(selected.len(), 200);
         for (s, t) in selected.iter().zip(&ts) {
@@ -406,7 +320,24 @@ mod tests {
     }
 
     #[test]
-    fn remove_all_routes_by_content() {
+    fn reinserted_transaction_is_selected_once() {
+        // A reorg puts an abandoned block's transactions back in the pool
+        // after `remove_all` took them out when the block first connected.
+        let mut pool = Mempool::new(10);
+        let a = tx(1);
+        assert!(pool.insert(a.clone()));
+        assert_eq!(pool.select(10, &BTreeSet::new()).len(), 1);
+        let id = a.id();
+        pool.remove_all([(&*a, &id)]);
+        assert!(pool.is_empty());
+        assert!(pool.insert(a.clone()));
+        let selected = pool.select(usize::MAX, &BTreeSet::new());
+        assert_eq!(selected.len(), 1, "one pooled transaction, one selection");
+        assert_eq!(selected[0].id(), id);
+    }
+
+    #[test]
+    fn remove_all_keeps_survivors_in_order() {
         let mut pool = Mempool::new(300);
         let ts: Vec<SealedTx> = (0..100).map(tx).collect();
         for t in &ts {

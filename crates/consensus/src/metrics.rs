@@ -8,7 +8,7 @@
 //! entries are computed identically whether metrics are installed or not
 //! (DESIGN.md §16).
 
-use crate::mempool::{InsertOutcome, MEMPOOL_SHARDS};
+use crate::mempool::InsertOutcome;
 use dcs_metrics::{Counter, Gauge, Registry};
 use dcs_trace::PbftPhase;
 
@@ -20,22 +20,12 @@ pub struct MempoolMetrics {
     rejected_full: Counter,
     rejected_bad_witness: Counter,
     depth: Gauge,
-    shard_depth: Vec<Gauge>,
 }
 
 impl MempoolMetrics {
     /// Registers the mempool series for the peer labeled `node`.
     pub fn register(registry: &Registry, node: &str) -> Self {
         let l = [("node", node)];
-        let shard_depth = (0..MEMPOOL_SHARDS)
-            .map(|s| {
-                registry.gauge(
-                    "dcs_mempool_shard_depth",
-                    "pending transactions per sender-key shard",
-                    &[("node", node), ("shard", &s.to_string())],
-                )
-            })
-            .collect();
         MempoolMetrics {
             admitted: registry.counter(
                 "dcs_mempool_admitted_total",
@@ -58,7 +48,6 @@ impl MempoolMetrics {
                 &[("node", node), ("reason", "bad_witness")],
             ),
             depth: registry.gauge("dcs_mempool_depth", "pending transactions pooled", &l),
-            shard_depth,
         }
     }
 
@@ -72,23 +61,9 @@ impl MempoolMetrics {
         }
     }
 
-    /// Publishes the global pool depth.
+    /// Publishes the pool depth.
     pub fn set_depth(&self, len: usize) {
         self.depth.set(len as i64);
-    }
-
-    /// Publishes one shard's depth.
-    pub fn set_shard_depth(&self, shard: usize, len: usize) {
-        if let Some(g) = self.shard_depth.get(shard) {
-            g.set(len as i64);
-        }
-    }
-
-    /// Publishes every shard depth at once (bulk removal paths).
-    pub fn set_all_shard_depths(&self, lens: &[usize; MEMPOOL_SHARDS]) {
-        for (shard, len) in lens.iter().enumerate() {
-            self.set_shard_depth(shard, *len);
-        }
     }
 }
 

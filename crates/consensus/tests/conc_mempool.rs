@@ -1,14 +1,14 @@
-//! Bounded model-checking of sharded mempool admission (DESIGN.md §15).
+//! Bounded model-checking of mempool admission (DESIGN.md §15).
 //!
 //! `Mempool` is `&mut self` — the engine serializes calls — but admission
 //! streams from different senders interleave in an order the scheduler
-//! picks, and PR 7's sharding must keep every *structural* property
-//! independent of that order: `len` equals the sum of shard occupancy,
-//! duplicates are admitted exactly once no matter which racer wins,
-//! removal composes with in-flight admission, and selection remains a
-//! duplicate-free global-FIFO merge that preserves each sender's program
-//! order. `dcs-conc` explores every interleaving of the admission threads
-//! and checks those invariants after every single operation.
+//! picks, and every *structural* property must be independent of that
+//! order: `len` equals admissions minus removals, duplicates are admitted
+//! exactly once no matter which racer wins, removal composes with
+//! in-flight admission, and selection remains a duplicate-free global FIFO
+//! that preserves each sender's program order. `dcs-conc` explores every
+//! interleaving of the admission threads and checks those invariants after
+//! every single operation.
 
 use dcs_conc::{Model, Op};
 use dcs_consensus::Mempool;
@@ -62,10 +62,6 @@ fn remove_op(id: Hash256) -> Op<St> {
 
 /// Structural invariants, checked after every operation of every schedule.
 fn invariant(s: &St) -> Result<(), String> {
-    let shard_sum: usize = s.pool.shard_lens().iter().sum();
-    if s.pool.len() != shard_sum {
-        return Err(format!("len {} != shard sum {shard_sum}", s.pool.len()));
-    }
     if s.pool.len() as i64 != s.inserted - s.removed {
         return Err(format!(
             "occupancy drift: len {} != inserted {} - removed {}",
@@ -74,7 +70,7 @@ fn invariant(s: &St) -> Result<(), String> {
             s.removed
         ));
     }
-    // Selection: duplicate-free, covers the whole pool, FIFO-merged.
+    // Selection: duplicate-free, covers the whole pool.
     let mut probe = s.pool.clone();
     let selected = probe.select(usize::MAX, &BTreeSet::new());
     if selected.len() != s.pool.len() {
@@ -151,13 +147,13 @@ fn racing_admission_streams_stay_consistent() {
     assert_eq!(explored.schedules, 60); // 6!/(3!2!1!)
 }
 
-/// Admission racing selection-relevant removal across shards: removing a
+/// Admission racing selection-relevant removal: removing a
 /// transaction that may not have been admitted yet is a no-op, never a
 /// corruption, in every schedule.
 #[test]
 fn remove_before_or_after_admission_is_safe() {
     let x = tx(3, 0);
-    let y = tx(130, 0); // different sender byte → different shard
+    let y = tx(130, 0);
     let (xc, yc) = (x.clone(), y.clone());
     let model: Model<St> = Model::new()
         .thread(vec![insert_op(xc), remove_op(y.id())])

@@ -20,11 +20,6 @@ pub struct AccountMachine {
     pub schedule: GasSchedule,
     /// Whether witnesses are demanded and verified (block-invalidating).
     pub verify_signatures: bool,
-    /// Apply blocks through the serial per-write trie path instead of the
-    /// default batched overlay path. The two are bit-identical in roots,
-    /// receipts, and errors; serial is kept for equivalence testing and
-    /// bisection.
-    pub serial_apply: bool,
     pipeline: Option<Arc<VerifyPipeline>>,
 }
 
@@ -58,12 +53,23 @@ impl AccountMachine {
     pub fn pipeline(&self) -> Option<&Arc<VerifyPipeline>> {
         self.pipeline.as_ref()
     }
-}
 
-impl StateMachine for AccountMachine {
-    type Undo = AccountUndo;
+    /// Reference oracle for [`StateMachine::apply_block`]: the same block
+    /// applied write by write straight to the trie, with no overlay. Roots,
+    /// receipts, and errors must be bit-identical to the batched path; the
+    /// equivalence tests compare the two.
+    pub fn apply_block_serial(
+        &mut self,
+        block: &Block,
+    ) -> Result<(Vec<Receipt>, AccountUndo), String> {
+        self.apply(block, false)
+    }
 
-    fn apply_block(&mut self, block: &Block) -> Result<(Vec<Receipt>, AccountUndo), String> {
+    fn apply(
+        &mut self,
+        block: &Block,
+        batched: bool,
+    ) -> Result<(Vec<Receipt>, AccountUndo), String> {
         // Stateless prevalidation: batch-verify every witness up front so the
         // serial execution loop below never touches a signature.
         let prevalidated = match (self.verify_signatures, &self.pipeline) {
@@ -74,12 +80,11 @@ impl StateMachine for AccountMachine {
             _ => false,
         };
         let snapshot = self.db.snapshot();
-        if !self.serial_apply {
-            // Batched application: execution stages writes in an overlay and
-            // one `MerkleMap::write_batch` pass merges them at commit, so
-            // each touched trie branch rehashes once per block instead of
-            // once per write. Roots, receipts, and errors are bit-identical
-            // to the serial path.
+        if batched {
+            // Execution stages writes in an overlay and one
+            // `MerkleMap::write_batch` pass merges them at commit, so each
+            // touched trie branch rehashes once per block instead of once
+            // per write.
             self.db.begin_batch();
         }
         let ctx = BlockCtx {
@@ -115,6 +120,14 @@ impl StateMachine for AccountMachine {
         self.db.commit_batch();
         Ok((receipts, self.db.take_undo(snapshot)))
     }
+}
+
+impl StateMachine for AccountMachine {
+    type Undo = AccountUndo;
+
+    fn apply_block(&mut self, block: &Block) -> Result<(Vec<Receipt>, AccountUndo), String> {
+        self.apply(block, true)
+    }
 
     fn revert_block(&mut self, undo: AccountUndo) {
         self.db.apply_undo(undo);
@@ -130,10 +143,6 @@ impl StateMachine for AccountMachine {
 pub struct UtxoMachine {
     /// The unspent-output set.
     pub set: UtxoSet,
-    /// Apply blocks through the serial per-transaction path instead of the
-    /// default batched one-sweep merge ([`UtxoSet::apply_batch`]). Both
-    /// produce identical commitments, fees, undos, and errors.
-    pub serial_apply: bool,
     pipeline: Option<Arc<VerifyPipeline>>,
 }
 
@@ -178,55 +187,36 @@ impl UtxoMachine {
     }
 }
 
-impl StateMachine for UtxoMachine {
-    type Undo = Vec<UtxoUndo>;
-
-    fn apply_block(&mut self, block: &Block) -> Result<(Vec<Receipt>, Vec<UtxoUndo>), String> {
-        // Phase 1 (stateless, parallel): batch-verify every witness
-        // signature in the body through the pipeline. Existence/ownership/
-        // balance checks cannot run here — an input may be created by an
-        // earlier transaction of this very block — so they stay serial.
-        let prevalidated = match &self.pipeline {
+impl UtxoMachine {
+    /// Batch-verifies every witness signature in the body through the
+    /// pipeline (stateless, parallel); true when the apply loop may skip
+    /// per-input signature checks. Existence/ownership/balance checks cannot
+    /// run here — an input may be created by an earlier transaction of this
+    /// very block — so they stay with the stateful apply.
+    fn prevalidate(&self, block: &Block) -> Result<bool, String> {
+        match &self.pipeline {
             Some(pipeline) if self.set.verifies_witnesses() => {
                 UtxoSet::prevalidate_witnesses(&block.txs, pipeline).map_err(|e| e.to_string())?;
-                true
+                Ok(true)
             }
-            _ => false,
-        };
-        // Phase 2 (stateful, deterministic): apply in block order.
-        if !self.serial_apply {
-            // Batched application: validate against the live set plus the
-            // staged deltas, then merge everything in one sorted sweep. The
-            // account-model guard runs first so the error surfaces exactly
-            // as on the serial path (which never commits anything either).
-            if block
-                .txs
-                .iter()
-                .any(|tx| matches!(tx, Transaction::Account(_)))
-            {
-                return Err("account transaction in a UTXO ledger".into());
-            }
-            let applied = self
-                .set
-                .apply_batch(&block.txs, block.tx_ids(), !prevalidated)
-                .map_err(|e| e.to_string())?;
-            let mut undos = Vec::with_capacity(applied.len());
-            let mut receipts = Vec::with_capacity(applied.len());
-            for ((fee, undo), id) in applied.into_iter().zip(block.tx_ids()) {
-                let mut r = Receipt::success(*id);
-                r.fee_paid = fee;
-                receipts.push(r);
-                undos.push(undo);
-            }
-            return Ok((receipts, undos));
+            _ => Ok(false),
         }
+    }
+
+    /// Reference oracle for [`StateMachine::apply_block`]: the same block
+    /// applied one transaction at a time, reverting on the first failure.
+    /// Commitments, fees, undos, and errors must be identical to the batched
+    /// path; the equivalence tests compare the two.
+    pub fn apply_block_serial(
+        &mut self,
+        block: &Block,
+    ) -> Result<(Vec<Receipt>, Vec<UtxoUndo>), String> {
+        let prevalidated = self.prevalidate(block)?;
         let mut undos = Vec::with_capacity(block.txs.len());
         let mut receipts = Vec::with_capacity(block.txs.len());
         for tx in &block.txs {
             if matches!(tx, Transaction::Account(_)) {
-                for undo in undos.into_iter().rev() {
-                    self.set.revert(undo);
-                }
+                self.revert_block(undos);
                 return Err("account transaction in a UTXO ledger".into());
             }
             let applied = if prevalidated {
@@ -242,12 +232,42 @@ impl StateMachine for UtxoMachine {
                     receipts.push(r);
                 }
                 Err(e) => {
-                    for undo in undos.into_iter().rev() {
-                        self.set.revert(undo);
-                    }
+                    self.revert_block(undos);
                     return Err(e.to_string());
                 }
             }
+        }
+        Ok((receipts, undos))
+    }
+}
+
+impl StateMachine for UtxoMachine {
+    type Undo = Vec<UtxoUndo>;
+
+    fn apply_block(&mut self, block: &Block) -> Result<(Vec<Receipt>, Vec<UtxoUndo>), String> {
+        let prevalidated = self.prevalidate(block)?;
+        // Validate against the live set plus the staged deltas, then merge
+        // everything in one sorted sweep. The account-model guard runs first
+        // so the error surfaces exactly as on the serial oracle (which never
+        // commits anything either).
+        if block
+            .txs
+            .iter()
+            .any(|tx| matches!(tx, Transaction::Account(_)))
+        {
+            return Err("account transaction in a UTXO ledger".into());
+        }
+        let applied = self
+            .set
+            .apply_batch(&block.txs, block.tx_ids(), !prevalidated)
+            .map_err(|e| e.to_string())?;
+        let mut undos = Vec::with_capacity(applied.len());
+        let mut receipts = Vec::with_capacity(applied.len());
+        for ((fee, undo), id) in applied.into_iter().zip(block.tx_ids()) {
+            let mut r = Receipt::success(*id);
+            r.fee_paid = fee;
+            receipts.push(r);
+            undos.push(undo);
         }
         Ok((receipts, undos))
     }

@@ -1,8 +1,8 @@
 //! Property-based equivalence of the batched (default) and serial state
 //! application paths at the machine level: for arbitrary blocks — valid and
 //! invalid transactions mixed, conflicting keys touched repeatedly within
-//! one block — `serial_apply = true` and `false` must produce bit-identical
-//! receipts, state roots, and errors.
+//! one block — `apply_block` and the `apply_block_serial` reference oracle
+//! must produce bit-identical receipts, state roots, and errors.
 
 use dcs_chain::StateMachine;
 use dcs_contracts::machine::UtxoMachine;
@@ -66,18 +66,17 @@ proptest! {
             .collect();
         let block = account_block(txs);
 
-        let machine = |serial| {
+        let machine = || {
             let mut m = AccountMachine::with_alloc(&alloc);
             m.schedule = GasSchedule::free();
-            m.serial_apply = serial;
             m
         };
-        let mut serial = machine(true);
-        let mut batched = machine(false);
+        let mut serial = machine();
+        let mut batched = machine();
         let root_before = serial.state_root();
         prop_assert_eq!(root_before, batched.state_root());
 
-        let serial_result = serial.apply_block(&block);
+        let serial_result = serial.apply_block_serial(&block);
         let batched_result = batched.apply_block(&block);
         match (serial_result, batched_result) {
             (Ok((sr, _)), Ok((br, _))) => {
@@ -146,17 +145,12 @@ proptest! {
             body,
         );
 
-        let machine = |serial| {
-            let mut m = UtxoMachine::with_alloc(&alloc);
-            m.serial_apply = serial;
-            m
-        };
-        let mut serial = machine(true);
-        let mut batched = machine(false);
+        let mut serial = UtxoMachine::with_alloc(&alloc);
+        let mut batched = UtxoMachine::with_alloc(&alloc);
         let root_before = serial.state_root();
         prop_assert_eq!(root_before, batched.state_root());
 
-        let serial_result = serial.apply_block(&block);
+        let serial_result = serial.apply_block_serial(&block);
         let batched_result = batched.apply_block(&block);
         match (serial_result, batched_result) {
             (Ok((sr, su)), Ok((br, bu))) => {

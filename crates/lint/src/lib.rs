@@ -89,8 +89,9 @@ pub struct WorkspaceReport {
 /// Walks the workspace at `root` and lints every production `.rs` file.
 ///
 /// Skipped: `target/`, `vendor/` (third-party), hidden directories, and any
-/// directory named `tests`, `benches`, `examples`, or `fixtures` — test and
-/// fixture code is expected to use `unwrap`, wall clocks, and hash maps.
+/// directory named `benchmark`, `examples`, or `fixtures` — the benchmark
+/// package times with wall clocks and prints its results, examples are demo
+/// printers, and fixture code violates the rules on purpose.
 pub fn check_workspace(root: &Path, allow: &Allowlist) -> io::Result<Vec<Finding>> {
     Ok(check_workspace_report(root, allow)?.findings)
 }
@@ -171,9 +172,9 @@ pub fn check_workspace_report(root: &Path, allow: &Allowlist) -> io::Result<Work
 }
 
 // `tests` directories ARE walked (wall-clock/unseeded-rng apply there; see
-// `rules::in_scope`); benches and examples stay out — they are wall-clock
-// timers and demo printers by design.
-const SKIP_DIRS: &[&str] = &["target", "vendor", "benches", "examples", "fixtures"];
+// `rules::in_scope`); the benchmark package (a workspace of its own) and
+// examples stay out — they are wall-clock timers and demo printers by design.
+const SKIP_DIRS: &[&str] = &["target", "vendor", "benchmark", "examples", "fixtures"];
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {

@@ -8,8 +8,9 @@
 //! * [`channels`] — off-chain payment channels with signed state updates,
 //!   cooperative/unilateral close with dispute window, and multi-hop HTLC
 //!   routing over a channel graph (experiment E8).
-//! * [`sidechain`] — a two-way peg: lock on the main chain, mint on the
-//!   side chain against an SPV inclusion proof, burn to withdraw.
+//! * [`beacon`] — the wired sharded tier: a beacon chain anchoring shard
+//!   headers, shard sequencers, and a two-way peg between shards (lock on
+//!   the source, mint on the destination against a Merkle-proved receipt).
 //! * [`light`] — SPV light clients: header-only sync, Merkle transaction
 //!   proofs, checkpoint bootstrap, and the download-size accounting of
 //!   experiment E10.
@@ -21,10 +22,8 @@ pub mod beacon;
 pub mod channels;
 pub mod light;
 pub mod sharding;
-pub mod sidechain;
 
 pub use beacon::{BeaconNet, BeaconParams, BeaconRunStats, ScaleMsg, ScalePeer};
 pub use channels::{ChannelNetwork, PaymentChannel};
 pub use light::LightClient;
 pub use sharding::{ShardedLedger, Transfer};
-pub use sidechain::PeggedSidechain;

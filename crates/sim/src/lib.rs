@@ -34,6 +34,6 @@ pub mod rng;
 pub mod time;
 
 pub use event::{EventId, EventKey, Simulation, EXTERNAL_SRC};
-pub use metrics::{gini, nakamoto_coefficient, Histogram, Summary};
+pub use metrics::{gini, nakamoto_coefficient, Summary};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};

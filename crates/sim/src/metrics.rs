@@ -1,5 +1,5 @@
-//! Statistics collectors for experiments: summary statistics, log-bucketed
-//! histograms, and the decentralization measures used by the DCS experiments
+//! Statistics collectors for experiments: summary statistics and the
+//! decentralization measures used by the DCS experiments
 //! (Gini coefficient and Nakamoto coefficient over block-producer power).
 
 /// Online summary of a stream of `f64` samples, retaining the samples for
@@ -103,93 +103,12 @@ impl Summary {
         self.percentile(50.0)
     }
 
-    /// Convenience: the 50th percentile (alias of [`Summary::median`]).
-    pub fn p50(&mut self) -> f64 {
-        self.percentile(50.0)
-    }
-
-    /// Convenience: the 99th percentile — the tail the macro benchmark
-    /// reports alongside the mean (BENCH schema v2).
-    pub fn p99(&mut self) -> f64 {
-        self.percentile(99.0)
-    }
-
     /// Folds another summary into this one, equivalent to having recorded
     /// all of `other`'s samples here. Lets per-node collectors be merged
     /// into a network-wide distribution without re-recording.
     pub fn merge(&mut self, other: &Summary) {
         self.samples.extend_from_slice(&other.samples);
         self.sorted = false;
-    }
-}
-
-/// A histogram with logarithmic buckets (powers of two), suitable for
-/// latency distributions spanning microseconds to minutes.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records an integer sample (e.g. microseconds).
-    pub fn record(&mut self, v: u64) {
-        let b = 64 - v.leading_zeros() as usize; // bucket = bit length
-        if self.buckets.len() <= b {
-            self.buckets.resize(b + 1, 0);
-        }
-        self.buckets[b] += 1;
-        self.count += 1;
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Folds another histogram into this one, equivalent to having recorded
-    /// all of `other`'s samples here (buckets add elementwise).
-    pub fn merge(&mut self, other: &Histogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (b, n) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += n;
-        }
-        self.count += other.count;
-    }
-
-    /// Convenience: upper bound of the bucket holding the median sample.
-    pub fn p50(&self) -> u64 {
-        self.quantile_upper_bound(0.50)
-    }
-
-    /// Convenience: upper bound of the bucket holding the 99th-percentile
-    /// sample.
-    pub fn p99(&self) -> u64 {
-        self.quantile_upper_bound(0.99)
-    }
-
-    /// Approximate quantile: upper bound of the bucket containing the
-    /// `q`-quantile sample (q in `[0,1]`).
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target.max(1) {
-                return if b == 0 { 0 } else { (1u64 << b) - 1 };
-            }
-        }
-        u64::MAX
     }
 }
 
@@ -260,28 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_p50_p99_match_percentile() {
-        let mut s = Summary::new();
-        for v in 1..=100 {
-            s.record(f64::from(v));
-        }
-        assert_eq!(s.p50(), s.percentile(50.0));
-        assert_eq!(s.p99(), s.percentile(99.0));
-        assert!(s.p99() > s.p50());
-    }
-
-    #[test]
-    fn histogram_p50_p99_match_quantile_bounds() {
-        let mut h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        assert_eq!(h.p50(), h.quantile_upper_bound(0.50));
-        assert_eq!(h.p99(), h.quantile_upper_bound(0.99));
-        assert!(h.p99() >= h.p50());
-    }
-
-    #[test]
     fn summary_stddev() {
         let mut s = Summary::new();
         for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
@@ -336,50 +233,6 @@ mod tests {
         // NaN sorts last under total_cmp; lower percentiles stay finite.
         assert_eq!(s.percentile(0.0), 1.0);
         assert_eq!(s.median(), 3.0);
-    }
-
-    #[test]
-    fn histogram_merge_equals_single_collector() {
-        let mut merged = Histogram::new();
-        let mut other = Histogram::new();
-        let mut single = Histogram::new();
-        for v in [0u64, 1, 5, 100] {
-            merged.record(v);
-            single.record(v);
-        }
-        for v in [3u64, 70_000, 9] {
-            other.record(v);
-            single.record(v);
-        }
-        merged.merge(&other);
-        assert_eq!(merged.count(), single.count());
-        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
-            assert_eq!(
-                merged.quantile_upper_bound(q),
-                single.quantile_upper_bound(q),
-                "q{q}"
-            );
-        }
-        // Merging a wider histogram into a narrower one grows buckets.
-        let mut narrow = Histogram::new();
-        narrow.record(1);
-        let mut wide = Histogram::new();
-        wide.record(1 << 40);
-        narrow.merge(&wide);
-        assert_eq!(narrow.count(), 2);
-        assert_eq!(narrow.quantile_upper_bound(1.0), (1 << 41) - 1);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new();
-        for v in 0..1000u64 {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 1000);
-        let p50 = h.quantile_upper_bound(0.5);
-        assert!((499..=1023).contains(&p50), "p50 bucket bound {p50}");
-        assert_eq!(h.quantile_upper_bound(0.0), 0);
     }
 
     #[test]

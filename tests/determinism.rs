@@ -396,9 +396,10 @@ fn pow_gossip_with_faults_is_shard_count_invariant() {
 /// through the batched state path (overlay + one sorted merge, multi-lane
 /// hashing, cache-warmed witness verification) must be bit-identical to the
 /// serial per-write path, at every verification worker count. Runs a
-/// deterministic sequence of signed blocks through `AccountMachine` with
-/// `serial_apply` true/false at 1, 2, and 8 pipeline threads and demands
-/// one digest over every intermediate state root and receipt set.
+/// deterministic sequence of signed blocks through `AccountMachine`'s
+/// `apply_block` and its `apply_block_serial` oracle at 1, 2, and 8 pipeline
+/// threads and demands one digest over every intermediate state root and
+/// receipt set.
 #[test]
 fn commit_pipeline_is_batch_and_worker_invariant() {
     use dcs_chain::StateMachine;
@@ -474,10 +475,14 @@ fn commit_pipeline_is_batch_and_worker_invariant() {
         let mut machine = AccountMachine::with_alloc(&alloc).with_pipeline(Arc::clone(&pipeline));
         machine.schedule = GasSchedule::free();
         machine.verify_signatures = true;
-        machine.serial_apply = serial;
         let mut bytes = Vec::new();
         for block in &blocks {
-            let (receipts, _) = machine.apply_block(block).expect("valid signed block");
+            let applied = if serial {
+                machine.apply_block_serial(block)
+            } else {
+                machine.apply_block(block)
+            };
+            let (receipts, _) = applied.expect("valid signed block");
             bytes.extend_from_slice(machine.state_root().as_bytes());
             for r in &receipts {
                 bytes.extend_from_slice(r.tx_id.as_bytes());
@@ -494,7 +499,7 @@ fn commit_pipeline_is_batch_and_worker_invariant() {
             assert_eq!(
                 golden,
                 run(serial, threads),
-                "serial_apply={serial} at {threads} verify threads must match \
+                "serial={serial} at {threads} verify threads must match \
                  the serial single-threaded commit digest bit for bit"
             );
         }
