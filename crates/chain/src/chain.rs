@@ -7,7 +7,7 @@
 //! set lands on the same canonical chain and state root.
 
 use crate::forkchoice::best_tip_with;
-use crate::store::{ArchivalStore, BlockStore, BlockTree};
+use crate::store::{BlockStore, BlockTree};
 use crate::ChainError;
 use dcs_crypto::{merkle_root_with, Hash256, VerifyPipeline};
 use dcs_primitives::{Block, ChainConfig, Receipt, Transaction};
@@ -91,6 +91,14 @@ pub enum ChainEvent {
     Orphaned,
 }
 
+impl ChainEvent {
+    /// True if the canonical tip changed — whatever a peer was building on
+    /// the old tip is stale.
+    pub fn moved_tip(&self) -> bool {
+        matches!(self, ChainEvent::Extended { .. } | ChainEvent::Reorg { .. })
+    }
+}
+
 /// Cumulative consistency statistics — the raw material of experiments E2,
 /// E4, and E13.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -126,7 +134,7 @@ pub struct ChainStats {
 /// walk of [`Chain::canonical`] would produce — reorgs shed the abandoned
 /// branch's contribution and absorb the new branch's, and the invalid-block
 /// recovery path restores the old branch's contribution along with its
-/// state. The store proptests pin this equivalence across backends.
+/// state. The store proptests pin this equivalence across retention settings.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CanonStats {
     /// Canonical blocks above genesis.
@@ -183,11 +191,10 @@ impl CanonStats {
     }
 }
 
-/// The chain manager, generic over the block-record backend (archival by
-/// default). See the crate docs for an example.
+/// The chain manager. See the crate docs for an example.
 #[derive(Debug)]
-pub struct Chain<M: StateMachine, S: BlockStore = ArchivalStore> {
-    tree: BlockTree<S>,
+pub struct Chain<M: StateMachine> {
+    tree: BlockTree,
     config: ChainConfig,
     machine: M,
     canonical: Vec<Hash256>,
@@ -214,18 +221,17 @@ impl<M: StateMachine> Chain<M> {
     /// Creates an archival chain at `genesis` with the given config and
     /// machine.
     pub fn new(genesis: impl Into<Arc<Block>>, config: ChainConfig, machine: M) -> Self {
-        Self::with_store(genesis, config, machine, ArchivalStore::default())
+        Self::with_store(genesis, config, machine, BlockStore::default())
     }
-}
 
-impl<M: StateMachine, S: BlockStore> Chain<M, S> {
-    /// Creates a chain over the given record backend — e.g.
-    /// [`PrunedStore`](crate::PrunedStore) for a body-pruning node.
+    /// Creates a chain over the given store — e.g.
+    /// [`PrunedStore::new`](crate::PrunedStore::new) for a body-pruning
+    /// node.
     pub fn with_store(
         genesis: impl Into<Arc<Block>>,
         config: ChainConfig,
         machine: M,
-        store: S,
+        store: BlockStore,
     ) -> Self {
         let tree = BlockTree::with_store(genesis, store);
         let gh = tree.genesis();
@@ -279,14 +285,9 @@ impl<M: StateMachine, S: BlockStore> Chain<M, S> {
     /// [`ChainError::BadTxRoot`] — and the tree's serial recomputation is
     /// skipped so each body is hashed exactly once.
     pub fn with_pipeline(mut self, pipeline: Arc<VerifyPipeline>) -> Self {
-        self.set_pipeline(pipeline);
-        self
-    }
-
-    /// See [`Chain::with_pipeline`].
-    pub fn set_pipeline(&mut self, pipeline: Arc<VerifyPipeline>) {
         self.pipeline = Some(pipeline);
         self.tree.check_tx_roots = false;
+        self
     }
 
     /// The verification pipeline, if one is attached.
@@ -295,13 +296,8 @@ impl<M: StateMachine, S: BlockStore> Chain<M, S> {
     }
 
     /// The underlying block tree.
-    pub fn tree(&self) -> &BlockTree<S> {
+    pub fn tree(&self) -> &BlockTree {
         &self.tree
-    }
-
-    /// Mutable access to the block tree (orphan-cap tuning, test setup).
-    pub fn tree_mut(&mut self) -> &mut BlockTree<S> {
-        &mut self.tree
     }
 
     /// The chain configuration.
@@ -440,9 +436,11 @@ impl<M: StateMachine, S: BlockStore> Chain<M, S> {
     /// Cold-rebuilds the canonical state from the block store — the
     /// restart path after a crash: the store (headers, work, bodies) is
     /// the durable part of a node, while the state machine, undo stack,
-    /// and canonical index are in-memory and lost. Re-runs fork choice
-    /// from genesis over the stored tree with a fresh `machine` and
-    /// re-applies the winning branch. Consistency counters survive;
+    /// and canonical index are in-memory and lost. Rolls the machine back
+    /// to its genesis state through the undo stack (a fresh `M::default()`
+    /// would drop a genesis allocation), then re-runs fork choice over the
+    /// stored tree and re-applies the winning branch. Consistency counters
+    /// survive;
     /// receipts replayed here are discarded (they were delivered before
     /// the crash). The winning branch's bodies must be resident, which
     /// holds for archival stores and for pruning stores above the finality
@@ -452,12 +450,10 @@ impl<M: StateMachine, S: BlockStore> Chain<M, S> {
     ///
     /// [`ChainError::Internal`] if the stored tree is inconsistent (e.g. a
     /// canonical-path body is missing).
-    pub fn rebuild_from_store(&mut self, machine: M) -> Result<(), ChainError> {
-        self.machine = machine;
-        self.canonical.truncate(1);
-        self.undos.clear();
-        self.receipts.clear();
-        self.canon_stats = CanonStats::default();
+    pub fn rebuild_from_store(&mut self) -> Result<(), ChainError> {
+        while self.height() > 0 {
+            self.pop_canonical()?;
+        }
         // The one-shot genesis→tip apply below is replay, not new history:
         // keep the lifetime consistency stats as they were.
         let saved = self.stats;
@@ -784,7 +780,7 @@ impl<M: StateMachine, S: BlockStore> Chain<M, S> {
                     new_tip,
                 }
             };
-            // The head moved: advance the backend's finality horizon so a
+            // The head moved: advance the store's finality horizon so a
             // pruning store can drop bodies `confirmation_depth` behind it.
             let finalized = self.height().saturating_sub(self.config.confirmation_depth);
             self.tree.note_finalized(finalized);
@@ -823,7 +819,7 @@ mod tests {
     }
 
     /// Recomputes [`CanonStats`] the slow way, for equivalence checks.
-    fn recompute<M: StateMachine, S: BlockStore>(chain: &Chain<M, S>) -> CanonStats {
+    fn recompute<M: StateMachine>(chain: &Chain<M>) -> CanonStats {
         let mut stats = CanonStats::default();
         for hash in chain.canonical().iter().skip(1) {
             let block = chain.tree().get(hash).unwrap().block();
@@ -1322,7 +1318,7 @@ mod tests {
         assert_eq!(stats.reorgs, 1);
         assert_eq!(canon_stats.committed_txs, 2);
 
-        chain.rebuild_from_store(NullMachine).unwrap();
+        chain.rebuild_from_store().unwrap();
 
         assert_eq!(chain.tip_hash(), tip, "fork choice re-picks the same tip");
         assert_eq!(chain.canonical(), canonical.as_slice());

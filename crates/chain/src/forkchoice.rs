@@ -3,7 +3,7 @@
 //! ties by earliest arrival (first-seen, as Bitcoin does), which keeps the
 //! choice deterministic in the simulator.
 
-use crate::store::{BlockStore, BlockTree};
+use crate::store::BlockTree;
 use dcs_crypto::Hash256;
 use dcs_primitives::ForkChoice;
 use std::collections::BTreeMap;
@@ -20,16 +20,16 @@ use std::collections::BTreeMap;
 /// let tip = best_tip(&tree, ForkChoice::LongestChain);
 /// assert_eq!(tip, tree.genesis());
 /// ```
-pub fn best_tip<S: BlockStore>(tree: &BlockTree<S>, rule: ForkChoice) -> Hash256 {
+pub fn best_tip(tree: &BlockTree, rule: ForkChoice) -> Hash256 {
     best_tip_with(tree, rule, |_| true)
 }
 
 /// Like [`best_tip`], but only considers blocks accepted by `viable` —
 /// used by the chain manager to route around blocks that failed state
 /// validation. Operates on headers and tree metadata only, so it works
-/// unchanged over a body-pruning backend.
-pub fn best_tip_with<S: BlockStore>(
-    tree: &BlockTree<S>,
+/// unchanged over a body-pruning store.
+pub fn best_tip_with(
+    tree: &BlockTree,
     rule: ForkChoice,
     viable: impl Fn(&Hash256) -> bool,
 ) -> Hash256 {
@@ -40,8 +40,8 @@ pub fn best_tip_with<S: BlockStore>(
     }
 }
 
-fn extremal_tip<S: BlockStore>(
-    tree: &BlockTree<S>,
+fn extremal_tip(
+    tree: &BlockTree,
     score: impl Fn(&crate::store::StoredBlock) -> u128,
     viable: impl Fn(&Hash256) -> bool,
 ) -> Hash256 {
@@ -84,7 +84,7 @@ fn extremal_tip<S: BlockStore>(
 /// a leaf. Uncle blocks thus still contribute security even though they are
 /// off the selected chain — which is why Ethereum tolerates 10–40 s blocks
 /// (paper §2.7).
-fn ghost_tip<S: BlockStore>(tree: &BlockTree<S>, viable: impl Fn(&Hash256) -> bool) -> Hash256 {
+fn ghost_tip(tree: &BlockTree, viable: impl Fn(&Hash256) -> bool) -> Hash256 {
     // Precompute subtree sizes in one bottom-up pass to stay O(n).
     let mut sizes: BTreeMap<Hash256, u64> = BTreeMap::new();
     // Post-order traversal with an explicit stack.

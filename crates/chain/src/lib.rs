@@ -40,7 +40,7 @@ pub mod store;
 pub use chain::{CanonStats, Chain, ChainEvent, ChainStats, NullMachine, StateMachine};
 pub use forkchoice::best_tip;
 pub use metrics::ChainMetrics;
-pub use store::{ArchivalStore, BlockStore, BlockTree, PrunedStore, StoreStats, StoredBlock};
+pub use store::{BlockStore, BlockTree, PrunedStore, StoreStats, StoredBlock};
 
 use dcs_crypto::Address;
 use dcs_primitives::{Block, BlockHeader, ChainConfig, Seal};

@@ -2,19 +2,17 @@
 //! parent/child links, cumulative work, and an orphan pool for blocks that
 //! arrive before their parents (routine under gossip reordering).
 //!
-//! Storage is **zero-copy and pluggable**: blocks enter the tree as
-//! [`Arc<Block>`] and are never deep-copied again — gossip re-broadcast,
-//! import, state application, and block-request serving all share the same
-//! allocation through refcount bumps. The record backing store is abstracted
-//! behind the [`BlockStore`] trait with two backends:
-//!
-//! * [`ArchivalStore`] — keeps every body forever (the default, and what
-//!   every simulated full node historically did);
-//! * [`PrunedStore`] — drops bodies a configurable depth behind the
-//!   finalized tip while retaining headers, cumulative work, and child
-//!   links, so fork choice, common-ancestor walks, and light-client header
-//!   sync keep working on a fraction of the memory (the paper's §5.4
-//!   "full download of the blockchain … will continue to grow" concern).
+//! Storage is **zero-copy**: blocks enter the tree as [`Arc<Block>`] and
+//! are never deep-copied again — gossip re-broadcast, import, state
+//! application, and block-request serving all share the same allocation
+//! through refcount bumps. Records live in one [`BlockStore`], whose
+//! retention is a value, not a type: by default it keeps every body forever
+//! (what every simulated full node historically did); built with
+//! [`PrunedStore::new`] it drops bodies a configurable depth behind the
+//! finalized tip while retaining headers, cumulative work, and child links,
+//! so fork choice, common-ancestor walks, and light-client header sync keep
+//! working on a fraction of the memory (the paper's §5.4 "full download of
+//! the blockchain … will continue to grow" concern).
 
 use crate::ChainError;
 use dcs_crypto::Hash256;
@@ -93,7 +91,7 @@ impl StoredBlock {
     ///
     /// Panics if the body was pruned. Hot paths (state apply/revert, tip
     /// access) only touch blocks above the finality horizon, where bodies
-    /// are guaranteed resident on every backend.
+    /// are guaranteed resident whatever the retention.
     pub fn block(&self) -> &Arc<Block> {
         // The panic is this accessor's documented contract (see above).
         self.body()
@@ -135,155 +133,71 @@ pub struct StoreStats {
     pub resident_body_bytes: u64,
 }
 
-/// Record storage behind [`BlockTree`]: lookup, insertion, iteration, and a
-/// finality notification that lets backends discard what they no longer
-/// need. Structural invariants (linkage, heights, children) are enforced by
-/// the tree; backends only decide *retention*.
-pub trait BlockStore: core::fmt::Debug {
-    /// Looks up a stored block by hash.
-    fn get(&self, hash: &Hash256) -> Option<&StoredBlock>;
-    /// Mutable lookup (child-link maintenance).
-    fn get_mut(&mut self, hash: &Hash256) -> Option<&mut StoredBlock>;
-    /// Inserts a record (the tree guarantees the hash is fresh).
-    fn insert(&mut self, record: StoredBlock);
-    /// Number of stored blocks.
-    fn len(&self) -> usize;
-    /// True if no blocks are stored (never true under a [`BlockTree`],
-    /// which always holds genesis).
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// True if `hash` is stored.
-    fn contains(&self, hash: &Hash256) -> bool {
-        self.get(hash).is_some()
-    }
-    /// Iterates over all stored blocks in unspecified order.
-    fn iter<'a>(&'a self) -> Box<dyn Iterator<Item = &'a StoredBlock> + 'a>;
-    /// The finalized height advanced; backends may discard data they no
-    /// longer serve (an archival store ignores this).
-    fn note_finalized(&mut self, finalized_height: u64);
-    /// Retention counters.
-    fn stats(&self) -> StoreStats;
-}
-
-/// The default backend: every body retained forever.
+/// Record storage behind [`BlockTree`], and the one place retention is
+/// decided: with no `keep_depth` every body is kept forever (the default —
+/// an archival full node); with `keep_depth = k`, bodies more than `k`
+/// blocks below the finalized height are dropped while headers, cumulative
+/// work, and child links remain, so fork choice and ancestor walks are
+/// unaffected. The latter is the paper's pruned-node archetype:
+/// consensus-complete, history-light. Structural invariants (linkage,
+/// heights, children) are enforced by the tree.
 #[derive(Debug, Clone, Default)]
-pub struct ArchivalStore {
+pub struct BlockStore {
     blocks: BTreeMap<Hash256, StoredBlock>,
-    resident_bytes: u64,
-}
-
-impl BlockStore for ArchivalStore {
-    fn get(&self, hash: &Hash256) -> Option<&StoredBlock> {
-        self.blocks.get(hash)
-    }
-
-    fn get_mut(&mut self, hash: &Hash256) -> Option<&mut StoredBlock> {
-        self.blocks.get_mut(hash)
-    }
-
-    fn insert(&mut self, record: StoredBlock) {
-        if let Some(body) = record.body() {
-            self.resident_bytes += approx_body_bytes(body);
-        }
-        self.blocks.insert(record.hash(), record);
-    }
-
-    fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    fn iter<'a>(&'a self) -> Box<dyn Iterator<Item = &'a StoredBlock> + 'a> {
-        Box::new(self.blocks.values())
-    }
-
-    fn note_finalized(&mut self, _finalized_height: u64) {}
-
-    fn stats(&self) -> StoreStats {
-        StoreStats {
-            blocks: self.blocks.len() as u64,
-            bodies_resident: self.blocks.len() as u64,
-            bodies_pruned: 0,
-            resident_body_bytes: self.resident_bytes,
-        }
-    }
-}
-
-/// A pruning backend: bodies more than `keep_depth` blocks below the
-/// finalized height are dropped (headers, cumulative work, and child links
-/// remain, so fork choice and ancestor walks are unaffected). This is the
-/// paper's pruned-node archetype: consensus-complete, history-light.
-#[derive(Debug, Clone)]
-pub struct PrunedStore {
-    blocks: BTreeMap<Hash256, StoredBlock>,
+    keep_depth: Option<u64>,
     /// Heights that still have resident bodies → the blocks at that height.
+    /// Maintained only when pruning; an archival store never reads it.
     resident_by_height: BTreeMap<u64, Vec<Hash256>>,
-    keep_depth: u64,
     resident_bytes: u64,
     bodies_pruned: u64,
 }
 
-impl PrunedStore {
+/// The name a pruning node constructs its store by:
+/// `PrunedStore::new(keep_depth)`.
+pub type PrunedStore = BlockStore;
+
+impl BlockStore {
     /// A store that keeps bodies for blocks within `keep_depth` of the
-    /// finalized height and drops everything older.
+    /// finalized height and drops everything older. (`BlockStore::default()`
+    /// is the archival store.)
     pub fn new(keep_depth: u64) -> Self {
-        PrunedStore {
-            blocks: BTreeMap::new(),
-            resident_by_height: BTreeMap::new(),
-            keep_depth,
-            resident_bytes: 0,
-            bodies_pruned: 0,
+        BlockStore {
+            keep_depth: Some(keep_depth),
+            ..BlockStore::default()
         }
     }
 
-    /// The configured retention depth behind the finalized height.
-    pub fn keep_depth(&self) -> u64 {
-        self.keep_depth
-    }
-}
-
-impl BlockStore for PrunedStore {
-    fn get(&self, hash: &Hash256) -> Option<&StoredBlock> {
-        self.blocks.get(hash)
-    }
-
-    fn get_mut(&mut self, hash: &Hash256) -> Option<&mut StoredBlock> {
-        self.blocks.get_mut(hash)
-    }
-
+    /// Inserts a record (the tree guarantees the hash is fresh).
     fn insert(&mut self, record: StoredBlock) {
         if let Some(body) = record.body() {
             self.resident_bytes += approx_body_bytes(body);
-            self.resident_by_height
-                .entry(record.height())
-                .or_default()
-                .push(record.hash());
+            if self.keep_depth.is_some() {
+                self.resident_by_height
+                    .entry(record.height())
+                    .or_default()
+                    .push(record.hash());
+            }
         }
         self.blocks.insert(record.hash(), record);
     }
 
-    fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    fn iter<'a>(&'a self) -> Box<dyn Iterator<Item = &'a StoredBlock> + 'a> {
-        Box::new(self.blocks.values())
-    }
-
+    /// The finalized height advanced: drop the bodies that fell out of
+    /// retention (nothing, on an archival store).
     fn note_finalized(&mut self, finalized_height: u64) {
-        let horizon = finalized_height.saturating_sub(self.keep_depth);
+        let Some(keep_depth) = self.keep_depth else {
+            return;
+        };
+        let horizon = finalized_height.saturating_sub(keep_depth);
         // Split off the heights still within retention; what remains in
         // `self.resident_by_height` is exactly the prune set.
         let keep = self.resident_by_height.split_off(&horizon);
         let prune = std::mem::replace(&mut self.resident_by_height, keep);
-        for (_, hashes) in prune {
-            for hash in hashes {
-                if let Some(record) = self.blocks.get_mut(&hash) {
-                    let freed = record.prune_body();
-                    if freed > 0 {
-                        self.resident_bytes = self.resident_bytes.saturating_sub(freed);
-                        self.bodies_pruned += 1;
-                    }
+        for hash in prune.into_values().flatten() {
+            if let Some(record) = self.blocks.get_mut(&hash) {
+                let freed = record.prune_body();
+                if freed > 0 {
+                    self.resident_bytes = self.resident_bytes.saturating_sub(freed);
+                    self.bodies_pruned += 1;
                 }
             }
         }
@@ -299,11 +213,10 @@ impl BlockStore for PrunedStore {
     }
 }
 
-/// An in-memory tree of blocks rooted at genesis, generic over the record
-/// backend (archival by default).
+/// An in-memory tree of blocks rooted at genesis.
 #[derive(Debug, Clone)]
-pub struct BlockTree<S: BlockStore = ArchivalStore> {
-    store: S,
+pub struct BlockTree {
+    store: BlockStore,
     genesis: Hash256,
     /// parent hash → orphans waiting on it, each with its precomputed hash.
     orphans: BTreeMap<Hash256, Vec<(Hash256, Arc<Block>)>>,
@@ -318,19 +231,17 @@ pub struct BlockTree<S: BlockStore = ArchivalStore> {
     /// recomputation. Only [`Chain`](crate::Chain) flips this, after taking
     /// over the check with a parallel verification pipeline — every block
     /// still has its root verified exactly once.
-    pub check_tx_roots: bool,
+    pub(crate) check_tx_roots: bool,
 }
 
-impl BlockTree<ArchivalStore> {
+impl BlockTree {
     /// Creates an archival tree holding only `genesis`.
     pub fn new(genesis: impl Into<Arc<Block>>) -> Self {
-        Self::with_store(genesis, ArchivalStore::default())
+        Self::with_store(genesis, BlockStore::default())
     }
-}
 
-impl<S: BlockStore> BlockTree<S> {
-    /// Creates a tree over the given backend, holding only `genesis`.
-    pub fn with_store(genesis: impl Into<Arc<Block>>, mut store: S) -> Self {
+    /// Creates a tree over the given store, holding only `genesis`.
+    pub fn with_store(genesis: impl Into<Arc<Block>>, mut store: BlockStore) -> Self {
         let genesis = genesis.into();
         let gh = genesis.hash();
         let work = genesis.header.work();
@@ -348,12 +259,7 @@ impl<S: BlockStore> BlockTree<S> {
         }
     }
 
-    /// The record backend.
-    pub fn store(&self) -> &S {
-        &self.store
-    }
-
-    /// Retention counters from the backend.
+    /// Retention counters from the store.
     pub fn store_stats(&self) -> StoreStats {
         self.store.stats()
     }
@@ -365,7 +271,7 @@ impl<S: BlockStore> BlockTree<S> {
 
     /// Total blocks stored (excluding orphans awaiting parents).
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.store.blocks.len()
     }
 
     /// Always false: a tree at least contains genesis.
@@ -396,19 +302,24 @@ impl<S: BlockStore> BlockTree<S> {
         self.evict_orphans_to_cap(self.orphan_cap);
     }
 
-    /// Forwards the finalized height to the backend so it can prune.
+    /// Forwards the finalized height to the store so it can prune.
     pub fn note_finalized(&mut self, finalized_height: u64) {
         self.store.note_finalized(finalized_height);
     }
 
-    /// Looks up a stored block by hash.
+    /// Looks up a stored block by hash. Inlined into callers in other
+    /// crates: fork choice does O(height) of these per import from code
+    /// instantiated downstream (`Chain<M>`), and as an out-of-crate call the
+    /// lookup measures ~12 % slower per imported block.
+    #[inline]
     pub fn get(&self, hash: &Hash256) -> Option<&StoredBlock> {
-        self.store.get(hash)
+        self.store.blocks.get(hash)
     }
 
     /// True if the block is in the tree.
+    #[inline]
     pub fn contains(&self, hash: &Hash256) -> bool {
-        self.store.contains(hash)
+        self.store.blocks.contains_key(hash)
     }
 
     /// Inserts a block whose parent is present, after structural checks
@@ -424,11 +335,10 @@ impl<S: BlockStore> BlockTree<S> {
     pub fn insert(&mut self, block: impl Into<Arc<Block>>) -> Result<Hash256, ChainError> {
         let block = block.into();
         let hash = block.hash();
-        if self.store.contains(&hash) {
+        if self.contains(&hash) {
             return Err(ChainError::Duplicate);
         }
         let parent = self
-            .store
             .get(&block.header.parent)
             .ok_or(ChainError::UnknownParent(block.header.parent))?;
         let expected = parent.height() + 1;
@@ -448,6 +358,7 @@ impl<S: BlockStore> BlockTree<S> {
         self.store
             .insert(StoredBlock::new(block, total_work, arrival));
         self.store
+            .blocks
             .get_mut(&parent_hash)
             .ok_or(ChainError::Internal("parent vanished during insert"))?
             .children
@@ -469,7 +380,7 @@ impl<S: BlockStore> BlockTree<S> {
         block: impl Into<Arc<Block>>,
     ) -> Result<Vec<Hash256>, ChainError> {
         let block = block.into();
-        if !self.store.contains(&block.header.parent) {
+        if !self.contains(&block.header.parent) {
             self.park_orphan(block);
             return Ok(vec![]);
         }
@@ -532,7 +443,7 @@ impl<S: BlockStore> BlockTree<S> {
         let mut cur = *tip;
         while cur != self.genesis {
             // Documented contract: the caller passes a stored tip.
-            cur = self.store.get(&cur).expect("path stored").header().parent; // dcs-lint: allow(panic-path)
+            cur = self.get(&cur).expect("path stored").header().parent; // dcs-lint: allow(panic-path)
             path.push(cur);
         }
         path.reverse();
@@ -547,8 +458,8 @@ impl<S: BlockStore> BlockTree<S> {
     /// Panics if either hash is not in the tree.
     pub fn common_ancestor(&self, a: &Hash256, b: &Hash256) -> Hash256 {
         // Documented contract: both hashes are stored (see # Panics above).
-        let height = |h: &Hash256| self.store.get(h).expect("block stored").height(); // dcs-lint: allow(panic-path)
-        let parent = |h: &Hash256| self.store.get(h).expect("block stored").header().parent; // dcs-lint: allow(panic-path)
+        let height = |h: &Hash256| self.get(h).expect("block stored").height(); // dcs-lint: allow(panic-path)
+        let parent = |h: &Hash256| self.get(h).expect("block stored").header().parent; // dcs-lint: allow(panic-path)
         let mut a = *a;
         let mut b = *b;
         while height(&a) > height(&b) {
@@ -566,13 +477,12 @@ impl<S: BlockStore> BlockTree<S> {
 
     /// Iterates over all stored blocks in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &StoredBlock> {
-        self.store.iter()
+        self.store.blocks.values()
     }
 
     /// Leaf blocks (no children): the candidate tips.
     pub fn tips(&self) -> Vec<Hash256> {
-        self.store
-            .iter()
+        self.iter()
             .filter(|sb| sb.children.is_empty())
             .map(StoredBlock::hash)
             .collect()
@@ -587,7 +497,7 @@ impl<S: BlockStore> BlockTree<S> {
             count += 1;
             // Child links only ever point at stored blocks.
             // dcs-lint: allow(panic-path)
-            stack.extend(&self.store.get(&h).expect("subtree stored").children);
+            stack.extend(&self.get(&h).expect("subtree stored").children);
         }
         count
     }

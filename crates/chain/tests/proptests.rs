@@ -156,7 +156,7 @@ proptest! {
         let mut pruned =
             Chain::with_store(genesis.clone(), cfg, NullMachine, PrunedStore::new(keep_depth));
         let deliver = |a: &mut Chain<NullMachine>,
-                           p: &mut Chain<NullMachine, PrunedStore>,
+                           p: &mut Chain<NullMachine>,
                            b: &Arc<Block>|
          -> Result<(), TestCaseError> {
             prop_assert_eq!(a.import(Arc::clone(b)), p.import(Arc::clone(b)));

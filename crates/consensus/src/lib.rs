@@ -14,8 +14,9 @@
 //!   changes.
 //! * [`ng`] — Bitcoin-NG key blocks + microblocks (\[14\]).
 //!
-//! Supporting modules: [`node`] (the common peer core: chain + mempool +
-//! gossip), [`mempool`], [`difficulty`] (retargeting), and [`attack`]
+//! Supporting modules: [`node`] (the common peer core — chain, mempool,
+//! gossip and the whole non-consensus wire protocol — and the
+//! [`LedgerNode`] trait every engine implements), [`mempool`], [`difficulty`] (retargeting), and [`attack`]
 //! (51%-attack analysis, §2.4's immutability argument, experiments E6/E13).
 
 #![forbid(unsafe_code)]
@@ -35,7 +36,7 @@ pub mod pow;
 
 pub use mempool::{InsertOutcome, Mempool};
 pub use metrics::{MempoolMetrics, PbftMetrics};
-pub use node::{is_sync_tag, NodeCore, Recoverable, TAG_SYNC};
+pub use node::{Inbound, LedgerNode, NodeCore};
 
 use dcs_crypto::Hash256;
 use dcs_primitives::{Block, SealedTx, Transaction, TxPayload};

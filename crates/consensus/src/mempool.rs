@@ -82,11 +82,6 @@ impl Mempool {
         self.metrics = Some(metrics);
     }
 
-    /// The installed mempool metrics, if any.
-    pub fn metrics(&self) -> Option<&crate::MempoolMetrics> {
-        self.metrics.as_ref()
-    }
-
     /// A pool that verifies witness signatures at admission through
     /// `pipeline`. Forged signatures are rejected at the door, and — because
     /// verdicts land in the pipeline's shared signature cache — a block
@@ -144,6 +139,18 @@ impl Mempool {
             Transaction::Coinbase { .. } => {}
         }
         items.is_empty() || !pipeline.verify_batch_refs(&items).contains(&false)
+    }
+
+    /// Empties the pool as a crash does: contents and counters are lost,
+    /// capacity, admission pipeline and metrics stay.
+    pub fn clear(&mut self) {
+        self.queue.clear();
+        self.seq_of.clear();
+        self.seq = 0;
+        self.rejected_invalid = 0;
+        if let Some(m) = &self.metrics {
+            m.set_depth(0);
+        }
     }
 
     /// Pending transaction count.

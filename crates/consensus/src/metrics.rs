@@ -2,8 +2,8 @@
 //! progress, labeled per peer.
 //!
 //! Installed with [`NodeCore::set_metrics`](crate::NodeCore::set_metrics)
-//! (and [`PbftNode::set_metrics`](crate::pbft::PbftNode::set_metrics) for
-//! the protocol counters). Every hook is a relaxed atomic bump beside an
+//! (and PBFT's [`LedgerNode::register_metrics`](crate::LedgerNode::register_metrics)
+//! for the protocol counters). Every hook is a relaxed atomic bump beside an
 //! already-taken decision — admission verdicts, phase sends, and view
 //! entries are computed identically whether metrics are installed or not
 //! (DESIGN.md §16).

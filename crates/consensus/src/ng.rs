@@ -5,9 +5,9 @@
 //! decouples from the key-block interval — the first of the paper's §5.4
 //! "scalable system innovations".
 
-use crate::node::{is_sync_tag, NodeCore};
+use crate::node::{Inbound, LedgerNode, NodeCore};
 use crate::WireMsg;
-use dcs_chain::{ChainEvent, StateMachine};
+use dcs_chain::StateMachine;
 use dcs_crypto::{Address, Hash256};
 use dcs_net::{Ctx, NodeId, Protocol};
 use dcs_primitives::{Block, ChainConfig, ConsensusKind, Seal};
@@ -127,58 +127,38 @@ impl<M: StateMachine> Protocol for NgNode<M> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
         self.mining_started = ctx.now;
         self.restart_mining(ctx);
+        // Nobody leads at genesis; a restarted leader resumes its stream.
+        self.maybe_start_leading(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: WireMsg, ctx: &mut Ctx<'_, WireMsg>) {
-        match msg {
-            WireMsg::Block(block) => {
+        match self.core.on_message(from, msg, ctx) {
+            Inbound::Block(block) => {
                 let is_key = matches!(block.header.seal, Seal::Work { .. });
-                if let Some(event) = self.core.handle_block(block, Some(from), ctx) {
-                    if matches!(
-                        event,
-                        ChainEvent::Extended { .. } | ChainEvent::Reorg { .. }
-                    ) {
-                        if is_key {
-                            // New leader epoch: restart mining, and take over
-                            // microblock production if the new key block is
-                            // ours (it isn't, here — but a reorg can promote
-                            // our own key block back to the tip).
-                            self.restart_mining(ctx);
-                        }
-                        self.maybe_start_leading(ctx);
+                let event = self.core.handle_block(block, Some(from), ctx);
+                if event.is_some_and(|e| e.moved_tip()) {
+                    if is_key {
+                        // New leader epoch: restart mining, and take over
+                        // microblock production if the new key block is
+                        // ours (it isn't, here — but a reorg can promote
+                        // our own key block back to the tip).
+                        self.restart_mining(ctx);
                     }
-                }
-            }
-            WireMsg::Tx(tx) => {
-                self.core.handle_tx(tx, Some(from), ctx);
-            }
-            WireMsg::Pbft(_) => {}
-            WireMsg::BlockRequest(hash) => {
-                self.core.handle_block_request(hash, from, ctx);
-            }
-            WireMsg::BlockNotFound(hash) => {
-                self.core.handle_block_not_found(hash, from, ctx);
-            }
-            WireMsg::SyncRequest { locator } => {
-                self.core.handle_sync_request(&locator, from, ctx);
-            }
-            WireMsg::SyncResponse { blocks, tip_height } => {
-                if self
-                    .core
-                    .handle_sync_response(blocks, tip_height, from, ctx)
-                {
-                    // The caught-up tip may carry a new key block (new leader
-                    // epoch) — restart mining and re-evaluate leadership.
-                    self.restart_mining(ctx);
                     self.maybe_start_leading(ctx);
                 }
             }
+            Inbound::TipMoved => {
+                // The caught-up tip may carry a new key block (new leader
+                // epoch) — restart mining and re-evaluate leadership.
+                self.restart_mining(ctx);
+                self.maybe_start_leading(ctx);
+            }
+            _ => {}
         }
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, WireMsg>) {
-        if is_sync_tag(tag) {
-            self.core.handle_sync_timer(tag, ctx);
+        if self.core.on_timer(tag, ctx) {
             return;
         }
         let kind = tag & (0xff << 40);
@@ -222,5 +202,26 @@ impl<M: StateMachine> Protocol for NgNode<M> {
             }
             _ => {}
         }
+    }
+}
+
+impl<M: StateMachine> LedgerNode for NgNode<M> {
+    type Machine = M;
+
+    fn core(&self) -> &NodeCore<M> {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut NodeCore<M> {
+        &mut self.core
+    }
+
+    fn work_expended(&self) -> f64 {
+        self.work_expended
+    }
+
+    fn on_crash(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+        // Book the hash work done up to the crash; none accrues while down.
+        self.settle_work(ctx.now);
     }
 }

@@ -1,12 +1,16 @@
 //! The peer core shared by every consensus protocol: a [`Chain`] replica, a
 //! [`Mempool`], gossip dedup tables, block assembly, and the bookkeeping
-//! that returns reverted transactions to the pool after reorgs. Individual
-//! protocols (`pow`, `pos`, …) wrap a `NodeCore` and add their proposal
-//! logic.
+//! that returns reverted transactions to the pool after reorgs — plus the
+//! whole non-consensus wire protocol (tx gossip, block serving, catch-up
+//! sync), written once behind [`NodeCore::on_message`] and
+//! [`NodeCore::on_timer`]. An engine file (`pow`, `pos`, …) wraps a
+//! `NodeCore`, implements [`LedgerNode`], and adds only its block rule, its
+//! own timers and its proposal rule.
 
 use crate::mempool::{InsertOutcome, Mempool};
+use crate::pbft::PbftMsg;
 use crate::{wire_size, WireMsg};
-use dcs_chain::{ArchivalStore, BlockStore, Chain, ChainEvent, StateMachine};
+use dcs_chain::{Chain, ChainEvent, StateMachine};
 use dcs_crypto::{Address, Hash256};
 use dcs_net::{Ctx, Gossiper, NodeId, Protocol};
 use dcs_primitives::{Block, BlockHeader, ChainConfig, Seal, SealedTx, Transaction};
@@ -22,14 +26,13 @@ const MEMPOOL_CAP: usize = 100_000;
 /// `kind << 40` scheme the protocols use. The high byte is `0x5C` so a
 /// sync tag can never collide with PBFT/NG kinds (`1 << 40`, `2 << 40`) or
 /// with the raw epoch counters PoW and PoET use (small integers).
-pub const TAG_SYNC: u64 = 0x5C << 40;
+const TAG_SYNC: u64 = 0x5C << 40;
 
 const TAG_KIND_MASK: u64 = 0xff << 40;
 
-/// True if `tag` belongs to the [`NodeCore`] sync machinery. Protocols
-/// route these to [`NodeCore::handle_sync_timer`] before their own timer
-/// decoding.
-pub fn is_sync_tag(tag: u64) -> bool {
+/// True if `tag` belongs to the [`NodeCore`] sync machinery
+/// ([`NodeCore::on_timer`] consumes these).
+fn is_sync_tag(tag: u64) -> bool {
     tag & TAG_KIND_MASK == TAG_SYNC
 }
 
@@ -49,33 +52,86 @@ struct SyncAttempt {
     attempts: u32,
 }
 
-/// Crash/restart hooks for protocols that support fail-stop recovery. The
-/// fault driver calls [`Recoverable::on_crash`] when a node fail-stops and
-/// [`Recoverable::on_restart`] when it comes back; the restart path is
-/// expected to cold-rebuild the peer from its block store and start the
-/// catch-up sync protocol.
-pub trait Recoverable: Protocol<Msg = WireMsg> {
+/// A consensus peer: one engine rule around one [`NodeCore`]. Metrics,
+/// tracing, experiments and the fault driver are written once against this
+/// trait; every engine implements it, so every engine can crash and restart.
+pub trait LedgerNode: Protocol<Msg = WireMsg> {
+    /// The application state machine type.
+    type Machine: StateMachine;
+
+    /// Read access to the peer core.
+    fn core(&self) -> &NodeCore<Self::Machine>;
+
+    /// Mutable access to the peer core.
+    fn core_mut(&mut self) -> &mut NodeCore<Self::Machine>;
+
+    /// Simulated hash attempts (or analogous consensus work) expended — a
+    /// measurement (E5's energy axis) that no consensus decision reads.
+    // dcs-lint: allow(float-consensus)
+    fn work_expended(&self) -> f64 {
+        0.0 // dcs-lint: allow(float-consensus)
+    }
+
+    /// Registers this peer's live metrics on `registry` — chain and
+    /// mempool series from the core, plus any protocol-specific series
+    /// (PBFT view/phase counters override this).
+    fn register_metrics(&mut self, registry: &dcs_metrics::Registry) {
+        self.core_mut().set_metrics(registry);
+    }
+
     /// The node fail-stops: settle any in-progress accounting. No actions
     /// the implementation emits will be delivered to the node itself (the
     /// fabric suppresses them), but sends to peers still go out, so
     /// implementations should emit nothing.
-    fn on_crash(&mut self, ctx: &mut Ctx<'_, WireMsg>);
+    fn on_crash(&mut self, _ctx: &mut Ctx<'_, WireMsg>) {}
 
-    /// The node restarts: rebuild volatile state from the durable block
-    /// store, re-arm protocol timers, and begin catch-up sync.
-    fn on_restart(&mut self, ctx: &mut Ctx<'_, WireMsg>);
+    /// First step of [`LedgerNode::on_restart`]: drops the engine state a
+    /// crash loses (votes, views) and makes any timer armed before the
+    /// crash stale, where the engine's own epochs do not already.
+    fn reset_volatile(&mut self) {}
+
+    /// The node restarts: drop engine-volatile state, cold-rebuild the core
+    /// from its durable block store (replaying onto the machine's genesis
+    /// state), re-arm the engine's timers exactly as at start, and begin
+    /// catch-up sync.
+    fn on_restart(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+        self.reset_volatile();
+        self.core_mut().rebuild_from_store();
+        self.on_start(ctx);
+        self.core_mut().begin_catchup(ctx);
+    }
 }
 
-/// Shared per-peer machinery, generic over the chain's record backend
-/// (archival by default).
+/// What [`NodeCore::on_message`] leaves for the engine once the shared wire
+/// protocol has run.
 #[derive(Debug)]
-pub struct NodeCore<M: StateMachine, S: BlockStore = ArchivalStore> {
+pub enum Inbound {
+    /// Served or absorbed by the core; nothing for the engine.
+    Handled,
+    /// A transaction was gossiped in; `fresh` if this peer had not seen it.
+    Tx {
+        /// First sight of this transaction id.
+        fresh: bool,
+    },
+    /// A catch-up batch moved the canonical tip: whatever the engine was
+    /// building on the old tip is stale.
+    TipMoved,
+    /// A block announcement. Whether to accept it is the engine's rule;
+    /// accepted blocks go to [`NodeCore::handle_block`].
+    Block(Arc<Block>),
+    /// A PBFT protocol message.
+    Pbft(PbftMsg),
+}
+
+/// Shared per-peer machinery.
+#[derive(Debug)]
+pub struct NodeCore<M: StateMachine> {
     /// This peer's network identity.
     pub id: NodeId,
     /// This peer's reward address.
     pub address: Address,
     /// The local chain replica.
-    pub chain: Chain<M, S>,
+    pub chain: Chain<M>,
     /// Pending client transactions.
     pub mempool: Mempool,
     /// Blocks produced by this peer.
@@ -116,31 +172,10 @@ impl<M: StateMachine> NodeCore<M> {
         config: ChainConfig,
         machine: M,
     ) -> Self {
-        Self::with_store(
-            id,
-            address,
-            genesis,
-            config,
-            machine,
-            ArchivalStore::default(),
-        )
-    }
-}
-
-impl<M: StateMachine, S: BlockStore> NodeCore<M, S> {
-    /// Builds a peer core over the given record backend.
-    pub fn with_store(
-        id: NodeId,
-        address: Address,
-        genesis: Block,
-        config: ChainConfig,
-        machine: M,
-        store: S,
-    ) -> Self {
         NodeCore {
             id,
             address,
-            chain: Chain::with_store(genesis, config, machine, store),
+            chain: Chain::new(genesis, config, machine),
             mempool: Mempool::new(MEMPOOL_CAP),
             blocks_produced: 0,
             rejected_blocks: 0,
@@ -181,6 +216,52 @@ impl<M: StateMachine, S: BlockStore> NodeCore<M, S> {
     /// Transaction ids currently on this peer's canonical chain.
     pub fn included(&self) -> &BTreeSet<Hash256> {
         &self.included
+    }
+
+    /// The one message entry point: runs the non-consensus wire protocol
+    /// (tx gossip, block and range serving, catch-up ingestion) and reports
+    /// back only what an engine can react to.
+    pub fn on_message(
+        &mut self,
+        from: NodeId,
+        msg: WireMsg,
+        ctx: &mut Ctx<'_, WireMsg>,
+    ) -> Inbound {
+        match msg {
+            WireMsg::Tx(tx) => Inbound::Tx {
+                fresh: self.handle_tx(tx, from, ctx),
+            },
+            WireMsg::Block(block) => Inbound::Block(block),
+            WireMsg::Pbft(pbft) => Inbound::Pbft(pbft),
+            WireMsg::BlockRequest(hash) => {
+                self.handle_block_request(hash, from, ctx);
+                Inbound::Handled
+            }
+            WireMsg::BlockNotFound(hash) => {
+                // Re-target the request at the next neighbor (round-robin)
+                // now, instead of waiting out the retry timer.
+                if self.pending_blocks.contains_key(&hash) {
+                    self.retry_block_request(hash, ctx);
+                }
+                Inbound::Handled
+            }
+            WireMsg::SyncRequest { locator } => {
+                // A bounded batch of canonical blocks above the best
+                // locator match.
+                let (blocks, tip_height) = self.chain.blocks_after(&locator, SYNC_BATCH);
+                let msg = WireMsg::SyncResponse { blocks, tip_height };
+                let size = wire_size(&msg);
+                ctx.send(from, msg, size);
+                Inbound::Handled
+            }
+            WireMsg::SyncResponse { blocks, tip_height } => {
+                if self.handle_sync_response(blocks, tip_height, from, ctx) {
+                    Inbound::TipMoved
+                } else {
+                    Inbound::Handled
+                }
+            }
+        }
     }
 
     /// Imports a block into the local replica and performs the
@@ -254,7 +335,7 @@ impl<M: StateMachine, S: BlockStore> NodeCore<M, S> {
     /// Sends a [`WireMsg::BlockRequest`] for `hash` to `peer` and arms a
     /// backoff retry timer. No-op if the block is already stored or already
     /// requested.
-    pub fn request_block(&mut self, hash: Hash256, peer: NodeId, ctx: &mut Ctx<'_, WireMsg>) {
+    fn request_block(&mut self, hash: Hash256, peer: NodeId, ctx: &mut Ctx<'_, WireMsg>) {
         if self.chain.tree().contains(&hash) || self.pending_blocks.contains_key(&hash) {
             return;
         }
@@ -271,12 +352,7 @@ impl<M: StateMachine, S: BlockStore> NodeCore<M, S> {
     /// stored `Arc`, not a copy. Otherwise (unknown hash, or a pruning
     /// node dropped the body) reply [`WireMsg::BlockNotFound`] so the
     /// asker re-targets another peer instead of waiting forever.
-    pub fn handle_block_request(
-        &mut self,
-        hash: Hash256,
-        from: NodeId,
-        ctx: &mut Ctx<'_, WireMsg>,
-    ) {
+    fn handle_block_request(&mut self, hash: Hash256, from: NodeId, ctx: &mut Ctx<'_, WireMsg>) {
         if let Some(body) = self.chain.tree().get(&hash).and_then(|sb| sb.body()) {
             let msg = WireMsg::Block(Arc::clone(body));
             let size = wire_size(&msg);
@@ -285,20 +361,6 @@ impl<M: StateMachine, S: BlockStore> NodeCore<M, S> {
             let msg = WireMsg::BlockNotFound(hash);
             let size = wire_size(&msg);
             ctx.send(from, msg, size);
-        }
-    }
-
-    /// Handles a negative sync reply: immediately re-target the request at
-    /// the next neighbor (round-robin) instead of waiting out the retry
-    /// timer.
-    pub fn handle_block_not_found(
-        &mut self,
-        hash: Hash256,
-        _from: NodeId,
-        ctx: &mut Ctx<'_, WireMsg>,
-    ) {
-        if self.pending_blocks.contains_key(&hash) {
-            self.retry_block_request(hash, ctx);
         }
     }
 
@@ -324,20 +386,6 @@ impl<M: StateMachine, S: BlockStore> NodeCore<M, S> {
         self.catchup = Some(SyncAttempt { epoch, attempts });
     }
 
-    /// Serves a catch-up range request with a bounded batch of canonical
-    /// blocks above the best locator match.
-    pub fn handle_sync_request(
-        &mut self,
-        locator: &[Hash256],
-        from: NodeId,
-        ctx: &mut Ctx<'_, WireMsg>,
-    ) {
-        let (blocks, tip_height) = self.chain.blocks_after(locator, SYNC_BATCH);
-        let msg = WireMsg::SyncResponse { blocks, tip_height };
-        let size = wire_size(&msg);
-        ctx.send(from, msg, size);
-    }
-
     /// Ingests a catch-up batch. Blocks are imported without re-gossip
     /// (peers already have them) and marked seen so later gossip copies
     /// dedup. Returns true if the canonical tip advanced — protocols use
@@ -345,7 +393,7 @@ impl<M: StateMachine, S: BlockStore> NodeCore<M, S> {
     /// the same responder while still behind its tip; an empty reply from
     /// a peer that claims more history (it pruned the needed bodies)
     /// re-targets the next neighbor.
-    pub fn handle_sync_response(
+    fn handle_sync_response(
         &mut self,
         blocks: Vec<Arc<Block>>,
         tip_height: u64,
@@ -362,10 +410,7 @@ impl<M: StateMachine, S: BlockStore> NodeCore<M, S> {
                 continue;
             }
             let event = self.ingest_block_at(block, ctx.now);
-            advanced |= matches!(
-                event,
-                Some(ChainEvent::Extended { .. } | ChainEvent::Reorg { .. })
-            );
+            advanced |= event.is_some_and(|e| e.moved_tip());
         }
         if self.catchup.is_some() {
             if self.chain.height() >= tip_height {
@@ -382,15 +427,20 @@ impl<M: StateMachine, S: BlockStore> NodeCore<M, S> {
         advanced
     }
 
-    /// Handles a sync-namespace timer: if the request it guards is still
-    /// outstanding, re-send with doubled backoff to the next neighbor.
-    /// Stale epochs (the reply arrived meanwhile) are ignored.
-    pub fn handle_sync_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, WireMsg>) {
+    /// The one timer entry point. Returns false for a tag outside the sync
+    /// namespace — that timer is the engine's. A sync timer is consumed
+    /// here: if the request it guards is still outstanding, re-send with
+    /// doubled backoff to the next neighbor; stale epochs (the reply
+    /// arrived meanwhile) are ignored.
+    pub fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, WireMsg>) -> bool {
+        if !is_sync_tag(tag) {
+            return false;
+        }
         let epoch = tag & !TAG_KIND_MASK;
         if let Some(c) = self.catchup {
             if c.epoch == epoch {
                 self.retry_catchup(ctx);
-                return;
+                return true;
             }
         }
         let hash = self
@@ -401,6 +451,7 @@ impl<M: StateMachine, S: BlockStore> NodeCore<M, S> {
         if let Some(hash) = hash {
             self.retry_block_request(hash, ctx);
         }
+        true
     }
 
     fn retry_block_request(&mut self, hash: Hash256, ctx: &mut Ctx<'_, WireMsg>) {
@@ -453,25 +504,19 @@ impl<M: StateMachine, S: BlockStore> NodeCore<M, S> {
     }
 
     /// Cold-rebuilds this peer from its durable block store — the restart
-    /// path after a crash. The chain re-runs fork choice over the stored
-    /// tree with a fresh `machine`; the mempool, gossip dedup tables, and
-    /// inclusion index are volatile and re-derived (canonical blocks and
-    /// their transactions are marked seen so catch-up traffic does not
-    /// re-gossip old history). Lifetime counters survive. Rebuild errors
-    /// land in [`NodeCore::internal_errors`] rather than aborting.
-    pub fn rebuild_from_store(&mut self, machine: M) {
-        if self.chain.rebuild_from_store(machine).is_err() {
+    /// path after a crash. The chain rolls its machine back to genesis
+    /// state and re-runs fork choice over the stored tree; the mempool
+    /// contents, gossip dedup tables, and inclusion index are volatile and
+    /// re-derived (canonical blocks and their transactions are marked seen
+    /// so catch-up traffic does not re-gossip old history). The pool keeps
+    /// its capacity, admission pipeline and metrics; lifetime counters
+    /// survive. Rebuild errors land in [`NodeCore::internal_errors`] rather
+    /// than aborting.
+    pub fn rebuild_from_store(&mut self) {
+        if self.chain.rebuild_from_store().is_err() {
             self.internal_errors += 1;
         }
-        let mempool_metrics = self.mempool.metrics().cloned();
-        let admission = self.mempool.admission().cloned();
-        self.mempool = Mempool::new(MEMPOOL_CAP);
-        if let Some(m) = mempool_metrics {
-            self.mempool.set_metrics(m);
-        }
-        if let Some(p) = admission {
-            self.mempool.set_admission(p);
-        }
+        self.mempool.clear();
         self.seen = Gossiper::new();
         self.included.clear();
         self.pending_blocks.clear();
@@ -496,16 +541,11 @@ impl<M: StateMachine, S: BlockStore> NodeCore<M, S> {
         }
     }
 
-    /// Handles an incoming (or locally submitted) transaction: dedup,
-    /// re-gossip, mempool insertion. Returns true if the tx was new.
-    /// The sealed transaction carries its content id, so this hot path —
-    /// run once per peer per gossiped tx — never hashes the body.
-    pub fn handle_tx(
-        &mut self,
-        tx: SealedTx,
-        from: Option<NodeId>,
-        ctx: &mut Ctx<'_, WireMsg>,
-    ) -> bool {
+    /// Handles an incoming transaction: dedup, re-gossip, mempool
+    /// insertion. Returns true if the tx was new. The sealed transaction
+    /// carries its content id, so this hot path — run once per peer per
+    /// gossiped tx — never hashes the body.
+    fn handle_tx(&mut self, tx: SealedTx, from: NodeId, ctx: &mut Ctx<'_, WireMsg>) -> bool {
         let id = tx.id();
         if !self.seen.first_sight(id) {
             return false;
@@ -515,15 +555,12 @@ impl<M: StateMachine, S: BlockStore> NodeCore<M, S> {
             TraceEvent::FirstSeen {
                 kind: EntityKind::Tx,
                 id: TraceId(id.into_bytes()),
-                from: from.map_or(ORIGIN, |n| n.0 as u32),
+                from: from.0 as u32,
             },
         );
         let msg = WireMsg::Tx(tx.clone());
         let size = wire_size(&msg);
-        match from {
-            Some(sender) => ctx.broadcast_except(sender, msg, size),
-            None => ctx.broadcast(msg, size),
-        }
+        ctx.broadcast_except(from, msg, size);
         if !self.included.contains(&id) {
             let outcome = self.mempool.insert_outcome(tx);
             if self.tracer.is_enabled() {
@@ -921,7 +958,7 @@ mod tests {
         // The request (or its reply) is lost; the timer fires.
         let mut actions = Vec::new();
         let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
-        node.handle_sync_timer(timers[0], &mut ctx);
+        node.on_timer(timers[0], &mut ctx);
         let retries = sent_requests(&actions);
         assert_eq!(retries.len(), 1, "the request was re-sent");
         assert_eq!(retries[0].1, b1.hash());
@@ -938,7 +975,7 @@ mod tests {
         // The stale timer is inert: no further requests go out.
         let mut actions = Vec::new();
         let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
-        node.handle_sync_timer(retry_tag, &mut ctx);
+        node.on_timer(retry_tag, &mut ctx);
         assert!(sent_requests(&actions).is_empty());
         assert_eq!(node.sync_retries, 1);
     }
@@ -957,7 +994,7 @@ mod tests {
         for _ in 0..64 {
             let mut actions = Vec::new();
             let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
-            node.handle_sync_timer(tag, &mut ctx);
+            node.on_timer(tag, &mut ctx);
             match sync_timer_tags(&actions).first() {
                 Some(t) => tag = *t,
                 None => break,
@@ -979,14 +1016,14 @@ mod tests {
         let mut cfg = ChainConfig::bitcoin_like();
         cfg.confirmation_depth = 2;
         let genesis = dcs_chain::genesis_block(&cfg);
-        let mut node = NodeCore::with_store(
+        let mut node = NodeCore::new(
             NodeId(0),
             Address::from_index(0),
             genesis.clone(),
-            cfg,
+            cfg.clone(),
             NullMachine,
-            PrunedStore::new(0),
         );
+        node.chain = Chain::with_store(genesis.clone(), cfg, NullMachine, PrunedStore::new(0));
         let mut tip = Arc::new(genesis);
         let mut hashes = Vec::new();
         for i in 0..10 {
@@ -1047,7 +1084,7 @@ mod tests {
         // Peer 1 cannot serve it: the request immediately moves to peer 2.
         let mut actions = Vec::new();
         let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
-        node.handle_block_not_found(b1.hash(), NodeId(1), &mut ctx);
+        node.on_message(NodeId(1), WireMsg::BlockNotFound(b1.hash()), &mut ctx);
         assert_eq!(sent_requests(&actions), vec![(NodeId(2), b1.hash())]);
         assert_eq!(node.sync_retries, 1);
     }
@@ -1066,7 +1103,7 @@ mod tests {
         node.blocks_produced = 5;
         let tip = node.chain.tip_hash();
 
-        node.rebuild_from_store(NullMachine);
+        node.rebuild_from_store();
 
         assert_eq!(node.chain.tip_hash(), tip);
         assert_eq!(node.internal_errors, 0);
@@ -1082,7 +1119,7 @@ mod tests {
             let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
             assert!(node.handle_block(b1, Some(NodeId(1)), &mut ctx).is_none());
             assert!(
-                !node.handle_tx(SealedTx::new(Arc::new(t1)), Some(NodeId(1)), &mut ctx),
+                !node.handle_tx(SealedTx::new(Arc::new(t1)), NodeId(1), &mut ctx),
                 "included txs are seen too"
             );
         }

@@ -7,7 +7,7 @@
 //! Supports a static leader (`rotate_every = 0`) or round-robin rotation
 //! every N blocks among all peers.
 
-use crate::node::{is_sync_tag, NodeCore};
+use crate::node::{Inbound, LedgerNode, NodeCore};
 use crate::WireMsg;
 use dcs_chain::StateMachine;
 use dcs_crypto::Address;
@@ -25,6 +25,9 @@ pub struct OrderingNode<M: StateMachine> {
     batch_timeout_us: u64,
     rotate_every: u64,
     node_count: usize,
+    /// Tag of the live batch tick; a restart bumps it so a tick armed
+    /// before the crash cannot start a second tick chain.
+    tick_epoch: u64,
 }
 
 impl<M: StateMachine> OrderingNode<M> {
@@ -55,6 +58,7 @@ impl<M: StateMachine> OrderingNode<M> {
             batch_timeout_us,
             rotate_every,
             node_count,
+            tick_epoch: 0,
         }
     }
 
@@ -99,7 +103,10 @@ impl<M: StateMachine> OrderingNode<M> {
     }
 
     fn schedule_tick(&self, ctx: &mut Ctx<'_, WireMsg>) {
-        ctx.set_timer(SimDuration::from_micros(self.batch_timeout_us), 0);
+        ctx.set_timer(
+            SimDuration::from_micros(self.batch_timeout_us),
+            self.tick_epoch,
+        );
     }
 }
 
@@ -111,47 +118,39 @@ impl<M: StateMachine> Protocol for OrderingNode<M> {
     }
 
     fn on_message(&mut self, from: NodeId, msg: WireMsg, ctx: &mut Ctx<'_, WireMsg>) {
-        match msg {
-            WireMsg::Block(block) => {
+        match self.core.on_message(from, msg, ctx) {
+            Inbound::Block(block) => {
                 self.core.handle_block(block, Some(from), ctx);
             }
-            WireMsg::Tx(tx) => {
-                if self.core.handle_tx(tx, Some(from), ctx) {
-                    self.try_cut_batch(ctx, false);
-                }
-            }
-            WireMsg::Pbft(_) => {}
-            WireMsg::BlockRequest(hash) => {
-                self.core.handle_block_request(hash, from, ctx);
-            }
-            WireMsg::BlockNotFound(hash) => {
-                self.core.handle_block_not_found(hash, from, ctx);
-            }
-            WireMsg::SyncRequest { locator } => {
-                self.core.handle_sync_request(&locator, from, ctx);
-            }
-            WireMsg::SyncResponse { blocks, tip_height } => {
-                if self
-                    .core
-                    .handle_sync_response(blocks, tip_height, from, ctx)
-                {
-                    // The orderer role may have rotated onto us at the new
-                    // height; the regular tick picks that up.
-                    self.try_cut_batch(ctx, false);
-                }
-            }
+            // A new transaction may fill a batch; a caught-up tip may have
+            // rotated the orderer role onto us at the new height.
+            Inbound::Tx { fresh: true } | Inbound::TipMoved => self.try_cut_batch(ctx, false),
+            _ => {}
         }
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, WireMsg>) {
-        // Sync retries share the timer queue; route them before the batch
-        // tick (which deliberately ignores its tag).
-        if is_sync_tag(tag) {
-            self.core.handle_sync_timer(tag, ctx);
-            return;
+        if self.core.on_timer(tag, ctx) || tag != self.tick_epoch {
+            return; // a sync retry, or a tick armed before a crash
         }
         // Batch timeout: cut whatever is pending, then re-arm.
         self.try_cut_batch(ctx, true);
         self.schedule_tick(ctx);
+    }
+}
+
+impl<M: StateMachine> LedgerNode for OrderingNode<M> {
+    type Machine = M;
+
+    fn core(&self) -> &NodeCore<M> {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut NodeCore<M> {
+        &mut self.core
+    }
+
+    fn reset_volatile(&mut self) {
+        self.tick_epoch += 1;
     }
 }

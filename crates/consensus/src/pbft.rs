@@ -9,7 +9,7 @@
 //! [`PbftNode::crashed`] flag; equivocation is not modeled (the simulator
 //! drives all honest peers from the same implementation).
 
-use crate::node::{is_sync_tag, NodeCore, Recoverable};
+use crate::node::{Inbound, LedgerNode, NodeCore};
 use crate::WireMsg;
 use dcs_chain::StateMachine;
 use dcs_crypto::{Address, Hash256};
@@ -128,18 +128,6 @@ impl<M: StateMachine> PbftNode<M> {
             in_flight: None,
             metrics: None,
         }
-    }
-
-    /// Installs live metrics: the shared peer series (chain, mempool) via
-    /// [`NodeCore::set_metrics`] plus this replica's view gauge and phase
-    /// counters. Counter bumps sit beside the existing trace emissions and
-    /// never gate protocol decisions.
-    pub fn set_metrics(&mut self, registry: &dcs_metrics::Registry) {
-        self.core.set_metrics(registry);
-        self.metrics = Some(crate::PbftMetrics::register(
-            registry,
-            &self.core.id.0.to_string(),
-        ));
     }
 
     fn record_phase(&self, phase: PbftPhase) {
@@ -279,6 +267,19 @@ impl<M: StateMachine> PbftNode<M> {
         }
     }
 
+    /// The chain advanced outside this replica's own commit path (gossip
+    /// fallback or catch-up sync): drop buffered per-seq state at or below
+    /// the new tip and carry on from there.
+    fn chain_moved(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+        let height = self.core.chain.height();
+        self.state.retain(|&s, _| s > height);
+        if self.in_flight.is_some_and(|s| s <= height) {
+            self.in_flight = None;
+        }
+        self.arm_view_timer(ctx);
+        self.try_propose(ctx);
+    }
+
     fn arm_view_timer(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
         self.view_timer_epoch += 1;
         ctx.set_timer(
@@ -322,53 +323,21 @@ impl<M: StateMachine> Protocol for PbftNode<M> {
         if self.crashed {
             return;
         }
-        match msg {
-            WireMsg::Tx(tx) => {
-                self.core.handle_tx(tx, Some(from), ctx);
-                self.try_propose(ctx);
-            }
-            WireMsg::Block(block) => {
+        match self.core.on_message(from, msg, ctx) {
+            Inbound::Handled => {}
+            Inbound::Tx { .. } => self.try_propose(ctx),
+            Inbound::Block(block) => {
                 // Fallback sync path: peers whose commit quorum completed
                 // first gossip the committed block; accept it and catch up.
                 // Without this reconciliation the leader can wedge — its
                 // own quorum never completes because the chain already
                 // moved underneath it.
                 if self.core.handle_block(block, Some(from), ctx).is_some() {
-                    let height = self.core.chain.height();
-                    self.state.retain(|&s, _| s > height);
-                    if self.in_flight.is_some_and(|s| s <= height) {
-                        self.in_flight = None;
-                    }
-                    self.arm_view_timer(ctx);
-                    self.try_propose(ctx);
+                    self.chain_moved(ctx);
                 }
             }
-            WireMsg::BlockRequest(hash) => {
-                self.core.handle_block_request(hash, from, ctx);
-            }
-            WireMsg::BlockNotFound(hash) => {
-                self.core.handle_block_not_found(hash, from, ctx);
-            }
-            WireMsg::SyncRequest { locator } => {
-                self.core.handle_sync_request(&locator, from, ctx);
-            }
-            WireMsg::SyncResponse { blocks, tip_height } => {
-                if self
-                    .core
-                    .handle_sync_response(blocks, tip_height, from, ctx)
-                {
-                    // Caught up past buffered per-seq state: drop anything at
-                    // or below the new tip, same as the gossip fallback path.
-                    let height = self.core.chain.height();
-                    self.state.retain(|&s, _| s > height);
-                    if self.in_flight.is_some_and(|s| s <= height) {
-                        self.in_flight = None;
-                    }
-                    self.arm_view_timer(ctx);
-                    self.try_propose(ctx);
-                }
-            }
-            WireMsg::Pbft(pbft) => match pbft {
+            Inbound::TipMoved => self.chain_moved(ctx),
+            Inbound::Pbft(pbft) => match pbft {
                 PbftMsg::PrePrepare { view, seq, block } => {
                     // A replica that was down across view changes adopts the
                     // higher view when the (alleged) leader of that view
@@ -449,11 +418,7 @@ impl<M: StateMachine> Protocol for PbftNode<M> {
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, WireMsg>) {
-        if self.crashed {
-            return;
-        }
-        if is_sync_tag(tag) {
-            self.core.handle_sync_timer(tag, ctx);
+        if self.crashed || self.core.on_timer(tag, ctx) {
             return;
         }
         let kind = tag & (0xff << 40);
@@ -484,14 +449,35 @@ impl<M: StateMachine> Protocol for PbftNode<M> {
     }
 }
 
-impl<M: StateMachine + Default> Recoverable for PbftNode<M> {
+impl<M: StateMachine> LedgerNode for PbftNode<M> {
+    type Machine = M;
+
+    fn core(&self) -> &NodeCore<M> {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut NodeCore<M> {
+        &mut self.core
+    }
+
+    /// The shared peer series (chain, mempool) plus this replica's view
+    /// gauge and phase counters. Counter bumps sit beside the existing trace
+    /// emissions and never gate protocol decisions.
+    fn register_metrics(&mut self, registry: &dcs_metrics::Registry) {
+        self.core.set_metrics(registry);
+        self.metrics = Some(crate::PbftMetrics::register(
+            registry,
+            &self.core.id.0.to_string(),
+        ));
+    }
+
     fn on_crash(&mut self, _ctx: &mut Ctx<'_, WireMsg>) {
         // Fail-stop: the flag gates every callback until restart, so even
         // events already in flight toward this replica are ignored.
         self.crashed = true;
     }
 
-    fn on_restart(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+    fn reset_volatile(&mut self) {
         self.crashed = false;
         // All per-view and per-sequence protocol state is volatile; a
         // restarted replica rediscovers the working view from the next
@@ -500,9 +486,5 @@ impl<M: StateMachine + Default> Recoverable for PbftNode<M> {
         self.state.clear();
         self.view_votes.clear();
         self.in_flight = None;
-        self.core.rebuild_from_store(M::default());
-        ctx.set_timer(SimDuration::from_micros(self.batch_timeout_us), TAG_BATCH);
-        self.arm_view_timer(ctx);
-        self.core.begin_catchup(ctx);
     }
 }

@@ -8,9 +8,9 @@
 //! compromised enclave that shortens its waits — used to reproduce the PoET
 //! security concern analyzed in \[41\].
 
-use crate::node::{is_sync_tag, NodeCore};
+use crate::node::{Inbound, LedgerNode, NodeCore};
 use crate::WireMsg;
-use dcs_chain::{ChainEvent, StateMachine};
+use dcs_chain::StateMachine;
 use dcs_crypto::Address;
 use dcs_net::{Ctx, NodeId, Protocol};
 use dcs_primitives::{Block, ChainConfig, ConsensusKind, Seal};
@@ -75,52 +75,42 @@ impl<M: StateMachine> Protocol for PoetNode<M> {
     }
 
     fn on_message(&mut self, from: NodeId, msg: WireMsg, ctx: &mut Ctx<'_, WireMsg>) {
-        match msg {
-            WireMsg::Block(block) => {
-                if let Some(event) = self.core.handle_block(block, Some(from), ctx) {
-                    if matches!(
-                        event,
-                        ChainEvent::Extended { .. } | ChainEvent::Reorg { .. }
-                    ) {
-                        self.restart_wait(ctx);
-                    }
+        match self.core.on_message(from, msg, ctx) {
+            Inbound::Block(block) => {
+                let event = self.core.handle_block(block, Some(from), ctx);
+                if event.is_some_and(|e| e.moved_tip()) {
+                    self.restart_wait(ctx);
                 }
             }
-            WireMsg::Tx(tx) => {
-                self.core.handle_tx(tx, Some(from), ctx);
-            }
-            WireMsg::Pbft(_) => {}
-            WireMsg::BlockRequest(hash) => {
-                self.core.handle_block_request(hash, from, ctx);
-            }
-            WireMsg::BlockNotFound(hash) => {
-                self.core.handle_block_not_found(hash, from, ctx);
-            }
-            WireMsg::SyncRequest { locator } => {
-                self.core.handle_sync_request(&locator, from, ctx);
-            }
-            WireMsg::SyncResponse { blocks, tip_height } => {
-                if self
-                    .core
-                    .handle_sync_response(blocks, tip_height, from, ctx)
-                {
-                    self.restart_wait(ctx); // wait from the caught-up tip
-                }
-            }
+            Inbound::TipMoved => self.restart_wait(ctx), // wait from the caught-up tip
+            _ => {}
         }
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, WireMsg>) {
-        if is_sync_tag(tag) {
-            self.core.handle_sync_timer(tag, ctx);
-            return;
-        }
-        if tag != self.epoch {
-            return; // superseded: a block arrived while we were waiting
+        if self.core.on_timer(tag, ctx) || tag != self.epoch {
+            return; // a sync retry, or a wait a block arrived during
         }
         let seal = Seal::ElapsedTime { wait_us: 0 };
         let block = self.core.build_block(seal, ctx.now);
         self.core.handle_block(block, None, ctx);
         self.restart_wait(ctx);
+    }
+}
+
+impl<M: StateMachine> LedgerNode for PoetNode<M> {
+    type Machine = M;
+
+    fn core(&self) -> &NodeCore<M> {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut NodeCore<M> {
+        &mut self.core
+    }
+
+    fn work_expended(&self) -> f64 {
+        // One TEE wait request per proposal opportunity.
+        self.waits_drawn as f64
     }
 }

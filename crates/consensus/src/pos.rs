@@ -5,7 +5,7 @@
 //! from propagation races — no hashing is expended, which is the point of
 //! experiment E5.
 
-use crate::node::{is_sync_tag, NodeCore};
+use crate::node::{Inbound, LedgerNode, NodeCore};
 use crate::WireMsg;
 use dcs_chain::StateMachine;
 use dcs_crypto::{sha256, Address, Hash256};
@@ -96,6 +96,7 @@ pub struct PosNode<M: StateMachine> {
     stake_table: StakeTable,
     slot_us: u64,
     my_index: usize,
+    last_slot: u64,
 }
 
 impl<M: StateMachine> PosNode<M> {
@@ -125,6 +126,7 @@ impl<M: StateMachine> PosNode<M> {
             stake_table,
             slot_us,
             my_index,
+            last_slot: 0,
         }
     }
 
@@ -144,43 +146,26 @@ impl<M: StateMachine> Protocol for PosNode<M> {
     }
 
     fn on_message(&mut self, from: NodeId, msg: WireMsg, ctx: &mut Ctx<'_, WireMsg>) {
-        match msg {
-            WireMsg::Block(block) => {
-                if self
-                    .stake_table
-                    .verify_seal(&block.header.proposer, &block.header.seal)
-                {
-                    self.core.handle_block(block, Some(from), ctx);
-                } else {
-                    self.invalid_seals += 1;
-                }
-            }
-            WireMsg::Tx(tx) => {
-                self.core.handle_tx(tx, Some(from), ctx);
-            }
-            WireMsg::Pbft(_) => {}
-            WireMsg::BlockRequest(hash) => {
-                self.core.handle_block_request(hash, from, ctx);
-            }
-            WireMsg::BlockNotFound(hash) => {
-                self.core.handle_block_not_found(hash, from, ctx);
-            }
-            WireMsg::SyncRequest { locator } => {
-                self.core.handle_sync_request(&locator, from, ctx);
-            }
-            WireMsg::SyncResponse { blocks, tip_height } => {
-                // The slot schedule is wall-clock driven; nothing to re-arm.
-                self.core
-                    .handle_sync_response(blocks, tip_height, from, ctx);
+        // The slot schedule is clock driven: a caught-up tip re-arms nothing.
+        if let Inbound::Block(block) = self.core.on_message(from, msg, ctx) {
+            if self
+                .stake_table
+                .verify_seal(&block.header.proposer, &block.header.seal)
+            {
+                self.core.handle_block(block, Some(from), ctx);
+            } else {
+                self.invalid_seals += 1;
             }
         }
     }
 
     fn on_timer(&mut self, slot: u64, ctx: &mut Ctx<'_, WireMsg>) {
-        if is_sync_tag(slot) {
-            self.core.handle_sync_timer(slot, ctx);
+        // A slot fires once: a timer armed before a crash that outlives the
+        // downtime finds its slot already taken by the restart's own.
+        if self.core.on_timer(slot, ctx) || slot <= self.last_slot {
             return;
         }
+        self.last_slot = slot;
         self.lotteries_evaluated += 1;
         if self.stake_table.slot_leader(slot) == self.my_index {
             let proof = self.stake_table.slot_proof(slot, &self.core.address);
@@ -188,6 +173,23 @@ impl<M: StateMachine> Protocol for PosNode<M> {
             self.core.handle_block(block, None, ctx);
         }
         self.schedule_next_slot(ctx);
+    }
+}
+
+impl<M: StateMachine> LedgerNode for PosNode<M> {
+    type Machine = M;
+
+    fn core(&self) -> &NodeCore<M> {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut NodeCore<M> {
+        &mut self.core
+    }
+
+    fn work_expended(&self) -> f64 {
+        // One lottery hash per slot.
+        self.lotteries_evaluated as f64
     }
 }
 

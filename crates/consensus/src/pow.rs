@@ -8,9 +8,9 @@
 //! exercised by [`mine_real`] and its tests/benches at low difficulty.
 
 use crate::difficulty::next_difficulty;
-use crate::node::{is_sync_tag, NodeCore, Recoverable};
+use crate::node::{Inbound, LedgerNode, NodeCore};
 use crate::WireMsg;
-use dcs_chain::{ChainEvent, StateMachine};
+use dcs_chain::StateMachine;
 use dcs_crypto::Address;
 use dcs_net::{Ctx, NodeId, Protocol};
 use dcs_primitives::{Block, BlockHeader, ChainConfig, ConsensusKind, Seal};
@@ -103,50 +103,23 @@ impl<M: StateMachine> Protocol for PowNode<M> {
     }
 
     fn on_message(&mut self, from: NodeId, msg: WireMsg, ctx: &mut Ctx<'_, WireMsg>) {
-        match msg {
-            WireMsg::Block(block) => {
-                if let Some(event) = self.core.handle_block(block, Some(from), ctx) {
-                    // Mining restarts whenever the tip moves (the miner must
-                    // build on the new best block).
-                    if matches!(
-                        event,
-                        ChainEvent::Extended { .. } | ChainEvent::Reorg { .. }
-                    ) {
-                        self.restart_mining(ctx);
-                    }
+        match self.core.on_message(from, msg, ctx) {
+            Inbound::Block(block) => {
+                // Mining restarts whenever the tip moves (the miner must
+                // build on the new best block).
+                let event = self.core.handle_block(block, Some(from), ctx);
+                if event.is_some_and(|e| e.moved_tip()) {
+                    self.restart_mining(ctx);
                 }
             }
-            WireMsg::Tx(tx) => {
-                self.core.handle_tx(tx, Some(from), ctx);
-            }
-            WireMsg::Pbft(_) => {}
-            WireMsg::BlockRequest(hash) => {
-                self.core.handle_block_request(hash, from, ctx);
-            }
-            WireMsg::BlockNotFound(hash) => {
-                self.core.handle_block_not_found(hash, from, ctx);
-            }
-            WireMsg::SyncRequest { locator } => {
-                self.core.handle_sync_request(&locator, from, ctx);
-            }
-            WireMsg::SyncResponse { blocks, tip_height } => {
-                if self
-                    .core
-                    .handle_sync_response(blocks, tip_height, from, ctx)
-                {
-                    self.restart_mining(ctx); // mine on the caught-up tip
-                }
-            }
+            Inbound::TipMoved => self.restart_mining(ctx), // mine on the caught-up tip
+            _ => {}
         }
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, WireMsg>) {
-        if is_sync_tag(tag) {
-            self.core.handle_sync_timer(tag, ctx);
-            return;
-        }
-        if tag != self.mining_epoch {
-            return; // stale mining attempt: the tip moved since it was set
+        if self.core.on_timer(tag, ctx) || tag != self.mining_epoch {
+            return; // a sync retry, or a mining attempt the tip moved under
         }
         // Block found.
         let difficulty = self.current_difficulty();
@@ -160,17 +133,25 @@ impl<M: StateMachine> Protocol for PowNode<M> {
     }
 }
 
-impl<M: StateMachine + Default> Recoverable for PowNode<M> {
-    fn on_crash(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
-        // Book the hash work done up to the crash; none accrues while down.
-        self.settle_work(ctx.now);
+impl<M: StateMachine> LedgerNode for PowNode<M> {
+    type Machine = M;
+
+    fn core(&self) -> &NodeCore<M> {
+        &self.core
     }
 
-    fn on_restart(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
-        self.core.rebuild_from_store(M::default());
-        self.mining_started = ctx.now; // downtime is not hash work
-        self.restart_mining(ctx);
-        self.core.begin_catchup(ctx);
+    fn core_mut(&mut self) -> &mut NodeCore<M> {
+        &mut self.core
+    }
+
+    fn work_expended(&self) -> f64 {
+        self.work_expended
+    }
+
+    fn on_crash(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+        // Book the hash work done up to the crash; none accrues while down
+        // (`on_start` restarts the clock at the restart instant).
+        self.settle_work(ctx.now);
     }
 }
 

@@ -337,16 +337,6 @@ impl VerifyPipeline {
         VerifyPipeline::default()
     }
 
-    /// A pipeline sharing an externally owned cache.
-    pub fn with_cache(threads: usize, cache: Arc<SigCache>) -> Self {
-        VerifyPipeline {
-            pool: VerifyPool::new(threads),
-            cache: Some(cache),
-            batches: Arc::new(AtomicU64::new(0)),
-            batch_items: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
     /// The worker pool.
     pub fn pool(&self) -> &VerifyPool {
         &self.pool

@@ -10,14 +10,14 @@
 //!
 //! Crash semantics are fail-stop with durable storage: a crashed node loses
 //! its volatile state (mempool, gossip dedup, consensus votes) but keeps its
-//! `BlockStore`; on restart the protocol's
-//! [`Recoverable::on_restart`] rebuilds the chain from the store and runs the
+//! `BlockStore`; on restart the peer's
+//! [`LedgerNode::on_restart`] rebuilds the chain from the store and runs the
 //! locator-based catch-up sync until it reaches the canonical tip.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dcs_consensus::Recoverable;
+use dcs_consensus::LedgerNode;
 use dcs_net::{NodeId, Runner};
 use dcs_sim::SimTime;
 
@@ -189,11 +189,11 @@ impl FaultDriver {
     /// its exact instant. Returns the number of sim events processed.
     ///
     /// Crash/restart actions flip network liveness first, then invoke the
-    /// protocol's [`Recoverable`] hook in a fresh [`Ctx`](dcs_net::Ctx) so
+    /// peer's [`LedgerNode`] hook in a fresh [`Ctx`](dcs_net::Ctx) so
     /// recovery can send messages and arm timers.
     pub fn run_until<P>(&mut self, runner: &mut Runner<P>, deadline: SimTime) -> u64
     where
-        P: Recoverable + Send,
+        P: LedgerNode + Send,
         P::Msg: Send,
     {
         let mut processed = 0;

@@ -15,7 +15,6 @@ use dcs_consensus::{
 use dcs_crypto::Address;
 use dcs_net::{LatencyModel, NetConfig, NodeId, Runner, Topology};
 use dcs_primitives::{ChainConfig, ConsensusKind};
-use dcs_sim::SimDuration;
 
 /// The address assigned to peer `i` in every built network.
 pub fn node_address(i: usize) -> Address {
@@ -346,10 +345,4 @@ pub fn build_ng(params: &NgParams, seed: u64) -> Runner<NgNode<NullMachine>> {
             powers[id.0 % powers.len()],
         )
     })
-}
-
-/// Convenience: the simulated run deadline for a workload of `duration`
-/// plus a cooldown for in-flight blocks to settle.
-pub fn deadline_for(duration: SimDuration) -> dcs_sim::SimTime {
-    dcs_sim::SimTime::ZERO + duration + SimDuration::from_secs(120)
 }

@@ -19,7 +19,7 @@
 //! driver.run_until(&mut runner, SimTime::ZERO + SimDuration::from_secs(600));
 //! ```
 
-use dcs_consensus::Recoverable;
+use crate::LedgerNode;
 use dcs_faults::{FaultDriver, FaultSchedule};
 use dcs_net::Runner;
 
@@ -32,7 +32,7 @@ use dcs_net::Runner;
 ///
 /// Panics if the schedule references a node outside the network (see
 /// [`FaultSchedule::validate`]).
-pub fn install_faults<P: Recoverable>(runner: &Runner<P>, schedule: FaultSchedule) -> FaultDriver {
+pub fn install_faults<P: LedgerNode>(runner: &Runner<P>, schedule: FaultSchedule) -> FaultDriver {
     schedule.validate(runner.net().node_count());
     FaultDriver::new(schedule)
 }

@@ -53,13 +53,13 @@ pub mod profile;
 pub mod scale;
 pub mod serve;
 pub mod trace;
-pub mod traits;
 pub mod workload;
 
 pub use builders::{
     build_ng, build_ordering, build_pbft, build_poet, build_pos, build_pow, NgParams,
     OrderingParams, PbftParams, PoetParams, PosParams, PowParams,
 };
+pub use dcs_consensus::LedgerNode;
 pub use faults::install_faults;
 pub use metrics::{collect, SimResult, VerificationReport};
 pub use profile::Profile;
@@ -69,5 +69,4 @@ pub use serve::{
     ServeParams,
 };
 pub use trace::{collect_traces, install_tracing};
-pub use traits::LedgerNode;
 pub use workload::Workload;

@@ -6,11 +6,11 @@
 //! * **Decentralization** — Gini and Nakamoto coefficients over who
 //!   actually produced the canonical chain.
 
-use crate::traits::LedgerNode;
+use crate::LedgerNode;
 use dcs_crypto::{Hash256, VerifyPipeline};
 use dcs_primitives::Transaction;
 use dcs_sim::{gini, nakamoto_coefficient, SimDuration, SimTime, Summary};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 pub use dcs_crypto::{PipelineStats, SigCacheStats};
 
@@ -46,27 +46,6 @@ impl VerificationReport {
             internal_errors: 0,
             sync_retries: 0,
         }
-    }
-
-    /// Attaches the network-wide rejected-block count (from
-    /// [`SimResult::rejected_blocks`] or a manual census).
-    pub fn with_rejected_blocks(mut self, rejected: u64) -> Self {
-        self.rejected_blocks = rejected;
-        self
-    }
-
-    /// Attaches the network-wide internal-error count (from
-    /// [`SimResult::internal_errors`] or a manual census).
-    pub fn with_internal_errors(mut self, internal: u64) -> Self {
-        self.internal_errors = internal;
-        self
-    }
-
-    /// Attaches the network-wide sync-retry count (from
-    /// [`SimResult::sync_retries`] or a manual census).
-    pub fn with_sync_retries(mut self, retries: u64) -> Self {
-        self.sync_retries = retries;
-        self
     }
 
     /// Signature verifications answered from the cache (work skipped).
@@ -193,7 +172,10 @@ impl core::fmt::Display for SimResult {
 
 /// Collects a [`SimResult`] from the finished nodes. `submitted` maps
 /// transaction ids to submission instants (from `Workload::inject`);
-/// `horizon` is the denominator for throughput.
+/// `horizon` is the denominator for throughput. The map is only ever
+/// looked up by id, never iterated, so its hash order cannot reach a result;
+/// it stays a `HashMap` because that type is in this signature and the
+/// frozen `benchmark/` package passes one.
 ///
 /// # Panics
 ///
@@ -217,7 +199,7 @@ pub fn collect<P: LedgerNode>(
     let mut latency = Summary::new();
     let mut proposer_counts = vec![0u64; nodes.len()];
     let mut timestamps = Vec::new();
-    let address_to_index: HashMap<_, _> = nodes
+    let address_to_index: BTreeMap<_, _> = nodes
         .iter()
         .enumerate()
         .map(|(i, n)| (n.core().address, i))

@@ -112,20 +112,6 @@ impl Profile {
             net: self.net.clone(),
         }
     }
-
-    /// The ordering params for this profile (panics otherwise).
-    pub fn ordering_params(&self) -> OrderingParams {
-        assert!(
-            matches!(self.chain.consensus, ConsensusKind::Ordering { .. }),
-            "{} is not an ordering profile",
-            self.name
-        );
-        OrderingParams {
-            nodes: self.nodes,
-            chain: self.chain.clone(),
-            net: self.net.clone(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! simulated run is bit-identical with metrics and serving on or off
 //! (asserted in `tests/determinism.rs`); see DESIGN.md §16.
 
-use crate::traits::LedgerNode;
+use crate::LedgerNode;
 use crate::{builders, collect_traces, install_tracing, workload::Workload};
 use dcs_crypto::VerifyPipeline;
 use dcs_metrics::{Counter, Gauge, Histogram, Registry, Ring};
@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex};
 
 /// Registers every peer's live metrics (chain, mempool, and any
 /// protocol-specific series) on `registry` — the metrics analogue of
-/// [`install_tracing`](crate::install_tracing). Purely a registration
+/// [`install_tracing`]. Purely a registration
 /// pass: no threads, no I/O, and the run stays bit-identical.
 pub fn install_metrics<P: LedgerNode>(runner: &mut Runner<P>, registry: &Registry) {
     for i in 0..runner.nodes().len() {

@@ -7,7 +7,7 @@
 //! merged record stream feed the determinism suite, the lifecycle-span
 //! queries, and the exporters.
 
-use crate::traits::LedgerNode;
+use crate::LedgerNode;
 use dcs_net::Runner;
 use dcs_trace::{TraceConfig, TraceSet};
 

@@ -10,7 +10,7 @@ use dcs_net::{Network, NodeId};
 use dcs_primitives::{AccountTx, SealedTx, Transaction, TxPayload};
 use dcs_sim::{Rng, SimDuration, SimTime};
 use dcs_trace::{Id as TraceId, TraceEvent};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// What kind of transactions the clients submit.
@@ -83,14 +83,16 @@ impl Workload {
 
     /// Generates the transaction stream and schedules each transaction for
     /// delivery at its submission instant to a random peer. Returns the
-    /// submission-time ledger keyed by transaction id.
+    /// submission-time ledger keyed by transaction id — a `HashMap` because
+    /// [`collect`](crate::metrics::collect)'s signature (which the frozen
+    /// `benchmark/` package calls) takes one; it is only looked up by id.
     pub fn inject(&self, net: &mut Network<WireMsg>, seed: u64) -> HashMap<Hash256, SimTime> {
         let mut rng = Rng::seed_from(seed ^ 0x9e37_79b9);
         let n = net.node_count();
         let mut submitted = HashMap::new();
         let mut t = 0.0f64;
         let end = self.duration.as_secs_f64();
-        let mut nonces: HashMap<Address, u64> = HashMap::new();
+        let mut nonces: BTreeMap<Address, u64> = BTreeMap::new();
         let mut seq = 0u64;
         loop {
             t += rng.exp(1.0 / self.tps.max(1e-9));
@@ -122,7 +124,7 @@ impl Workload {
         submitted
     }
 
-    fn make_tx(&self, rng: &mut Rng, nonces: &mut HashMap<Address, u64>, seq: u64) -> Transaction {
+    fn make_tx(&self, rng: &mut Rng, nonces: &mut BTreeMap<Address, u64>, seq: u64) -> Transaction {
         match &self.kind {
             WorkloadKind::Transfers { accounts } => {
                 let from = Address::from_index(rng.below(*accounts));
@@ -202,7 +204,7 @@ mod tests {
         let senders = vec![Address::from_index(1)];
         let w = Workload::funded_transfers(100.0, SimDuration::from_secs(2), senders);
         let mut rng = Rng::seed_from(1);
-        let mut nonces = HashMap::new();
+        let mut nonces = BTreeMap::new();
         let t0 = w.make_tx(&mut rng, &mut nonces, 0);
         let t1 = w.make_tx(&mut rng, &mut nonces, 1);
         match (t0, t1) {
@@ -218,7 +220,7 @@ mod tests {
     fn data_anchor_payload_size() {
         let w = Workload::data_anchors(10.0, SimDuration::from_secs(1), 256);
         let mut rng = Rng::seed_from(2);
-        let tx = w.make_tx(&mut rng, &mut HashMap::new(), 0);
+        let tx = w.make_tx(&mut rng, &mut BTreeMap::new(), 0);
         match tx {
             Transaction::Account(a) => match a.payload {
                 TxPayload::Data(d) => assert_eq!(d.len(), 256),

@@ -5,7 +5,7 @@
 //! chain events, which maintains the identical report in O(delta) per
 //! block instead of O(chain) per query.
 
-use dcs_chain::{BlockStore, Chain, ChainEvent, StateMachine};
+use dcs_chain::{Chain, ChainEvent, StateMachine};
 use dcs_crypto::{Address, Hash256};
 use dcs_primitives::{Block, Transaction};
 use std::collections::HashMap;
@@ -135,7 +135,7 @@ impl ChainReport {
 
 /// Scans the canonical chain and produces a [`ChainReport`]. O(chain);
 /// for continuous monitoring feed a [`LiveAnalytics`] instead.
-pub fn analyze<M: StateMachine, S: BlockStore>(chain: &Chain<M, S>) -> ChainReport {
+pub fn analyze<M: StateMachine>(chain: &Chain<M>) -> ChainReport {
     let mut report = ChainReport::default();
     for hash in chain.canonical().iter().skip(1) {
         report.absorb_block(chain.tree().get(hash).expect("canonical stored").block());
@@ -166,9 +166,9 @@ impl LiveAnalytics {
     /// Folds one chain event into the report. `old_tip` is the canonical
     /// tip hash from *before* the import that produced `event` (the same
     /// value consensus nodes thread to their own reorg handling).
-    pub fn on_event<M: StateMachine, S: BlockStore>(
+    pub fn on_event<M: StateMachine>(
         &mut self,
-        chain: &Chain<M, S>,
+        chain: &Chain<M>,
         event: &ChainEvent,
         old_tip: Hash256,
     ) {

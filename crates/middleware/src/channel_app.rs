@@ -1,5 +1,5 @@
 //! An on-chain payment-channel application (§5.4, \[30\]) behind the
-//! ABCI-style [`Application`](crate::Application) interface: channel opens,
+//! ABCI-style [`Application`] interface: channel opens,
 //! closes, disputes, and settlements ride *real* transactions through the
 //! mempool/commit path of any consensus network, while balance updates stay
 //! off-chain with the parties (who exchange dual-signed

@@ -1,6 +1,6 @@
 //! Beacon-coordinated sharding over the simulated network (§5.4, \[38\]).
 //!
-//! [`ShardedLedger`](crate::ShardedLedger) models sharding as a sequential
+//! [`ShardedLedger`] models sharding as a sequential
 //! accounting exercise; this module runs it for real: `k` shard *sequencer*
 //! nodes seal blocks on timers, a *beacon* node tracks every shard
 //! header-chain and arbitrates cross-shard transfers, and a *light* node
@@ -289,7 +289,7 @@ struct PendingLock {
 pub struct ShardNode {
     shard: u32,
     k: u32,
-    chain: Chain<AccountMachine, PrunedStore>,
+    chain: Chain<AccountMachine>,
     pending: Vec<PendingTx>,
     // BTree everywhere: admission order + map iteration feed block contents,
     // and block contents feed the cross-worker digest gate.
@@ -341,7 +341,7 @@ impl ShardNode {
     }
 
     /// The shard chain (tests and experiments read it).
-    pub fn chain(&self) -> &Chain<AccountMachine, PrunedStore> {
+    pub fn chain(&self) -> &Chain<AccountMachine> {
         &self.chain
     }
 

@@ -131,11 +131,6 @@ impl<E> Simulation<E> {
         &self.tracer
     }
 
-    /// Mutable access to the installed tracer.
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
-    }
-
     /// The current simulated instant.
     pub fn now(&self) -> SimTime {
         self.now

@@ -1,11 +1,17 @@
 //! Acceptance tests for crash/restart fault injection (E18's claims, as
 //! assertions): PBFT keeps committing through `f` crashed replicas and
 //! re-admits them, and a crashed-then-restarted node catches up to the
-//! canonical tip via the locator sync protocol — under PBFT and PoW.
+//! canonical tip via the locator sync protocol — under PBFT and PoW, over
+//! real account state, and under every other engine too (they share one
+//! recovery path).
 
+use dcs_chain::StateMachine;
+use dcs_consensus::pbft::PbftNode;
+use dcs_contracts::AccountMachine;
+use dcs_crypto::{Address, Hash256};
 use dcs_faults::FaultSchedule;
-use dcs_ledger::{builders, install_faults, workload::Workload};
-use dcs_net::NodeId;
+use dcs_ledger::{builders, install_faults, workload::Workload, LedgerNode};
+use dcs_net::{NodeId, Runner};
 use dcs_primitives::ConsensusKind;
 use dcs_sim::{SimDuration, SimTime};
 
@@ -138,4 +144,155 @@ fn pow_miner_catches_up_to_canonical_tip_after_restart() {
     assert_eq!(stats.crashes, 1);
     assert_eq!(stats.restarts, 1);
     assert!(stats.suppressed_deliveries > 0);
+}
+
+/// PBFT n=4 over a funded `AccountMachine`: a backup crashes, misses a
+/// stretch of transfers, restarts, and must end on the survivors' state
+/// root. Restart replays the stored blocks onto the machine's *genesis*
+/// state — replaying onto an empty `M::default()` drops the allocation,
+/// every replayed transfer fails, and the replica never agrees again.
+#[test]
+fn restarted_replica_over_funded_accounts_converges_to_the_reference_state_root() {
+    let senders: Vec<Address> = (100..108).map(Address::from_index).collect();
+    let alloc: Vec<(Address, u64)> = senders.iter().map(|a| (*a, 1_000_000)).collect();
+    let params = builders::PbftParams {
+        nodes: 4,
+        ..Default::default()
+    };
+    let genesis = dcs_chain::genesis_block(&params.chain);
+    let mut net = params.net.clone();
+    net.nodes = params.nodes;
+    let mut runner = Runner::new(net, 79, |id: NodeId| {
+        PbftNode::new(
+            id,
+            builders::node_address(id.0),
+            genesis.clone(),
+            params.chain.clone(),
+            AccountMachine::with_alloc(&alloc),
+            4,
+        )
+    });
+    Workload::funded_transfers(10.0, SimDuration::from_secs(45), senders.clone())
+        .inject(runner.net_mut(), 790);
+    let genesis_root = runner.nodes()[1].core.chain.machine().state_root();
+
+    let schedule = FaultSchedule::new()
+        .crash_at(at(10), NodeId(3))
+        .restart_at(at(30), NodeId(3));
+    let mut driver = install_faults(&runner, schedule);
+    driver.run_until(&mut runner, at(30));
+    let reference = &runner.nodes()[1].core.chain;
+    assert!(
+        reference.height() >= runner.nodes()[3].core.chain.height() + 2,
+        "the crash window was too quiet to exercise replay"
+    );
+    driver.run_until(&mut runner, at(60));
+
+    let reference = &runner.nodes()[1].core.chain;
+    let node3 = &runner.nodes()[3].core;
+    assert_ne!(
+        reference.machine().state_root(),
+        genesis_root,
+        "no transfer ever moved the reference state"
+    );
+    let moved = senders
+        .iter()
+        .filter(|a| reference.machine().db.balance(a) != 1_000_000)
+        .count();
+    assert!(
+        moved >= 2,
+        "transfers must actually succeed ({moved} moved)"
+    );
+    assert!(node3.catchup_rounds > 0, "recovery never ran catch-up sync");
+    assert_eq!(node3.chain.tip_hash(), reference.tip_hash());
+    assert_eq!(
+        node3.chain.machine().state_root(),
+        reference.machine().state_root(),
+        "restarted replica rebuilt a different account state"
+    );
+    assert_eq!(
+        node3.internal_errors + node3.chain.stats().internal_errors,
+        0
+    );
+}
+
+/// One ordering-service run with a committing peer crashed for 20 s. The
+/// ordering service had no recovery path before the engines shared one: the
+/// peer must rebuild and catch up to the orderer's tip. Returns the run's
+/// fingerprint — every peer's canonical chain, fabric totals, and the
+/// counters recovery moves.
+fn ordering_churn_run() -> (Vec<Vec<Hash256>>, [u64; 8]) {
+    let mut runner = builders::build_ordering(&Default::default(), 81);
+    Workload::transfers(40.0, SimDuration::from_secs(50), 50).inject(runner.net_mut(), 810);
+    let schedule = FaultSchedule::new()
+        .crash_at(at(10), NodeId(5))
+        .restart_at(at(30), NodeId(5));
+    let mut driver = install_faults(&runner, schedule);
+    driver.run_until(&mut runner, at(30));
+    assert!(
+        runner.nodes()[0].core.chain.height() >= runner.nodes()[5].core.chain.height() + 2,
+        "the crash window was too quiet to exercise catch-up"
+    );
+    driver.run_until(&mut runner, at(60));
+
+    let chains: Vec<Vec<Hash256>> = runner
+        .nodes()
+        .iter()
+        .map(|n| n.core.chain.canonical().to_vec())
+        .collect();
+    let net = runner.net().stats();
+    let node5 = &runner.nodes()[5].core;
+    assert!(chains[0].len() > 10, "the orderer barely committed");
+    assert_eq!(chains[5], chains[0], "restarted peer is off the tip");
+    assert!(
+        node5.catchup_rounds >= 1,
+        "recovery never ran catch-up sync"
+    );
+    assert!(
+        net.suppressed_deliveries > 0,
+        "the crash suppressed no traffic"
+    );
+    let counters = [
+        net.sent,
+        net.delivered,
+        net.suppressed_deliveries,
+        net.suppressed_timers,
+        node5.catchup_rounds,
+        node5.sync_retries,
+        node5.blocks_produced,
+        node5.committed_tx_count(),
+    ];
+    (chains, counters)
+}
+
+/// A faulted run of a newly recoverable engine replays bit-identically from
+/// its seed and schedule.
+#[test]
+fn ordering_peer_recovers_and_the_faulted_run_replays_bit_identically() {
+    assert_eq!(ordering_churn_run(), ordering_churn_run());
+}
+
+/// Crashes and restarts peer 1 of any engine's network. That this compiles
+/// for every builder is the point: `install_faults` and the fault driver
+/// bound on the one peer trait, which every engine implements.
+fn crash_and_restart_peer_one<P: LedgerNode + Send>(mut runner: Runner<P>) {
+    let schedule = FaultSchedule::new()
+        .crash_at(at(1), NodeId(1))
+        .restart_at(at(2), NodeId(1));
+    let mut driver = install_faults(&runner, schedule);
+    driver.run_until(&mut runner, at(3));
+    assert_eq!(runner.net().stats().restarts, 1);
+    let core = runner.node(NodeId(1)).core();
+    assert!(core.catchup_rounds >= 1, "restart begins catch-up sync");
+    assert_eq!(core.internal_errors, 0);
+}
+
+#[test]
+fn every_builder_runner_accepts_a_fault_schedule() {
+    crash_and_restart_peer_one(builders::build_pow(&Default::default(), 1));
+    crash_and_restart_peer_one(builders::build_pos(&Default::default(), 2));
+    crash_and_restart_peer_one(builders::build_poet(&Default::default(), 3));
+    crash_and_restart_peer_one(builders::build_ordering(&Default::default(), 4));
+    crash_and_restart_peer_one(builders::build_pbft(&Default::default(), 5));
+    crash_and_restart_peer_one(builders::build_ng(&Default::default(), 6));
 }
