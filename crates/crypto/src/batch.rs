@@ -13,7 +13,9 @@
 //!   `(pubkey_root ‖ msg ‖ sig_index ‖ sig_digest)` to the verification
 //!   verdict, with hit/miss counters. Because the key commits to the
 //!   signature bytes themselves, a tampered signature can never hit a stale
-//!   `true` entry.
+//!   `true` entry. `sig_digest` is [`Signature::digest`]: the signature
+//!   hashes its own encoding once and every later lookup — on any replica
+//!   sharing the instance — reuses it, so a hit costs one short hash.
 //! * [`VerifyPipeline`] — the two combined: batch verification that consults
 //!   the cache first, verifies only the misses on the pool, and backfills
 //!   the cache. Higher layers (mempool admission, block prevalidation)
@@ -23,7 +25,6 @@
 //! Results are bit-identical regardless of thread count: the pool only ever
 //! evaluates pure functions and reassembles outputs in input order.
 
-use crate::codec::Encode;
 use crate::hash::Hash256;
 use crate::sha256::Sha256;
 use crate::sig::{PublicKey, Signature};
@@ -176,8 +177,10 @@ impl SigCache {
 
     /// The binding digest for one verification task:
     /// `sha256(0x5A ‖ pubkey_root ‖ msg ‖ sig_index ‖ sha256(sig_bytes))`.
+    /// The inner digest is [`Signature::digest`], memoised on the signature,
+    /// so a repeat lookup hashes 101 bytes instead of re-encoding 2.2 KiB.
     pub fn key(pk: &PublicKey, msg: &Hash256, sig: &Signature) -> Hash256 {
-        let sig_digest = crate::sha256(&sig.encoded());
+        let sig_digest = sig.digest();
         let mut ctx = Sha256::new();
         ctx.update(&[CACHE_KEY_PREFIX]);
         ctx.update(pk.root().as_ref());
@@ -441,6 +444,7 @@ impl std::fmt::Display for PipelineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_all, Encode};
     use crate::sha256;
     use crate::sig::KeyPair;
 
@@ -521,6 +525,23 @@ mod tests {
     }
 
     #[test]
+    fn key_is_the_formula_over_the_encoded_signature() {
+        // The memoised digest changes where the inner hash is computed, not
+        // the key: recompute it from the bytes, on warm and cold instances.
+        for (pk, msg, sig) in tasks(3) {
+            let mut preimage = vec![CACHE_KEY_PREFIX];
+            preimage.extend_from_slice(pk.root().as_ref());
+            preimage.extend_from_slice(msg.as_ref());
+            preimage.extend_from_slice(&sig.index().to_le_bytes());
+            preimage.extend_from_slice(sha256(&sig.encoded()).as_ref());
+            let expected = sha256(&preimage);
+            assert_eq!(SigCache::key(&pk, &msg, &sig), expected, "cold");
+            assert_eq!(SigCache::key(&pk, &msg, &sig), expected, "warm");
+            assert_eq!(SigCache::key(&pk, &msg, &sig.clone()), expected, "clone");
+        }
+    }
+
+    #[test]
     fn cache_hit_never_masks_a_forgery() {
         // Warm the cache with a *valid* (key, msg, sig) verdict, then tamper
         // with the signature: the tampered signature must MISS the cache (its
@@ -548,11 +569,26 @@ mod tests {
         );
         assert_eq!(after.misses, before.misses + 1);
 
+        // Tampering through the bytes — the only way a peer can: flip one bit
+        // of a chain value in the warm signature's encoding and decode it.
+        // The decoded value starts with a cold digest memo, so its key differs.
+        let mut bytes = sig.encoded();
+        bytes[4 + 4 + 5] ^= 0x01; // index ‖ chain count ‖ chain_values[0][5]
+        let flipped = decode_all::<Signature>(&bytes).expect("well-formed bytes");
+        assert_ne!(
+            SigCache::key(&pk, &msg, &sig),
+            SigCache::key(&pk, &msg, &flipped)
+        );
+        assert!(!pipeline.verify_one(&pk, &msg, &flipped));
+        let tampered = pipeline.cache().expect("cache configured").stats();
+        assert_eq!(tampered.hits, after.hits, "flipped bytes must not hit");
+        assert_eq!(tampered.misses, after.misses + 1);
+
         // And the genuine signature still hits with its cached true verdict.
         assert!(pipeline.verify_one(&pk, &msg, &sig));
         assert_eq!(
             pipeline.cache().expect("cache configured").stats().hits,
-            after.hits + 1
+            tampered.hits + 1
         );
     }
 

@@ -24,9 +24,10 @@
 
 use crate::codec::{Decode, DecodeError, Encode, Reader};
 use crate::hash::{Address, Hash256};
-use crate::sha256::Sha256;
+use crate::sha256::{MultiHasher, Sha256};
 use crate::CryptoError;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Winternitz parameter: digits are 4 bits, chains have length 16.
 const W_BITS: u32 = 4;
@@ -47,15 +48,40 @@ fn prf(seed: &[u8; 32], tag: &[u8], a: u32, b: u32) -> Hash256 {
     ctx.finalize()
 }
 
-/// Applies the WOTS chain function `steps` times.
-fn chain(mut x: Hash256, steps: u32) -> Hash256 {
-    for _ in 0..steps {
-        let mut ctx = Sha256::new();
-        ctx.update(&[0x03]); // domain separation from merkle/leaf hashing
-        ctx.update(x.as_ref());
-        x = ctx.finalize();
+/// Domain prefix of the WOTS chain function, separating it from Merkle and
+/// leaf hashing.
+const CHAIN_PREFIX: u8 = 0x03;
+
+/// Applies the WOTS chain function `x → sha256(0x03 ‖ x)` to `values[i]`
+/// `steps[i]` times, all 67 chains in lockstep: one chain is a serial
+/// dependency, but the chains are independent, so each round hashes every
+/// unfinished chain's 33-byte message through the multi-lane hasher.
+fn chains(values: &mut [Hash256; LEN], steps: &[u32; LEN]) {
+    let hasher = MultiHasher::wide();
+    let mut msgs = [[CHAIN_PREFIX; 33]; LEN];
+    let mut active = [0usize; LEN];
+    let mut out = [Hash256::ZERO; LEN];
+    let rounds = steps.iter().copied().max().unwrap_or(0);
+    for round in 0..rounds {
+        let mut n = 0;
+        for (i, value) in values.iter().enumerate() {
+            if steps[i] > round {
+                msgs[n][1..].copy_from_slice(value.as_ref());
+                active[n] = i;
+                n += 1;
+            }
+        }
+        let refs: [&[u8]; LEN] = std::array::from_fn(|k| msgs[k].as_slice());
+        hasher.hash_many_into(&refs[..n], &mut out[..n]);
+        for (&i, &digest) in active[..n].iter().zip(&out[..n]) {
+            values[i] = digest;
+        }
     }
-    x
+}
+
+/// The 67 one-time secret chain starts of key `ots_index`.
+fn ots_secrets(seed: &[u8; 32], ots_index: u32) -> [Hash256; LEN] {
+    std::array::from_fn(|i| prf(seed, b"wots", ots_index, i as u32))
 }
 
 /// Splits a digest into the 67 base-16 digits (64 message + 3 checksum).
@@ -104,19 +130,19 @@ impl PublicKey {
     /// Verifies `sig` over the message digest `msg`.
     ///
     /// Returns `false` for any forgery: wrong message, reused-but-altered
-    /// index, tampered chain values, or a bad authentication path.
+    /// index, tampered chain values, a bad authentication path, or a decoded
+    /// signature whose chain list or path has the wrong length.
     pub fn verify(&self, msg: &Hash256, sig: &Signature) -> bool {
         if sig.auth_path.len() != self.height as usize {
             return false;
         }
+        let Ok(mut ends) = <[Hash256; LEN]>::try_from(sig.chain_values.as_slice()) else {
+            return false;
+        };
         if u64::from(sig.index) >= (1u64 << self.height) {
             return false;
         }
-        let d = digits(msg);
-        let mut ends = [Hash256::ZERO; LEN];
-        for i in 0..LEN {
-            ends[i] = chain(sig.chain_values[i], W - 1 - u32::from(d[i]));
-        }
+        chains(&mut ends, &digits(msg).map(|d| W - 1 - u32::from(d)));
         let mut acc = compress_ots_pk(&ends);
         let mut idx = sig.index;
         for sibling in &sig.auth_path {
@@ -165,11 +191,8 @@ impl KeyPair {
     }
 
     fn ots_leaf(seed: &[u8; 32], ots_index: u32) -> Hash256 {
-        let mut ends = [Hash256::ZERO; LEN];
-        for (i, end) in ends.iter_mut().enumerate() {
-            let sk = prf(seed, b"wots", ots_index, i as u32);
-            *end = chain(sk, W - 1);
-        }
+        let mut ends = ots_secrets(seed, ots_index);
+        chains(&mut ends, &[W - 1; LEN]);
         compress_ots_pk(&ends)
     }
 
@@ -223,12 +246,8 @@ impl KeyPair {
                 capacity: self.capacity(),
             });
         }
-        let d = digits(msg);
-        let mut chain_values = Vec::with_capacity(LEN);
-        for (i, &di) in d.iter().enumerate() {
-            let sk = prf(&self.seed, b"wots", index, i as u32);
-            chain_values.push(chain(sk, u32::from(di)));
-        }
+        let mut chain_values = ots_secrets(&self.seed, index);
+        chains(&mut chain_values, &digits(msg).map(u32::from));
         let proof = self
             .tree
             .prove(index as usize)
@@ -239,25 +258,47 @@ impl KeyPair {
         );
         Ok(Signature {
             index,
-            chain_values,
+            chain_values: chain_values.to_vec(),
             auth_path: proof.siblings().to_vec(),
+            digest: OnceLock::new(),
         })
     }
 }
 
 /// A WOTS+Merkle signature: one-time key index, 67 chain values, and the
 /// authentication path to the public root. Roughly 2.2 KiB encoded.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Signature {
     index: u32,
     chain_values: Vec<Hash256>,
     auth_path: Vec<Hash256>,
+    /// `sha256(encoded())`, computed on first use; skipped by the codec and
+    /// by equality. `Clone` carries it: the fields are private and nothing
+    /// mutates a `Signature` after construction, so it cannot go stale.
+    #[serde(skip)]
+    digest: OnceLock<Hash256>,
 }
+
+impl PartialEq for Signature {
+    fn eq(&self, other: &Self) -> bool {
+        self.index == other.index
+            && self.chain_values == other.chain_values
+            && self.auth_path == other.auth_path
+    }
+}
+
+impl Eq for Signature {}
 
 impl Signature {
     /// The one-time key index used.
     pub fn index(&self) -> u32 {
         self.index
+    }
+
+    /// `sha256` of the canonical encoding, hashed once per instance and its
+    /// clones — gossip and `Arc<Block>` share one instance network-wide.
+    pub fn digest(&self) -> Hash256 {
+        *self.digest.get_or_init(|| crate::sha256(&self.encoded()))
     }
 
     /// Encoded size in bytes; used in size/throughput experiments.
@@ -280,6 +321,7 @@ impl Decode for Signature {
             index: u32::decode(r)?,
             chain_values: Vec::decode(r)?,
             auth_path: Vec::decode(r)?,
+            digest: OnceLock::new(),
         })
     }
 }
@@ -303,10 +345,115 @@ impl Decode for PublicKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::decode_all;
     use crate::sha256;
+    use proptest::prelude::*;
 
     fn keypair() -> KeyPair {
         KeyPair::generate([1u8; 32], 2)
+    }
+
+    /// The scalar WOTS chain function — the oracle [`chains`] must equal.
+    fn chain(mut x: Hash256, steps: u32) -> Hash256 {
+        for _ in 0..steps {
+            let mut ctx = Sha256::new();
+            ctx.update(&[CHAIN_PREFIX]);
+            ctx.update(x.as_ref());
+            x = ctx.finalize();
+        }
+        x
+    }
+
+    /// A copy of `sig` with a cold digest memo — what a peer gets off the
+    /// wire. Tests that poke fields start from one: production code never
+    /// mutates a `Signature`, which is what lets `Clone` carry the memo.
+    fn cold(sig: &Signature) -> Signature {
+        decode_all(&sig.encoded()).expect("round trip")
+    }
+
+    fn assert_chains_match_scalar(seed: [u8; 32], steps: [u32; LEN]) {
+        let starts = ots_secrets(&seed, 0);
+        let mut lanes = starts;
+        chains(&mut lanes, &steps);
+        for i in 0..LEN {
+            assert_eq!(lanes[i], chain(starts[i], steps[i]), "chain {i}");
+        }
+    }
+
+    #[test]
+    fn chains_match_scalar_chain_at_the_extremes() {
+        assert_chains_match_scalar([4; 32], [0; LEN]);
+        assert_chains_match_scalar([4; 32], [W - 1; LEN]);
+        // One long chain among finished ones: the active set drops below
+        // every lane width on the first round.
+        let mut lone = [0; LEN];
+        lone[LEN - 1] = W - 1;
+        assert_chains_match_scalar([4; 32], lone);
+    }
+
+    proptest! {
+        // The concurrency-audit lane runs this crate's lib tests under miri,
+        // where one case (~500 interpreted SHA-256 blocks) is already slow.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 64 }))]
+
+        #[test]
+        fn chains_match_scalar_chain(
+            seed in any::<[u8; 32]>(),
+            steps in proptest::collection::vec(0u32..W, LEN..LEN + 1),
+        ) {
+            assert_chains_match_scalar(seed, steps.try_into().expect("LEN steps"));
+        }
+    }
+
+    /// Key generation and signing are pinned to the values the parent of the
+    /// lane-parallel change produced: every dcsbench `run_digest` depends on
+    /// them, so they must never drift silently.
+    #[test]
+    fn known_answer_key_and_signature() {
+        let mut kp = KeyPair::generate([7u8; 32], 2);
+        assert_eq!(
+            kp.public_key().root().to_string(),
+            "6bbac6692412aabca098b1c175392fb805134a4e99921ad74568a2ce3a06e0eb"
+        );
+        let sig = kp.sign(&sha256(b"dcs known-answer message")).unwrap();
+        assert_eq!(sig.encoded_len(), 2220);
+        assert_eq!(
+            sig.digest().to_string(),
+            "97bfc93174338b7ce2b3e9b0413b089ec98c8aaf420b31a63b7116cc1ee8e49f"
+        );
+    }
+
+    #[test]
+    fn digest_memo_is_invisible() {
+        let mut kp = keypair();
+        let msg = sha256(b"m");
+        let sig = kp.sign(&msg).unwrap();
+        let untouched = cold(&sig);
+        let digest = sig.digest();
+        assert_eq!(digest, sha256(&sig.encoded()));
+        // Equality ignores the memo; a clone and a codec round trip agree.
+        assert_eq!(sig, untouched);
+        assert_eq!(sig.clone().digest(), digest);
+        assert_eq!(untouched.digest(), digest);
+    }
+
+    #[test]
+    fn wrong_chain_count_rejected_not_indexed() {
+        let mut kp = keypair();
+        let msg = sha256(b"m");
+        let good = kp.sign(&msg).unwrap();
+
+        let mut short = cold(&good);
+        short.chain_values.pop();
+        assert!(!kp.public_key().verify(&msg, &short));
+
+        let mut empty = cold(&good);
+        empty.chain_values.clear();
+        assert!(!kp.public_key().verify(&msg, &empty));
+
+        let mut long = cold(&good);
+        long.chain_values.push(Hash256::ZERO);
+        assert!(!kp.public_key().verify(&msg, &long));
     }
 
     #[test]
@@ -357,19 +504,19 @@ mod tests {
         let msg = sha256(b"m");
         let good = kp.sign(&msg).unwrap();
 
-        let mut bad = good.clone();
+        let mut bad = cold(&good);
         bad.index = (bad.index + 1) % kp.capacity();
         assert!(!kp.public_key().verify(&msg, &bad));
 
-        let mut bad = good.clone();
+        let mut bad = cold(&good);
         bad.chain_values[0] = sha256(b"tamper");
         assert!(!kp.public_key().verify(&msg, &bad));
 
-        let mut bad = good.clone();
+        let mut bad = cold(&good);
         bad.auth_path[0] = sha256(b"tamper");
         assert!(!kp.public_key().verify(&msg, &bad));
 
-        let mut bad = good;
+        let mut bad = cold(&good);
         bad.auth_path.pop();
         assert!(!kp.public_key().verify(&msg, &bad));
     }
@@ -378,7 +525,7 @@ mod tests {
     fn out_of_range_index_rejected_by_verify() {
         let mut kp = keypair();
         let msg = sha256(b"m");
-        let mut sig = kp.sign(&msg).unwrap();
+        let mut sig = cold(&kp.sign(&msg).unwrap());
         sig.index = 1000;
         assert!(!kp.public_key().verify(&msg, &sig));
     }
@@ -388,7 +535,7 @@ mod tests {
         let mut kp = keypair();
         let msg = sha256(b"m");
         let sig = kp.sign(&msg).unwrap();
-        let decoded = crate::codec::decode_all::<Signature>(&sig.encoded()).unwrap();
+        let decoded = decode_all::<Signature>(&sig.encoded()).unwrap();
         assert_eq!(decoded, sig);
         assert!(kp.public_key().verify(&msg, &decoded));
     }

@@ -48,6 +48,39 @@ proptest! {
         let _ = decode_all::<(u64, Option<bool>)>(&bytes);
     }
 
+    /// Hostile bytes: any well-formed `Signature` encoding — any index, any
+    /// number of chain values or path nodes — decodes to a value `verify`
+    /// refuses without panicking (it used to index 67 chain values blindly).
+    #[test]
+    fn verify_refuses_arbitrary_decoded_signatures(
+        // Biased toward the shapes that pass the earlier checks (height 2:
+        // index < 4, two path nodes), so the chain-count check is what
+        // stands between a short list and the chain loop.
+        index in prop_oneof![0u32..4, any::<u32>()],
+        chain_len in prop_oneof![Just(67usize), 0usize..80],
+        path_len in prop_oneof![Just(2usize), 0usize..4],
+        fill in any::<[u8; 32]>(),
+        msg in any::<[u8; 32]>(),
+        garbage in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        use dcs_crypto::Signature;
+
+        let pk = KeyPair::generate([0xC3; 32], 2).public_key();
+        let msg = Hash256::from_bytes(msg);
+        let mut bytes = index.encoded();
+        for len in [chain_len, path_len] {
+            bytes.extend((len as u32).encoded());
+            for i in 0..len {
+                bytes.extend_from_slice(sha256(&[&fill[..], &[i as u8]].concat()).as_ref());
+            }
+        }
+        let sig = decode_all::<Signature>(&bytes).expect("well-formed encoding");
+        prop_assert!(!pk.verify(&msg, &sig));
+        if let Ok(sig) = decode_all::<Signature>(&garbage) {
+            prop_assert!(!pk.verify(&msg, &sig));
+        }
+    }
+
     #[test]
     fn merkle_proofs_complete_and_sound(n in 1usize..40, probe in 0usize..40) {
         let leaves: Vec<Hash256> = (0..n).map(|i| sha256(&[i as u8])).collect();

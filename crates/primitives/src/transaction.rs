@@ -184,23 +184,32 @@ impl Transaction {
 
     /// Digest that witnesses must sign: the transaction with all witness
     /// fields stripped, so the signature does not sign itself.
+    ///
+    /// Encodes the stripped form directly — the bytes [`Encode`] produces
+    /// with every `auth` set to `None` — rather than blanking a clone of the
+    /// whole transaction, witness and deploy code included.
     pub fn signing_hash(&self) -> Hash256 {
-        let stripped = match self {
-            Transaction::Coinbase { .. } => self.clone(),
+        const NO_AUTH: Option<TxAuth> = None;
+        let mut out = Vec::new();
+        match self {
+            Transaction::Coinbase { .. } => self.encode(&mut out),
             Transaction::Utxo(tx) => {
-                let mut tx = tx.clone();
-                for input in &mut tx.inputs {
-                    input.auth = None;
+                out.push(1);
+                (tx.inputs.len() as u32).encode(&mut out); // `Vec` framing
+                for input in &tx.inputs {
+                    input.prev_tx.encode(&mut out);
+                    input.index.encode(&mut out);
+                    NO_AUTH.encode(&mut out);
                 }
-                Transaction::Utxo(tx)
+                tx.outputs.encode(&mut out);
             }
             Transaction::Account(tx) => {
-                let mut tx = tx.clone();
-                tx.auth = None;
-                Transaction::Account(tx)
+                out.push(2);
+                tx.encode_unsigned(&mut out);
+                NO_AUTH.encode(&mut out);
             }
-        };
-        sha256(&stripped.encoded())
+        }
+        sha256(&out)
     }
 
     /// Encoded size in bytes; drives bandwidth accounting in the network
@@ -388,8 +397,9 @@ impl Decode for TxPayload {
     }
 }
 
-impl Encode for AccountTx {
-    fn encode(&self, out: &mut Vec<u8>) {
+impl AccountTx {
+    /// Every field but the witness, in codec order.
+    fn encode_unsigned(&self, out: &mut Vec<u8>) {
         self.from.encode(out);
         self.to.encode(out);
         self.value.encode(out);
@@ -397,6 +407,12 @@ impl Encode for AccountTx {
         self.gas_limit.encode(out);
         self.gas_price.encode(out);
         self.payload.encode(out);
+    }
+}
+
+impl Encode for AccountTx {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.encode_unsigned(out);
         self.auth.encode(out);
     }
 }

@@ -3,9 +3,9 @@
 //! integrity under arbitrary bodies.
 
 use dcs_crypto::codec::{decode_all, Encode};
-use dcs_crypto::{Address, Hash256};
+use dcs_crypto::{sha256, Address, Hash256, KeyPair};
 use dcs_primitives::{
-    AccountTx, Block, BlockHeader, Seal, Transaction, TxIn, TxOut, TxPayload, UtxoTx,
+    AccountTx, Block, BlockHeader, Seal, Transaction, TxAuth, TxIn, TxOut, TxPayload, UtxoTx,
 };
 use proptest::prelude::*;
 
@@ -101,6 +101,41 @@ fn arb_seal() -> impl Strategy<Value = Seal> {
     ]
 }
 
+/// The reference definition of the signing hash: blank every witness on a
+/// clone, hash its encoding. `Transaction::signing_hash` encodes the stripped
+/// form directly and must produce the same digest.
+fn strip_a_clone(tx: &Transaction) -> Hash256 {
+    let mut stripped = tx.clone();
+    match &mut stripped {
+        Transaction::Coinbase { .. } => {}
+        Transaction::Utxo(tx) => tx.inputs.iter_mut().for_each(|input| input.auth = None),
+        Transaction::Account(tx) => tx.auth = None,
+    }
+    sha256(&stripped.encoded())
+}
+
+/// Attaches real (2.2 KiB) witnesses: to an account transaction when bit 0
+/// of `mask` is set, to UTXO input `i` when bit `i` is — so multi-input
+/// transactions are exercised unsigned, partially signed and fully signed.
+fn attach_witnesses(tx: &mut Transaction, mask: u8) {
+    let mut kp = KeyPair::generate([9; 32], 3);
+    let mut witness = |i: usize| {
+        (mask >> i & 1 == 1).then(|| TxAuth {
+            pubkey: kp.public_key(),
+            signature: kp.sign(&sha256(&[i as u8])).expect("capacity 8"),
+        })
+    };
+    match tx {
+        Transaction::Coinbase { .. } => {}
+        Transaction::Utxo(tx) => {
+            for (i, input) in tx.inputs.iter_mut().enumerate() {
+                input.auth = witness(i);
+            }
+        }
+        Transaction::Account(tx) => tx.auth = witness(0),
+    }
+}
+
 proptest! {
     #[test]
     fn transaction_codec_round_trip(tx in arb_tx()) {
@@ -138,11 +173,15 @@ proptest! {
     }
 
     #[test]
-    fn signing_hash_invariant_under_witness(tx in arb_account_tx()) {
-        let unsigned = Transaction::Account(tx);
-        // With no witness attached, signing hash == hash of encoding-with-
-        // auth-stripped, which must be stable and deterministic.
-        prop_assert_eq!(unsigned.signing_hash(), unsigned.signing_hash());
+    fn signing_hash_invariant_under_witness(tx in arb_tx(), mask in any::<u8>()) {
+        // Every variant and payload: the directly encoded stripped form is
+        // the strip-a-clone reference, with and without witnesses attached.
+        let unsigned = tx.signing_hash();
+        prop_assert_eq!(unsigned, strip_a_clone(&tx));
+        let mut witnessed = tx;
+        attach_witnesses(&mut witnessed, mask);
+        prop_assert_eq!(witnessed.signing_hash(), unsigned);
+        prop_assert_eq!(witnessed.signing_hash(), strip_a_clone(&witnessed));
     }
 
     #[test]

@@ -197,6 +197,68 @@ fn signed_transactions_verified_across_the_network() {
     }
 }
 
+/// Hostile bytes (ROADMAP item 4): a witness whose chain list lost an entry
+/// on the wire decodes fine, and must then be refused at both doors —
+/// `BadWitness` at mempool admission, a poisoned block at import (state
+/// application fails, the head does not move) — each with its counter
+/// bumped, never an out-of-bounds panic in `verify`.
+#[test]
+fn truncated_witness_is_refused_at_admission_and_import() {
+    use dcs_chain::{Chain, ChainEvent};
+    use dcs_consensus::{InsertOutcome, Mempool};
+    use dcs_crypto::codec::{decode_all, Encode};
+    use dcs_crypto::{Signature, VerifyPipeline};
+    use dcs_primitives::{Block, BlockHeader, Seal};
+
+    let mut keys = KeyPair::generate([43u8; 32], 2);
+    let alice = keys.address();
+    let bob = Address::from_index(7);
+    let mut tx = AccountTx::transfer(alice, bob, 250, 0);
+    let signing_hash = Transaction::Account(tx.clone()).signing_hash();
+    let good = keys.sign(&signing_hash).unwrap();
+    assert!(keys.public_key().verify(&signing_hash, &good));
+
+    // index ‖ u32 count ‖ 67 chain values ‖ path: claim 66 and drop the last.
+    let mut bytes = good.encoded();
+    bytes[4..8].copy_from_slice(&66u32.to_le_bytes());
+    bytes.drain(8 + 66 * 32..8 + 67 * 32);
+    let truncated = decode_all::<Signature>(&bytes).expect("well-formed encoding");
+    tx.auth = Some(TxAuth {
+        pubkey: keys.public_key(),
+        signature: truncated,
+    });
+    let tx = Transaction::Account(tx);
+
+    let mut pool = Mempool::with_admission(16, Arc::new(VerifyPipeline::new(1, 64)));
+    assert_eq!(
+        pool.insert_outcome(SealedTx::new(Arc::new(tx.clone()))),
+        InsertOutcome::BadWitness
+    );
+    assert_eq!(pool.rejected_invalid(), 1);
+    assert!(pool.is_empty());
+
+    let cfg = ChainConfig::hyperledger_like();
+    let genesis = dcs_chain::genesis_block(&cfg);
+    let mut machine = AccountMachine::with_alloc(&[(alice, 1_000_000)]);
+    machine.verify_signatures = true;
+    let mut chain = Chain::new(genesis.clone(), cfg, machine);
+    let block = Block::new(
+        BlockHeader::new(genesis.hash(), 1, 1, Address::ZERO, Seal::None),
+        vec![tx],
+    );
+    // The state machine names the reason; the chain poisons the block.
+    let err = chain.machine_mut().apply_block(&block).unwrap_err();
+    assert!(err.contains("witness"), "{err}");
+    let hash = block.hash();
+    assert_eq!(
+        chain.import(block).expect("stored, never applied"),
+        ChainEvent::SideChain { block: hash }
+    );
+    assert_eq!(chain.stats().invalid_blocks, 1);
+    assert_eq!(chain.tip_hash(), genesis.hash());
+    assert_eq!(chain.machine().db.balance(&bob), 0);
+}
+
 /// The PoET security concern ([41]): a compromised enclave that shortens
 /// its waits wins a disproportionate share of blocks — decentralization
 /// quietly collapses even though the protocol "works".
