@@ -12,7 +12,7 @@ use crate::Scale;
 
 /// All experiment ids, in presentation order.
 pub const ALL: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
+    "e1", "e2", "e3", "e4", "e5", "e6", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
     "e16", "e17", "e18", "e19", "e22", "e23", "f2",
 ];
 
@@ -29,7 +29,6 @@ pub fn run(id: &str, scale: Scale) {
         "e4" => consensus::e4_dcs_matrix(scale),
         "e5" => consensus::e5_work_per_block(scale),
         "e6" => security::e6_double_spend(scale),
-        "e7" => scaling::e7_sharding(scale),
         "e8" => scaling::e8_payment_channels(scale),
         "e9" => security::e9_mixer(scale),
         "e10" => scaling::e10_light_clients(scale),

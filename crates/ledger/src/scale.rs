@@ -4,10 +4,12 @@
 //! application ([`dcs_middleware::ChannelApp`]) through a real ordering
 //! consensus network: channel opens, unilateral/cooperative closes,
 //! watchtower challenges, and settlements all travel the mempool → batch →
-//! block → commit path, while payments stay off-chain with the driver (who
-//! holds every party's keys, simulating all clients). The watchtower is
-//! honest-by-construction here: it reads committed blocks off a peer,
-//! spots stale unilateral closes, and answers them with the newest
+//! block → commit path, while payments stay off-chain in the driver's
+//! [`PartyBook`] (which holds every party's keys, simulating all clients)
+//! — the same book and the same settlement the in-process
+//! `dcs_scale::ChannelNetwork` composes without a network in between. The
+//! watchtower is honest-by-construction here: it reads committed blocks off
+//! a peer, spots stale unilateral closes, and answers them with the newest
 //! dual-signed state inside the dispute window.
 //!
 //! Everything is scheduled deterministically from the seed, so two runs
@@ -18,12 +20,11 @@ use crate::builders::node_address;
 use dcs_chain::StateMachine;
 use dcs_consensus::ordering::OrderingNode;
 use dcs_consensus::{wire_size, WireMsg};
-use dcs_crypto::codec::decode_all;
-use dcs_crypto::{Address, Hash256, KeyPair, Signature};
+use dcs_crypto::{Address, Hash256};
 use dcs_middleware::{AppAdapter, ChannelApp, ChannelAppStats, ChannelOp};
 use dcs_net::{LatencyModel, NetConfig, NodeId, Runner, Topology};
 use dcs_primitives::{Amount, ChainConfig, ConsensusKind, SealedTx, Transaction, TxPayload};
-use dcs_scale::channels::ChannelState;
+use dcs_scale::channels::{ChannelError, PartyBook, Phase, SignedState};
 use dcs_sim::{Rng, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -76,47 +77,16 @@ pub struct ChannelRunReport {
     pub cheats_attempted: u64,
     /// Cheats the watchtower successfully challenged (newer state won).
     pub cheats_punished: u64,
+    /// Channels not closed, or closed at a split other than the latest one
+    /// their parties co-signed off-chain — 0 when every payment counted.
+    pub payout_mismatches: u64,
+    /// Sum of the parties' on-chain balances at the end of the run; with
+    /// every channel closed it equals `parties × funding`.
+    pub onchain_total: Amount,
     /// Chain height on peer 0 at the end of the run.
     pub height: u64,
     /// Simulated events processed.
     pub events: u64,
-}
-
-/// One channel as the driver (off-chain world) sees it.
-struct DriverChannel {
-    id: u64,
-    a: usize,
-    b: usize,
-    /// Latest dual-signed state.
-    latest: (ChannelState, Signature, Signature),
-    /// A deliberately retained stale state (the cheat material).
-    stale: Option<(ChannelState, Signature, Signature)>,
-    /// Whether the close schedule makes the closer cheat.
-    cheats: bool,
-}
-
-struct Driver {
-    parties: Vec<KeyPair>,
-    nonces: BTreeMap<Address, u64>,
-    channels: Vec<DriverChannel>,
-    offchain_updates: u64,
-}
-
-impl Driver {
-    fn sign_pair(&mut self, a: usize, b: usize, state: &ChannelState) -> (Signature, Signature) {
-        let digest = state.digest();
-        let sig_a = self.parties[a].sign(&digest).expect("key budget sized");
-        let sig_b = self.parties[b].sign(&digest).expect("key budget sized");
-        (sig_a, sig_b)
-    }
-
-    fn tx_for(&mut self, party: usize, op: ChannelOp) -> Transaction {
-        let from = self.parties[party].address();
-        let nonce = self.nonces.entry(from).or_insert(0);
-        let tx = op.into_tx(from, *nonce);
-        *nonce += 1;
-        tx
-    }
 }
 
 /// Injects one transaction at `at`, attributed to a deterministic peer.
@@ -128,33 +98,13 @@ fn inject(net: &mut dcs_net::Network<WireMsg>, at: SimTime, node: NodeId, tx: Tr
 }
 
 /// Scans peer 0's canonical chain for committed channel ops.
-fn committed_ops(node: &OrderingNode<AppAdapter<ChannelApp>>) -> Vec<(u64, ChannelOp)> {
+fn committed_ops(node: &OrderingNode<AppAdapter<ChannelApp>>) -> Vec<ChannelOp> {
     let chain = &node.core.chain;
-    let app_addr = ChannelApp::app_address();
-    let mut ops = Vec::new();
-    for h in 1..=chain.height() {
-        let Some(hash) = chain.canonical_at(h) else {
-            continue;
-        };
-        let Some(stored) = chain.tree().get(&hash) else {
-            continue;
-        };
-        for tx in &stored.block().txs {
-            let Transaction::Account(acct) = tx else {
-                continue;
-            };
-            if acct.to != Some(app_addr) {
-                continue;
-            }
-            let TxPayload::Data(bytes) = &acct.payload else {
-                continue;
-            };
-            if let Ok(op) = decode_all::<ChannelOp>(bytes) {
-                ops.push((h, op));
-            }
-        }
-    }
-    ops
+    (1..=chain.height())
+        .filter_map(|h| chain.tree().get(&chain.canonical_at(h)?))
+        .flat_map(|stored| stored.block().txs.iter())
+        .filter_map(|tx| ChannelOp::from_tx(tx)?.ok())
+        .collect()
 }
 
 /// Runs the full channel lifecycle over an ordering network. Deterministic
@@ -170,22 +120,21 @@ pub fn run_channel_workload(params: &ChannelWorkloadParams, seed: u64) -> Channe
     };
     let mut rng = Rng::seed_from(seed ^ 0x5ca1_ab1e);
 
-    // The driver owns every party's signing keys (it simulates all clients
-    // and doubles as the watchtower).
-    let parties: Vec<KeyPair> = (0..params.parties)
+    // The book owns every party's signing keys (the driver simulates all
+    // clients and doubles as the watchtower).
+    let mut book = PartyBook::default();
+    let parties: Vec<Address> = (0..params.parties)
         .map(|i| {
             let mut key_seed = [0u8; 32];
             key_seed[..8].copy_from_slice(&seed.to_le_bytes());
             key_seed[8] = i as u8 + 1;
             // Height 7 = 128 one-time keys per party; a party co-signs at
-            // most (channels × (1 + payments)) states, well under that.
-            KeyPair::generate(key_seed, 7)
+            // most (channels × (2 + payments)) digests — the funding state,
+            // every update, one close — well under that.
+            book.add_party(key_seed, 7)
         })
         .collect();
-    let alloc: Vec<(Address, Amount)> = parties
-        .iter()
-        .map(|kp| (kp.address(), params.funding))
-        .collect();
+    let alloc: Vec<(Address, Amount)> = parties.iter().map(|a| (*a, params.funding)).collect();
 
     let genesis = dcs_chain::genesis_block(&chain_cfg);
     let net_cfg = NetConfig {
@@ -215,197 +164,143 @@ pub fn run_channel_workload(params: &ChannelWorkloadParams, seed: u64) -> Channe
         runner.set_shards(w);
     }
 
-    let mut driver = Driver {
-        parties,
-        nonces: BTreeMap::new(),
-        channels: Vec::new(),
-        offchain_updates: 0,
+    let mut nonces: BTreeMap<Address, u64> = BTreeMap::new();
+    let mut next_nonce = |from: Address| {
+        let nonce = nonces.entry(from).or_insert(0);
+        *nonce += 1;
+        *nonce - 1
     };
     let mut events = 0u64;
+    let mut offchain_updates = 0u64;
     let peer = |rng: &mut Rng| NodeId(rng.below(params.nodes as u64) as usize);
 
-    // Phase 1 — open channels between random distinct party pairs.
+    // Phase 1 — open channels between random distinct party pairs; the
+    // `a` side of each submits its channel's on-chain ops.
+    let mut ends: Vec<(Address, Address)> = Vec::new();
     for id in 0..params.channels {
         let a = rng.below(params.parties as u64) as usize;
         let mut b = rng.below(params.parties as u64) as usize;
         if b == a {
             b = (a + 1) % params.parties;
         }
+        let (a, b) = (parties[a], parties[b]);
         let fund_a = 5_000 + rng.below(5_000);
         let fund_b = 1_000 + rng.below(5_000);
-        let op = ChannelOp::Open {
-            id,
-            a: driver.parties[a].address(),
-            b: driver.parties[b].address(),
-            key_a: driver.parties[a].public_key(),
-            key_b: driver.parties[b].public_key(),
-            fund_a,
-            fund_b,
-        };
-        let genesis_state = ChannelState {
-            channel_id: id,
-            seq: 0,
-            balance_a: fund_a,
-            balance_b: fund_b,
-        };
-        let (sa, sb) = driver.sign_pair(a, b, &genesis_state);
-        driver.channels.push(DriverChannel {
-            id,
-            a,
-            b,
-            latest: (genesis_state, sa, sb),
-            stale: None,
-            cheats: id % 2 == 1, // every odd channel closes dishonestly
-        });
-        let tx = driver.tx_for(a, op);
+        let op = book
+            .open(id, a, b, fund_a, fund_b)
+            .expect("key budget sized");
+        ends.push((a, b));
         let at = SimTime::from_micros(10_000 + id * 3_000);
-        let node = peer(&mut rng);
-        inject(runner.net_mut(), at, node, tx);
+        let tx = op.into_tx(a, next_nonce(a));
+        inject(runner.net_mut(), at, peer(&mut rng), tx);
     }
     events += runner.run_until(SimTime::from_micros(600_000));
 
     // Phase 2 — off-chain payments: dual-signed updates, no transactions.
-    // Halfway through, cheating channels squirrel away the then-current
-    // state to publish later.
-    for ci in 0..driver.channels.len() {
+    // Halfway through, cheating channels (every odd one) squirrel away the
+    // then-current state to publish later.
+    let mut stale: BTreeMap<u64, SignedState> = BTreeMap::new();
+    for (id, &(a, b)) in (0..).zip(&ends) {
         let half = params.payments_per_channel / 2;
         for p in 0..params.payments_per_channel {
-            let (a, b, mut state) = {
-                let ch = &driver.channels[ci];
-                (ch.a, ch.b, ch.latest.0.clone())
-            };
-            state.seq += 1;
             // Alternate direction; skip a payment its side cannot afford.
             let amount = 1 + rng.below(500);
-            if p % 2 == 0 {
-                if state.balance_a < amount {
-                    continue;
-                }
-                state.balance_a -= amount;
-                state.balance_b += amount;
-            } else {
-                if state.balance_b < amount {
-                    continue;
-                }
-                state.balance_b -= amount;
-                state.balance_a += amount;
+            let from = if p % 2 == 0 { a } else { b };
+            match book.pay(id, from, amount) {
+                Ok(()) => offchain_updates += 1,
+                Err(ChannelError::BadState(_)) => continue,
+                Err(e) => panic!("key budget sized: {e}"),
             }
-            let (sa, sb) = driver.sign_pair(a, b, &state);
-            let ch = &mut driver.channels[ci];
-            ch.latest = (state, sa, sb);
-            driver.offchain_updates += 1;
-            if p + 1 == half {
-                ch.stale = Some(ch.latest.clone());
+            if p + 1 == half && id % 2 == 1 {
+                let kept = book.signed_state(id).expect("opened above");
+                stale.insert(id, kept.clone());
             }
         }
     }
 
-    // Phase 3 — closes: even channels cooperatively, odd ones publish the
-    // stale mid-stream state (the cheat).
-    let mut cheats_attempted = 0u64;
-    for ci in 0..driver.channels.len() {
-        let (id, a, cheats) = {
-            let ch = &driver.channels[ci];
-            (ch.id, ch.a, ch.cheats)
+    // Phase 3 — closes: even channels cooperatively at the latest state,
+    // odd ones publish the stale mid-stream state (the cheat).
+    let cheats_attempted = stale.len() as u64;
+    for (id, &(a, _)) in (0..).zip(&ends) {
+        let op = match stale.remove(&id) {
+            Some(kept) => ChannelOp::UniClose(kept),
+            None => book.coop_close(id).expect("key budget sized"),
         };
-        let stale = driver.channels[ci].stale.clone();
-        let op = match (cheats, stale) {
-            (true, Some((state, sig_a, sig_b))) => {
-                cheats_attempted += 1;
-                ChannelOp::UniClose {
-                    id,
-                    state,
-                    sig_a,
-                    sig_b,
-                }
-            }
-            _ => ChannelOp::CoopClose { id },
-        };
-        let tx = driver.tx_for(a, op);
         let at = SimTime::from_micros(700_000 + id * 3_000);
-        let node = peer(&mut rng);
-        inject(runner.net_mut(), at, node, tx);
+        let tx = op.into_tx(a, next_nonce(a));
+        inject(runner.net_mut(), at, peer(&mut rng), tx);
     }
     events += runner.run_until(SimTime::from_micros(1_400_000));
 
     // Phase 4 — the watchtower reads committed blocks off peer 0 and
     // challenges every published state older than what it co-signed.
     let mut cheats_punished = 0u64;
-    let published = committed_ops(runner.node(NodeId(0)));
-    let mut challenge_txs = Vec::new();
-    for (_, op) in published {
-        let ChannelOp::UniClose { id, state, .. } = op else {
+    for op in committed_ops(runner.node(NodeId(0))) {
+        let ChannelOp::UniClose((published, ..)) = op else {
             continue;
         };
-        let ch = driver
-            .channels
-            .iter()
-            .find(|c| c.id == id)
-            .expect("driver opened every channel");
-        if state.seq < ch.latest.0.seq {
-            let (latest, sig_a, sig_b) = ch.latest.clone();
-            let b = ch.b;
+        let id = published.channel_id;
+        let latest = book.signed_state(id).expect("driver opened every channel");
+        if published.seq < latest.0.seq {
+            let challenge = ChannelOp::Challenge(latest.clone());
+            let b = ends[id as usize].1;
+            let at = SimTime::from_micros(1_450_000 + cheats_punished * 3_000);
             cheats_punished += 1;
-            challenge_txs.push((
-                b,
-                ChannelOp::Challenge {
-                    id,
-                    state: latest,
-                    sig_a,
-                    sig_b,
-                },
-            ));
+            let tx = challenge.into_tx(b, next_nonce(b));
+            inject(runner.net_mut(), at, peer(&mut rng), tx);
         }
-    }
-    for (i, (b, op)) in challenge_txs.into_iter().enumerate() {
-        let tx = driver.tx_for(b, op);
-        let at = SimTime::from_micros(1_450_000 + i as u64 * 3_000);
-        let node = peer(&mut rng);
-        inject(runner.net_mut(), at, node, tx);
     }
 
     // Filler traffic advances the chain height through the dispute window
     // (an idle ordering chain cuts no blocks, so height would stall).
     let filler_from = Address::from_index(0xF111);
     for i in 0..(window + 3) {
-        let nonce = driver.nonces.entry(filler_from).or_insert(0);
-        let mut tx = dcs_primitives::AccountTx::transfer(filler_from, filler_from, 0, *nonce);
-        *nonce += 1;
+        let nonce = next_nonce(filler_from);
+        let mut tx = dcs_primitives::AccountTx::transfer(filler_from, filler_from, 0, nonce);
         tx.gas_limit = 0;
         tx.gas_price = 0;
         tx.payload = TxPayload::Data(vec![0xCC; 8]);
         let at = SimTime::from_micros(1_500_000 + i * 150_000);
-        let node = peer(&mut rng);
-        inject(runner.net_mut(), at, node, Transaction::Account(tx));
+        inject(
+            runner.net_mut(),
+            at,
+            peer(&mut rng),
+            Transaction::Account(tx),
+        );
     }
     let settle_start = 1_500_000 + (window + 3) * 150_000 + 200_000;
     events += runner.run_until(SimTime::from_micros(settle_start));
 
     // Phase 5 — finalize every disputed channel past its window.
-    for ci in 0..driver.channels.len() {
-        let (id, cheats, b) = {
-            let ch = &driver.channels[ci];
-            (ch.id, ch.cheats, ch.b)
-        };
-        if !cheats {
+    for (id, &(_, b)) in (0..).zip(&ends) {
+        if id % 2 == 0 {
             continue;
         }
-        let tx = driver.tx_for(b, ChannelOp::Finalize { id });
+        let tx = ChannelOp::Finalize { id }.into_tx(b, next_nonce(b));
         let at = SimTime::from_micros(settle_start + 50_000 + id * 3_000);
-        let node = peer(&mut rng);
-        inject(runner.net_mut(), at, node, tx);
+        inject(runner.net_mut(), at, peer(&mut rng), tx);
     }
     events += runner.run_until(SimTime::from_micros(settle_start + 800_000));
 
     let node0 = runner.node(NodeId(0));
-    let app = node0.core.chain.machine().app();
+    let settled = node0.core.chain.machine().app();
+    let payout_mismatches = (0..params.channels)
+        .filter(|&id| {
+            let (latest, ..) = book.signed_state(id).expect("driver opened every channel");
+            !settled
+                .channel(id)
+                .is_some_and(|ch| ch.phase == Phase::Closed && ch.state == *latest)
+        })
+        .count() as u64;
     ChannelRunReport {
-        app_stats: app.stats,
+        app_stats: settled.stats,
         state_hash: node0.core.chain.machine().state_root(),
-        offchain_updates: driver.offchain_updates,
+        offchain_updates,
         onchain_ops: committed_ops(node0).len() as u64,
         cheats_attempted,
         cheats_punished,
+        payout_mismatches,
+        onchain_total: parties.iter().map(|a| settled.balance(a)).sum(),
         height: node0.core.chain.height(),
         events,
     }
@@ -436,6 +331,14 @@ mod tests {
         );
         // The whole point: payments vastly outnumber on-chain ops.
         assert!(report.offchain_updates > report.onchain_ops);
+        // …and every one of them counted: cooperative closes and won
+        // disputes alike paid out the latest co-signed split.
+        assert_eq!(report.payout_mismatches, 0);
+        assert_eq!(
+            report.onchain_total,
+            params.parties as u64 * params.funding,
+            "Σ balances = Σ funding"
+        );
     }
 
     #[test]

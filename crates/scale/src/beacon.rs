@@ -1,12 +1,11 @@
 //! Beacon-coordinated sharding over the simulated network (§5.4, \[38\]).
 //!
-//! [`ShardedLedger`] models sharding as a sequential
-//! accounting exercise; this module runs it for real: `k` shard *sequencer*
-//! nodes seal blocks on timers, a *beacon* node tracks every shard
-//! header-chain and arbitrates cross-shard transfers, and a *light* node
-//! syncs headers + SPV proofs against a pruned shard — all over
-//! [`dcs_net`]'s discrete-event network, so the sharded event engine (PR 6)
-//! schedules the whole system.
+//! The one sharded ledger: accounts are hash-partitioned
+//! ([`ShardedLedger::home_shard`]) over `k` shard *sequencer* nodes sealing
+//! blocks on timers, a *beacon* node tracks every shard header-chain and
+//! arbitrates cross-shard transfers, and a *light* node syncs headers + SPV
+//! proofs against a pruned shard — all over [`dcs_net`]'s discrete-event
+//! network, so the sharded event engine (PR 6) schedules the whole system.
 //!
 //! Cross-shard transfers use a lock/receipt two-phase protocol carried in
 //! real blocks:
@@ -1019,7 +1018,13 @@ pub struct BeaconNet {
 impl BeaconNet {
     /// Builds the network: beacon at node 0, `k` shard sequencers, one
     /// light client. `alloc` funds user accounts on their home shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.shards == 0`: the partition has no home for any
+    /// account.
     pub fn new(params: &BeaconParams, seed: u64, alloc: &[(Address, Amount)]) -> Self {
+        assert!(params.shards > 0, "need at least one shard");
         let cfg = NetConfig {
             nodes: params.shards + 2,
             topology: Topology::Complete,
@@ -1203,6 +1208,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "need at least one shard")]
+    fn zero_shards_is_refused_at_construction() {
+        let params = BeaconParams {
+            shards: 0,
+            ..BeaconParams::default()
+        };
+        BeaconNet::new(&params, 1, &[]);
+    }
+
+    #[test]
     fn intra_shard_transfer_commits() {
         let accts = accounts(16);
         let k = 2;
@@ -1373,18 +1388,18 @@ mod tests {
         assert_eq!(net.user_total(&accts), 32 * 1_000_000);
     }
 
-    /// Applies the same transfer mix to one unsharded chain and returns the
-    /// final balances (the equivalence oracle).
-    pub(crate) fn single_chain_balances(
+    /// The equivalence oracle: a plain balance map applying the mix in
+    /// submission order, sharing no code with the stack under test.
+    fn single_chain_balances(
         alloc: &[(Address, Amount)],
         transfers: &[Transfer],
     ) -> BTreeMap<Address, Amount> {
-        let mut ledger = ShardedLedger::new(1, 64, alloc);
+        let mut balances: BTreeMap<Address, Amount> = alloc.iter().copied().collect();
         for t in transfers {
-            ledger.submit(*t).expect("single shard never crosses");
+            *balances.get_mut(&t.from).expect("funded sender") -= t.value;
+            *balances.get_mut(&t.to).expect("funded recipient") += t.value;
         }
-        ledger.seal_all();
-        alloc.iter().map(|(a, _)| (*a, ledger.balance(a))).collect()
+        balances
     }
 
     #[test]

@@ -3,14 +3,16 @@
 //! side-chains", plus offloading "transactions outside the blockchain, as in
 //! the Lightning network", and the light-client/bootstrap problem.
 //!
-//! * [`sharding`] — hash-partitioned account shards with two-phase
-//!   cross-shard transfers (experiment E7).
-//! * [`channels`] — off-chain payment channels with signed state updates,
-//!   cooperative/unilateral close with dispute window, and multi-hop HTLC
-//!   routing over a channel graph (experiment E8).
-//! * [`beacon`] — the wired sharded tier: a beacon chain anchoring shard
+//! * [`sharding`] — the partition: which shard owns an account, and the
+//!   escrow address a cross-shard lock goes to.
+//! * [`beacon`] — the sharded ledger: a beacon chain anchoring shard
 //!   headers, shard sequencers, and a two-way peg between shards (lock on
-//!   the source, mint on the destination against a Merkle-proved receipt).
+//!   the source, mint on the destination against a Merkle-proved receipt);
+//!   experiment E22.
+//! * [`channels`] — off-chain payment channels: one on-chain settlement
+//!   (escrow, dispute windows, co-signed closes) and one off-chain party
+//!   book (dual-signed updates, multi-hop HTLC routing), composed in
+//!   process (experiment E8) and by the middleware channel application.
 //! * [`light`] — SPV light clients: header-only sync, Merkle transaction
 //!   proofs, checkpoint bootstrap, and the download-size accounting of
 //!   experiment E10.

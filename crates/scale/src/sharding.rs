@@ -1,55 +1,18 @@
-//! Sharding (§5.4, \[38\]): accounts are hash-partitioned across `k` shard
-//! chains that seal blocks independently — the throughput of the system
-//! scales with the shard count, degraded by the fraction of cross-shard
-//! traffic, which needs a two-phase (lock → mint) protocol with receipts.
+//! The shard partition (§5.4, \[38\]): which shard chain owns an account,
+//! and which escrow address absorbs the locks of a cross-shard transfer.
+//! Both are pure functions of their arguments; the protocol that seals
+//! blocks per shard and carries lock → receipt → mint between them is
+//! [`crate::beacon`], and what sharding buys in throughput is measured
+//! there (experiment E22).
 //!
-//! The ledger here is sequentially simulated, but block *slots* are
-//! accounted per shard, so "parallel time" = the maximum slots any one
-//! shard consumed — the quantity experiment E7 sweeps.
+//! The `ShardedLedger` name is historical — it once also held a sequential
+//! slot-counting simulator — and survives because the frozen `benchmark/`
+//! package imports these functions by that path.
 
-use dcs_chain::Chain;
-use dcs_contracts::AccountMachine;
 use dcs_crypto::{sha256, Address};
-use dcs_primitives::{
-    AccountTx, Amount, Block, BlockHeader, ChainConfig, GasSchedule, Seal, Transaction,
-};
-use std::collections::BTreeMap;
+use dcs_primitives::Amount;
 
-/// Errors from sharded-ledger operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardError {
-    /// A cross-shard mint would overdraw the destination shard's mint pool:
-    /// committing it anyway would credit the recipient with value no lock
-    /// backs, silently inflating the destination shard. The transfer is
-    /// rejected whole — neither the lock nor the mint is queued.
-    MintPoolUnderfunded {
-        /// The destination shard whose pool is short.
-        shard: usize,
-        /// What the mint needed.
-        needed: Amount,
-        /// What the pool (minus already-queued mints) still covers.
-        available: Amount,
-    },
-}
-
-impl core::fmt::Display for ShardError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ShardError::MintPoolUnderfunded {
-                shard,
-                needed,
-                available,
-            } => write!(
-                f,
-                "mint pool of shard {shard} underfunded: need {needed}, have {available}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ShardError {}
-
-/// A transfer request routed through the sharded ledger.
+/// A transfer request routed through the sharded tier.
 #[derive(Debug, Clone, Copy)]
 pub struct Transfer {
     /// Sender.
@@ -60,145 +23,15 @@ pub struct Transfer {
     pub value: Amount,
 }
 
-/// Outcome statistics of processing a batch (the E7 measurands).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Transfers that stayed within one shard.
-    pub intra_shard: u64,
-    /// Transfers that crossed shards (each costs two block slots).
-    pub cross_shard: u64,
-    /// Max block slots consumed by any single shard ("parallel time").
-    pub parallel_slots: u64,
-    /// Total block slots consumed across all shards ("total work").
-    pub total_slots: u64,
-    /// Cross-shard transfers rejected because the destination mint pool
-    /// could not back the mint (fail-closed accounting).
-    pub mint_failures: u64,
-}
-
-/// An account ledger partitioned over `k` shard chains.
+/// Namespace of the partition and escrow-addressing functions.
 #[derive(Debug)]
-pub struct ShardedLedger {
-    shards: Vec<Chain<AccountMachine>>,
-    pending: Vec<Vec<Transaction>>,
-    // BTreeMap, not HashMap: `submit` allocates nonces while iterating
-    // callers' transfer mixes, and any hash-order state here would leak
-    // into block contents and digests (the PR 3 determinism sweep).
-    nonces: BTreeMap<Address, u64>,
-    block_tx_limit: usize,
-    slots_used: Vec<u64>,
-    /// Mint-pool value already promised to queued (unsealed) mints, per
-    /// shard — what keeps back-to-back submits from overdrawing a pool
-    /// that looks full on-chain but is spoken for.
-    mint_reserved: Vec<Amount>,
-    stats: ShardStats,
-}
+pub enum ShardedLedger {}
 
 impl ShardedLedger {
-    /// Creates `k` shards, each with the free gas schedule, and funds the
-    /// given accounts on their home shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn new(k: usize, block_tx_limit: usize, alloc: &[(Address, Amount)]) -> Self {
-        assert!(k > 0, "need at least one shard");
-        let shards = (0..k)
-            .map(|i| {
-                let mut config = ChainConfig::hyperledger_like();
-                config.chain_id = 5_000 + i as u32;
-                config.block_tx_limit = block_tx_limit;
-                let genesis = dcs_chain::genesis_block(&config);
-                let mut machine = AccountMachine::new();
-                machine.schedule = GasSchedule::free();
-                for (addr, amount) in alloc {
-                    if Self::home_shard(addr, k) == i {
-                        machine.db.credit(addr, *amount);
-                    }
-                }
-                machine.db.clear_journal();
-                Chain::new(genesis, config, machine)
-            })
-            .collect();
-        ShardedLedger {
-            shards,
-            pending: vec![Vec::new(); k],
-            nonces: BTreeMap::new(),
-            block_tx_limit,
-            slots_used: vec![0; k],
-            mint_reserved: vec![0; k],
-            stats: ShardStats::default(),
-        }
-    }
-
-    /// Which shard owns an address: the hash partition of §5.4's data layer.
+    /// Which of `k` shards owns an address: the hash partition of §5.4's
+    /// data layer.
     pub fn home_shard(addr: &Address, k: usize) -> usize {
         (sha256(addr.as_bytes()).prefix_u64() % k as u64) as usize
-    }
-
-    /// Shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Balance of an account (read from its home shard).
-    pub fn balance(&self, addr: &Address) -> Amount {
-        let shard = Self::home_shard(addr, self.shards.len());
-        self.shards[shard].machine().db.balance(addr)
-    }
-
-    fn transfer_tx(&mut self, from: Address, to: Address, value: Amount) -> Transaction {
-        let nonce = self.nonces.entry(from).or_insert(0);
-        let mut tx = AccountTx::transfer(from, to, value, *nonce);
-        *nonce += 1;
-        tx.gas_limit = 0;
-        tx.gas_price = 0;
-        Transaction::Account(tx)
-    }
-
-    /// Routes one transfer. Intra-shard transfers queue one transaction;
-    /// cross-shard transfers queue the *lock* (burn) on the source shard
-    /// and the *mint* on the destination shard — the two-phase pattern.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::MintPoolUnderfunded`] when the destination shard's
-    /// mint pool (minus mints already queued against it) cannot back the
-    /// mint. The transfer is rejected whole: without this check the lock
-    /// would seal, the mint would bounce at execution, and the sender's
-    /// funds would sit in the bridge with nothing minted — a silent skew
-    /// that only a total-supply audit would catch.
-    pub fn submit(&mut self, t: Transfer) -> Result<(), ShardError> {
-        let k = self.shards.len();
-        let src = Self::home_shard(&t.from, k);
-        let dst = Self::home_shard(&t.to, k);
-        if src == dst {
-            self.stats.intra_shard += 1;
-            let tx = self.transfer_tx(t.from, t.to, t.value);
-            self.pending[src].push(tx);
-        } else {
-            let pool = self.shards[dst].machine().db.balance(&Self::mint_pool(dst));
-            let available = pool.saturating_sub(self.mint_reserved[dst]);
-            if available < t.value {
-                self.stats.mint_failures += 1;
-                return Err(ShardError::MintPoolUnderfunded {
-                    shard: dst,
-                    needed: t.value,
-                    available,
-                });
-            }
-            self.stats.cross_shard += 1;
-            self.mint_reserved[dst] += t.value;
-            // Phase 1: lock/burn on the source shard (send to the bridge).
-            let bridge = Self::bridge_address(src, dst);
-            let lock = self.transfer_tx(t.from, bridge, t.value);
-            self.pending[src].push(lock);
-            // Phase 2: mint on the destination shard, backed by the lock
-            // receipt (the bridge account is pre-funded as the mint pool).
-            let mint = self.transfer_tx(Self::mint_pool(dst), t.to, t.value);
-            self.pending[dst].push(mint);
-        }
-        Ok(())
     }
 
     /// The escrow address absorbing cross-shard locks between two shards.
@@ -208,122 +41,17 @@ impl ShardedLedger {
         bytes.extend_from_slice(&(dst as u32).to_le_bytes());
         Address::from_hash(&sha256(&bytes))
     }
-
-    /// The mint pool of a shard (pre-funded so mints always succeed; a real
-    /// deployment verifies the lock receipt instead).
-    pub fn mint_pool(shard: usize) -> Address {
-        let mut bytes = b"shard-mint-pool".to_vec();
-        bytes.extend_from_slice(&(shard as u32).to_le_bytes());
-        Address::from_hash(&sha256(&bytes))
-    }
-
-    /// Pre-funds every shard's mint pool (call once before cross-shard
-    /// traffic).
-    pub fn fund_mint_pools(&mut self, amount: Amount) {
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard.machine_mut().db.credit(&Self::mint_pool(i), amount);
-            shard.machine_mut().db.clear_journal();
-        }
-    }
-
-    /// Seals every shard's pending transactions into as many blocks as
-    /// needed, updating the slot accounting.
-    pub fn seal_all(&mut self) {
-        for shard in 0..self.shards.len() {
-            let mut txs = std::mem::take(&mut self.pending[shard]);
-            while !txs.is_empty() {
-                let take = txs.len().min(self.block_tx_limit);
-                let batch: Vec<Transaction> = txs.drain(..take).collect();
-                let chain = &mut self.shards[shard];
-                let header = BlockHeader::new(
-                    chain.tip_hash(),
-                    chain.height() + 1,
-                    chain.height() + 1,
-                    Address::ZERO,
-                    Seal::Authority {
-                        view: 0,
-                        sequence: chain.height() + 1,
-                        votes: 1,
-                    },
-                );
-                chain
-                    .import(Block::new(header, batch))
-                    .expect("sequencer blocks are valid");
-                self.slots_used[shard] += 1;
-            }
-            // Queued mints for this shard are now on-chain; the pool
-            // balance reflects them, so the reservation is spent.
-            self.mint_reserved[shard] = 0;
-        }
-        self.stats.parallel_slots = self.slots_used.iter().copied().max().unwrap_or(0);
-        self.stats.total_slots = self.slots_used.iter().sum();
-    }
-
-    /// Processing statistics.
-    pub fn stats(&self) -> ShardStats {
-        self.stats
-    }
-
-    /// Total value visible across the sharded system: the given user
-    /// accounts plus every bridge escrow and mint pool on every shard.
-    /// Cross-shard transfers move value between these buckets but must
-    /// never change the sum — the conservation invariant the fail-closed
-    /// mint check protects.
-    pub fn audited_supply(&self, accounts: &[Address]) -> u128 {
-        let k = self.shards.len();
-        let mut total: u128 = accounts.iter().map(|a| u128::from(self.balance(a))).sum();
-        for (i, shard) in self.shards.iter().enumerate() {
-            total += u128::from(shard.machine().db.balance(&Self::mint_pool(i)));
-            for src in 0..k {
-                for dst in 0..k {
-                    if src != dst {
-                        total +=
-                            u128::from(shard.machine().db.balance(&Self::bridge_address(src, dst)));
-                    }
-                }
-            }
-        }
-        total
-    }
-
-    /// The speedup over a single chain with the same block size: sequential
-    /// slots the traffic would have needed, divided by the parallel slots
-    /// the shards actually consumed. A single chain needs just one
-    /// transaction per transfer (no lock/mint split), which is exactly why
-    /// cross-shard traffic erodes the speedup: each crossing costs the
-    /// sharded system two slots' worth of work that the monolith does in
-    /// one.
-    pub fn speedup(&self) -> f64 {
-        if self.stats.parallel_slots == 0 {
-            return 1.0;
-        }
-        let total_transfers = self.stats.intra_shard + self.stats.cross_shard;
-        let sequential_slots = total_transfers.div_ceil(self.block_tx_limit as u64);
-        sequential_slots as f64 / self.stats.parallel_slots as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcs_sim::Rng;
-
-    fn addrs(n: u64) -> Vec<Address> {
-        (0..n).map(Address::from_index).collect()
-    }
-
-    fn ledger(k: usize, accounts: &[Address]) -> ShardedLedger {
-        let alloc: Vec<(Address, Amount)> = accounts.iter().map(|a| (*a, 1_000_000)).collect();
-        let mut l = ShardedLedger::new(k, 100, &alloc);
-        l.fund_mint_pools(1_000_000_000);
-        l
-    }
 
     #[test]
     fn partition_is_stable_and_covers_all_shards() {
         let k = 4;
         let mut seen = vec![false; k];
-        for a in addrs(200) {
+        for a in (0..200).map(Address::from_index) {
             let s = ShardedLedger::home_shard(&a, k);
             assert_eq!(s, ShardedLedger::home_shard(&a, k));
             seen[s] = true;
@@ -331,141 +59,21 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "200 accounts hit all 4 shards");
     }
 
+    /// Every dcsbench `beacon_shards` digest and every shard genesis depends
+    /// on these two mappings; the values are the parent commit's.
     #[test]
-    fn intra_shard_transfer_moves_balance() {
-        let accounts = addrs(50);
-        let mut l = ledger(4, &accounts);
-        // Find two accounts on the same shard.
-        let a = accounts[0];
-        let b = *accounts[1..]
-            .iter()
-            .find(|x| ShardedLedger::home_shard(x, 4) == ShardedLedger::home_shard(&a, 4))
-            .expect("some pair shares a shard");
-        l.submit(Transfer {
-            from: a,
-            to: b,
-            value: 500,
-        })
-        .unwrap();
-        l.seal_all();
-        assert_eq!(l.balance(&a), 1_000_000 - 500);
-        assert_eq!(l.balance(&b), 1_000_000 + 500);
-        assert_eq!(l.stats().intra_shard, 1);
-        assert_eq!(l.stats().cross_shard, 0);
-    }
-
-    #[test]
-    fn cross_shard_transfer_locks_and_mints() {
-        let accounts = addrs(50);
-        let mut l = ledger(4, &accounts);
-        let a = accounts[0];
-        let b = *accounts[1..]
-            .iter()
-            .find(|x| ShardedLedger::home_shard(x, 4) != ShardedLedger::home_shard(&a, 4))
-            .expect("some pair crosses shards");
-        l.submit(Transfer {
-            from: a,
-            to: b,
-            value: 700,
-        })
-        .unwrap();
-        l.seal_all();
-        assert_eq!(l.balance(&a), 1_000_000 - 700);
-        assert_eq!(l.balance(&b), 1_000_000 + 700);
-        assert_eq!(l.stats().cross_shard, 1);
-        // The lock sits in the bridge escrow on the source shard.
-        let src = ShardedLedger::home_shard(&a, 4);
-        let dst = ShardedLedger::home_shard(&b, 4);
-        let bridge = ShardedLedger::bridge_address(src, dst);
-        assert_eq!(l.shards[src].machine().db.balance(&bridge), 700);
-    }
-
-    #[test]
-    fn sharding_speeds_up_partitionable_traffic() {
-        // 1000 random transfers over 200 accounts: 8 shards should beat 1.
-        let accounts = addrs(200);
-        let mut rng = Rng::seed_from(1);
-        let transfers: Vec<Transfer> = (0..1_000)
-            .map(|_| Transfer {
-                from: accounts[rng.below(200) as usize],
-                to: accounts[rng.below(200) as usize],
-                value: 1,
-            })
+    fn partition_and_bridge_addresses_are_pinned() {
+        let homes: Vec<usize> = (0..12)
+            .map(|i| ShardedLedger::home_shard(&Address::from_index(i), 4))
             .collect();
-        let run = |k: usize| {
-            let mut l = ledger(k, &accounts);
-            for t in &transfers {
-                l.submit(*t).unwrap();
-            }
-            l.seal_all();
-            l
-        };
-        let single = run(1);
-        let sharded = run(8);
-        assert!(
-            (single.speedup() - 1.0).abs() < 1e-9,
-            "one shard is the baseline, got {}",
-            single.speedup()
+        assert_eq!(homes, [3, 0, 0, 3, 2, 0, 2, 3, 2, 2, 3, 0]);
+        assert_eq!(
+            ShardedLedger::bridge_address(0, 1).to_string(),
+            "39fa7a1bf28462d8ac2f9bdb8e8b097862481852"
         );
-        assert!(
-            sharded.speedup() > 2.0,
-            "8 shards should speed up ≥2x, got {:.2}",
-            sharded.speedup()
-        );
-        // Conservation: total balances match across both runs.
-        let total =
-            |l: &ShardedLedger| -> u128 { accounts.iter().map(|a| u128::from(l.balance(a))).sum() };
-        assert_eq!(total(&single), total(&sharded));
-    }
-
-    #[test]
-    fn cross_shard_fraction_erodes_speedup() {
-        // All-cross traffic (2 slots per transfer) vs all-intra.
-        let accounts = addrs(100);
-        let (intra, cross): (Vec<Address>, Vec<Address>) = {
-            let shard0: Vec<Address> = accounts
-                .iter()
-                .copied()
-                .filter(|a| ShardedLedger::home_shard(a, 2) == 0)
-                .collect();
-            let shard1: Vec<Address> = accounts
-                .iter()
-                .copied()
-                .filter(|a| ShardedLedger::home_shard(a, 2) == 1)
-                .collect();
-            (shard0, shard1)
-        };
-        assert!(intra.len() >= 2 && cross.len() >= 2);
-
-        let mut all_intra = ledger(2, &accounts);
-        for i in 0..200 {
-            all_intra
-                .submit(Transfer {
-                    from: intra[i % intra.len()],
-                    to: intra[(i + 1) % intra.len()],
-                    value: 1,
-                })
-                .unwrap();
-        }
-        all_intra.seal_all();
-
-        let mut all_cross = ledger(2, &accounts);
-        for i in 0..200 {
-            all_cross
-                .submit(Transfer {
-                    from: intra[i % intra.len()],
-                    to: cross[i % cross.len()],
-                    value: 1,
-                })
-                .unwrap();
-        }
-        all_cross.seal_all();
-
-        assert!(
-            all_cross.stats().total_slots > all_intra.stats().total_slots,
-            "cross-shard traffic costs more total slots ({} vs {})",
-            all_cross.stats().total_slots,
-            all_intra.stats().total_slots
+        assert_eq!(
+            ShardedLedger::bridge_address(3, 2).to_string(),
+            "c76bbce02a72b7a9a153ce8eb0075ca8b023167d"
         );
     }
 }

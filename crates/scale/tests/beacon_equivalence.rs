@@ -1,20 +1,17 @@
 //! Property tests for the sharded stack (PR 10 gates).
 //!
 //! 1. **Equivalence**: a beacon-coordinated sharded run over the simulated
-//!    network commits the same final balances as one unsharded chain
+//!    network commits the same final balances as a plain balance map
 //!    applying the same transfer mix sequentially. Holds for amply funded
 //!    accounts, where transfers commute regardless of seal interleaving.
-//! 2. **Conservation**: no transfer mix — including overdraw attempts
-//!    against underfunded mint pools — changes the audited total supply of
-//!    a [`ShardedLedger`]; rejected transfers are rejected *whole*.
-//! 3. **Conservation under faults**: even when the beacon silently drops
+//! 2. **Conservation under faults**: even when the beacon silently drops
 //!    every receipt bound for some shard (forcing timeout-refunds), user
 //!    balances still sum to the genesis allocation at quiescence.
 
 use dcs_crypto::Address;
 use dcs_primitives::Amount;
 use dcs_scale::beacon::{BeaconNet, BeaconParams};
-use dcs_scale::{ShardedLedger, Transfer};
+use dcs_scale::Transfer;
 use dcs_sim::SimTime;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -41,14 +38,15 @@ fn to_transfers(mix: &[(u64, u64, u64)]) -> Vec<Transfer> {
         .collect()
 }
 
-/// The oracle: one unsharded chain applying the mix in submission order.
+/// The oracle: one sequential balance map applying the mix in submission
+/// order — deliberately sharing no code with the stack under test.
 fn single_chain_balances(transfers: &[Transfer]) -> BTreeMap<Address, Amount> {
-    let mut ledger = ShardedLedger::new(1, 64, &alloc());
+    let mut balances: BTreeMap<Address, Amount> = alloc().into_iter().collect();
     for t in transfers {
-        ledger.submit(*t).expect("a single shard never crosses");
+        *balances.get_mut(&t.from).expect("funded sender") -= t.value;
+        *balances.get_mut(&t.to).expect("funded recipient") += t.value;
     }
-    ledger.seal_all();
-    accounts().iter().map(|a| (*a, ledger.balance(a))).collect()
+    balances
 }
 
 proptest! {
@@ -82,40 +80,6 @@ proptest! {
         for i in 0..shards {
             prop_assert_eq!(net.shard(i).open_locks(), 0);
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn audited_supply_is_conserved(
-        mix in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..80),
-        shards in 1usize..5,
-        // Deliberately small pools so some cross-shard mints bounce.
-        pool in 0u64..2_000,
-        rounds in 1usize..4,
-    ) {
-        let accts = accounts();
-        let transfers = to_transfers(&mix);
-        let mut ledger = ShardedLedger::new(shards, 32, &alloc());
-        ledger.fund_mint_pools(pool);
-        let initial = ledger.audited_supply(&accts);
-        let mut failures = 0u64;
-        for round in 0..rounds {
-            for t in &transfers {
-                if ledger.submit(*t).is_err() {
-                    failures += 1;
-                }
-            }
-            ledger.seal_all();
-            // Supply never moves, sealed or mid-stream.
-            prop_assert_eq!(
-                ledger.audited_supply(&accts), initial,
-                "supply drifted after round {}", round
-            );
-        }
-        prop_assert_eq!(ledger.stats().mint_failures, failures);
     }
 }
 

@@ -314,3 +314,37 @@ fn analytics_agree_with_metrics() {
     assert_eq!(report.blocks, result.canonical_blocks);
     assert!(report.mean_block_utilization > 0.0);
 }
+
+/// The one channel settlement (§5.4, [30]) under both of its compositions.
+/// Wired through consensus, every close — cooperative, or disputed and won
+/// by the watchtower — pays out the *latest* co-signed split, so the
+/// off-chain payments count and no value appears or vanishes (cooperative
+/// closes used to carry no state and paid out the opening split). Applied
+/// in process, an open whose second party is underfunded costs neither
+/// party anything (it used to keep the first party's escrow).
+#[test]
+fn channel_settlement_pays_latest_split_and_refuses_opens_atomically() {
+    use dcs_ledger::{run_channel_workload, ChannelWorkloadParams};
+
+    let params = ChannelWorkloadParams::default();
+    let report = run_channel_workload(&params, 17);
+    assert!(report.app_stats.coop_closes > 0 && report.app_stats.finalized > 0);
+    assert!(report.offchain_updates > 0, "the splits must have moved");
+    assert_eq!(
+        report.payout_mismatches, 0,
+        "every channel must settle at its latest co-signed split"
+    );
+    assert_eq!(report.onchain_total, params.parties as u64 * params.funding);
+
+    let mut net = dcs_scale::ChannelNetwork::new(10);
+    let a = net.add_party([1; 32], 2, 1_000);
+    let b = net.add_party([2; 32], 2, 10);
+    assert!(net.open_channel(a, b, 500, 500).is_err());
+    assert_eq!(
+        net.settlement().balance(&a),
+        1_000,
+        "a's escrow must not leak"
+    );
+    assert_eq!(net.settlement().balance(&b), 10);
+    assert_eq!(net.onchain_txs, 0);
+}
