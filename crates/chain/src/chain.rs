@@ -200,6 +200,8 @@ pub struct Chain<M: StateMachine> {
     canonical: Vec<Hash256>,
     undos: Vec<M::Undo>,
     receipts: Vec<(Hash256, Vec<Receipt>)>,
+    /// Blocks that failed state validation and every stored block under
+    /// one: closed under descent, so viability is a single probe.
     invalid: BTreeSet<Hash256>,
     stats: ChainStats,
     canon_stats: CanonStats,
@@ -368,6 +370,12 @@ impl<M: StateMachine> Chain<M> {
         &self.canon_stats
     }
 
+    /// The non-viable blocks: every block that failed state validation and
+    /// every stored descendant of one. Fork choice never selects these.
+    pub fn invalid(&self) -> &BTreeSet<Hash256> {
+        &self.invalid
+    }
+
     /// Blocks in the tree that are not on the canonical chain (the paper's
     /// "branches"; Ethereum's uncles). Orphans are not counted.
     pub fn stale_blocks(&self) -> u64 {
@@ -530,6 +538,16 @@ impl<M: StateMachine> Chain<M> {
             }
             return Ok(ChainEvent::Orphaned);
         }
+        // A block stored under a non-viable parent is non-viable (parents
+        // precede children in `inserted`).
+        if !self.invalid.is_empty() {
+            for hash in &inserted {
+                let parent = self.tree.get(hash).map(|sb| sb.header().parent);
+                if parent.is_some_and(|p| self.invalid.contains(&p)) {
+                    self.invalid.insert(*hash);
+                }
+            }
+        }
         let old_tip = self.tip_hash();
         let event = self.update_head()?;
         // If nothing changed, the imported block landed on a side branch.
@@ -637,29 +655,27 @@ impl<M: StateMachine> Chain<M> {
         Ok(())
     }
 
+    /// Marks `bad` and every stored descendant non-viable.
+    fn poison(&mut self, bad: Hash256) {
+        let mut stack = vec![bad];
+        while let Some(hash) = stack.pop() {
+            self.invalid.insert(hash);
+            if let Some(sb) = self.tree.get(&hash) {
+                stack.extend(&sb.children);
+            }
+        }
+    }
+
     /// Recomputes the best tip and moves the state machine onto it.
-    /// Returns `None` if the head did not move.
+    /// Returns `None` if the head did not move. Walks nothing: the
+    /// candidates are the tree's leaf set and viability is a probe of
+    /// `invalid`, which [`Chain::import`] and [`Chain::poison`] keep closed
+    /// under descent (and which is empty in every healthy run).
     fn update_head(&mut self) -> Result<Option<ChainEvent>, ChainError> {
         loop {
             let invalid = &self.invalid;
-            let tree = &self.tree;
-            let new_tip = best_tip_with(tree, self.config.fork_choice, |h| {
-                // A tip is viable if no block on its path back to the first
-                // known-canonical ancestor is invalid.
-                let mut cur = *h;
-                loop {
-                    if invalid.contains(&cur) {
-                        return false;
-                    }
-                    // A tip whose path is not fully stored is not viable.
-                    let Some(sb) = tree.get(&cur) else {
-                        return false;
-                    };
-                    if sb.height() == 0 {
-                        return true;
-                    }
-                    cur = sb.header().parent;
-                }
+            let new_tip = best_tip_with(&self.tree, self.config.fork_choice, |h| {
+                !invalid.contains(h)
             });
             let old_tip = self.tip_hash();
             if new_tip == old_tip {
@@ -728,9 +744,10 @@ impl<M: StateMachine> Chain<M> {
             }
 
             if let Some(bad) = failure {
-                // Poison the failing block, roll everything back to the
-                // ancestor, restore the old branch, and retry fork choice.
-                self.invalid.insert(bad);
+                // Poison the failing block and what is stored under it, roll
+                // everything back to the ancestor, restore the old branch,
+                // and retry fork choice.
+                self.poison(bad);
                 self.stats.invalid_blocks += 1;
                 while self.height() > anc_height {
                     self.pop_canonical()?;
@@ -1099,6 +1116,70 @@ mod tests {
         assert_eq!(chain.machine().applied, vec![a1.hash()]);
         // Stats restored along with the old branch.
         assert_eq!(*chain.canon_stats(), recompute(&chain));
+    }
+
+    fn cursed_child(parent: &Block, salt: u64) -> Block {
+        let cursed = Transaction::Account(AccountTx::transfer(
+            Address::from_index(1),
+            Address::from_index(2),
+            666,
+            0,
+        ));
+        let header = child(parent, salt).header;
+        Block::new(header, vec![cursed])
+    }
+
+    #[test]
+    fn invalid_child_of_the_tip_never_demotes_valid_history() {
+        for rule in [
+            dcs_primitives::ForkChoice::LongestChain,
+            dcs_primitives::ForkChoice::HeaviestWork,
+        ] {
+            let mut config = cfg();
+            config.fork_choice = rule;
+            let g = crate::genesis_block(&config);
+            let mut chain = Chain::new(g.clone(), config, Picky::default());
+            let a1 = child(&g, 1);
+            let a2 = child(&a1, 2);
+            let b1 = child(&g, 10); // a stale leaf, shorter than the tip
+            for b in [&a1, &a2, &b1] {
+                chain.import(b.clone()).unwrap();
+            }
+            let applied = vec![a1.hash(), a2.hash()];
+
+            // (a) A cursed child of the tip: the tip stays where it is —
+            // no reorg backwards onto the stale leaf.
+            let x = cursed_child(&a2, 3);
+            let ev = chain.import(x.clone()).unwrap();
+            assert_eq!(ev, ChainEvent::SideChain { block: x.hash() }, "{rule:?}");
+            assert_eq!(chain.tip_hash(), a2.hash(), "{rule:?}");
+            assert_eq!(chain.stats().invalid_blocks, 1);
+            assert_eq!(chain.stats().reorgs, 0);
+            assert_eq!(chain.machine().applied, applied);
+            assert_eq!(*chain.canon_stats(), recompute(&chain));
+
+            // (c) Blocks arriving later under x — directly, and through
+            // the orphan pool — are never applied and never selected,
+            // however long their branch grows.
+            let y1 = child(&x, 4);
+            let y2 = child(&y1, 5);
+            let y3 = child(&y2, 6);
+            chain.import(y1.clone()).unwrap();
+            assert_eq!(chain.import(y3.clone()).unwrap(), ChainEvent::Orphaned);
+            chain.import(y2.clone()).unwrap();
+            assert_eq!(chain.tip_hash(), a2.hash(), "{rule:?}");
+            assert_eq!(chain.machine().applied, applied);
+            assert_eq!(chain.stats().invalid_blocks, 1, "x failed once");
+            let poisoned: BTreeSet<Hash256> = [&x, &y1, &y2, &y3].map(Block::hash).into();
+            assert_eq!(chain.invalid(), &poisoned);
+
+            // (b) A valid a3 on a2 extends normally.
+            let a3 = child(&a2, 7);
+            let ev = chain.import(a3.clone()).unwrap();
+            assert_eq!(ev, ChainEvent::Extended { block: a3.hash() }, "{rule:?}");
+            assert_eq!(chain.height(), 3);
+            assert_eq!(*chain.canon_stats(), recompute(&chain));
+        }
     }
 
     #[test]

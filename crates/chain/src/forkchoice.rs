@@ -2,8 +2,17 @@
 //! pick the tip every honest peer should build on. All three rules break
 //! ties by earliest arrival (first-seen, as Bitcoin does), which keeps the
 //! choice deterministic in the simulator.
+//!
+//! Selection is incremental (DESIGN.md §9): the candidates are the tree's
+//! maintained leaf set, and viability is one probe per candidate because the
+//! caller's predicate is closed under descent. Longest-chain and
+//! heaviest-work pick the **best viable block** — each leaf stands for its
+//! first viable ancestor-or-self, which is the leaf itself unless it was
+//! poisoned — so an invalid block can stop a branch but never demote valid
+//! history behind it. Per import that is O(leaves); GHOST adds its one O(n)
+//! subtree-size pass.
 
-use crate::store::BlockTree;
+use crate::store::{BlockTree, StoredBlock};
 use dcs_crypto::Hash256;
 use dcs_primitives::ForkChoice;
 use std::collections::BTreeMap;
@@ -26,8 +35,9 @@ pub fn best_tip(tree: &BlockTree, rule: ForkChoice) -> Hash256 {
 
 /// Like [`best_tip`], but only considers blocks accepted by `viable` —
 /// used by the chain manager to route around blocks that failed state
-/// validation. Operates on headers and tree metadata only, so it works
-/// unchanged over a body-pruning store.
+/// validation. `viable` must be closed under descent: a block under a
+/// non-viable one is non-viable. Operates on headers and tree metadata
+/// only, so it works unchanged over a body-pruning store.
 pub fn best_tip_with(
     tree: &BlockTree,
     rule: ForkChoice,
@@ -40,43 +50,34 @@ pub fn best_tip_with(
     }
 }
 
+/// Higher score wins; on ties, earlier arrival wins.
+fn keep_better<S: PartialOrd + Copy>(best: &mut Option<(S, u64, Hash256)>, key: (S, u64, Hash256)) {
+    if best.is_none_or(|(s, a, _)| key.0 > s || (key.0 == s && key.1 < a)) {
+        *best = Some(key);
+    }
+}
+
 fn extremal_tip(
     tree: &BlockTree,
-    score: impl Fn(&crate::store::StoredBlock) -> u128,
+    score: impl Fn(&StoredBlock) -> u128,
     viable: impl Fn(&Hash256) -> bool,
 ) -> Hash256 {
-    let pick_best = |candidates: &mut dyn Iterator<Item = Hash256>| {
-        let mut best: Option<(u128, u64, Hash256)> = None;
-        for hash in candidates {
-            if !viable(&hash) {
-                continue;
+    let mut best = None;
+    for mut hash in tree.tips() {
+        // Each leaf stands for its first viable ancestor-or-self: zero steps
+        // unless the leaf is poisoned. Scores grow along every branch, so
+        // the best of these is the best viable block in the whole tree. (A
+        // miss ends the walk: candidates come from the tree itself, so it
+        // would be a broken invariant — skip rather than panic.)
+        while let Some(sb) = tree.get(&hash) {
+            if viable(&hash) {
+                keep_better(&mut best, (score(sb), sb.arrival, hash));
+                break;
             }
-            // Candidates come from the tree itself; a miss would be a
-            // broken invariant — skip the candidate rather than panic.
-            let Some(sb) = tree.get(&hash) else {
-                continue;
-            };
-            let key = (score(sb), sb.arrival, hash);
-            match &best {
-                None => best = Some(key),
-                Some((s, a, _)) => {
-                    // Higher score wins; on ties, earlier arrival wins.
-                    if key.0 > *s || (key.0 == *s && key.1 < *a) {
-                        best = Some(key);
-                    }
-                }
-            }
+            hash = sb.header().parent;
         }
-        best.map(|b| b.2)
-    };
-    if let Some(tip) = pick_best(&mut tree.tips().into_iter()) {
-        return tip;
     }
-    // Every leaf is non-viable (e.g. the only extension of the chain failed
-    // validation): pick the best *interior* viable block instead — the
-    // chain must never abandon already-valid history.
-    pick_best(&mut tree.iter().map(crate::store::StoredBlock::hash))
-        .unwrap_or_else(|| tree.genesis())
+    best.map_or_else(|| tree.genesis(), |b| b.2)
 }
 
 /// GHOST: starting from genesis, repeatedly step into the child whose
@@ -116,7 +117,7 @@ fn ghost_tip(tree: &BlockTree, viable: impl Fn(&Hash256) -> bool) -> Hash256 {
         if sb.children.is_empty() {
             return cur;
         }
-        let mut best: Option<(u64, u64, Hash256)> = None;
+        let mut best = None;
         for &c in &sb.children {
             if !viable(&c) {
                 continue;
@@ -124,15 +125,8 @@ fn ghost_tip(tree: &BlockTree, viable: impl Fn(&Hash256) -> bool) -> Hash256 {
             let Some(child_sb) = tree.get(&c) else {
                 continue;
             };
-            let key = (sizes.get(&c).copied().unwrap_or(0), child_sb.arrival, c);
-            match &best {
-                None => best = Some(key),
-                Some((s, a, _)) => {
-                    if key.0 > *s || (key.0 == *s && key.1 < *a) {
-                        best = Some(key);
-                    }
-                }
-            }
+            let size = sizes.get(&c).copied().unwrap_or(0);
+            keep_better(&mut best, (size, child_sb.arrival, c));
         }
         // All children non-viable: stop here.
         match best {

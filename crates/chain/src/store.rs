@@ -13,11 +13,15 @@
 //! so fork choice, common-ancestor walks, and light-client header sync keep
 //! working on a fraction of the memory (the paper's §5.4 "full download of
 //! the blockchain … will continue to grow" concern).
+//!
+//! The tree keeps its own **leaf set** — `insert` takes the parent out and
+//! puts the child in — so fork choice reads the candidate tips instead of
+//! scanning every record for one without children (DESIGN.md §9).
 
 use crate::ChainError;
 use dcs_crypto::Hash256;
 use dcs_primitives::{Block, BlockHeader};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Default bound on blocks parked in the orphan pool; beyond it the oldest
@@ -31,8 +35,9 @@ pub const DEFAULT_ORPHAN_CAP: usize = 512;
 enum StoredData {
     /// The full block, shared with gossip/serving paths.
     Full(Arc<Block>),
-    /// Header-only: the body was pruned below the finality horizon.
-    HeaderOnly(BlockHeader),
+    /// Header-only: the body was pruned below the finality horizon. Boxed,
+    /// so a record is one pointer wide here whichever variant it holds.
+    HeaderOnly(Box<BlockHeader>),
 }
 
 /// A block plus the tree metadata maintained for it.
@@ -103,7 +108,7 @@ impl StoredBlock {
     fn prune_body(&mut self) -> u64 {
         if let StoredData::Full(b) = &self.data {
             let freed = approx_body_bytes(b);
-            let header = b.header.clone();
+            let header = Box::new(b.header.clone());
             self.data = StoredData::HeaderOnly(header);
             freed
         } else {
@@ -218,6 +223,8 @@ impl BlockStore {
 pub struct BlockTree {
     store: BlockStore,
     genesis: Hash256,
+    /// Stored blocks with no children, maintained by [`BlockTree::insert`].
+    leaves: BTreeSet<Hash256>,
     /// parent hash → orphans waiting on it, each with its precomputed hash.
     orphans: BTreeMap<Hash256, Vec<(Hash256, Arc<Block>)>>,
     /// Orphans in arrival order (for cap eviction); entries may be stale
@@ -249,6 +256,7 @@ impl BlockTree {
         BlockTree {
             store,
             genesis: gh,
+            leaves: BTreeSet::from([gh]),
             orphans: BTreeMap::new(),
             orphan_order: VecDeque::new(),
             orphan_cap: DEFAULT_ORPHAN_CAP,
@@ -307,10 +315,7 @@ impl BlockTree {
         self.store.note_finalized(finalized_height);
     }
 
-    /// Looks up a stored block by hash. Inlined into callers in other
-    /// crates: fork choice does O(height) of these per import from code
-    /// instantiated downstream (`Chain<M>`), and as an out-of-crate call the
-    /// lookup measures ~12 % slower per imported block.
+    /// Looks up a stored block by hash.
     #[inline]
     pub fn get(&self, hash: &Hash256) -> Option<&StoredBlock> {
         self.store.blocks.get(hash)
@@ -363,6 +368,8 @@ impl BlockTree {
             .ok_or(ChainError::Internal("parent vanished during insert"))?
             .children
             .push(hash);
+        self.leaves.remove(&parent_hash);
+        self.leaves.insert(hash);
         Ok(hash)
     }
 
@@ -480,12 +487,10 @@ impl BlockTree {
         self.store.blocks.values()
     }
 
-    /// Leaf blocks (no children): the candidate tips.
+    /// Leaf blocks (no children): the candidate tips, read from the
+    /// maintained leaf set — O(leaves), not a scan of every record.
     pub fn tips(&self) -> Vec<Hash256> {
-        self.iter()
-            .filter(|sb| sb.children.is_empty())
-            .map(StoredBlock::hash)
-            .collect()
+        self.leaves.iter().copied().collect()
     }
 
     /// Number of blocks in the subtree rooted at `hash` (inclusive); the
@@ -694,20 +699,32 @@ mod tests {
     fn tips_and_subtree_size() {
         let g = genesis();
         let mut tree = BlockTree::new(g.clone());
+        assert_eq!(tree.tips(), vec![g.hash()]);
         let a1 = child_of(&g, 1);
         let a2 = child_of(&a1, 2);
         let b1 = child_of(&g, 10);
         for b in [&a1, &a2, &b1] {
             tree.insert(b.clone()).unwrap();
         }
+        assert!(tree.insert(a1.clone()).is_err(), "a refused insert");
         let mut tips = tree.tips();
         tips.sort();
         let mut expect = vec![a2.hash(), b1.hash()];
         expect.sort();
-        assert_eq!(tips, expect);
+        assert_eq!(tips, expect, "moves no leaf");
         assert_eq!(tree.subtree_size(&g.hash()), 4);
         assert_eq!(tree.subtree_size(&a1.hash()), 2);
         assert_eq!(tree.subtree_size(&b1.hash()), 1);
+    }
+
+    /// Every replica keeps one record per block for the life of a run, so
+    /// the record's size is resident memory × chain length × peers. The
+    /// pruned header is boxed, and non-viability is a set in `Chain`, not a
+    /// flag here, to hold this line.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn stored_block_record_stays_within_96_bytes() {
+        assert!(std::mem::size_of::<StoredBlock>() <= 96);
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! Blocks and headers (Fig. 2 of the paper): each header carries the parent
 //! hash (the chain link), a Merkle root over the transactions, a state root,
 //! and a consensus [`Seal`] proving the proposer's right to extend the chain.
+//!
+//! A [`Block`] instance remembers what is derived from it — its transaction
+//! ids and its header hash — so every holder of one `Arc<Block>` shares one
+//! computation of each. Neither memo is part of the block's identity.
 
 use crate::transaction::Transaction;
 use crate::Amount;
@@ -138,18 +142,18 @@ pub struct Block {
     /// equality, and clones.
     #[serde(skip)]
     ids: OnceLock<Box<[Hash256]>>,
+    /// The header hash, computed on the first [`Block::hash`] and shared by
+    /// every holder of this instance, under the same contract as `ids`.
+    #[serde(skip)]
+    hash: OnceLock<Hash256>,
 }
 
 impl Clone for Block {
     fn clone(&self) -> Self {
-        // The clone starts with a cold cache: clones exist to be modified
+        // The clone starts with cold caches: clones exist to be modified
         // (tests, experiment tooling), and a carried-over cache would go
-        // stale the moment the body changes.
-        Block {
-            header: self.header.clone(),
-            txs: self.txs.clone(),
-            ids: OnceLock::new(),
-        }
+        // stale the moment the header or body changes.
+        Block::from_parts(self.header.clone(), self.txs.clone())
     }
 }
 
@@ -166,11 +170,7 @@ impl Block {
     /// root into the header.
     pub fn new(mut header: BlockHeader, txs: Vec<Transaction>) -> Self {
         header.tx_root = Self::compute_tx_root(&txs);
-        Block {
-            header,
-            txs,
-            ids: OnceLock::new(),
-        }
+        Block::from_parts(header, txs)
     }
 
     /// Assembles a block from transactions whose ids the caller has already
@@ -188,6 +188,7 @@ impl Block {
             header,
             txs,
             ids: OnceLock::from(ids.into_boxed_slice()),
+            hash: OnceLock::new(),
         }
     }
 
@@ -201,12 +202,21 @@ impl Block {
             header,
             txs,
             ids: OnceLock::new(),
+            hash: OnceLock::new(),
         }
     }
 
-    /// The block hash (hash of the header).
+    /// The block hash (hash of the header) — encoded and hashed on the first
+    /// call and remembered for the life of this instance, so a block shared
+    /// through an `Arc` is hashed once however many peers, votes and store
+    /// records ask. `header` is a public field: mutate it only before the
+    /// first call or on a clone (debug builds assert the memo is fresh).
+    /// [`BlockHeader::hash`] itself stays uncached — grinding rewrites the
+    /// header between hashes.
     pub fn hash(&self) -> Hash256 {
-        self.header.hash()
+        let memo = *self.hash.get_or_init(|| self.header.hash());
+        debug_assert_eq!(memo, self.header.hash(), "header mutated after hashing");
+        memo
     }
 
     /// The body's transaction ids, in order — computed with the multi-lane
@@ -344,11 +354,7 @@ impl Encode for Block {
 
 impl Decode for Block {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Block {
-            header: BlockHeader::decode(r)?,
-            txs: Vec::decode(r)?,
-            ids: OnceLock::new(),
-        })
+        Ok(Block::from_parts(BlockHeader::decode(r)?, Vec::decode(r)?))
     }
 }
 
@@ -408,12 +414,37 @@ mod tests {
         let mut b = base.clone();
         b.header.parent = dcs_crypto::sha256(b"other");
         assert_ne!(b.hash(), h);
-        let mut b = base;
+        let mut b = base.clone();
         b.header.seal = Seal::Work {
             nonce: 1,
             difficulty: 16,
         };
         assert_ne!(b.hash(), h);
+    }
+
+    #[test]
+    fn hash_memo_is_not_part_of_the_block() {
+        let b = block(2);
+        let h = b.hash();
+        assert_eq!(h, b.header.hash(), "the memo is the header hash");
+        // Clone and decode start cold, and agree once asked.
+        let cloned = b.clone();
+        let decoded = decode_all::<Block>(&b.encoded()).unwrap();
+        assert!(cloned.hash.get().is_none() && decoded.hash.get().is_none());
+        assert_eq!((cloned.hash(), decoded.hash()), (h, h));
+        // Equality ignores the memo: warm == cold.
+        assert_eq!(b, block(2));
+        // A clone's header may change; the original's memo is untouched.
+        let mut edited = b.clone();
+        edited.header.timestamp_us += 1;
+        assert_ne!(edited.hash(), h);
+        assert_eq!(b.hash(), h);
+        // Two holders of one `Arc` share one value.
+        let first = std::sync::Arc::new(block(3));
+        let second = std::sync::Arc::clone(&first);
+        assert!(second.hash.get().is_none());
+        let h = first.hash();
+        assert_eq!(second.hash.get(), Some(&h));
     }
 
     #[test]

@@ -259,6 +259,76 @@ fn truncated_witness_is_refused_at_admission_and_import() {
     assert_eq!(chain.machine().db.balance(&bob), 0);
 }
 
+/// Consistency (§2.7, ROADMAP aim 3): an invalid block must never demote
+/// valid history. A peer on g–a1–a2 that also holds a shorter stale leaf b1
+/// receives a child of a2 whose state commitment is false. The block is
+/// stored and poisoned; the head, the inclusion index and the mempool stay
+/// exactly where they were — the peer does not reorg backwards onto b1.
+#[test]
+fn invalid_child_of_the_tip_leaves_head_inclusion_and_mempool_alone() {
+    use dcs_chain::ChainEvent;
+    use dcs_consensus::NodeCore;
+    use dcs_primitives::{Block, BlockHeader, Seal};
+
+    let cfg = ChainConfig::bitcoin_like();
+    let genesis = dcs_chain::genesis_block(&cfg);
+    let alice = Address::from_index(1);
+    let pay = |value, nonce| {
+        Transaction::Account(AccountTx::transfer(
+            alice,
+            Address::from_index(2),
+            value,
+            nonce,
+        ))
+    };
+    let on = |parent: &Block, salt: u64, txs: Vec<Transaction>| {
+        let height = parent.header.height + 1;
+        let header = BlockHeader::new(parent.hash(), height, salt, Address::ZERO, Seal::None);
+        Arc::new(Block::new(header, txs))
+    };
+    let machine = AccountMachine::with_alloc(&[(alice, 10_000_000)]);
+    let mut node = NodeCore::new(NodeId(0), Address::ZERO, genesis.clone(), cfg, machine);
+
+    let a1 = on(&genesis, 1, vec![pay(10, 0)]);
+    let a2 = on(&a1, 2, vec![pay(11, 1)]);
+    let b1 = on(&genesis, 10, vec![pay(12, 0)]);
+    for block in [&a1, &a2, &b1] {
+        node.ingest_block(Arc::clone(block))
+            .expect("structurally valid");
+    }
+    // A client transaction is waiting, and the bad block carries it.
+    let pending = SealedTx::new(Arc::new(pay(13, 2)));
+    assert!(node.mempool.insert(pending.clone()));
+    let mut x = Block::new(
+        BlockHeader::new(a2.hash(), 3, 3, Address::ZERO, Seal::None),
+        vec![pay(13, 2)],
+    );
+    x.header.state_root = dcs_crypto::sha256(b"not the state this block leads to");
+    let x = Arc::new(x);
+
+    let included = node.included().clone();
+    assert_eq!(included.len(), 2, "a1's and a2's transfers");
+    let event = node.ingest_block(Arc::clone(&x));
+    assert_eq!(event, Some(ChainEvent::SideChain { block: x.hash() }));
+    assert_eq!(node.chain.tip_hash(), a2.hash(), "no reorg backwards");
+    assert_eq!(node.chain.stats().invalid_blocks, 1);
+    assert_eq!(node.chain.stats().reorgs, 0);
+    assert_eq!(node.included(), &included);
+    assert_eq!(node.mempool.len(), 1);
+    assert!(node.mempool.contains(&pending.id()));
+    assert_eq!(node.chain.machine().db.balance(&Address::from_index(2)), 21);
+    assert_eq!(node.rejected_blocks, 0, "stored, never applied");
+
+    // The peer keeps working: its next block extends a2 and takes the
+    // waiting transaction with it.
+    let a3 = node.build_block(Seal::None, at(1));
+    assert_eq!(a3.header.parent, a2.hash());
+    let event = node.ingest_block(Arc::clone(&a3));
+    assert_eq!(event, Some(ChainEvent::Extended { block: a3.hash() }));
+    assert!(node.included().contains(&pending.id()));
+    assert!(node.mempool.is_empty());
+}
+
 /// The PoET security concern ([41]): a compromised enclave that shortens
 /// its waits wins a disproportionate share of blocks — decentralization
 /// quietly collapses even though the protocol "works".
