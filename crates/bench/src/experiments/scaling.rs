@@ -352,6 +352,13 @@ pub fn e15_verify_pipeline(scale: Scale) {
         txs.push(Transaction::Utxo(utx));
     }
 
+    // Prevalidation reads a block's signing-hash memo; each measurement
+    // gets its own instance, so each pays for the hashing once.
+    let block_of = |txs: &[Transaction]| {
+        let header = BlockHeader::new(Hash256::ZERO, 1, 0, Address::ZERO, Seal::None);
+        Block::from_parts(header, txs.to_vec())
+    };
+
     // Reference: the fully serial path (per-input verify inside apply).
     let mut serial_set = genesis.clone();
     let t0 = Instant::now();
@@ -373,8 +380,9 @@ pub fn e15_verify_pipeline(scale: Scale) {
         // No cache here: isolate the parallelism effect.
         let pipeline = VerifyPipeline::new(threads, 0);
         let mut set = genesis.clone();
+        let block = block_of(&txs);
         let t0 = Instant::now();
-        let checked = UtxoSet::prevalidate_witnesses(&txs, &pipeline).expect("valid block");
+        let checked = UtxoSet::prevalidate_witnesses(&block, &pipeline).expect("valid block");
         for tx in &txs {
             set.apply_prevalidated(tx).expect("prevalidated block");
         }
@@ -411,9 +419,10 @@ pub fn e15_verify_pipeline(scale: Scale) {
         .into_iter()
         .map(|t| (*t.into_tx()).clone())
         .collect();
+    let block = block_of(&body);
     let t0 = Instant::now();
     let mut set = genesis.clone();
-    UtxoSet::prevalidate_witnesses(&body, &pipeline).expect("warm block");
+    UtxoSet::prevalidate_witnesses(&block, &pipeline).expect("warm block");
     for tx in &body {
         set.apply_prevalidated(tx).expect("prevalidated block");
     }

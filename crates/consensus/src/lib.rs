@@ -46,9 +46,10 @@ use std::sync::Arc;
 /// are reference-counted so gossip re-forwarding never deep-copies bodies.
 #[derive(Debug, Clone)]
 pub enum WireMsg {
-    /// A client transaction sealed with its content id — the in-memory
-    /// analogue of computing the id once at decode time. Every hop reuses
-    /// the carried id for gossip dedup instead of re-hashing the body.
+    /// A client transaction sealed with its content id and, if witnessed,
+    /// its signing hash — the in-memory analogue of computing both once at
+    /// decode time. Every hop reuses the carried id for gossip dedup and the
+    /// carried signing hash for admission instead of re-hashing the body.
     Tx(SealedTx),
     /// A full block announcement.
     Block(Arc<Block>),
@@ -151,6 +152,15 @@ mod tests {
     use super::*;
     use dcs_crypto::Address;
     use dcs_primitives::AccountTx;
+
+    /// Every queued network event holds a `WireMsg`; its largest variant is
+    /// the sealed transaction (80 bytes) plus the tag. Growing it is a
+    /// measured decision (CHANGES.md, issue 20).
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn wire_msg_stays_within_88_bytes() {
+        assert!(std::mem::size_of::<WireMsg>() <= 88);
+    }
 
     #[test]
     fn tx_size_estimates_track_reality_loosely() {

@@ -113,14 +113,17 @@ impl Mempool {
     /// Checks every witness the transaction carries through the admission
     /// pipeline (warming the signature cache). Unsigned transactions pass —
     /// whether signatures are *required* is the state machine's policy;
-    /// admission only refuses signatures that are present and wrong.
-    fn admit(&self, tx: &Transaction) -> bool {
-        let Some(pipeline) = &self.admission else {
+    /// admission only refuses signatures that are present and wrong — and
+    /// they pass before anything is hashed or the pipeline is touched. A
+    /// witnessed transaction is checked against the signing hash it was
+    /// sealed with ([`SealedTx::signing_hash`]): hashed once by the first
+    /// owner, not once per pool.
+    fn admit(&self, tx: &SealedTx) -> bool {
+        let (Some(pipeline), Some(signing_hash)) = (&self.admission, tx.signing_hash()) else {
             return true;
         };
-        let signing_hash = tx.signing_hash();
         let mut items: Vec<VerifyItem<'_>> = Vec::new();
-        match tx {
+        match &**tx {
             Transaction::Utxo(utx) => {
                 for input in &utx.inputs {
                     if let Some(auth) = &input.auth {
@@ -138,7 +141,7 @@ impl Mempool {
             }
             Transaction::Coinbase { .. } => {}
         }
-        items.is_empty() || !pipeline.verify_batch_refs(&items).contains(&false)
+        !pipeline.verify_batch_refs(&items).contains(&false)
     }
 
     /// Empties the pool as a crash does: contents and counters are lost,
@@ -363,7 +366,7 @@ mod tests {
 
     #[test]
     fn admission_rejects_forged_and_warms_cache_for_block_connect() {
-        use dcs_primitives::{TxAuth, TxIn, TxOut, UtxoTx};
+        use dcs_primitives::{Block, BlockHeader, Seal, TxAuth, TxIn, TxOut, UtxoTx};
         use dcs_state::UtxoSet;
 
         let mut kp = dcs_crypto::KeyPair::generate([21u8; 32], 3);
@@ -410,8 +413,10 @@ mod tests {
             .into_iter()
             .map(|t| (*t.into_tx()).clone())
             .collect();
+        let header = BlockHeader::new(Hash256::ZERO, 1, 0, addr, Seal::None);
+        let block = Block::new(header, body);
         let before = pipeline.stats().cache.unwrap();
-        assert_eq!(UtxoSet::prevalidate_witnesses(&body, &pipeline), Ok(1));
+        assert_eq!(UtxoSet::prevalidate_witnesses(&block, &pipeline), Ok(1));
         let after = pipeline.stats().cache.unwrap();
         assert!(
             after.hits > before.hits,

@@ -6,7 +6,9 @@
 
 use crate::vm::{ExecEnv, Vm, VmError};
 use dcs_crypto::{Address, Hash256};
-use dcs_primitives::{AccountTx, Amount, GasSchedule, Receipt, Transaction, TxPayload, TxStatus};
+use dcs_primitives::{
+    AccountTx, Amount, Block, GasSchedule, Receipt, Transaction, TxPayload, TxStatus,
+};
 use dcs_state::AccountDb;
 
 /// Block-context parameters for execution.
@@ -176,6 +178,10 @@ pub fn verify_witness(tx: &Transaction) -> Result<(), String> {
 /// signature cache. Accepts exactly the bodies the serial loop accepts, and
 /// rejects with the same message the serial loop would produce first.
 ///
+/// Signatures are checked against [`Block::signing_hashes`], hashed once per
+/// block instance rather than once per importing peer; [`verify_witness`]
+/// stays the from-scratch oracle.
+///
 /// Returns the number of signatures checked.
 ///
 /// # Errors
@@ -183,12 +189,11 @@ pub fn verify_witness(tx: &Transaction) -> Result<(), String> {
 /// The first (in block order) witness problem, as a block-invalidating
 /// error string.
 pub fn prevalidate_witnesses(
-    txs: &[Transaction],
+    block: &Block,
     pipeline: &dcs_crypto::VerifyPipeline,
 ) -> Result<usize, String> {
-    let mut hashes = Vec::new();
-    let mut refs = Vec::new();
-    for tx in txs {
+    let mut items: Vec<dcs_crypto::VerifyItem<'_>> = Vec::new();
+    for (tx, signing_hash) in block.txs.iter().zip(block.signing_hashes()) {
         let Transaction::Account(acct) = tx else {
             continue;
         };
@@ -196,14 +201,8 @@ pub fn prevalidate_witnesses(
         if auth.pubkey.address() != acct.from {
             return Err("witness key does not match sender".into());
         }
-        hashes.push(tx.signing_hash());
-        refs.push(auth);
+        items.push((&auth.pubkey, signing_hash, &auth.signature));
     }
-    let items: Vec<dcs_crypto::VerifyItem<'_>> = refs
-        .iter()
-        .zip(&hashes)
-        .map(|(auth, hash)| (&auth.pubkey, hash, &auth.signature))
-        .collect();
     let verdicts = pipeline.verify_batch_refs(&items);
     if verdicts.contains(&false) {
         return Err("witness signature invalid".into());

@@ -74,7 +74,7 @@ impl AccountMachine {
         // serial execution loop below never touches a signature.
         let prevalidated = match (self.verify_signatures, &self.pipeline) {
             (true, Some(pipeline)) => {
-                prevalidate_witnesses(&block.txs, pipeline)?;
+                prevalidate_witnesses(block, pipeline)?;
                 true
             }
             _ => false,
@@ -196,7 +196,7 @@ impl UtxoMachine {
     fn prevalidate(&self, block: &Block) -> Result<bool, String> {
         match &self.pipeline {
             Some(pipeline) if self.set.verifies_witnesses() => {
-                UtxoSet::prevalidate_witnesses(&block.txs, pipeline).map_err(|e| e.to_string())?;
+                UtxoSet::prevalidate_witnesses(block, pipeline).map_err(|e| e.to_string())?;
                 Ok(true)
             }
             _ => Ok(false),
@@ -259,7 +259,7 @@ impl StateMachine for UtxoMachine {
         }
         let applied = self
             .set
-            .apply_batch(&block.txs, block.tx_ids(), !prevalidated)
+            .apply_batch(block, !prevalidated)
             .map_err(|e| e.to_string())?;
         let mut undos = Vec::with_capacity(applied.len());
         let mut receipts = Vec::with_capacity(applied.len());

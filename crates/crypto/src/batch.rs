@@ -14,8 +14,10 @@
 //!   verdict, with hit/miss counters. Because the key commits to the
 //!   signature bytes themselves, a tampered signature can never hit a stale
 //!   `true` entry. `sig_digest` is [`Signature::digest`]: the signature
-//!   hashes its own encoding once and every later lookup — on any replica
-//!   sharing the instance — reuses it, so a hit costs one short hash.
+//!   hashes its own encoding once, and it remembers the key of the
+//!   `(pubkey_root, msg)` pair it was first asked under, so every later
+//!   lookup — on any replica sharing the instance — compares 64 bytes and
+//!   hashes nothing ([`SigCache::key`]).
 //! * [`VerifyPipeline`] — the two combined: batch verification that consults
 //!   the cache first, verifies only the misses on the pool, and backfills
 //!   the cache. Higher layers (mempool admission, block prevalidation)
@@ -177,17 +179,24 @@ impl SigCache {
 
     /// The binding digest for one verification task:
     /// `sha256(0x5A ‖ pubkey_root ‖ msg ‖ sig_index ‖ sha256(sig_bytes))`.
-    /// The inner digest is [`Signature::digest`], memoised on the signature,
-    /// so a repeat lookup hashes 101 bytes instead of re-encoding 2.2 KiB.
+    ///
+    /// A warm lookup hashes nothing. The inner digest is
+    /// [`Signature::digest`], and the key itself is remembered on the
+    /// signature for the first `(pubkey_root, msg)` it was asked under: the
+    /// memo is returned only when *both* compare equal to this call's,
+    /// otherwise the formula runs. The value is the formula's in every case;
+    /// the memo never answers for another key or another message.
     pub fn key(pk: &PublicKey, msg: &Hash256, sig: &Signature) -> Hash256 {
-        let sig_digest = sig.digest();
-        let mut ctx = Sha256::new();
-        ctx.update(&[CACHE_KEY_PREFIX]);
-        ctx.update(pk.root().as_ref());
-        ctx.update(msg.as_ref());
-        ctx.update(&sig.index().to_le_bytes());
-        ctx.update(sig_digest.as_ref());
-        ctx.finalize()
+        let root = pk.root();
+        sig.cache_key(&root, msg, || {
+            let mut ctx = Sha256::new();
+            ctx.update(&[CACHE_KEY_PREFIX]);
+            ctx.update(root.as_ref());
+            ctx.update(msg.as_ref());
+            ctx.update(&sig.index().to_le_bytes());
+            ctx.update(sig.digest().as_ref());
+            ctx.finalize()
+        })
     }
 
     fn shard(&self, key: &Hash256) -> &Mutex<Shard> {
@@ -539,6 +548,31 @@ mod tests {
             assert_eq!(SigCache::key(&pk, &msg, &sig), expected, "warm");
             assert_eq!(SigCache::key(&pk, &msg, &sig.clone()), expected, "clone");
         }
+    }
+
+    #[test]
+    fn key_memo_answers_only_the_pair_it_was_computed_for() {
+        // One signature instance, asked under its own (key, message) and then
+        // under another message and under another key: each answer is that
+        // triple's own key, and the first pair's memo survives the detour.
+        let mut kp = KeyPair::generate(seed(5), 1);
+        let pk = kp.public_key();
+        let other_pk = KeyPair::generate(seed(6), 1).public_key();
+        let (msg, other_msg) = (sha256(b"pay 5"), sha256(b"pay 500"));
+        let sig = kp.sign(&msg).expect("fresh key");
+        let fresh = |pk: &PublicKey, msg: &Hash256| {
+            let cold: Signature = decode_all(&sig.encoded()).expect("round trip");
+            SigCache::key(pk, msg, &cold)
+        };
+        let own = SigCache::key(&pk, &msg, &sig);
+        assert_eq!(own, fresh(&pk, &msg));
+        for (pk2, msg2) in [(pk, other_msg), (other_pk, msg), (other_pk, other_msg)] {
+            let key = SigCache::key(&pk2, &msg2, &sig);
+            assert_eq!(key, fresh(&pk2, &msg2));
+            assert_ne!(key, own);
+            assert_eq!(SigCache::key(&pk2, &msg2, &sig.clone()), key, "clone");
+        }
+        assert_eq!(SigCache::key(&pk, &msg, &sig), own);
     }
 
     #[test]

@@ -261,12 +261,20 @@ impl KeyPair {
             chain_values: chain_values.to_vec(),
             auth_path: proof.siblings().to_vec(),
             digest: OnceLock::new(),
+            key_memo: OnceLock::new(),
         })
     }
 }
 
 /// A WOTS+Merkle signature: one-time key index, 67 chain values, and the
 /// authentication path to the public root. Roughly 2.2 KiB encoded.
+///
+/// An instance also remembers two things derived from it, so the ~64 cache
+/// lookups a transaction meets across a network hash nothing after the
+/// first: the digest of its own encoding, and the signature-cache key of the
+/// `(pubkey root, message)` pair it was first looked up under. Neither is
+/// part of the value — the codec and equality skip them, a decoded signature
+/// starts cold — and the key memo answers only for the pair stored beside it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Signature {
     index: u32,
@@ -277,6 +285,20 @@ pub struct Signature {
     /// mutates a `Signature` after construction, so it cannot go stale.
     #[serde(skip)]
     digest: OnceLock<Hash256>,
+    /// The signature-cache key of the first `(pubkey root, message)` pair
+    /// this instance was looked up under, with that pair beside it — see
+    /// [`Signature::cache_key`]. Same contract as `digest`.
+    #[serde(skip)]
+    key_memo: OnceLock<KeyMemo>,
+}
+
+/// A cache key and the two inputs, besides the signature itself, it was
+/// computed from.
+#[derive(Debug, Clone)]
+struct KeyMemo {
+    root: Hash256,
+    msg: Hash256,
+    key: Hash256,
 }
 
 impl PartialEq for Signature {
@@ -301,6 +323,32 @@ impl Signature {
         *self.digest.get_or_init(|| crate::sha256(&self.encoded()))
     }
 
+    /// The value `compute` yields for `(root, msg)` and this signature,
+    /// remembered for the first pair asked. A transaction's signature is only
+    /// ever checked under its own key and signing hash, so every later
+    /// lookup — at any peer sharing the instance or a clone of it — is two
+    /// 32-byte compares. The memo answers *only* a pair equal to the one it
+    /// was computed from; any other key or message runs `compute`, so a
+    /// signature moved to another body or key can never be served the key —
+    /// and through it the cached verdict — of the triple it came from.
+    pub(crate) fn cache_key(
+        &self,
+        root: &Hash256,
+        msg: &Hash256,
+        compute: impl Fn() -> Hash256,
+    ) -> Hash256 {
+        let memo = self.key_memo.get_or_init(|| KeyMemo {
+            root: *root,
+            msg: *msg,
+            key: compute(),
+        });
+        if memo.root == *root && memo.msg == *msg {
+            memo.key
+        } else {
+            compute()
+        }
+    }
+
     /// Encoded size in bytes; used in size/throughput experiments.
     pub fn encoded_len(&self) -> usize {
         self.encoded().len()
@@ -322,6 +370,7 @@ impl Decode for Signature {
             chain_values: Vec::decode(r)?,
             auth_path: Vec::decode(r)?,
             digest: OnceLock::new(),
+            key_memo: OnceLock::new(),
         })
     }
 }
@@ -435,6 +484,16 @@ mod tests {
         assert_eq!(sig, untouched);
         assert_eq!(sig.clone().digest(), digest);
         assert_eq!(untouched.digest(), digest);
+    }
+
+    /// Every transaction embeds an `Option<TxAuth>`, signed or not, so this
+    /// size is paid per transaction: 4 (index) + 2 × 24 (`Vec`s) + 36 (digest
+    /// memo) + 100 (key memo), padded. Growing it is a measured decision
+    /// (CHANGES.md, issue 20).
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn signature_stays_within_192_bytes() {
+        assert!(std::mem::size_of::<Signature>() <= 192);
     }
 
     #[test]

@@ -9,6 +9,16 @@
 //! `VerifyPipeline` generates — double-miss → double-insert handoffs, reads
 //! racing eviction — and check the counter bookkeeping invariants after
 //! every step of every schedule.
+//!
+//! The models take keys as given. Where a key comes from adds no transition
+//! to cover: `SigCache::key` may read it from the `OnceLock` memo on the
+//! shared `Signature` (its digest, and the key of the first `(pubkey root,
+//! message)` asked). Two threads racing to fill a `OnceLock` under the same
+//! pair compute a pure function of the same bytes, so whichever write wins,
+//! every reader sees the value the loser would have stored; under different
+//! pairs the loser compares unequal to what the winner stored and recomputes
+//! its own key without writing. Every caller gets its own triple's formula
+//! value on every schedule.
 
 use dcs_conc::{Model, Op};
 use dcs_crypto::{sha256, Hash256, SigCache};

@@ -127,6 +127,56 @@ proptest! {
         prop_assert!(!kp.public_key().verify(&sha256(&other), &sig));
     }
 
+    /// The key memo on a signature is invisible: whatever one instance has
+    /// been asked before, `SigCache::key` is the formula written out over
+    /// the bytes — cold, warm and on a clone — and the same instance asked
+    /// under a second `(key, message)` pair answers with *that* pair's
+    /// value, whichever of the two it saw first.
+    #[test]
+    fn cache_key_is_the_formula_whatever_the_signature_remembers(
+        msg_a in any::<[u8; 32]>(),
+        msg_b in any::<[u8; 32]>(),
+        other_key in any::<bool>(),
+        other_msg in any::<bool>(),
+        swap in any::<bool>(),
+    ) {
+        use dcs_crypto::{PublicKey, SigCache, Signature};
+
+        fn formula(pk: &PublicKey, msg: &Hash256, sig: &Signature) -> Hash256 {
+            let mut preimage = vec![0x5A];
+            preimage.extend_from_slice(pk.root().as_ref());
+            preimage.extend_from_slice(msg.as_ref());
+            preimage.extend_from_slice(&sig.index().to_le_bytes());
+            preimage.extend_from_slice(sha256(&sig.encoded()).as_ref());
+            sha256(&preimage)
+        }
+
+        let mut kp = KeyPair::generate([0xD4; 32], 1);
+        let stranger = KeyPair::generate([0xE5; 32], 1).public_key();
+        let [msg_a, msg_b] = [msg_a, msg_b].map(Hash256::from_bytes);
+        let signed = kp.sign(&msg_a).unwrap();
+        let mut pairs = [
+            (kp.public_key(), msg_a),
+            (
+                if other_key { stranger } else { kp.public_key() },
+                if other_msg { msg_b } else { msg_a },
+            ),
+        ];
+        if swap {
+            pairs.swap(0, 1);
+        }
+        // What a peer holds off the wire: a cold instance.
+        let sig = decode_all::<Signature>(&signed.encoded()).unwrap();
+        let expected = pairs.map(|(pk, msg)| formula(&pk, &msg, &sig));
+        let [(pk1, msg1), (pk2, msg2)] = pairs;
+        prop_assert_eq!(SigCache::key(&pk1, &msg1, &sig), expected[0], "cold");
+        prop_assert_eq!(SigCache::key(&pk1, &msg1, &sig), expected[0], "warm");
+        prop_assert_eq!(SigCache::key(&pk1, &msg1, &sig.clone()), expected[0], "clone");
+        prop_assert_eq!(SigCache::key(&pk2, &msg2, &sig), expected[1], "second pair");
+        prop_assert_eq!(SigCache::key(&pk2, &msg2, &sig.clone()), expected[1], "its clone");
+        prop_assert_eq!(SigCache::key(&pk1, &msg1, &sig), expected[0], "first pair again");
+    }
+
     /// The parallel executor is observationally equal to the serial
     /// `PublicKey::verify` loop over arbitrary mixes of valid signatures,
     /// wrong-message forgeries, and wrong-key forgeries — for every thread

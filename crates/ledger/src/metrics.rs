@@ -212,11 +212,11 @@ pub fn collect<P: LedgerNode>(
         }
         let commit_time = SimTime::from_micros(sb.header().timestamp_us);
         let Some(block) = sb.body() else { continue };
-        for tx in &block.txs {
+        for (tx, id) in block.txs.iter().zip(block.tx_ids()) {
             if matches!(tx, Transaction::Coinbase { .. }) {
                 continue;
             }
-            if let Some(&sub) = submitted.get(&tx.id()) {
+            if let Some(&sub) = submitted.get(id) {
                 latency.record(commit_time.saturating_since(sub).as_secs_f64());
             }
         }

@@ -3,8 +3,12 @@
 //! and a consensus [`Seal`] proving the proposer's right to extend the chain.
 //!
 //! A [`Block`] instance remembers what is derived from it — its transaction
-//! ids and its header hash — so every holder of one `Arc<Block>` shares one
-//! computation of each. Neither memo is part of the block's identity.
+//! ids, their signing hashes and its header hash — so every holder of one
+//! `Arc<Block>` shares one computation of each. No memo is part of the
+//! block's identity: the codec and equality skip them, a clone and a decoded
+//! block start cold. `header` and `txs` are public fields; mutate them only
+//! before the first use of a memo or on a clone (debug builds assert that the
+//! hash and signing-hash memos are fresh on every read).
 
 use crate::transaction::Transaction;
 use crate::Amount;
@@ -146,6 +150,10 @@ pub struct Block {
     /// every holder of this instance, under the same contract as `ids`.
     #[serde(skip)]
     hash: OnceLock<Hash256>,
+    /// The body's signing hashes, computed on the first
+    /// [`Block::signing_hashes`], under the same contract as `ids`.
+    #[serde(skip)]
+    signing: OnceLock<Box<[Hash256]>>,
 }
 
 impl Clone for Block {
@@ -189,6 +197,7 @@ impl Block {
             txs,
             ids: OnceLock::from(ids.into_boxed_slice()),
             hash: OnceLock::new(),
+            signing: OnceLock::new(),
         }
     }
 
@@ -203,6 +212,7 @@ impl Block {
             txs,
             ids: OnceLock::new(),
             hash: OnceLock::new(),
+            signing: OnceLock::new(),
         }
     }
 
@@ -226,6 +236,21 @@ impl Block {
     pub fn tx_ids(&self) -> &[Hash256] {
         self.ids
             .get_or_init(|| Transaction::batch_ids(&self.txs).into_boxed_slice())
+    }
+
+    /// [`Transaction::signing_hash`] of every body transaction, in order —
+    /// what the witnesses of this block are verified against. Hashed on the
+    /// first call and shared by every importer of this instance. A stale
+    /// entry would check a signature against another body's hash, so debug
+    /// builds recompute and compare on every read.
+    pub fn signing_hashes(&self) -> &[Hash256] {
+        let fresh = || self.txs.iter().map(Transaction::signing_hash);
+        let memo = self.signing.get_or_init(|| fresh().collect());
+        debug_assert!(
+            memo.iter().copied().eq(fresh()),
+            "body mutated after hashing"
+        );
+        memo
     }
 
     /// Merkle root over the transaction ids.
@@ -445,6 +470,38 @@ mod tests {
         assert!(second.hash.get().is_none());
         let h = first.hash();
         assert_eq!(second.hash.get(), Some(&h));
+    }
+
+    #[test]
+    fn signing_hash_memo_is_not_part_of_the_block() {
+        let b = block(3);
+        let expected: Vec<Hash256> = b.txs.iter().map(Transaction::signing_hash).collect();
+        assert!(
+            b.signing.get().is_none(),
+            "lazy: nothing hashed until asked"
+        );
+        assert_eq!(b.signing_hashes(), &expected[..]);
+        // Clone and decode start cold; equality ignores the memo.
+        let cloned = b.clone();
+        let decoded = decode_all::<Block>(&b.encoded()).unwrap();
+        assert!(cloned.signing.get().is_none() && decoded.signing.get().is_none());
+        assert_eq!((&cloned, &decoded), (&b, &b));
+        assert_eq!(decoded.signing_hashes(), &expected[..]);
+        // A clone's body may change; the original's memo is untouched.
+        let mut edited = cloned;
+        edited.txs[0] = tx(77);
+        assert_eq!(edited.signing_hashes()[0], tx(77).signing_hash());
+        assert_eq!(b.signing_hashes(), &expected[..]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "body mutated after hashing")]
+    fn stale_signing_hash_memo_is_caught_in_debug_builds() {
+        let mut b = block(2);
+        b.signing_hashes();
+        b.txs[1] = tx(78);
+        b.signing_hashes();
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //!   data (signatures, public keys); this is what gets signed.
 //! * [`Transaction::id`] — over the complete encoding; this is the identifier
 //!   committed in the block's Merkle root.
+//!
+//! Both methods hash from scratch on every call. The paths that ask per peer
+//! read the copies that travel with the bytes instead: a [`SealedTx`] on the
+//! gossip fabric, [`crate::Block::tx_ids`] and
+//! [`crate::Block::signing_hashes`] on a block.
 
 use crate::Amount;
 use dcs_crypto::codec::{Decode, DecodeError, Encode, Reader};
@@ -159,6 +164,11 @@ impl AccountTx {
 }
 
 /// Any transaction the ledger can carry.
+// The account variant holds its optional witness inline, and a `Signature`
+// carries its lookup memos with it (344 bytes against 48 for a UTXO body).
+// Boxing the memo instead was measured: a warm cache lookup doubles
+// (0.08 → 0.16 µs) for the pointer chase.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Transaction {
     /// Block reward + fees minted to the proposer (§2.4's incentive system).
@@ -212,6 +222,16 @@ impl Transaction {
         sha256(&out)
     }
 
+    /// Whether any witness is attached (an account `auth`, or one on any
+    /// UTXO input).
+    pub fn has_witness(&self) -> bool {
+        match self {
+            Transaction::Coinbase { .. } => false,
+            Transaction::Utxo(tx) => tx.inputs.iter().any(|input| input.auth.is_some()),
+            Transaction::Account(tx) => tx.auth.is_some(),
+        }
+    }
+
     /// Encoded size in bytes; drives bandwidth accounting in the network
     /// simulator.
     pub fn encoded_len(&self) -> usize {
@@ -248,36 +268,57 @@ impl Transaction {
     }
 }
 
-/// A transaction bundled with its content id, computed exactly once.
+/// A transaction bundled with its content id and — when it carries a
+/// witness — its signing hash, each computed exactly once.
 ///
-/// [`Transaction::id`] re-encodes and re-hashes on every call; on the gossip
-/// path that cost used to be paid per *delivery* (every peer, every duplicate
-/// hop). A `SealedTx` carries the id alongside the shared transaction body,
-/// the in-memory analogue of computing the id at decode time: the first
-/// owner pays for it, every later hop and table lookup reuses it.
+/// [`Transaction::id`] and [`Transaction::signing_hash`] re-encode and
+/// re-hash on every call; on the gossip path that cost used to be paid per
+/// *delivery* (every peer, every duplicate hop) and per *admission* (every
+/// peer's pool). A `SealedTx` carries both alongside the shared transaction
+/// body, the in-memory analogue of computing them at decode time: the first
+/// owner pays, every later hop, table lookup and admission check reuses them.
+/// The signing hash is always derived from the body the value holds — no
+/// constructor accepts one from outside — so it cannot describe another body.
 #[derive(Debug, Clone)]
 pub struct SealedTx {
     tx: Arc<Transaction>,
     id: Hash256,
+    signing_hash: Option<Hash256>,
 }
 
 impl SealedTx {
-    /// Seals `tx`, computing its id.
+    /// Seals `tx`, computing its id and, if it has a witness, its signing
+    /// hash.
     pub fn new(tx: Arc<Transaction>) -> Self {
         let id = tx.id();
-        SealedTx { tx, id }
+        SealedTx::seal(tx, id)
     }
 
     /// Seals `tx` with an id the caller already computed (e.g. from a batch
     /// [`Transaction::batch_ids`] pass). Debug builds verify the pairing.
     pub fn from_parts(tx: Arc<Transaction>, id: Hash256) -> Self {
         debug_assert_eq!(id, tx.id(), "sealed id must match the body");
-        SealedTx { tx, id }
+        SealedTx::seal(tx, id)
+    }
+
+    fn seal(tx: Arc<Transaction>, id: Hash256) -> Self {
+        let signing_hash = tx.has_witness().then(|| tx.signing_hash());
+        SealedTx {
+            tx,
+            id,
+            signing_hash,
+        }
     }
 
     /// The cached content id ([`Transaction::id`]).
     pub fn id(&self) -> Hash256 {
         self.id
+    }
+
+    /// The cached [`Transaction::signing_hash`] — `None` for a body without
+    /// a witness, which has nothing to verify and is never hashed for it.
+    pub fn signing_hash(&self) -> Option<Hash256> {
+        self.signing_hash
     }
 
     /// The shared transaction body.
@@ -578,6 +619,15 @@ mod tests {
             assert!(auth.pubkey.verify(&h, &auth.signature));
             assert_eq!(auth.pubkey.address(), tx.from);
         }
+    }
+
+    /// A `SealedTx` is cloned per gossip hop and sits in every queued event
+    /// and pool entry: 8 (`Arc`) + 32 (id) + 33 (optional signing hash),
+    /// padded. Growing it is a measured decision (CHANGES.md, issue 20).
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn sealed_tx_stays_within_80_bytes() {
+        assert!(std::mem::size_of::<SealedTx>() <= 80);
     }
 
     #[test]

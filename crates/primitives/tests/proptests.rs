@@ -5,9 +5,11 @@
 use dcs_crypto::codec::{decode_all, Encode};
 use dcs_crypto::{sha256, Address, Hash256, KeyPair};
 use dcs_primitives::{
-    AccountTx, Block, BlockHeader, Seal, Transaction, TxAuth, TxIn, TxOut, TxPayload, UtxoTx,
+    AccountTx, Block, BlockHeader, Seal, SealedTx, Transaction, TxAuth, TxIn, TxOut, TxPayload,
+    UtxoTx,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_address() -> impl Strategy<Value = Address> {
     any::<u64>().prop_map(Address::from_index)
@@ -118,11 +120,15 @@ fn strip_a_clone(tx: &Transaction) -> Hash256 {
 /// of `mask` is set, to UTXO input `i` when bit `i` is — so multi-input
 /// transactions are exercised unsigned, partially signed and fully signed.
 fn attach_witnesses(tx: &mut Transaction, mask: u8) {
-    let mut kp = KeyPair::generate([9; 32], 3);
-    let mut witness = |i: usize| {
+    // One key for the whole process: generating it is most of a case's cost.
+    static KEY: std::sync::OnceLock<KeyPair> = std::sync::OnceLock::new();
+    let kp = KEY.get_or_init(|| KeyPair::generate([9; 32], 3));
+    let witness = |i: usize| {
         (mask >> i & 1 == 1).then(|| TxAuth {
             pubkey: kp.public_key(),
-            signature: kp.sign(&sha256(&[i as u8])).expect("capacity 8"),
+            signature: kp
+                .sign_with_index(&sha256(&[i as u8]), i as u32)
+                .expect("capacity 8"),
         })
     };
     match tx {
@@ -182,6 +188,63 @@ proptest! {
         attach_witnesses(&mut witnessed, mask);
         prop_assert_eq!(witnessed.signing_hash(), unsigned);
         prop_assert_eq!(witnessed.signing_hash(), strip_a_clone(&witnessed));
+    }
+
+    /// A sealed transaction carries the signing hash of the body it holds
+    /// exactly when that body has a witness — all three kinds, unsigned,
+    /// partially and fully signed — whichever constructor sealed it.
+    #[test]
+    fn sealed_tx_carries_its_bodys_signing_hash(tx in arb_tx(), mask in any::<u8>()) {
+        let mut tx = tx;
+        attach_witnesses(&mut tx, mask);
+        let witnessed = match &tx {
+            Transaction::Coinbase { .. } => false,
+            Transaction::Utxo(tx) => tx.inputs.iter().any(|input| input.auth.is_some()),
+            Transaction::Account(tx) => tx.auth.is_some(),
+        };
+        prop_assert_eq!(tx.has_witness(), witnessed);
+        let expected = witnessed.then(|| tx.signing_hash());
+        let sealed = SealedTx::new(Arc::new(tx.clone()));
+        prop_assert_eq!(sealed.signing_hash(), expected);
+        prop_assert_eq!(sealed.clone().signing_hash(), expected);
+        prop_assert_eq!(sealed.id(), tx.id());
+        let id = tx.id();
+        prop_assert_eq!(SealedTx::from_parts(Arc::new(tx), id).signing_hash(), expected);
+    }
+
+    /// `Block::signing_hashes` is the per-transaction `signing_hash`, and the
+    /// memo behind it is invisible: two holders of one `Arc` read one slice,
+    /// equality ignores it, and a clone or a decoded block starts cold — so
+    /// editing one (the contract: only before first use) is never answered
+    /// with the original's hashes.
+    #[test]
+    fn block_signing_hashes_memo_is_invisible(
+        txs in proptest::collection::vec((arb_tx(), any::<u8>()), 0..6),
+        extra in arb_tx(),
+    ) {
+        let txs: Vec<Transaction> = txs
+            .into_iter()
+            .map(|(mut tx, mask)| {
+                attach_witnesses(&mut tx, mask);
+                tx
+            })
+            .collect();
+        let expected: Vec<Hash256> = txs.iter().map(Transaction::signing_hash).collect();
+        let header = BlockHeader::new(Hash256::ZERO, 1, 0, Address::ZERO, Seal::None);
+        let first = Arc::new(Block::new(header, txs));
+        let second = Arc::clone(&first);
+        let cold = (*first).clone();
+        prop_assert_eq!(first.signing_hashes(), &expected[..]);
+        prop_assert!(std::ptr::eq(first.signing_hashes(), second.signing_hashes()));
+        prop_assert_eq!(&*first, &cold, "warm equals cold");
+
+        let decoded = decode_all::<Block>(&first.encoded()).unwrap();
+        for mut copy in [cold, (*first).clone(), decoded] {
+            copy.txs.push(extra.clone());
+            prop_assert_eq!(&copy.signing_hashes()[..expected.len()], &expected[..]);
+            prop_assert_eq!(copy.signing_hashes().last(), Some(&extra.signing_hash()));
+        }
+        prop_assert_eq!(first.signing_hashes(), &expected[..]);
     }
 
     #[test]

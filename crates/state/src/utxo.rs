@@ -3,7 +3,7 @@
 //! logs so the chain layer can roll blocks back during reorgs.
 
 use dcs_crypto::{Hash256, MerkleTree, VerifyItem, VerifyPipeline};
-use dcs_primitives::{Amount, Transaction, TxOut, UtxoTx};
+use dcs_primitives::{Amount, Block, Transaction, TxOut, UtxoTx};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -171,35 +171,25 @@ impl UtxoSet {
     ///
     /// Any [`UtxoError`] the transaction violates.
     pub fn validate(&self, tx: &UtxoTx, signing_hash: &Hash256) -> Result<Amount, UtxoError> {
-        self.validate_with(tx, signing_hash, true)
-    }
-
-    /// [`UtxoSet::validate`] with signature verification optionally elided.
-    ///
-    /// With `verify_sigs == false` the *stateful* witness checks still run —
-    /// a witness must be present and its key must hash to the spent output's
-    /// owner — but the signature itself is assumed to have been verified
-    /// already (by [`UtxoSet::prevalidate_witnesses`]). Ownership cannot be
-    /// checked statelessly because the spent output may be created earlier
-    /// in the same block.
-    fn validate_with(
-        &self,
-        tx: &UtxoTx,
-        signing_hash: &Hash256,
-        verify_sigs: bool,
-    ) -> Result<Amount, UtxoError> {
-        self.validate_view(None, tx, signing_hash, verify_sigs)
+        self.validate_view(None, tx, Some(signing_hash))
     }
 
     /// Validation over the live set overlaid with a batch's staged deltas
     /// (`Some` = created this batch, `None` = spent this batch). With
     /// `staged == None` this is exactly the serial validation.
+    ///
+    /// `signing_hash` is what witness signatures are verified against. With
+    /// `None` the *stateful* witness checks still run — a witness must be
+    /// present and its key must hash to the spent output's owner — but the
+    /// signature itself is assumed to have been verified already (by
+    /// [`UtxoSet::prevalidate_witnesses`]). Ownership cannot be checked
+    /// statelessly because the spent output may be created earlier in the
+    /// same block.
     fn validate_view(
         &self,
         staged: Option<&BTreeMap<OutPoint, Option<TxOut>>>,
         tx: &UtxoTx,
-        signing_hash: &Hash256,
-        verify_sigs: bool,
+        signing_hash: Option<&Hash256>,
     ) -> Result<Amount, UtxoError> {
         if tx.inputs.is_empty() {
             return Err(UtxoError::NoInputs);
@@ -222,7 +212,7 @@ impl UtxoSet {
             if self.verify_witnesses {
                 let auth = input.auth.as_ref().ok_or(UtxoError::MissingWitness(op))?;
                 if auth.pubkey.address() != out.recipient
-                    || (verify_sigs && !auth.pubkey.verify(signing_hash, &auth.signature))
+                    || signing_hash.is_some_and(|h| !auth.pubkey.verify(h, &auth.signature))
                 {
                     return Err(UtxoError::BadWitness(op));
                 }
@@ -242,8 +232,9 @@ impl UtxoSet {
     }
 
     /// Stateless prevalidation for a whole block body: batch-verifies every
-    /// witness signature in `txs` through `pipeline`, in parallel and
-    /// through its signature cache.
+    /// witness signature in `block` through `pipeline`, in parallel and
+    /// through its signature cache, against [`Block::signing_hashes`] — one
+    /// hash per transaction per block instance, however many peers import it.
     ///
     /// Only the pure signature checks run here — input existence, ownership,
     /// and value balance are stateful (an input may be created by an earlier
@@ -260,14 +251,12 @@ impl UtxoSet {
     /// [`UtxoError::BadWitness`] naming the first input (in block order)
     /// whose signature fails.
     pub fn prevalidate_witnesses(
-        txs: &[Transaction],
+        block: &Block,
         pipeline: &VerifyPipeline,
     ) -> Result<usize, UtxoError> {
-        // Signing hashes are per transaction; compute each once.
-        let hashes: Vec<Hash256> = txs.iter().map(|tx| tx.signing_hash()).collect();
         let mut items: Vec<VerifyItem<'_>> = Vec::new();
         let mut outpoints: Vec<OutPoint> = Vec::new();
-        for (tx, hash) in txs.iter().zip(&hashes) {
+        for (tx, hash) in block.txs.iter().zip(block.signing_hashes()) {
             if let Transaction::Utxo(utx) = tx {
                 for input in &utx.inputs {
                     if let Some(auth) = &input.auth {
@@ -335,7 +324,11 @@ impl UtxoSet {
                 Ok((0, undo))
             }
             Transaction::Utxo(utx) => {
-                let fee = self.validate_with(utx, &tx.signing_hash(), verify_sigs)?;
+                // No block around a lone transaction: this path — the serial
+                // oracle — hashes from scratch, and only if it will verify.
+                let signing_hash =
+                    (verify_sigs && self.verify_witnesses).then(|| tx.signing_hash());
+                let fee = self.validate_view(None, utx, signing_hash.as_ref())?;
                 for input in &utx.inputs {
                     let op = OutPoint {
                         tx: input.prev_tx,
@@ -363,8 +356,10 @@ impl UtxoSet {
     /// validated against the live set overlaid with the deltas staged so far
     /// (so mid-block dependencies resolve exactly as on the serial path),
     /// then the accumulated deltas merge into the live BTree in a single
-    /// sorted sweep. `ids[i]` must be `txs[i].id()` — callers pass a block's
-    /// cached ids so no transaction is re-hashed here.
+    /// sorted sweep. Ids and — with `verify_sigs`, on a set that checks
+    /// witnesses — signing hashes are the block's memos
+    /// ([`Block::tx_ids`], [`Block::signing_hashes`]), so no transaction is
+    /// re-hashed here.
     ///
     /// Fees, undo records, and the resulting [`UtxoSet::commitment`] are
     /// identical to applying the transactions one at a time; on error
@@ -376,14 +371,14 @@ impl UtxoSet {
     /// exactly as the serial loop would raise it.
     pub fn apply_batch(
         &mut self,
-        txs: &[Transaction],
-        ids: &[Hash256],
+        block: &Block,
         verify_sigs: bool,
     ) -> Result<Vec<(Amount, UtxoUndo)>, UtxoError> {
-        assert_eq!(txs.len(), ids.len(), "one precomputed id per transaction");
+        let txs = &block.txs;
+        let signing_hashes = (verify_sigs && self.verify_witnesses).then(|| block.signing_hashes());
         let mut staged: BTreeMap<OutPoint, Option<TxOut>> = BTreeMap::new();
         let mut results = Vec::with_capacity(txs.len());
-        for (tx, id) in txs.iter().zip(ids) {
+        for (i, (tx, id)) in txs.iter().zip(block.tx_ids()).enumerate() {
             let mut undo = UtxoUndo::default();
             match tx {
                 Transaction::Coinbase { to, value, .. } => {
@@ -399,8 +394,8 @@ impl UtxoSet {
                     results.push((0, undo));
                 }
                 Transaction::Utxo(utx) => {
-                    let fee =
-                        self.validate_view(Some(&staged), utx, &tx.signing_hash(), verify_sigs)?;
+                    let signing_hash = signing_hashes.map(|hashes| &hashes[i]);
+                    let fee = self.validate_view(Some(&staged), utx, signing_hash)?;
                     for input in &utx.inputs {
                         let op = OutPoint {
                             tx: input.prev_tx,
@@ -706,6 +701,13 @@ mod tests {
         );
     }
 
+    /// A block around `txs` — what prevalidation reads signing hashes from.
+    fn body(txs: &[Transaction]) -> Block {
+        use dcs_primitives::{BlockHeader, Seal};
+        let header = BlockHeader::new(Hash256::ZERO, 1, 0, Address::ZERO, Seal::None);
+        Block::from_parts(header, txs.to_vec())
+    }
+
     /// Builds a signed chain of transfers: mint to `kp`, then each tx spends
     /// the previous tx's output back to the same key.
     fn signed_chain(set: &mut UtxoSet, kp: &mut KeyPair, n: usize) -> Vec<Transaction> {
@@ -759,7 +761,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let pipeline = VerifyPipeline::new(threads, 1024);
             let mut piped = piped.clone();
-            let checked = UtxoSet::prevalidate_witnesses(&txs, &pipeline).unwrap();
+            let checked = UtxoSet::prevalidate_witnesses(&body(&txs), &pipeline).unwrap();
             assert_eq!(checked, txs.len());
             let mut serial = serial.clone();
             for tx in &txs {
@@ -790,7 +792,7 @@ mod tests {
         };
         let pipeline = VerifyPipeline::new(2, 1024);
         assert_eq!(
-            UtxoSet::prevalidate_witnesses(&txs, &pipeline),
+            UtxoSet::prevalidate_witnesses(&body(&txs), &pipeline),
             Err(UtxoError::BadWitness(expected_op))
         );
     }
@@ -824,7 +826,7 @@ mod tests {
         // The signature itself is genuine, so prevalidation passes...
         let pipeline = VerifyPipeline::new(2, 64);
         assert_eq!(
-            UtxoSet::prevalidate_witnesses(std::slice::from_ref(&tx), &pipeline),
+            UtxoSet::prevalidate_witnesses(&body(std::slice::from_ref(&tx)), &pipeline),
             Ok(1)
         );
         // ...but apply_prevalidated still catches the ownership mismatch.
@@ -851,8 +853,7 @@ mod tests {
         );
         let mut batched = serial.clone();
 
-        let ids: Vec<Hash256> = txs.iter().map(Transaction::id).collect();
-        let batch_results = batched.apply_batch(&txs, &ids, true).unwrap();
+        let batch_results = batched.apply_batch(&body(&txs), true).unwrap();
         let mut undos = Vec::new();
         for (i, tx) in txs.iter().enumerate() {
             let (fee, undo) = serial.apply(tx).unwrap();
@@ -884,10 +885,8 @@ mod tests {
         let before = set.commitment();
         let good = transfer(op, Address::from_index(2), 100, alice, 0);
         let double_spend = transfer(op, Address::from_index(3), 100, alice, 0);
-        let txs = vec![good, double_spend];
-        let ids: Vec<Hash256> = txs.iter().map(Transaction::id).collect();
         assert!(matches!(
-            set.apply_batch(&txs, &ids, true),
+            set.apply_batch(&body(&[good, double_spend]), true),
             Err(UtxoError::MissingInput(_))
         ));
         assert_eq!(set.commitment(), before, "failed batch must not mutate");

@@ -4,7 +4,7 @@
 //! exactness.
 
 use dcs_crypto::{Address, Hash256};
-use dcs_primitives::{Transaction, TxIn, TxOut, UtxoTx};
+use dcs_primitives::{Block, BlockHeader, Seal, Transaction, TxIn, TxOut, UtxoTx};
 use dcs_state::{AccountDb, MerkleMap, UtxoSet};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -263,8 +263,6 @@ proptest! {
             }
             txs.push(tx);
         }
-        let ids: Vec<Hash256> = txs.iter().map(Transaction::id).collect();
-
         let mut serial = base.clone();
         let mut serial_result = Ok(Vec::new());
         for tx in &txs {
@@ -278,7 +276,8 @@ proptest! {
         }
 
         let mut batched = base.clone();
-        match batched.apply_batch(&txs, &ids, false) {
+        let header = BlockHeader::new(Hash256::ZERO, 1, 0, Address::ZERO, Seal::None);
+        match batched.apply_batch(&Block::from_parts(header, txs), false) {
             Ok(results) => {
                 let fees: Vec<u64> = results.iter().map(|(fee, _)| *fee).collect();
                 prop_assert_eq!(Ok(fees), serial_result);

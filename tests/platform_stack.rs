@@ -259,6 +259,176 @@ fn truncated_witness_is_refused_at_admission_and_import() {
     assert_eq!(chain.machine().db.balance(&bob), 0);
 }
 
+/// Both verification doors over one pipeline, wired as a node wires them: an
+/// admission pool, and a chain whose account machine verifies signatures.
+/// `alloc` accounts start funded, so a refusal below can only be the witness.
+fn two_doors(
+    alloc: &[Address],
+) -> (
+    Arc<dcs_crypto::VerifyPipeline>,
+    dcs_consensus::Mempool,
+    dcs_chain::Chain<AccountMachine>,
+) {
+    let pipeline = Arc::new(dcs_crypto::VerifyPipeline::new(1, 64));
+    let pool = dcs_consensus::Mempool::with_admission(16, Arc::clone(&pipeline));
+    let cfg = ChainConfig::hyperledger_like();
+    let funded: Vec<_> = alloc.iter().map(|a| (*a, 1_000_000)).collect();
+    let mut machine = AccountMachine::with_alloc(&funded).with_pipeline(Arc::clone(&pipeline));
+    machine.verify_signatures = true;
+    let chain = dcs_chain::Chain::new(dcs_chain::genesis_block(&cfg), cfg, machine);
+    (pipeline, pool, chain)
+}
+
+/// A block on the chain's tip carrying `txs`; `salt` tells siblings apart.
+fn on_tip(
+    chain: &dcs_chain::Chain<AccountMachine>,
+    salt: u64,
+    txs: Vec<Transaction>,
+) -> dcs_primitives::Block {
+    use dcs_primitives::{Block, BlockHeader, Seal};
+    let height = chain.height() + 1;
+    let header = BlockHeader::new(chain.tip_hash(), height, salt, Address::ZERO, Seal::None);
+    Block::new(header, txs)
+}
+
+fn witness_of(tx: &Transaction) -> &TxAuth {
+    match tx {
+        Transaction::Account(tx) => tx.auth.as_ref().expect("signed"),
+        _ => panic!("account transaction expected"),
+    }
+}
+
+/// Hash-once hygiene, the security half: the signing hash rides with the
+/// sealed transaction and the block, and a signature remembers the cache key
+/// it was first looked up under — so a signature *instance* that is warm from
+/// a valid transaction must not carry that verdict to anything else. A clone
+/// of it (memos carried) on a body that pays more, or under another key, is
+/// a new triple at both doors: exactly one real verification the first time
+/// either door sees it, the cached `false` afterwards, and never the valid
+/// triple's `true`.
+#[test]
+fn warm_memos_never_vouch_for_another_body_or_key() {
+    use dcs_chain::ChainEvent;
+    use dcs_consensus::InsertOutcome;
+
+    let mut alice_keys = KeyPair::generate([44u8; 32], 2);
+    let mallory_keys = KeyPair::generate([45u8; 32], 2);
+    let (alice, mallory) = (alice_keys.address(), mallory_keys.address());
+    let bob = Address::from_index(7);
+    let (pipeline, mut pool, mut chain) = two_doors(&[alice, mallory]);
+    let cache = || pipeline.stats().cache.expect("cache configured");
+
+    // (a) A valid signed transfer passes admission — the one real
+    // verification — and commits from the cached verdict.
+    let mut tx = AccountTx::transfer(alice, bob, 250, 0);
+    let signing_hash = Transaction::Account(tx.clone()).signing_hash();
+    tx.auth = Some(TxAuth {
+        pubkey: alice_keys.public_key(),
+        signature: alice_keys.sign(&signing_hash).unwrap(),
+    });
+    let good = SealedTx::new(Arc::new(Transaction::Account(tx)));
+    assert_eq!(good.signing_hash(), Some(signing_hash));
+    assert_eq!(pool.insert_outcome(good.clone()), InsertOutcome::Added);
+    assert_eq!((cache().misses, cache().hits), (1, 0));
+    let block = on_tip(&chain, 0, vec![(**good.tx()).clone()]);
+    assert_eq!(block.signing_hashes(), [signing_hash]);
+    let hash = block.hash();
+    assert_eq!(
+        chain.import(block),
+        Ok(ChainEvent::Extended { block: hash })
+    );
+    assert_eq!((cache().misses, cache().hits), (1, 1));
+    assert_eq!(chain.machine().db.balance(&bob), 250);
+
+    // The instance both doors just looked up is warm; its clone carries the
+    // digest and the key memo of (alice's key, the 250 transfer).
+    let warm = witness_of(&good).clone();
+
+    // The same witness on a body that pays 999: first seen at admission.
+    let mut richer = AccountTx::transfer(alice, bob, 999, 1);
+    richer.auth = Some(warm.clone());
+    let richer = Transaction::Account(richer);
+    // And under mallory's key, on mallory's account: first seen at import.
+    let mut stolen = AccountTx::transfer(mallory, bob, 250, 0);
+    stolen.auth = Some(TxAuth {
+        pubkey: mallory_keys.public_key(),
+        signature: warm.signature.clone(),
+    });
+    let stolen = Transaction::Account(stolen);
+
+    let offer = |pool: &mut dcs_consensus::Mempool, tx: &Transaction| {
+        pool.insert_outcome(SealedTx::new(Arc::new(tx.clone())))
+    };
+    let mut poisoned = 0;
+    let mut import = |chain: &mut dcs_chain::Chain<AccountMachine>, tx: &Transaction| {
+        let tip = chain.tip_hash();
+        poisoned += 1;
+        let block = on_tip(chain, poisoned, vec![tx.clone()]);
+        let hash = block.hash();
+        assert_eq!(
+            chain.import(block),
+            Ok(ChainEvent::SideChain { block: hash })
+        );
+        assert_eq!(chain.stats().invalid_blocks, poisoned);
+        assert_eq!(chain.tip_hash(), tip, "a poisoned block moves nothing");
+    };
+
+    assert_eq!(offer(&mut pool, &richer), InsertOutcome::BadWitness);
+    assert_eq!(
+        (cache().misses, cache().hits),
+        (2, 1),
+        "one real verification"
+    );
+    assert_eq!(offer(&mut pool, &richer), InsertOutcome::BadWitness);
+    import(&mut chain, &richer);
+    assert_eq!(
+        (cache().misses, cache().hits),
+        (2, 3),
+        "then the cached false"
+    );
+
+    import(&mut chain, &stolen);
+    assert_eq!(
+        (cache().misses, cache().hits),
+        (3, 3),
+        "one real verification"
+    );
+    import(&mut chain, &stolen);
+    assert_eq!(offer(&mut pool, &stolen), InsertOutcome::BadWitness);
+    assert_eq!(
+        (cache().misses, cache().hits),
+        (3, 5),
+        "then the cached false"
+    );
+
+    assert_eq!(pool.rejected_invalid(), 3);
+    assert_eq!(pool.len(), 1, "only the valid transfer is pooled");
+    assert_eq!(chain.machine().db.balance(&bob), 250);
+    // The valid triple still answers true from the cache.
+    let again = on_tip(&chain, 0, vec![(**good.tx()).clone()]);
+    assert!(exec::prevalidate_witnesses(&again, &pipeline).is_ok());
+    assert_eq!((cache().misses, cache().hits), (3, 6));
+}
+
+/// The other half of admission's early return: a transaction without a
+/// witness is admitted by a verifying pool without the pipeline being touched
+/// at all — whether a witness is *required* is the state machine's call.
+#[test]
+fn unsigned_transaction_is_admitted_without_touching_the_pipeline() {
+    let alice = Address::from_index(1);
+    let (pipeline, mut pool, _) = two_doors(&[alice]);
+    let before = pipeline.stats();
+    let tx = Transaction::Account(AccountTx::transfer(alice, Address::from_index(2), 5, 0));
+    let sealed = SealedTx::new(Arc::new(tx));
+    assert_eq!(
+        sealed.signing_hash(),
+        None,
+        "nothing to verify, nothing hashed"
+    );
+    assert!(pool.insert(sealed));
+    assert_eq!(pipeline.stats(), before, "no batch, no lookup");
+}
+
 /// Consistency (§2.7, ROADMAP aim 3): an invalid block must never demote
 /// valid history. A peer on g–a1–a2 that also holds a shorter stale leaf b1
 /// receives a child of a2 whose state commitment is false. The block is
