@@ -227,11 +227,27 @@ impl<M: StateMachine> NodeCore<M> {
         msg: WireMsg,
         ctx: &mut Ctx<'_, WireMsg>,
     ) -> Inbound {
+        self.on_message_sealed(from, msg, ctx, &mut |_| true)
+    }
+
+    /// [`NodeCore::on_message`] for an engine whose blocks carry a seal
+    /// only it can judge: every block a peer hands over — gossiped, the
+    /// reply to a [`WireMsg::BlockRequest`], or inside a catch-up page —
+    /// meets `seal_ok` here, before the engine or the chain sees it. A
+    /// refused block is dropped (the closure does the counting).
+    pub fn on_message_sealed(
+        &mut self,
+        from: NodeId,
+        msg: WireMsg,
+        ctx: &mut Ctx<'_, WireMsg>,
+        seal_ok: &mut dyn FnMut(&Block) -> bool,
+    ) -> Inbound {
         match msg {
             WireMsg::Tx(tx) => Inbound::Tx {
                 fresh: self.handle_tx(tx, from, ctx),
             },
-            WireMsg::Block(block) => Inbound::Block(block),
+            WireMsg::Block(block) if seal_ok(&block) => Inbound::Block(block),
+            WireMsg::Block(_) => Inbound::Handled,
             WireMsg::Pbft(pbft) => Inbound::Pbft(pbft),
             WireMsg::BlockRequest(hash) => {
                 self.handle_block_request(hash, from, ctx);
@@ -255,7 +271,7 @@ impl<M: StateMachine> NodeCore<M> {
                 Inbound::Handled
             }
             WireMsg::SyncResponse { blocks, tip_height } => {
-                if self.handle_sync_response(blocks, tip_height, from, ctx) {
+                if self.handle_sync_response(blocks, tip_height, from, ctx, seal_ok) {
                     Inbound::TipMoved
                 } else {
                     Inbound::Handled
@@ -391,7 +407,8 @@ impl<M: StateMachine> NodeCore<M> {
     /// dedup. Returns true if the canonical tip advanced — protocols use
     /// this to restart mining/leadership on the new tip. Keeps paging from
     /// the same responder while still behind its tip; an empty reply from
-    /// a peer that claims more history (it pruned the needed bodies)
+    /// a peer that claims more history (it pruned the needed bodies), or a
+    /// page with a block `seal_ok` refuses (nothing after it can connect),
     /// re-targets the next neighbor.
     fn handle_sync_response(
         &mut self,
@@ -399,10 +416,15 @@ impl<M: StateMachine> NodeCore<M> {
         tip_height: u64,
         from: NodeId,
         ctx: &mut Ctx<'_, WireMsg>,
+        seal_ok: &mut dyn FnMut(&Block) -> bool,
     ) -> bool {
-        let empty = blocks.is_empty();
+        let mut unserved = blocks.is_empty();
         let mut advanced = false;
         for block in blocks {
+            if !seal_ok(&block) {
+                unserved = true;
+                break;
+            }
             let hash = block.hash();
             self.pending_blocks.remove(&hash);
             self.seen.first_sight(hash);
@@ -415,9 +437,9 @@ impl<M: StateMachine> NodeCore<M> {
         if self.catchup.is_some() {
             if self.chain.height() >= tip_height {
                 self.catchup = None; // caught up to this responder's tip
-            } else if empty {
-                // The responder is ahead but served nothing (pruned
-                // history): treat as a failed attempt and re-target.
+            } else if unserved {
+                // The responder is ahead but served nothing usable (pruned
+                // history, forged seal): a failed attempt; re-target.
                 self.retry_catchup(ctx);
             } else {
                 // Progress: page the next batch from the same responder.

@@ -83,6 +83,9 @@ pub struct PbftNode<M: StateMachine> {
     state: BTreeMap<u64, SeqState>,
     view_votes: BTreeMap<u64, BTreeSet<NodeId>>,
     view_timer_epoch: u64,
+    /// Epoch of the live batch tick; a restart bumps it so a tick armed
+    /// before the crash cannot start a second tick chain.
+    batch_epoch: u64,
     batch_timeout_us: u64,
     view_timeout_us: u64,
     /// The sequence the leader currently has a proposal out for.
@@ -123,6 +126,7 @@ impl<M: StateMachine> PbftNode<M> {
             state: BTreeMap::new(),
             view_votes: BTreeMap::new(),
             view_timer_epoch: 0,
+            batch_epoch: 0,
             batch_timeout_us,
             view_timeout_us,
             in_flight: None,
@@ -280,6 +284,13 @@ impl<M: StateMachine> PbftNode<M> {
         self.try_propose(ctx);
     }
 
+    fn schedule_batch_tick(&self, ctx: &mut Ctx<'_, WireMsg>) {
+        ctx.set_timer(
+            SimDuration::from_micros(self.batch_timeout_us),
+            TAG_BATCH | self.batch_epoch,
+        );
+    }
+
     fn arm_view_timer(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
         self.view_timer_epoch += 1;
         ctx.set_timer(
@@ -315,7 +326,7 @@ impl<M: StateMachine> Protocol for PbftNode<M> {
         if self.crashed {
             return;
         }
-        ctx.set_timer(SimDuration::from_micros(self.batch_timeout_us), TAG_BATCH);
+        self.schedule_batch_tick(ctx);
         self.arm_view_timer(ctx);
     }
 
@@ -425,8 +436,11 @@ impl<M: StateMachine> Protocol for PbftNode<M> {
         let counter = tag & !(0xff << 40);
         match kind {
             TAG_BATCH => {
+                if counter != self.batch_epoch {
+                    return; // a tick armed before a crash
+                }
                 self.try_propose(ctx);
-                ctx.set_timer(SimDuration::from_micros(self.batch_timeout_us), TAG_BATCH);
+                self.schedule_batch_tick(ctx);
             }
             TAG_VIEW => {
                 if counter != self.view_timer_epoch {
@@ -486,5 +500,74 @@ impl<M: StateMachine> LedgerNode for PbftNode<M> {
         self.state.clear();
         self.view_votes.clear();
         self.in_flight = None;
+        self.batch_epoch += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcs_chain::NullMachine;
+    use dcs_net::Action;
+    use dcs_sim::SimTime;
+
+    type Replica = PbftNode<NullMachine>;
+
+    /// Runs one callback on `node` and returns the batch-tick tags it armed.
+    fn batch_ticks(
+        node: &mut Replica,
+        step: impl FnOnce(&mut Replica, &mut Ctx<'_, WireMsg>),
+    ) -> Vec<u64> {
+        let neighbors = [NodeId(0), NodeId(2), NodeId(3)];
+        let mut rng = dcs_sim::Rng::seed_from(1);
+        let mut actions = Vec::new();
+        let mut ctx = Ctx::new(
+            node.core.id,
+            SimTime::ZERO,
+            &neighbors,
+            &mut rng,
+            &mut actions,
+        );
+        step(node, &mut ctx);
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Timer { tag, .. } if tag & (0xff << 40) == TAG_BATCH => Some(*tag),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A crash and restart inside one `batch_timeout` used to leave the
+    /// pre-crash tick alive beside the restart's own: two chains, each
+    /// re-arming itself forever, doubling the proposal attempts.
+    #[test]
+    fn restarted_replica_has_exactly_one_live_tick_chain() {
+        let config = ChainConfig {
+            consensus: ConsensusKind::Pbft {
+                batch_size: 100,
+                batch_timeout_us: 500_000,
+                view_timeout_us: 4_000_000,
+            },
+            ..ChainConfig::hyperledger_like()
+        };
+        let genesis = dcs_chain::genesis_block(&config);
+        let mut node = PbftNode::new(NodeId(1), Address::ZERO, genesis, config, NullMachine, 4);
+
+        let before = batch_ticks(&mut node, |n, ctx| n.on_start(ctx));
+        assert_eq!(before.len(), 1);
+        // Down and up again before that first tick fires.
+        assert!(batch_ticks(&mut node, |n, ctx| n.on_crash(ctx)).is_empty());
+        let after = batch_ticks(&mut node, |n, ctx| n.on_restart(ctx));
+        assert_eq!(after.len(), 1);
+        assert_ne!(before, after, "the restart's tick carries a new epoch");
+
+        // The pre-crash tick lands on the live replica and dies there; the
+        // restart's tick re-arms itself, once.
+        assert!(batch_ticks(&mut node, |n, ctx| n.on_timer(before[0], ctx)).is_empty());
+        assert_eq!(
+            batch_ticks(&mut node, |n, ctx| n.on_timer(after[0], ctx)),
+            after
+        );
     }
 }

@@ -91,7 +91,8 @@ pub struct PosNode<M: StateMachine> {
     /// Lottery evaluations performed (the PoS "work" analogue for E5: one
     /// cheap hash per slot instead of `difficulty` hashes per block).
     pub lotteries_evaluated: u64,
-    /// Blocks rejected for invalid stake seals.
+    /// Blocks refused for invalid stake seals, gossiped or served by
+    /// catch-up sync.
     pub invalid_seals: u64,
     stake_table: StakeTable,
     slot_us: u64,
@@ -146,16 +147,16 @@ impl<M: StateMachine> Protocol for PosNode<M> {
     }
 
     fn on_message(&mut self, from: NodeId, msg: WireMsg, ctx: &mut Ctx<'_, WireMsg>) {
+        // Gossip and catch-up pages pass the same seal check in the core.
+        let (table, refused) = (&self.stake_table, &mut self.invalid_seals);
+        let inbound = self.core.on_message_sealed(from, msg, ctx, &mut |block| {
+            let ok = table.verify_seal(&block.header.proposer, &block.header.seal);
+            *refused += u64::from(!ok);
+            ok
+        });
         // The slot schedule is clock driven: a caught-up tip re-arms nothing.
-        if let Inbound::Block(block) = self.core.on_message(from, msg, ctx) {
-            if self
-                .stake_table
-                .verify_seal(&block.header.proposer, &block.header.seal)
-            {
-                self.core.handle_block(block, Some(from), ctx);
-            } else {
-                self.invalid_seals += 1;
-            }
+        if let Inbound::Block(block) = inbound {
+            self.core.handle_block(block, Some(from), ctx);
         }
     }
 

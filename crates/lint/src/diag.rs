@@ -17,9 +17,6 @@ pub struct Finding {
     pub snippet: String,
     /// A short fix hint.
     pub hint: &'static str,
-    /// Optional call-chain / explanation notes (graph rules), printed as
-    /// `note:` lines after the snippet.
-    pub notes: Vec<String>,
 }
 
 impl fmt::Display for Finding {
@@ -38,9 +35,6 @@ impl fmt::Display for Finding {
             width = gutter.len(),
             pad = caret_pad
         )?;
-        for note in &self.notes {
-            writeln!(f, "{:width$} = note: {}", "", note, width = gutter.len())?;
-        }
         writeln!(
             f,
             "{:width$} = help: suppress with `// dcs-lint: allow({})` or a lint-allow.toml entry",

@@ -3,28 +3,23 @@
 //! The dcs-ledger experimental claims rest on the discrete-event simulator
 //! being deterministic: same seed, bit-identical canonical chain and stats.
 //! Nothing in rustc or clippy enforces the project-specific invariants that
-//! property needs, so this crate ships a small, dependency-free, two-pass
-//! analyzer: a comment/string-aware lexer ([`lexer`]) feeds both the
-//! lexical rule catalogue ([`rules`]) and a lightweight item-model parser
-//! ([`model`]) whose per-file models assemble into a workspace call graph
-//! ([`graph`]) for cross-file flow rules (nondeterminism taint, lock-order,
-//! atomic-ordering). Suppressions are per-line comments
+//! property needs, so this crate ships a small, dependency-free analyzer:
+//! a comment/string-aware lexer ([`lexer`]) feeds a catalogue of lexical,
+//! path-scoped rules ([`rules`]). Suppressions are per-line comments
 //! (`// dcs-lint: allow(<rule>)`) or audited `lint-allow.toml` entries
 //! ([`allow`]); stale ones are themselves findings in workspace mode.
 //!
 //! Run it as `cargo run -p dcs-lint -- --workspace`; CI gates merges on a
 //! clean pass and uploads SARIF ([`sarif`]) for code scanning. See
-//! DESIGN.md §10 and §15 for the rule rationale and graph architecture.
+//! DESIGN.md §10 for the rule rationale and §15 for the audit that retired
+//! the call-graph pass.
 
 pub mod allow;
 pub mod diag;
-pub mod graph;
 pub mod lexer;
-pub mod model;
 pub mod rules;
 pub mod sarif;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -74,7 +69,7 @@ impl std::fmt::Display for StaleSuppression {
 }
 
 /// Full workspace analysis result: surviving findings plus suppression
-/// accounting and model statistics.
+/// accounting.
 pub struct WorkspaceReport {
     /// Findings that survived inline suppressions and the allowlist.
     pub findings: Vec<Finding>,
@@ -82,23 +77,15 @@ pub struct WorkspaceReport {
     pub stale: Vec<StaleSuppression>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Number of functions in the call-graph model.
-    pub fns_modeled: usize,
 }
 
-/// Walks the workspace at `root` and lints every production `.rs` file.
+/// Walks the workspace at `root` and lints every production `.rs` file
+/// against the rule catalogue, with stale-suppression accounting.
 ///
 /// Skipped: `target/`, `vendor/` (third-party), hidden directories, and any
 /// directory named `benchmark`, `examples`, or `fixtures` — the benchmark
 /// package times with wall clocks and prints its results, examples are demo
 /// printers, and fixture code violates the rules on purpose.
-pub fn check_workspace(root: &Path, allow: &Allowlist) -> io::Result<Vec<Finding>> {
-    Ok(check_workspace_report(root, allow)?.findings)
-}
-
-/// Two-pass workspace analysis: lexical rules per file, then the call-graph
-/// rules ([`graph::Workspace::run_rules`]) over the assembled item models,
-/// with stale-suppression accounting across both passes.
 pub fn check_workspace_report(root: &Path, allow: &Allowlist) -> io::Result<WorkspaceReport> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
@@ -106,8 +93,6 @@ pub fn check_workspace_report(root: &Path, allow: &Allowlist) -> io::Result<Work
     files.sort();
 
     let mut raw: Vec<Finding> = Vec::new();
-    let mut models = Vec::new();
-    let mut sources: BTreeMap<String, String> = BTreeMap::new();
     // (path, line, rules, used) per inline suppression, in file order.
     let mut inline: Vec<(String, u32, Vec<String>, bool)> = Vec::new();
 
@@ -125,13 +110,7 @@ pub fn check_workspace_report(root: &Path, allow: &Allowlist) -> io::Result<Work
                 inline.push((rel_str.clone(), line, rules, false));
             }
         }
-        models.push(model::parse_file(&rel_str, &lexed));
-        sources.insert(rel_str, source);
     }
-
-    let ws = graph::Workspace::new(models);
-    let fns_modeled = ws.fn_count();
-    raw.extend(ws.run_rules(&sources));
 
     // Apply inline suppressions (marking use), then the allowlist (same).
     let mut used_allow = vec![false; allow.entries.len()];
@@ -167,7 +146,6 @@ pub fn check_workspace_report(root: &Path, allow: &Allowlist) -> io::Result<Work
         findings,
         stale,
         files_scanned: files.len(),
-        fns_modeled,
     })
 }
 

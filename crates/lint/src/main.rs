@@ -90,8 +90,6 @@ fn run() -> Result<ExitCode, String> {
     };
 
     if let Some(file) = file {
-        // Single-file mode: lexical rules only (the call graph needs the
-        // whole workspace).
         let rel = virtual_path
             .or_else(|| {
                 file.strip_prefix(&root)
@@ -111,10 +109,7 @@ fn run() -> Result<ExitCode, String> {
 
     let ws = check_workspace_report(&root, &allow).map_err(|e| e.to_string())?;
     let stale: Vec<String> = ws.stale.iter().map(|s| s.to_string()).collect();
-    eprintln!(
-        "dcs-lint: scanned {} files, modeled {} functions",
-        ws.files_scanned, ws.fns_modeled
-    );
+    eprintln!("dcs-lint: scanned {} files", ws.files_scanned);
     Ok(report(&ws.findings, &stale, format, stale_gate))
 }
 

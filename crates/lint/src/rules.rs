@@ -27,6 +27,11 @@ pub const RULES: &[RuleInfo] = &[
         hint: "wall-clock reads break reproducibility; use SimTime from the simulator context",
     },
     RuleInfo {
+        id: "host-env",
+        summary: "no env::var/env::vars/available_parallelism in determinism-critical crates — the host is not an input",
+        hint: "environment and core-count reads vary per host; thread the value in from the seeded run configuration",
+    },
+    RuleInfo {
         id: "unseeded-rng",
         summary: "no thread_rng/rand::random/from_entropy — all randomness flows from the run seed",
         hint: "derive randomness from the seeded sim Rng (Rng::fork), never from OS entropy",
@@ -56,22 +61,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "no println!/eprintln!/dbg! in library crates — bench/lint binaries exempt",
         hint: "stdout writes are invisible to analysis and skew benchmarks; emit a dcs-trace TraceEvent instead",
     },
-    // ---- graph rules (workspace mode only; see `graph`) -----------------
-    RuleInfo {
-        id: "nondet-taint",
-        summary: "no call path from a determinism-critical crate to a nondeterminism source (clock, OS entropy, hash iteration, host parallelism, env)",
-        hint: "a nondeterminism source reaches this function through the call graph; thread the value in from the seeded sim context instead",
-    },
-    RuleInfo {
-        id: "lock-order",
-        summary: "lock pairs must be acquired in one global order everywhere (incl. through calls) — inversions deadlock",
-        hint: "two locks are taken in opposite orders on different paths; pick one order and restructure the other path",
-    },
-    RuleInfo {
-        id: "atomic-ordering",
-        summary: "no Ordering::Relaxed load feeding a branch/comparison/return outside metrics snapshots",
-        hint: "a relaxed load synchronizes with nothing; if the value gates behaviour, use Acquire (paired with Release stores)",
-    },
 ];
 
 /// Looks up a rule by id.
@@ -79,8 +68,8 @@ pub fn rule(id: &str) -> Option<&'static RuleInfo> {
     RULES.iter().find(|r| r.id == id)
 }
 
-/// Determinism-critical crates for `hash-collections` and `nondet-taint`.
-pub const DETERMINISM_CRATES: &[&str] = &[
+/// Determinism-critical crates for `hash-collections` and `host-env`.
+const DETERMINISM_CRATES: &[&str] = &[
     "crates/sim/",
     "crates/net/",
     "crates/consensus/",
@@ -128,7 +117,7 @@ fn under(path: &str, prefixes: &[&str]) -> bool {
 
 /// Integration-test sources: the workspace `tests/` tree and every crate's
 /// `tests/` directory.
-pub fn is_test_path(path: &str) -> bool {
+fn is_test_path(path: &str) -> bool {
     path.starts_with("tests/") || path.contains("/tests/")
 }
 
@@ -143,6 +132,7 @@ pub fn in_scope(rule_id: &str, path: &str) -> bool {
     }
     match rule_id {
         "wall-clock" => !path.starts_with("crates/bench/"),
+        "host-env" => under(path, DETERMINISM_CRATES),
         "unseeded-rng" => true,
         "hash-collections" => under(path, DETERMINISM_CRATES),
         "float-consensus" => under(path, FLOAT_DECISION_PATHS),
@@ -163,12 +153,6 @@ pub fn in_scope(rule_id: &str, path: &str) -> bool {
                 "crates/lint/",
             ],
         ),
-        // Graph rules (workspace mode): taint findings report only inside
-        // determinism-critical crates; deadlocks and racy relaxed loads are
-        // wrong anywhere.
-        "nondet-taint" => under(path, DETERMINISM_CRATES),
-        "lock-order" => true,
-        "atomic-ordering" => true,
         _ => false,
     }
 }
@@ -183,7 +167,7 @@ pub fn scan(path: &str, source: &str, lexed: &Lexed<'_>) -> Vec<Finding> {
 }
 
 /// True when `(line, rule)` is covered by an inline suppression.
-pub fn line_suppressed(suppressed: &[(u32, Vec<String>)], line: u32, rule: &str) -> bool {
+fn line_suppressed(suppressed: &[(u32, Vec<String>)], line: u32, rule: &str) -> bool {
     suppressed
         .iter()
         .any(|(l, rules)| *l == line && rules.iter().any(|r| r == rule || r == "all"))
@@ -220,6 +204,12 @@ pub fn scan_pre_suppress(path: &str, source: &str, lexed: &Lexed<'_>) -> Vec<Fin
         match name {
             "Instant" | "SystemTime" if active.contains(&"wall-clock") => {
                 raw.push((i, "wall-clock"));
+            }
+            "available_parallelism" if active.contains(&"host-env") => {
+                raw.push((i, "host-env"));
+            }
+            "var" | "vars" if active.contains(&"host-env") && path_prefix_is(toks, i, "env") => {
+                raw.push((i, "host-env"));
             }
             "thread_rng" | "from_entropy" if active.contains(&"unseeded-rng") => {
                 raw.push((i, "unseeded-rng"));
@@ -274,7 +264,6 @@ pub fn scan_pre_suppress(path: &str, source: &str, lexed: &Lexed<'_>) -> Vec<Fin
                 col: t.col,
                 snippet: line_snippet(source, t.line),
                 hint: info.hint,
-                notes: Vec::new(),
             }
         })
         .collect()

@@ -30,6 +30,16 @@ fn wall_clock_fires() {
 }
 
 #[test]
+fn host_env_fires_in_determinism_crates() {
+    let hits = findings("crates/net/src/bad.rs", &fixture("host_env.rs"));
+    assert_eq!(
+        hits,
+        vec!["host-env"; 3],
+        "env::var, available_parallelism and env::vars fire; the suppressed read does not"
+    );
+}
+
+#[test]
 fn unseeded_rng_fires() {
     let hits = findings("crates/crypto/src/bad.rs", &fixture("unseeded_rng.rs"));
     assert_eq!(
@@ -95,6 +105,20 @@ fn ad_hoc_logging_fires() {
 fn wall_clock_allowed_in_bench() {
     let hits = findings("crates/bench/src/bad.rs", &fixture("wall_clock.rs"));
     assert!(hits.is_empty(), "{hits:?}");
+}
+
+#[test]
+fn host_env_allowed_outside_determinism_crates_and_in_tests() {
+    // The crypto pool and the CLIs size themselves from the host; a test
+    // may pin `DCS_SIM_SHARDS`-style knobs for the run it drives.
+    for path in [
+        "crates/crypto/src/ok.rs",
+        "crates/ledger/src/main.rs",
+        "crates/net/tests/ok.rs",
+    ] {
+        let hits = findings(path, &fixture("host_env.rs"));
+        assert!(hits.is_empty(), "{path}: {hits:?}");
+    }
 }
 
 #[test]
@@ -206,12 +230,15 @@ pub fn msg() -> &'static str {
 fn lookalike_identifiers_never_fire() {
     // `unwrap_or` is not `unwrap`; `as_secs_f64` is not `f64`; a bare
     // `random` without a `rand::` path is some other function; `spawn`
-    // without `thread::` is e.g. an async task spawn wrapper.
+    // without `thread::` is e.g. an async task spawn wrapper; `env::args`
+    // and a `var` that is not `env::var` read no host state.
     let src = r#"
 pub fn ok(v: Option<u64>, d: std::time::Duration) -> u64 {
     let _ = d.as_secs();
     let _ = random();
     spawn(|| {});
+    let _ = std::env::args().count();
+    let _ = d.var();
     v.unwrap_or(0)
 }
 "#;
@@ -317,6 +344,7 @@ fn lint_fixture(name: &str, virtual_path: &str, extra: &[&str]) -> std::process:
 fn cli_rejects_every_violating_fixture() {
     let cases = [
         ("wall_clock.rs", "crates/sim/src/bad.rs"),
+        ("host_env.rs", "crates/net/src/bad.rs"),
         ("unseeded_rng.rs", "crates/crypto/src/bad.rs"),
         ("hash_collections.rs", "crates/sim/src/bad.rs"),
         ("float_consensus.rs", "crates/consensus/src/difficulty.rs"),
@@ -359,6 +387,7 @@ fn cli_lists_the_full_catalogue() {
     let text = String::from_utf8_lossy(&out.stdout);
     for rule in [
         "wall-clock",
+        "host-env",
         "unseeded-rng",
         "hash-collections",
         "float-consensus",

@@ -6,7 +6,8 @@
 //! name+labels. Updates are `Relaxed` stores/RMWs — no fences, no branches
 //! on loaded values — so instrumented code never changes behaviour based on
 //! metric state. Reads are confined to `*Stats`-returning snapshot
-//! functions per the workspace `atomic-ordering` lint contract.
+//! functions; the metrics-on ≡ metrics-off digest test in
+//! `tests/determinism.rs` is what proves none feeds a decision.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -17,9 +17,8 @@
 //! observer's job — it happens on the serve thread, off the simulation hot
 //! path, and tolerates torn cross-instrument views by design.
 //!
-//! All snapshot reads happen inside `*Stats`-returning functions — the
-//! workspace `atomic-ordering` lint recognises that shape as metrics
-//! plumbing and requires it.
+//! All snapshot reads happen inside `*Stats`-returning functions, so a
+//! loaded value only ever leaves the crate as a snapshot for an observer.
 
 mod exposition;
 mod instrument;

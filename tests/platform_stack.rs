@@ -499,6 +499,84 @@ fn invalid_child_of_the_tip_leaves_head_inclusion_and_mempool_alone() {
     assert!(node.mempool.is_empty());
 }
 
+/// Catch-up sync is a door like gossip: a recovering PoS peer handed a
+/// page whose block is sealed by a validator that did not win the slot must
+/// refuse it before import — the chain itself cannot judge a stake seal.
+#[test]
+fn forged_stake_seal_is_refused_through_catch_up_sync() {
+    use dcs_net::{Action, Ctx, Protocol};
+    use dcs_primitives::Seal;
+
+    let cfg = ChainConfig {
+        consensus: ConsensusKind::ProofOfStake { slot_us: 2_000_000 },
+        ..ChainConfig::ethereum_like()
+    };
+    let n = 4;
+    let table = StakeTable::new(
+        (0..n).map(|i| Address::from_index(i as u64)).collect(),
+        vec![100; n],
+        cfg.chain_id,
+    );
+    let genesis = dcs_chain::genesis_block(&cfg);
+    let (alice, bob) = (Address::from_index(1_000), Address::from_index(2_000));
+    let validator = |index: usize| {
+        PosNode::new(
+            NodeId(index),
+            genesis.clone(),
+            cfg.clone(),
+            AccountMachine::with_alloc(&[(alice, 1_000_000)]),
+            table.clone(),
+            index,
+        )
+    };
+
+    // A validator that lost slot 1 seals a block for it anyway — a well
+    // formed block with a real transfer and its own honest lottery proof.
+    let slot = 1;
+    let loser = (table.slot_leader(slot) + 1) % n;
+    let mut forger = validator(loser);
+    let transfer = Transaction::Account(AccountTx::transfer(alice, bob, 500, 0));
+    assert!(forger
+        .core
+        .mempool
+        .insert(SealedTx::new(Arc::new(transfer))));
+    let proof = table.slot_proof(slot, &forger.core.address);
+    let forged = forger.core.build_block(Seal::Stake { slot, proof }, at(2));
+    assert_eq!(forged.txs.len(), 2, "coinbase + the transfer");
+
+    let victim_index = (loser + 1) % n;
+    let mut victim = validator(victim_index);
+    let neighbors: Vec<NodeId> = (0..n).filter(|i| *i != victim_index).map(NodeId).collect();
+    let mut rng = dcs_sim::Rng::seed_from(1);
+    let mut actions = Vec::new();
+    let mut ctx = Ctx::new(victim.core.id, at(3), &neighbors, &mut rng, &mut actions);
+    victim.on_restart(&mut ctx);
+    let page = WireMsg::SyncResponse {
+        blocks: vec![forged],
+        tip_height: 1,
+    };
+    victim.on_message(neighbors[0], page, &mut ctx);
+
+    assert_eq!(victim.core.chain.tip_hash(), genesis.hash());
+    assert_eq!(victim.invalid_seals, 1);
+    assert!(victim.core.included().is_empty());
+    assert_eq!(victim.core.chain.machine().db.balance(&bob), 0);
+    assert_eq!(victim.core.chain.machine().db.balance(&alice), 1_000_000);
+    // Still behind, the peer asks someone else instead of the forger again.
+    let asked: Vec<NodeId> = actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::Send {
+                to,
+                msg: WireMsg::SyncRequest { .. },
+                ..
+            } => Some(*to),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(asked, vec![neighbors[0], neighbors[1]]);
+}
+
 /// The PoET security concern ([41]): a compromised enclave that shortens
 /// its waits wins a disproportionate share of blocks — decentralization
 /// quietly collapses even though the protocol "works".
