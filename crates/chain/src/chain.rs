@@ -1209,10 +1209,12 @@ mod tests {
         );
 
         // A body/header mismatch is rejected by both, with the same error.
+        // (Edited on a clone: a block from `Block::new` is warm from birth.)
         let mut tampered = Block::new(
             BlockHeader::new(b1.hash(), 2, 2, Address::from_index(2), Seal::None),
             (10..14).map(tx).collect(),
-        );
+        )
+        .clone();
         tampered.txs.push(tx(99)); // body no longer matches the committed root
         assert_eq!(serial.import(tampered.clone()), Err(ChainError::BadTxRoot));
         assert_eq!(piped.import(tampered), Err(ChainError::BadTxRoot));
@@ -1233,7 +1235,7 @@ mod tests {
         let mut chain = Chain::new(g.clone(), cfg(), NullMachine)
             .with_pipeline(std::sync::Arc::new(VerifyPipeline::serial()));
         let b1 = child(&g, 1);
-        let mut orphan = child(&b1, 2);
+        let mut orphan = child(&b1, 2).clone(); // cold ids: edited below
         orphan.txs.push(Transaction::Account(AccountTx::transfer(
             Address::from_index(1),
             Address::from_index(2),

@@ -175,22 +175,29 @@ impl Eq for Block {}
 
 impl Block {
     /// Assembles a block, computing and committing the transaction Merkle
-    /// root into the header.
-    pub fn new(mut header: BlockHeader, txs: Vec<Transaction>) -> Self {
-        header.tx_root = Self::compute_tx_root(&txs);
-        Block::from_parts(header, txs)
+    /// root into the header. The ids hashed for the root seed the id cache,
+    /// so the first [`Block::tx_ids`] / [`Block::verify_tx_root`] of a
+    /// locally built block is a read: `txs` is under the "mutate on a clone"
+    /// contract from birth.
+    pub fn new(header: BlockHeader, txs: Vec<Transaction>) -> Self {
+        let ids = Transaction::batch_ids(&txs);
+        Block::assemble(header, txs, ids)
     }
 
     /// Assembles a block from transactions whose ids the caller has already
     /// computed (the propose path: the mempool hands both over). Commits the
     /// Merkle root over `ids` and seeds the id cache, so assembly never
     /// re-hashes bodies the pool already identified.
-    pub fn with_ids(mut header: BlockHeader, txs: Vec<Transaction>, ids: Vec<Hash256>) -> Self {
+    pub fn with_ids(header: BlockHeader, txs: Vec<Transaction>, ids: Vec<Hash256>) -> Self {
         debug_assert_eq!(txs.len(), ids.len(), "one id per transaction");
         debug_assert!(
             txs.iter().zip(&ids).all(|(tx, id)| tx.id() == *id),
             "ids must match the bodies"
         );
+        Block::assemble(header, txs, ids)
+    }
+
+    fn assemble(mut header: BlockHeader, txs: Vec<Transaction>, ids: Vec<Hash256>) -> Self {
         header.tx_root = merkle::merkle_root(&ids);
         Block {
             header,
@@ -421,9 +428,25 @@ mod tests {
 
     #[test]
     fn tampering_with_body_breaks_root() {
-        let mut b = block(3);
+        // On a clone: a block from `Block::new` holds the ids it was rooted
+        // over, and the clone starts cold.
+        let mut b = block(3).clone();
         b.txs.push(tx(99));
         assert!(!b.verify_tx_root());
+    }
+
+    #[test]
+    fn new_keeps_the_ids_it_hashed_for_the_root() {
+        let b = block(5);
+        let warm = b.ids.get().expect("seeded by Block::new");
+        assert_eq!(&warm[..], &Transaction::batch_ids(&b.txs)[..]);
+        assert_eq!(b.header.tx_root, Block::compute_tx_root(&b.txs));
+        // `from_parts`, a clone and a decoded block stay cold.
+        let cold = Block::from_parts(b.header.clone(), b.txs.clone());
+        let decoded = decode_all::<Block>(&b.encoded()).unwrap();
+        assert!(cold.ids.get().is_none() && b.clone().ids.get().is_none());
+        assert!(decoded.ids.get().is_none());
+        assert_eq!(cold.tx_ids(), b.tx_ids());
     }
 
     #[test]

@@ -414,10 +414,12 @@ impl ShardNode {
             let batch: Vec<PendingTx> = queue.drain(..take).collect();
             let txs: Vec<Transaction> = batch.iter().map(|p| p.tx().clone()).collect();
             let header = self.header(ctx.now.as_micros());
-            let block = Block::new(header, txs);
+            // Hashed once: the block's root, its id memo and the receipt
+            // leaves below are all these ids.
+            let leaves = Transaction::batch_ids(&txs);
+            let block = Block::with_ids(header, txs, leaves.clone());
             let sealed_header = block.header.clone();
             let height = sealed_header.height;
-            let leaves: Vec<Hash256> = block.txs.iter().map(Transaction::id).collect();
             self.chain
                 .import(block)
                 .expect("sequencer blocks are valid by construction");
@@ -428,30 +430,33 @@ impl ShardNode {
             };
             let size = anchor.wire_size();
             ctx.send(NodeId(0), anchor, size);
-            // Receipts for the locks this block sealed.
-            let tree = MerkleTree::from_leaves(leaves.clone());
+            // Receipts for the locks this block sealed; only a block that
+            // holds one pays for the proof tree.
+            let mut tree = None;
             for (i, entry) in batch.iter().enumerate() {
-                if let PendingTx::Lock { transfer, dst, .. } = entry {
-                    let receipt = LockReceipt {
-                        lock_id: leaves[i],
-                        transfer: *transfer,
-                        src_shard: self.shard,
-                        dst_shard: *dst,
-                        height,
-                        proof: tree.prove(i).expect("leaf index in range"),
-                    };
-                    self.stats.locks += 1;
-                    self.pending_locks.insert(
-                        receipt.lock_id,
-                        PendingLock {
-                            receipt: receipt.clone(),
-                            deadline: ctx.now + self.params.lock_timeout,
-                        },
-                    );
-                    let msg = ScaleMsg::Lock(receipt);
-                    let size = msg.wire_size();
-                    ctx.send(NodeId(0), msg, size);
-                }
+                let PendingTx::Lock { transfer, dst, .. } = entry else {
+                    continue;
+                };
+                let tree = tree.get_or_insert_with(|| MerkleTree::from_leaves(leaves.clone()));
+                let receipt = LockReceipt {
+                    lock_id: leaves[i],
+                    transfer: *transfer,
+                    src_shard: self.shard,
+                    dst_shard: *dst,
+                    height,
+                    proof: tree.prove(i).expect("leaf index in range"),
+                };
+                self.stats.locks += 1;
+                self.pending_locks.insert(
+                    receipt.lock_id,
+                    PendingLock {
+                        receipt: receipt.clone(),
+                        deadline: ctx.now + self.params.lock_timeout,
+                    },
+                );
+                let msg = ScaleMsg::Lock(receipt);
+                let size = msg.wire_size();
+                ctx.send(NodeId(0), msg, size);
             }
         }
         // Chase locks past their deadline; push the deadline forward so a
@@ -561,8 +566,8 @@ impl ShardNode {
         if body.txs.is_empty() {
             return;
         }
-        let leaves: Vec<Hash256> = body.txs.iter().map(Transaction::id).collect();
-        let proof = MerkleTree::from_leaves(leaves.clone())
+        let leaves = body.tx_ids();
+        let proof = MerkleTree::from_leaves(leaves.to_vec())
             .prove(0)
             .expect("non-empty body has leaf 0");
         let msg = ScaleMsg::ProofResponse {

@@ -306,18 +306,13 @@ impl AccountDb {
         }
     }
 
-    /// Applies a block-level undo record, reversing an applied block.
+    /// Applies a block-level undo record, reversing an applied block in one
+    /// [`MerkleMap::write_batch`] pass. The entries go in newest first: a
+    /// batch's last write to a key wins, and the value to restore is the
+    /// *oldest* one the journal recorded for it.
     pub fn apply_undo(&mut self, undo: AccountUndo) {
-        for (key, old) in undo.entries.into_iter().rev() {
-            match old {
-                Some(v) => {
-                    self.map.insert(key, v);
-                }
-                None => {
-                    self.map.remove(&key);
-                }
-            }
-        }
+        self.map
+            .write_batch(undo.entries.into_iter().rev().collect());
     }
 
     /// Drops journal history (e.g. after finality): saves memory, forfeits

@@ -7,14 +7,28 @@
 //! branch has at least two leaves below it, and removals collapse chains — so
 //! two maps with equal contents always have equal roots, which is what makes
 //! the root usable as the header `state_root`.
+//!
+//! The map keeps its entries once, in an ordered `key → value` index that
+//! every read goes to: a lookup by key hashes nothing. The trie beside it
+//! holds only digests — a leaf is its key hash and its leaf digest — in an
+//! index arena (`Vec<Node>`, `u32` children, a free list), so a node can be
+//! addressed by level without re-walking from the root. A block's writes go
+//! through [`MerkleMap::write_batch`], which edits the structure first and
+//! hashes afterwards, level by level, through the multi-lane hasher.
 
 use dcs_crypto::codec::{Decode, DecodeError, Encode, Reader};
 use dcs_crypto::{sha256, Hash256, MultiHasher, Sha256};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+
+/// Domain prefix of a leaf digest: `sha256(0x10 ‖ key_hash ‖ sha256(value))`.
+const LEAF_PREFIX: u8 = 0x10;
+/// Domain prefix of a branch digest: `sha256(0x11 ‖ left ‖ right)`.
+const BRANCH_PREFIX: u8 = 0x11;
 
 fn leaf_hash(key_hash: &Hash256, value: &[u8]) -> Hash256 {
     let mut ctx = Sha256::new();
-    ctx.update(&[0x10]);
+    ctx.update(&[LEAF_PREFIX]);
     ctx.update(key_hash.as_ref());
     ctx.update(sha256(value).as_ref());
     ctx.finalize()
@@ -22,7 +36,7 @@ fn leaf_hash(key_hash: &Hash256, value: &[u8]) -> Hash256 {
 
 fn branch_hash(left: &Hash256, right: &Hash256) -> Hash256 {
     let mut ctx = Sha256::new();
-    ctx.update(&[0x11]);
+    ctx.update(&[BRANCH_PREFIX]);
     ctx.update(left.as_ref());
     ctx.update(right.as_ref());
     ctx.finalize()
@@ -33,47 +47,34 @@ fn bit(h: &Hash256, i: usize) -> bool {
     (h.as_bytes()[i / 8] >> (7 - i % 8)) & 1 == 1
 }
 
-#[derive(Debug, Clone)]
+/// Arena index of "no child".
+const NIL: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy)]
 enum Node {
     Leaf {
         key_hash: Hash256,
-        key: Vec<u8>,
-        value: Vec<u8>,
         hash: Hash256,
     },
     Branch {
-        left: Option<Box<Node>>,
-        right: Option<Box<Node>>,
+        left: u32,
+        right: u32,
         hash: Hash256,
     },
 }
 
-/// One pending write in a [`MerkleMap::write_batch`] call, routed by the
-/// precomputed hash of its key.
-struct BatchEntry {
+/// One write of a [`MerkleMap::write_batch`] call after deduplication,
+/// routed by the hash of its key.
+#[derive(Clone, Copy)]
+struct Write {
     kh: Hash256,
-    key: Vec<u8>,
-    /// `Some` = insert/replace, `None` = remove.
-    value: Option<Vec<u8>>,
+    /// The digest of the leaf to place; `None` removes the key.
+    leaf: Option<Hash256>,
 }
 
-impl Node {
-    fn hash(&self) -> Hash256 {
-        match self {
-            Node::Leaf { hash, .. } | Node::Branch { hash, .. } => *hash,
-        }
-    }
-
-    fn child_hash(child: &Option<Box<Node>>) -> Hash256 {
-        child.as_ref().map_or(Hash256::ZERO, |n| n.hash())
-    }
-
-    fn rehash(&mut self) {
-        if let Node::Branch { left, right, hash } = self {
-            *hash = branch_hash(&Self::child_hash(left), &Self::child_hash(right));
-        }
-    }
-}
+/// A branch whose children changed during a batch's structural pass and
+/// whose digest is therefore stale, with the depth it sits at.
+type Dirty = (u32, u32);
 
 /// An authenticated map with a Merkle root and inclusion proofs.
 ///
@@ -89,10 +90,26 @@ impl Node {
 /// assert_ne!(m.root(), r1);
 /// assert_eq!(m.get(b"k"), Some(&b"v2"[..]));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MerkleMap {
-    root: Option<Box<Node>>,
-    len: usize,
+    /// The contents. Reads never touch the trie.
+    entries: BTreeMap<Vec<u8>, Vec<u8>>,
+    nodes: Vec<Node>,
+    /// Arena slots released by removals and collapses, reused before the
+    /// arena grows.
+    free: Vec<u32>,
+    root: u32,
+}
+
+impl Default for MerkleMap {
+    fn default() -> Self {
+        MerkleMap {
+            entries: BTreeMap::new(),
+            nodes: Vec::new(),
+            free: Vec::new(),
+            root: NIL,
+        }
+    }
 }
 
 impl MerkleMap {
@@ -103,433 +120,340 @@ impl MerkleMap {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True when the map holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// The root digest committing to the full contents.
     pub fn root(&self) -> Hash256 {
-        Node::child_hash(&self.root)
+        self.hash_of(self.root)
     }
 
     /// Looks up the value stored under `key`.
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        let kh = sha256(key);
-        let mut node = self.root.as_deref()?;
-        let mut depth = 0;
-        loop {
-            match node {
-                Node::Leaf {
-                    key_hash, value, ..
-                } => {
-                    return (*key_hash == kh).then_some(value.as_slice());
-                }
-                Node::Branch { left, right, .. } => {
-                    let child = if bit(&kh, depth) { right } else { left };
-                    node = child.as_deref()?;
-                    depth += 1;
-                }
-            }
+        self.entries.get(key).map(Vec::as_slice)
+    }
+
+    fn hash_of(&self, id: u32) -> Hash256 {
+        if id == NIL {
+            return Hash256::ZERO;
         }
+        match self.nodes[id as usize] {
+            Node::Leaf { hash, .. } | Node::Branch { hash, .. } => hash,
+        }
+    }
+
+    fn alloc(&mut self, node: Node) -> u32 {
+        if let Some(id) = self.free.pop() {
+            self.nodes[id as usize] = node;
+            return id;
+        }
+        let id = u32::try_from(self.nodes.len()).expect("fewer than 2^32 trie nodes");
+        assert_ne!(id, NIL, "fewer than 2^32 trie nodes");
+        self.nodes.push(node);
+        id
+    }
+
+    fn release(&mut self, id: u32) {
+        self.free.push(id);
+    }
+
+    /// What a branch left with these children collapses to, if it does:
+    /// nothing when both are gone, and a lone *leaf* child itself, which
+    /// rises to the shallowest depth where its path is unique. A lone
+    /// *branch* child stays put — its subtree's leaves still diverge at
+    /// their original depths, so the unary chain above them is part of the
+    /// canonical shape.
+    fn collapsed(&self, left: u32, right: u32) -> Option<u32> {
+        let only = match (left, right) {
+            (NIL, only) | (only, NIL) => only,
+            _ => return None,
+        };
+        (only == NIL || matches!(self.nodes[only as usize], Node::Leaf { .. })).then_some(only)
     }
 
     /// Inserts or replaces; returns the previous value if any.
     pub fn insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Option<Vec<u8>> {
         let kh = sha256(&key);
-        let (node, old) = Self::insert_at(self.root.take(), kh, key, value, 0);
-        self.root = Some(node);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
+        let leaf = leaf_hash(&kh, &value);
+        self.root = self.insert_at(self.root, kh, leaf, 0);
+        self.entries.insert(key, value)
     }
 
-    fn insert_at(
-        node: Option<Box<Node>>,
-        kh: Hash256,
-        key: Vec<u8>,
-        value: Vec<u8>,
-        depth: usize,
-    ) -> (Box<Node>, Option<Vec<u8>>) {
-        match node {
-            None => {
-                let hash = leaf_hash(&kh, &value);
-                (
-                    Box::new(Node::Leaf {
-                        key_hash: kh,
-                        key,
-                        value,
-                        hash,
-                    }),
-                    None,
-                )
+    fn insert_at(&mut self, node: u32, kh: Hash256, leaf: Hash256, depth: usize) -> u32 {
+        let new_leaf = Node::Leaf {
+            key_hash: kh,
+            hash: leaf,
+        };
+        if node == NIL {
+            return self.alloc(new_leaf);
+        }
+        match self.nodes[node as usize] {
+            Node::Leaf { key_hash, .. } if key_hash == kh => {
+                self.nodes[node as usize] = new_leaf;
+                node
             }
-            Some(mut boxed) => match &mut *boxed {
-                Node::Leaf {
-                    key_hash,
-                    value: old_value,
-                    hash,
-                    ..
-                } if *key_hash == kh => {
-                    let old = std::mem::replace(old_value, value);
-                    *hash = leaf_hash(&kh, old_value);
-                    (boxed, Some(old))
-                }
-                Node::Leaf { key_hash, .. } => {
-                    // Split: push the existing leaf down until the paths of
-                    // the two key hashes diverge.
-                    let existing_bit = bit(key_hash, depth);
-                    let new_bit = bit(&kh, depth);
-                    let mut branch = Node::Branch {
-                        left: None,
-                        right: None,
-                        hash: Hash256::ZERO,
-                    };
-                    if existing_bit == new_bit {
-                        let (child, _) = Self::insert_at(Some(boxed), kh, key, value, depth + 1);
-                        if let Node::Branch { left, right, .. } = &mut branch {
-                            *(if new_bit { right } else { left }) = Some(child);
-                        }
-                    } else if let Node::Branch { left, right, .. } = &mut branch {
-                        let new_hash = leaf_hash(&kh, &value);
-                        let new_leaf = Box::new(Node::Leaf {
-                            key_hash: kh,
-                            key,
-                            value,
-                            hash: new_hash,
-                        });
-                        if new_bit {
-                            *right = Some(new_leaf);
-                            *left = Some(boxed);
-                        } else {
-                            *left = Some(new_leaf);
-                            *right = Some(boxed);
-                        }
+            Node::Leaf { key_hash, .. } => {
+                // Split: push the existing leaf down until the paths of the
+                // two key hashes diverge.
+                let new_bit = bit(&kh, depth);
+                let (left, right) = if bit(&key_hash, depth) == new_bit {
+                    let child = self.insert_at(node, kh, leaf, depth + 1);
+                    if new_bit {
+                        (NIL, child)
+                    } else {
+                        (child, NIL)
                     }
-                    branch.rehash();
-                    (Box::new(branch), None)
-                }
-                Node::Branch { left, right, .. } => {
-                    let slot = if bit(&kh, depth) { right } else { left };
-                    let (child, old) = Self::insert_at(slot.take(), kh, key, value, depth + 1);
-                    *slot = Some(child);
-                    boxed.rehash();
-                    (boxed, old)
-                }
-            },
+                } else {
+                    let fresh = self.alloc(new_leaf);
+                    if new_bit {
+                        (node, fresh)
+                    } else {
+                        (fresh, node)
+                    }
+                };
+                let hash = branch_hash(&self.hash_of(left), &self.hash_of(right));
+                self.alloc(Node::Branch { left, right, hash })
+            }
+            Node::Branch { left, right, .. } => {
+                let (left, right) = if bit(&kh, depth) {
+                    (left, self.insert_at(right, kh, leaf, depth + 1))
+                } else {
+                    (self.insert_at(left, kh, leaf, depth + 1), right)
+                };
+                let hash = branch_hash(&self.hash_of(left), &self.hash_of(right));
+                self.nodes[node as usize] = Node::Branch { left, right, hash };
+                node
+            }
         }
     }
 
     /// Removes `key`, returning its value if present. Collapses now-unary
     /// branches to keep the structure (and root) canonical.
     pub fn remove(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        let kh = sha256(key);
-        let (node, old) = Self::remove_at(self.root.take(), &kh, 0);
-        self.root = node;
-        if old.is_some() {
-            self.len -= 1;
-        }
-        old
+        let old = self.entries.remove(key)?;
+        self.root = self.remove_at(self.root, &sha256(key), 0);
+        Some(old)
     }
 
-    fn remove_at(
-        node: Option<Box<Node>>,
-        kh: &Hash256,
-        depth: usize,
-    ) -> (Option<Box<Node>>, Option<Vec<u8>>) {
-        match node {
-            None => (None, None),
-            Some(mut boxed) => match &mut *boxed {
-                Node::Leaf { key_hash, .. } => {
-                    if key_hash == kh {
-                        if let Node::Leaf { value, .. } = *boxed {
-                            (None, Some(value))
-                        } else {
-                            unreachable!("matched leaf above")
-                        }
-                    } else {
-                        (Some(boxed), None)
-                    }
+    /// Removes the leaf of a key the index held, so the walk ends on it.
+    fn remove_at(&mut self, node: u32, kh: &Hash256, depth: usize) -> u32 {
+        match self.nodes[node as usize] {
+            Node::Leaf { key_hash, .. } => {
+                debug_assert_eq!(key_hash, *kh, "index and trie hold the same keys");
+                self.release(node);
+                NIL
+            }
+            Node::Branch { left, right, .. } => {
+                let (left, right) = if bit(kh, depth) {
+                    (left, self.remove_at(right, kh, depth + 1))
+                } else {
+                    (self.remove_at(left, kh, depth + 1), right)
+                };
+                if let Some(leaf) = self.collapsed(left, right) {
+                    self.release(node);
+                    return leaf;
                 }
-                Node::Branch { left, right, .. } => {
-                    let go_right = bit(kh, depth);
-                    let slot = if go_right { &mut *right } else { &mut *left };
-                    let (child, old) = Self::remove_at(slot.take(), kh, depth + 1);
-                    *slot = child;
-                    if old.is_none() {
-                        return (Some(boxed), None);
-                    }
-                    // Canonicalize: a branch left with a single *leaf* child
-                    // collapses to that leaf (the leaf rises to the
-                    // shallowest depth where its path is unique). A single
-                    // *branch* child stays put — its subtree's leaves still
-                    // diverge at their original depths, so the unary chain
-                    // above them is part of the canonical shape.
-                    let lone_leaf = match (&left, &right) {
-                        (Some(l), None) if matches!(&**l, Node::Leaf { .. }) => left.take(),
-                        (None, Some(r)) if matches!(&**r, Node::Leaf { .. }) => right.take(),
-                        _ => None,
-                    };
-                    if let Some(leaf) = lone_leaf {
-                        return (Some(leaf), old);
-                    }
-                    boxed.rehash();
-                    (Some(boxed), old)
-                }
-            },
+                let hash = branch_hash(&self.hash_of(left), &self.hash_of(right));
+                self.nodes[node as usize] = Node::Branch { left, right, hash };
+                node
+            }
         }
     }
 
     /// Applies a whole batch of writes (`Some` = insert/replace, `None` =
-    /// remove) in one trie pass. Key hashes are multi-lane batched, entries
-    /// are sorted by routing path, and every touched branch rehashes exactly
-    /// once — against once per write on the serial path, which rehashes the
-    /// full root path each time. Later writes to the same key override
-    /// earlier ones, exactly as serial application would. Because the trie
-    /// is content-addressed, the resulting root is bit-identical to
-    /// replaying the batch through [`MerkleMap::insert`] /
-    /// [`MerkleMap::remove`] in order.
+    /// remove) in two phases. The structural pass inserts, replaces, removes,
+    /// splits and collapses without hashing a node, noting each branch it
+    /// leaves stale with its depth; then the stale branches are hashed
+    /// deepest level first, a level at a time through the multi-lane hasher —
+    /// as are the key hashes, the value digests and the leaf digests before
+    /// the pass. Every touched node is hashed exactly once per batch, against
+    /// once per write on the serial path, which rehashes the full root path
+    /// each time. Later writes to the same key override earlier ones, exactly
+    /// as serial application would. Because the trie is content-addressed,
+    /// the resulting root is bit-identical to replaying the batch through
+    /// [`MerkleMap::insert`] / [`MerkleMap::remove`] in order.
     pub fn write_batch(&mut self, entries: Vec<(Vec<u8>, Option<Vec<u8>>)>) {
-        if entries.is_empty() {
-            return;
-        }
-        let key_refs: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
-        let hashes = MultiHasher::wide().hash_many(&key_refs);
-        let mut items: Vec<BatchEntry> = entries
+        let dirty = self.restructure(entries);
+        self.rehash(dirty);
+    }
+
+    /// The first phase of [`MerkleMap::write_batch`]: updates the index,
+    /// places the new leaves (their digests computed here, batched) and
+    /// returns the branches left with a stale digest.
+    fn restructure(&mut self, entries: Vec<(Vec<u8>, Option<Vec<u8>>)>) -> Vec<Dirty> {
+        let hasher = MultiHasher::wide();
+        let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
+        let key_hashes = hasher.hash_many(&keys);
+        let mut items: Vec<(Hash256, Vec<u8>, Option<Vec<u8>>)> = entries
             .into_iter()
-            .zip(hashes)
-            .map(|((key, value), kh)| BatchEntry { kh, key, value })
+            .zip(key_hashes)
+            .map(|((key, value), kh)| (kh, key, value))
             .collect();
         // Byte order of the key hash IS the routing path order (MSB-first
         // bits), so one sort gives every recursion level its partition.
-        // The sort is stable: later writes to the same key stay later.
-        items.sort_by(|a, b| a.kh.as_ref().cmp(b.kh.as_ref()));
-        let mut deduped: Vec<Option<BatchEntry>> = Vec::with_capacity(items.len());
-        for e in items {
-            match deduped.last_mut() {
-                Some(last) if last.as_ref().is_some_and(|p| p.kh == e.kh) => {
-                    *last = Some(e); // last write wins
-                }
-                _ => deduped.push(Some(e)),
+        // The sort is stable: later writes to the same key stay later, and
+        // the last of each run survives.
+        items.sort_by_key(|e| e.0);
+        items.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                std::mem::swap(later, earlier);
             }
-        }
-        let (node, delta) = Self::write_batch_at(self.root.take(), &mut deduped, 0);
-        self.root = node;
-        self.len = self.len.checked_add_signed(delta).expect("len underflow");
-    }
+            same
+        });
 
-    fn write_batch_at(
-        node: Option<Box<Node>>,
-        items: &mut [Option<BatchEntry>],
-        depth: usize,
-    ) -> (Option<Box<Node>>, isize) {
-        if items.is_empty() {
-            return (node, 0);
-        }
-        match node {
-            None => Self::build_from_items(items, depth),
-            Some(mut boxed) => match &mut *boxed {
-                Node::Leaf {
-                    key_hash,
-                    value,
-                    hash,
-                    ..
-                } => {
-                    let single = items.len() == 1
-                        && items[0].as_ref().expect("unconsumed entry").kh == *key_hash;
-                    if single {
-                        // Only this key is written: update or delete in
-                        // place, no structural change elsewhere.
-                        let e = items[0].take().expect("unconsumed entry");
-                        return match e.value {
-                            Some(v) => {
-                                *value = v;
-                                *hash = leaf_hash(key_hash, value);
-                                (Some(boxed), 0)
-                            }
-                            None => (None, -1),
-                        };
-                    }
-                    // Fold the existing leaf into the (sorted) item set and
-                    // rebuild this subtree in one pass.
-                    let leaf = match *boxed {
-                        Node::Leaf {
-                            key_hash,
-                            key,
-                            value,
-                            ..
-                        } => BatchEntry {
-                            kh: key_hash,
-                            key,
-                            value: Some(value),
-                        },
-                        Node::Branch { .. } => unreachable!("matched leaf above"),
-                    };
-                    let mut merged: Vec<Option<BatchEntry>> = Vec::with_capacity(items.len() + 1);
-                    let mut leaf = Some(leaf);
-                    for e in items.iter_mut() {
-                        let entry = e.take().expect("unconsumed entry");
-                        if let Some(l) = &leaf {
-                            if entry.kh.as_ref() >= l.kh.as_ref() {
-                                let l = leaf.take().expect("checked above");
-                                // On an exact match the batch entry overrides
-                                // the old leaf, which is simply dropped.
-                                if entry.kh != l.kh {
-                                    merged.push(Some(l));
-                                }
-                            }
-                        }
-                        merged.push(Some(entry));
-                    }
-                    if let Some(l) = leaf {
-                        merged.push(Some(l));
-                    }
-                    let (subtree, added) = Self::build_from_items(&mut merged, depth);
-                    // Exactly one pre-existing leaf was consumed by this
-                    // rebuild (folded back in or overridden), so the live
-                    // count of the new subtree overstates the delta by one.
-                    (subtree, added - 1)
-                }
-                Node::Branch { left, right, .. } => {
-                    let split = items.partition_point(|e| {
-                        !bit(&e.as_ref().expect("unconsumed entry").kh, depth)
-                    });
-                    let (l_items, r_items) = items.split_at_mut(split);
-                    let (l, dl) = Self::write_batch_at(left.take(), l_items, depth + 1);
-                    let (r, dr) = Self::write_batch_at(right.take(), r_items, depth + 1);
-                    *left = l;
-                    *right = r;
-                    // Canonicalize exactly as `remove_at` does: a lone leaf
-                    // rises, an empty branch vanishes, a lone branch child
-                    // stays (its leaves still diverge deeper down).
-                    let lone_leaf = match (&left, &right) {
-                        (None, None) => return (None, dl + dr),
-                        (Some(l), None) if matches!(&**l, Node::Leaf { .. }) => left.take(),
-                        (None, Some(r)) if matches!(&**r, Node::Leaf { .. }) => right.take(),
-                        _ => None,
-                    };
-                    if let Some(leaf) = lone_leaf {
-                        return (Some(leaf), dl + dr);
-                    }
-                    boxed.rehash();
-                    (Some(boxed), dl + dr)
-                }
-            },
-        }
-    }
-
-    /// Builds a canonical subtree from sorted batch entries (removals of
-    /// absent keys are no-ops). Returns the subtree and the number of live
-    /// leaves created.
-    fn build_from_items(
-        items: &mut [Option<BatchEntry>],
-        depth: usize,
-    ) -> (Option<Box<Node>>, isize) {
-        let live = items
+        let (live, values): (Vec<Hash256>, Vec<&[u8]>) = items
             .iter()
-            .filter(|e| e.as_ref().is_some_and(|p| p.value.is_some()))
-            .count();
-        match live {
-            0 => {
-                for e in items.iter_mut() {
-                    e.take();
+            .filter_map(|(kh, _, value)| Some((*kh, value.as_deref()?)))
+            .unzip();
+        let value_hashes = hasher.hash_many(&values);
+        let pairs: Vec<Hash256> = live
+            .into_iter()
+            .zip(value_hashes)
+            .flat_map(|(kh, value_hash)| [kh, value_hash])
+            .collect();
+        let mut leaves = Vec::with_capacity(pairs.len() / 2);
+        hasher.hash_pairs_into(LEAF_PREFIX, &pairs, &mut leaves);
+
+        // A removal of a key the index does not hold changes nothing and is
+        // dropped here, so every write the trie sees changes a leaf and every
+        // branch on its path is really stale.
+        let mut leaves = leaves.into_iter();
+        let mut writes = Vec::with_capacity(items.len());
+        for (kh, key, value) in items {
+            let leaf = match value {
+                Some(value) => {
+                    self.entries.insert(key, value);
+                    Some(leaves.next().expect("one leaf digest per live write"))
                 }
-                (None, 0)
+                None if self.entries.remove(&key).is_some() => None,
+                None => continue,
+            };
+            writes.push(Write { kh, leaf });
+        }
+        let mut dirty = Vec::new();
+        self.root = self.write_at(self.root, &writes, 0, &mut dirty);
+        dirty
+    }
+
+    fn write_at(&mut self, node: u32, writes: &[Write], depth: u32, dirty: &mut Vec<Dirty>) -> u32 {
+        if writes.is_empty() {
+            return node;
+        }
+        if node == NIL {
+            return self.build(writes, depth, dirty);
+        }
+        match self.nodes[node as usize] {
+            Node::Leaf { key_hash, hash } => {
+                // Rebuild this subtree from the writes and the leaf that was
+                // here — unless the batch writes its key, which overrides it.
+                // The leaf keeps the digest it has.
+                self.release(node);
+                let at = writes.partition_point(|w| w.kh < key_hash);
+                if writes.get(at).is_some_and(|w| w.kh == key_hash) {
+                    return self.build(writes, depth, dirty);
+                }
+                let mut merged = Vec::with_capacity(writes.len() + 1);
+                merged.extend_from_slice(&writes[..at]);
+                merged.push(Write {
+                    kh: key_hash,
+                    leaf: Some(hash),
+                });
+                merged.extend_from_slice(&writes[at..]);
+                self.build(&merged, depth, dirty)
             }
-            1 => {
-                let e = items
-                    .iter_mut()
-                    .filter_map(|e| e.take())
-                    .find(|e| e.value.is_some())
-                    .expect("one live entry");
-                let value = e.value.expect("live entry has a value");
-                let hash = leaf_hash(&e.kh, &value);
-                (
-                    Some(Box::new(Node::Leaf {
-                        key_hash: e.kh,
-                        key: e.key,
-                        value,
-                        hash,
-                    })),
-                    1,
-                )
+            Node::Branch { left, right, hash } => {
+                let split = writes.partition_point(|w| !bit(&w.kh, depth as usize));
+                let left = self.write_at(left, &writes[..split], depth + 1, dirty);
+                let right = self.write_at(right, &writes[split..], depth + 1, dirty);
+                if let Some(replacement) = self.collapsed(left, right) {
+                    self.release(node);
+                    return replacement;
+                }
+                self.nodes[node as usize] = Node::Branch { left, right, hash };
+                dirty.push((depth, node));
+                node
             }
+        }
+    }
+
+    /// Builds a canonical subtree from sorted writes (removals place
+    /// nothing).
+    fn build(&mut self, writes: &[Write], depth: u32, dirty: &mut Vec<Dirty>) -> u32 {
+        let mut live = writes.iter().filter_map(|w| Some((w.kh, w.leaf?)));
+        match (live.next(), live.next()) {
+            (None, _) => NIL,
+            (Some((key_hash, hash)), None) => self.alloc(Node::Leaf { key_hash, hash }),
             _ => {
-                let split = items
-                    .partition_point(|e| !bit(&e.as_ref().expect("unconsumed entry").kh, depth));
-                let (l_items, r_items) = items.split_at_mut(split);
-                let (left, dl) = Self::build_from_items(l_items, depth + 1);
-                let (right, dr) = Self::build_from_items(r_items, depth + 1);
-                let mut branch = Node::Branch {
-                    left,
-                    right,
-                    hash: Hash256::ZERO,
-                };
-                branch.rehash();
-                (Some(Box::new(branch)), dl + dr)
+                let split = writes.partition_point(|w| !bit(&w.kh, depth as usize));
+                let left = self.build(&writes[..split], depth + 1, dirty);
+                let right = self.build(&writes[split..], depth + 1, dirty);
+                let hash = Hash256::ZERO;
+                let node = self.alloc(Node::Branch { left, right, hash });
+                dirty.push((depth, node));
+                node
+            }
+        }
+    }
+
+    /// The second phase of [`MerkleMap::write_batch`]: hashes the stale
+    /// branches, deepest level first so a level's children are final when it
+    /// is hashed, each level in one multi-lane call.
+    fn rehash(&mut self, mut dirty: Vec<Dirty>) {
+        let hasher = MultiHasher::wide();
+        dirty.sort_unstable_by_key(|&(depth, _)| std::cmp::Reverse(depth));
+        let (mut children, mut digests) = (Vec::new(), Vec::new());
+        for level in dirty.chunk_by(|a, b| a.0 == b.0) {
+            children.clear();
+            digests.clear();
+            for &(_, id) in level {
+                if let Node::Branch { left, right, .. } = self.nodes[id as usize] {
+                    children.push(self.hash_of(left));
+                    children.push(self.hash_of(right));
+                }
+            }
+            hasher.hash_pairs_into(BRANCH_PREFIX, &children, &mut digests);
+            for (&(_, id), digest) in level.iter().zip(&digests) {
+                if let Node::Branch { hash, .. } = &mut self.nodes[id as usize] {
+                    *hash = *digest;
+                }
             }
         }
     }
 
     /// Produces an inclusion proof for `key`, or `None` if absent.
     pub fn prove(&self, key: &[u8]) -> Option<MapProof> {
+        let value = self.entries.get(key)?;
         let kh = sha256(key);
-        let mut node = self.root.as_deref()?;
-        let mut depth = 0;
         let mut siblings = Vec::new();
-        loop {
-            match node {
-                Node::Leaf {
-                    key_hash, value, ..
-                } => {
-                    if *key_hash != kh {
-                        return None;
-                    }
-                    siblings.reverse(); // leaf-upward order for verification
-                    return Some(MapProof {
-                        key: key.to_vec(),
-                        value: value.clone(),
-                        siblings,
-                    });
-                }
-                Node::Branch { left, right, .. } => {
-                    let (child, sibling) = if bit(&kh, depth) {
-                        (right, Node::child_hash(left))
-                    } else {
-                        (left, Node::child_hash(right))
-                    };
-                    siblings.push(sibling);
-                    node = child.as_deref()?;
-                    depth += 1;
-                }
-            }
+        let mut node = self.root;
+        while let Node::Branch { left, right, .. } = self.nodes[node as usize] {
+            let (child, sibling) = if bit(&kh, siblings.len()) {
+                (right, left)
+            } else {
+                (left, right)
+            };
+            siblings.push(self.hash_of(sibling));
+            node = child;
         }
+        siblings.reverse(); // leaf-upward order for verification
+        Some(MapProof {
+            key: key.to_vec(),
+            value: value.clone(),
+            siblings,
+        })
     }
 
-    /// Iterates over all `(key, value)` pairs in unspecified order.
+    /// Iterates over all `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
-        let mut stack: Vec<&Node> = Vec::new();
-        if let Some(root) = self.root.as_deref() {
-            stack.push(root);
-        }
-        std::iter::from_fn(move || loop {
-            let node = stack.pop()?;
-            match node {
-                Node::Leaf { key, value, .. } => return Some((key.as_slice(), value.as_slice())),
-                Node::Branch { left, right, .. } => {
-                    if let Some(l) = left.as_deref() {
-                        stack.push(l);
-                    }
-                    if let Some(r) = right.as_deref() {
-                        stack.push(r);
-                    }
-                }
-            }
-        })
+        self.entries
+            .iter()
+            .map(|(k, v)| (k.as_slice(), v.as_slice()))
     }
 }
 
@@ -568,11 +492,15 @@ impl MapProof {
         self.encoded().len()
     }
 
-    /// Verifies the proof against a state root.
+    /// Verifies the proof against a state root. A proof with more siblings
+    /// than a key hash has bits describes no path in any trie and is `false`.
     pub fn verify(&self, root: &Hash256) -> bool {
+        let depth = self.siblings.len();
+        if depth > 8 * std::mem::size_of::<Hash256>() {
+            return false;
+        }
         let kh = sha256(&self.key);
         let mut acc = leaf_hash(&kh, &self.value);
-        let depth = self.siblings.len();
         for (i, sibling) in self.siblings.iter().enumerate() {
             // Sibling i sits at depth (depth - 1 - i); the key's bit at that
             // depth decides which side our accumulator is on.
@@ -692,11 +620,10 @@ mod tests {
     }
 
     #[test]
-    fn iter_visits_everything_once() {
+    fn iter_visits_everything_once_in_key_order() {
         let m: MerkleMap = (0..37).map(kv).collect();
-        let mut keys: Vec<Vec<u8>> = m.iter().map(|(k, _)| k.to_vec()).collect();
-        keys.sort();
-        keys.dedup();
+        let keys: Vec<Vec<u8>> = m.iter().map(|(k, _)| k.to_vec()).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
         assert_eq!(keys.len(), 37);
         assert_eq!(m.len(), 37);
     }
@@ -817,6 +744,143 @@ mod tests {
         let d = dcs_crypto::codec::decode_all::<MapProof>(&p.encoded()).unwrap();
         assert_eq!(d, p);
         assert!(d.verify(&m.root()));
+    }
+
+    #[test]
+    fn overlong_proof_is_false_not_a_panic() {
+        // A decoded proof may claim any number of siblings; a key hash has
+        // 256 bits, so nothing deeper can be a path.
+        let m: MerkleMap = (0..10).map(kv).collect();
+        let mut p = m.prove(&kv(4).0).unwrap();
+        p.siblings.resize(300, Hash256::ZERO);
+        let decoded = dcs_crypto::codec::decode_all::<MapProof>(&p.encoded()).unwrap();
+        assert!(!decoded.verify(&m.root()));
+        p.siblings.truncate(256);
+        assert!(!p.verify(&m.root()), "the deepest well-formed shape");
+    }
+
+    /// The roots the serial, one-node-at-a-time trie of the commit before the
+    /// batch rehash produced for these inputs.
+    #[test]
+    fn roots_are_the_ones_the_scalar_trie_produced() {
+        let mut m: MerkleMap = (0..1000).map(kv).collect();
+        assert_eq!(
+            m.root().to_string(),
+            "a317e3f37703cc8d4d2c18ab43b932f41fbe687b8964b32ee106a7b2254de03f"
+        );
+        m.write_batch(
+            (0..200u32)
+                .map(|i| {
+                    let key = kv(i * 37 % 1300).0;
+                    let value = (i % 5 != 0).then(|| format!("v2-{i}").into_bytes());
+                    (key, value)
+                })
+                .collect(),
+        );
+        assert_eq!(
+            m.root().to_string(),
+            "f978230c450e2e68c7b3514a459a3f4b3ff09a1a3b67c54aa6800dc71d4bf864"
+        );
+        assert_eq!(m.len(), 1000);
+        let mut rebuilt = MerkleMap::new();
+        rebuilt.write_batch(
+            m.iter()
+                .map(|(k, v)| (k.to_vec(), Some(v.to_vec())))
+                .collect(),
+        );
+        assert_eq!(rebuilt.root(), m.root(), "built in one batch");
+    }
+
+    /// The branches on the root paths of `key_hashes` in `m`, by arena id.
+    fn branches_on_paths(m: &MerkleMap, key_hashes: &[Hash256]) -> Vec<u32> {
+        let mut on_path = Vec::new();
+        for kh in key_hashes {
+            let (mut node, mut depth) = (m.root, 0);
+            while node != NIL {
+                let Node::Branch { left, right, .. } = m.nodes[node as usize] else {
+                    break;
+                };
+                on_path.push(node);
+                node = if bit(kh, depth) { right } else { left };
+                depth += 1;
+            }
+        }
+        on_path.sort_unstable();
+        on_path.dedup();
+        on_path
+    }
+
+    #[test]
+    fn a_batch_hashes_each_touched_branch_once_and_no_other() {
+        // Inserts, replacements, removals of present and of absent keys, a
+        // key written twice: the branches handed to the level hasher are
+        // exactly the ones on a changed key's path in the new trie, each
+        // once — one digest per stale node, none for a removal that removed
+        // nothing.
+        let mut m: MerkleMap = (0..500).map(kv).collect();
+        let batch: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..120u32)
+            .map(|i| match i % 4 {
+                0 => (kv(i).0, None),
+                1 => (kv(i).0, Some(b"replaced".to_vec())),
+                2 => (kv(1000 + i / 8).0, Some(format!("new-{i}").into_bytes())),
+                _ => (kv(5000 + i).0, None), // never present
+            })
+            .collect();
+        let changed: Vec<Hash256> = batch
+            .iter()
+            .filter(|(k, v)| v.is_some() || m.get(k).is_some())
+            .map(|(k, _)| sha256(k))
+            .collect();
+        let mut serial = m.clone();
+        for (k, v) in batch.clone() {
+            match v {
+                Some(v) => serial.insert(k, v),
+                None => serial.remove(&k),
+            };
+        }
+
+        let dirty = m.restructure(batch);
+        let mut ids: Vec<u32> = dirty.iter().map(|&(_, id)| id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, branches_on_paths(&m, &changed));
+        m.rehash(dirty);
+        assert_eq!(m.root(), serial.root());
+        let live = |m: &MerkleMap| m.nodes.len() - m.free.len();
+        assert_eq!(live(&m), live(&serial), "same shape, same node count");
+    }
+
+    #[test]
+    fn node_layout_is_pinned() {
+        // A leaf is two digests, a branch two arena ids and one: no key, no
+        // value, no pointer. (112 bytes plus a `Box` each, and the key and
+        // value inside every leaf, before the arena.)
+        assert_eq!(std::mem::size_of::<Node>(), 68);
+    }
+
+    #[test]
+    fn arena_slots_are_reused_under_churn() {
+        let mut m: MerkleMap = (0..200).map(kv).collect();
+        let slots = m.nodes.len();
+        for round in 0..20u32 {
+            m.write_batch((0..100).map(|i| (kv(i).0, None)).collect());
+            assert!(m.free.len() >= 100, "round {round}");
+            m.write_batch(
+                (0..100)
+                    .map(|i| {
+                        let (k, v) = kv(i);
+                        (k, Some(v))
+                    })
+                    .collect(),
+            );
+            for i in 100..150 {
+                let (k, v) = kv(i);
+                m.remove(&k);
+                m.insert(k, v);
+            }
+        }
+        assert_eq!(m.nodes.len(), slots, "the arena did not grow");
+        let fresh: MerkleMap = (0..200).map(kv).collect();
+        assert_eq!(m.root(), fresh.root());
     }
 
     #[test]

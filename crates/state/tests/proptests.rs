@@ -3,11 +3,12 @@
 //! regardless of history), UTXO value conservation, and journal rollback
 //! exactness.
 
-use dcs_crypto::{Address, Hash256};
+use dcs_crypto::codec::{decode_all, Encode};
+use dcs_crypto::{sha256, Address, Hash256};
 use dcs_primitives::{Block, BlockHeader, Seal, Transaction, TxIn, TxOut, UtxoTx};
-use dcs_state::{AccountDb, MerkleMap, UtxoSet};
+use dcs_state::{AccountDb, MapProof, MerkleMap, UtxoSet};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 #[derive(Debug, Clone)]
 enum MapOp {
@@ -22,7 +23,234 @@ fn map_op() -> impl Strategy<Value = MapOp> {
     ]
 }
 
+// --- The trie against its definition ------------------------------------
+
+/// The root of a map from the definition, sharing no code with the trie:
+/// over the entries' `(sha256(key), leaf digest)` pairs sorted by key hash,
+/// nothing is the zero digest, one entry is its leaf digest
+/// `sha256(0x10 ‖ key_hash ‖ sha256(value))`, and two or more are
+/// `sha256(0x11 ‖ left ‖ right)` of the entries whose key hash has bit
+/// `depth` clear and set.
+fn root_from_definition(leaves: &[(Hash256, Hash256)], depth: usize) -> Hash256 {
+    match leaves {
+        [] => Hash256::ZERO,
+        [(_, leaf)] => *leaf,
+        _ => {
+            let set =
+                |(kh, _): &(Hash256, Hash256)| kh.as_bytes()[depth / 8] << (depth % 8) & 0x80 != 0;
+            let (left, right) = leaves.split_at(leaves.partition_point(|l| !set(l)));
+            let mut msg = vec![0x11];
+            msg.extend_from_slice(root_from_definition(left, depth + 1).as_ref());
+            msg.extend_from_slice(root_from_definition(right, depth + 1).as_ref());
+            sha256(&msg)
+        }
+    }
+}
+
+fn model_root(model: &BTreeMap<Vec<u8>, Vec<u8>>) -> Hash256 {
+    let mut leaves: Vec<(Hash256, Hash256)> = model
+        .iter()
+        .map(|(key, value)| {
+            let kh = sha256(key);
+            let mut msg = vec![0x10];
+            msg.extend_from_slice(kh.as_ref());
+            msg.extend_from_slice(sha256(value).as_ref());
+            (kh, sha256(&msg))
+        })
+        .collect();
+    leaves.sort();
+    root_from_definition(&leaves, 0)
+}
+
+/// Keys `0..UNIVERSE` are the only ones a history uses, so batches hit
+/// present and absent keys alike.
+const UNIVERSE: u64 = 2_600;
+
+fn trie_key(i: u64) -> Vec<u8> {
+    format!("k{}", i % UNIVERSE).into_bytes()
+}
+
+/// SplitMix64: the steps derive their keys and values from a seed so the
+/// failing-case dump stays a few numbers, not thousands of entries.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// One step of a trie history, applied to `map` and to `model`.
+fn trie_step(
+    map: &mut MerkleMap,
+    model: &mut BTreeMap<Vec<u8>, Vec<u8>>,
+    (kind, n, mut seed): (u8, usize, u64),
+) {
+    let rng = &mut seed;
+    let value = |rng: &mut u64| next(rng).to_le_bytes()[..1 + (next(rng) % 8) as usize].to_vec();
+    match kind {
+        // Serial inserts and removes: the scalar path and the free list.
+        0 => {
+            for _ in 0..1 + n % 8 {
+                let (k, v) = (trie_key(next(rng)), value(rng));
+                assert_eq!(map.insert(k.clone(), v.clone()), model.insert(k, v));
+            }
+        }
+        1 => {
+            for _ in 0..1 + n % 8 {
+                let k = trie_key(next(rng));
+                assert_eq!(map.remove(&k), model.remove(&k));
+            }
+        }
+        // A batch that removes a run of neighbouring present keys (collapsing
+        // branch chains), or — one time in four — every key and then some.
+        2 => {
+            let all = next(rng).is_multiple_of(4);
+            let skip = next(rng) as usize % (model.len() + 1);
+            let mut batch: Vec<(Vec<u8>, Option<Vec<u8>>)> = model
+                .keys()
+                .skip(if all { 0 } else { skip })
+                .take(if all { usize::MAX } else { n })
+                .map(|k| (k.clone(), None))
+                .collect();
+            batch.push((trie_key(next(rng)), None));
+            for (k, _) in &batch {
+                model.remove(k);
+            }
+            map.write_batch(batch);
+        }
+        // A mixed batch of `n` writes: inserts, replacements, removals of
+        // present and absent keys, and one key written more than once.
+        _ => {
+            let mut batch: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..n)
+                .map(|_| {
+                    let k = trie_key(next(rng));
+                    (k, (!next(rng).is_multiple_of(3)).then(|| value(rng)))
+                })
+                .collect();
+            let again = batch[next(rng) as usize % n].0.clone();
+            batch.push((again, next(rng).is_multiple_of(2).then(|| value(rng))));
+            for (k, v) in &batch {
+                match v {
+                    Some(v) => model.insert(k.clone(), v.clone()),
+                    None => model.remove(k),
+                };
+            }
+            map.write_batch(batch);
+        }
+    }
+}
+
+fn check_against_model(
+    map: &MerkleMap,
+    model: &BTreeMap<Vec<u8>, Vec<u8>>,
+) -> Result<(), TestCaseError> {
+    let root = map.root();
+    prop_assert_eq!(root, model_root(model));
+    prop_assert_eq!(map.len(), model.len());
+    prop_assert_eq!(map.is_empty(), model.is_empty());
+    prop_assert!(map
+        .iter()
+        .eq(model.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))));
+    for i in 0..UNIVERSE {
+        let key = trie_key(i);
+        let expected = model.get(&key);
+        prop_assert_eq!(map.get(&key), expected.map(Vec::as_slice));
+        match (map.prove(&key), expected) {
+            (None, None) => {}
+            (Some(proof), Some(value)) => {
+                prop_assert_eq!(proof.value(), value.as_slice());
+                prop_assert!(proof.verify(&root), "proof of key {}", i);
+            }
+            (proof, _) => prop_assert!(false, "key {}: proof {:?}", i, proof.is_some()),
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random histories mixing `insert`, `remove` and `write_batch` on maps
+    /// of 0–2 000 entries with batches of 1–300 writes — so trie levels of
+    /// one, a few, eight and many stale branches all occur — checked after
+    /// every step against a model map and the root from the definition:
+    /// root, `len`, `get` and `prove` of every key of the universe, `iter`
+    /// in key order.
+    #[test]
+    fn merkle_map_matches_its_definition_after_every_step(
+        base in 0usize..2_001,
+        seed in any::<u64>(),
+        steps in proptest::collection::vec((0u8..6, 1usize..301, any::<u64>()), 1..6),
+    ) {
+        let mut rng = seed;
+        let mut model = BTreeMap::new();
+        while model.len() < base {
+            model.insert(trie_key(next(&mut rng)), next(&mut rng).to_le_bytes().to_vec());
+        }
+        let mut map = MerkleMap::new();
+        map.write_batch(model.iter().map(|(k, v)| (k.clone(), Some(v.clone()))).collect());
+        check_against_model(&map, &model)?;
+        for step in steps {
+            trie_step(&mut map, &mut model, step);
+            check_against_model(&map, &model)?;
+        }
+    }
+}
+
+proptest! {
+    /// Hostile bytes: decoding a `MapProof` from arbitrary input and
+    /// verifying what came out never panics, and what decodes re-encodes to
+    /// the bytes it came from. The input is a plausible header (short key
+    /// and value, a sibling count up to 320) over a random tail, then the
+    /// same with one byte overwritten and the end cut off, so the decoder
+    /// sees well-formed proofs — some deeper than a key hash has bits —
+    /// as well as garbage.
+    #[test]
+    fn map_proof_decode_and_verify_never_panic(
+        key in proptest::collection::vec(any::<u8>(), 0..6),
+        value in proptest::collection::vec(any::<u8>(), 0..6),
+        claimed in 0u32..320,
+        tail in proptest::collection::vec(any::<u8>(), 0..10_240),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        cut in any::<usize>(),
+        root in any::<[u8; 32]>(),
+    ) {
+        let mut shaped = key.encoded();
+        value.encode(&mut shaped);
+        claimed.encode(&mut shaped);
+        shaped.extend_from_slice(&tail);
+        let mut mangled = shaped.clone();
+        let at = at % mangled.len();
+        mangled[at] = byte;
+        mangled.truncate(1 + cut % mangled.len());
+        for bytes in [shaped, mangled, tail] {
+            let Ok(proof) = decode_all::<MapProof>(&bytes) else { continue };
+            prop_assert_eq!(proof.encoded(), bytes);
+            let siblings = (proof.encoded_len() - 12 - proof.key().len() - proof.value().len()) / 32;
+            let verdict = proof.verify(&Hash256::from_bytes(root));
+            prop_assert!(siblings <= 256 || !verdict);
+        }
+    }
+
+    /// encode∘decode is the identity on the proofs a map hands out.
+    #[test]
+    fn map_proof_codec_round_trips(
+        entries in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..80),
+    ) {
+        let map: MerkleMap = entries
+            .iter()
+            .map(|(k, v)| (k.to_le_bytes().to_vec(), vec![*v]))
+            .collect();
+        for (k, _) in &entries {
+            let proof = map.prove(&k.to_le_bytes()).expect("present key");
+            let decoded = decode_all::<MapProof>(&proof.encoded()).unwrap();
+            prop_assert_eq!(&decoded, &proof);
+            prop_assert!(decoded.verify(&map.root()));
+        }
+    }
+
     #[test]
     fn merkle_map_matches_hashmap_model(ops in proptest::collection::vec(map_op(), 0..200)) {
         let mut map = MerkleMap::new();
@@ -218,6 +446,74 @@ proptest! {
             let addr = Address::from_index(i);
             prop_assert_eq!(batched.balance(&addr), serial.balance(&addr));
             prop_assert_eq!(batched.nonce(&addr), serial.nonce(&addr));
+        }
+    }
+
+    /// Reverting a suffix of applied blocks (`apply_undo`, one trie batch per
+    /// block, newest journal entry first so the oldest recorded value wins)
+    /// lands on the state of a fresh database that applied only the prefix:
+    /// same root, same entry count, same balance, nonce, storage and code
+    /// everywhere. Blocks write one key many times, create and delete
+    /// entries, and hold failed transactions rolled back mid-batch.
+    #[test]
+    fn reverting_a_suffix_equals_applying_the_prefix(
+        blocks in proptest::collection::vec(
+            proptest::collection::vec((0u64..6, 0u64..6, 1u64..400, 0u8..8, any::<bool>()), 1..14),
+            1..7,
+        ),
+        keep in 0usize..7,
+    ) {
+        let contract = Address::from_index(7);
+        let apply = |db: &mut AccountDb, block: &[(u64, u64, u64, u8, bool)]| {
+            let snapshot = db.snapshot();
+            db.begin_batch();
+            for (from, to, amount, slot, fails) in block {
+                let (from, to) = (Address::from_index(*from), Address::from_index(*to));
+                let tx = db.snapshot();
+                db.bump_nonce(&from);
+                // An overdraw fails on its own; `fails` reverts one that did not.
+                let paid = db.transfer(&from, &to, *amount).is_ok();
+                let key = sha256(&[*slot]);
+                let stored = db.storage(&contract, &key).is_some();
+                db.set_storage(&contract, &key, (!stored).then(|| amount.to_le_bytes().to_vec()));
+                if *slot == 0 {
+                    db.set_code(&to, vec![*amount as u8; 3]);
+                }
+                if *fails || !paid {
+                    db.rollback(tx);
+                }
+            }
+            db.commit_batch();
+            db.take_undo(snapshot)
+        };
+        let fresh = || {
+            let mut db = AccountDb::new();
+            for i in 0..6u64 {
+                db.credit(&Address::from_index(i), 500);
+            }
+            db.clear_journal();
+            db
+        };
+
+        let keep = keep.min(blocks.len());
+        let mut reverted = fresh();
+        let undos: Vec<_> = blocks.iter().map(|b| apply(&mut reverted, b)).collect();
+        for undo in undos.into_iter().skip(keep).rev() {
+            reverted.apply_undo(undo);
+        }
+        let mut prefix = fresh();
+        for block in &blocks[..keep] {
+            apply(&mut prefix, block);
+        }
+
+        prop_assert_eq!(reverted.root(), prefix.root());
+        prop_assert_eq!(reverted.entry_count(), prefix.entry_count());
+        for i in 0..8u64 {
+            let addr = Address::from_index(i);
+            prop_assert_eq!(reverted.account(&addr), prefix.account(&addr));
+            prop_assert_eq!(reverted.code(&addr), prefix.code(&addr));
+            let key = sha256(&[i as u8]);
+            prop_assert_eq!(reverted.storage(&contract, &key), prefix.storage(&contract, &key));
         }
     }
 

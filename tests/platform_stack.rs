@@ -499,6 +499,94 @@ fn invalid_child_of_the_tip_leaves_head_inclusion_and_mempool_alone() {
     assert!(node.mempool.is_empty());
 }
 
+/// A reorg is revert-then-apply on the authenticated state: an
+/// `AccountMachine` that imported a fork, then a longer branch, must end on
+/// the state root (and balances) of a fresh machine that only ever saw the
+/// winning branch. Both halves are trie batches — `apply_undo` pops the
+/// losing blocks, `apply_block` replays the winners — and the losing branch
+/// touched accounts, created one and emptied one that the winner never does.
+#[test]
+fn reorg_onto_a_longer_branch_lands_on_the_winning_branchs_state_root() {
+    use dcs_chain::{Chain, ChainEvent};
+    use dcs_primitives::{Block, BlockHeader, Seal};
+
+    let cfg = ChainConfig::bitcoin_like();
+    let genesis = dcs_chain::genesis_block(&cfg);
+    let user = Address::from_index;
+    let alloc: Vec<(Address, u64)> = (1..=40).map(|i| (user(i), 1_000_000)).collect();
+    let machine = || {
+        let mut m = AccountMachine::with_alloc(&alloc);
+        m.schedule = GasSchedule::free();
+        m
+    };
+    let free = |from: u64, to: u64, value: u64, nonce: u64| {
+        let mut tx = AccountTx::transfer(user(from), user(to), value, nonce);
+        tx.gas_limit = 0;
+        tx.gas_price = 0;
+        Transaction::Account(tx)
+    };
+    let on = |parent: &Block, salt: u64, txs: Vec<Transaction>| {
+        let height = parent.header.height + 1;
+        Block::new(
+            BlockHeader::new(parent.hash(), height, salt, Address::ZERO, Seal::None),
+            txs,
+        )
+    };
+
+    // The losing branch: every account pays its neighbour, account 3 is
+    // emptied (its record leaves the trie), account 100 is created.
+    let mut losing_txs: Vec<Transaction> = (1..=40).map(|i| free(i, i % 40 + 1, i, 0)).collect();
+    losing_txs.push(free(3, 100, 1_000_000 - 3 + 2, 1));
+    let a1 = on(&genesis, 1, losing_txs);
+    let a2 = on(
+        &a1,
+        2,
+        (1..=20).map(|i| free(i * 2, 200 + i, 7, 1)).collect(),
+    );
+    // The winning branch, one block longer, touching a different mix.
+    let b1 = on(
+        &genesis,
+        10,
+        (1..=30).map(|i| free(i, 41 - i, 100 + i, 0)).collect(),
+    );
+    let b2 = on(&b1, 11, (5..=15).map(|i| free(i, 300 + i, 9, 1)).collect());
+    let b3 = on(&b2, 12, vec![free(40, 1, 1_000, 0), free(40, 2, 1_000, 1)]);
+
+    let mut forked = Chain::new(genesis.clone(), cfg.clone(), machine());
+    for block in [&a1, &a2] {
+        forked.import(block.clone()).expect("valid block");
+    }
+    let on_losing_branch = forked.machine().state_root();
+    assert_eq!(forked.machine().db.balance(&user(3)), 0);
+    forked.import(b1.clone()).expect("stored as a side chain");
+    forked
+        .import(b2.clone())
+        .expect("ties: the first seen stays");
+    assert_eq!(forked.machine().state_root(), on_losing_branch);
+    let event = forked.import(b3.clone()).expect("valid block");
+    assert!(matches!(event, ChainEvent::Reorg { .. }), "{event:?}");
+    assert_eq!(forked.tip_hash(), b3.hash());
+    assert_eq!(forked.stats().reorgs, 1);
+
+    let mut straight = Chain::new(genesis, cfg, machine());
+    for block in [&b1, &b2, &b3] {
+        straight.import(block.clone()).expect("valid block");
+    }
+    assert_eq!(
+        forked.machine().state_root(),
+        straight.machine().state_root()
+    );
+    assert_ne!(forked.machine().state_root(), on_losing_branch);
+    for i in (1..=40).chain([100, 205, 310]) {
+        let (a, b) = (&forked.machine().db, &straight.machine().db);
+        assert_eq!(a.account(&user(i)), b.account(&user(i)), "account {i}");
+    }
+    assert_eq!(
+        forked.machine().db.entry_count(),
+        straight.machine().db.entry_count()
+    );
+}
+
 /// Catch-up sync is a door like gossip: a recovering PoS peer handed a
 /// page whose block is sealed by a validator that did not win the slot must
 /// refuse it before import — the chain itself cannot judge a stake seal.
