@@ -9,7 +9,7 @@
 use crate::forkchoice::best_tip_with;
 use crate::store::{BlockStore, BlockTree};
 use crate::ChainError;
-use dcs_crypto::{merkle_root_with, Hash256, VerifyPipeline};
+use dcs_crypto::{Hash256, VerifyPipeline};
 use dcs_primitives::{Block, ChainConfig, Receipt, Transaction};
 use dcs_trace::{Id as TraceId, ImportOutcome, TraceEvent, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
@@ -499,13 +499,14 @@ impl<M: StateMachine> Chain<M> {
 
     /// Parallel replacement for the tree's serial transaction-root check,
     /// active when a pipeline is attached: the block's (cached, multi-lane
-    /// batch-hashed) ids feed Merkle levels that hash in parallel.
+    /// batch-hashed) ids feed Merkle levels that hash in parallel — once per
+    /// block instance, the root being memoised beside the ids.
     /// Bit-identical decision to `Block::verify_tx_root`.
     fn check_body(&self, block: &Block) -> Result<(), ChainError> {
         let Some(pipeline) = &self.pipeline else {
             return Ok(()); // BlockTree::insert performs the serial check
         };
-        if merkle_root_with(block.tx_ids(), pipeline.pool()) != block.header.tx_root {
+        if block.body_root_with(pipeline.pool()) != block.header.tx_root {
             return Err(ChainError::BadTxRoot);
         }
         Ok(())

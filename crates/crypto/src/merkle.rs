@@ -12,7 +12,7 @@
 use crate::batch::VerifyPool;
 use crate::codec::{Decode, DecodeError, Encode, Reader};
 use crate::hash::Hash256;
-use crate::sha256::{MultiHasher, Sha256};
+use crate::sha256::{sha256_pair, MultiHasher};
 use serde::{Deserialize, Serialize};
 
 const NODE_PREFIX: u8 = 0x01;
@@ -23,11 +23,7 @@ const PARALLEL_PAIR_THRESHOLD: usize = 128;
 
 /// Hashes two child digests into their parent node.
 pub fn merkle_node(left: &Hash256, right: &Hash256) -> Hash256 {
-    let mut ctx = Sha256::new();
-    ctx.update(&[NODE_PREFIX]);
-    ctx.update(left.as_ref());
-    ctx.update(right.as_ref());
-    ctx.finalize()
+    sha256_pair(NODE_PREFIX, left, right)
 }
 
 /// Pads an odd level by duplicating its last node (Bitcoin style).
@@ -182,7 +178,8 @@ impl MerkleProof {
     /// Size of the proof in bytes when encoded (used by experiment E10 to
     /// compare SPV download cost against full blocks).
     pub fn encoded_len(&self) -> usize {
-        self.encoded().len()
+        // index (u64) + sibling count (u32) + the siblings.
+        8 + 4 + 32 * self.siblings.len()
     }
 
     /// Checks that `leaf` hashes up to `root` along this proof's path.
@@ -198,6 +195,46 @@ impl MerkleProof {
             i /= 2;
         }
         acc == *root
+    }
+
+    /// [`MerkleProof::verify`] for many `(proof, leaf, root)` claims at once:
+    /// `out[i]` is exactly `claims[i].0.verify(&leaf, &root)`, forged,
+    /// truncated and over-long proofs included. The claims climb together —
+    /// at each depth every proof that still has a sibling puts its ordered
+    /// pair into one multi-lane level hash — so proofs of different depths
+    /// simply drop out when they end.
+    pub fn verify_many(claims: &[(&MerkleProof, Hash256, Hash256)]) -> Vec<bool> {
+        let mut acc: Vec<Hash256> = claims.iter().map(|(_, leaf, _)| *leaf).collect();
+        let mut index: Vec<u64> = claims.iter().map(|(proof, ..)| proof.index).collect();
+        let mut climbing: Vec<usize> = (0..claims.len()).collect();
+        let (mut level, mut parents) = (Vec::new(), Vec::new());
+        let hasher = MultiHasher::wide();
+        for depth in 0.. {
+            climbing.retain(|&c| depth < claims[c].0.siblings.len());
+            if climbing.is_empty() {
+                break;
+            }
+            level.clear();
+            for &c in &climbing {
+                let sibling = claims[c].0.siblings[depth];
+                if index[c].is_multiple_of(2) {
+                    level.extend([acc[c], sibling]);
+                } else {
+                    level.extend([sibling, acc[c]]);
+                }
+                index[c] /= 2;
+            }
+            parents.clear();
+            hasher.hash_pairs_into(NODE_PREFIX, &level, &mut parents);
+            for (&c, parent) in climbing.iter().zip(&parents) {
+                acc[c] = *parent;
+            }
+        }
+        claims
+            .iter()
+            .zip(acc)
+            .map(|((.., root), acc)| acc == *root)
+            .collect()
     }
 }
 
@@ -322,6 +359,51 @@ mod tests {
                     assert!(p.verify(&l[i], &serial.root()), "n={n} t={threads} i={i}");
                 }
             }
+        }
+    }
+
+    /// `verify_many` against the single-proof oracle on a mix of valid and
+    /// forged claims over trees of different depths.
+    #[test]
+    fn verify_many_matches_verify_around_the_lane_width() {
+        let trees: Vec<(Vec<Hash256>, MerkleTree)> = [1usize, 2, 5, 8, 33]
+            .iter()
+            .map(|&n| (leaves(n), MerkleTree::from_leaves(leaves(n))))
+            .collect();
+        for n in [0usize, 1, 7, 8, 9] {
+            let proofs: Vec<(MerkleProof, Hash256, Hash256)> = (0..n)
+                .map(|c| {
+                    let (l, t) = &trees[c % trees.len()];
+                    let i = (c * 3) % l.len();
+                    let mut proof = t.prove(i).expect("index in range");
+                    // Every third claim is forged a different way.
+                    match c % 6 {
+                        2 if !proof.siblings.is_empty() => {
+                            proof.siblings.pop();
+                        }
+                        5 => proof.siblings.push(sha256(b"extra")),
+                        _ => {}
+                    }
+                    (proof, l[i], t.root())
+                })
+                .collect();
+            let claims: Vec<_> = proofs.iter().map(|(p, l, r)| (p, *l, *r)).collect();
+            let serial: Vec<bool> = proofs.iter().map(|(p, l, r)| p.verify(l, r)).collect();
+            assert_eq!(MerkleProof::verify_many(&claims), serial, "n={n}");
+            if n >= 7 {
+                assert!(serial.contains(&true) && serial.contains(&false), "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn encoded_len_is_the_encoders() {
+        for depth in 0..=20usize {
+            let proof = MerkleProof {
+                index: depth as u64,
+                siblings: leaves(depth),
+            };
+            assert_eq!(proof.encoded_len(), proof.encoded().len(), "depth {depth}");
         }
     }
 

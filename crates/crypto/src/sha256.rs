@@ -90,13 +90,17 @@ impl Sha256 {
     /// Consumes the context and returns the 32-byte digest.
     pub fn finalize(mut self) -> Hash256 {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0x00]);
+        // Padding, written into the buffered block: 0x80, zeros, then the
+        // 64-bit big-endian length — in one more block when fewer than eight
+        // bytes remain after the terminator. `update` keeps `buf_len < 64`.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; 64];
         }
-        // Manual write of the length to avoid it counting toward total_len.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
         let mut out = [0u8; 32];
@@ -175,6 +179,15 @@ pub fn sha256_concat(a: &[u8], b: &[u8]) -> Hash256 {
     let mut ctx = Sha256::new();
     ctx.update(a);
     ctx.update(b);
+    ctx.finalize()
+}
+
+/// `sha256(prefix ‖ left ‖ right)`: one Merkle-style node on the scalar path.
+pub(crate) fn sha256_pair(prefix: u8, left: &Hash256, right: &Hash256) -> Hash256 {
+    let mut ctx = Sha256::new();
+    ctx.update(&[prefix]);
+    ctx.update(left.as_ref());
+    ctx.update(right.as_ref());
     ctx.finalize()
 }
 
@@ -290,6 +303,15 @@ fn fill_block(msg: &[u8], block: usize, buf: &mut [u8; 64]) {
 /// full one breaks even.
 const WIDE_FROM: usize = if cfg!(target_feature = "avx2") { 2 } else { 8 };
 
+/// The digest lane `l` of a transposed state holds.
+fn lane_digest<const L: usize>(states: &[[u32; L]; 8], l: usize) -> Hash256 {
+    let mut bytes = [0u8; 32];
+    for (w, word) in states.iter().enumerate() {
+        bytes[4 * w..4 * w + 4].copy_from_slice(&word[l].to_be_bytes());
+    }
+    Hash256::from_bytes(bytes)
+}
+
 /// Sentinel for an idle lane in the ragged scheduler.
 const IDLE: usize = usize::MAX;
 
@@ -332,11 +354,7 @@ fn hash_ragged<const L: usize>(msgs: &[&[u8]], out: &mut [Hash256]) {
             }
             lane_block[l] += 1;
             if lane_block[l] == padded_blocks(msgs[m].len()) {
-                let mut bytes = [0u8; 32];
-                for (w, word) in states.iter().enumerate() {
-                    bytes[4 * w..4 * w + 4].copy_from_slice(&word[l].to_be_bytes());
-                }
-                out[m] = Hash256::from_bytes(bytes);
+                out[m] = lane_digest(&states, l);
                 lane_msg[l] = IDLE;
                 active -= 1;
             }
@@ -417,22 +435,55 @@ impl MultiHasher {
 
     /// Hashes each adjacent `(left, right)` pair of `level` — which must have
     /// even length — as `sha256(prefix ‖ left ‖ right)`, appending the parent
-    /// digests to `out` in order. This is the Merkle level step; the 65-byte
-    /// messages all share one two-block shape, so the lanes stay fully
-    /// occupied.
+    /// digests to `out` in order. This is the Merkle level step. The 65-byte
+    /// message has one fixed two-block padded shape, so eight pairs at a time
+    /// are laid straight into the lanes' blocks; fewer than the wide cut-over
+    /// stay scalar.
     pub fn hash_pairs_into(&self, prefix: u8, level: &[Hash256], out: &mut Vec<Hash256>) {
         debug_assert_eq!(level.len() % 2, 0, "levels are padded before hashing");
         let pairs = level.len() / 2;
-        let base = out.len();
-        out.resize(base + pairs, Hash256::ZERO);
-        let mut msgs: Vec<[u8; 65]> = vec![[0u8; 65]; pairs];
-        for (pair, msg) in level.chunks_exact(2).zip(msgs.iter_mut()) {
-            msg[0] = prefix;
-            msg[1..33].copy_from_slice(pair[0].as_ref());
-            msg[33..65].copy_from_slice(pair[1].as_ref());
+        out.reserve(pairs);
+        if self.lanes >= 8 && pairs >= WIDE_FROM {
+            hash_pairs_wide(prefix, level, out);
+        } else {
+            out.extend(
+                level
+                    .chunks_exact(2)
+                    .map(|pair| sha256_pair(prefix, &pair[0], &pair[1])),
+            );
         }
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        self.hash_many_into(&refs, &mut out[base..]);
+    }
+}
+
+/// Bit length of a `prefix ‖ left ‖ right` message.
+const PAIR_BITS: u16 = 65 * 8;
+
+/// The 8-lane form of [`MultiHasher::hash_pairs_into`]: block 0 of every
+/// message is `prefix ‖ left ‖ right[..31]`, block 1 is `right[31] ‖ 0x80 ‖
+/// zeros ‖ bit length`, so a group of eight pairs is two wide compressions.
+/// Lanes past the end of the last group hash stale blocks nobody reads.
+fn hash_pairs_wide(prefix: u8, level: &[Hash256], out: &mut Vec<Hash256>) {
+    let mut head = [[0u8; 64]; 8];
+    let mut tail = [[0u8; 64]; 8];
+    for (h, t) in head.iter_mut().zip(tail.iter_mut()) {
+        h[0] = prefix;
+        t[1] = 0x80;
+        t[62..].copy_from_slice(&PAIR_BITS.to_be_bytes());
+    }
+    for group in level.chunks(16) {
+        for (pair, (h, t)) in group
+            .chunks_exact(2)
+            .zip(head.iter_mut().zip(tail.iter_mut()))
+        {
+            let (left, right) = (pair[0].as_bytes(), pair[1].as_bytes());
+            h[1..33].copy_from_slice(left);
+            h[33..].copy_from_slice(&right[..31]);
+            t[0] = right[31];
+        }
+        let mut states = H0.map(|h0| [h0; 8]);
+        compress_wide(&mut states, &head);
+        compress_wide(&mut states, &tail);
+        out.extend((0..group.len() / 2).map(|l| lane_digest(&states, l)));
     }
 }
 
@@ -565,7 +616,7 @@ mod tests {
 
     #[test]
     fn multihasher_pairs_match_pairwise_concat() {
-        for pairs in [1usize, 2, 3, 4, 7, 8, 9, 50] {
+        for pairs in [1usize, 2, 3, 4, 7, 8, 9, 15, 16, 17, 50] {
             let level: Vec<Hash256> = (0..pairs * 2).map(|i| sha256(&msg(40, i as u8))).collect();
             let mut got = Vec::new();
             MultiHasher::wide().hash_pairs_into(0x01, &level, &mut got);

@@ -98,6 +98,53 @@ proptest! {
         }
     }
 
+    /// Batch ≡ serial for inclusion proofs: every claim is independently left
+    /// valid or forged one of six ways, over trees whose depths differ (and
+    /// whose odd levels duplicate), and `verify_many` must return exactly
+    /// what `verify` does claim by claim.
+    #[test]
+    fn verify_many_equals_verify(
+        specs in proptest::collection::vec((1usize..71, any::<u32>(), 0u8..7, any::<u8>()), 0..101),
+    ) {
+        let proofs: Vec<(MerkleProof, Hash256, Hash256)> = specs
+            .iter()
+            .map(|&(n, pick, forgery, salt)| {
+                let leaves: Vec<Hash256> = (0..n).map(|i| sha256(&[i as u8, salt])).collect();
+                let tree = MerkleTree::from_leaves(leaves.clone());
+                let i = pick as usize % n;
+                let proof = tree.prove(i).unwrap();
+                let (mut index, mut siblings) = (proof.index(), proof.siblings().to_vec());
+                let (mut leaf, mut root) = (leaves[i], tree.root());
+                let bogus = sha256(&[salt, forgery]);
+                match forgery {
+                    1 if !siblings.is_empty() => siblings[salt as usize % proof.siblings().len()] = bogus,
+                    2 => index ^= 1 << (salt % 8),
+                    3 => leaf = bogus,
+                    4 => root = bogus,
+                    5 => { siblings.pop(); }
+                    6 => siblings.extend(vec![bogus; 1 + salt as usize % 3]),
+                    _ => {}
+                }
+                // Private fields: a tampered proof arrives the way a hostile
+                // one would, through the decoder.
+                let mut bytes = index.encoded();
+                bytes.extend(siblings.encoded());
+                (decode_all::<MerkleProof>(&bytes).unwrap(), leaf, root)
+            })
+            .collect();
+        let claims: Vec<(&MerkleProof, Hash256, Hash256)> =
+            proofs.iter().map(|(p, l, r)| (p, *l, *r)).collect();
+        let serial: Vec<bool> = proofs.iter().map(|(p, l, r)| p.verify(l, r)).collect();
+        prop_assert_eq!(MerkleProof::verify_many(&claims), serial.clone());
+        for (&(.., forgery, _), ok) in specs.iter().zip(&serial) {
+            match forgery {
+                0 => prop_assert!(*ok, "an untouched proof verifies"),
+                3 | 4 => prop_assert!(!*ok, "a wrong leaf or root never does"),
+                _ => {}
+            }
+        }
+    }
+
     #[test]
     fn merkle_root_is_content_sensitive(n in 2usize..32, flip in 0usize..32) {
         let leaves: Vec<Hash256> = (0..n).map(|i| sha256(&[i as u8])).collect();

@@ -3,17 +3,17 @@
 //! and a consensus [`Seal`] proving the proposer's right to extend the chain.
 //!
 //! A [`Block`] instance remembers what is derived from it — its transaction
-//! ids, their signing hashes and its header hash — so every holder of one
-//! `Arc<Block>` shares one computation of each. No memo is part of the
+//! ids, the Merkle root over them, their signing hashes and its header hash —
+//! so every holder of one `Arc<Block>` shares one computation of each. No memo is part of the
 //! block's identity: the codec and equality skip them, a clone and a decoded
 //! block start cold. `header` and `txs` are public fields; mutate them only
 //! before the first use of a memo or on a clone (debug builds assert that the
-//! hash and signing-hash memos are fresh on every read).
+//! hash, body-root and signing-hash memos are fresh on every read).
 
 use crate::transaction::Transaction;
 use crate::Amount;
 use dcs_crypto::codec::{Decode, DecodeError, Encode, Reader};
-use dcs_crypto::{merkle, sha256, Address, Hash256};
+use dcs_crypto::{merkle, sha256, Address, Hash256, VerifyPool};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -154,6 +154,11 @@ pub struct Block {
     /// [`Block::signing_hashes`], under the same contract as `ids`.
     #[serde(skip)]
     signing: OnceLock<Box<[Hash256]>>,
+    /// The Merkle root over `tx_ids()` — what `header.tx_root` is checked
+    /// against — seeded by assembly, else computed on the first
+    /// [`Block::body_root_with`], under the same contract as `ids`.
+    #[serde(skip)]
+    body_root: OnceLock<Hash256>,
 }
 
 impl Clone for Block {
@@ -175,10 +180,11 @@ impl Eq for Block {}
 
 impl Block {
     /// Assembles a block, computing and committing the transaction Merkle
-    /// root into the header. The ids hashed for the root seed the id cache,
-    /// so the first [`Block::tx_ids`] / [`Block::verify_tx_root`] of a
-    /// locally built block is a read: `txs` is under the "mutate on a clone"
-    /// contract from birth.
+    /// root into the header. The ids hashed for the root seed the id cache
+    /// and the root seeds the body-root memo, so the first
+    /// [`Block::tx_ids`] / [`Block::verify_tx_root`] of a locally built
+    /// block is a read: `txs` is under the "mutate on a clone" contract from
+    /// birth.
     pub fn new(header: BlockHeader, txs: Vec<Transaction>) -> Self {
         let ids = Transaction::batch_ids(&txs);
         Block::assemble(header, txs, ids)
@@ -200,6 +206,7 @@ impl Block {
     fn assemble(mut header: BlockHeader, txs: Vec<Transaction>, ids: Vec<Hash256>) -> Self {
         header.tx_root = merkle::merkle_root(&ids);
         Block {
+            body_root: OnceLock::from(header.tx_root),
             header,
             txs,
             ids: OnceLock::from(ids.into_boxed_slice()),
@@ -220,6 +227,7 @@ impl Block {
             ids: OnceLock::new(),
             hash: OnceLock::new(),
             signing: OnceLock::new(),
+            body_root: OnceLock::new(),
         }
     }
 
@@ -265,9 +273,26 @@ impl Block {
         merkle::merkle_root(&Transaction::batch_ids(txs))
     }
 
+    /// The Merkle root over [`Block::tx_ids`] — rooted once per instance
+    /// (levels of a cold block fan out to `pool`) and shared by every
+    /// importer of it. It is the root of the *body*, whatever the header
+    /// claims: a stale entry would vouch for another body, so debug builds
+    /// recompute and compare on every read.
+    pub fn body_root_with(&self, pool: &VerifyPool) -> Hash256 {
+        let memo = *self
+            .body_root
+            .get_or_init(|| merkle::merkle_root_with(self.tx_ids(), pool));
+        debug_assert_eq!(
+            memo,
+            Block::compute_tx_root(&self.txs),
+            "body mutated after rooting"
+        );
+        memo
+    }
+
     /// Checks that the header's `tx_root` matches the body.
     pub fn verify_tx_root(&self) -> bool {
-        self.header.tx_root == merkle::merkle_root(self.tx_ids())
+        self.header.tx_root == self.body_root_with(&VerifyPool::serial())
     }
 
     /// Total fees offered by the body's transactions.
@@ -447,6 +472,46 @@ mod tests {
         assert!(cold.ids.get().is_none() && b.clone().ids.get().is_none());
         assert!(decoded.ids.get().is_none());
         assert_eq!(cold.tx_ids(), b.tx_ids());
+    }
+
+    #[test]
+    fn body_root_memo_is_not_part_of_the_block() {
+        let b = block(5);
+        // Warm from birth, and equal to what the header committed.
+        assert_eq!(b.body_root.get(), Some(&b.header.tx_root));
+        assert_eq!(b.header.tx_root, Block::compute_tx_root(&b.txs));
+        // `from_parts`, a clone and a decoded block start cold, fill on the
+        // first check and agree; equality ignores the memo.
+        let cold = Block::from_parts(b.header.clone(), b.txs.clone());
+        let decoded = decode_all::<Block>(&b.encoded()).unwrap();
+        assert!(cold.body_root.get().is_none() && b.clone().body_root.get().is_none());
+        assert!(decoded.body_root.get().is_none());
+        assert!(cold.verify_tx_root() && decoded.verify_tx_root());
+        assert_eq!(cold.body_root.get(), Some(&b.header.tx_root));
+        assert_eq!((&cold, &decoded), (&b, &b));
+        // The memo is the body's root, not the header's claim: a tampered
+        // `header.tx_root` fails on a warm block and on a cold one.
+        let mut forged = b.clone();
+        forged.header.tx_root = sha256(b"not the root");
+        assert!(!forged.verify_tx_root());
+        let mut warm = block(5);
+        warm.header.tx_root = sha256(b"not the root");
+        assert!(!warm.verify_tx_root());
+        // Two holders of one `Arc` share one rooting.
+        let first = std::sync::Arc::new(cold.clone());
+        let second = std::sync::Arc::clone(&first);
+        assert!(second.body_root.get().is_none());
+        assert!(first.verify_tx_root());
+        assert_eq!(second.body_root.get(), Some(&b.header.tx_root));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "body mutated after rooting")]
+    fn stale_body_root_memo_is_caught_in_debug_builds() {
+        let mut b = block(2);
+        b.txs.push(tx(79));
+        b.verify_tx_root();
     }
 
     #[test]

@@ -11,12 +11,15 @@
 //! real blocks:
 //!
 //! 1. **Lock** — the source shard seals a transfer into the per-pair bridge
-//!    escrow and sends the beacon a [`LockReceipt`]: the lock transaction
-//!    id, its Merkle inclusion proof, and the block height.
-//! 2. **Grant** — the beacon verifies the proof against the shard header it
-//!    tracks (the same SPV check a pegged sidechain performs) and forwards
-//!    a `MintGrant` to the destination shard, which seals a mint for the
-//!    recipient and acks the source.
+//!    escrow and reports it to the beacon as a [`LockReceipt`]: the lock
+//!    transaction id, its Merkle inclusion proof, and the block height. The
+//!    receipts of one sealed block travel together, in one `Locks` message
+//!    behind the block's anchor.
+//! 2. **Grant** — the beacon verifies the proofs of a block's receipts
+//!    lane-wise against the shard header it tracks (the same SPV check a
+//!    pegged sidechain performs), then settles them one by one in leaf
+//!    order: a `MintGrant` to the destination shard, which seals a mint for
+//!    the recipient and acks the source.
 //! 3. **Timeout-refund** — a lock unresolved past its timeout makes the
 //!    source shard query the beacon; a lock the beacon never granted is
 //!    *voided* (never granted later), and the source shard seals a refund
@@ -90,8 +93,9 @@ pub enum ScaleMsg {
         /// The sealed header.
         header: BlockHeader,
     },
-    /// A shard reports a sealed cross-shard lock to the beacon.
-    Lock(LockReceipt),
+    /// A shard reports the cross-shard locks of one sealed block to the
+    /// beacon, in leaf order.
+    Locks(Vec<LockReceipt>),
     /// Beacon → destination shard: the lock verified; mint it.
     MintGrant(LockReceipt),
     /// Beacon → source shard: the lock is void; refund the sender.
@@ -152,7 +156,8 @@ impl ScaleMsg {
         match self {
             ScaleMsg::Submit(_) => 48,
             ScaleMsg::Anchor { header, .. } => 4 + header.encoded().len(),
-            ScaleMsg::Lock(r) | ScaleMsg::MintGrant(r) => r.wire_size(),
+            ScaleMsg::Locks(receipts) => receipts.iter().map(LockReceipt::wire_size).sum(),
+            ScaleMsg::MintGrant(r) => r.wire_size(),
             ScaleMsg::MintDenied { .. } | ScaleMsg::MintAck { .. } => 32,
             ScaleMsg::LockStatus { receipt, .. } => 32 + receipt.wire_size(),
             ScaleMsg::SnapshotRequest => 8,
@@ -288,6 +293,8 @@ struct PendingLock {
 pub struct ShardNode {
     shard: u32,
     k: u32,
+    /// `bridges[dst]`: the escrow absorbing this shard's locks toward `dst`.
+    bridges: Vec<Address>,
     chain: Chain<AccountMachine>,
     pending: Vec<PendingTx>,
     // BTree everywhere: admission order + map iteration feed block contents,
@@ -325,6 +332,9 @@ impl ShardNode {
         ShardNode {
             shard: shard as u32,
             k: params.shards as u32,
+            bridges: (0..params.shards)
+                .map(|dst| ShardedLedger::bridge_address(shard, dst))
+                .collect(),
             chain,
             pending: Vec::new(),
             nonces: BTreeMap::new(),
@@ -379,8 +389,7 @@ impl ShardNode {
             let tx = self.next_tx(t.from, t.to, t.value);
             self.pending.push(PendingTx::Plain(tx));
         } else {
-            let bridge = ShardedLedger::bridge_address(self.shard as usize, dst as usize);
-            let tx = self.next_tx(t.from, bridge, t.value);
+            let tx = self.next_tx(t.from, self.bridges[dst as usize], t.value);
             self.pending.push(PendingTx::Lock {
                 tx,
                 transfer: t,
@@ -405,7 +414,8 @@ impl ShardNode {
     }
 
     /// Seals everything pending, anchoring each block at the beacon and
-    /// reporting lock receipts; then chases overdue locks.
+    /// reporting its lock receipts behind the anchor; then chases overdue
+    /// locks.
     fn seal(&mut self, ctx: &mut Ctx<'_, ScaleMsg>) {
         let mut queue = std::mem::take(&mut self.pending);
         self.pending_spend.clear();
@@ -430,9 +440,10 @@ impl ShardNode {
             };
             let size = anchor.wire_size();
             ctx.send(NodeId(0), anchor, size);
-            // Receipts for the locks this block sealed; only a block that
-            // holds one pays for the proof tree.
+            // Receipts for the locks this block sealed, in leaf order; only
+            // a block that holds one pays for the proof tree and the message.
             let mut tree = None;
+            let mut receipts = Vec::new();
             for (i, entry) in batch.iter().enumerate() {
                 let PendingTx::Lock { transfer, dst, .. } = entry else {
                     continue;
@@ -454,7 +465,10 @@ impl ShardNode {
                         deadline: ctx.now + self.params.lock_timeout,
                     },
                 );
-                let msg = ScaleMsg::Lock(receipt);
+                receipts.push(receipt);
+            }
+            if !receipts.is_empty() {
+                let msg = ScaleMsg::Locks(receipts);
                 let size = msg.wire_size();
                 ctx.send(NodeId(0), msg, size);
             }
@@ -511,8 +525,7 @@ impl ShardNode {
         }
         self.stats.refunds += 1;
         let t = pending.receipt.transfer;
-        let bridge =
-            ShardedLedger::bridge_address(self.shard as usize, pending.receipt.dst_shard as usize);
+        let bridge = self.bridges[pending.receipt.dst_shard as usize];
         let refund = self.next_tx(bridge, t.from, t.value);
         self.pending.push(PendingTx::Plain(refund));
         self.arm(ctx);
@@ -600,10 +613,15 @@ pub struct BeaconStats {
     pub grants: u64,
     /// Locks voided by timeout queries.
     pub timeout_denials: u64,
-    /// Receipts whose Merkle proof failed verification.
+    /// Receipts whose Merkle proof failed verification, or that name a
+    /// shard the beacon does not coordinate.
     pub invalid_receipts: u64,
     /// Receipts dropped by the `silent_shards` fault knob.
     pub suppressed: u64,
+    /// Receipts that overtook the anchor covering their height and waited
+    /// for it (only a reordering latency model makes any). A path marker,
+    /// not an outcome: [`BeaconNet::digest`] leaves it out.
+    pub buffered_receipts: u64,
 }
 
 /// The beacon: tracks every shard header-chain, arbitrates cross-shard
@@ -697,54 +715,80 @@ impl BeaconNode {
             self.pending_anchor_txs.push(Transaction::Account(tx));
             let covered = self.trackers[shard as usize].tip_height();
             if let Some(receipts) = self.receipt_buf.remove(&(shard, covered)) {
-                for receipt in receipts {
-                    self.decide(receipt, ctx);
-                }
+                self.decide(receipts, ctx);
             }
         }
         self.arm(ctx);
     }
 
-    fn on_lock(&mut self, receipt: LockReceipt, ctx: &mut Ctx<'_, ScaleMsg>) {
-        if self.silent.contains(&receipt.dst_shard) {
-            self.stats.suppressed += 1;
-            return;
-        }
-        if self.trackers[receipt.src_shard as usize].tip_height() >= receipt.height {
-            self.decide(receipt, ctx);
-        } else {
-            self.receipt_buf
-                .entry((receipt.src_shard, receipt.height))
-                .or_default()
-                .push(receipt);
-        }
+    /// Whether a receipt names shards this beacon coordinates. A receipt is
+    /// a peer's bytes: its shard ids index the trackers and address sends,
+    /// so they are checked before either.
+    fn names_known_shards(&self, receipt: &LockReceipt) -> bool {
+        let k = self.trackers.len();
+        (receipt.src_shard as usize) < k && (receipt.dst_shard as usize) < k
     }
 
-    /// Verifies a receipt against the tracked shard header and grants or
-    /// voids it. Only called once the covering anchor is tracked.
-    fn decide(&mut self, receipt: LockReceipt, ctx: &mut Ctx<'_, ScaleMsg>) {
-        if self.granted.contains_key(&receipt.lock_id) || self.voided.contains(&receipt.lock_id) {
-            return;
+    /// One sealed block's receipts: each passes the per-receipt gates, those
+    /// whose covering anchor is tracked are decided together, the rest wait
+    /// for it.
+    fn on_locks(&mut self, receipts: Vec<LockReceipt>, ctx: &mut Ctx<'_, ScaleMsg>) {
+        let mut ready = Vec::with_capacity(receipts.len());
+        for receipt in receipts {
+            if !self.names_known_shards(&receipt) {
+                self.stats.invalid_receipts += 1;
+            } else if self.silent.contains(&receipt.dst_shard) {
+                self.stats.suppressed += 1;
+            } else if self.trackers[receipt.src_shard as usize].tip_height() >= receipt.height {
+                ready.push(receipt);
+            } else {
+                self.stats.buffered_receipts += 1;
+                self.receipt_buf
+                    .entry((receipt.src_shard, receipt.height))
+                    .or_default()
+                    .push(receipt);
+            }
         }
-        let header = self.trackers[receipt.src_shard as usize]
-            .header_at(receipt.height)
-            .expect("caller checked coverage");
-        if receipt.proof.verify(&receipt.lock_id, &header.tx_root) {
-            self.stats.grants += 1;
-            let dst = NodeId(1 + receipt.dst_shard as usize);
-            self.granted.insert(receipt.lock_id, receipt.clone());
-            let msg = ScaleMsg::MintGrant(receipt);
-            let size = msg.wire_size();
-            ctx.send(dst, msg, size);
-        } else {
-            self.stats.invalid_receipts += 1;
-            self.voided.insert(receipt.lock_id);
-            let src = NodeId(1 + receipt.src_shard as usize);
-            let msg = ScaleMsg::MintDenied {
-                lock_id: receipt.lock_id,
-            };
-            let size = msg.wire_size();
-            ctx.send(src, msg, size);
+        self.decide(ready, ctx);
+    }
+
+    /// Verifies receipts against the tracked shard headers — all their
+    /// proofs in one lane-wise batch — then grants or voids them one by one
+    /// in order, so a lock repeated inside the batch settles once. Only
+    /// called once the covering anchors are tracked.
+    fn decide(&mut self, receipts: Vec<LockReceipt>, ctx: &mut Ctx<'_, ScaleMsg>) {
+        let claims: Vec<(&MerkleProof, Hash256, Hash256)> = receipts
+            .iter()
+            .map(|r| {
+                let header = self.trackers[r.src_shard as usize]
+                    .header_at(r.height)
+                    .expect("caller checked coverage");
+                (&r.proof, r.lock_id, header.tx_root)
+            })
+            .collect();
+        let verified = MerkleProof::verify_many(&claims);
+        for (receipt, verified) in receipts.into_iter().zip(verified) {
+            if self.granted.contains_key(&receipt.lock_id) || self.voided.contains(&receipt.lock_id)
+            {
+                continue;
+            }
+            if verified {
+                self.stats.grants += 1;
+                let dst = NodeId(1 + receipt.dst_shard as usize);
+                self.granted.insert(receipt.lock_id, receipt.clone());
+                let msg = ScaleMsg::MintGrant(receipt);
+                let size = msg.wire_size();
+                ctx.send(dst, msg, size);
+            } else {
+                self.stats.invalid_receipts += 1;
+                self.voided.insert(receipt.lock_id);
+                let src = NodeId(1 + receipt.src_shard as usize);
+                let msg = ScaleMsg::MintDenied {
+                    lock_id: receipt.lock_id,
+                };
+                let size = msg.wire_size();
+                ctx.send(src, msg, size);
+            }
         }
     }
 
@@ -758,6 +802,10 @@ impl BeaconNode {
             let msg = ScaleMsg::MintGrant(granted.clone());
             let size = msg.wire_size();
             ctx.send(dst, msg, size);
+            return;
+        }
+        if !self.names_known_shards(&receipt) {
+            self.stats.invalid_receipts += 1;
             return;
         }
         if self.voided.insert(lock_id) {
@@ -940,7 +988,7 @@ impl Protocol for ScalePeer {
             (ScalePeer::Beacon(b), ScaleMsg::Anchor { shard, header }) => {
                 b.on_anchor(shard, header, ctx)
             }
-            (ScalePeer::Beacon(b), ScaleMsg::Lock(receipt)) => b.on_lock(receipt, ctx),
+            (ScalePeer::Beacon(b), ScaleMsg::Locks(receipts)) => b.on_locks(receipts, ctx),
             (ScalePeer::Beacon(b), ScaleMsg::LockStatus { lock_id, receipt }) => {
                 b.on_status(lock_id, receipt, ctx)
             }
@@ -1305,6 +1353,309 @@ mod tests {
         assert_eq!(net.beacon().stats.timeout_denials, 1);
         assert_eq!(net.escrow_total(), 0, "escrow emptied by the refund");
         assert_eq!(net.user_total(&accts), 16 * 1_000_000);
+    }
+
+    /// What a hand-driven beacon asked the network to do, timers aside.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Sent {
+        Grant { lock: Hash256, to: usize },
+        Denied { lock: Hash256, to: usize },
+    }
+
+    /// Runs one beacon handler outside a network and returns its sends.
+    fn drive(
+        beacon: &mut BeaconNode,
+        f: impl FnOnce(&mut BeaconNode, &mut Ctx<'_, ScaleMsg>),
+    ) -> Vec<Sent> {
+        let mut rng = dcs_sim::Rng::seed_from(1);
+        let mut actions = Vec::new();
+        f(
+            beacon,
+            &mut Ctx::new(NodeId(0), SimTime::ZERO, &[], &mut rng, &mut actions),
+        );
+        actions
+            .into_iter()
+            .filter_map(|action| match action {
+                dcs_net::Action::Send {
+                    to,
+                    msg: ScaleMsg::MintGrant(r),
+                    ..
+                } => Some(Sent::Grant {
+                    lock: r.lock_id,
+                    to: to.0,
+                }),
+                dcs_net::Action::Send {
+                    to,
+                    msg: ScaleMsg::MintDenied { lock_id },
+                    ..
+                } => Some(Sent::Denied {
+                    lock: lock_id,
+                    to: to.0,
+                }),
+                dcs_net::Action::Send { msg, .. } => panic!("unexpected send: {msg:?}"),
+                dcs_net::Action::Timer { .. } => None,
+            })
+            .collect()
+    }
+
+    /// The leaves of a pretend shard-0 block: five lock ids per height.
+    fn leaves_at(height: u64) -> Vec<Hash256> {
+        (0..5u8).map(|i| sha256(&[height as u8, i])).collect()
+    }
+
+    /// Shard 0's header at `height` over [`leaves_at`], linked to `parent`.
+    fn header_over_leaves(parent: &BlockHeader, height: u64) -> BlockHeader {
+        let mut header = BlockHeader::new(parent.hash(), height, 0, Address::ZERO, Seal::None);
+        header.tx_root = dcs_crypto::merkle_root(&leaves_at(height));
+        header
+    }
+
+    /// A receipt, shard 0 → shard 1, for leaf `i` of the block at `height`.
+    fn receipt_for(height: u64, i: usize) -> LockReceipt {
+        let leaves = leaves_at(height);
+        LockReceipt {
+            lock_id: leaves[i],
+            transfer: Transfer {
+                from: Address::from_index(0),
+                to: Address::from_index(1),
+                value: 1,
+            },
+            src_shard: 0,
+            dst_shard: 1,
+            height,
+            proof: MerkleTree::from_leaves(leaves)
+                .prove(i)
+                .expect("leaf index in range"),
+        }
+    }
+
+    /// A two-shard beacon that has tracked shard 0's block 1, and that
+    /// block's header.
+    fn beacon_with_one_anchor() -> (BeaconNode, BlockHeader) {
+        let params = BeaconParams::default();
+        let mut beacon = BeaconNode::new(&params);
+        let genesis = genesis_block(&shard_config(0, &params)).header.clone();
+        let h1 = header_over_leaves(&genesis, 1);
+        assert!(drive(&mut beacon, |b, ctx| b.on_anchor(0, h1.clone(), ctx)).is_empty());
+        (beacon, h1)
+    }
+
+    #[test]
+    fn forged_receipt_inside_a_bundle_is_voided_and_its_neighbours_granted() {
+        let (mut beacon, _) = beacon_with_one_anchor();
+        let mut forged = receipt_for(1, 2);
+        forged.proof = receipt_for(1, 3).proof;
+        let (l0, l2, l4) = (leaves_at(1)[0], leaves_at(1)[2], leaves_at(1)[4]);
+        let bundle = vec![receipt_for(1, 0), forged, receipt_for(1, 4)];
+        let sent = drive(&mut beacon, |b, ctx| b.on_locks(bundle, ctx));
+        // Settled in leaf order: shard 1 (node 2) mints, shard 0 (node 1)
+        // refunds.
+        assert_eq!(
+            sent,
+            vec![
+                Sent::Grant { lock: l0, to: 2 },
+                Sent::Denied { lock: l2, to: 1 },
+                Sent::Grant { lock: l4, to: 2 },
+            ]
+        );
+        assert_eq!((beacon.stats.grants, beacon.stats.invalid_receipts), (2, 1));
+        // The void is permanent: the honest receipt arriving later changes
+        // nothing.
+        let late = vec![receipt_for(1, 2)];
+        assert!(drive(&mut beacon, |b, ctx| b.on_locks(late, ctx)).is_empty());
+    }
+
+    #[test]
+    fn lock_repeated_inside_a_bundle_is_granted_once() {
+        let (mut beacon, _) = beacon_with_one_anchor();
+        let (l1, l3) = (leaves_at(1)[1], leaves_at(1)[3]);
+        let bundle = vec![receipt_for(1, 1), receipt_for(1, 1), receipt_for(1, 3)];
+        let sent = drive(&mut beacon, |b, ctx| b.on_locks(bundle, ctx));
+        assert_eq!(
+            sent,
+            vec![
+                Sent::Grant { lock: l1, to: 2 },
+                Sent::Grant { lock: l3, to: 2 }
+            ]
+        );
+        assert_eq!(beacon.stats.grants, 2);
+    }
+
+    #[test]
+    fn bundle_spanning_a_missing_anchor_settles_each_receipt_at_its_own() {
+        let (mut beacon, h1) = beacon_with_one_anchor();
+        let bundle = vec![receipt_for(1, 0), receipt_for(2, 4)];
+        let sent = drive(&mut beacon, |b, ctx| b.on_locks(bundle, ctx));
+        assert_eq!(
+            sent,
+            vec![Sent::Grant {
+                lock: leaves_at(1)[0],
+                to: 2
+            }]
+        );
+        assert_eq!(beacon.stats.buffered_receipts, 1);
+        let h2 = header_over_leaves(&h1, 2);
+        let sent = drive(&mut beacon, |b, ctx| b.on_anchor(0, h2, ctx));
+        assert_eq!(
+            sent,
+            vec![Sent::Grant {
+                lock: leaves_at(2)[4],
+                to: 2
+            }]
+        );
+        assert_eq!((beacon.stats.grants, beacon.stats.invalid_receipts), (2, 0));
+    }
+
+    /// A receipt is a peer's bytes: shard ids the beacon does not coordinate
+    /// must not index its trackers or address a send.
+    #[test]
+    fn receipt_naming_an_unknown_shard_is_counted_and_dropped() {
+        let accts = accounts(4);
+        let mut net = BeaconNet::new(&BeaconParams::default(), 19, &funded(&accts));
+        let hostile = [
+            LockReceipt {
+                src_shard: 9,
+                ..receipt_for(1, 0)
+            },
+            LockReceipt {
+                dst_shard: 9,
+                ..receipt_for(1, 1)
+            },
+        ];
+        let status = ScaleMsg::LockStatus {
+            lock_id: hostile[0].lock_id,
+            receipt: hostile[0].clone(),
+        };
+        for msg in [ScaleMsg::Locks(hostile.to_vec()), status] {
+            let size = msg.wire_size();
+            net.runner
+                .net_mut()
+                .inject(SimTime::from_micros(1_000), NodeId(0), msg, size);
+        }
+        net.run();
+        assert_eq!(net.beacon().stats.invalid_receipts, 3);
+        assert_eq!(net.beacon().stats.grants, 0);
+        assert_eq!(net.stats().minted + net.stats().refunded, 0);
+    }
+
+    /// End to end: a bundle whose middle receipt carries a forged proof
+    /// reaches the beacon ahead of the honest one. The forged lock is voided
+    /// and refunded on its source shard, its neighbours mint, supply holds.
+    #[test]
+    fn forged_receipt_is_refunded_while_its_neighbours_mint() {
+        let accts = accounts(16);
+        let (a, b) = cross_pair(2, &accts);
+        let (src, dst) = (
+            ShardedLedger::home_shard(&a, 2),
+            ShardedLedger::home_shard(&b, 2),
+        );
+        let net_with_three_locks = || {
+            let mut net = BeaconNet::new(&BeaconParams::default(), 23, &funded(&accts));
+            for value in [100, 20, 3] {
+                let t = Transfer {
+                    from: a,
+                    to: b,
+                    value,
+                };
+                net.submit_at(SimTime::from_micros(10_000), t);
+            }
+            net
+        };
+        // An honest twin tells what block 1 of the source shard will hold.
+        let mut twin = net_with_three_locks();
+        twin.run();
+        let chain = twin.shard(src).chain();
+        let first = chain.canonical_at(1).expect("the locks sealed");
+        let body = chain.tree().get(&first).expect("stored");
+        let leaves = body.body().expect("inside the retention window").tx_ids();
+        assert_eq!(leaves.len(), 3, "the three locks share one block");
+        let tree = MerkleTree::from_leaves(leaves.to_vec());
+        let mut bundle: Vec<LockReceipt> = [100, 20, 3]
+            .iter()
+            .enumerate()
+            .map(|(i, &value)| LockReceipt {
+                lock_id: leaves[i],
+                transfer: Transfer {
+                    from: a,
+                    to: b,
+                    value,
+                },
+                src_shard: src as u32,
+                dst_shard: dst as u32,
+                height: 1,
+                proof: tree.prove(i).expect("leaf index in range"),
+            })
+            .collect();
+        bundle[1].proof = tree.prove(2).expect("leaf index in range");
+
+        let mut net = net_with_three_locks();
+        let msg = ScaleMsg::Locks(bundle);
+        let size = msg.wire_size();
+        net.runner
+            .net_mut()
+            .inject(SimTime::from_micros(1_000), NodeId(0), msg, size);
+        net.run();
+        let stats = net.stats();
+        assert_eq!((stats.minted, stats.refunded), (2, 1));
+        assert_eq!(net.beacon().stats.invalid_receipts, 1);
+        assert_eq!(net.beacon().stats.buffered_receipts, 3);
+        assert_eq!(net.balance(&a), 1_000_000 - 103, "the forged lock refunded");
+        assert_eq!(net.balance(&b), 1_000_000 + 103);
+        assert_eq!(net.escrow_total(), 103);
+        assert_eq!(net.user_total(&accts), 16 * 1_000_000);
+        for i in 0..2 {
+            assert_eq!(net.shard(i).open_locks(), 0);
+        }
+    }
+
+    /// Three shards whose seals cut several blocks at once, under a latency
+    /// model that reorders their anchors and bundles: the beacon's two
+    /// reordering buffers, which constant latency never enters.
+    #[test]
+    fn reordered_anchors_and_bundles_settle_every_lock() {
+        use dcs_sim::Rng;
+        let accts = accounts(24);
+        let params = BeaconParams {
+            shards: 3,
+            block_tx_limit: 4,
+            latency: LatencyModel::Uniform {
+                lo: SimDuration::from_millis(1),
+                hi: SimDuration::from_millis(9),
+            },
+            ..BeaconParams::default()
+        };
+        let mut net = BeaconNet::new(&params, 29, &funded(&accts));
+        let mut rng = Rng::seed_from(0x10C5);
+        for i in 0..200u64 {
+            let t = Transfer {
+                from: accts[rng.below(24) as usize],
+                to: accts[rng.below(24) as usize],
+                value: 1 + rng.below(50),
+            };
+            net.submit_at(SimTime::from_micros(2_000 * (i + 1)), t);
+        }
+        net.run();
+        let beacon = net.beacon();
+        assert!(
+            beacon.stats.buffered_receipts > 0,
+            "some bundle overtook its anchor"
+        );
+        assert_eq!(beacon.stats.invalid_receipts, 0);
+        let stats = net.stats();
+        assert!(stats.minted > 0, "the mix crosses shards");
+        assert_eq!(beacon.stats.grants, stats.minted);
+        // Every anchor was applied, so every one that overtook its
+        // predecessor waited for it.
+        assert_eq!(beacon.stats.anchors, stats.shard_blocks);
+        let mut locks = 0;
+        for i in 0..3 {
+            let shard = net.shard(i);
+            assert_eq!(shard.open_locks(), 0, "shard {i}");
+            assert_eq!(beacon.tracked_tip(i), shard.chain().height(), "shard {i}");
+            locks += shard.stats.locks;
+        }
+        assert_eq!(stats.minted + stats.refunded, locks);
+        assert_eq!(net.user_total(&accts), 24 * 1_000_000);
     }
 
     #[test]

@@ -563,6 +563,56 @@ fn beacon_sharded_stack_is_engine_worker_invariant() {
     }
 }
 
+/// The same stack under a latency model that reorders messages: seals cut
+/// several blocks at once (`block_tx_limit: 4`) and every hop draws 1–9 ms,
+/// so anchors overtake each other and a block's bundle of lock receipts
+/// overtakes its anchor — the beacon's two reordering buffers, which the
+/// constant-latency run above never enters. One digest and one event count
+/// at 1, 2 and 8 engine workers (what the run settles is asserted beside the
+/// beacon, `reordered_anchors_and_bundles_settle_every_lock`).
+#[test]
+fn jittered_beacon_run_is_engine_worker_invariant() {
+    use dcs_net::LatencyModel;
+    use dcs_scale::beacon::{BeaconNet, BeaconParams};
+    use dcs_sim::SimDuration;
+
+    let params = BeaconParams {
+        shards: 3,
+        block_tx_limit: 4,
+        latency: LatencyModel::Uniform {
+            lo: SimDuration::from_millis(1),
+            hi: SimDuration::from_millis(9),
+        },
+        ..BeaconParams::default()
+    };
+    let alloc = scale_alloc(24);
+    let mix = scale_mix(24, 200);
+    let run = |workers: usize| {
+        let mut net = BeaconNet::new(&params, 29, &alloc);
+        net.set_engine_workers(workers);
+        for (i, t) in mix.iter().enumerate() {
+            net.submit_at(SimTime::from_micros(2_000 * (i as u64 + 1)), *t);
+        }
+        net.run();
+        net
+    };
+    let serial = run(1);
+    assert!(
+        serial.beacon().stats.buffered_receipts > 0,
+        "some bundle overtook its anchor"
+    );
+    assert!(serial.stats().minted > 0, "the mix must cross shards");
+    for workers in [2, 8] {
+        let wide = run(workers);
+        assert_eq!(
+            serial.digest(),
+            wide.digest(),
+            "{workers} engine workers must reproduce the serial jittered run"
+        );
+        assert_eq!(wide.stats().events, serial.stats().events);
+    }
+}
+
 /// The payment-channel workload (PR 10): the same seeded schedule — opens,
 /// off-chain payments, cheating unilateral closes, watchtower challenges,
 /// and settlements through a real ordering network — must replay to
