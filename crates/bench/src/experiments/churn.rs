@@ -6,7 +6,8 @@ use crate::Scale;
 use dcs_chain::NullMachine;
 use dcs_consensus::{pbft::PbftNode, pow::PowNode};
 use dcs_faults::FaultSchedule;
-use dcs_ledger::{builders, install_faults, metrics, workload::Workload};
+use dcs_ledger::builders::{Pbft, Pow};
+use dcs_ledger::{build, install_faults, metrics, workload::Workload, NetworkParams};
 use dcs_net::{NodeId, Runner};
 use dcs_primitives::ConsensusKind;
 use dcs_sim::{SimDuration, SimTime};
@@ -38,11 +39,11 @@ fn pbft_leader_crash(scale: Scale) {
     let horizon = scale.pick(60u64, 180);
     let crash = horizon / 6;
     let restart = horizon / 2;
-    let params = builders::PbftParams {
+    let params = NetworkParams::<Pbft> {
         nodes: 4,
         ..Default::default()
     };
-    let mut runner = builders::build_pbft(&params, 18);
+    let mut runner = build(&params, 18, |_| NullMachine);
     let submitted = Workload::transfers(20.0, SimDuration::from_secs(horizon - 5), 50)
         .inject(runner.net_mut(), 181);
 
@@ -103,9 +104,8 @@ fn pow_miner_churn(scale: Scale) {
     let horizon = scale.pick(120u64, 600);
     let crash = horizon / 4;
     let restart = horizon / 2;
-    let mut params = builders::PowParams {
+    let mut params = NetworkParams::<Pow> {
         nodes: 4,
-        hash_powers: vec![1_000.0],
         ..Default::default()
     };
     params.chain.consensus = ConsensusKind::ProofOfWork {
@@ -113,7 +113,7 @@ fn pow_miner_churn(scale: Scale) {
         retarget_window: 0,
         target_interval_us: 5_000_000,
     };
-    let mut runner = builders::build_pow(&params, 19);
+    let mut runner = build(&params, 19, |_| NullMachine);
     let submitted = Workload::transfers(5.0, SimDuration::from_secs(horizon - 10), 30)
         .inject(runner.net_mut(), 191);
 

@@ -10,7 +10,9 @@
 
 use crate::table::Table;
 use crate::Scale;
-use dcs_ledger::{builders, collect, workload::Workload, LedgerNode, SimResult};
+use dcs_chain::NullMachine;
+use dcs_ledger::builders::{Ordering, Pbft, Poet, Pos, Pow};
+use dcs_ledger::{build, collect, workload::Workload, LedgerNode, NetworkParams, SimResult};
 use dcs_net::{LatencyModel, Topology};
 use dcs_primitives::{ChainConfig, ConsensusKind, ForkChoice};
 use dcs_sim::{SimDuration, SimTime};
@@ -65,16 +67,16 @@ pub fn e1_pow_throughput_vs_hashpower(scale: Scale) {
         "committed (tps)",
     ]);
     for multiplier in [1u64, 4, 16, 64] {
-        let mut params = builders::PowParams::default();
+        let mut params = NetworkParams::<Pow>::default();
         params.nodes = 8;
-        params.hash_powers = vec![1_000.0 * multiplier as f64];
+        params.engine.hash_powers = vec![1_000.0 * multiplier as f64];
         params.chain.block_tx_limit = 420;
         params.chain.consensus = ConsensusKind::ProofOfWork {
             initial_difficulty: 8 * 1_000 * 60, // tuned for multiplier 1
             retarget_window: 8,
             target_interval_us: 60_000_000,
         };
-        let mut runner = builders::build_pow(&params, 1_000 + multiplier);
+        let mut runner = build(&params, 1_000 + multiplier, |_| NullMachine);
         let submitted = Workload::transfers(20.0, SimDuration::from_secs(duration), 100)
             .inject(runner.net_mut(), multiplier);
         runner.run_until(at(duration + 120));
@@ -110,9 +112,9 @@ pub fn e2_block_interval_vs_forks(scale: Scale) {
     ]);
     for interval_s in [600u64, 60, 15, 5, 1] {
         for rule in [ForkChoice::LongestChain, ForkChoice::Ghost] {
-            let mut params = builders::PowParams::default();
+            let mut params = NetworkParams::<Pow>::default();
             params.nodes = 16;
-            params.hash_powers = vec![1_000.0];
+            params.engine.hash_powers = vec![1_000.0];
             params.chain = ChainConfig {
                 consensus: ConsensusKind::ProofOfWork {
                     initial_difficulty: 16 * 1_000 * interval_s,
@@ -122,7 +124,7 @@ pub fn e2_block_interval_vs_forks(scale: Scale) {
                 fork_choice: rule,
                 ..ChainConfig::bitcoin_like()
             };
-            let mut runner = builders::build_pow(&params, 31 + interval_s);
+            let mut runner = build(&params, 31 + interval_s, |_| NullMachine);
             runner.run_until(at(interval_s * blocks));
             let result = collect(
                 runner.nodes(),
@@ -161,7 +163,7 @@ pub fn e3_ordering_throughput(scale: Scale) {
         "stale",
     ]);
     for batch in [10usize, 100, 500, 2_000] {
-        let mut params = builders::OrderingParams::default();
+        let mut params = NetworkParams::<Ordering>::default();
         params.nodes = 8;
         params.chain.consensus = ConsensusKind::Ordering {
             batch_size: batch,
@@ -169,7 +171,7 @@ pub fn e3_ordering_throughput(scale: Scale) {
             rotate_every: 0,
         };
         params.chain.block_tx_limit = batch.max(2_000);
-        let mut runner = builders::build_ordering(&params, 77 + batch as u64);
+        let mut runner = build(&params, 77 + batch as u64, |_| NullMachine);
         let submitted = Workload::transfers(offered, SimDuration::from_secs(duration), 500)
             .inject(runner.net_mut(), batch as u64);
         runner.run_until(at(duration + 30));
@@ -218,7 +220,7 @@ pub fn e4_dcs_matrix(scale: Scale) {
 
     // PoW, Bitcoin-tempo (DC): 60 s blocks.
     {
-        let mut params = builders::PowParams::default();
+        let mut params = NetworkParams::<Pow>::default();
         params.nodes = 16;
         params.chain.block_tx_limit = 420;
         params.chain.consensus = ConsensusKind::ProofOfWork {
@@ -226,7 +228,7 @@ pub fn e4_dcs_matrix(scale: Scale) {
             retarget_window: 16,
             target_interval_us: 60_000_000,
         };
-        let mut runner = builders::build_pow(&params, 11);
+        let mut runner = build(&params, 11, |_| NullMachine);
         let submitted = Workload::transfers(10.0, horizon, 200).inject(runner.net_mut(), 1);
         runner.run_until(at(duration + 120));
         let mut r = collect(runner.nodes(), &submitted, horizon);
@@ -234,7 +236,7 @@ pub fn e4_dcs_matrix(scale: Scale) {
     }
     // PoW, sub-second blocks (DS): fast but fork-happy.
     {
-        let mut params = builders::PowParams::default();
+        let mut params = NetworkParams::<Pow>::default();
         params.nodes = 16;
         params.chain.block_tx_limit = 420;
         params.chain.consensus = ConsensusKind::ProofOfWork {
@@ -242,7 +244,7 @@ pub fn e4_dcs_matrix(scale: Scale) {
             retarget_window: 0,
             target_interval_us: 500_000,
         };
-        let mut runner = builders::build_pow(&params, 12);
+        let mut runner = build(&params, 12, |_| NullMachine);
         let submitted = Workload::transfers(10.0, horizon, 200).inject(runner.net_mut(), 2);
         runner.run_until(at(duration + 60));
         let mut r = collect(runner.nodes(), &submitted, horizon);
@@ -250,12 +252,12 @@ pub fn e4_dcs_matrix(scale: Scale) {
     }
     // PoS (DC, no work).
     {
-        let mut params = builders::PosParams::default();
+        let mut params = NetworkParams::<Pos>::default();
         params.nodes = 16;
         params.chain.consensus = ConsensusKind::ProofOfStake {
             slot_us: 10_000_000,
         };
-        let mut runner = builders::build_pos(&params, 13);
+        let mut runner = build(&params, 13, |_| NullMachine);
         let submitted = Workload::transfers(10.0, horizon, 200).inject(runner.net_mut(), 3);
         runner.run_until(at(duration + 60));
         let mut r = collect(runner.nodes(), &submitted, horizon);
@@ -263,12 +265,12 @@ pub fn e4_dcs_matrix(scale: Scale) {
     }
     // PoET (DC, no work).
     {
-        let mut params = builders::PoetParams::default();
+        let mut params = NetworkParams::<Poet>::default();
         params.nodes = 16;
         params.chain.consensus = ConsensusKind::ProofOfElapsedTime {
             mean_wait_us: 16 * 10_000_000,
         };
-        let mut runner = builders::build_poet(&params, 14);
+        let mut runner = build(&params, 14, |_| NullMachine);
         let submitted = Workload::transfers(10.0, horizon, 200).inject(runner.net_mut(), 4);
         runner.run_until(at(duration + 60));
         let mut r = collect(runner.nodes(), &submitted, horizon);
@@ -276,9 +278,9 @@ pub fn e4_dcs_matrix(scale: Scale) {
     }
     // PBFT (CS): fast and final but a small closed committee.
     {
-        let mut params = builders::PbftParams::default();
+        let mut params = NetworkParams::<Pbft>::default();
         params.nodes = 16;
-        let mut runner = builders::build_pbft(&params, 15);
+        let mut runner = build(&params, 15, |_| NullMachine);
         let submitted = Workload::transfers(10.0, horizon, 200).inject(runner.net_mut(), 5);
         runner.run_until(at(duration + 60));
         let mut r = collect(runner.nodes(), &submitted, horizon);
@@ -286,10 +288,10 @@ pub fn e4_dcs_matrix(scale: Scale) {
     }
     // Ordering service (CS): one orderer.
     {
-        let mut params = builders::OrderingParams::default();
+        let mut params = NetworkParams::<Ordering>::default();
         params.nodes = 16;
         params.net.topology = Topology::Complete;
-        let mut runner = builders::build_ordering(&params, 16);
+        let mut runner = build(&params, 16, |_| NullMachine);
         let submitted = Workload::transfers(10.0, horizon, 200).inject(runner.net_mut(), 6);
         runner.run_until(at(duration + 60));
         let mut r = collect(runner.nodes(), &submitted, horizon);
@@ -315,14 +317,14 @@ pub fn e5_work_per_block(scale: Scale) {
     let mut pow_per_block = 0.0f64;
     // PoW.
     {
-        let mut params = builders::PowParams::default();
+        let mut params = NetworkParams::<Pow>::default();
         params.nodes = 8;
         params.chain.consensus = ConsensusKind::ProofOfWork {
             initial_difficulty: 8_000 * 60,
             retarget_window: 0,
             target_interval_us: 60_000_000,
         };
-        let mut runner = builders::build_pow(&params, 21);
+        let mut runner = build(&params, 21, |_| NullMachine);
         runner.run_until(at(duration));
         let r = collect(runner.nodes(), &std::collections::HashMap::new(), horizon);
         pow_per_block = r.work_per_block;
@@ -336,12 +338,12 @@ pub fn e5_work_per_block(scale: Scale) {
     }
     // PoS.
     {
-        let mut params = builders::PosParams::default();
+        let mut params = NetworkParams::<Pos>::default();
         params.nodes = 8;
         params.chain.consensus = ConsensusKind::ProofOfStake {
             slot_us: 60_000_000,
         };
-        let mut runner = builders::build_pos(&params, 22);
+        let mut runner = build(&params, 22, |_| NullMachine);
         runner.run_until(at(duration));
         let r = collect(runner.nodes(), &std::collections::HashMap::new(), horizon);
         table.row(vec![
@@ -354,12 +356,12 @@ pub fn e5_work_per_block(scale: Scale) {
     }
     // PoET.
     {
-        let mut params = builders::PoetParams::default();
+        let mut params = NetworkParams::<Poet>::default();
         params.nodes = 8;
         params.chain.consensus = ConsensusKind::ProofOfElapsedTime {
             mean_wait_us: 8 * 60_000_000,
         };
-        let mut runner = builders::build_poet(&params, 23);
+        let mut runner = build(&params, 23, |_| NullMachine);
         runner.run_until(at(duration));
         let r = collect(runner.nodes(), &std::collections::HashMap::new(), horizon);
         table.row(vec![
@@ -387,9 +389,9 @@ pub fn e12_private_vs_public(scale: Scale) {
     for n in [4usize, 7, 10, 16] {
         // PBFT.
         {
-            let mut params = builders::PbftParams::default();
+            let mut params = NetworkParams::<Pbft>::default();
             params.nodes = n;
-            let mut runner = builders::build_pbft(&params, 41 + n as u64);
+            let mut runner = build(&params, 41 + n as u64, |_| NullMachine);
             let submitted =
                 Workload::transfers(50.0, horizon, 100).inject(runner.net_mut(), n as u64);
             runner.run_until(at(duration + 30));
@@ -404,9 +406,9 @@ pub fn e12_private_vs_public(scale: Scale) {
         }
         // Ordering.
         {
-            let mut params = builders::OrderingParams::default();
+            let mut params = NetworkParams::<Ordering>::default();
             params.nodes = n;
-            let mut runner = builders::build_ordering(&params, 51 + n as u64);
+            let mut runner = build(&params, 51 + n as u64, |_| NullMachine);
             let submitted =
                 Workload::transfers(50.0, horizon, 100).inject(runner.net_mut(), 2 * n as u64);
             runner.run_until(at(duration + 30));
@@ -421,7 +423,7 @@ pub fn e12_private_vs_public(scale: Scale) {
         }
         // PoW at the same n (60 s blocks — the public baseline).
         {
-            let mut params = builders::PowParams::default();
+            let mut params = NetworkParams::<Pow>::default();
             params.nodes = n;
             params.net.latency = LatencyModel::wan();
             params.chain.block_tx_limit = 420;
@@ -430,7 +432,7 @@ pub fn e12_private_vs_public(scale: Scale) {
                 retarget_window: 0,
                 target_interval_us: 60_000_000,
             };
-            let mut runner = builders::build_pow(&params, 61 + n as u64);
+            let mut runner = build(&params, 61 + n as u64, |_| NullMachine);
             let submitted =
                 Workload::transfers(50.0, horizon, 100).inject(runner.net_mut(), 3 * n as u64);
             runner.run_until(at(duration + 120));

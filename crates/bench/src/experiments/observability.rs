@@ -3,7 +3,9 @@
 
 use crate::table::Table;
 use crate::Scale;
-use dcs_ledger::{builders, collect_traces, install_tracing, workload::Workload};
+use dcs_chain::NullMachine;
+use dcs_ledger::builders::Pow;
+use dcs_ledger::{build, collect_traces, install_tracing, workload::Workload, NetworkParams};
 use dcs_primitives::ConsensusKind;
 use dcs_sim::{SimDuration, SimTime, Summary};
 use dcs_trace::{export, Timelines, TraceConfig};
@@ -37,9 +39,8 @@ pub fn e17_latency_breakdown(scale: Scale) {
     println!("wait), and included→committed (confirmation build-up), measured on one");
     println!("reference peer so the stages share a clock and sum to the total.\n");
 
-    let mut params = builders::PowParams {
+    let mut params = NetworkParams::<Pow> {
         nodes: scale.pick(8usize, 16),
-        hash_powers: vec![1_000.0],
         ..Default::default()
     };
     params.chain.consensus = ConsensusKind::ProofOfWork {
@@ -48,7 +49,7 @@ pub fn e17_latency_breakdown(scale: Scale) {
         target_interval_us: 5_000_000,
     };
     let horizon = scale.pick(200u64, 1_200);
-    let mut runner = builders::build_pow(&params, 17);
+    let mut runner = build(&params, 17, |_| NullMachine);
     // The default 64 Ki ring is sized for always-on tracing; a full-scale
     // analysis run wants the complete stream, so size the buffers to the
     // run (the net tracer alone carries every gossip send).

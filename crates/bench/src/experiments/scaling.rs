@@ -444,7 +444,7 @@ pub fn e15_verify_pipeline(scale: Scale) {
         format!("{:.2} ms", warm_time.as_secs_f64() * 1e3),
     ]);
     println!("{cache_table}");
-    println!("{}", dcs_ledger::VerificationReport::collect(&pipeline));
+    println!("{}", pipeline.stats());
     println!("Expected shape: block connect verifies 0 signatures — every witness was");
     println!("checked once at admission and the warm cache answers the rest; the state");
     println!("root is bit-identical to the serial path in every configuration.");

@@ -8,11 +8,13 @@
 
 use crate::table::Table;
 use crate::Scale;
+use dcs_chain::NullMachine;
 #[allow(unused_imports)]
 use dcs_consensus as _;
 use dcs_consensus::attack::{nakamoto_success_probability, simulate_double_spend};
 use dcs_crypto::Address;
-use dcs_ledger::{builders, LedgerNode};
+use dcs_ledger::builders::Pow;
+use dcs_ledger::{build, LedgerNode, NetworkParams};
 use dcs_primitives::ConsensusKind;
 use dcs_privacy::{
     commitments::Hashlock,
@@ -152,14 +154,14 @@ pub fn e13_reorg_depth(scale: Scale) {
     println!("depends on the block age\" (§2.2). Fast PoW (1 s blocks ≈ propagation delay)");
     println!("to make reorgs frequent enough to histogram.\n");
     let duration = scale.pick(300u64, 1_200);
-    let mut params = builders::PowParams::default();
+    let mut params = NetworkParams::<Pow>::default();
     params.nodes = 16;
     params.chain.consensus = ConsensusKind::ProofOfWork {
         initial_difficulty: 16 * 1_000,
         retarget_window: 0,
         target_interval_us: 1_000_000,
     };
-    let mut runner = builders::build_pow(&params, 13);
+    let mut runner = build(&params, 13, |_| NullMachine);
     runner.run_until(SimTime::ZERO + SimDuration::from_secs(duration));
 
     // Aggregate depth histograms across every replica.

@@ -1,9 +1,9 @@
-//! One-call constructors for whole simulated ledger networks, one per
-//! consensus family. Each takes a parameter struct (sensible defaults via
-//! `Default`) and a seed, and returns a ready-to-run
-//! [`dcs_net::Runner`].
+//! One constructor for a whole simulated ledger network: a peer is an engine
+//! rule ([`EngineRule`]) × a state machine, and [`build`] returns a
+//! ready-to-run [`dcs_net::Runner`] of them. Each rule's `Default`
+//! [`NetworkParams`] is its family's preset.
 
-use dcs_chain::NullMachine;
+use dcs_chain::{NullMachine, StateMachine};
 use dcs_consensus::{
     ng::NgNode,
     ordering::OrderingNode,
@@ -11,17 +11,180 @@ use dcs_consensus::{
     poet::PoetNode,
     pos::{PosNode, StakeTable},
     pow::PowNode,
+    LedgerNode,
 };
 use dcs_crypto::Address;
 use dcs_net::{LatencyModel, NetConfig, NodeId, Runner, Topology};
-use dcs_primitives::{ChainConfig, ConsensusKind};
+use dcs_primitives::{Block, ChainConfig, ConsensusKind, ForkChoice};
 
 /// The address assigned to peer `i` in every built network.
 pub fn node_address(i: usize) -> Address {
     Address::from_index(i as u64)
 }
 
-fn default_net(nodes: usize) -> NetConfig {
+/// One network: peer count, chain and overlay configuration, engine rule.
+#[derive(Debug, Clone)]
+pub struct NetworkParams<E> {
+    /// Peer count (overrides `net.nodes`).
+    pub nodes: usize,
+    /// Chain configuration; its `consensus` must match the engine rule.
+    pub chain: ChainConfig,
+    /// Overlay configuration.
+    pub net: NetConfig,
+    /// The consensus family's per-peer inputs.
+    pub engine: E,
+}
+
+/// What differs between consensus families: the per-peer inputs beyond the
+/// genesis block, chain configuration and state machine `M` every peer gets.
+pub trait EngineRule<M: StateMachine>: Sized {
+    /// The peer this rule runs.
+    type Node: LedgerNode<Machine = M>;
+
+    /// Network `p`'s peer constructor, `(id, genesis, chain, machine)`.
+    fn peers(p: &NetworkParams<Self>) -> impl Fn(NodeId, Block, ChainConfig, M) -> Self::Node;
+}
+
+/// Builds `params.nodes` peers, peer `id` over `machine(id)`.
+pub fn build<E: EngineRule<M>, M: StateMachine>(
+    params: &NetworkParams<E>,
+    seed: u64,
+    mut machine: impl FnMut(NodeId) -> M,
+) -> Runner<E::Node> {
+    let genesis = dcs_chain::genesis_block(&params.chain);
+    let net = NetConfig {
+        nodes: params.nodes,
+        ..params.net.clone()
+    };
+    let peer = E::peers(params);
+    Runner::new(net, seed, |id| {
+        peer(id, genesis.clone(), params.chain.clone(), machine(id))
+    })
+}
+
+/// The PBFT preset's parameters — the name the frozen benchmark imports.
+pub type PbftParams = NetworkParams<Pbft>;
+
+/// PBFT over the null state machine — the name the frozen benchmark imports.
+pub fn build_pbft(params: &PbftParams, seed: u64) -> Runner<PbftNode<NullMachine>> {
+    build(params, seed, |_| NullMachine)
+}
+
+/// Peer `id`'s entry of a per-peer list, cycled if shorter than the network.
+fn cycle<T: Copy>(values: &[T], id: NodeId) -> T {
+    values[id.0 % values.len()]
+}
+
+/// Proof of work: per-peer hash power (H/s), cycled.
+#[derive(Debug, Clone)]
+pub struct Pow {
+    /// Hash power per peer.
+    pub hash_powers: Vec<f64>,
+}
+
+impl<M: StateMachine> EngineRule<M> for Pow {
+    type Node = PowNode<M>;
+
+    fn peers(p: &NetworkParams<Self>) -> impl Fn(NodeId, Block, ChainConfig, M) -> PowNode<M> {
+        move |id, genesis, chain, machine| {
+            let power = cycle(&p.engine.hash_powers, id);
+            PowNode::new(id, node_address(id.0), genesis, chain, machine, power)
+        }
+    }
+}
+
+/// Proof of stake: per-validator stake, cycled into one [`StakeTable`].
+#[derive(Debug, Clone)]
+pub struct Pos {
+    /// Stake per validator.
+    pub stakes: Vec<u64>,
+}
+
+impl<M: StateMachine> EngineRule<M> for Pos {
+    type Node = PosNode<M>;
+
+    fn peers(p: &NetworkParams<Self>) -> impl Fn(NodeId, Block, ChainConfig, M) -> PosNode<M> {
+        let stakes = (0..p.nodes).map(|i| cycle(&p.engine.stakes, NodeId(i)));
+        let addresses = (0..p.nodes).map(node_address).collect();
+        let table = StakeTable::new(addresses, stakes.collect(), p.chain.chain_id);
+        move |id, genesis, chain, machine| {
+            PosNode::new(id, genesis, chain, machine, table.clone(), id.0)
+        }
+    }
+}
+
+/// Proof of elapsed time: per-peer enclave cheat factor (1.0 honest), cycled.
+#[derive(Debug, Clone)]
+pub struct Poet {
+    /// Cheat factor per peer.
+    pub cheat_factors: Vec<f64>,
+}
+
+impl<M: StateMachine> EngineRule<M> for Poet {
+    type Node = PoetNode<M>;
+
+    fn peers(p: &NetworkParams<Self>) -> impl Fn(NodeId, Block, ChainConfig, M) -> PoetNode<M> {
+        move |id, genesis, chain, machine| {
+            let mut node = PoetNode::new(id, node_address(id.0), genesis, chain, machine);
+            node.cheat_factor = cycle(&p.engine.cheat_factors, id);
+            node
+        }
+    }
+}
+
+/// The ordering service: nothing per peer beyond the peer count.
+#[derive(Debug, Clone)]
+pub struct Ordering;
+
+impl<M: StateMachine> EngineRule<M> for Ordering {
+    type Node = OrderingNode<M>;
+
+    fn peers(p: &NetworkParams<Self>) -> impl Fn(NodeId, Block, ChainConfig, M) -> OrderingNode<M> {
+        move |id, genesis, chain, machine| {
+            OrderingNode::new(id, node_address(id.0), genesis, chain, machine, p.nodes)
+        }
+    }
+}
+
+/// PBFT: the replicas crashed (fail-stop) from the start.
+#[derive(Debug, Clone, Default)]
+pub struct Pbft {
+    /// Indices of the crashed replicas.
+    pub crashed: Vec<usize>,
+}
+
+impl<M: StateMachine> EngineRule<M> for Pbft {
+    type Node = PbftNode<M>;
+
+    fn peers(p: &NetworkParams<Self>) -> impl Fn(NodeId, Block, ChainConfig, M) -> PbftNode<M> {
+        move |id, genesis, chain, machine| {
+            let mut node = PbftNode::new(id, node_address(id.0), genesis, chain, machine, p.nodes);
+            node.crashed = p.engine.crashed.contains(&id.0);
+            node
+        }
+    }
+}
+
+/// Bitcoin-NG: per-peer key-block hash power (H/s), cycled.
+#[derive(Debug, Clone)]
+pub struct Ng {
+    /// Hash power per peer.
+    pub hash_powers: Vec<f64>,
+}
+
+impl<M: StateMachine> EngineRule<M> for Ng {
+    type Node = NgNode<M>;
+
+    fn peers(p: &NetworkParams<Self>) -> impl Fn(NodeId, Block, ChainConfig, M) -> NgNode<M> {
+        move |id, genesis, chain, machine| {
+            let power = cycle(&p.engine.hash_powers, id);
+            NgNode::new(id, node_address(id.0), genesis, chain, machine, power)
+        }
+    }
+}
+
+/// A gossip overlay: a random 4-regular graph over WAN latency.
+fn wan(nodes: usize) -> NetConfig {
     NetConfig {
         nodes,
         topology: Topology::KRegular {
@@ -33,25 +196,20 @@ fn default_net(nodes: usize) -> NetConfig {
     }
 }
 
-/// Parameters for a proof-of-work network.
-#[derive(Debug, Clone)]
-pub struct PowParams {
-    /// Peer count.
-    pub nodes: usize,
-    /// Per-node hash power (H/s); cycled if shorter than `nodes`.
-    pub hash_powers: Vec<f64>,
-    /// Chain configuration (must be `ProofOfWork`).
-    pub chain: ChainConfig,
-    /// Overlay configuration.
-    pub net: NetConfig,
+/// A consortium overlay: everyone connected over LAN latency.
+fn lan(nodes: usize) -> NetConfig {
+    NetConfig {
+        topology: Topology::Complete,
+        latency: LatencyModel::lan(),
+        ..wan(nodes)
+    }
 }
 
-impl Default for PowParams {
+/// 16 miners of 1 kH/s, 60 s blocks, no retargeting.
+impl Default for NetworkParams<Pow> {
     fn default() -> Self {
-        let nodes = 16;
-        PowParams {
-            nodes,
-            hash_powers: vec![1_000.0],
+        NetworkParams {
+            nodes: 16,
             chain: ChainConfig {
                 consensus: ConsensusKind::ProofOfWork {
                     // 16 kH/s network × 60 s target.
@@ -61,104 +219,36 @@ impl Default for PowParams {
                 },
                 ..ChainConfig::bitcoin_like()
             },
-            net: default_net(nodes),
+            net: wan(16),
+            engine: Pow {
+                hash_powers: vec![1_000.0],
+            },
         }
     }
 }
 
-/// Builds a proof-of-work network over the null state machine.
-pub fn build_pow(params: &PowParams, seed: u64) -> Runner<PowNode<NullMachine>> {
-    let genesis = dcs_chain::genesis_block(&params.chain);
-    let mut net = params.net.clone();
-    net.nodes = params.nodes;
-    let chain = params.chain.clone();
-    let powers = params.hash_powers.clone();
-    Runner::new(net, seed, move |id: NodeId| {
-        PowNode::new(
-            id,
-            node_address(id.0),
-            genesis.clone(),
-            chain.clone(),
-            NullMachine,
-            powers[id.0 % powers.len()],
-        )
-    })
-}
-
-/// Parameters for a proof-of-stake network.
-#[derive(Debug, Clone)]
-pub struct PosParams {
-    /// Peer count.
-    pub nodes: usize,
-    /// Per-node stake; cycled if shorter than `nodes`.
-    pub stakes: Vec<u64>,
-    /// Chain configuration (must be `ProofOfStake`).
-    pub chain: ChainConfig,
-    /// Overlay configuration.
-    pub net: NetConfig,
-}
-
-impl Default for PosParams {
+/// 16 equal-stake validators, 10 s slots.
+impl Default for NetworkParams<Pos> {
     fn default() -> Self {
-        let nodes = 16;
-        PosParams {
-            nodes,
-            stakes: vec![100],
+        NetworkParams {
+            nodes: 16,
             chain: ChainConfig {
                 consensus: ConsensusKind::ProofOfStake {
                     slot_us: 10_000_000,
                 },
                 ..ChainConfig::ethereum_like()
             },
-            net: default_net(nodes),
+            net: wan(16),
+            engine: Pos { stakes: vec![100] },
         }
     }
 }
 
-/// Builds a proof-of-stake network over the null state machine.
-pub fn build_pos(params: &PosParams, seed: u64) -> Runner<PosNode<NullMachine>> {
-    let genesis = dcs_chain::genesis_block(&params.chain);
-    let stakes: Vec<u64> = (0..params.nodes)
-        .map(|i| params.stakes[i % params.stakes.len()])
-        .collect();
-    let table = StakeTable::new(
-        (0..params.nodes).map(node_address).collect(),
-        stakes,
-        params.chain.chain_id,
-    );
-    let mut net = params.net.clone();
-    net.nodes = params.nodes;
-    let chain = params.chain.clone();
-    Runner::new(net, seed, move |id: NodeId| {
-        PosNode::new(
-            id,
-            genesis.clone(),
-            chain.clone(),
-            NullMachine,
-            table.clone(),
-            id.0,
-        )
-    })
-}
-
-/// Parameters for a proof-of-elapsed-time network.
-#[derive(Debug, Clone)]
-pub struct PoetParams {
-    /// Peer count.
-    pub nodes: usize,
-    /// Chain configuration (must be `ProofOfElapsedTime`).
-    pub chain: ChainConfig,
-    /// Overlay configuration.
-    pub net: NetConfig,
-    /// Per-node cheat factors (1.0 honest); cycled.
-    pub cheat_factors: Vec<f64>,
-}
-
-impl Default for PoetParams {
+/// 16 honest enclaves, ~30 s network block interval.
+impl Default for NetworkParams<Poet> {
     fn default() -> Self {
-        let nodes = 16;
-        PoetParams {
-            nodes,
+        NetworkParams {
+            nodes: 16,
             chain: ChainConfig {
                 consensus: ConsensusKind::ProofOfElapsedTime {
                     // Per-node mean wait ≈ nodes × target interval.
@@ -166,95 +256,31 @@ impl Default for PoetParams {
                 },
                 ..ChainConfig::bitcoin_like()
             },
-            net: default_net(nodes),
-            cheat_factors: vec![1.0],
-        }
-    }
-}
-
-/// Builds a proof-of-elapsed-time network over the null state machine.
-pub fn build_poet(params: &PoetParams, seed: u64) -> Runner<PoetNode<NullMachine>> {
-    let genesis = dcs_chain::genesis_block(&params.chain);
-    let mut net = params.net.clone();
-    net.nodes = params.nodes;
-    let chain = params.chain.clone();
-    let cheats = params.cheat_factors.clone();
-    Runner::new(net, seed, move |id: NodeId| {
-        let mut node = PoetNode::new(
-            id,
-            node_address(id.0),
-            genesis.clone(),
-            chain.clone(),
-            NullMachine,
-        );
-        node.cheat_factor = cheats[id.0 % cheats.len()];
-        node
-    })
-}
-
-/// Parameters for an ordering-service network.
-#[derive(Debug, Clone)]
-pub struct OrderingParams {
-    /// Peer count.
-    pub nodes: usize,
-    /// Chain configuration (must be `Ordering`).
-    pub chain: ChainConfig,
-    /// Overlay configuration.
-    pub net: NetConfig,
-}
-
-impl Default for OrderingParams {
-    fn default() -> Self {
-        let nodes = 8;
-        OrderingParams {
-            nodes,
-            chain: ChainConfig::hyperledger_like(),
-            net: NetConfig {
-                latency: LatencyModel::lan(),
-                topology: Topology::Complete,
-                ..default_net(nodes)
+            net: wan(16),
+            engine: Poet {
+                cheat_factors: vec![1.0],
             },
         }
     }
 }
 
-/// Builds an ordering-service network over the null state machine.
-pub fn build_ordering(params: &OrderingParams, seed: u64) -> Runner<OrderingNode<NullMachine>> {
-    let genesis = dcs_chain::genesis_block(&params.chain);
-    let mut net = params.net.clone();
-    net.nodes = params.nodes;
-    let chain = params.chain.clone();
-    let n = params.nodes;
-    Runner::new(net, seed, move |id: NodeId| {
-        OrderingNode::new(
-            id,
-            node_address(id.0),
-            genesis.clone(),
-            chain.clone(),
-            NullMachine,
-            n,
-        )
-    })
-}
-
-/// Parameters for a PBFT consortium.
-#[derive(Debug, Clone)]
-pub struct PbftParams {
-    /// Replica count (≥ 4).
-    pub nodes: usize,
-    /// Chain configuration (must be `Pbft`).
-    pub chain: ChainConfig,
-    /// Overlay configuration (PBFT speaks point-to-point; keep `Complete`).
-    pub net: NetConfig,
-    /// Indices of replicas to crash at start (fail-stop).
-    pub crashed: Vec<usize>,
-}
-
-impl Default for PbftParams {
+/// 8 peers of a Hyperledger-like ordering service on a LAN.
+impl Default for NetworkParams<Ordering> {
     fn default() -> Self {
-        let nodes = 7;
-        PbftParams {
-            nodes,
+        NetworkParams {
+            nodes: 8,
+            chain: ChainConfig::hyperledger_like(),
+            net: lan(8),
+            engine: Ordering,
+        }
+    }
+}
+
+/// 7 PBFT replicas (f = 2) on a LAN, 500-transaction batches.
+impl Default for NetworkParams<Pbft> {
+    fn default() -> Self {
+        NetworkParams {
+            nodes: 7,
             chain: ChainConfig {
                 consensus: ConsensusKind::Pbft {
                     batch_size: 500,
@@ -263,86 +289,30 @@ impl Default for PbftParams {
                 },
                 ..ChainConfig::hyperledger_like()
             },
-            net: NetConfig {
-                latency: LatencyModel::lan(),
-                topology: Topology::Complete,
-                ..default_net(nodes)
-            },
-            crashed: Vec::new(),
+            net: lan(7),
+            engine: Pbft::default(),
         }
     }
 }
 
-/// Builds a PBFT consortium over the null state machine.
-pub fn build_pbft(params: &PbftParams, seed: u64) -> Runner<PbftNode<NullMachine>> {
-    let genesis = dcs_chain::genesis_block(&params.chain);
-    let mut net = params.net.clone();
-    net.nodes = params.nodes;
-    let chain = params.chain.clone();
-    let n = params.nodes;
-    let crashed = params.crashed.clone();
-    Runner::new(net, seed, move |id: NodeId| {
-        let mut node = PbftNode::new(
-            id,
-            node_address(id.0),
-            genesis.clone(),
-            chain.clone(),
-            NullMachine,
-            n,
-        );
-        node.crashed = crashed.contains(&id.0);
-        node
-    })
-}
-
-/// Parameters for a Bitcoin-NG network.
-#[derive(Debug, Clone)]
-pub struct NgParams {
-    /// Peer count.
-    pub nodes: usize,
-    /// Per-node hash power; cycled.
-    pub hash_powers: Vec<f64>,
-    /// Chain configuration (must be `BitcoinNg`).
-    pub chain: ChainConfig,
-    /// Overlay configuration.
-    pub net: NetConfig,
-}
-
-impl Default for NgParams {
+/// 16 miners of 1 kH/s, 60 s key blocks, 1 s microblocks.
+impl Default for NetworkParams<Ng> {
     fn default() -> Self {
-        let nodes = 16;
-        NgParams {
-            nodes,
-            hash_powers: vec![1_000.0],
+        NetworkParams {
+            nodes: 16,
             chain: ChainConfig {
                 consensus: ConsensusKind::BitcoinNg {
                     key_difficulty: 960_000, // 16 kH/s × 60 s keyblocks
                     key_interval_us: 60_000_000,
                     micro_interval_us: 1_000_000,
                 },
-                fork_choice: dcs_primitives::ForkChoice::HeaviestWork,
+                fork_choice: ForkChoice::HeaviestWork,
                 ..ChainConfig::bitcoin_like()
             },
-            net: default_net(nodes),
+            net: wan(16),
+            engine: Ng {
+                hash_powers: vec![1_000.0],
+            },
         }
     }
-}
-
-/// Builds a Bitcoin-NG network over the null state machine.
-pub fn build_ng(params: &NgParams, seed: u64) -> Runner<NgNode<NullMachine>> {
-    let genesis = dcs_chain::genesis_block(&params.chain);
-    let mut net = params.net.clone();
-    net.nodes = params.nodes;
-    let chain = params.chain.clone();
-    let powers = params.hash_powers.clone();
-    Runner::new(net, seed, move |id: NodeId| {
-        NgNode::new(
-            id,
-            node_address(id.0),
-            genesis.clone(),
-            chain.clone(),
-            NullMachine,
-            powers[id.0 % powers.len()],
-        )
-    })
 }

@@ -5,13 +5,13 @@
 //! fault-injection twin of [`install_tracing`](crate::install_tracing):
 //!
 //! ```
-//! use dcs_ledger::{builders, faults::install_faults};
+//! use dcs_chain::NullMachine;
 //! use dcs_faults::FaultSchedule;
+//! use dcs_ledger::{build, builders::Pow, faults::install_faults, NetworkParams};
 //! use dcs_net::NodeId;
 //! use dcs_sim::{SimDuration, SimTime};
 //!
-//! let cfg = builders::PowParams::default();
-//! let mut runner = builders::build_pow(&cfg, 42);
+//! let mut runner = build(&NetworkParams::<Pow>::default(), 42, |_| NullMachine);
 //! let schedule = FaultSchedule::new()
 //!     .crash_at(SimTime::ZERO + SimDuration::from_secs(100), NodeId(0))
 //!     .restart_at(SimTime::ZERO + SimDuration::from_secs(300), NodeId(0));

@@ -5,15 +5,14 @@
 //!
 //! This is the crate downstream users interact with:
 //!
-//! * [`builders`] — construct a whole simulated network for any consensus
-//!   family in one call.
+//! * [`builders`] — one constructor, [`build`], for a whole simulated
+//!   network: any consensus family's engine rule × any state machine, each
+//!   family's `Default` parameters its preset.
 //! * [`workload`] — client transaction generators (the "users not actively
 //!   involved in the ledger" of §2.4).
 //! * [`metrics`] — the DCS measurement suite: throughput and latency
 //!   (scalability), fork/reorg rates and replica agreement (consistency),
 //!   Gini and Nakamoto coefficients over proposer power (decentralization).
-//! * [`profile`] — named DCS presets: `DC` (Bitcoin-like, Ethereum-like),
-//!   `CS` (Hyperledger-like), `DS` (fast PoW that sacrifices consistency).
 //! * [`serve`] — the live operations surface: install a metrics registry
 //!   over a whole network and expose it (plus status, per-transaction
 //!   timelines, analytics, and a flight recorder) over HTTP
@@ -21,21 +20,22 @@
 //!
 //! # Examples
 //!
-//! Run a 12-peer Bitcoin-like proof-of-work network for two simulated hours
-//! and measure it:
+//! Run a 12-peer Bitcoin-like proof-of-work network over the null state
+//! machine for ten simulated minutes and measure it:
 //!
 //! ```
-//! use dcs_ledger::{builders, metrics, workload::Workload};
+//! use dcs_chain::NullMachine;
+//! use dcs_ledger::{build, builders::Pow, metrics, workload::Workload, NetworkParams};
 //! use dcs_sim::SimDuration;
 //!
-//! let mut cfg = builders::PowParams::default();
+//! let mut cfg = NetworkParams::<Pow>::default();
 //! cfg.nodes = 12;
 //! cfg.chain.consensus = dcs_primitives::ConsensusKind::ProofOfWork {
 //!     initial_difficulty: 1_000_000,
 //!     retarget_window: 0,
 //!     target_interval_us: 60_000_000,
 //! };
-//! let mut runner = builders::build_pow(&cfg, 42);
+//! let mut runner = build(&cfg, 42, |_| NullMachine);
 //! let submitted = Workload::transfers(5.0, SimDuration::from_secs(600), 100)
 //!     .inject(runner.net_mut(), 7);
 //! runner.run_until(dcs_sim::SimTime::ZERO + SimDuration::from_secs(700));
@@ -49,20 +49,15 @@
 pub mod builders;
 pub mod faults;
 pub mod metrics;
-pub mod profile;
 pub mod scale;
 pub mod serve;
 pub mod trace;
 pub mod workload;
 
-pub use builders::{
-    build_ng, build_ordering, build_pbft, build_poet, build_pos, build_pow, NgParams,
-    OrderingParams, PbftParams, PoetParams, PosParams, PowParams,
-};
+pub use builders::{build, EngineRule, NetworkParams};
 pub use dcs_consensus::LedgerNode;
 pub use faults::install_faults;
-pub use metrics::{collect, SimResult, VerificationReport};
-pub use profile::Profile;
+pub use metrics::{collect, SimResult};
 pub use scale::{run_channel_workload, ChannelRunReport, ChannelWorkloadParams};
 pub use serve::{
     install_metrics, run_live, OpsServer, OpsState, RunnerGauges, ScaleSidecar, ScaleStatus,

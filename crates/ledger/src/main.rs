@@ -18,7 +18,7 @@ options:
   --seed N           run seed                  (default 42)
   --nodes N          peer count                (default 8)
   --tps F            client transactions/sim-s (default 5)
-  --shards N         engine shard workers      (default: runner default)
+  --shards N         engine shard workers      (default 0; 0 or 1 = serial)
   --sim-secs N       simulated workload length (default 600)
   --tick-ms N        wall ms per live tick     (default 100)
   --warp N           sim-time multiplier       (default 10)

@@ -7,100 +7,10 @@
 //!   actually produced the canonical chain.
 
 use crate::LedgerNode;
-use dcs_crypto::{Hash256, VerifyPipeline};
+use dcs_crypto::Hash256;
 use dcs_primitives::Transaction;
 use dcs_sim::{gini, nakamoto_coefficient, SimDuration, SimTime, Summary};
 use std::collections::{BTreeMap, HashMap};
-
-pub use dcs_crypto::{PipelineStats, SigCacheStats};
-
-/// A snapshot of the block-verification pipeline for the measurement suite:
-/// worker parallelism, batch activity, and signature-cache effectiveness.
-/// The interesting headline number is [`VerificationReport::signatures_skipped`] —
-/// every cache hit is one WOTS+Merkle verification (hundreds of SHA-256
-/// compressions) that admission already paid for and block connect did not
-/// repeat.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct VerificationReport {
-    /// Raw pipeline counters (threads, batches, cache hit/miss).
-    pub pipeline: PipelineStats,
-    /// Gossiped blocks rejected at import, summed over peers — nonzero
-    /// means someone fed the network structurally invalid blocks.
-    pub rejected_blocks: u64,
-    /// Broken internal invariants survived at runtime (see
-    /// [`dcs_chain::ChainStats::internal_errors`]), summed over peers.
-    /// A healthy run keeps this at zero; the determinism suite asserts it.
-    pub internal_errors: u64,
-    /// Sync requests re-sent after a timeout or negative reply, summed over
-    /// peers — how hard nodes had to work to fill ancestry gaps. Zero on a
-    /// loss-free network.
-    pub sync_retries: u64,
-}
-
-impl VerificationReport {
-    /// Snapshots `pipeline`'s counters.
-    pub fn collect(pipeline: &VerifyPipeline) -> Self {
-        VerificationReport {
-            pipeline: pipeline.stats(),
-            rejected_blocks: 0,
-            internal_errors: 0,
-            sync_retries: 0,
-        }
-    }
-
-    /// Signature verifications answered from the cache (work skipped).
-    pub fn signatures_skipped(&self) -> u64 {
-        self.pipeline.cache.map_or(0, |c| c.hits)
-    }
-
-    /// Signature verifications actually executed.
-    pub fn signatures_verified(&self) -> u64 {
-        self.pipeline
-            .cache
-            .map_or(self.pipeline.batch_items, |c| c.misses)
-    }
-
-    /// Cache hit rate in `[0, 1]` (0 when no cache is configured). This is
-    /// the `verify_cache_hit_rate` column of the BENCH v2 schema: the
-    /// fraction of signature checks block connect answered from the
-    /// admission-warmed cache instead of re-executing.
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.pipeline.cache.map_or(0.0, |c| c.hit_rate())
-    }
-
-    /// Batches submitted through the pipeline (one per admission or
-    /// prevalidation call).
-    pub fn verify_batches(&self) -> u64 {
-        self.pipeline.batches
-    }
-
-    /// Mean items per verification batch — how "batch-first" the verify
-    /// stage actually ran. 1.0 means every signature arrived alone (pure
-    /// tx-at-a-time admission); block prevalidation drives it toward the
-    /// block's witness count.
-    pub fn avg_batch_size(&self) -> f64 {
-        if self.pipeline.batches == 0 {
-            0.0
-        } else {
-            self.pipeline.batch_items as f64 / self.pipeline.batches as f64
-        }
-    }
-}
-
-impl core::fmt::Display for VerificationReport {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "verify[{}] skipped={} verified={} rejected_blocks={} internal_errors={} sync_retries={}",
-            self.pipeline,
-            self.signatures_skipped(),
-            self.signatures_verified(),
-            self.rejected_blocks,
-            self.internal_errors,
-            self.sync_retries,
-        )
-    }
-}
 
 /// Everything measured from one simulation run.
 #[derive(Debug, Clone)]
@@ -283,31 +193,5 @@ pub fn collect<P: LedgerNode>(
         proposer_counts,
         work_expended,
         work_per_block: work_expended / canonical_blocks.max(1) as f64,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dcs_crypto::{sha256, KeyPair};
-
-    #[test]
-    fn verification_report_reflects_cache_activity() {
-        let pipeline = VerifyPipeline::new(2, 256);
-        let mut kp = KeyPair::generate([1u8; 32], 2);
-        let pk = kp.public_key();
-        let msg = sha256(b"m");
-        let sig = kp.sign(&msg).unwrap();
-        let items = vec![(pk, msg, sig)];
-        pipeline.verify_batch(&items); // miss
-        pipeline.verify_batch(&items); // hit
-        let report = VerificationReport::collect(&pipeline);
-        assert_eq!(report.signatures_skipped(), 1);
-        assert_eq!(report.signatures_verified(), 1);
-        assert!((report.cache_hit_rate() - 0.5).abs() < 1e-9);
-        assert_eq!(report.verify_batches(), 2);
-        assert!((report.avg_batch_size() - 1.0).abs() < 1e-9);
-        let text = report.to_string();
-        assert!(text.contains("skipped=1"), "{text}");
     }
 }

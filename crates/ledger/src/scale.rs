@@ -16,13 +16,13 @@
 //! with the same parameters produce bit-identical dispute outcomes and
 //! application state hashes — the replay gate in `tests/determinism.rs`.
 
-use crate::builders::node_address;
+use crate::builders::{build, NetworkParams, Ordering};
 use dcs_chain::StateMachine;
 use dcs_consensus::ordering::OrderingNode;
 use dcs_consensus::{wire_size, WireMsg};
 use dcs_crypto::{Address, Hash256};
 use dcs_middleware::{AppAdapter, ChannelApp, ChannelAppStats, ChannelOp};
-use dcs_net::{LatencyModel, NetConfig, NodeId, Runner, Topology};
+use dcs_net::NodeId;
 use dcs_primitives::{Amount, ChainConfig, ConsensusKind, SealedTx, Transaction, TxPayload};
 use dcs_scale::channels::{ChannelError, PartyBook, Phase, SignedState};
 use dcs_sim::{Rng, SimTime};
@@ -110,14 +110,6 @@ fn committed_ops(node: &OrderingNode<AppAdapter<ChannelApp>>) -> Vec<ChannelOp> 
 /// Runs the full channel lifecycle over an ordering network. Deterministic
 /// in `(params, seed)`.
 pub fn run_channel_workload(params: &ChannelWorkloadParams, seed: u64) -> ChannelRunReport {
-    let chain_cfg = ChainConfig {
-        consensus: ConsensusKind::Ordering {
-            batch_size: 16,
-            batch_timeout_us: 100_000,
-            rotate_every: 0,
-        },
-        ..ChainConfig::hyperledger_like()
-    };
     let mut rng = Rng::seed_from(seed ^ 0x5ca1_ab1e);
 
     // The book owns every party's signing keys (the driver simulates all
@@ -136,30 +128,23 @@ pub fn run_channel_workload(params: &ChannelWorkloadParams, seed: u64) -> Channe
         .collect();
     let alloc: Vec<(Address, Amount)> = parties.iter().map(|a| (*a, params.funding)).collect();
 
-    let genesis = dcs_chain::genesis_block(&chain_cfg);
-    let net_cfg = NetConfig {
-        nodes: params.nodes,
-        topology: Topology::Complete,
-        latency: LatencyModel::lan(),
-        drop_probability: 0.0,
-        bandwidth_bytes_per_sec: None,
-    };
     let window = params.dispute_window;
-    let mut runner: Runner<OrderingNode<AppAdapter<ChannelApp>>> = {
-        let alloc = alloc.clone();
-        let chain_cfg = chain_cfg.clone();
-        let n = params.nodes;
-        Runner::new(net_cfg, seed, move |id: NodeId| {
-            OrderingNode::new(
-                id,
-                node_address(id.0),
-                genesis.clone(),
-                chain_cfg.clone(),
-                AppAdapter::new(ChannelApp::new(window, &alloc)),
-                n,
-            )
-        })
+    // The ordering preset's LAN consortium, cutting small batches.
+    let network = NetworkParams {
+        nodes: params.nodes,
+        chain: ChainConfig {
+            consensus: ConsensusKind::Ordering {
+                batch_size: 16,
+                batch_timeout_us: 100_000,
+                rotate_every: 0,
+            },
+            ..ChainConfig::hyperledger_like()
+        },
+        ..NetworkParams::<Ordering>::default()
     };
+    let mut runner = build(&network, seed, |_| {
+        AppAdapter::new(ChannelApp::new(window, &alloc))
+    });
     if let Some(w) = params.engine_workers {
         runner.set_shards(w);
     }

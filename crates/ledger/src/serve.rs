@@ -22,8 +22,10 @@
 //! simulated run is bit-identical with metrics and serving on or off
 //! (asserted in `tests/determinism.rs`); see DESIGN.md §16.
 
+use crate::builders::{build, NetworkParams, Pow};
 use crate::LedgerNode;
-use crate::{builders, collect_traces, install_tracing, workload::Workload};
+use crate::{collect_traces, install_tracing, workload::Workload};
+use dcs_chain::NullMachine;
 use dcs_crypto::VerifyPipeline;
 use dcs_metrics::{Counter, Gauge, Histogram, Registry, Ring};
 use dcs_net::{NodeId, Runner};
@@ -608,7 +610,7 @@ pub struct ServeParams {
     pub nodes: usize,
     /// Client transactions per simulated second.
     pub tps: f64,
-    /// Engine shard workers (0 = the runner's default).
+    /// Engine shard workers (0 or 1 = serial).
     pub shards: usize,
     /// Simulated seconds of workload; the run idles once consumed.
     pub sim_secs: u64,
@@ -643,10 +645,9 @@ impl Default for ServeParams {
 fn build_serve_runner(
     params: &ServeParams,
     registry: &Registry,
-) -> Runner<dcs_consensus::pow::PowNode<dcs_chain::NullMachine>> {
-    let mut pow = builders::PowParams {
+) -> Runner<dcs_consensus::pow::PowNode<NullMachine>> {
+    let mut pow = NetworkParams::<Pow> {
         nodes: params.nodes,
-        hash_powers: vec![1_000.0],
         ..Default::default()
     };
     pow.chain.consensus = ConsensusKind::ProofOfWork {
@@ -654,10 +655,8 @@ fn build_serve_runner(
         retarget_window: 16,
         target_interval_us: 5_000_000,
     };
-    let mut runner = builders::build_pow(&pow, params.seed);
-    if params.shards > 0 {
-        runner.set_shards(params.shards);
-    }
+    let mut runner = build(&pow, params.seed, |_| NullMachine);
+    runner.set_shards(params.shards);
     install_tracing(&mut runner, &TraceConfig::full());
     install_metrics(&mut runner, registry);
     let pipeline = Arc::new(VerifyPipeline::new(2, 4096));

@@ -110,7 +110,7 @@ fn wall_clock_allowed_in_bench() {
 #[test]
 fn host_env_allowed_outside_determinism_crates_and_in_tests() {
     // The crypto pool and the CLIs size themselves from the host; a test
-    // may pin `DCS_SIM_SHARDS`-style knobs for the run it drives.
+    // may pin an environment knob for the run it drives.
     for path in [
         "crates/crypto/src/ok.rs",
         "crates/ledger/src/main.rs",

@@ -67,23 +67,17 @@ fn report_counts_files() {
     assert_eq!(report(&Allowlist::default()).files_scanned, 2);
 }
 
-// --- the fold: what the call-graph pass caught, caught lexically ---------
+// --- the workspace itself ------------------------------------------------
 
 #[test]
-fn emptied_allowlist_reports_host_env_at_default_shards() {
+fn the_workspace_has_no_host_env_finding() {
+    // The engine's worker count is an argument, not the host: with no
+    // allowlist at all, nothing in a determinism-critical crate reads the
+    // environment or the core count (`host_ws` keeps the rule tested).
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let r = check_workspace_report(&root, &Allowlist::default()).expect("workspace readable");
     let hits: Vec<_> = r.findings.iter().filter(|f| f.rule == "host-env").collect();
-    // The two host reads of `default_shards` — the `DCS_SIM_SHARDS`
-    // override and the core-count fallback under it, the site the graph
-    // pass reported once, per function — and nothing anywhere else.
-    assert_eq!(hits.len(), 2, "{hits:?}");
-    for f in &hits {
-        assert_eq!(f.path, "crates/net/src/runner.rs", "{f:?}");
-    }
-    assert!(hits[0].snippet.contains("env::var(\"DCS_SIM_SHARDS\")"));
-    assert!(hits[1].snippet.contains("available_parallelism"));
-    assert!(hits[1].line - hits[0].line < 8, "one function: {hits:?}");
+    assert!(hits.is_empty(), "{hits:?}");
 }
 
 // --- CLI: SARIF output and the stale gate --------------------------------

@@ -3,10 +3,11 @@
 //! queue directly — they emit [`Action`]s through a [`Ctx`], which keeps
 //! every protocol implementation deterministic and testable in isolation.
 //!
-//! Large networks are driven by the sharded engine (`crate::engine`):
-//! peers are partitioned across a worker pool and advanced in conservative
-//! time windows bounded by the latency floor. The partitioning is invisible
-//! — `run_until` produces bit-identical results at any shard count.
+//! A runner drives its peers serially unless [`Runner::set_shards`] asks for
+//! the sharded engine (`crate::engine`): peers are partitioned across a
+//! worker pool and advanced in conservative time windows bounded by the
+//! latency floor. The partitioning is invisible — `run_until` produces
+//! bit-identical results at any shard count.
 
 use crate::network::{NetConfig, NetEvent, NetStats, Network};
 use crate::{engine, NodeId};
@@ -128,19 +129,6 @@ pub trait Protocol {
     }
 }
 
-/// Picks the default worker count: the `DCS_SIM_SHARDS` environment
-/// variable if set, otherwise `min(cores, nodes / 128)` — small networks
-/// are not worth fanning out.
-fn default_shards(nodes: usize) -> usize {
-    if let Ok(v) = std::env::var("DCS_SIM_SHARDS") {
-        if let Ok(s) = v.trim().parse::<usize>() {
-            return s.max(1);
-        }
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    cores.min((nodes / 128).max(1))
-}
-
 /// Drives `N` protocol instances over a [`Network`].
 #[derive(Debug)]
 pub struct Runner<P: Protocol> {
@@ -170,14 +158,13 @@ impl<P: Protocol> Runner<P> {
             rngs,
             started: false,
             action_buf: Vec::new(),
-            shards: default_shards(n),
+            shards: 1,
             shard_dispatched: Vec::new(),
         }
     }
 
-    /// Overrides the engine worker count (default: `DCS_SIM_SHARDS`, else
-    /// core count capped by network size). Any value produces bit-identical
-    /// results; `1` forces the serial path.
+    /// Sets the engine worker count (default 1, the serial path; 0 reads
+    /// as 1). Any value produces bit-identical results.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
     }

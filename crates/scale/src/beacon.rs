@@ -622,6 +622,10 @@ pub struct BeaconStats {
     /// for it (only a reordering latency model makes any). A path marker,
     /// not an outcome: [`BeaconNet::digest`] leaves it out.
     pub buffered_receipts: u64,
+    /// Anchors dropped: naming a shard other than their sender's, or a
+    /// header that does not extend the tracked chain. Honest runs send none,
+    /// so [`BeaconNet::digest`] leaves it out too.
+    pub invalid_anchors: u64,
 }
 
 /// The beacon: tracks every shard header-chain, arbitrates cross-shard
@@ -687,20 +691,35 @@ impl BeaconNode {
         Address::from_hash(&sha256(b"beacon-anchor-authority"))
     }
 
-    fn on_anchor(&mut self, shard: u32, header: BlockHeader, ctx: &mut Ctx<'_, ScaleMsg>) {
+    /// An anchor is a peer's bytes: only shard `s`'s sequencer (node
+    /// `s + 1`) anchors shard `s`, and only with a header that extends what
+    /// the beacon tracks. Anything else is counted and dropped.
+    fn on_anchor(
+        &mut self,
+        from: NodeId,
+        shard: u32,
+        header: BlockHeader,
+        ctx: &mut Ctx<'_, ScaleMsg>,
+    ) {
+        let k = shard as usize;
+        if k >= self.trackers.len() || from.0.checked_sub(1) != Some(k) {
+            self.stats.invalid_anchors += 1;
+            return;
+        }
         self.anchor_buf.insert((shard, header.height), header);
         loop {
-            let next_height = self.trackers[shard as usize].tip_height() + 1;
+            let next_height = self.trackers[k].tip_height() + 1;
             let Some(next) = self.anchor_buf.remove(&(shard, next_height)) else {
                 break;
             };
+            if self.trackers[k].sync(std::slice::from_ref(&next)).is_err() {
+                self.stats.invalid_anchors += 1;
+                break;
+            }
             let mut payload = Vec::with_capacity(44);
             payload.extend_from_slice(&shard.to_le_bytes());
             payload.extend_from_slice(&next.height.to_le_bytes());
             payload.extend_from_slice(next.hash().as_bytes());
-            self.trackers[shard as usize]
-                .sync(std::slice::from_ref(&next))
-                .expect("sequencer headers link by construction");
             self.stats.anchors += 1;
             let mut tx = AccountTx::transfer(
                 Self::anchor_authority(),
@@ -713,7 +732,7 @@ impl BeaconNode {
             tx.gas_price = 0;
             tx.payload = TxPayload::Data(payload);
             self.pending_anchor_txs.push(Transaction::Account(tx));
-            let covered = self.trackers[shard as usize].tip_height();
+            let covered = self.trackers[k].tip_height();
             if let Some(receipts) = self.receipt_buf.remove(&(shard, covered)) {
                 self.decide(receipts, ctx);
             }
@@ -986,7 +1005,7 @@ impl Protocol for ScalePeer {
                 s.serve_proof(from, height, ctx)
             }
             (ScalePeer::Beacon(b), ScaleMsg::Anchor { shard, header }) => {
-                b.on_anchor(shard, header, ctx)
+                b.on_anchor(from, shard, header, ctx)
             }
             (ScalePeer::Beacon(b), ScaleMsg::Locks(receipts)) => b.on_locks(receipts, ctx),
             (ScalePeer::Beacon(b), ScaleMsg::LockStatus { lock_id, receipt }) => {
@@ -1436,7 +1455,10 @@ mod tests {
         let mut beacon = BeaconNode::new(&params);
         let genesis = genesis_block(&shard_config(0, &params)).header.clone();
         let h1 = header_over_leaves(&genesis, 1);
-        assert!(drive(&mut beacon, |b, ctx| b.on_anchor(0, h1.clone(), ctx)).is_empty());
+        let h1_sent = drive(&mut beacon, |b, ctx| {
+            b.on_anchor(NodeId(1), 0, h1.clone(), ctx)
+        });
+        assert!(h1_sent.is_empty());
         (beacon, h1)
     }
 
@@ -1495,7 +1517,7 @@ mod tests {
         );
         assert_eq!(beacon.stats.buffered_receipts, 1);
         let h2 = header_over_leaves(&h1, 2);
-        let sent = drive(&mut beacon, |b, ctx| b.on_anchor(0, h2, ctx));
+        let sent = drive(&mut beacon, |b, ctx| b.on_anchor(NodeId(1), 0, h2, ctx));
         assert_eq!(
             sent,
             vec![Sent::Grant {
@@ -1536,6 +1558,79 @@ mod tests {
         assert_eq!(net.beacon().stats.invalid_receipts, 3);
         assert_eq!(net.beacon().stats.grants, 0);
         assert_eq!(net.stats().minted + net.stats().refunded, 0);
+    }
+
+    /// Delivers `msg` to the beacon as if `from` had sent it at time 0.
+    fn send_to_beacon(net: &mut BeaconNet, from: usize, msg: ScaleMsg) {
+        let size = msg.wire_size();
+        net.runner
+            .net_mut()
+            .send(NodeId(from), NodeId(0), msg, size);
+    }
+
+    /// An anchor is a peer's bytes too: a shard id the beacon does not
+    /// coordinate must not index its trackers, and one sequencer cannot
+    /// anchor another shard's chain.
+    #[test]
+    fn anchor_naming_an_unknown_or_foreign_shard_is_counted_and_dropped() {
+        let params = BeaconParams::default();
+        let accts = accounts(8);
+        let mut net = BeaconNet::new(&params, 19, &funded(&accts));
+        let genesis = genesis_block(&shard_config(0, &params)).header.clone();
+        let header = header_over_leaves(&genesis, 1);
+        // Shard 1's sequencer (node 2) names shard 9 of 2, then shard 0.
+        for shard in [9, 0] {
+            let header = header.clone();
+            send_to_beacon(&mut net, 2, ScaleMsg::Anchor { shard, header });
+        }
+        for (i, &from) in accts.iter().enumerate() {
+            let t = Transfer {
+                from,
+                to: accts[(i + 1) % accts.len()],
+                value: 5,
+            };
+            net.submit_at(SimTime::from_micros(10_000), t);
+        }
+        net.run();
+        let beacon = net.beacon();
+        assert_eq!(beacon.stats.invalid_anchors, 2);
+        assert_eq!(beacon.stats.anchors, net.stats().shard_blocks);
+        assert_eq!(beacon.tracked_tip(0), net.shard(0).chain().height());
+        assert_eq!(net.user_total(&accts), 8 * 1_000_000);
+    }
+
+    /// A header that does not extend the tracked chain (here: block 1 over
+    /// a parent that never existed) is counted and dropped, and the honest
+    /// anchor of the same height is tracked after it.
+    #[test]
+    fn anchor_that_does_not_link_is_counted_and_dropped() {
+        let accts = accounts(8);
+        let mut net = BeaconNet::new(&BeaconParams::default(), 31, &funded(&accts));
+        let orphan = BlockHeader::new(sha256(b"no such parent"), 1, 0, Address::ZERO, Seal::None);
+        send_to_beacon(
+            &mut net,
+            1,
+            ScaleMsg::Anchor {
+                shard: 0,
+                header: orphan,
+            },
+        );
+        let (a, b) = cross_pair(2, &accts);
+        for value in [100, 20, 3] {
+            let t = Transfer {
+                from: a,
+                to: b,
+                value,
+            };
+            net.submit_at(SimTime::from_micros(10_000), t);
+        }
+        net.run();
+        let beacon = net.beacon();
+        assert_eq!(beacon.stats.invalid_anchors, 1);
+        assert_eq!(beacon.stats.anchors, net.stats().shard_blocks);
+        assert!(beacon.tracked_tip(0) > 0 && beacon.tracked_tip(1) > 0);
+        assert_eq!((net.stats().minted, net.stats().refunded), (3, 0));
+        assert_eq!(net.user_total(&accts), 8 * 1_000_000);
     }
 
     /// End to end: a bundle whose middle receipt carries a forged proof

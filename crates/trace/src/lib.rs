@@ -13,8 +13,7 @@
 //!   branch on a `None`, with no formatting, allocation, or buffer touch.
 //! * [`TraceEvent`] — the typed event taxonomy (network sends, mempool
 //!   admissions, chain imports/reorgs, PBFT phases, app events).
-//! * [`TraceConfig`] — off / counters-only / full, with per-[`Category`]
-//!   count-based sampling (deterministic — no RNG involved).
+//! * [`TraceConfig`] — off, or full with a bounded ring buffer per actor.
 //! * [`TraceSet`] — merges per-actor buffers into one time-ordered stream
 //!   with per-actor digests.
 //! * [`Timelines`] — lifecycle spans: stitches raw events into per-tx and

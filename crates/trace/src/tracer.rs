@@ -10,25 +10,18 @@ pub enum TraceMode {
     /// Record nothing; the tracer holds no state at all. Emitting is a
     /// single branch on an `Option` being `None`.
     Off,
-    /// Maintain per-category counters and the stream digest, but keep no
-    /// event buffer (no allocation per event).
-    Counters,
-    /// Counters, digest, and the bounded ring buffer of full records.
+    /// Every event: counters, the stream digest, and the bounded ring
+    /// buffer of full records.
     Full,
 }
 
-/// Configuration for building tracers: mode, ring-buffer capacity, and
-/// per-category count-based sampling.
+/// Configuration for building tracers: mode and ring-buffer capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
     /// What to record.
     pub mode: TraceMode,
-    /// Ring-buffer capacity per tracer (ignored unless [`TraceMode::Full`]).
+    /// Ring-buffer capacity per tracer (ignored when [`TraceMode::Off`]).
     pub buffer_cap: usize,
-    /// Keep one event in every `sample_every[cat]` per category. `1` keeps
-    /// everything. Sampling is **count-based** (event index modulo the
-    /// rate), so it is deterministic — no RNG is involved.
-    pub sample_every: [u32; Category::COUNT],
 }
 
 impl TraceConfig {
@@ -37,16 +30,6 @@ impl TraceConfig {
         TraceConfig {
             mode: TraceMode::Off,
             buffer_cap: 0,
-            sample_every: [1; Category::COUNT],
-        }
-    }
-
-    /// Counters and digest only, no event buffer.
-    pub fn counters() -> Self {
-        TraceConfig {
-            mode: TraceMode::Counters,
-            buffer_cap: 0,
-            sample_every: [1; Category::COUNT],
         }
     }
 
@@ -55,7 +38,6 @@ impl TraceConfig {
         TraceConfig {
             mode: TraceMode::Full,
             buffer_cap: 65_536,
-            sample_every: [1; Category::COUNT],
         }
     }
 
@@ -64,24 +46,16 @@ impl TraceConfig {
         self.buffer_cap = cap.max(1);
         self
     }
-
-    /// Keeps one in `every` events of `cat` (0 is treated as 1).
-    pub fn with_sample(mut self, cat: Category, every: u32) -> Self {
-        self.sample_every[cat.index()] = every.max(1);
-        self
-    }
 }
 
-/// Cheap aggregate counters a tracer maintains in any non-off mode.
+/// Cheap aggregate counters an enabled tracer maintains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceCounters {
-    /// Events recorded (post-sampling).
+    /// Events recorded.
     pub recorded: u64,
-    /// Events skipped by sampling.
-    pub sampled_out: u64,
     /// Records evicted from the ring buffer (digest still covers them).
     pub evicted: u64,
-    /// Events seen per category (pre-sampling).
+    /// Events recorded per category.
     pub per_category: [u64; Category::COUNT],
 }
 
@@ -90,8 +64,6 @@ pub struct TraceCounters {
 #[derive(Debug, Clone)]
 struct Inner {
     node: u32,
-    keep_buffer: bool,
-    sample_every: [u32; Category::COUNT],
     counters: TraceCounters,
     digest: u64,
     scratch: Vec<u8>,
@@ -114,10 +86,8 @@ impl Tracer {
     pub fn new(node: u32, config: &TraceConfig) -> Self {
         match config.mode {
             TraceMode::Off => Tracer(None),
-            mode => Tracer(Some(Box::new(Inner {
+            TraceMode::Full => Tracer(Some(Box::new(Inner {
                 node,
-                keep_buffer: mode == TraceMode::Full,
-                sample_every: config.sample_every.map(|e| e.max(1)),
                 counters: TraceCounters::default(),
                 digest: FNV_OFFSET,
                 scratch: Vec::with_capacity(64),
@@ -175,7 +145,7 @@ impl Tracer {
         self.0.as_ref().map(|i| i.digest)
     }
 
-    /// The buffered records, oldest first (empty in counters-only mode).
+    /// The buffered records, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
         self.0.iter().flat_map(|i| i.buffer.iter())
     }
@@ -193,26 +163,17 @@ impl Tracer {
 
 impl Inner {
     fn record(&mut self, at_us: u64, node: u32, event: TraceEvent) {
-        let cat = event.category().index();
-        let seen = self.counters.per_category[cat];
-        self.counters.per_category[cat] = seen + 1;
-        let every = self.sample_every[cat];
-        if every > 1 && !seen.is_multiple_of(u64::from(every)) {
-            self.counters.sampled_out += 1;
-            return;
-        }
+        self.counters.per_category[event.category().index()] += 1;
         self.counters.recorded += 1;
         let rec = TraceRecord { at_us, node, event };
         self.scratch.clear();
         rec.encode_into(&mut self.scratch);
         self.digest = fnv1a_fold(self.digest, &self.scratch);
-        if self.keep_buffer {
-            if self.buffer.len() == self.cap {
-                self.buffer.pop_front();
-                self.counters.evicted += 1;
-            }
-            self.buffer.push_back(rec);
+        if self.buffer.len() == self.cap {
+            self.buffer.pop_front();
+            self.counters.evicted += 1;
         }
+        self.buffer.push_back(rec);
     }
 }
 
@@ -252,7 +213,6 @@ impl TraceSet {
             .and_modify(|d| *d = fnv1a_fold(*d, &inner.digest.to_le_bytes()))
             .or_insert(inner.digest);
         self.counters.recorded += inner.counters.recorded;
-        self.counters.sampled_out += inner.counters.sampled_out;
         self.counters.evicted += inner.counters.evicted;
         for (a, b) in self
             .counters
@@ -316,19 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_mode_digests_without_buffering() {
-        let mut t = Tracer::new(1, &TraceConfig::counters());
-        t.emit(10, ev(1));
-        t.emit(20, ev(2));
-        assert_eq!(t.counters().unwrap().recorded, 2);
-        assert_eq!(t.len(), 0);
-        let mut full = Tracer::new(1, &TraceConfig::full());
-        full.emit(10, ev(1));
-        full.emit(20, ev(2));
-        assert_eq!(t.digest(), full.digest(), "digest is mode-independent");
-    }
-
-    #[test]
     fn digest_survives_ring_buffer_eviction() {
         let small = TraceConfig::full().with_buffer_cap(2);
         let mut a = Tracer::new(1, &small);
@@ -341,24 +288,6 @@ mod tests {
         assert_eq!(a.counters().unwrap().evicted, 8);
         assert_eq!(b.len(), 10);
         assert_eq!(a.digest(), b.digest(), "digest independent of capacity");
-    }
-
-    #[test]
-    fn sampling_is_count_based_and_counted() {
-        let cfg = TraceConfig::full().with_sample(Category::Chain, 3);
-        let mut t = Tracer::new(1, &cfg);
-        for i in 0..9 {
-            t.emit(i, ev(i));
-        }
-        // Keeps indices 0, 3, 6.
-        assert_eq!(t.counters().unwrap().recorded, 3);
-        assert_eq!(t.counters().unwrap().sampled_out, 6);
-        assert_eq!(
-            t.counters().unwrap().per_category[Category::Chain.index()],
-            9
-        );
-        let kept: Vec<u64> = t.records().map(|r| r.at_us).collect();
-        assert_eq!(kept, vec![0, 3, 6]);
     }
 
     #[test]

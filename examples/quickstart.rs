@@ -9,7 +9,9 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use dcs_ledger::{builders, collect, workload::Workload};
+use dcs_chain::NullMachine;
+use dcs_ledger::builders::Pow;
+use dcs_ledger::{build, collect, workload::Workload, NetworkParams};
 use dcs_primitives::ConsensusKind;
 use dcs_sim::{SimDuration, SimTime};
 
@@ -18,9 +20,8 @@ fn main() {
 
     // 1. Configure the network: 12 miners, 1 kH/s each, targeting 60 s
     //    blocks (a sped-up Bitcoin so the demo finishes instantly).
-    let mut params = builders::PowParams {
+    let mut params = NetworkParams::<Pow> {
         nodes: 12,
-        hash_powers: vec![1_000.0],
         ..Default::default()
     };
     params.chain.consensus = ConsensusKind::ProofOfWork {
@@ -28,7 +29,7 @@ fn main() {
         retarget_window: 16,
         target_interval_us: 60_000_000,
     };
-    let mut runner = builders::build_pow(&params, seed);
+    let mut runner = build(&params, seed, |_| NullMachine);
 
     // 2. Clients submit 5 transfers per second for one simulated hour.
     let horizon = SimDuration::from_secs(3_600);

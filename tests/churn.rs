@@ -5,12 +5,14 @@
 //! real account state, and under every other engine too (they share one
 //! recovery path).
 
-use dcs_chain::StateMachine;
-use dcs_consensus::pbft::PbftNode;
+use dcs_chain::{NullMachine, StateMachine};
 use dcs_contracts::AccountMachine;
 use dcs_crypto::{Address, Hash256};
 use dcs_faults::FaultSchedule;
-use dcs_ledger::{builders, install_faults, workload::Workload, LedgerNode};
+use dcs_ledger::builders::{Ng, Ordering, Pbft, Poet, Pos, Pow};
+use dcs_ledger::{
+    build, install_faults, workload::Workload, EngineRule, LedgerNode, NetworkParams,
+};
 use dcs_net::{NodeId, Runner};
 use dcs_primitives::ConsensusKind;
 use dcs_sim::{SimDuration, SimTime};
@@ -25,11 +27,11 @@ fn at(secs: u64) -> SimTime {
 /// the sync protocol, and converges to the survivors' canonical chain.
 #[test]
 fn pbft_survives_leader_crash_and_readmits_the_restarted_replica() {
-    let params = builders::PbftParams {
+    let params = NetworkParams::<Pbft> {
         nodes: 4,
         ..Default::default()
     };
-    let mut runner = builders::build_pbft(&params, 77);
+    let mut runner = build(&params, 77, |_| NullMachine);
     Workload::transfers(20.0, SimDuration::from_secs(55), 50).inject(runner.net_mut(), 770);
 
     let schedule = FaultSchedule::new()
@@ -85,9 +87,8 @@ fn pbft_survives_leader_crash_and_readmits_the_restarted_replica() {
 /// same canonical prefix as the peers that never went down.
 #[test]
 fn pow_miner_catches_up_to_canonical_tip_after_restart() {
-    let mut params = builders::PowParams {
+    let mut params = NetworkParams::<Pow> {
         nodes: 4,
-        hash_powers: vec![1_000.0],
         ..Default::default()
     };
     params.chain.consensus = ConsensusKind::ProofOfWork {
@@ -96,7 +97,7 @@ fn pow_miner_catches_up_to_canonical_tip_after_restart() {
         target_interval_us: 5_000_000,
     };
     let confirmation = params.chain.confirmation_depth;
-    let mut runner = builders::build_pow(&params, 78);
+    let mut runner = build(&params, 78, |_| NullMachine);
     Workload::transfers(5.0, SimDuration::from_secs(110), 30).inject(runner.net_mut(), 780);
 
     let schedule = FaultSchedule::new()
@@ -155,23 +156,11 @@ fn pow_miner_catches_up_to_canonical_tip_after_restart() {
 fn restarted_replica_over_funded_accounts_converges_to_the_reference_state_root() {
     let senders: Vec<Address> = (100..108).map(Address::from_index).collect();
     let alloc: Vec<(Address, u64)> = senders.iter().map(|a| (*a, 1_000_000)).collect();
-    let params = builders::PbftParams {
+    let params = NetworkParams::<Pbft> {
         nodes: 4,
         ..Default::default()
     };
-    let genesis = dcs_chain::genesis_block(&params.chain);
-    let mut net = params.net.clone();
-    net.nodes = params.nodes;
-    let mut runner = Runner::new(net, 79, |id: NodeId| {
-        PbftNode::new(
-            id,
-            builders::node_address(id.0),
-            genesis.clone(),
-            params.chain.clone(),
-            AccountMachine::with_alloc(&alloc),
-            4,
-        )
-    });
+    let mut runner = build(&params, 79, |_| AccountMachine::with_alloc(&alloc));
     Workload::funded_transfers(10.0, SimDuration::from_secs(45), senders.clone())
         .inject(runner.net_mut(), 790);
     let genesis_root = runner.nodes()[1].core.chain.machine().state_root();
@@ -222,7 +211,7 @@ fn restarted_replica_over_funded_accounts_converges_to_the_reference_state_root(
 /// fingerprint — every peer's canonical chain, fabric totals, and the
 /// counters recovery moves.
 fn ordering_churn_run() -> (Vec<Vec<Hash256>>, [u64; 8]) {
-    let mut runner = builders::build_ordering(&Default::default(), 81);
+    let mut runner = preset::<Ordering>(81);
     Workload::transfers(40.0, SimDuration::from_secs(50), 50).inject(runner.net_mut(), 810);
     let schedule = FaultSchedule::new()
         .crash_at(at(10), NodeId(5))
@@ -272,6 +261,14 @@ fn ordering_peer_recovers_and_the_faulted_run_replays_bit_identically() {
     assert_eq!(ordering_churn_run(), ordering_churn_run());
 }
 
+/// A family's preset network over the null state machine.
+fn preset<E: EngineRule<NullMachine>>(seed: u64) -> Runner<E::Node>
+where
+    NetworkParams<E>: Default,
+{
+    build(&NetworkParams::<E>::default(), seed, |_| NullMachine)
+}
+
 /// Crashes and restarts peer 1 of any engine's network. That this compiles
 /// for every builder is the point: `install_faults` and the fault driver
 /// bound on the one peer trait, which every engine implements.
@@ -289,10 +286,10 @@ fn crash_and_restart_peer_one<P: LedgerNode + Send>(mut runner: Runner<P>) {
 
 #[test]
 fn every_builder_runner_accepts_a_fault_schedule() {
-    crash_and_restart_peer_one(builders::build_pow(&Default::default(), 1));
-    crash_and_restart_peer_one(builders::build_pos(&Default::default(), 2));
-    crash_and_restart_peer_one(builders::build_poet(&Default::default(), 3));
-    crash_and_restart_peer_one(builders::build_ordering(&Default::default(), 4));
-    crash_and_restart_peer_one(builders::build_pbft(&Default::default(), 5));
-    crash_and_restart_peer_one(builders::build_ng(&Default::default(), 6));
+    crash_and_restart_peer_one(preset::<Pow>(1));
+    crash_and_restart_peer_one(preset::<Pos>(2));
+    crash_and_restart_peer_one(preset::<Poet>(3));
+    crash_and_restart_peer_one(preset::<Ordering>(4));
+    crash_and_restart_peer_one(preset::<Pbft>(5));
+    crash_and_restart_peer_one(preset::<Ng>(6));
 }

@@ -3,7 +3,9 @@
 //! paper attributes to each — these are the miniature versions of
 //! experiments E1–E5.
 
-use dcs_ledger::{builders, collect, workload::Workload, LedgerNode};
+use dcs_chain::NullMachine;
+use dcs_ledger::builders::{Ng, Ordering, Pbft, Poet, Pos, Pow};
+use dcs_ledger::{build, collect, workload::Workload, LedgerNode, NetworkParams};
 use dcs_net::{NodeId, Topology};
 use dcs_primitives::{ChainConfig, ConsensusKind, ForkChoice};
 use dcs_sim::{SimDuration, SimTime};
@@ -14,9 +16,8 @@ fn at(secs: u64) -> SimTime {
 
 #[test]
 fn pow_network_reaches_consensus_and_commits_transactions() {
-    let mut params = builders::PowParams {
+    let mut params = NetworkParams::<Pow> {
         nodes: 8,
-        hash_powers: vec![1_000.0],
         ..Default::default()
     };
     params.chain.consensus = ConsensusKind::ProofOfWork {
@@ -24,7 +25,7 @@ fn pow_network_reaches_consensus_and_commits_transactions() {
         retarget_window: 0,
         target_interval_us: 10_000_000,
     };
-    let mut runner = builders::build_pow(&params, 1);
+    let mut runner = build(&params, 1, |_| NullMachine);
     let submitted =
         Workload::transfers(2.0, SimDuration::from_secs(500), 50).inject(runner.net_mut(), 99);
     runner.run_until(at(600));
@@ -59,9 +60,8 @@ fn pow_network_reaches_consensus_and_commits_transactions() {
 fn pow_difficulty_retargets_to_hold_interval() {
     // Start with difficulty tuned for ~2.5 s blocks against a 10 s target;
     // retargeting must slow the chain toward 10 s (the E1 mechanism).
-    let mut params = builders::PowParams {
+    let mut params = NetworkParams::<Pow> {
         nodes: 8,
-        hash_powers: vec![1_000.0],
         ..Default::default()
     };
     params.chain.consensus = ConsensusKind::ProofOfWork {
@@ -69,7 +69,7 @@ fn pow_difficulty_retargets_to_hold_interval() {
         retarget_window: 16,
         target_interval_us: 10_000_000,
     };
-    let mut runner = builders::build_pow(&params, 3);
+    let mut runner = build(&params, 3, |_| NullMachine);
     runner.run_until(at(1_200));
     let core = runner.node(NodeId(0)).core();
     let chain = &core.chain;
@@ -101,14 +101,16 @@ fn pow_difficulty_retargets_to_hold_interval() {
 
 #[test]
 fn pos_proposers_follow_stake_and_burn_no_hashes() {
-    let mut params = builders::PosParams {
+    let mut params = NetworkParams::<Pos> {
         nodes: 10,
         // Node 9 holds half the total stake.
-        stakes: vec![10, 10, 10, 10, 10, 10, 10, 10, 10, 90],
+        engine: Pos {
+            stakes: vec![10, 10, 10, 10, 10, 10, 10, 10, 10, 90],
+        },
         ..Default::default()
     };
     params.chain.consensus = ConsensusKind::ProofOfStake { slot_us: 5_000_000 };
-    let mut runner = builders::build_pos(&params, 5);
+    let mut runner = build(&params, 5, |_| NullMachine);
     let submitted =
         Workload::transfers(5.0, SimDuration::from_secs(500), 50).inject(runner.net_mut(), 7);
     runner.run_until(at(600));
@@ -137,14 +139,14 @@ fn pos_proposers_follow_stake_and_burn_no_hashes() {
 
 #[test]
 fn poet_behaves_like_pow_without_work() {
-    let mut params = builders::PoetParams {
+    let mut params = NetworkParams::<Poet> {
         nodes: 8,
         ..Default::default()
     };
     params.chain.consensus = ConsensusKind::ProofOfElapsedTime {
         mean_wait_us: 8 * 10_000_000, // 8 peers → ~10 s between blocks
     };
-    let mut runner = builders::build_poet(&params, 11);
+    let mut runner = build(&params, 11, |_| NullMachine);
     let submitted =
         Workload::transfers(2.0, SimDuration::from_secs(500), 20).inject(runner.net_mut(), 3);
     runner.run_until(at(600));
@@ -168,11 +170,11 @@ fn poet_behaves_like_pow_without_work() {
 
 #[test]
 fn ordering_service_is_fast_and_forkless() {
-    let params = builders::OrderingParams {
+    let params = NetworkParams::<Ordering> {
         nodes: 8,
         ..Default::default()
     };
-    let mut runner = builders::build_ordering(&params, 17);
+    let mut runner = build(&params, 17, |_| NullMachine);
     let submitted =
         Workload::transfers(200.0, SimDuration::from_secs(20), 100).inject(runner.net_mut(), 23);
     runner.run_until(at(40));
@@ -204,7 +206,7 @@ fn ordering_service_is_fast_and_forkless() {
 
 #[test]
 fn ordering_rotation_spreads_production() {
-    let mut params = builders::OrderingParams {
+    let mut params = NetworkParams::<Ordering> {
         nodes: 4,
         ..Default::default()
     };
@@ -213,7 +215,7 @@ fn ordering_rotation_spreads_production() {
         batch_timeout_us: 200_000,
         rotate_every: 2,
     };
-    let mut runner = builders::build_ordering(&params, 29);
+    let mut runner = build(&params, 29, |_| NullMachine);
     let submitted =
         Workload::transfers(100.0, SimDuration::from_secs(20), 50).inject(runner.net_mut(), 31);
     runner.run_until(at(40));
@@ -229,8 +231,8 @@ fn ordering_rotation_spreads_production() {
 
 #[test]
 fn pbft_commits_with_quorum_and_agrees() {
-    let params = builders::PbftParams::default(); // 7 replicas, f = 2
-    let mut runner = builders::build_pbft(&params, 37);
+    let params = NetworkParams::<Pbft>::default(); // 7 replicas, f = 2
+    let mut runner = build(&params, 37, |_| NullMachine);
     let submitted =
         Workload::transfers(50.0, SimDuration::from_secs(20), 50).inject(runner.net_mut(), 41);
     runner.run_until(at(60));
@@ -258,16 +260,20 @@ fn pbft_commits_with_quorum_and_agrees() {
 #[test]
 fn pbft_survives_crashed_replicas_up_to_f() {
     // n=7 → f=2; two non-leader replicas fail-stop.
-    let params = builders::PbftParams {
-        crashed: vec![2, 5],
+    let params = NetworkParams::<Pbft> {
+        engine: Pbft {
+            crashed: vec![2, 5],
+        },
         ..Default::default()
     };
-    let mut runner = builders::build_pbft(&params, 43);
+    let mut runner = build(&params, 43, |_| NullMachine);
     let submitted =
         Workload::transfers(20.0, SimDuration::from_secs(15), 20).inject(runner.net_mut(), 47);
     runner.run_until(at(60));
     // Measure agreement among the live replicas only.
-    let live: Vec<usize> = (0..7).filter(|i| !params.crashed.contains(i)).collect();
+    let live: Vec<usize> = (0..7)
+        .filter(|i| !params.engine.crashed.contains(i))
+        .collect();
     let reference = runner.node(NodeId(live[0])).core();
     // Transactions injected at the two crashed peers are lost with them
     // (clients picked a dead point of contact), so expect ~5/7 to commit.
@@ -285,11 +291,13 @@ fn pbft_survives_crashed_replicas_up_to_f() {
 
 #[test]
 fn pbft_view_change_replaces_crashed_leader() {
-    let params = builders::PbftParams {
-        crashed: vec![0], // the view-0 leader is dead
+    let params = NetworkParams::<Pbft> {
+        engine: Pbft {
+            crashed: vec![0], // the view-0 leader is dead
+        },
         ..Default::default()
     };
-    let mut runner = builders::build_pbft(&params, 53);
+    let mut runner = build(&params, 53, |_| NullMachine);
     let submitted =
         Workload::transfers(20.0, SimDuration::from_secs(15), 20).inject(runner.net_mut(), 59);
     runner.run_until(at(120));
@@ -306,9 +314,8 @@ fn pbft_view_change_replaces_crashed_leader() {
 
 #[test]
 fn bitcoin_ng_decouples_throughput_from_key_blocks() {
-    let mut params = builders::NgParams {
+    let mut params = NetworkParams::<Ng> {
         nodes: 8,
-        hash_powers: vec![1_000.0],
         ..Default::default()
     };
     params.chain.consensus = ConsensusKind::BitcoinNg {
@@ -316,7 +323,7 @@ fn bitcoin_ng_decouples_throughput_from_key_blocks() {
         key_interval_us: 30_000_000,
         micro_interval_us: 1_000_000, // 1 s microblocks
     };
-    let mut runner = builders::build_ng(&params, 61);
+    let mut runner = build(&params, 61, |_| NullMachine);
     let submitted =
         Workload::transfers(20.0, SimDuration::from_secs(300), 50).inject(runner.net_mut(), 67);
     runner.run_until(at(400));
@@ -349,13 +356,13 @@ fn partition_forks_then_heals_into_one_chain() {
     // PoS with fast slots: both sides keep producing during the split, then
     // fork choice reconciles — consistency under partition, the paper's CAP
     // analogy made visible.
-    let mut params = builders::PosParams {
+    let mut params = NetworkParams::<Pos> {
         nodes: 10,
         ..Default::default()
     };
     params.chain.consensus = ConsensusKind::ProofOfStake { slot_us: 5_000_000 };
     params.net.topology = Topology::Complete;
-    let mut runner = builders::build_pos(&params, 71);
+    let mut runner = build(&params, 71, |_| NullMachine);
 
     // Phase 1: healthy.
     runner.run_until(at(100));
@@ -394,9 +401,8 @@ fn ghost_vs_longest_chain_under_fast_blocks() {
     // of uncles working for chain security; both rules must still converge,
     // and the stale rate must be visibly nonzero.
     let mk = |fork_choice: ForkChoice, seed: u64| {
-        let mut params = builders::PowParams {
+        let mut params = NetworkParams::<Pow> {
             nodes: 8,
-            hash_powers: vec![1_000.0],
             ..Default::default()
         };
         params.chain = ChainConfig {
@@ -408,7 +414,7 @@ fn ghost_vs_longest_chain_under_fast_blocks() {
             fork_choice,
             ..ChainConfig::bitcoin_like()
         };
-        let mut runner = builders::build_pow(&params, seed);
+        let mut runner = build(&params, seed, |_| NullMachine);
         runner.run_until(at(300));
         collect(
             runner.nodes(),

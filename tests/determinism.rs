@@ -7,13 +7,15 @@
 //! rules (wall-clock, unseeded-rng, hash-collections, …) exist to keep
 //! these tests passing; see DESIGN.md §10.
 
+use dcs_chain::NullMachine;
 use dcs_crypto::{sha256, Hash256};
 use dcs_faults::FaultSchedule;
+use dcs_ledger::builders::{Ng, Ordering, Pbft, Poet, Pos, Pow};
 use dcs_ledger::{
-    builders, collect, collect_traces, install_faults, install_tracing, workload::Workload,
-    LedgerNode, SimResult,
+    build, collect, collect_traces, install_faults, install_tracing, workload::Workload,
+    EngineRule, LedgerNode, NetworkParams, SimResult,
 };
-use dcs_net::NodeId;
+use dcs_net::{NodeId, Runner};
 use dcs_primitives::ConsensusKind;
 use dcs_sim::{SimDuration, SimTime};
 use dcs_trace::{Timelines, TraceConfig};
@@ -55,12 +57,9 @@ fn fingerprint(result: &SimResult) -> [u64; 10] {
 
 /// Builds the standard 8-peer PoW-gossip network used by the replay tests,
 /// with full tracing armed so trace digests are part of what must replay.
-fn pow_gossip_runner(
-    seed: u64,
-) -> dcs_net::Runner<dcs_consensus::pow::PowNode<dcs_chain::NullMachine>> {
-    let mut params = builders::PowParams {
+fn pow_gossip_runner(seed: u64) -> Runner<dcs_consensus::pow::PowNode<NullMachine>> {
+    let mut params = NetworkParams::<Pow> {
         nodes: 8,
-        hash_powers: vec![1_000.0],
         ..Default::default()
     };
     params.chain.consensus = ConsensusKind::ProofOfWork {
@@ -68,7 +67,7 @@ fn pow_gossip_runner(
         retarget_window: 16,
         target_interval_us: 5_000_000,
     };
-    let mut runner = builders::build_pow(&params, seed);
+    let mut runner = build(&params, seed, |_| NullMachine);
     install_tracing(&mut runner, &TraceConfig::full());
     runner
 }
@@ -103,9 +102,10 @@ fn run_pow_gossip(seed: u64, shards: usize) -> (Hash256, [u64; 10], BTreeMap<Str
 
 /// PBFT: quorum tallies and view bookkeeping iterate over vote sets, which
 /// is exactly where unordered collections used to leak nondeterminism.
-fn run_pbft(seed: u64) -> (Hash256, [u64; 10], BTreeMap<String, u64>) {
-    let params = builders::PbftParams::default(); // 7 replicas, f = 2
-    let mut runner = builders::build_pbft(&params, seed);
+fn run_pbft(seed: u64, shards: usize) -> (Hash256, [u64; 10], BTreeMap<String, u64>) {
+    let params = NetworkParams::<Pbft>::default(); // 7 replicas, f = 2
+    let mut runner = build(&params, seed, |_| NullMachine);
+    runner.set_shards(shards);
     install_tracing(&mut runner, &TraceConfig::full());
     let submitted =
         Workload::transfers(50.0, SimDuration::from_secs(20), 50).inject(runner.net_mut(), 41);
@@ -195,9 +195,10 @@ fn run_pow_gossip_with_faults(
 
 /// PBFT under crash/restart: the view change and the re-admission catch-up
 /// must replay exactly, vote sets and all.
-fn run_pbft_with_faults(seed: u64) -> (Hash256, [u64; 10], BTreeMap<String, u64>) {
-    let params = builders::PbftParams::default(); // 7 replicas, f = 2
-    let mut runner = builders::build_pbft(&params, seed);
+fn run_pbft_with_faults(seed: u64, shards: usize) -> (Hash256, [u64; 10], BTreeMap<String, u64>) {
+    let params = NetworkParams::<Pbft>::default(); // 7 replicas, f = 2
+    let mut runner = build(&params, seed, |_| NullMachine);
+    runner.set_shards(shards);
     install_tracing(&mut runner, &TraceConfig::full());
     let submitted =
         Workload::transfers(50.0, SimDuration::from_secs(35), 50).inject(runner.net_mut(), 41);
@@ -244,16 +245,20 @@ fn pow_gossip_seeds_are_actually_used() {
     assert_ne!(traces_a, traces_b, "trace digests must diverge too");
 }
 
+/// Same seed, same replicas' chains and statistics — serially twice, then
+/// on 2 and 8 engine workers.
 #[test]
 fn pbft_replays_bit_identically() {
-    let (digest_a, stats_a, traces_a) = run_pbft(37);
-    let (digest_b, stats_b, traces_b) = run_pbft(37);
-    assert_eq!(
-        digest_a, digest_b,
-        "same seed must reproduce every replica's canonical chain"
-    );
-    assert_eq!(stats_a, stats_b, "same seed must reproduce all statistics");
-    assert_trace_digests_match(&traces_a, &traces_b, 7);
+    let (digest_a, stats_a, traces_a) = run_pbft(37, 1);
+    for shards in [1, 2, 8] {
+        let (digest_b, stats_b, traces_b) = run_pbft(37, shards);
+        assert_eq!(
+            digest_a, digest_b,
+            "same seed must reproduce every replica's canonical chain ({shards} shards)"
+        );
+        assert_eq!(stats_a, stats_b, "same seed must reproduce all statistics");
+        assert_trace_digests_match(&traces_a, &traces_b, 7);
+    }
 }
 
 #[test]
@@ -270,14 +275,119 @@ fn pow_gossip_with_fault_schedule_replays_bit_identically() {
 
 #[test]
 fn pbft_with_fault_schedule_replays_bit_identically() {
-    let (digest_a, stats_a, traces_a) = run_pbft_with_faults(37);
-    let (digest_b, stats_b, traces_b) = run_pbft_with_faults(37);
+    let (digest_a, stats_a, traces_a) = run_pbft_with_faults(37, 1);
+    for shards in [1, 2, 8] {
+        let (digest_b, stats_b, traces_b) = run_pbft_with_faults(37, shards);
+        assert_eq!(
+            digest_a, digest_b,
+            "same seed + same fault schedule must reproduce every canonical chain ({shards} shards)"
+        );
+        assert_eq!(stats_a, stats_b, "statistics must replay under faults");
+        assert_trace_digests_match(&traces_a, &traces_b, 7);
+    }
+}
+
+/// A family's preset network over the null state machine.
+fn preset<E: EngineRule<NullMachine>>(seed: u64) -> Runner<E::Node>
+where
+    NetworkParams<E>: Default,
+{
+    build(&NetworkParams::<E>::default(), seed, |_| NullMachine)
+}
+
+/// One family preset on the known-answer workload: a chain digest (hex) over
+/// every peer and the statistics fingerprint.
+fn known_answer<P: LedgerNode + Send>(mut runner: Runner<P>) -> (String, [u64; 10]) {
+    let submitted =
+        Workload::transfers(2.0, SimDuration::from_secs(120), 30).inject(runner.net_mut(), 99);
+    runner.run_until(at(300));
+    let result = collect(runner.nodes(), &submitted, SimDuration::from_secs(300));
+    (
+        network_digest(runner.nodes()).to_hex(),
+        fingerprint(&result),
+    )
+}
+
+/// Same networks as the six per-family builders the one constructor
+/// replaced: each family's default preset, built by `build` over the null
+/// machine, reproduces the digest and statistics those builders produced
+/// (captured at their last commit). A constructor that built another network
+/// — another `NetConfig`, construction order or RNG fork — moves these.
+#[test]
+fn every_family_preset_builds_the_pinned_network() {
+    // Every preset commits all 226 transfers with no stale block, so its
+    // fingerprint differs from another's only in block count and latency.
+    let pinned = |digest: &str, blocks: u64, mean_latency_bits: u64| {
+        let tps_bits = (226.0f64 / 300.0).to_bits();
+        let fingerprint = [
+            226,
+            blocks,
+            blocks,
+            0,
+            0,
+            0,
+            0,
+            0,
+            tps_bits,
+            mean_latency_bits,
+        ];
+        (digest.to_string(), fingerprint)
+    };
+    let seed = 25;
     assert_eq!(
-        digest_a, digest_b,
-        "same seed + same fault schedule must reproduce every canonical chain"
+        known_answer(preset::<Pow>(seed)),
+        pinned(
+            "b4ac8f930d61040c9ea71f48c4b4102c449eabbc25f5d01092ac26f599bbdd0f",
+            3,
+            4639081658741053557
+        ),
+        "PoW"
     );
-    assert_eq!(stats_a, stats_b, "statistics must replay under faults");
-    assert_trace_digests_match(&traces_a, &traces_b, 7);
+    assert_eq!(
+        known_answer(preset::<Pos>(seed)),
+        pinned(
+            "4aa8602f38b546774f02aa1b69b880c329d8ca7403f19e6b11430a98c8e194ce",
+            29,
+            4617683112245016219
+        ),
+        "PoS"
+    );
+    assert_eq!(
+        known_answer(preset::<Poet>(seed)),
+        pinned(
+            "3ced7b7f9e80aa93393fa4eafbf4651a69a75b6aad91c7ced49781562fd18e40",
+            8,
+            4631239981871497994
+        ),
+        "PoET"
+    );
+    assert_eq!(
+        known_answer(preset::<Ordering>(seed)),
+        pinned(
+            "62a084287c948950ceeb4c20236715fcac68841f8a26d0ded6b3c91f48e09f19",
+            138,
+            4598357482533778209
+        ),
+        "ordering"
+    );
+    assert_eq!(
+        known_answer(preset::<Pbft>(seed)),
+        pinned(
+            "0af1e5544804a33212bf074ed63387eedd4d1158ac0052cb2c6e73f4439e8676",
+            226,
+            4561172657881529884
+        ),
+        "PBFT"
+    );
+    assert_eq!(
+        known_answer(preset::<Ng>(seed)),
+        pinned(
+            "b0818e013d5ee8491e094a69690832e21a222e9e103e6797e7d35d200fbb29ae",
+            4,
+            4639116843113142389
+        ),
+        "Bitcoin-NG"
+    );
 }
 
 /// The sharded engine's central contract: partitioning peers across worker
@@ -710,9 +820,8 @@ fn reorg_trace_spans_match_chain_stats() {
     // and reorgs mid-run. The trace must carry one `Reorg` span per branch
     // switch, attributed to the right peer, with depths that reproduce the
     // chain's own counters.
-    let mut params = builders::PowParams {
+    let mut params = NetworkParams::<Pow> {
         nodes: 8,
-        hash_powers: vec![1_000.0],
         ..Default::default()
     };
     params.chain.consensus = ConsensusKind::ProofOfWork {
@@ -720,7 +829,7 @@ fn reorg_trace_spans_match_chain_stats() {
         retarget_window: 0,
         target_interval_us: 1_000_000,
     };
-    let mut runner = builders::build_pow(&params, 7);
+    let mut runner = build(&params, 7, |_| NullMachine);
     install_tracing(&mut runner, &TraceConfig::full());
     let _ = Workload::transfers(2.0, SimDuration::from_secs(100), 30).inject(runner.net_mut(), 99);
     runner.run_until(at(150));

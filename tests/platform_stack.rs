@@ -3,14 +3,15 @@
 //! verification under gossip, the middleware pipeline fed by a live chain,
 //! and the PoET-cheating security concern the paper cites ([41]).
 
-use dcs_chain::StateMachine;
+use dcs_chain::{NullMachine, StateMachine};
 use dcs_consensus::pos::{PosNode, StakeTable};
 use dcs_consensus::WireMsg;
 use dcs_contracts::{exec, stdlib, AccountMachine, Word};
-use dcs_crypto::{Address, KeyPair};
-use dcs_ledger::{builders, collect, LedgerNode};
+use dcs_crypto::{Address, Hash256, KeyPair};
+use dcs_ledger::builders::{Ng, Ordering, Pbft, Poet, Pos, Pow};
+use dcs_ledger::{build, collect, EngineRule, LedgerNode, NetworkParams};
 use dcs_middleware::{EventBus, EventFilter};
-use dcs_net::{LatencyModel, NetConfig, NodeId, Runner, Topology};
+use dcs_net::{LatencyModel, NetConfig, NodeId, Topology};
 use dcs_primitives::{
     AccountTx, ChainConfig, ConsensusKind, GasSchedule, SealedTx, Transaction, TxAuth,
 };
@@ -27,34 +28,24 @@ fn at(secs: u64) -> SimTime {
 #[test]
 fn contracts_execute_on_a_pos_network() {
     let alice = Address::from_index(1_000);
-    let n = 6;
-    let chain_cfg = ChainConfig {
-        consensus: ConsensusKind::ProofOfStake { slot_us: 2_000_000 },
-        gas: GasSchedule::default(),
-        ..ChainConfig::ethereum_like()
+    let params = NetworkParams::<Pos> {
+        nodes: 6,
+        chain: ChainConfig {
+            consensus: ConsensusKind::ProofOfStake { slot_us: 2_000_000 },
+            gas: GasSchedule::default(),
+            ..ChainConfig::ethereum_like()
+        },
+        net: NetConfig {
+            nodes: 6,
+            topology: Topology::Complete,
+            latency: LatencyModel::lan(),
+            drop_probability: 0.0,
+            bandwidth_bytes_per_sec: None,
+        },
+        ..Default::default()
     };
-    let stake_table = StakeTable::new(
-        (0..n).map(|i| Address::from_index(i as u64)).collect(),
-        vec![100; n],
-        chain_cfg.chain_id,
-    );
-    let genesis = dcs_chain::genesis_block(&chain_cfg);
-    let net = NetConfig {
-        nodes: n,
-        topology: Topology::Complete,
-        latency: LatencyModel::lan(),
-        drop_probability: 0.0,
-        bandwidth_bytes_per_sec: None,
-    };
-    let mut runner = Runner::new(net, 5, |id: NodeId| {
-        PosNode::new(
-            id,
-            genesis.clone(),
-            chain_cfg.clone(),
-            AccountMachine::with_alloc(&[(alice, 10_000_000_000)]),
-            stake_table.clone(),
-            id.0,
-        )
+    let mut runner = build(&params, 5, |_| {
+        AccountMachine::with_alloc(&[(alice, 10_000_000_000)])
     });
 
     // Client transactions: deploy the token, mint, transfer.
@@ -132,30 +123,19 @@ fn signed_transactions_verified_across_the_network() {
     let alice = alice_keys.address();
     let bob = Address::from_index(7);
 
-    let chain_cfg = ChainConfig {
-        gas: GasSchedule::free(),
-        ..ChainConfig::hyperledger_like()
-    };
-    let genesis = dcs_chain::genesis_block(&chain_cfg);
-    let net = NetConfig {
+    let params = NetworkParams::<Ordering> {
         nodes: 4,
-        topology: Topology::Complete,
-        latency: LatencyModel::lan(),
-        drop_probability: 0.0,
-        bandwidth_bytes_per_sec: None,
+        chain: ChainConfig {
+            gas: GasSchedule::free(),
+            ..ChainConfig::hyperledger_like()
+        },
+        ..Default::default()
     };
-    let mut runner = Runner::new(net, 9, |id: NodeId| {
+    let mut runner = build(&params, 9, |_| {
         let mut machine = AccountMachine::with_alloc(&[(alice, 1_000_000)]);
         machine.schedule = GasSchedule::free();
         machine.verify_signatures = true;
-        dcs_consensus::ordering::OrderingNode::new(
-            id,
-            Address::from_index(id.0 as u64),
-            genesis.clone(),
-            chain_cfg.clone(),
-            machine,
-            4,
-        )
+        machine
     });
 
     // A signed transfer commits.
@@ -195,6 +175,77 @@ fn signed_transactions_verified_across_the_network() {
             "forgery rejected"
         );
     }
+}
+
+/// Commits one WOTS-signed transfer on `params`' network, every peer over a
+/// funded `AccountMachine` that verifies witnesses; returns the state root
+/// every replica ends on.
+fn signed_transfer_on<E>(mut params: NetworkParams<E>, horizon_s: u64) -> Hash256
+where
+    E: EngineRule<AccountMachine>,
+    E::Node: Send,
+{
+    let mut alice_keys = KeyPair::generate([46u8; 32], 2);
+    let (alice, bob) = (alice_keys.address(), Address::from_index(7_000));
+    params.chain.gas = GasSchedule::free();
+    let mut runner = build(&params, 21, |_| {
+        let mut machine = AccountMachine::with_alloc(&[(alice, 1_000_000)]);
+        machine.schedule = GasSchedule::free();
+        machine.verify_signatures = true;
+        machine
+    });
+    let mut tx = AccountTx::transfer(alice, bob, 250, 0);
+    tx.gas_limit = 0;
+    tx.gas_price = 0;
+    let signing_hash = Transaction::Account(tx.clone()).signing_hash();
+    tx.auth = Some(TxAuth {
+        pubkey: alice_keys.public_key(),
+        signature: alice_keys.sign(&signing_hash).unwrap(),
+    });
+    let msg = WireMsg::Tx(SealedTx::new(Arc::new(Transaction::Account(tx))));
+    let size = dcs_consensus::wire_size(&msg);
+    runner.net_mut().inject(at(1), NodeId(1), msg, size);
+    // Blocks keep coming on the open families: stop at the first second
+    // past the horizon with none in flight.
+    let roots = |nodes: &[E::Node]| {
+        let roots: Vec<Hash256> = nodes
+            .iter()
+            .map(|n| n.core().chain.machine().state_root())
+            .collect();
+        roots.windows(2).all(|w| w[0] == w[1]).then_some(roots[0])
+    };
+    let mut t = horizon_s;
+    runner.run_until(at(t));
+    while roots(runner.nodes()).is_none() && t < horizon_s + 30 {
+        t += 1;
+        runner.run_until(at(t));
+    }
+    for (i, node) in runner.nodes().iter().enumerate() {
+        let balance = node.core().chain.machine().db.balance(&bob);
+        assert_eq!(balance, 250, "peer {i}: the transfer committed");
+    }
+    roots(runner.nodes()).expect("every replica on one state root")
+}
+
+/// One application layer under every engine rule (ROADMAP 2): each family's
+/// preset, built through the one constructor over the same machine, commits
+/// the signed transfer on one state root.
+#[test]
+fn every_family_commits_a_signed_transfer_on_one_state_root() {
+    let roots = [
+        signed_transfer_on(NetworkParams::<Pow>::default(), 150),
+        signed_transfer_on(NetworkParams::<Pos>::default(), 150),
+        signed_transfer_on(NetworkParams::<Poet>::default(), 150),
+        signed_transfer_on(NetworkParams::<Ordering>::default(), 30),
+        signed_transfer_on(NetworkParams::<Pbft>::default(), 30),
+        signed_transfer_on(NetworkParams::<Ng>::default(), 150),
+    ];
+    // Neither consortium family mints a block reward: one transfer over one
+    // allocation is then one state, whatever the engine.
+    assert_eq!(
+        roots[3], roots[4],
+        "ordering and PBFT end on the same state"
+    );
 }
 
 /// Hostile bytes (ROADMAP item 4): a witness whose chain list lost an entry
@@ -670,16 +721,18 @@ fn forged_stake_seal_is_refused_through_catch_up_sync() {
 /// quietly collapses even though the protocol "works".
 #[test]
 fn poet_cheater_captures_block_production() {
-    let mut params = builders::PoetParams {
+    let mut params = NetworkParams::<Poet> {
         nodes: 8,
         // Node 0's enclave draws waits 4x shorter than honest peers.
-        cheat_factors: vec![0.25, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+        engine: Poet {
+            cheat_factors: vec![0.25, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+        },
         ..Default::default()
     };
     params.chain.consensus = ConsensusKind::ProofOfElapsedTime {
         mean_wait_us: 8 * 5_000_000,
     };
-    let mut runner = builders::build_poet(&params, 99);
+    let mut runner = build(&params, 99, |_| NullMachine);
     runner.run_until(at(1_500));
     let result = collect(
         runner.nodes(),
@@ -706,11 +759,11 @@ fn poet_cheater_captures_block_production() {
 /// the metric suite's counts.
 #[test]
 fn analytics_agree_with_metrics() {
-    let params = builders::OrderingParams {
+    let params = NetworkParams::<Ordering> {
         nodes: 4,
         ..Default::default()
     };
-    let mut runner = builders::build_ordering(&params, 3);
+    let mut runner = build(&params, 3, |_| NullMachine);
     let submitted = dcs_ledger::workload::Workload::transfers(50.0, SimDuration::from_secs(10), 20)
         .inject(runner.net_mut(), 1);
     runner.run_until(at(30));
