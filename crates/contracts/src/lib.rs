@@ -44,11 +44,9 @@ pub mod asm;
 pub mod exec;
 pub mod machine;
 pub mod stdlib;
-pub mod verify;
 pub mod vm;
 
 pub use asm::{assemble, AsmError};
 pub use exec::{execute_tx, query};
 pub use machine::AccountMachine;
-pub use verify::analyze;
 pub use vm::{Vm, VmError, Word};

@@ -1,12 +1,10 @@
 //! Chain analytics (§5.2 lists "analytics" among the middleware services):
 //! extract activity, utilization, and fee statistics from a chain replica —
-//! the read side of the data layer. Two modes: a one-shot full scan
-//! ([`analyze`]) and an incremental tracker ([`LiveAnalytics`]) fed by
-//! chain events, which maintains the identical report in O(delta) per
-//! block instead of O(chain) per query.
+//! the read side of the data layer. [`analyze`] scans the canonical chain
+//! once; `serve`'s `/analytics` endpoint calls it per snapshot.
 
-use dcs_chain::{Chain, ChainEvent, StateMachine};
-use dcs_crypto::{Address, Hash256};
+use dcs_chain::{Chain, StateMachine};
+use dcs_crypto::Address;
 use dcs_primitives::{Block, Transaction};
 use std::collections::HashMap;
 
@@ -52,49 +50,7 @@ impl ChainReport {
                 }
             }
         }
-        self.refresh_utilization();
-    }
-
-    /// Removes a reverted block's contribution — the exact inverse of
-    /// [`ChainReport::absorb_block`]. Zeroed map entries are dropped so a
-    /// shed-then-absorbed report compares equal to a fresh scan.
-    pub fn shed_block(&mut self, block: &Block) {
-        self.blocks -= 1;
-        if let Some(n) = self.blocks_by_proposer.get_mut(&block.header.proposer) {
-            *n -= 1;
-            if *n == 0 {
-                self.blocks_by_proposer.remove(&block.header.proposer);
-            }
-        }
-        for tx in &block.txs {
-            match tx {
-                Transaction::Coinbase { .. } => {}
-                Transaction::Account(a) => {
-                    self.transactions -= 1;
-                    self.value_transferred -= u128::from(a.value);
-                    self.fees_offered -= u128::from(a.gas_limit) * u128::from(a.gas_price);
-                    if let Some(n) = self.activity_by_sender.get_mut(&a.from) {
-                        *n -= 1;
-                        if *n == 0 {
-                            self.activity_by_sender.remove(&a.from);
-                        }
-                    }
-                }
-                Transaction::Utxo(u) => {
-                    self.transactions -= 1;
-                    self.value_transferred -= u128::from(u.output_value());
-                }
-            }
-        }
-        self.refresh_utilization();
-    }
-
-    fn refresh_utilization(&mut self) {
-        self.mean_block_utilization = if self.blocks > 0 {
-            self.transactions as f64 / self.blocks as f64
-        } else {
-            0.0
-        };
+        self.mean_block_utilization = self.transactions as f64 / self.blocks as f64;
     }
 
     /// Renders the report as a self-contained JSON object. Map entries are
@@ -133,71 +89,13 @@ impl ChainReport {
     }
 }
 
-/// Scans the canonical chain and produces a [`ChainReport`]. O(chain);
-/// for continuous monitoring feed a [`LiveAnalytics`] instead.
+/// Scans the canonical chain and produces a [`ChainReport`]. O(chain).
 pub fn analyze<M: StateMachine>(chain: &Chain<M>) -> ChainReport {
     let mut report = ChainReport::default();
     for hash in chain.canonical().iter().skip(1) {
         report.absorb_block(chain.tree().get(hash).expect("canonical stored").block());
     }
     report
-}
-
-/// Event-driven analytics: maintains a [`ChainReport`] that always equals
-/// what [`analyze`] would recompute, by absorbing extended blocks and
-/// shedding/absorbing the two branches of each reorg. Feed it every event
-/// the chain emits, along with the pre-import tip.
-#[derive(Debug, Clone, Default)]
-pub struct LiveAnalytics {
-    report: ChainReport,
-}
-
-impl LiveAnalytics {
-    /// An empty tracker for a chain at genesis.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current report — O(1), no chain walk.
-    pub fn report(&self) -> &ChainReport {
-        &self.report
-    }
-
-    /// Folds one chain event into the report. `old_tip` is the canonical
-    /// tip hash from *before* the import that produced `event` (the same
-    /// value consensus nodes thread to their own reorg handling).
-    pub fn on_event<M: StateMachine>(
-        &mut self,
-        chain: &Chain<M>,
-        event: &ChainEvent,
-        old_tip: Hash256,
-    ) {
-        match event {
-            ChainEvent::Extended { block } => {
-                self.report
-                    .absorb_block(chain.tree().get(block).expect("tip stored").block());
-            }
-            ChainEvent::Reorg {
-                reverted,
-                applied,
-                new_tip,
-            } => {
-                let mut cur = old_tip;
-                for _ in 0..*reverted {
-                    let sb = chain.tree().get(&cur).expect("old branch stored");
-                    self.report.shed_block(sb.block());
-                    cur = sb.header().parent;
-                }
-                let mut cur = *new_tip;
-                for _ in 0..*applied {
-                    let sb = chain.tree().get(&cur).expect("new branch stored");
-                    self.report.absorb_block(sb.block());
-                    cur = sb.header().parent;
-                }
-            }
-            ChainEvent::SideChain { .. } | ChainEvent::Orphaned => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -252,11 +150,10 @@ mod tests {
     }
 
     #[test]
-    fn live_analytics_tracks_full_scan_through_forks_and_reorgs() {
+    fn analyze_follows_the_canonical_branch_through_a_reorg() {
         let cfg = ChainConfig::bitcoin_like();
         let genesis = dcs_chain::genesis_block(&cfg);
         let mut chain = Chain::new(genesis.clone(), cfg, NullMachine);
-        let mut live = LiveAnalytics::new();
 
         let tx = |from: u64, v: u64, nonce: u64| {
             Transaction::Account(AccountTx::transfer(
@@ -285,17 +182,21 @@ mod tests {
         let b1 = block(&genesis, 10, vec![tx(3, 500, 0)]);
         let b2 = block(&b1, 11, vec![]);
         let b3 = block(&b2, 12, vec![tx(1, 100, 0)]);
-        for b in [&a1, &a2, &b1, &b2, &b3] {
-            let old_tip = chain.tip_hash();
-            let ev = chain.import(b.clone()).unwrap();
-            live.on_event(&chain, &ev, old_tip);
-            assert_eq!(live.report(), &analyze(&chain), "live ≡ scan at every step");
+        let only_a = Address::from_index(2);
+        for b in [&a1, &a2] {
+            chain.import(b.clone()).unwrap();
         }
-        // The a-branch was fully shed: its exclusive senders are gone.
-        assert_eq!(live.report().blocks, 3);
-        assert!(!live
-            .report()
-            .activity_by_sender
-            .contains_key(&Address::from_index(2)));
+        let before = analyze(&chain);
+        assert_eq!(before.blocks, 2);
+        assert_eq!(before.activity_by_sender[&only_a], 1);
+        for b in [&b1, &b2, &b3] {
+            chain.import(b.clone()).unwrap();
+        }
+        // The report reads the winning branch only: the abandoned branch's
+        // exclusive sender is gone.
+        let after = analyze(&chain);
+        assert_eq!(after.blocks, 3);
+        assert_eq!(after.transactions, 2);
+        assert!(!after.activity_by_sender.contains_key(&only_a));
     }
 }

@@ -1,17 +1,15 @@
 //! Blockchain middleware (§5.2 of the paper): "reusable blockchain
 //! middleware will lead to more robust blockchain applications". This crate
-//! provides the services the paper enumerates:
+//! keeps the services a measured claim uses (DESIGN.md §18 audits each):
 //!
 //! * [`app`] — an ABCI-style application interface (\[29\]): applications
 //!   implement `Application` and plug under the chain as a `StateMachine`
 //!   without knowing anything about blocks or consensus.
+//! * [`channel_app`] — the payment-channel settlement fed by committed
+//!   transactions (§5.4), the application `dcs_ledger`'s channel workload
+//!   runs over a real network.
 //! * [`events`] — messaging and event notification: topic/contract
 //!   subscriptions over execution receipts.
-//! * [`identity`] — identity management: a certificate authority issuing
-//!   membership certificates for permissioned networks, with revocation.
-//! * [`oracle`] — data integration with the physical world: sensor feeds
-//!   with noise, drift, and tamper models, aggregated robustly before
-//!   anchoring on-chain (the generation-3.0 IoT path, §3.3).
 //! * [`analytics`] — chain analytics: activity, utilization, and fee
 //!   statistics extracted from a chain replica.
 
@@ -22,14 +20,8 @@ pub mod analytics;
 pub mod app;
 pub mod channel_app;
 pub mod events;
-pub mod identity;
-pub mod oracle;
-pub mod workflow;
 
-pub use analytics::{analyze, ChainReport, LiveAnalytics};
+pub use analytics::{analyze, ChainReport};
 pub use app::{AppAdapter, Application};
 pub use channel_app::{ChannelApp, ChannelAppStats, ChannelOp};
 pub use events::{EventBus, EventFilter, Subscription};
-pub use identity::{CertificateAuthority, MembershipCert, Registry};
-pub use oracle::{Oracle, Sensor, SensorConfig};
-pub use workflow::{Transition, Workflow};

@@ -1,73 +1,10 @@
-//! Hash commitments: hide a value on-chain now, reveal it later. The
-//! primitive beneath the paper's §5.3 references to keeping "contract code
-//! confidential, yet still allow transactions to be validated" — sealed
-//! bids, committed documents, and the hashlocks used by payment channels
-//! and cross-chain swaps (\[31\]) are all commitments.
-//!
-//! `commit = SHA-256(tag || value || blinding)`. Hiding comes from the
-//! 32-byte random blinding factor; binding from collision resistance.
+//! Hashlocks: funds claimable by whoever reveals a committed preimage — the
+//! HTLC building block used by payment channels and cross-chain swaps
+//! (\[31\]), and the commitment the cross-channel atomic swap of
+//! [`crate::multichannel`] rests on.
 
-use dcs_crypto::{Hash256, Sha256};
-use dcs_sim::Rng;
+use dcs_crypto::Hash256;
 use serde::{Deserialize, Serialize};
-
-const COMMIT_TAG: u8 = 0x20;
-
-/// A commitment to a byte string.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Commitment(Hash256);
-
-/// The secret needed to open a commitment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Opening {
-    /// The committed value.
-    pub value: Vec<u8>,
-    /// The blinding factor.
-    pub blinding: [u8; 32],
-}
-
-impl Commitment {
-    /// Commits to `value` with a fresh random blinding factor.
-    pub fn commit(value: &[u8], rng: &mut Rng) -> (Commitment, Opening) {
-        let mut blinding = [0u8; 32];
-        for chunk in blinding.chunks_mut(8) {
-            chunk.copy_from_slice(&rng.next_u64().to_le_bytes()[..chunk.len()]);
-        }
-        let c = Self::compute(value, &blinding);
-        (
-            c,
-            Opening {
-                value: value.to_vec(),
-                blinding,
-            },
-        )
-    }
-
-    /// Deterministic commitment with an explicit blinding factor (e.g.
-    /// derived from a shared secret).
-    pub fn commit_with(value: &[u8], blinding: [u8; 32]) -> Commitment {
-        Self::compute(value, &blinding)
-    }
-
-    fn compute(value: &[u8], blinding: &[u8; 32]) -> Commitment {
-        let mut ctx = Sha256::new();
-        ctx.update(&[COMMIT_TAG]);
-        ctx.update(&(value.len() as u64).to_le_bytes());
-        ctx.update(value);
-        ctx.update(blinding);
-        Commitment(ctx.finalize())
-    }
-
-    /// Verifies an opening against this commitment.
-    pub fn open(&self, opening: &Opening) -> bool {
-        Self::compute(&opening.value, &opening.blinding) == *self
-    }
-
-    /// The digest (what actually goes on-chain).
-    pub fn digest(&self) -> Hash256 {
-        self.0
-    }
-}
 
 /// A hashlock: funds claimable by whoever reveals the preimage of `lock`
 /// (the HTLC building block used by payment channels and atomic swaps).
@@ -94,48 +31,6 @@ impl Hashlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn commit_open_round_trip() {
-        let mut rng = Rng::seed_from(1);
-        let (c, opening) = Commitment::commit(b"sealed bid: 450", &mut rng);
-        assert!(c.open(&opening));
-    }
-
-    #[test]
-    fn wrong_value_or_blinding_fails() {
-        let mut rng = Rng::seed_from(2);
-        let (c, opening) = Commitment::commit(b"value", &mut rng);
-        let mut bad_value = opening.clone();
-        bad_value.value = b"other".to_vec();
-        assert!(!c.open(&bad_value));
-        let mut bad_blinding = opening;
-        bad_blinding.blinding[0] ^= 1;
-        assert!(!c.open(&bad_blinding));
-    }
-
-    #[test]
-    fn commitments_hide_equal_values() {
-        // Two commitments to the same value with different blinding factors
-        // are unlinkable digests.
-        let mut rng = Rng::seed_from(3);
-        let (c1, _) = Commitment::commit(b"100", &mut rng);
-        let (c2, _) = Commitment::commit(b"100", &mut rng);
-        assert_ne!(c1, c2);
-    }
-
-    #[test]
-    fn length_prefix_prevents_boundary_games() {
-        // commit("ab" || blinding-starting-with-c) must differ from
-        // commit("abc" || shifted blinding): the length prefix separates
-        // value bytes from blinding bytes.
-        let b1 = [0x63u8; 32]; // 'c'
-        let mut b2 = [0x63u8; 32];
-        b2[31] = 0;
-        let c1 = Commitment::commit_with(b"ab", b1);
-        let c2 = Commitment::commit_with(b"abc", b2);
-        assert_ne!(c1, c2);
-    }
 
     #[test]
     fn hashlock_semantics() {

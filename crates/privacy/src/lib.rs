@@ -8,8 +8,8 @@
 //!   taint propagation over the transaction graph, quantifying how "some
 //!   coins might be linked to addresses known to be used for fraudulent
 //!   activities" and the resulting fungibility loss.
-//! * [`commitments`] — hash commitments hiding values until reveal (the
-//!   building block the paper's zero-knowledge references rely on).
+//! * [`commitments`] — hashlocks, the commitment a cross-channel swap
+//!   claims against.
 //! * [`multichannel`] — Hyperledger-style privacy domains ("the blockchain
 //!   platform must support such privacy domains and yet still remain
 //!   consistent"), with cross-channel atomic swaps via hashlocks (\[31\]).
@@ -22,7 +22,6 @@ pub mod mixer;
 pub mod multichannel;
 pub mod taint;
 
-pub use commitments::Commitment;
 pub use mixer::{Mixer, MixerConfig};
 pub use multichannel::{ChannelLedger, MultiChannel};
 pub use taint::TaintTracker;

@@ -8,7 +8,7 @@
 //! clean inputs, every output inherits the value-weighted average taint.
 
 use dcs_crypto::Hash256;
-use dcs_primitives::{Transaction, UtxoTx};
+use dcs_primitives::UtxoTx;
 use dcs_state::OutPoint;
 use std::collections::HashMap;
 
@@ -71,13 +71,6 @@ impl TaintTracker {
             };
             self.taint.insert(op, fraction);
             self.values.insert(op, out.value);
-        }
-    }
-
-    /// Convenience: applies a wrapped transaction if it is a UTXO one.
-    pub fn apply_transaction(&mut self, tx: &Transaction) {
-        if let Transaction::Utxo(u) = tx {
-            self.apply(u, tx.id());
         }
     }
 

@@ -622,9 +622,10 @@ pub struct BeaconStats {
     /// for it (only a reordering latency model makes any). A path marker,
     /// not an outcome: [`BeaconNet::digest`] leaves it out.
     pub buffered_receipts: u64,
-    /// Anchors dropped: naming a shard other than their sender's, or a
-    /// header that does not extend the tracked chain. Honest runs send none,
-    /// so [`BeaconNet::digest`] leaves it out too.
+    /// Anchors dropped: naming a shard other than their sender's, a header
+    /// at or below the tracked tip (a duplicate or a replay), or one that
+    /// does not extend the tracked chain. Honest runs without duplicated
+    /// deliveries send none, so [`BeaconNet::digest`] leaves it out too.
     pub invalid_anchors: u64,
 }
 
@@ -706,7 +707,13 @@ impl BeaconNode {
             self.stats.invalid_anchors += 1;
             return;
         }
-        self.anchor_buf.insert((shard, header.height), header);
+        // The drain below only ever removes `tip + 1`: a duplicate or any
+        // header at or below the tracked tip would wait here forever.
+        if header.height <= self.trackers[k].tip_height() {
+            self.stats.invalid_anchors += 1;
+        } else {
+            self.anchor_buf.insert((shard, header.height), header);
+        }
         loop {
             let next_height = self.trackers[k].tip_height() + 1;
             let Some(next) = self.anchor_buf.remove(&(shard, next_height)) else {
@@ -1631,6 +1638,22 @@ mod tests {
         assert!(beacon.tracked_tip(0) > 0 && beacon.tracked_tip(1) > 0);
         assert_eq!((net.stats().minted, net.stats().refunded), (3, 0));
         assert_eq!(net.user_total(&accts), 8 * 1_000_000);
+    }
+
+    /// A header at or below the tracked tip (here: shard 0's genesis,
+    /// replayed by its own sequencer) can never be drained, so it is
+    /// counted and dropped rather than buffered forever.
+    #[test]
+    fn stale_anchor_is_counted_and_not_buffered() {
+        let params = BeaconParams::default();
+        let accts = accounts(8);
+        let mut net = BeaconNet::new(&params, 37, &funded(&accts));
+        let header = genesis_block(&shard_config(0, &params)).header.clone();
+        send_to_beacon(&mut net, 1, ScaleMsg::Anchor { shard: 0, header });
+        net.run();
+        let beacon = net.beacon();
+        assert!(beacon.anchor_buf.is_empty());
+        assert_eq!(beacon.stats.invalid_anchors, 1);
     }
 
     /// End to end: a bundle whose middle receipt carries a forged proof

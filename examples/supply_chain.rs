@@ -1,16 +1,11 @@
 //! Blockchain 3.0 (§3.3 of the paper): a pervasive consortium application —
-//! supply-chain management across every layer of the blockchain stack
-//! (Fig. 3).
+//! supply-chain management across the blockchain stack (Fig. 3).
 //!
-//! * Application/modeling: the shipment process is *modeled* as a
-//!   BPMN-style workflow and compiled to a contract — the model is the
-//!   contract.
 //! * Contract layer: Fig. 3's trade-network registry tracks commodity
 //!   ownership.
 //! * System/data layers: a permissioned ledger executes and commits it.
-//! * Middleware: a certificate authority admits consortium members; IoT
-//!   temperature sensors (one tampered!) are aggregated by an oracle and
-//!   anchored on-chain; the event bus notifies the retailer.
+//! * Middleware: the event bus notifies the retailer; analytics read the
+//!   committed ledger.
 //! * Privacy: the financial settlement runs on a separate channel, with an
 //!   atomic cross-channel swap (goods channel ↔ payment channel).
 //!
@@ -19,14 +14,9 @@
 use dcs_chain::Chain;
 use dcs_contracts::{exec, stdlib, AccountMachine, Word};
 use dcs_crypto::Address;
-use dcs_middleware::workflow::{Transition, Workflow};
-use dcs_middleware::{
-    identity::Role, CertificateAuthority, EventBus, EventFilter, Oracle, Registry, Sensor,
-    SensorConfig,
-};
+use dcs_middleware::{EventBus, EventFilter};
 use dcs_primitives::{AccountTx, Block, BlockHeader, ChainConfig, GasSchedule, Seal, Transaction};
 use dcs_privacy::{commitments::Hashlock, MultiChannel};
-use dcs_sim::Rng;
 
 fn seal_block(chain: &mut Chain<AccountMachine>, txs: Vec<Transaction>) {
     let header = BlockHeader::new(
@@ -44,26 +34,9 @@ fn seal_block(chain: &mut Chain<AccountMachine>, txs: Vec<Transaction>) {
 }
 
 fn main() {
-    let mut rng = Rng::seed_from(2026);
-
-    // --- Identity: the consortium admits its members. -------------------
-    let mut ca = CertificateAuthority::new([7u8; 32], 4);
-    let registry = Registry::new(ca.public_key());
-    let producer_key = dcs_crypto::KeyPair::generate([1u8; 32], 2);
-    let shipper_key = dcs_crypto::KeyPair::generate([2u8; 32], 2);
-    let retailer_key = dcs_crypto::KeyPair::generate([3u8; 32], 2);
-    let producer = producer_key.address();
-    let shipper = shipper_key.address();
-    let retailer = retailer_key.address();
-    let certs = [
-        ca.issue(producer_key.public_key(), Role::Peer).unwrap(),
-        ca.issue(shipper_key.public_key(), Role::Peer).unwrap(),
-        ca.issue(retailer_key.public_key(), Role::Peer).unwrap(),
-    ];
-    for cert in &certs {
-        assert!(registry.verify(cert, Role::Client));
-    }
-    println!("consortium membership: 3 certificates issued and verified");
+    let producer = Address::from_index(1);
+    let shipper = Address::from_index(2);
+    let retailer = Address::from_index(3);
 
     // --- The goods ledger: trade registry contract. ---------------------
     let mut cfg = ChainConfig::hyperledger_like();
@@ -71,12 +44,10 @@ fn main() {
     let genesis = dcs_chain::genesis_block(&cfg);
     // Balances must cover the *offered* gas (limit × price) up-front, even
     // though the free schedule refunds it all.
-    let gateway = Address::from_index(77); // the IoT gateway's own account
     let mut machine = AccountMachine::with_alloc(&[
         (producer, 100_000_000),
         (shipper, 100_000_000),
         (retailer, 100_000_000),
-        (gateway, 100_000_000),
     ]);
     machine.schedule = GasSchedule::free(); // consortium: metered by policy
 
@@ -142,45 +113,6 @@ fn main() {
     assert_eq!(owner, retailer);
     println!("on-chain owner of GRAIN-LOT-7: retailer ✓");
 
-    // --- IoT: cold-chain telemetry, tamper-resistant. --------------------
-    let mut sensors: Vec<Sensor> = (0..4)
-        .map(|_| {
-            Sensor::new(SensorConfig {
-                noise_std: 0.3,
-                ..SensorConfig::default()
-            })
-        })
-        .collect();
-    // One sensor is compromised and reports a fake safe temperature.
-    sensors.push(Sensor::new(SensorConfig {
-        tampered_value: Some(4.0),
-        ..SensorConfig::default()
-    }));
-    let mut oracle = Oracle::new(sensors, gateway);
-    let mut anchored = Vec::new();
-    for hour in 0..6u64 {
-        let actual = 4.0 + 0.4 * hour as f64; // the truck is warming up!
-        let agreed = oracle.measure(actual, &mut rng);
-        let tx = oracle.anchor_tx(agreed, hour * 3_600_000_000);
-        anchored.push(tx.clone());
-        seal_block(&mut goods, vec![tx]);
-    }
-    let readings: Vec<f64> = anchored
-        .iter()
-        .map(|tx| Oracle::parse_anchor(tx).expect("anchored telemetry").0)
-        .collect();
-    println!(
-        "cold-chain telemetry (median of 5 sensors, 1 tampered): {:?}",
-        readings
-            .iter()
-            .map(|v| format!("{v:.1}°C"))
-            .collect::<Vec<_>>()
-    );
-    assert!(
-        readings.last().unwrap() > &5.0,
-        "the warming trend is visible on-chain"
-    );
-
     // --- Settlement: atomic swap across privacy domains (§5.3, E14). -----
     let mut channels = MultiChannel::new();
     let goods_ch = channels.create_channel(
@@ -210,92 +142,6 @@ fn main() {
         "atomic settlement: producer received {} (payments channel), retailer received {} grain tokens (goods channel)",
         channels.balance(pay_ch, producer, producer).unwrap(),
         channels.balance(goods_ch, retailer, retailer).unwrap(),
-    );
-
-    // --- Modeling layer: the process model IS the contract (§4.2). --------
-    let process = Workflow {
-        states: vec![
-            "Production".into(),
-            "Shipping".into(),
-            "Validation".into(),
-            "Agreement".into(),
-        ],
-        transitions: vec![
-            Transition {
-                name: "ship".into(),
-                from: 0,
-                to: 1,
-                actor: producer,
-            },
-            Transition {
-                name: "deliver".into(),
-                from: 1,
-                to: 2,
-                actor: shipper,
-            },
-            Transition {
-                name: "approve".into(),
-                from: 2,
-                to: 3,
-                actor: retailer,
-            },
-        ],
-    };
-    let process_code = process.compile().expect("model compiles");
-    let verification = dcs_contracts::verify::analyze(&process_code);
-    println!(
-        "workflow model compiled to {} bytes of contract code; static verifier: clean = {}",
-        process_code.len(),
-        verification.is_clean()
-    );
-    let wf_deploy = AccountTx::deploy(producer, process_code, 3, 10_000_000);
-    let wf_addr = wf_deploy.contract_address();
-    seal_block(&mut goods, vec![Transaction::Account(wf_deploy)]);
-    // Fire ship → deliver → approve, each by its authorized actor.
-    seal_block(
-        &mut goods,
-        vec![Transaction::Account(AccountTx::call(
-            producer,
-            wf_addr,
-            process.fire_input(0),
-            0,
-            4,
-            1_000_000,
-        ))],
-    );
-    seal_block(
-        &mut goods,
-        vec![Transaction::Account(AccountTx::call(
-            shipper,
-            wf_addr,
-            process.fire_input(1),
-            0,
-            1,
-            1_000_000,
-        ))],
-    );
-    seal_block(
-        &mut goods,
-        vec![Transaction::Account(AccountTx::call(
-            retailer,
-            wf_addr,
-            process.fire_input(2),
-            0,
-            0,
-            1_000_000,
-        ))],
-    );
-    let state = exec::query(
-        &mut goods.machine_mut().db,
-        &wf_addr,
-        &retailer,
-        &process.state_input(),
-    )
-    .expect("state query");
-    let state = Word(state.try_into().expect("one word")).as_u64();
-    println!(
-        "workflow state on-chain: {} ({})",
-        state, process.states[state as usize]
     );
 
     // --- Analytics over the goods ledger. --------------------------------
