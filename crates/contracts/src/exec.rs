@@ -9,7 +9,7 @@ use dcs_crypto::{Address, Hash256};
 use dcs_primitives::{
     AccountTx, Amount, Block, GasSchedule, Receipt, Transaction, TxPayload, TxStatus,
 };
-use dcs_state::AccountDb;
+use dcs_state::{AccountDb, StateError};
 
 /// Block-context parameters for execution.
 #[derive(Debug, Clone, Copy)]
@@ -45,22 +45,17 @@ pub fn execute_tx(
     if tx.gas_limit < intrinsic {
         return Receipt::failed(tx_id, "gas limit below intrinsic cost");
     }
-    let expected_nonce = db.nonce(&tx.from);
-    if tx.nonce != expected_nonce {
-        return Receipt::failed(
-            tx_id,
-            format!("bad nonce: expected {expected_nonce}, got {}", tx.nonce),
-        );
-    }
     let upfront = tx
         .value
         .saturating_add(tx.gas_limit.saturating_mul(tx.gas_price));
-    if db.balance(&tx.from) < upfront {
-        return Receipt::failed(tx_id, "insufficient balance for value + gas");
+    // Nonce bump and upfront charge: one read and one write of the sender.
+    match db.charge_sender(&tx.from, tx.nonce, upfront) {
+        Ok(()) => {}
+        Err(StateError::BadNonce { expected, got }) => {
+            return Receipt::failed(tx_id, format!("bad nonce: expected {expected}, got {got}"));
+        }
+        Err(_) => return Receipt::failed(tx_id, "insufficient balance for value + gas"),
     }
-
-    db.bump_nonce(&tx.from);
-    db.debit(&tx.from, upfront).expect("balance checked above");
 
     // Everything inside this snapshot is reverted on failure; the nonce
     // bump and gas charge above survive.

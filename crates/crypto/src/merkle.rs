@@ -128,6 +128,11 @@ impl MerkleTree {
         self.leaf_count
     }
 
+    /// The leaf digests the tree was built over, in order (without padding).
+    pub fn leaves(&self) -> &[Hash256] {
+        &self.levels[0][..self.leaf_count]
+    }
+
     /// Produces an inclusion proof for the leaf at `index`, or `None` if the
     /// index is out of range.
     pub fn prove(&self, index: usize) -> Option<MerkleProof> {
@@ -286,6 +291,7 @@ mod tests {
                 merkle_root(&l),
                 "n={n}"
             );
+            assert_eq!(MerkleTree::from_leaves(l.clone()).leaves(), l, "n={n}");
         }
     }
 

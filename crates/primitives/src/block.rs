@@ -13,7 +13,7 @@
 use crate::transaction::Transaction;
 use crate::Amount;
 use dcs_crypto::codec::{Decode, DecodeError, Encode, Reader};
-use dcs_crypto::{merkle, sha256, Address, Hash256, VerifyPool};
+use dcs_crypto::{merkle, sha256, Address, Hash256, MerkleTree, VerifyPool};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -187,7 +187,8 @@ impl Block {
     /// birth.
     pub fn new(header: BlockHeader, txs: Vec<Transaction>) -> Self {
         let ids = Transaction::batch_ids(&txs);
-        Block::assemble(header, txs, ids)
+        let root = merkle::merkle_root(&ids);
+        Block::assemble(header, txs, ids, root)
     }
 
     /// Assembles a block from transactions whose ids the caller has already
@@ -195,18 +196,38 @@ impl Block {
     /// Merkle root over `ids` and seeds the id cache, so assembly never
     /// re-hashes bodies the pool already identified.
     pub fn with_ids(header: BlockHeader, txs: Vec<Transaction>, ids: Vec<Hash256>) -> Self {
-        debug_assert_eq!(txs.len(), ids.len(), "one id per transaction");
-        debug_assert!(
-            txs.iter().zip(&ids).all(|(tx, id)| tx.id() == *id),
-            "ids must match the bodies"
-        );
-        Block::assemble(header, txs, ids)
+        debug_assert_ids_match(&txs, &ids);
+        let root = merkle::merkle_root(&ids);
+        Block::assemble(header, txs, ids, root)
     }
 
-    fn assemble(mut header: BlockHeader, txs: Vec<Transaction>, ids: Vec<Hash256>) -> Self {
-        header.tx_root = merkle::merkle_root(&ids);
+    /// Assembles a block from a Merkle tree built over its transaction ids
+    /// (a shard sequencer proves lock receipts from the same tree): the
+    /// tree's leaves seed the id cache and its root is committed into the
+    /// header, so the body is rooted once. Debug builds check both the ids
+    /// and the root against a recomputation.
+    pub fn with_tree(header: BlockHeader, txs: Vec<Transaction>, tree: &MerkleTree) -> Self {
+        let ids = tree.leaves().to_vec();
+        debug_assert_ids_match(&txs, &ids);
+        debug_assert_eq!(
+            tree.root(),
+            merkle::merkle_root(&ids),
+            "tree root is the ids' root"
+        );
+        Block::assemble(header, txs, ids, tree.root())
+    }
+
+    /// Commits `root`, the Merkle root over `ids`, into the header and
+    /// seeds the id cache and the body-root memo with them.
+    fn assemble(
+        mut header: BlockHeader,
+        txs: Vec<Transaction>,
+        ids: Vec<Hash256>,
+        root: Hash256,
+    ) -> Self {
+        header.tx_root = root;
         Block {
-            body_root: OnceLock::from(header.tx_root),
+            body_root: OnceLock::from(root),
             header,
             txs,
             ids: OnceLock::from(ids.into_boxed_slice()),
@@ -305,6 +326,15 @@ impl Block {
     pub fn encoded_len(&self) -> usize {
         self.encoded().len()
     }
+}
+
+/// Debug builds: `ids` are the ids of `txs`, one each, in order.
+fn debug_assert_ids_match(txs: &[Transaction], ids: &[Hash256]) {
+    debug_assert_eq!(txs.len(), ids.len(), "one id per transaction");
+    debug_assert!(
+        txs.iter().zip(ids).all(|(tx, id)| tx.id() == *id),
+        "ids must match the bodies"
+    );
 }
 
 impl Encode for Seal {

@@ -424,10 +424,10 @@ impl ShardNode {
             let batch: Vec<PendingTx> = queue.drain(..take).collect();
             let txs: Vec<Transaction> = batch.iter().map(|p| p.tx().clone()).collect();
             let header = self.header(ctx.now.as_micros());
-            // Hashed once: the block's root, its id memo and the receipt
-            // leaves below are all these ids.
-            let leaves = Transaction::batch_ids(&txs);
-            let block = Block::with_ids(header, txs, leaves.clone());
+            // Hashed and rooted once: one tree gives the block its root and
+            // id memo, and the lock receipts below their leaves and proofs.
+            let tree = MerkleTree::from_leaves(Transaction::batch_ids(&txs));
+            let block = Block::with_tree(header, txs, &tree);
             let sealed_header = block.header.clone();
             let height = sealed_header.height;
             self.chain
@@ -441,16 +441,14 @@ impl ShardNode {
             let size = anchor.wire_size();
             ctx.send(NodeId(0), anchor, size);
             // Receipts for the locks this block sealed, in leaf order; only
-            // a block that holds one pays for the proof tree and the message.
-            let mut tree = None;
+            // a block that holds one pays for the message.
             let mut receipts = Vec::new();
             for (i, entry) in batch.iter().enumerate() {
                 let PendingTx::Lock { transfer, dst, .. } = entry else {
                     continue;
                 };
-                let tree = tree.get_or_insert_with(|| MerkleTree::from_leaves(leaves.clone()));
                 let receipt = LockReceipt {
-                    lock_id: leaves[i],
+                    lock_id: tree.leaves()[i],
                     transfer: *transfer,
                     src_shard: self.shard,
                     dst_shard: *dst,

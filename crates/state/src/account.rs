@@ -26,6 +26,14 @@ impl Encode for Account {
         self.balance.encode(out);
         self.nonce.encode(out);
     }
+
+    /// One allocation of the record's exact size, where growing an empty
+    /// `Vec` field by field would reallocate.
+    fn encoded(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(std::mem::size_of::<(Amount, u64)>());
+        self.encode(&mut out);
+        out
+    }
 }
 
 impl Decode for Account {
@@ -41,29 +49,110 @@ const TAG_ACCOUNT: u8 = 0x00;
 const TAG_STORAGE: u8 = 0x01;
 const TAG_CODE: u8 = 0x02;
 
-fn account_key(addr: &Address) -> Vec<u8> {
-    let mut k = vec![TAG_ACCOUNT];
-    k.extend_from_slice(addr.as_bytes());
-    k
+/// Length of the longest key, a storage slot's: tag ‖ address ‖ slot.
+const MAX_KEY: usize = 1 + 20 + 32;
+
+/// A key of the account trie — `tag ‖ address` for an account record or a
+/// contract's code, `tag ‖ address ‖ slot` for a storage slot — held inline,
+/// so building, copying and comparing one never allocates.
+///
+/// Its bytes are what the trie hashes and proves, and its order is their
+/// byte order: the first eight bytes compare as one big-endian `u64`, and
+/// only keys that tie there compare the rest. The bytes past the key's
+/// length stay zero, so equality of the whole array is equality of keys.
+///
+/// # Examples
+///
+/// ```
+/// use dcs_crypto::{sha256, Address};
+/// use dcs_state::StateKey;
+///
+/// let a = Address::from_index(1);
+/// let (account, slot) = (StateKey::account(&a), StateKey::storage(&a, &sha256(b"s")));
+/// assert_eq!(account.as_ref().len(), 21);
+/// assert_eq!(account.cmp(&slot), account.as_ref().cmp(slot.as_ref()));
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct StateKey {
+    bytes: [u8; MAX_KEY],
+    len: u8,
 }
 
-fn storage_key(addr: &Address, slot: &Hash256) -> Vec<u8> {
-    let mut k = vec![TAG_STORAGE];
-    k.extend_from_slice(addr.as_bytes());
-    k.extend_from_slice(slot.as_ref());
-    k
+impl StateKey {
+    fn new(tag: u8, addr: &Address, slot: Option<&Hash256>) -> Self {
+        let mut bytes = [0u8; MAX_KEY];
+        bytes[0] = tag;
+        bytes[1..21].copy_from_slice(addr.as_bytes());
+        let len = match slot {
+            Some(slot) => {
+                bytes[21..].copy_from_slice(slot.as_bytes());
+                MAX_KEY
+            }
+            None => 21,
+        };
+        StateKey {
+            bytes,
+            len: len as u8,
+        }
+    }
+
+    /// The key of `addr`'s balance/nonce record.
+    pub fn account(addr: &Address) -> Self {
+        StateKey::new(TAG_ACCOUNT, addr, None)
+    }
+
+    /// The key of storage `slot` of the contract at `addr`.
+    pub fn storage(addr: &Address, slot: &Hash256) -> Self {
+        StateKey::new(TAG_STORAGE, addr, Some(slot))
+    }
+
+    /// The key of the contract code at `addr`.
+    pub fn code(addr: &Address) -> Self {
+        StateKey::new(TAG_CODE, addr, None)
+    }
+
+    /// The first eight bytes as a big-endian integer: the byte order of the
+    /// keys' first eight bytes in one comparison.
+    fn prefix(&self) -> u64 {
+        let [a, b, c, d, e, f, g, h, ..] = self.bytes;
+        u64::from_be_bytes([a, b, c, d, e, f, g, h])
+    }
 }
 
-fn code_key(addr: &Address) -> Vec<u8> {
-    let mut k = vec![TAG_CODE];
-    k.extend_from_slice(addr.as_bytes());
-    k
+impl AsRef<[u8]> for StateKey {
+    fn as_ref(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+impl Ord for StateKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.prefix()
+            .cmp(&other.prefix())
+            .then_with(|| self.as_ref().cmp(other.as_ref()))
+    }
+}
+
+impl PartialOrd for StateKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl std::fmt::Debug for StateKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "StateKey(")?;
+        for b in self.as_ref() {
+            write!(f, "{b:02x}")?;
+        }
+        write!(f, ")")
+    }
 }
 
 /// A block-level undo record extracted from the journal.
 #[derive(Debug, Clone, Default)]
 pub struct AccountUndo {
-    entries: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+    entries: Vec<(StateKey, Option<Vec<u8>>)>,
 }
 
 /// The account database.
@@ -84,14 +173,14 @@ pub struct AccountUndo {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AccountDb {
-    map: MerkleMap,
-    journal: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+    map: MerkleMap<StateKey>,
+    journal: Vec<(StateKey, Option<Vec<u8>>)>,
     /// Batched-application overlay (`Some` while a batch is open): pending
     /// writes staged here are merged into the trie in one
     /// [`MerkleMap::write_batch`] pass at [`AccountDb::commit_batch`] time.
     /// Reads always consult the overlay first, so execution sees exactly the
     /// state the serial path would.
-    overlay: Option<BTreeMap<Vec<u8>, Option<Vec<u8>>>>,
+    overlay: Option<BTreeMap<StateKey, Option<Vec<u8>>>>,
 }
 
 impl AccountDb {
@@ -113,7 +202,7 @@ impl AccountDb {
     /// Produces a Merkle inclusion proof for an account record, verifiable
     /// against [`AccountDb::root`] — how a light client checks a balance.
     pub fn prove_account(&self, addr: &Address) -> Option<crate::merkle_map::MapProof> {
-        self.map.prove(&account_key(addr))
+        self.map.prove(&StateKey::account(addr))
     }
 
     /// Opens a write batch: subsequent mutations are staged in an overlay
@@ -148,7 +237,7 @@ impl AccountDb {
         self.overlay.is_some()
     }
 
-    fn raw_get(&self, key: &[u8]) -> Option<&[u8]> {
+    fn raw_get(&self, key: &StateKey) -> Option<&[u8]> {
         if let Some(overlay) = &self.overlay {
             if let Some(staged) = overlay.get(key) {
                 return staged.as_deref();
@@ -157,16 +246,16 @@ impl AccountDb {
         self.map.get(key)
     }
 
-    fn raw_set(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
+    fn raw_set(&mut self, key: StateKey, value: Option<Vec<u8>>) {
         let old = match &mut self.overlay {
-            Some(overlay) => match overlay.insert(key.clone(), value) {
+            Some(overlay) => match overlay.insert(key, value) {
                 // The overlay-visible previous value: an earlier staged
                 // write, or (first touch in this batch) the trie's value.
                 Some(staged) => staged,
                 None => self.map.get(&key).map(<[u8]>::to_vec),
             },
-            None => match &value {
-                Some(v) => self.map.insert(key.clone(), v.clone()),
+            None => match value {
+                Some(v) => self.map.insert(key, v),
                 None => self.map.remove(&key),
             },
         };
@@ -175,7 +264,7 @@ impl AccountDb {
 
     /// Reads an account record (zero balance/nonce if absent).
     pub fn account(&self, addr: &Address) -> Account {
-        self.raw_get(&account_key(addr))
+        self.raw_get(&StateKey::account(addr))
             .and_then(|bytes| decode_all::<Account>(bytes).ok())
             .unwrap_or_default()
     }
@@ -192,14 +281,18 @@ impl AccountDb {
 
     fn put_account(&mut self, addr: &Address, acct: Account) {
         if acct == Account::default() {
-            self.raw_set(account_key(addr), None);
+            self.raw_set(StateKey::account(addr), None);
         } else {
-            self.raw_set(account_key(addr), Some(acct.encoded()));
+            self.raw_set(StateKey::account(addr), Some(acct.encoded()));
         }
     }
 
-    /// Adds `value` to the account's balance.
+    /// Adds `value` to the account's balance. Crediting nothing reads,
+    /// writes and journals nothing.
     pub fn credit(&mut self, addr: &Address, value: Amount) {
+        if value == 0 {
+            return;
+        }
         let mut acct = self.account(addr);
         acct.balance = acct.balance.saturating_add(value);
         self.put_account(addr, acct);
@@ -249,24 +342,63 @@ impl AccountDb {
         old
     }
 
+    /// Charges a transaction's sender: checks that `nonce` is the account's
+    /// and that its balance covers `value`, then bumps the nonce and debits
+    /// `value` — one read and one write of the record, one journal entry,
+    /// with the record and root [`AccountDb::bump_nonce`] followed by
+    /// [`AccountDb::debit`] would leave.
+    ///
+    /// # Errors
+    ///
+    /// [`StateError::BadNonce`] if `nonce` is not the account's, else
+    /// [`StateError::InsufficientBalance`] (what [`AccountDb::debit`]
+    /// returns) if the balance is too small; the state and the journal are
+    /// unchanged.
+    pub fn charge_sender(
+        &mut self,
+        addr: &Address,
+        nonce: u64,
+        value: Amount,
+    ) -> Result<(), StateError> {
+        let acct = self.account(addr);
+        if nonce != acct.nonce {
+            return Err(StateError::BadNonce {
+                expected: acct.nonce,
+                got: nonce,
+            });
+        }
+        if acct.balance < value {
+            return Err(StateError::InsufficientBalance {
+                have: u128::from(acct.balance),
+                need: u128::from(value),
+            });
+        }
+        let charged = Account {
+            balance: acct.balance - value,
+            nonce: acct.nonce + 1,
+        };
+        self.put_account(addr, charged);
+        Ok(())
+    }
+
     /// The contract code stored at `addr`, if any.
     pub fn code(&self, addr: &Address) -> Option<&[u8]> {
-        self.raw_get(&code_key(addr))
+        self.raw_get(&StateKey::code(addr))
     }
 
     /// Installs contract code at `addr`.
     pub fn set_code(&mut self, addr: &Address, code: Vec<u8>) {
-        self.raw_set(code_key(addr), Some(code));
+        self.raw_set(StateKey::code(addr), Some(code));
     }
 
     /// Reads a contract storage slot.
     pub fn storage(&self, addr: &Address, slot: &Hash256) -> Option<&[u8]> {
-        self.raw_get(&storage_key(addr, slot))
+        self.raw_get(&StateKey::storage(addr, slot))
     }
 
     /// Writes (or clears, with `None`) a contract storage slot.
     pub fn set_storage(&mut self, addr: &Address, slot: &Hash256, value: Option<Vec<u8>>) {
-        self.raw_set(storage_key(addr, slot), value);
+        self.raw_set(StateKey::storage(addr, slot), value);
     }
 
     /// Marks the current journal position; pass to [`AccountDb::rollback`]
@@ -460,6 +592,42 @@ mod tests {
         }
         db.clear_journal();
         db
+    }
+
+    #[test]
+    fn one_write_sender_charge_matches_bump_then_debit() {
+        for batched in [false, true] {
+            let (mut two, mut one) = (seeded(5), seeded(5));
+            if batched {
+                two.begin_batch();
+                one.begin_batch();
+            }
+            two.bump_nonce(&addr(1));
+            two.debit(&addr(1), 150).unwrap();
+            let snapshot = one.snapshot();
+            one.charge_sender(&addr(1), 0, 150).unwrap();
+            assert_eq!(one.snapshot(), snapshot + 1, "one journal entry");
+            two.commit_batch();
+            one.commit_batch();
+            assert_eq!(one.account(&addr(1)), two.account(&addr(1)));
+            assert_eq!(one.root(), two.root(), "batched: {batched}");
+        }
+
+        // A short balance: `debit`'s error, and nothing written or journaled.
+        // A wrong nonce: the account's nonce in the error, likewise.
+        let mut db = seeded(5);
+        let (root, snapshot) = (db.root(), db.snapshot());
+        let short = db.clone().debit(&addr(1), 201).unwrap_err();
+        assert_eq!(db.charge_sender(&addr(1), 0, 201), Err(short));
+        assert_eq!(
+            db.charge_sender(&addr(1), 1, 1),
+            Err(StateError::BadNonce {
+                expected: 0,
+                got: 1
+            })
+        );
+        assert_eq!((db.root(), db.snapshot()), (root, snapshot));
+        assert_eq!(db.account(&addr(1)).balance, 200);
     }
 
     #[test]

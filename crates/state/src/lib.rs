@@ -8,7 +8,7 @@
 //!   support for reorgs.
 //! * [`AccountDb`] — the generation-2.0/3.0 account database (balances,
 //!   nonces, contract code and storage) layered over the Merkle map, also
-//!   with undo logs.
+//!   with undo logs, keyed by the fixed-size, non-allocating [`StateKey`].
 //!
 //! # Examples
 //!
@@ -18,7 +18,7 @@
 //! let mut map = MerkleMap::new();
 //! map.insert(b"alice".to_vec(), b"100".to_vec());
 //! let root = map.root();
-//! let proof = map.prove(b"alice").unwrap();
+//! let proof = map.prove(&b"alice"[..]).unwrap();
 //! assert!(proof.verify(&root));
 //! ```
 
@@ -29,7 +29,7 @@ pub mod account;
 pub mod merkle_map;
 pub mod utxo;
 
-pub use account::{Account, AccountDb, AccountUndo};
+pub use account::{Account, AccountDb, AccountUndo, StateKey};
 pub use merkle_map::{MapProof, MerkleMap};
 pub use utxo::{OutPoint, UtxoError, UtxoSet, UtxoUndo};
 

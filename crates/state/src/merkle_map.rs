@@ -15,10 +15,18 @@
 //! addressed by level without re-walking from the root. A block's writes go
 //! through [`MerkleMap::write_batch`], which edits the structure first and
 //! hashes afterwards, level by level, through the multi-lane hasher.
+//!
+//! The map is generic over its key type: anything ordered that is a byte
+//! string (`K: Ord + AsRef<[u8]>`). The key's bytes are what the trie hashes
+//! and proves, so the root depends on them alone; `K`'s order only has to be
+//! the byte order of those bytes for [`MerkleMap::iter`] to be key-ordered.
+//! The default, `Vec<u8>`, takes any byte string; the account database keys
+//! its map by the fixed-size, non-allocating [`crate::StateKey`].
 
 use dcs_crypto::codec::{Decode, DecodeError, Encode, Reader};
 use dcs_crypto::{sha256, Hash256, MultiHasher, Sha256};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Domain prefix of a leaf digest: `sha256(0x10 ‖ key_hash ‖ sha256(value))`.
@@ -88,12 +96,12 @@ type Dirty = (u32, u32);
 /// let r1 = m.root();
 /// m.insert(b"k".to_vec(), b"v2".to_vec());
 /// assert_ne!(m.root(), r1);
-/// assert_eq!(m.get(b"k"), Some(&b"v2"[..]));
+/// assert_eq!(m.get(&b"k"[..]), Some(&b"v2"[..]));
 /// ```
 #[derive(Debug, Clone)]
-pub struct MerkleMap {
+pub struct MerkleMap<K = Vec<u8>> {
     /// The contents. Reads never touch the trie.
-    entries: BTreeMap<Vec<u8>, Vec<u8>>,
+    entries: BTreeMap<K, Vec<u8>>,
     nodes: Vec<Node>,
     /// Arena slots released by removals and collapses, reused before the
     /// arena grows.
@@ -101,7 +109,7 @@ pub struct MerkleMap {
     root: u32,
 }
 
-impl Default for MerkleMap {
+impl<K> Default for MerkleMap<K> {
     fn default() -> Self {
         MerkleMap {
             entries: BTreeMap::new(),
@@ -113,11 +121,14 @@ impl Default for MerkleMap {
 }
 
 impl MerkleMap {
-    /// Creates an empty map (root = [`Hash256::ZERO`]).
+    /// Creates an empty map over byte-string keys (root =
+    /// [`Hash256::ZERO`]); `MerkleMap::<K>::default()` for any other key.
     pub fn new() -> Self {
         MerkleMap::default()
     }
+}
 
+impl<K: Ord + AsRef<[u8]>> MerkleMap<K> {
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -134,7 +145,10 @@ impl MerkleMap {
     }
 
     /// Looks up the value stored under `key`.
-    pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
+    pub fn get<Q: Ord + ?Sized>(&self, key: &Q) -> Option<&[u8]>
+    where
+        K: Borrow<Q>,
+    {
         self.entries.get(key).map(Vec::as_slice)
     }
 
@@ -177,8 +191,8 @@ impl MerkleMap {
     }
 
     /// Inserts or replaces; returns the previous value if any.
-    pub fn insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Option<Vec<u8>> {
-        let kh = sha256(&key);
+    pub fn insert(&mut self, key: K, value: Vec<u8>) -> Option<Vec<u8>> {
+        let kh = sha256(key.as_ref());
         let leaf = leaf_hash(&kh, &value);
         self.root = self.insert_at(self.root, kh, leaf, 0);
         self.entries.insert(key, value)
@@ -234,9 +248,12 @@ impl MerkleMap {
 
     /// Removes `key`, returning its value if present. Collapses now-unary
     /// branches to keep the structure (and root) canonical.
-    pub fn remove(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+    pub fn remove<Q: Ord + AsRef<[u8]> + ?Sized>(&mut self, key: &Q) -> Option<Vec<u8>>
+    where
+        K: Borrow<Q>,
+    {
         let old = self.entries.remove(key)?;
-        self.root = self.remove_at(self.root, &sha256(key), 0);
+        self.root = self.remove_at(self.root, &sha256(key.as_ref()), 0);
         Some(old)
     }
 
@@ -277,7 +294,7 @@ impl MerkleMap {
     /// as serial application would. Because the trie is content-addressed,
     /// the resulting root is bit-identical to replaying the batch through
     /// [`MerkleMap::insert`] / [`MerkleMap::remove`] in order.
-    pub fn write_batch(&mut self, entries: Vec<(Vec<u8>, Option<Vec<u8>>)>) {
+    pub fn write_batch(&mut self, entries: Vec<(K, Option<Vec<u8>>)>) {
         let dirty = self.restructure(entries);
         self.rehash(dirty);
     }
@@ -285,11 +302,11 @@ impl MerkleMap {
     /// The first phase of [`MerkleMap::write_batch`]: updates the index,
     /// places the new leaves (their digests computed here, batched) and
     /// returns the branches left with a stale digest.
-    fn restructure(&mut self, entries: Vec<(Vec<u8>, Option<Vec<u8>>)>) -> Vec<Dirty> {
+    fn restructure(&mut self, entries: Vec<(K, Option<Vec<u8>>)>) -> Vec<Dirty> {
         let hasher = MultiHasher::wide();
-        let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
+        let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_ref()).collect();
         let key_hashes = hasher.hash_many(&keys);
-        let mut items: Vec<(Hash256, Vec<u8>, Option<Vec<u8>>)> = entries
+        let mut items: Vec<(Hash256, K, Option<Vec<u8>>)> = entries
             .into_iter()
             .zip(key_hashes)
             .map(|((key, value), kh)| (kh, key, value))
@@ -427,9 +444,12 @@ impl MerkleMap {
     }
 
     /// Produces an inclusion proof for `key`, or `None` if absent.
-    pub fn prove(&self, key: &[u8]) -> Option<MapProof> {
+    pub fn prove<Q: Ord + AsRef<[u8]> + ?Sized>(&self, key: &Q) -> Option<MapProof>
+    where
+        K: Borrow<Q>,
+    {
         let value = self.entries.get(key)?;
-        let kh = sha256(key);
+        let kh = sha256(key.as_ref());
         let mut siblings = Vec::new();
         let mut node = self.root;
         while let Node::Branch { left, right, .. } = self.nodes[node as usize] {
@@ -443,7 +463,7 @@ impl MerkleMap {
         }
         siblings.reverse(); // leaf-upward order for verification
         Some(MapProof {
-            key: key.to_vec(),
+            key: key.as_ref().to_vec(),
             value: value.clone(),
             siblings,
         })
@@ -451,15 +471,13 @@ impl MerkleMap {
 
     /// Iterates over all `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
-        self.entries
-            .iter()
-            .map(|(k, v)| (k.as_slice(), v.as_slice()))
+        self.entries.iter().map(|(k, v)| (k.as_ref(), v.as_slice()))
     }
 }
 
-impl FromIterator<(Vec<u8>, Vec<u8>)> for MerkleMap {
-    fn from_iter<I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>>(iter: I) -> Self {
-        let mut m = MerkleMap::new();
+impl<K: Ord + AsRef<[u8]>> FromIterator<(K, Vec<u8>)> for MerkleMap<K> {
+    fn from_iter<I: IntoIterator<Item = (K, Vec<u8>)>>(iter: I) -> Self {
+        let mut m = MerkleMap::default();
         for (k, v) in iter {
             m.insert(k, v);
         }
@@ -549,8 +567,8 @@ mod tests {
         let m = MerkleMap::new();
         assert_eq!(m.root(), Hash256::ZERO);
         assert!(m.is_empty());
-        assert_eq!(m.get(b"missing"), None);
-        assert!(m.prove(b"missing").is_none());
+        assert_eq!(m.get(&b"missing"[..]), None);
+        assert!(m.prove(&b"missing"[..]).is_none());
     }
 
     #[test]
@@ -559,9 +577,9 @@ mod tests {
         assert_eq!(m.insert(b"a".to_vec(), b"1".to_vec()), None);
         assert_eq!(m.insert(b"a".to_vec(), b"2".to_vec()), Some(b"1".to_vec()));
         assert_eq!(m.len(), 1);
-        assert_eq!(m.get(b"a"), Some(&b"2"[..]));
-        assert_eq!(m.remove(b"a"), Some(b"2".to_vec()));
-        assert_eq!(m.remove(b"a"), None);
+        assert_eq!(m.get(&b"a"[..]), Some(&b"2"[..]));
+        assert_eq!(m.remove(&b"a"[..]), Some(b"2".to_vec()));
+        assert_eq!(m.remove(&b"a"[..]), None);
         assert!(m.is_empty());
         assert_eq!(m.root(), Hash256::ZERO);
     }
@@ -578,7 +596,7 @@ mod tests {
         let base = m.root();
         m.insert(b"extra".to_vec(), b"x".to_vec());
         assert_ne!(m.root(), base);
-        m.remove(b"extra");
+        m.remove(&b"extra"[..]);
         assert_eq!(m.root(), base);
     }
 
@@ -694,9 +712,9 @@ mod tests {
         batched.write_batch(ops);
         assert_eq!(batched.root(), serial.root());
         assert_eq!(batched.len(), serial.len());
-        assert_eq!(batched.get(b"brand-new"), Some(&b"n2"[..]));
-        assert_eq!(batched.get(b"key-42"), Some(&b"f3"[..]));
-        assert_eq!(batched.get(b"key-11"), None);
+        assert_eq!(batched.get(&b"brand-new"[..]), Some(&b"n2"[..]));
+        assert_eq!(batched.get(&b"key-42"[..]), Some(&b"f3"[..]));
+        assert_eq!(batched.get(&b"key-11"[..]), None);
     }
 
     #[test]
@@ -710,7 +728,7 @@ mod tests {
         assert_eq!(m.len(), 1);
 
         // Proofs still verify against the collapsed structure.
-        let p = m.prove(b"survivor").unwrap();
+        let p = m.prove(&b"survivor"[..]).unwrap();
         assert!(p.verify(&m.root()));
     }
 

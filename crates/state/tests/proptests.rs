@@ -1,12 +1,13 @@
 //! Property-based tests for the data layer: the Merkle map against a
 //! `HashMap` reference model (same contents ⇒ same answers, same root
-//! regardless of history), UTXO value conservation, and journal rollback
+//! regardless of history), the fixed-size `StateKey` against the byte
+//! strings it stands for, UTXO value conservation, and journal rollback
 //! exactness.
 
 use dcs_crypto::codec::{decode_all, Encode};
 use dcs_crypto::{sha256, Address, Hash256};
 use dcs_primitives::{Block, BlockHeader, Seal, Transaction, TxIn, TxOut, UtxoTx};
-use dcs_state::{AccountDb, MapProof, MerkleMap, UtxoSet};
+use dcs_state::{AccountDb, MapProof, MerkleMap, StateKey, UtxoSet};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 
@@ -198,6 +199,101 @@ proptest! {
     }
 }
 
+// --- Fixed-size keys against byte strings --------------------------------
+
+/// An account, code or storage key (`kind` 0, 1, 2) of an address that
+/// shares its first `shared` bytes with `base` and takes the rest from
+/// `tail`, so ties on the eight-byte prefix (tag and seven address bytes)
+/// are common.
+fn state_key(kind: u8, base: &[u8; 20], shared: usize, tail: [u8; 20], slot: [u8; 32]) -> StateKey {
+    let mut bytes = tail;
+    bytes[..shared].copy_from_slice(&base[..shared]);
+    let addr = Address::from_bytes(bytes);
+    match kind {
+        0 => StateKey::account(&addr),
+        1 => StateKey::code(&addr),
+        _ => StateKey::storage(&addr, &Hash256::from_bytes(slot)),
+    }
+}
+
+proptest! {
+    /// `StateKey`'s order and equality are those of its bytes: across keys
+    /// that tie on the `u64` prefix or differ inside it, and across the
+    /// account, code and storage keys of one address (storage slots of one
+    /// contract included, one of them all zero).
+    #[test]
+    fn state_key_order_is_the_byte_order(
+        base in any::<[u8; 20]>(),
+        picks in proptest::collection::vec(
+            (0usize..=20, any::<[u8; 20]>(), any::<[u8; 32]>(), any::<bool>()),
+            1..12,
+        ),
+    ) {
+        let mut keys = Vec::new();
+        for (shared, tail, slot, zero_slot) in picks {
+            let slot = if zero_slot { [0; 32] } else { slot };
+            for kind in 0..3 {
+                keys.push(state_key(kind, &base, shared, tail, slot));
+            }
+        }
+        for a in &keys {
+            for b in &keys {
+                prop_assert_eq!(a.cmp(b), a.as_ref().cmp(b.as_ref()), "{:?} vs {:?}", a, b);
+                prop_assert_eq!(a == b, a.as_ref() == b.as_ref());
+            }
+        }
+    }
+
+    /// A map keyed by `StateKey` and one keyed by the same keys' bytes, given
+    /// the same serial and batched writes, agree on the root, on `len`, on
+    /// `iter` (order included), and on `get` and `prove` of every key.
+    #[test]
+    fn merkle_map_over_state_keys_matches_byte_string_keys(
+        base in any::<[u8; 20]>(),
+        writes in proptest::collection::vec(
+            ((0u8..3, 0u8..6, 0u8..4), proptest::option::of(any::<u16>())),
+            1..120,
+        ),
+        serial in 0usize..120,
+    ) {
+        // Six addresses, the odd ones tied with `base` past the u64 prefix.
+        let key = |(kind, who, slot): (u8, u8, u8)| {
+            let shared = if who % 2 == 1 { 20 - usize::from(who) } else { 0 };
+            let tail = *Address::from_index(u64::from(who)).as_bytes();
+            state_key(kind, &base, shared, tail, [slot; 32])
+        };
+        let mut fixed = MerkleMap::<StateKey>::default();
+        let mut bytes = MerkleMap::new();
+        let (serial, batch) = writes.split_at(serial.min(writes.len()));
+        for &(k, v) in serial {
+            let k = key(k);
+            match v {
+                Some(v) => {
+                    let v = v.to_le_bytes().to_vec();
+                    prop_assert_eq!(fixed.insert(k, v.clone()), bytes.insert(k.as_ref().to_vec(), v));
+                }
+                None => prop_assert_eq!(fixed.remove(&k), bytes.remove(k.as_ref())),
+            }
+        }
+        let value = |v: Option<u16>| v.map(|v| v.to_le_bytes().to_vec());
+        fixed.write_batch(batch.iter().map(|&(k, v)| (key(k), value(v))).collect());
+        bytes.write_batch(batch.iter().map(|&(k, v)| (key(k).as_ref().to_vec(), value(v))).collect());
+
+        prop_assert_eq!(fixed.root(), bytes.root());
+        prop_assert_eq!(fixed.len(), bytes.len());
+        prop_assert!(fixed.iter().eq(bytes.iter()));
+        for kind in 0..3 {
+            for who in 0..6 {
+                for slot in 0..4 {
+                    let k = key((kind, who, slot));
+                    prop_assert_eq!(fixed.get(&k), bytes.get(k.as_ref()));
+                    prop_assert_eq!(fixed.prove(&k), bytes.prove(k.as_ref()));
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     /// Hostile bytes: decoding a `MapProof` from arbitrary input and
     /// verifying what came out never panics, and what decodes re-encodes to
@@ -244,7 +340,7 @@ proptest! {
             .map(|(k, v)| (k.to_le_bytes().to_vec(), vec![*v]))
             .collect();
         for (k, _) in &entries {
-            let proof = map.prove(&k.to_le_bytes()).expect("present key");
+            let proof = map.prove(&k.to_le_bytes()[..]).expect("present key");
             let decoded = decode_all::<MapProof>(&proof.encoded()).unwrap();
             prop_assert_eq!(&decoded, &proof);
             prop_assert!(decoded.verify(&map.root()));
@@ -397,7 +493,7 @@ proptest! {
         for (k, v) in &batch {
             match v {
                 Some(v) => { serial.insert(vec![*k], v.to_le_bytes().to_vec()); }
-                None => { serial.remove(&[*k]); }
+                None => { serial.remove(&[*k][..]); }
             }
         }
         batched.write_batch(
@@ -410,7 +506,7 @@ proptest! {
         prop_assert_eq!(batched.root(), serial.root());
         prop_assert_eq!(batched.len(), serial.len());
         for k in 0..=u8::MAX {
-            prop_assert_eq!(batched.get(&[k]), serial.get(&[k]));
+            prop_assert_eq!(batched.get(&[k][..]), serial.get(&[k][..]));
         }
     }
 
