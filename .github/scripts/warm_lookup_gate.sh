@@ -4,9 +4,12 @@
 # twice — cold (every lookup a real WOTS verification) and warm (every lookup
 # a hit) — and reports the per-signature cost of each. With the signing hash
 # and the cache key re-hashed per lookup a hit read 1/83 of a verification;
-# with both carried by the bytes they describe it reads ~1/600. The gate
-# fails above 1/250. Both numbers come from one process on one host, so the
-# ratio cancels host speed. The warm pass is ~2 250 lookups of under 0.1 us —
+# with both carried by the bytes they describe it read ~1/600 — ~1/450–1/550
+# once verification ran on the CPU's SHA extensions at ~60 % of the cost (a
+# hit hashes nothing, so it did not get cheaper with it). The gate fails above
+# 1/250; one signature digest per lookup (~2 us) would read ~1/13. Both
+# numbers come from one process on one host, so the ratio cancels host
+# speed. The warm pass is ~2 250 lookups of under 0.1 us —
 # one scheduler hiccup can inflate it — so the gate passes if any of three
 # runs is within the limit; a hash per lookup fails all three.
 set -euo pipefail

@@ -18,8 +18,19 @@
 //! let proof = tree.prove(2).unwrap();
 //! assert!(proof.verify(&leaves[2], &tree.root()));
 //! ```
+//!
+//! # Unsafe code
+//!
+//! The crate denies `unsafe_code` with one exception: `sha256/sha_ext.rs`
+//! calls the SHA-256 kernel built on the x86-64 SHA extensions. That kernel
+//! is a `#[target_feature(enable = "sha,sse4.1")]` function, and Rust
+//! calls such a function from ordinary code only in an `unsafe` block,
+//! because it is undefined behaviour on a CPU without the features. The call
+//! takes a value that only run-time feature detection creates, so it cannot
+//! run on any other CPU. The kernel itself is safe code, with no pointer
+//! access.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

@@ -263,6 +263,7 @@ impl Decode for MerkleProof {
 mod tests {
     use super::*;
     use crate::sha256;
+    use crate::sha256::sha256_portable;
 
     fn leaves(n: usize) -> Vec<Hash256> {
         (0..n).map(|i| sha256(&(i as u64).to_be_bytes())).collect()
@@ -368,10 +369,27 @@ mod tests {
         }
     }
 
-    /// `verify_many` against the single-proof oracle on a mix of valid and
-    /// forged claims over trees of different depths.
+    /// [`MerkleProof::verify`] folded on the portable scalar kernel.
+    fn verify_portable(proof: &MerkleProof, leaf: &Hash256, root: &Hash256) -> bool {
+        let mut acc = *leaf;
+        let mut i = proof.index;
+        for sibling in &proof.siblings {
+            let (left, right) = if i.is_multiple_of(2) {
+                (acc, *sibling)
+            } else {
+                (*sibling, acc)
+            };
+            acc = sha256_portable(&[&[NODE_PREFIX][..], left.as_ref(), right.as_ref()].concat());
+            i /= 2;
+        }
+        acc == *root
+    }
+
+    /// `verify_many` and `verify` against the portable scalar kernel's proof
+    /// fold on a mix of valid and forged claims over trees of different
+    /// depths.
     #[test]
-    fn verify_many_matches_verify_around_the_lane_width() {
+    fn verify_many_matches_portable_verify_around_the_lane_width() {
         let trees: Vec<(Vec<Hash256>, MerkleTree)> = [1usize, 2, 5, 8, 33]
             .iter()
             .map(|&n| (leaves(n), MerkleTree::from_leaves(leaves(n))))
@@ -394,8 +412,13 @@ mod tests {
                 })
                 .collect();
             let claims: Vec<_> = proofs.iter().map(|(p, l, r)| (p, *l, *r)).collect();
-            let serial: Vec<bool> = proofs.iter().map(|(p, l, r)| p.verify(l, r)).collect();
+            let serial: Vec<bool> = proofs
+                .iter()
+                .map(|(p, l, r)| verify_portable(p, l, r))
+                .collect();
             assert_eq!(MerkleProof::verify_many(&claims), serial, "n={n}");
+            let single: Vec<bool> = proofs.iter().map(|(p, l, r)| p.verify(l, r)).collect();
+            assert_eq!(single, serial, "n={n}");
             if n >= 7 {
                 assert!(serial.contains(&true) && serial.contains(&false), "n={n}");
             }

@@ -38,6 +38,10 @@ const LEN1: usize = 64;
 const LEN2: usize = 3;
 /// Total chains per one-time key.
 const LEN: usize = LEN1 + LEN2;
+/// The tallest key tree: `2^16` one-time keys. [`KeyPair::generate`] makes
+/// none taller and [`PublicKey::verify`] rejects a decoded key that claims to
+/// be.
+const MAX_HEIGHT: u8 = 16;
 
 fn prf(seed: &[u8; 32], tag: &[u8], a: u32, b: u32) -> Hash256 {
     let mut ctx = Sha256::new();
@@ -130,10 +134,11 @@ impl PublicKey {
     /// Verifies `sig` over the message digest `msg`.
     ///
     /// Returns `false` for any forgery: wrong message, reused-but-altered
-    /// index, tampered chain values, a bad authentication path, or a decoded
-    /// signature whose chain list or path has the wrong length.
+    /// index, tampered chain values, a bad authentication path, a decoded
+    /// signature whose chain list or path has the wrong length, or a decoded
+    /// key taller than any [`KeyPair`] makes.
     pub fn verify(&self, msg: &Hash256, sig: &Signature) -> bool {
-        if sig.auth_path.len() != self.height as usize {
+        if self.height > MAX_HEIGHT || sig.auth_path.len() != self.height as usize {
             return false;
         }
         let Ok(mut ends) = <[Hash256; LEN]>::try_from(sig.chain_values.as_slice()) else {
@@ -165,7 +170,6 @@ pub struct KeyPair {
     seed: [u8; 32],
     height: u8,
     next_index: u32,
-    leaves: Vec<Hash256>,
     tree: crate::merkle::MerkleTree,
 }
 
@@ -177,15 +181,17 @@ impl KeyPair {
     ///
     /// Panics if `height > 16` (the key would take minutes to generate).
     pub fn generate(seed: [u8; 32], height: u8) -> Self {
-        assert!(height <= 16, "key height {height} too large (max 16)");
+        assert!(
+            height <= MAX_HEIGHT,
+            "key height {height} too large (max {MAX_HEIGHT})"
+        );
         let n = 1u32 << height;
         let leaves: Vec<Hash256> = (0..n).map(|j| Self::ots_leaf(&seed, j)).collect();
-        let tree = crate::merkle::MerkleTree::from_leaves(leaves.clone());
+        let tree = crate::merkle::MerkleTree::from_leaves(leaves);
         KeyPair {
             seed,
             height,
             next_index: 0,
-            leaves,
             tree,
         }
     }
@@ -253,7 +259,7 @@ impl KeyPair {
             .prove(index as usize)
             .expect("index < capacity implies a valid leaf");
         debug_assert_eq!(
-            self.leaves[index as usize],
+            self.tree.leaves()[index as usize],
             Self::ots_leaf(&self.seed, index)
         );
         Ok(Signature {
@@ -396,19 +402,20 @@ mod tests {
     use super::*;
     use crate::codec::decode_all;
     use crate::sha256;
+    use crate::sha256::sha256_portable;
     use proptest::prelude::*;
 
     fn keypair() -> KeyPair {
         KeyPair::generate([1u8; 32], 2)
     }
 
-    /// The scalar WOTS chain function — the oracle [`chains`] must equal.
+    /// The WOTS chain function on the portable scalar kernel — the oracle
+    /// [`chains`] must equal.
     fn chain(mut x: Hash256, steps: u32) -> Hash256 {
         for _ in 0..steps {
-            let mut ctx = Sha256::new();
-            ctx.update(&[CHAIN_PREFIX]);
-            ctx.update(x.as_ref());
-            x = ctx.finalize();
+            let mut msg = vec![CHAIN_PREFIX];
+            msg.extend_from_slice(x.as_ref());
+            x = sha256_portable(&msg);
         }
         x
     }
@@ -578,6 +585,23 @@ mod tests {
         let mut bad = cold(&good);
         bad.auth_path.pop();
         assert!(!kp.public_key().verify(&msg, &bad));
+    }
+
+    /// A decoded key may claim any height; one taller than 16 is refused
+    /// before `1 << height` is taken, which overflows from height 64 on.
+    #[test]
+    fn hostile_key_height_rejected_not_shifted() {
+        let mut kp = keypair();
+        let msg = sha256(b"m");
+        let mut sig = cold(&kp.sign(&msg).unwrap());
+        sig.index = 0;
+        for height in [17u8, 63, 64, 255] {
+            let mut bytes = kp.public_key().root().encoded();
+            bytes.push(height);
+            let key: PublicKey = decode_all(&bytes).expect("a key is a root and a height byte");
+            sig.auth_path = vec![Hash256::ZERO; usize::from(height)];
+            assert!(!key.verify(&msg, &sig), "height {height}");
+        }
     }
 
     #[test]
