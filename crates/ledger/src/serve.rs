@@ -35,8 +35,8 @@ use dcs_scale::light::LightClient;
 use dcs_sim::{SimDuration, SimTime};
 use dcs_trace::{Timelines, TraceConfig};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufRead, BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -383,8 +383,9 @@ pub struct OpsState {
     requests: Mutex<BTreeMap<&'static str, Counter>>,
 }
 
-/// At most this many transaction timelines are indexed for `/tx/<id>`
-/// (oldest beyond the cap are dropped from the index, not from the run).
+/// At most this many transaction timelines are indexed for `/tx/<id>`:
+/// the most recently submitted ones (older ones are dropped from the
+/// index, not from the run).
 pub const TX_INDEX_CAP: usize = 4096;
 
 impl OpsState {
@@ -424,17 +425,16 @@ impl OpsState {
         *lock(&self.analytics) = json;
     }
 
-    /// Replaces the `/tx/<id>` index wholesale (capped at
-    /// [`TX_INDEX_CAP`] entries).
-    pub fn set_txs(&self, mut txs: BTreeMap<String, String>) {
-        while txs.len() > TX_INDEX_CAP {
-            let first = txs.keys().next().cloned();
-            match first {
-                Some(k) => txs.remove(&k),
-                None => break,
-            };
-        }
-        *lock(&self.txs) = txs;
+    /// Replaces the `/tx/<id>` index wholesale with the [`TX_INDEX_CAP`]
+    /// most recently submitted of `txs` — `(submitted_us, id, timeline
+    /// JSON)` triples, never-submitted ones ranking oldest — and returns
+    /// the id of the newest.
+    pub fn set_txs(&self, mut txs: Vec<(Option<u64>, String, String)>) -> Option<String> {
+        txs.sort_unstable_by(|a, b| (b.0, &b.1).cmp(&(a.0, &a.1)));
+        txs.truncate(TX_INDEX_CAP);
+        let newest = txs.first().map(|(_, id, _)| id.clone());
+        *lock(&self.txs) = txs.into_iter().map(|(_, id, json)| (id, json)).collect();
+        newest
     }
 
     fn bump(&self, route: &str) {
@@ -550,17 +550,37 @@ pub fn serve(addr: &str, state: Arc<OpsState>) -> std::io::Result<OpsServer> {
     })
 }
 
+/// The longest request line or header line the server reads, terminator
+/// included. A longer one is answered `414`/`431` and the connection closed.
+const MAX_LINE_BYTES: u64 = 8 * 1024;
+
+/// How much of a refused request is read and discarded before the
+/// connection closes, so the client sees the refusal rather than a reset.
+const MAX_DISCARD_BYTES: u64 = 1 << 20;
+
+/// Reads one line of at most [`MAX_LINE_BYTES`] into `line`. Returns
+/// `false` when the line is longer than that.
+fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> std::io::Result<bool> {
+    line.clear();
+    let n = reader.take(MAX_LINE_BYTES).read_line(line)?;
+    Ok((n as u64) < MAX_LINE_BYTES || line.ends_with('\n'))
+}
+
 /// Reads one request, writes one response, closes the connection.
 fn handle_connection(stream: TcpStream, state: &OpsState) -> std::io::Result<()> {
     stream.set_read_timeout(Some(std::time::Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(&stream);
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    if !read_bounded_line(&mut reader, &mut request_line)? {
+        return refuse(&stream, reader, 414);
+    }
     // Drain the headers so well-behaved clients see the full exchange.
+    let mut header = String::new();
     for _ in 0..64 {
-        let mut header = String::new();
-        if reader.read_line(&mut header).is_err() || header.trim().is_empty() {
-            break;
+        match read_bounded_line(&mut reader, &mut header) {
+            Ok(false) => return refuse(&stream, reader, 431),
+            Ok(true) if !header.trim().is_empty() => {}
+            _ => break,
         }
     }
     let path = match parse_request_path(&request_line) {
@@ -568,12 +588,32 @@ fn handle_connection(stream: TcpStream, state: &OpsState) -> std::io::Result<()>
         None => return Ok(()),
     };
     let (status, content_type, body) = state.respond(&path);
+    write_response(&stream, status, content_type, &body)
+}
+
+/// Answers an over-long line with `status` and closes the connection,
+/// discarding (up to [`MAX_DISCARD_BYTES`]) what the client already sent.
+fn refuse(stream: &TcpStream, reader: impl BufRead, status: u16) -> std::io::Result<()> {
+    let body = "{\"error\":\"line too long\"}";
+    write_response(stream, status, "application/json", body)?;
+    stream.shutdown(Shutdown::Write)?;
+    std::io::copy(&mut reader.take(MAX_DISCARD_BYTES), &mut std::io::sink())?;
+    Ok(())
+}
+
+fn write_response(
+    mut stream: &TcpStream,
+    status: u16,
+    content_type: &str,
+    body: &str,
+) -> std::io::Result<()> {
     let reason = match status {
         200 => "OK",
         404 => "Not Found",
+        414 => "URI Too Long",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
-    let mut stream = reader.into_inner();
     write!(
         stream,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -610,7 +650,7 @@ pub struct ServeParams {
     pub nodes: usize,
     /// Client transactions per simulated second.
     pub tps: f64,
-    /// Engine shard workers (0 or 1 = serial).
+    /// Engine shard workers (0 or 1 = one inline shard).
     pub shards: usize,
     /// Simulated seconds of workload; the run idles once consumed.
     pub sim_secs: u64,
@@ -748,12 +788,12 @@ fn publish_snapshots<P: LedgerNode>(
         }
     }
 
-    let mut txs = BTreeMap::new();
-    for (id, span) in &timelines.txs {
-        txs.insert(hex32(&id.0), tx_timeline_json(id, span));
-    }
-    let sample_tx = timelines.txs.keys().next_back().map(|id| hex32(&id.0));
-    state.set_txs(txs);
+    let txs = timelines
+        .txs
+        .iter()
+        .map(|(id, span)| (span.submitted_us, hex32(&id.0), tx_timeline_json(id, span)))
+        .collect();
+    let sample_tx = state.set_txs(txs);
 
     let core = runner.node(NodeId(0)).core();
     let height = core.chain.height();
@@ -846,7 +886,6 @@ fn tx_timeline_json(id: &dcs_trace::Id, span: &dcs_trace::TxSpan) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read as _;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -887,23 +926,70 @@ mod tests {
     }
 
     #[test]
-    fn tx_index_serves_and_caps() {
+    fn tx_index_serves_a_timeline() {
         let state = OpsState::new(Registry::new(), 8);
-        let mut txs = BTreeMap::new();
-        txs.insert("aa".to_string(), "{\"tx\":\"aa\"}".to_string());
-        state.set_txs(txs);
+        let txs = vec![(Some(1), "aa".to_string(), "{\"tx\":\"aa\"}".to_string())];
+        assert_eq!(state.set_txs(txs).as_deref(), Some("aa"));
         let server = serve("127.0.0.1:0", Arc::clone(&state)).expect("bind");
         let (head, body) = get(server.addr(), "/tx/aa");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         assert_eq!(body, "{\"tx\":\"aa\"}");
         server.shutdown();
+    }
 
-        let mut big = BTreeMap::new();
-        for i in 0..(TX_INDEX_CAP + 10) {
-            big.insert(format!("{i:064x}"), "{}".to_string());
-        }
-        state.set_txs(big);
-        assert_eq!(lock(&state.txs).len(), TX_INDEX_CAP);
+    #[test]
+    fn tx_index_keeps_the_most_recently_submitted() {
+        // Ids run opposite to submission order: the newest transaction has
+        // the smallest id, so dropping by id would evict exactly the newest.
+        let total = TX_INDEX_CAP + 10;
+        let state = OpsState::new(Registry::new(), 8);
+        let txs = (0..total)
+            .map(|i| {
+                let submitted_us = (total - i) as u64 * 1_000;
+                (Some(submitted_us), format!("{i:064x}"), "{}".to_string())
+            })
+            .collect();
+        let newest = state.set_txs(txs);
+        let indexed = lock(&state.txs);
+        assert_eq!(indexed.len(), TX_INDEX_CAP);
+        let expected: Vec<String> = (0..TX_INDEX_CAP).map(|i| format!("{i:064x}")).collect();
+        assert!(indexed.keys().eq(expected.iter()), "the newest are kept");
+        assert_eq!(
+            newest,
+            Some(format!("{:064x}", 0)),
+            "sample_tx is the newest"
+        );
+    }
+
+    #[test]
+    fn over_long_request_line_is_refused_and_serving_continues() {
+        let state = OpsState::new(Registry::new(), 8);
+        let server = serve("127.0.0.1:0", Arc::clone(&state)).expect("bind");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let mut request = vec![b'A'; 64 * 1024];
+        request.extend_from_slice(b"\r\n");
+        stream.write_all(&request).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 414 "), "{response}");
+        drop(stream);
+
+        let (head, _) = get(server.addr(), "/metrics");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn over_long_header_line_is_refused() {
+        let state = OpsState::new(Registry::new(), 8);
+        let server = serve("127.0.0.1:0", Arc::clone(&state)).expect("bind");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let header = "x".repeat(16 * 1024);
+        write!(stream, "GET /metrics HTTP/1.1\r\nX-Big: {header}\r\n\r\n").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+        server.shutdown();
     }
 
     #[test]

@@ -1,15 +1,21 @@
-//! The sharded parallel event engine: conservative-window PDES over the
-//! deterministic queue.
+//! The event engine: the one loop that pops an event, runs a protocol
+//! callback and routes the [`Action`]s it requested, and the
+//! conservative-window PDES coordinator that runs that loop on several
+//! workers.
 //!
-//! Peers are partitioned into contiguous shards, each owning a private
-//! event queue. A coordinator repeatedly picks the globally earliest
-//! pending time `lo` and grants every shard the window `[lo, lo + L − 1µs]`
-//! (clipped at the caller's deadline), where `L` is the fabric's latency
-//! floor ([`crate::LatencyModel::min_latency`]). Any message generated at
-//! time `t ≥ lo` delivers no earlier than `t + L`, strictly after the
-//! window — so shards advance through a window without observing each
-//! other, and cross-shard deliveries are exchanged at the barrier for the
-//! *next* window.
+//! Every drive, every `on_start` and every fault hook runs through a
+//! `Shard`. At one effective worker (or zero lookahead) a single shard
+//! spans every peer and works inline on the network's own queue: no
+//! thread, channel, or queue explode/merge. At two or more, peers are
+//! partitioned into contiguous shards, each owning a private event queue
+//! and a scoped worker thread. A coordinator repeatedly picks the globally
+//! earliest pending time `lo` and grants every shard the window
+//! `[lo, lo + L − 1µs]` (clipped at the caller's deadline), where `L` is
+//! the fabric's latency floor ([`crate::LatencyModel::min_latency`]). Any
+//! message generated at time `t ≥ lo` delivers no earlier than `t + L`,
+//! strictly after the window — so shards advance through a window without
+//! observing each other, and cross-shard deliveries are exchanged at the
+//! barrier for the *next* window.
 //!
 //! Determinism does not depend on the window schedule at all; it comes from
 //! three per-node properties (see DESIGN.md §13): events are totally
@@ -17,11 +23,12 @@
 //! *sender*, identical under any partitioning; every random draw comes from
 //! the sending node's private [`dcs_sim::Rng::stream`]; and every trace
 //! record lands in a per-node tracer. A shard processes exactly the
-//! destination-restricted subsequence of the serial run, so every peer
+//! destination-restricted subsequence of the one-shard run, so every peer
 //! observes the same messages, times, draws, and traces bit-for-bit.
 
 use crate::network::{event_dest, route_send, NetEvent, NetStats, SharedNet};
 use crate::runner::{Action, Ctx, Protocol, Runner};
+use crate::NodeId;
 use dcs_sim::{EventKey, Rng, SimTime, Simulation};
 use dcs_trace::{TraceEvent, Tracer};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -47,13 +54,14 @@ struct Rep<M> {
 }
 
 /// One worker's slice of the simulation: a contiguous range of peers
-/// (`base ..`), their protocol state, RNG streams, tracers, and a private
-/// event queue.
+/// (`base ..`), their protocol state, RNG streams, tracers, and the event
+/// queue holding their pending events (the network's own when one shard
+/// spans every peer).
 struct Shard<'a, P: Protocol> {
     id: usize,
     base: usize,
     chunk: usize,
-    queue: Simulation<NetEvent<P::Msg>>,
+    queue: &'a mut Simulation<NetEvent<P::Msg>>,
     nodes: &'a mut [P],
     rngs: &'a mut [Rng],
     link_rngs: &'a mut [Rng],
@@ -68,9 +76,73 @@ struct Shard<'a, P: Protocol> {
 }
 
 impl<P: Protocol> Shard<'_, P> {
+    /// Runs one protocol callback on local peer `node` at `at` and routes
+    /// the actions it requested: sends through the fabric (into this
+    /// shard's queue, or the outbox when the destination is another
+    /// shard's), timers into this shard's queue.
+    fn call(&mut self, at: SimTime, node: NodeId, f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>)) {
+        let li = node.0 - self.base;
+        let Shard {
+            id,
+            chunk,
+            queue,
+            nodes,
+            rngs,
+            link_rngs,
+            src_seqs,
+            net_tracers,
+            shared,
+            stats,
+            action_buf,
+            outbox,
+            ..
+        } = self;
+        let neighbors = &shared.adjacency[node.0];
+        f(
+            &mut nodes[li],
+            &mut Ctx::new(node, at, neighbors, &mut rngs[li], action_buf),
+        );
+        for action in action_buf.drain(..) {
+            match action {
+                Action::Send { to, msg, size } => {
+                    let (my, ch) = (*id, *chunk);
+                    route_send(
+                        shared,
+                        stats,
+                        &mut net_tracers[li],
+                        &mut link_rngs[li],
+                        &mut src_seqs[li],
+                        at,
+                        node,
+                        to,
+                        msg,
+                        size,
+                        |t, k, e| {
+                            if event_dest(&e).0 / ch == my {
+                                queue.schedule_at_keyed(t, k, e);
+                            } else {
+                                outbox.push((t, k, e));
+                            }
+                        },
+                    );
+                }
+                Action::Timer { delay, tag } => {
+                    let seq = src_seqs[li];
+                    src_seqs[li] += 1;
+                    queue.schedule_at_keyed(
+                        at + delay,
+                        EventKey::new(node.0 as u32, seq),
+                        NetEvent::Timer { node, tag },
+                    );
+                }
+            }
+        }
+    }
+
     /// Absorbs the barrier inbox, then dispatches every local event with
-    /// time ≤ `hi` — the same pop/suppress/trace/dispatch sequence as the
-    /// serial loop, restricted to this shard's peers.
+    /// time ≤ `hi`: a crashed destination's events are consumed silently
+    /// (sim time still advances), every other is traced and handed to its
+    /// peer's callback.
     fn run_window(&mut self, hi: SimTime, inbox: Vec<Item<P::Msg>>) -> Rep<P::Msg> {
         for (t, k, ev) in inbox {
             self.queue.schedule_at_keyed(t, k, ev);
@@ -104,71 +176,10 @@ impl<P: Protocol> Shard<'_, P> {
                 },
             );
             self.dispatched += 1;
-            let Shard {
-                id,
-                chunk,
-                queue,
-                nodes,
-                rngs,
-                link_rngs,
-                src_seqs,
-                net_tracers,
-                shared,
-                stats,
-                action_buf,
-                outbox,
-                ..
-            } = self;
-            {
-                let mut ctx = Ctx::new(
-                    dest,
-                    at,
-                    &shared.adjacency[dest.0],
-                    &mut rngs[li],
-                    action_buf,
-                );
-                match event {
-                    NetEvent::Deliver { from, msg, .. } => {
-                        nodes[li].on_message(from, msg, &mut ctx)
-                    }
-                    NetEvent::Timer { tag, .. } => nodes[li].on_timer(tag, &mut ctx),
-                }
-            }
-            for action in action_buf.drain(..) {
-                match action {
-                    Action::Send { to, msg, size } => {
-                        let (my, ch) = (*id, *chunk);
-                        route_send(
-                            shared,
-                            stats,
-                            &mut net_tracers[li],
-                            &mut link_rngs[li],
-                            &mut src_seqs[li],
-                            at,
-                            dest,
-                            to,
-                            msg,
-                            size,
-                            |t, k, e| {
-                                if event_dest(&e).0 / ch == my {
-                                    queue.schedule_at_keyed(t, k, e);
-                                } else {
-                                    outbox.push((t, k, e));
-                                }
-                            },
-                        );
-                    }
-                    Action::Timer { delay, tag } => {
-                        let seq = src_seqs[li];
-                        src_seqs[li] += 1;
-                        queue.schedule_at_keyed(
-                            at + delay,
-                            EventKey::new(dest.0 as u32, seq),
-                            NetEvent::Timer { node: dest, tag },
-                        );
-                    }
-                }
-            }
+            self.call(at, dest, |p, ctx| match event {
+                NetEvent::Deliver { from, msg, .. } => p.on_message(from, msg, ctx),
+                NetEvent::Timer { tag, .. } => p.on_timer(tag, ctx),
+            });
         }
         Rep {
             shard: self.id,
@@ -178,13 +189,66 @@ impl<P: Protocol> Shard<'_, P> {
     }
 }
 
+/// Runs `f` on one shard that spans every peer and works on the network's
+/// own queue, then folds the shard's fabric counters back into the
+/// network. Returns what `f` returns.
+fn inline<P: Protocol, R>(runner: &mut Runner<P>, f: impl FnOnce(&mut Shard<'_, P>) -> R) -> R {
+    let chunk = runner.nodes.len().max(1);
+    let parts = runner.net.parts();
+    let mut shard = Shard {
+        id: 0,
+        base: 0,
+        chunk,
+        queue: parts.sim,
+        nodes: &mut runner.nodes,
+        rngs: &mut runner.rngs,
+        link_rngs: parts.link_rngs,
+        src_seqs: parts.src_seqs,
+        net_tracers: parts.net_tracers,
+        disp_tracers: parts.disp_tracers,
+        shared: &parts.shared,
+        stats: NetStats::default(),
+        dispatched: 0,
+        action_buf: Vec::new(),
+        outbox: Vec::new(),
+    };
+    let out = f(&mut shard);
+    parts.stats.absorb(shard.stats);
+    out
+}
+
+/// Runs `f` on `node` at the current instant, outside the event loop, and
+/// routes the actions it requested — how `on_start` and the fault hooks
+/// reach a peer.
+pub(crate) fn call<P: Protocol>(
+    runner: &mut Runner<P>,
+    node: NodeId,
+    f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>),
+) {
+    inline(runner, |shard| {
+        let now = shard.queue.now();
+        shard.call(now, node, f);
+    });
+}
+
+/// Dispatches every event up to `deadline` on one inline shard. Returns
+/// the number of events dispatched.
+pub(crate) fn run_inline<P: Protocol>(runner: &mut Runner<P>, deadline: SimTime) -> u64 {
+    let dispatched = inline(runner, |shard| {
+        shard.run_window(deadline, Vec::new());
+        shard.dispatched
+    });
+    runner.note_dispatched(0, dispatched);
+    dispatched
+}
+
 /// A worker thread's whole life: serve window grants until told to finish,
 /// then hand back the state the coordinator must merge.
 fn worker<P: Protocol>(
     mut shard: Shard<'_, P>,
     rx: Receiver<Cmd<P::Msg>>,
     tx: Sender<Rep<P::Msg>>,
-) -> (Simulation<NetEvent<P::Msg>>, NetStats, u64) {
+) -> (NetStats, u64) {
     while let Ok(cmd) = rx.recv() {
         match cmd {
             Cmd::Window { hi, inbox } => {
@@ -196,7 +260,7 @@ fn worker<P: Protocol>(
             Cmd::Finish => break,
         }
     }
-    (shard.queue, shard.stats, shard.dispatched)
+    (shard.stats, shard.dispatched)
 }
 
 /// Runs the network sharded `shards` ways until the queue drains past
@@ -239,7 +303,7 @@ where
 
     let mut shard_structs = Vec::with_capacity(s);
     {
-        let mut queues_it = queues.into_iter();
+        let mut queues_it = queues.iter_mut();
         let mut nodes_ch = nodes.chunks_mut(chunk);
         let mut rngs_ch = rngs.chunks_mut(chunk);
         let mut link_ch = parts.link_rngs.chunks_mut(chunk);
@@ -329,10 +393,12 @@ where
 
     // Fold the shards back into the global simulation: queues, counters,
     // and any cross-shard deliveries past the deadline.
+    for queue in queues {
+        sim.merge_from(queue);
+    }
     let mut total = 0;
     let mut per_shard = Vec::with_capacity(outs.len());
-    for (queue, st, dispatched) in outs {
-        sim.merge_from(queue);
+    for (st, dispatched) in outs {
         parts.stats.absorb(st);
         total += dispatched;
         per_shard.push(dispatched);

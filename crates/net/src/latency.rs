@@ -69,7 +69,7 @@ impl LatencyModel {
     /// The guaranteed minimum of [`LatencyModel::sample`] — the conservative
     /// lookahead of the sharded engine: no message sent at time `t` can be
     /// delivered before `t + min_latency()`. Zero (e.g. a zero-constant
-    /// link) forces the engine serial.
+    /// link) keeps the engine on one inline shard.
     pub fn min_latency(&self) -> SimDuration {
         match *self {
             LatencyModel::Constant(d) => d,

@@ -9,6 +9,15 @@
 //! blockchain"; this crate makes those conditions first-class experimental
 //! parameters.
 //!
+//! A [`Runner`] drives one [`Protocol`] per peer over a [`Network`]. Every
+//! event goes through one loop, the engine's shard loop: it pops the
+//! event, drops it if the destination is crashed, traces it, runs the
+//! peer's callback and routes the [`Action`]s the callback requested
+//! through the fabric. `on_start` and fault hooks take the same path. At
+//! one worker (the default) a single shard spans every peer inline on the
+//! network's queue; [`Runner::set_shards`] runs it on several workers in
+//! conservative time windows, with bit-identical results.
+//!
 //! # Examples
 //!
 //! ```

@@ -14,7 +14,7 @@
 use crate::latency::LatencyModel;
 use crate::topology::{self, Topology};
 use crate::NodeId;
-use dcs_sim::{EventId, EventKey, Rng, SimDuration, SimTime, Simulation};
+use dcs_sim::{EventKey, Rng, SimDuration, SimTime, Simulation};
 use dcs_trace::{TraceConfig, TraceEvent, Tracer};
 use std::collections::BTreeSet;
 
@@ -157,10 +157,10 @@ pub(crate) struct NetParts<'a, M> {
 
 /// Routes one send: accounting, fault gates (partition, downed link, drop,
 /// corruption, duplication), latency sampling, and the delivery callback
-/// for whatever is scheduled. This single path is used verbatim by the
-/// serial loop and by every engine worker, so the two execute bit-identical
-/// per-send logic: same draw order from the sender's `link_rng`, same key
-/// assignment from the sender's `src_seq` counter, same trace emissions.
+/// for whatever is scheduled. The engine's shard loop is its one caller,
+/// so every shard layout executes the same per-send logic: same draw order
+/// from the sender's `link_rng`, same key assignment from the sender's
+/// `src_seq` counter, same trace emissions.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn route_send<M: Clone>(
     shared: &SharedNet<'_>,
@@ -519,193 +519,129 @@ impl<M> Network<M> {
             },
         );
     }
-
-    /// Schedules a timer for `node`; the tag is returned to the protocol.
-    pub fn set_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) -> EventId {
-        let seq = self.src_seqs[node.0];
-        self.src_seqs[node.0] += 1;
-        let at = self.sim.now() + delay;
-        self.sim.schedule_at_keyed(
-            at,
-            EventKey::new(node.0 as u32, seq),
-            NetEvent::Timer { node, tag },
-        )
-    }
-
-    /// Cancels a pending timer. The handle is only valid until the next
-    /// `run_until`-style drive (the engine may re-slot pending events);
-    /// stale handles are inert no-ops.
-    pub fn cancel_timer(&mut self, id: EventId) {
-        self.sim.cancel(id);
-    }
-
-    pub(crate) fn pop(&mut self, deadline: Option<SimTime>) -> Option<(SimTime, NetEvent<M>)> {
-        loop {
-            let (at, key, event) = self.sim.next_keyed(deadline)?;
-            let dest = event_dest(&event);
-            if !self.alive[dest.0] {
-                // A crashed node's inbound traffic and timers vanish: they
-                // are consumed (sim time still advances deterministically)
-                // but never dispatched.
-                match event {
-                    NetEvent::Deliver { .. } => self.stats.suppressed_deliveries += 1,
-                    NetEvent::Timer { .. } => self.stats.suppressed_timers += 1,
-                }
-                continue;
-            }
-            if let NetEvent::Deliver { from, .. } = &event {
-                self.stats.delivered += 1;
-                self.net_tracers[dest.0].emit_for(
-                    at.as_micros(),
-                    dest.0 as u32,
-                    TraceEvent::MsgDelivered {
-                        from: from.0 as u32,
-                    },
-                );
-            }
-            self.disp_tracers[dest.0].emit_for(
-                at.as_micros(),
-                dest.0 as u32,
-                TraceEvent::EngineDispatch {
-                    src: key.src,
-                    seq: key.seq,
-                },
-            );
-            return Some((at, event));
-        }
-    }
-}
-
-impl<M: Clone> Network<M> {
-    /// Sends `msg` of `size` bytes from `from` to `to`, subject to loss,
-    /// partitions, downed links, and the corruption/duplication faults.
-    /// Delivery is scheduled after sampled latency (plus serialization
-    /// delay when bandwidth is modeled).
-    pub fn send(&mut self, from: NodeId, to: NodeId, msg: M, size: usize) {
-        let now = self.sim.now();
-        let NetParts {
-            shared,
-            sim,
-            stats,
-            link_rngs,
-            src_seqs,
-            net_tracers,
-            ..
-        } = self.parts();
-        route_send(
-            &shared,
-            stats,
-            &mut net_tracers[from.0],
-            &mut link_rngs[from.0],
-            &mut src_seqs[from.0],
-            now,
-            from,
-            to,
-            msg,
-            size,
-            |t, k, ev| {
-                sim.schedule_at_keyed(t, k, ev);
-            },
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Ctx, Protocol, Runner};
 
-    fn tiny() -> Network<&'static str> {
-        Network::new(
-            NetConfig {
-                nodes: 4,
-                topology: Topology::Complete,
-                latency: LatencyModel::Constant(SimDuration::from_millis(10)),
-                drop_probability: 0.0,
-                bandwidth_bytes_per_sec: None,
-            },
-            1,
+    /// Records every message and timer it is handed, with the instant.
+    #[derive(Default)]
+    struct Recorder {
+        got: Vec<(SimTime, NodeId, &'static str)>,
+        timers: Vec<(SimTime, u64)>,
+    }
+
+    impl Protocol for Recorder {
+        type Msg = &'static str;
+
+        fn on_message(&mut self, from: NodeId, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>) {
+            self.got.push((ctx.now, from, msg));
+        }
+
+        fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, Self::Msg>) {
+            self.timers.push((ctx.now, tag));
+        }
+    }
+
+    fn runner(
+        latency: LatencyModel,
+        drop_probability: f64,
+        bandwidth: Option<u64>,
+    ) -> Runner<Recorder> {
+        let cfg = NetConfig {
+            nodes: 4,
+            topology: Topology::Complete,
+            latency,
+            drop_probability,
+            bandwidth_bytes_per_sec: bandwidth,
+        };
+        Runner::new(cfg, 1, |_| Recorder::default())
+    }
+
+    fn tiny() -> Runner<Recorder> {
+        runner(
+            LatencyModel::Constant(SimDuration::from_millis(10)),
+            0.0,
+            None,
         )
+    }
+
+    fn send(r: &mut Runner<Recorder>, from: usize, to: usize, msg: &'static str, size: usize) {
+        r.with_ctx(NodeId(from), |_, ctx| ctx.send(NodeId(to), msg, size));
+    }
+
+    /// The messages `node` received, in order.
+    fn msgs(r: &Runner<Recorder>, node: usize) -> Vec<&'static str> {
+        r.node(NodeId(node)).got.iter().map(|g| g.2).collect()
     }
 
     #[test]
     fn send_delivers_after_latency() {
-        let mut net = tiny();
-        net.send(NodeId(0), NodeId(1), "hi", 100);
-        let (t, ev) = net.pop(None).unwrap();
-        assert_eq!(t.as_millis(), 10);
-        match ev {
-            NetEvent::Deliver { from, to, msg } => {
-                assert_eq!((from, to, msg), (NodeId(0), NodeId(1), "hi"));
-            }
-            _ => panic!("expected delivery"),
-        }
-        assert_eq!(net.stats().delivered, 1);
-        assert_eq!(net.stats().bytes_sent, 100);
+        let mut r = tiny();
+        send(&mut r, 0, 1, "hi", 100);
+        r.run_to_quiescence();
+        assert_eq!(
+            r.node(NodeId(1)).got,
+            vec![(SimTime::from_micros(10_000), NodeId(0), "hi")]
+        );
+        assert_eq!(r.stats().delivered, 1);
+        assert_eq!(r.stats().bytes_sent, 100);
     }
 
     #[test]
     fn partition_blocks_cross_group_traffic() {
-        let mut net = tiny();
-        net.set_partition(vec![0, 0, 1, 1]);
-        net.send(NodeId(0), NodeId(2), "blocked", 10);
-        net.send(NodeId(0), NodeId(1), "ok", 10);
-        assert_eq!(net.stats().partitioned, 1);
-        let (_, ev) = net.pop(None).unwrap();
-        assert!(matches!(ev, NetEvent::Deliver { msg: "ok", .. }));
-        assert!(net.pop(None).is_none());
+        let mut r = tiny();
+        r.net_mut().set_partition(vec![0, 0, 1, 1]);
+        send(&mut r, 0, 2, "blocked", 10);
+        send(&mut r, 0, 1, "ok", 10);
+        assert_eq!(r.stats().partitioned, 1);
+        r.run_to_quiescence();
+        assert_eq!(msgs(&r, 1), vec!["ok"]);
+        assert!(msgs(&r, 2).is_empty());
 
-        net.heal_partition();
-        net.send(NodeId(0), NodeId(2), "now ok", 10);
-        assert!(net.pop(None).is_some());
+        r.net_mut().heal_partition();
+        send(&mut r, 0, 2, "now ok", 10);
+        r.run_to_quiescence();
+        assert_eq!(msgs(&r, 2), vec!["now ok"]);
     }
 
     #[test]
     fn drops_are_probabilistic_and_counted() {
-        let mut net = Network::<u32>::new(
-            NetConfig {
-                nodes: 2,
-                topology: Topology::Complete,
-                latency: LatencyModel::Constant(SimDuration::ZERO),
-                drop_probability: 0.5,
-                bandwidth_bytes_per_sec: None,
-            },
-            7,
-        );
-        for i in 0..1000 {
-            net.send(NodeId(0), NodeId(1), i, 1);
-        }
-        let dropped = net.stats().dropped;
+        let mut r = runner(LatencyModel::Constant(SimDuration::ZERO), 0.5, None);
+        r.with_ctx(NodeId(0), |_, ctx| {
+            for _ in 0..1000 {
+                ctx.send(NodeId(1), "x", 1);
+            }
+        });
+        let dropped = r.stats().dropped;
         assert!(dropped > 350 && dropped < 650, "dropped {dropped}");
     }
 
     #[test]
     fn bandwidth_adds_serialization_delay() {
-        let mut net = Network::<&'static str>::new(
-            NetConfig {
-                nodes: 2,
-                topology: Topology::Complete,
-                latency: LatencyModel::Constant(SimDuration::from_millis(10)),
-                drop_probability: 0.0,
-                bandwidth_bytes_per_sec: Some(1_000_000), // 1 MB/s
-            },
-            1,
-        );
-        // 500 KB message → 0.5 s serialization + 10 ms latency.
-        net.send(NodeId(0), NodeId(1), "big", 500_000);
-        let (t, _) = net.pop(None).unwrap();
-        assert_eq!(t.as_millis(), 510);
+        let latency = LatencyModel::Constant(SimDuration::from_millis(10));
+        let mut r = runner(latency, 0.0, Some(1_000_000)); // 1 MB/s
+                                                           // 500 KB message → 0.5 s serialization + 10 ms latency.
+        send(&mut r, 0, 1, "big", 500_000);
+        r.run_to_quiescence();
+        assert_eq!(r.node(NodeId(1)).got[0].0.as_millis(), 510);
     }
 
     #[test]
     fn tracer_records_send_partition_and_delivery() {
-        let mut net = tiny();
-        net.set_tracing(&TraceConfig::full());
-        net.set_partition(vec![0, 0, 1, 1]);
-        net.send(NodeId(0), NodeId(2), "blocked", 5);
-        net.send(NodeId(0), NodeId(1), "ok", 7);
-        while net.pop(None).is_some() {}
+        let mut r = tiny();
+        r.net_mut().set_tracing(&TraceConfig::full());
+        r.net_mut().set_partition(vec![0, 0, 1, 1]);
+        send(&mut r, 0, 2, "blocked", 5);
+        send(&mut r, 0, 1, "ok", 7);
+        r.run_to_quiescence();
         // The sender's fabric tracer sees its sends and the partition drop.
-        let sender: Vec<_> = net.node_tracers()[0].records().map(|r| r.event).collect();
+        let sender: Vec<_> = r.net().node_tracers()[0]
+            .records()
+            .map(|r| r.event)
+            .collect();
         assert_eq!(
             sender,
             vec![
@@ -716,7 +652,7 @@ mod tests {
         );
         // Deliveries are attributed to the receiver at delivery time, in
         // the receiver's own tracer.
-        let recv: Vec<_> = net.node_tracers()[1].records().copied().collect();
+        let recv: Vec<_> = r.net().node_tracers()[1].records().copied().collect();
         assert_eq!(recv.len(), 1);
         assert_eq!(recv[0].event, TraceEvent::MsgDelivered { from: 0 });
         assert_eq!(recv[0].node, 1);
@@ -725,12 +661,12 @@ mod tests {
 
     #[test]
     fn dispatch_tracer_records_source_keys() {
-        let mut net = tiny();
-        net.set_tracing(&TraceConfig::full());
-        net.send(NodeId(0), NodeId(1), "a", 1);
-        net.send(NodeId(2), NodeId(1), "b", 1);
-        while net.pop(None).is_some() {}
-        let disp: Vec<_> = net.dispatch_tracers()[1]
+        let mut r = tiny();
+        r.net_mut().set_tracing(&TraceConfig::full());
+        send(&mut r, 0, 1, "a", 1);
+        send(&mut r, 2, 1, "b", 1);
+        r.run_to_quiescence();
+        let disp: Vec<_> = r.net().dispatch_tracers()[1]
             .records()
             .map(|r| r.event)
             .collect();
@@ -741,122 +677,117 @@ mod tests {
                 TraceEvent::EngineDispatch { src: 2, seq: 0 },
             ]
         );
-        assert!(net.dispatch_tracers()[0].records().next().is_none());
+        assert!(r.net().dispatch_tracers()[0].records().next().is_none());
     }
 
     #[test]
     fn inject_accounts_bytes_and_traces_like_send() {
-        let mut net = tiny();
-        net.set_tracing(&TraceConfig::full());
+        let mut r = tiny();
+        r.net_mut().set_tracing(&TraceConfig::full());
         let at = SimTime::ZERO + SimDuration::from_millis(25);
-        net.inject(at, NodeId(1), "tx", 64);
-        assert_eq!(net.stats().sent, 1);
-        assert_eq!(net.stats().bytes_sent, 64, "inject accounts payload bytes");
-        let first = *net.node_tracers()[1].records().next().unwrap();
+        r.net_mut().inject(at, NodeId(1), "tx", 64);
+        assert_eq!(r.stats().sent, 1);
+        assert_eq!(r.stats().bytes_sent, 64, "inject accounts payload bytes");
+        let first = *r.net().node_tracers()[1].records().next().unwrap();
         assert_eq!(first.at_us, 25_000);
         assert_eq!(first.node, 1, "attributed to the point-of-contact peer");
         assert_eq!(first.event, TraceEvent::MsgSent { to: 1, bytes: 64 });
-        let (t, _) = net.pop(None).unwrap();
-        assert_eq!(t, at);
-        assert_eq!(net.stats().delivered, 1);
+        r.run_to_quiescence();
+        assert_eq!(r.node(NodeId(1)).got, vec![(at, NodeId(1), "tx")]);
+        assert_eq!(r.stats().delivered, 1);
     }
 
     #[test]
     fn crashed_node_suppresses_deliveries_and_timers_until_restart() {
-        let mut net = tiny();
-        net.send(NodeId(0), NodeId(1), "pre", 1);
-        net.set_timer(NodeId(1), SimDuration::from_millis(5), 9);
-        net.crash(NodeId(1));
-        assert!(!net.is_alive(NodeId(1)));
-        net.crash(NodeId(1)); // idempotent
-        assert!(net.pop(None).is_none(), "both events suppressed");
-        assert_eq!(net.stats().crashes, 1);
-        assert_eq!(net.stats().suppressed_deliveries, 1);
-        assert_eq!(net.stats().suppressed_timers, 1);
+        let mut r = tiny();
+        send(&mut r, 0, 1, "pre", 1);
+        r.with_ctx(NodeId(1), |_, ctx| {
+            ctx.set_timer(SimDuration::from_millis(5), 9)
+        });
+        r.net_mut().crash(NodeId(1));
+        assert!(!r.net().is_alive(NodeId(1)));
+        r.net_mut().crash(NodeId(1)); // idempotent
+        assert_eq!(r.run_to_quiescence(), 0, "both events suppressed");
+        assert_eq!(r.stats().crashes, 1);
+        assert_eq!(r.stats().suppressed_deliveries, 1);
+        assert_eq!(r.stats().suppressed_timers, 1);
 
-        net.restart(NodeId(1));
-        assert!(net.is_alive(NodeId(1)));
-        net.send(NodeId(0), NodeId(1), "post", 1);
-        let (_, ev) = net.pop(None).unwrap();
-        assert!(matches!(ev, NetEvent::Deliver { msg: "post", .. }));
-        assert_eq!(net.stats().restarts, 1);
+        r.net_mut().restart(NodeId(1));
+        assert!(r.net().is_alive(NodeId(1)));
+        send(&mut r, 0, 1, "post", 1);
+        r.run_to_quiescence();
+        assert_eq!(msgs(&r, 1), vec!["post"]);
+        assert!(r.node(NodeId(1)).timers.is_empty());
+        assert_eq!(r.stats().restarts, 1);
     }
 
     #[test]
     fn in_flight_message_reaches_node_restarted_before_delivery() {
-        let mut net = tiny();
-        net.crash(NodeId(2));
+        let mut r = tiny();
+        r.net_mut().crash(NodeId(2));
         // 10 ms constant latency; the node is back up at delivery time.
-        net.send(NodeId(0), NodeId(2), "inflight", 1);
-        net.restart(NodeId(2));
-        let (_, ev) = net.pop(None).unwrap();
-        assert!(matches!(
-            ev,
-            NetEvent::Deliver {
-                msg: "inflight",
-                ..
-            }
-        ));
-        assert_eq!(net.stats().suppressed_deliveries, 0);
+        send(&mut r, 0, 2, "inflight", 1);
+        r.net_mut().restart(NodeId(2));
+        r.run_to_quiescence();
+        assert_eq!(msgs(&r, 2), vec!["inflight"]);
+        assert_eq!(r.stats().suppressed_deliveries, 0);
     }
 
     #[test]
     fn downed_link_drops_both_directions_until_up() {
-        let mut net = tiny();
-        net.set_link_down(NodeId(0), NodeId(1));
-        assert!(net.is_link_down(NodeId(1), NodeId(0)));
-        net.send(NodeId(0), NodeId(1), "a", 1);
-        net.send(NodeId(1), NodeId(0), "b", 1);
-        net.send(NodeId(0), NodeId(2), "c", 1);
-        assert_eq!(net.stats().link_dropped, 2);
-        let (_, ev) = net.pop(None).unwrap();
-        assert!(matches!(ev, NetEvent::Deliver { msg: "c", .. }));
-        assert!(net.pop(None).is_none());
+        let mut r = tiny();
+        r.net_mut().set_link_down(NodeId(0), NodeId(1));
+        assert!(r.net().is_link_down(NodeId(1), NodeId(0)));
+        send(&mut r, 0, 1, "a", 1);
+        send(&mut r, 1, 0, "b", 1);
+        send(&mut r, 0, 2, "c", 1);
+        assert_eq!(r.stats().link_dropped, 2);
+        r.run_to_quiescence();
+        assert!(msgs(&r, 0).is_empty() && msgs(&r, 1).is_empty());
+        assert_eq!(msgs(&r, 2), vec!["c"]);
 
-        net.set_link_up(NodeId(0), NodeId(1));
-        net.send(NodeId(0), NodeId(1), "again", 1);
-        assert!(net.pop(None).is_some());
+        r.net_mut().set_link_up(NodeId(0), NodeId(1));
+        send(&mut r, 0, 1, "again", 1);
+        r.run_to_quiescence();
+        assert_eq!(msgs(&r, 1), vec!["again"]);
     }
 
     #[test]
     fn duplication_delivers_extra_copies() {
-        let mut net = tiny();
-        net.set_duplication(1.0);
-        net.send(NodeId(0), NodeId(1), "twice", 1);
-        assert_eq!(net.stats().duplicated, 1);
-        assert!(net.pop(None).is_some());
-        assert!(net.pop(None).is_some());
-        assert!(net.pop(None).is_none());
-        assert_eq!(net.stats().delivered, 2);
+        let mut r = tiny();
+        r.net_mut().set_duplication(1.0);
+        send(&mut r, 0, 1, "twice", 1);
+        assert_eq!(r.stats().duplicated, 1);
+        r.run_to_quiescence();
+        assert_eq!(msgs(&r, 1), vec!["twice", "twice"]);
+        assert_eq!(r.stats().delivered, 2);
     }
 
     #[test]
     fn corruption_discards_and_counts() {
-        let mut net = tiny();
-        net.set_corruption(1.0);
-        net.send(NodeId(0), NodeId(1), "garbled", 1);
-        assert_eq!(net.stats().corrupted, 1);
-        assert!(net.pop(None).is_none());
-        net.set_corruption(0.0);
-        net.send(NodeId(0), NodeId(1), "clean", 1);
-        assert!(net.pop(None).is_some());
+        let mut r = tiny();
+        r.net_mut().set_corruption(1.0);
+        send(&mut r, 0, 1, "garbled", 1);
+        assert_eq!(r.stats().corrupted, 1);
+        r.net_mut().set_corruption(0.0);
+        send(&mut r, 0, 1, "clean", 1);
+        r.run_to_quiescence();
+        assert_eq!(msgs(&r, 1), vec!["clean"]);
     }
 
     #[test]
-    fn timers_fire_and_cancel() {
-        let mut net = tiny();
-        let id = net.set_timer(NodeId(2), SimDuration::from_millis(5), 77);
-        net.set_timer(NodeId(3), SimDuration::from_millis(6), 88);
-        net.cancel_timer(id);
-        let (_, ev) = net.pop(None).unwrap();
-        assert!(matches!(
-            ev,
-            NetEvent::Timer {
-                node: NodeId(3),
-                tag: 88
-            }
-        ));
-        assert!(net.pop(None).is_none());
+    fn timers_fire_after_their_delay_with_their_tag() {
+        let mut r = tiny();
+        r.with_ctx(NodeId(2), |_, ctx| {
+            ctx.set_timer(SimDuration::from_millis(5), 77)
+        });
+        r.with_ctx(NodeId(3), |_, ctx| {
+            ctx.set_timer(SimDuration::from_millis(6), 88)
+        });
+        assert_eq!(r.run_to_quiescence(), 2);
+        let ms = SimTime::from_micros;
+        assert_eq!(r.node(NodeId(2)).timers, vec![(ms(5_000), 77)]);
+        assert_eq!(r.node(NodeId(3)).timers, vec![(ms(6_000), 88)]);
     }
 
     #[test]
@@ -864,30 +795,13 @@ mod tests {
         // Node 0's draw sequence must not depend on when *other* nodes
         // send — the property that makes sharding invisible.
         let run = |interleave: bool| {
-            let mut net = Network::<u32>::new(
-                NetConfig {
-                    nodes: 4,
-                    topology: Topology::Complete,
-                    latency: LatencyModel::wan(),
-                    drop_probability: 0.0,
-                    bandwidth_bytes_per_sec: None,
-                },
-                99,
-            );
+            let mut r = runner(LatencyModel::wan(), 0.0, None);
             if interleave {
-                net.send(NodeId(3), NodeId(2), 7, 1);
+                send(&mut r, 3, 2, "other", 1);
             }
-            net.send(NodeId(0), NodeId(1), 1, 1);
-            let mut times = Vec::new();
-            while let Some((t, ev)) = net.pop(None) {
-                if let NetEvent::Deliver {
-                    from: NodeId(0), ..
-                } = ev
-                {
-                    times.push(t);
-                }
-            }
-            times
+            send(&mut r, 0, 1, "mine", 1);
+            r.run_to_quiescence();
+            r.node(NodeId(1)).got.clone()
         };
         assert_eq!(run(false), run(true));
     }

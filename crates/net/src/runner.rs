@@ -3,13 +3,15 @@
 //! queue directly — they emit [`Action`]s through a [`Ctx`], which keeps
 //! every protocol implementation deterministic and testable in isolation.
 //!
-//! A runner drives its peers serially unless [`Runner::set_shards`] asks for
-//! the sharded engine (`crate::engine`): peers are partitioned across a
-//! worker pool and advanced in conservative time windows bounded by the
-//! latency floor. The partitioning is invisible — `run_until` produces
-//! bit-identical results at any shard count.
+//! Every drive runs the engine's shard loop (`crate::engine`), the one
+//! place that pops an event, runs a callback and routes its actions. By
+//! default one shard spans every peer, inline on the network's queue;
+//! [`Runner::set_shards`] partitions the peers across a worker pool
+//! advanced in conservative time windows bounded by the latency floor. The
+//! partitioning is invisible — `run_until` produces bit-identical results
+//! at any shard count.
 
-use crate::network::{NetConfig, NetEvent, NetStats, Network};
+use crate::network::{NetConfig, NetStats, Network};
 use crate::{engine, NodeId};
 use dcs_sim::{Rng, SimDuration, SimTime};
 
@@ -136,12 +138,11 @@ pub struct Runner<P: Protocol> {
     pub(crate) nodes: Vec<P>,
     pub(crate) rngs: Vec<Rng>,
     started: bool,
-    action_buf: Vec<Action<P::Msg>>,
     shards: usize,
     /// Cumulative events dispatched per engine shard, observability only
-    /// (serve mirrors these into per-worker counters). Serial runs count
-    /// in slot 0; the slot layout depends on the worker count, so this
-    /// must never feed a digest.
+    /// (serve mirrors these into per-worker counters). One-worker runs
+    /// count in slot 0; the slot layout depends on the worker count, so
+    /// this must never feed a digest.
     pub(crate) shard_dispatched: Vec<u64>,
 }
 
@@ -157,13 +158,12 @@ impl<P: Protocol> Runner<P> {
             nodes,
             rngs,
             started: false,
-            action_buf: Vec::new(),
             shards: 1,
             shard_dispatched: Vec::new(),
         }
     }
 
-    /// Sets the engine worker count (default 1, the serial path; 0 reads
+    /// Sets the engine worker count (default 1: one shard, inline; 0 reads
     /// as 1). Any value produces bit-identical results.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
@@ -204,76 +204,24 @@ impl<P: Protocol> Runner<P> {
         self.net.now()
     }
 
-    /// Dispatches one callback with zero per-event allocation: the
-    /// neighbor list is borrowed from the topology (never cloned) and the
-    /// action buffer is reused across dispatches.
-    fn dispatch<F>(&mut self, node: NodeId, f: F)
-    where
-        F: FnOnce(&mut P, &mut Ctx<'_, P::Msg>),
-    {
-        let Runner {
-            net,
-            nodes,
-            rngs,
-            action_buf,
-            ..
-        } = self;
-        {
-            let mut ctx = Ctx {
-                node,
-                now: net.now(),
-                neighbors: net.neighbors(node),
-                rng: &mut rngs[node.0],
-                actions: action_buf,
-            };
-            f(&mut nodes[node.0], &mut ctx);
-        }
-        for action in action_buf.drain(..) {
-            match action {
-                Action::Send { to, msg, size } => net.send(node, to, msg, size),
-                Action::Timer { delay, tag } => {
-                    net.set_timer(node, delay, tag);
-                }
-            }
-        }
-    }
-
     /// Invokes `f` on one protocol instance with a live [`Ctx`], outside
-    /// the event loop, and applies the requested actions — the hook fault
-    /// drivers use to run crash/recovery callbacks at a scripted instant.
+    /// the event loop, and routes the requested actions through the
+    /// engine — the hook fault drivers use to run crash/recovery callbacks
+    /// at a scripted instant.
     pub fn with_ctx<F>(&mut self, node: NodeId, f: F)
     where
         F: FnOnce(&mut P, &mut Ctx<'_, P::Msg>),
     {
-        self.dispatch(node, f);
+        engine::call(self, node, f);
     }
 
     fn start_if_needed(&mut self) {
         if !self.started {
             self.started = true;
             for i in 0..self.nodes.len() {
-                self.dispatch(NodeId(i), |p, ctx| p.on_start(ctx));
+                engine::call(self, NodeId(i), |p, ctx| p.on_start(ctx));
             }
         }
-    }
-
-    /// The serial event loop — used below the sharding threshold and
-    /// whenever the latency floor gives the engine zero lookahead.
-    fn drive_serial(&mut self, deadline: SimTime) -> u64 {
-        let mut processed = 0;
-        while let Some((_, event)) = self.net.pop(Some(deadline)) {
-            processed += 1;
-            match event {
-                NetEvent::Deliver { from, to, msg } => {
-                    self.dispatch(to, |p, ctx| p.on_message(from, msg, ctx));
-                }
-                NetEvent::Timer { node, tag } => {
-                    self.dispatch(node, |p, ctx| p.on_timer(tag, ctx));
-                }
-            }
-        }
-        self.note_dispatched(0, processed);
-        processed
     }
 
     /// Accumulates `count` dispatched events against shard `slot`.
@@ -286,7 +234,7 @@ impl<P: Protocol> Runner<P> {
 
     /// Cumulative events dispatched per engine shard across this runner's
     /// lifetime — the raw material for per-worker events/s metrics. Slot 0
-    /// absorbs serial-path dispatches; empty before the first drive.
+    /// absorbs one-worker dispatches; empty before the first drive.
     pub fn shard_event_counts(&self) -> &[u64] {
         &self.shard_dispatched
     }
@@ -299,23 +247,28 @@ impl<P: Protocol> Runner<P> {
         self.start_if_needed();
         let effective = self.shards.min(self.nodes.len().max(1));
         if effective <= 1 || self.net.lookahead() == SimDuration::ZERO {
-            self.drive_serial(deadline)
+            engine::run_inline(self, deadline)
         } else {
             engine::run_sharded(self, deadline, effective)
         }
     }
 
-    /// Runs until the event queue drains or `deadline` passes. Returns the
-    /// number of events processed. Bit-identical at any shard count.
+    /// Dispatches every event due at or before `deadline`, then leaves the
+    /// clock at `deadline` — so whatever runs next (a fault hook, an
+    /// injection) acts at exactly that instant. Returns the number of
+    /// events dispatched. Bit-identical at any shard count.
     pub fn run_until(&mut self, deadline: SimTime) -> u64
     where
         P: Send,
         P::Msg: Send,
     {
-        self.drive(deadline)
+        let dispatched = self.drive(deadline);
+        self.net.sim.advance_to(deadline);
+        dispatched
     }
 
-    /// Runs until the queue fully drains (protocols must quiesce).
+    /// Runs until the queue fully drains (protocols must quiesce); the
+    /// clock stays at the last dispatched event.
     pub fn run_to_quiescence(&mut self) -> u64
     where
         P: Send,
@@ -423,10 +376,7 @@ mod tests {
         );
         let id = sha256(b"rumor");
         // Manually reflood from that node.
-        let neighbors: Vec<NodeId> = runner.net().neighbors(heard_node).to_vec();
-        for to in neighbors {
-            runner.net_mut().send(heard_node, to, id, 32);
-        }
+        runner.with_ctx(heard_node, |_, ctx| ctx.broadcast(id, 32));
         runner.run_to_quiescence();
         assert!(runner.nodes().iter().all(|n| n.heard_at.is_some()));
     }
@@ -465,7 +415,7 @@ mod tests {
         });
         let early = SimTime::from_micros(60_000); // one hop only
         runner.run_until(early);
-        assert!(runner.now() <= early);
+        assert_eq!(runner.now(), early, "the clock stops at the deadline");
         let heard: usize = runner
             .nodes()
             .iter()
@@ -497,23 +447,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_is_bit_identical_to_serial() {
-        let serial = gossip_outcome(1, LatencyModel::Constant(SimDuration::from_millis(50)));
+    fn sharded_run_is_bit_identical_to_one_worker() {
+        let one = gossip_outcome(1, LatencyModel::Constant(SimDuration::from_millis(50)));
         for shards in [2, 3, 8] {
             let sharded =
                 gossip_outcome(shards, LatencyModel::Constant(SimDuration::from_millis(50)));
-            assert_eq!(serial, sharded, "shards={shards} diverged");
+            assert_eq!(one, sharded, "shards={shards} diverged");
         }
     }
 
     #[test]
-    fn sharded_run_matches_serial_under_lognormal_latency() {
+    fn sharded_run_matches_one_worker_under_lognormal_latency() {
         // Long-tailed latency exercises the clamped lookahead floor and
         // uneven window population.
-        let serial = gossip_outcome(1, LatencyModel::wan());
+        let one = gossip_outcome(1, LatencyModel::wan());
         for shards in [2, 8] {
             assert_eq!(
-                serial,
+                one,
                 gossip_outcome(shards, LatencyModel::wan()),
                 "shards={shards} diverged"
             );
@@ -533,7 +483,7 @@ mod tests {
             let mut processed = 0;
             for step in 1..=8 {
                 processed += runner.run_until(SimTime::from_micros(step * 60_000));
-                assert!(runner.now() <= SimTime::from_micros(step * 60_000));
+                assert_eq!(runner.now(), SimTime::from_micros(step * 60_000));
             }
             processed += runner.run_to_quiescence();
             let heard: Vec<u64> = runner

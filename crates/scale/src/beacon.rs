@@ -1569,8 +1569,7 @@ mod tests {
     fn send_to_beacon(net: &mut BeaconNet, from: usize, msg: ScaleMsg) {
         let size = msg.wire_size();
         net.runner
-            .net_mut()
-            .send(NodeId(from), NodeId(0), msg, size);
+            .with_ctx(NodeId(from), |_, ctx| ctx.send(NodeId(0), msg, size));
     }
 
     /// An anchor is a peer's bytes too: a shard id the beacon does not

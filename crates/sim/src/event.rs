@@ -10,13 +10,11 @@
 //!
 //! The queue itself is a flat slab: event payloads live in reusable slots
 //! (a free list recycles them, so the steady state allocates nothing) and a
-//! manual binary heap of plain-old-data entries orders the keys.
-//! Cancellation bumps the slot generation — the heap entry becomes a
-//! tombstone that is skipped on pop — which makes [`Simulation::pending`]
-//! exact with no side set.
+//! manual binary heap of 24-byte plain-old-data entries orders the keys.
+//! Nothing is ever cancelled, so every heap entry is live and
+//! [`Simulation::pending`] is the heap's length.
 
 use crate::time::{SimDuration, SimTime};
-use dcs_trace::{TraceEvent, Tracer};
 
 /// The reserved source id for events scheduled outside any simulated actor
 /// (standalone queue use, client injection plumbing).
@@ -44,32 +42,13 @@ impl EventKey {
     }
 }
 
-/// A handle to a scheduled event, usable with [`Simulation::cancel`].
-///
-/// Ids are generation-tagged: cancelling an event that already fired, was
-/// already cancelled, or was drained out of this queue is a no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId {
-    slot: u32,
-    gen: u32,
-}
-
-/// One payload slot in the slab. `gen` advances every time the slot is
-/// vacated, invalidating outstanding [`EventId`]s and heap tombstones.
-#[derive(Debug)]
-struct Slot<E> {
-    gen: u32,
-    event: Option<E>,
-}
-
 /// A plain-old-data heap entry; the payload stays in the slab.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
     time: SimTime,
-    src: u32,
     seq: u64,
+    src: u32,
     slot: u32,
-    gen: u32,
 }
 
 #[inline]
@@ -79,21 +58,18 @@ fn entry_less(a: &HeapEntry, b: &HeapEntry) -> bool {
 
 /// A discrete-event simulation: a clock plus a pending-event queue.
 ///
-/// The driver loop is intentionally simple: callers pop events with
-/// [`Simulation::next`] (which advances the clock) and dispatch them however
-/// they like. See `dcs-ledger`'s network runner for the full pattern.
+/// Callers pop events with [`Simulation::next`] or
+/// [`Simulation::next_keyed`] (which advance the clock) and dispatch them
+/// however they like; `dcs-net`'s engine shard loop is the full pattern.
 #[derive(Debug)]
 pub struct Simulation<E> {
     heap: Vec<HeapEntry>,
-    slots: Vec<Slot<E>>,
+    slots: Vec<Option<E>>,
     free: Vec<u32>,
-    live: usize,
     high_water: usize,
     now: SimTime,
     next_seq: u64,
-    processed: u64,
     clamped: u64,
-    tracer: Tracer,
 }
 
 impl<E> Default for Simulation<E> {
@@ -109,26 +85,11 @@ impl<E> Simulation<E> {
             heap: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            live: 0,
             high_water: 0,
             now: SimTime::ZERO,
             next_seq: 0,
-            processed: 0,
             clamped: 0,
-            tracer: Tracer::disabled(),
         }
-    }
-
-    /// Installs a tracer that records a [`TraceEvent::SimDispatch`] per
-    /// delivered event and a [`TraceEvent::SimClamped`] per past-time
-    /// schedule. Disabled by default.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// The installed tracer (disabled unless [`Simulation::set_tracer`] ran).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// The current simulated instant.
@@ -136,15 +97,9 @@ impl<E> Simulation<E> {
         self.now
     }
 
-    /// Number of events delivered so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Number of events still pending. Exact: cancellation frees the slot
-    /// immediately, so there is no tombstone drift.
+    /// Number of events still pending.
     pub fn pending(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     /// The deepest the pending queue has ever been. Observability only —
@@ -156,79 +111,53 @@ impl<E> Simulation<E> {
 
     /// Number of schedules whose requested instant was in the past and was
     /// clamped to `now`. Silent clamping hides scheduling bugs in fault
-    /// schedules, so it is counted (and traced when a tracer is installed).
+    /// schedules, so it is counted.
     pub fn clamped(&self) -> u64 {
         self.clamped
     }
 
     /// Schedules `event` to fire `delay` after the current instant.
-    pub fn schedule(&mut self, delay: SimDuration, event: E) -> EventId {
-        self.schedule_at(self.now + delay, event)
+    pub fn schedule(&mut self, delay: SimDuration, event: E) {
+        self.schedule_at(self.now + delay, event);
     }
 
     /// Schedules `event` at an absolute instant under the external source.
     /// Instants in the past fire "now" (the clock never moves backwards);
     /// each clamp is counted in [`Simulation::clamped`].
-    pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.schedule_at_keyed(time, EventKey::new(EXTERNAL_SRC, seq), event)
+        self.schedule_at_keyed(time, EventKey::new(EXTERNAL_SRC, seq), event);
     }
 
     /// Schedules `event` at an absolute instant under an explicit
     /// `(source, sequence)` key. The caller owns key uniqueness; the sharded
     /// engine derives keys from per-actor counters so they are stable
     /// across shard counts.
-    pub fn schedule_at_keyed(&mut self, time: SimTime, key: EventKey, event: E) -> EventId {
+    pub fn schedule_at_keyed(&mut self, time: SimTime, key: EventKey, event: E) {
         let time = if time < self.now {
             self.clamped += 1;
-            if self.tracer.is_enabled() {
-                let lag_us = self.now.as_micros() - time.as_micros();
-                self.tracer
-                    .emit(self.now.as_micros(), TraceEvent::SimClamped { lag_us });
-            }
             self.now
         } else {
             time
         };
-        let (slot, gen) = match self.free.pop() {
+        let slot = match self.free.pop() {
             Some(slot) => {
-                let s = &mut self.slots[slot as usize];
-                s.event = Some(event);
-                (slot, s.gen)
+                self.slots[slot as usize] = Some(event);
+                slot
             }
             None => {
-                self.slots.push(Slot {
-                    gen: 0,
-                    event: Some(event),
-                });
-                ((self.slots.len() - 1) as u32, 0)
+                self.slots.push(Some(event));
+                (self.slots.len() - 1) as u32
             }
         };
         self.heap_push(HeapEntry {
             time,
-            src: key.src,
             seq: key.seq,
+            src: key.src,
             slot,
-            gen,
         });
-        self.live += 1;
-        self.high_water = self.high_water.max(self.live);
-        EventId { slot, gen }
-    }
-
-    /// Cancels a previously scheduled event. Cancelling an event that
-    /// already fired (or was already cancelled or drained) is a no-op: the
-    /// slot generation no longer matches the handle.
-    pub fn cancel(&mut self, id: EventId) {
-        if let Some(slot) = self.slots.get_mut(id.slot as usize) {
-            if slot.gen == id.gen && slot.event.is_some() {
-                slot.event = None;
-                slot.gen = slot.gen.wrapping_add(1);
-                self.free.push(id.slot);
-                self.live -= 1;
-            }
-        }
+        self.high_water = self.high_water.max(self.heap.len());
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -237,61 +166,54 @@ impl<E> Simulation<E> {
     // inherent method keeps that side effect explicit at call sites.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<(SimTime, E)> {
-        self.pop_keyed(None).map(|(t, _, e)| (t, e))
+        self.next_keyed(None).map(|(t, _, e)| (t, e))
     }
 
-    /// Pops the next event only if it fires at or before `deadline`.
-    pub fn next_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        self.pop_keyed(Some(deadline)).map(|(t, _, e)| (t, e))
-    }
-
-    /// Pops the next event with its ordering key, honoring an optional
-    /// deadline. The key is what the sharded engine's dispatch trace emits.
+    /// Pops the next event with its ordering key if it fires at or before
+    /// `deadline` (any time when `None`), advancing the clock to it. The
+    /// key is what the engine's dispatch trace records.
     pub fn next_keyed(&mut self, deadline: Option<SimTime>) -> Option<(SimTime, EventKey, E)> {
-        self.pop_keyed(deadline)
+        let head = *self.heap.first()?;
+        if deadline.is_some_and(|d| head.time > d) {
+            return None;
+        }
+        self.heap_pop();
+        let event = self.slots[head.slot as usize]
+            .take()
+            .expect("a queued slot holds an event");
+        self.free.push(head.slot);
+        self.now = head.time;
+        Some((head.time, EventKey::new(head.src, head.seq), event))
     }
 
-    /// Earliest pending event time, if any. Lazily discards tombstones.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            let head = *self.heap.first()?;
-            if self.slots[head.slot as usize].gen != head.gen {
-                self.heap_pop();
-                continue;
-            }
-            return Some(head.time);
-        }
+    /// Earliest pending event time, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.first().map(|head| head.time)
     }
 
     /// Removes and returns every pending event with its key, in no
-    /// particular order. Outstanding [`EventId`]s are invalidated. Does not
-    /// advance the clock or the processed count — this is bulk transfer
-    /// (shard explode), not delivery.
+    /// particular order. Does not advance the clock — this is bulk
+    /// transfer (shard explode), not delivery.
     pub fn drain(&mut self) -> Vec<(SimTime, EventKey, E)> {
-        let mut out = Vec::with_capacity(self.live);
+        let mut out = Vec::with_capacity(self.heap.len());
         for e in self.heap.drain(..) {
-            let slot = &mut self.slots[e.slot as usize];
-            if slot.gen != e.gen {
-                continue;
-            }
-            let event = slot.event.take().expect("live slot holds an event");
-            slot.gen = slot.gen.wrapping_add(1);
+            let event = self.slots[e.slot as usize]
+                .take()
+                .expect("a queued slot holds an event");
             out.push((e.time, EventKey::new(e.src, e.seq), event));
         }
         self.free.clear();
         self.free.extend(0..self.slots.len() as u32);
-        self.live = 0;
         out
     }
 
     /// Folds a child queue back into this one: pending events are
-    /// re-scheduled under their original keys, and the processed/clamped
-    /// tallies and clock high-water mark are absorbed. Intended for the
-    /// sharded engine's merge step, where every leftover event is known to
-    /// be in this queue's future (keyed events only — external sequences
-    /// are not reconciled).
+    /// re-scheduled under their original keys, and the clamped tally and
+    /// clock high-water mark are absorbed. Intended for the sharded
+    /// engine's merge step, where every leftover event is known to be in
+    /// this queue's future (keyed events only — external sequences are not
+    /// reconciled).
     pub fn merge_from(&mut self, mut child: Simulation<E>) {
-        self.processed += child.processed;
         self.clamped += child.clamped;
         self.high_water = self.high_water.max(child.high_water);
         let child_now = child.now;
@@ -304,39 +226,6 @@ impl<E> Simulation<E> {
     /// Advances the clock to `t` if `t` is later (never backwards).
     pub fn advance_to(&mut self, t: SimTime) {
         self.now = self.now.max(t);
-    }
-
-    fn pop_keyed(&mut self, deadline: Option<SimTime>) -> Option<(SimTime, EventKey, E)> {
-        let head = loop {
-            let head = *self.heap.first()?;
-            if self.slots[head.slot as usize].gen != head.gen {
-                self.heap_pop();
-                continue;
-            }
-            break head;
-        };
-        if let Some(d) = deadline {
-            if head.time > d {
-                return None;
-            }
-        }
-        self.heap_pop();
-        let slot = &mut self.slots[head.slot as usize];
-        let event = slot.event.take().expect("live slot holds an event");
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(head.slot);
-        self.live -= 1;
-        self.now = head.time;
-        self.processed += 1;
-        if self.tracer.is_enabled() {
-            self.tracer.emit(
-                head.time.as_micros(),
-                TraceEvent::SimDispatch {
-                    pending: self.live.min(u32::MAX as usize) as u32,
-                },
-            );
-        }
-        Some((head.time, EventKey::new(head.src, head.seq), event))
     }
 
     fn heap_push(&mut self, e: HeapEntry) {
@@ -353,10 +242,12 @@ impl<E> Simulation<E> {
         }
     }
 
-    fn heap_pop(&mut self) -> Option<HeapEntry> {
-        let last = self.heap.len().checked_sub(1)?;
+    fn heap_pop(&mut self) {
+        let Some(last) = self.heap.len().checked_sub(1) else {
+            return;
+        };
         self.heap.swap(0, last);
-        let top = self.heap.pop();
+        self.heap.pop();
         let n = self.heap.len();
         let mut i = 0;
         loop {
@@ -376,7 +267,6 @@ impl<E> Simulation<E> {
                 break;
             }
         }
-        top
     }
 }
 
@@ -418,38 +308,8 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_events_do_not_fire() {
-        let mut sim = Simulation::new();
-        let keep = sim.schedule(SimDuration::from_secs(1), "keep");
-        let drop1 = sim.schedule(SimDuration::from_secs(2), "drop");
-        let _ = keep;
-        sim.cancel(drop1);
-        assert_eq!(sim.pending(), 1);
-        assert_eq!(sim.next().map(|(_, e)| e), Some("keep"));
-        assert_eq!(sim.next(), None);
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut sim = Simulation::new();
-        let id = sim.schedule(SimDuration::ZERO, 1u8);
-        assert!(sim.next().is_some());
-        sim.cancel(id);
-        sim.schedule(SimDuration::ZERO, 2u8);
-        assert_eq!(sim.next().map(|(_, e)| e), Some(2));
-    }
-
-    #[test]
-    fn cancel_is_exact_after_slot_reuse() {
-        let mut sim = Simulation::new();
-        let a = sim.schedule(SimDuration::from_secs(1), 'a');
-        sim.cancel(a);
-        // The freed slot is recycled with a fresh generation: the stale
-        // handle must not cancel the new occupant.
-        let _b = sim.schedule(SimDuration::from_secs(2), 'b');
-        sim.cancel(a);
-        assert_eq!(sim.pending(), 1);
-        assert_eq!(sim.next().map(|(_, e)| e), Some('b'));
+    fn heap_entries_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<HeapEntry>(), 24);
     }
 
     #[test]
@@ -465,82 +325,34 @@ mod tests {
     }
 
     #[test]
-    fn clamp_emits_a_trace_event() {
-        use dcs_trace::TraceConfig;
-        let mut sim = Simulation::new();
-        sim.set_tracer(Tracer::new(dcs_trace::SIM_ACTOR, &TraceConfig::full()));
-        sim.schedule(SimDuration::from_secs(2), ());
-        sim.next();
-        sim.schedule_at(SimTime::ZERO + SimDuration::from_secs(1), ());
-        let clamps: Vec<_> = sim
-            .tracer()
-            .records()
-            .filter(|r| matches!(r.event, TraceEvent::SimClamped { .. }))
-            .collect();
-        assert_eq!(clamps.len(), 1);
-        assert_eq!(clamps[0].at_us, 2_000_000);
-        assert!(matches!(
-            clamps[0].event,
-            TraceEvent::SimClamped { lag_us: 1_000_000 }
-        ));
-    }
-
-    #[test]
-    fn next_before_respects_deadline() {
+    fn next_keyed_respects_deadline() {
         let mut sim = Simulation::new();
         sim.schedule(SimDuration::from_secs(1), 1);
         sim.schedule(SimDuration::from_secs(10), 2);
-        let cutoff = SimTime::ZERO + SimDuration::from_secs(5);
-        assert_eq!(sim.next_before(cutoff).map(|(_, e)| e), Some(1));
-        assert_eq!(sim.next_before(cutoff), None);
+        let cutoff = Some(SimTime::ZERO + SimDuration::from_secs(5));
+        assert_eq!(sim.next_keyed(cutoff).map(|(_, _, e)| e), Some(1));
+        assert!(sim.next_keyed(cutoff).is_none());
+        assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_secs(1));
         assert_eq!(sim.next().map(|(_, e)| e), Some(2));
     }
 
     #[test]
-    fn tracer_sees_each_dispatch_at_sim_time() {
-        use dcs_trace::TraceConfig;
+    fn pending_is_exact_through_slot_reuse() {
         let mut sim = Simulation::new();
-        sim.set_tracer(Tracer::new(dcs_trace::SIM_ACTOR, &TraceConfig::full()));
-        sim.schedule(SimDuration::from_secs(1), ());
-        sim.schedule(SimDuration::from_secs(2), ());
-        while sim.next().is_some() {}
-        let recs: Vec<_> = sim.tracer().records().collect();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].at_us, 1_000_000);
-        assert_eq!(recs[1].at_us, 2_000_000);
-        assert!(matches!(
-            recs[1].event,
-            TraceEvent::SimDispatch { pending: 0 }
-        ));
-    }
-
-    #[test]
-    fn processed_counts_delivered_only() {
-        let mut sim = Simulation::new();
-        let a = sim.schedule(SimDuration::ZERO, ());
-        sim.schedule(SimDuration::ZERO, ());
-        sim.cancel(a);
-        while sim.next().is_some() {}
-        assert_eq!(sim.processed(), 1);
-    }
-
-    #[test]
-    fn pending_is_exact_through_cancel_and_fire() {
-        let mut sim = Simulation::new();
-        let ids: Vec<_> = (0..8)
-            .map(|i| sim.schedule(SimDuration::from_secs(i), i))
-            .collect();
+        for i in 0..8 {
+            sim.schedule(SimDuration::from_secs(i), i);
+        }
         assert_eq!(sim.pending(), 8);
-        sim.cancel(ids[3]);
-        sim.cancel(ids[3]); // double-cancel must not double-decrement
-        assert_eq!(sim.pending(), 7);
+        sim.next();
         sim.next();
         assert_eq!(sim.pending(), 6);
-        // Cancelling a fired event leaves the count untouched.
-        sim.cancel(ids[0]);
-        assert_eq!(sim.pending(), 6);
-        while sim.next().is_some() {}
+        // Freed slots are recycled without disturbing the order.
+        sim.schedule(SimDuration::ZERO, 100);
+        assert_eq!(sim.pending(), 7);
+        let order: Vec<u64> = std::iter::from_fn(|| sim.next().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![100, 2, 3, 4, 5, 6, 7]);
         assert_eq!(sim.pending(), 0);
+        assert_eq!(sim.pending_high_water(), 8);
     }
 
     #[test]
@@ -561,18 +373,5 @@ mod tests {
         assert_eq!(root.pending(), 2);
         let order: Vec<char> = std::iter::from_fn(|| root.next().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!['a', 'b']);
-    }
-
-    #[test]
-    fn drained_event_ids_become_inert() {
-        let mut sim = Simulation::new();
-        let id = sim.schedule(SimDuration::from_secs(1), 'a');
-        let drained = sim.drain();
-        for (t, k, e) in drained {
-            sim.schedule_at_keyed(t, k, e);
-        }
-        sim.cancel(id); // stale generation: must not cancel the re-slotted event
-        assert_eq!(sim.pending(), 1);
-        assert_eq!(sim.next().map(|(_, e)| e), Some('a'));
     }
 }

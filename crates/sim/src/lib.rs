@@ -9,7 +9,11 @@
 //!
 //! Determinism contract: given the same seed and the same sequence of
 //! schedule calls, a simulation replays bit-identically. Wall-clock time is
-//! never consulted, and event ties are broken by insertion order.
+//! never consulted, and event ties are broken by the sender-assigned
+//! [`EventKey`] (insertion order for unkeyed schedules). The queue keeps
+//! only what `dcs-net`'s engine loop uses: schedule, pop (optionally up to a
+//! deadline), peek, and drain/merge for sharding — no cancellation and no
+//! tracer of its own.
 //!
 //! # Examples
 //!
@@ -33,7 +37,7 @@ pub mod metrics;
 pub mod rng;
 pub mod time;
 
-pub use event::{EventId, EventKey, Simulation, EXTERNAL_SRC};
+pub use event::{EventKey, Simulation, EXTERNAL_SRC};
 pub use metrics::{gini, nakamoto_coefficient, Summary};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};

@@ -1,7 +1,9 @@
 //! Property-based tests for the simulation engine: event ordering
 //! guarantees and statistical sanity of the RNG and metrics.
 
-use dcs_sim::{gini, nakamoto_coefficient, Rng, SimDuration, Simulation, Summary};
+use dcs_sim::{
+    gini, nakamoto_coefficient, EventKey, Rng, SimDuration, SimTime, Simulation, Summary,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -30,24 +32,23 @@ proptest! {
     }
 
     #[test]
-    fn cancellation_removes_exactly_the_cancelled(
-        n in 1usize..100,
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
+    fn split_and_merged_queues_pop_in_key_order(
+        events in proptest::collection::vec((0u64..1_000, 0u32..8, any::<bool>()), 1..200),
     ) {
-        let mut sim = Simulation::new();
-        let ids: Vec<_> = (0..n)
-            .map(|i| sim.schedule(SimDuration::from_micros(i as u64), i))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                sim.cancel(*id);
-            } else {
-                expected.push(i);
-            }
+        // Events spread over two queues (as the engine's shards hold them)
+        // and merged back pop in `(time, source, sequence)` order.
+        let (mut left, mut right) = (Simulation::new(), Simulation::new());
+        let mut expected = Vec::new();
+        for (seq, &(t, src, side)) in events.iter().enumerate() {
+            let (at, key) = (SimTime::from_micros(t), EventKey::new(src, seq as u64));
+            let queue = if side { &mut left } else { &mut right };
+            queue.schedule_at_keyed(at, key, seq);
+            expected.push((at, key, seq));
         }
-        let fired: Vec<usize> = std::iter::from_fn(|| sim.next().map(|(_, e)| e)).collect();
-        prop_assert_eq!(fired, expected);
+        expected.sort();
+        left.merge_from(right);
+        let popped: Vec<_> = std::iter::from_fn(|| left.next_keyed(None)).collect();
+        prop_assert_eq!(popped, expected);
     }
 
     #[test]

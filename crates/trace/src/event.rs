@@ -33,13 +33,6 @@ impl core::fmt::Debug for Id {
     }
 }
 
-/// The actor id carried by events emitted on behalf of the network fabric
-/// (sends, drops) rather than a peer.
-pub const NETWORK_ACTOR: u32 = u32::MAX;
-
-/// The actor id for the discrete-event queue itself (dispatch events).
-pub const SIM_ACTOR: u32 = u32::MAX - 1;
-
 /// The sender value in [`TraceEvent::FirstSeen`] when the entity originated
 /// locally (a self-produced block, a directly submitted transaction) rather
 /// than arriving from a peer. Origins anchor hop counting at hop 0.
@@ -48,7 +41,7 @@ pub const ORIGIN: u32 = u32::MAX;
 /// Event categories, used for counters and per-category sampling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Category {
-    /// Discrete-event queue dispatch.
+    /// Engine dispatch.
     Sim,
     /// Message fabric: send, deliver, drop, partition.
     Net,
@@ -132,13 +125,12 @@ pub enum PbftPhase {
 }
 
 /// One structured trace event. See [`Category`] for the grouping.
+///
+/// Each variant's encoding tag is an explicit byte in
+/// [`TraceEvent::encode_into`]; tags 0 and 22 belonged to retired queue
+/// events and stay unused, so no digest moved when they went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// The event queue dispatched one event (`pending` left behind).
-    SimDispatch {
-        /// Events still pending after this dispatch.
-        pending: u32,
-    },
     /// The fabric accepted a message for delivery.
     MsgSent {
         /// Destination peer.
@@ -272,21 +264,13 @@ pub enum TraceEvent {
         /// The source's per-event sequence number.
         seq: u64,
     },
-    /// A schedule requested an instant in the past and was clamped to the
-    /// current time (the clock never moves backwards).
-    SimClamped {
-        /// How far in the past the requested instant was, in microseconds.
-        lag_us: u64,
-    },
 }
 
 impl TraceEvent {
     /// The category this event counts and samples under.
     pub fn category(&self) -> Category {
         match self {
-            TraceEvent::SimDispatch { .. }
-            | TraceEvent::EngineDispatch { .. }
-            | TraceEvent::SimClamped { .. } => Category::Sim,
+            TraceEvent::EngineDispatch { .. } => Category::Sim,
             TraceEvent::MsgSent { .. }
             | TraceEvent::MsgDelivered { .. }
             | TraceEvent::MsgDropped { .. }
@@ -312,7 +296,6 @@ impl TraceEvent {
     /// Stable snake_case event name, used by the exporters.
     pub fn name(&self) -> &'static str {
         match self {
-            TraceEvent::SimDispatch { .. } => "sim_dispatch",
             TraceEvent::MsgSent { .. } => "msg_sent",
             TraceEvent::MsgDelivered { .. } => "msg_delivered",
             TraceEvent::MsgDropped { .. } => "msg_dropped",
@@ -334,7 +317,6 @@ impl TraceEvent {
             TraceEvent::MsgDuplicated { .. } => "msg_duplicated",
             TraceEvent::MsgCorrupted { .. } => "msg_corrupted",
             TraceEvent::EngineDispatch { .. } => "engine_dispatch",
-            TraceEvent::SimClamped { .. } => "sim_clamped",
         }
     }
 
@@ -343,10 +325,6 @@ impl TraceEvent {
     /// changes every digest.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            TraceEvent::SimDispatch { pending } => {
-                out.push(0);
-                out.extend_from_slice(&pending.to_le_bytes());
-            }
             TraceEvent::MsgSent { to, bytes } => {
                 out.push(1);
                 out.extend_from_slice(&to.to_le_bytes());
@@ -446,10 +424,6 @@ impl TraceEvent {
                 out.extend_from_slice(&src.to_le_bytes());
                 out.extend_from_slice(&seq.to_le_bytes());
             }
-            TraceEvent::SimClamped { lag_us } => {
-                out.push(22);
-                out.extend_from_slice(&lag_us.to_le_bytes());
-            }
         }
     }
 }
@@ -459,7 +433,7 @@ impl TraceEvent {
 pub struct TraceRecord {
     /// Sim-time timestamp in microseconds.
     pub at_us: u64,
-    /// Emitting actor: a peer index, [`NETWORK_ACTOR`], or [`SIM_ACTOR`].
+    /// Emitting actor: the peer index.
     pub node: u32,
     /// The event.
     pub event: TraceEvent,
@@ -498,7 +472,6 @@ mod tests {
     fn encodings_are_distinct_per_variant() {
         let id = Id([7u8; 32]);
         let events = [
-            TraceEvent::SimDispatch { pending: 1 },
             TraceEvent::MsgSent { to: 1, bytes: 1 },
             TraceEvent::MsgDelivered { from: 1 },
             TraceEvent::MsgDropped { to: 1 },
@@ -542,13 +515,16 @@ mod tests {
             TraceEvent::MsgDuplicated { to: 1 },
             TraceEvent::MsgCorrupted { to: 1 },
             TraceEvent::EngineDispatch { src: 1, seq: 1 },
-            TraceEvent::SimClamped { lag_us: 1 },
         ];
         let mut seen = std::collections::BTreeSet::new();
         for (i, ev) in events.iter().enumerate() {
             let mut buf = Vec::new();
             ev.encode_into(&mut buf);
-            assert_eq!(buf[0] as usize, i, "tags are assigned in catalogue order");
+            assert_eq!(
+                buf[0] as usize,
+                i + 1,
+                "tags are assigned in catalogue order"
+            );
             assert!(seen.insert(buf), "duplicate encoding for {ev:?}");
             assert!(!ev.name().is_empty());
         }

@@ -9,25 +9,18 @@
 //! per transaction (`cat:"tx"`, submit → commit) and per block
 //! (`cat:"block"`, proposal → finality).
 
-use crate::event::{TraceEvent, TraceRecord, NETWORK_ACTOR, SIM_ACTOR};
+use crate::event::{TraceEvent, TraceRecord};
 use crate::span::Timelines;
 use std::fmt::Write as _;
 
 /// Human-readable actor label for exports.
 fn actor_label(node: u32) -> String {
-    match node {
-        NETWORK_ACTOR => "net".to_string(),
-        SIM_ACTOR => "sim".to_string(),
-        n => format!("node{n}"),
-    }
+    format!("node{node}")
 }
 
 /// Appends the event-specific JSON fields (leading comma included).
 fn event_fields(out: &mut String, event: &TraceEvent) {
     match event {
-        TraceEvent::SimDispatch { pending } => {
-            let _ = write!(out, ",\"pending\":{pending}");
-        }
         TraceEvent::MsgSent { to, bytes } => {
             let _ = write!(out, ",\"to\":{to},\"bytes\":{bytes}");
         }
@@ -116,9 +109,6 @@ fn event_fields(out: &mut String, event: &TraceEvent) {
         TraceEvent::NodeCrashed | TraceEvent::NodeRestarted => {}
         TraceEvent::EngineDispatch { src, seq } => {
             let _ = write!(out, ",\"src\":{src},\"seq\":{seq}");
-        }
-        TraceEvent::SimClamped { lag_us } => {
-            let _ = write!(out, ",\"lag_us\":{lag_us}");
         }
         TraceEvent::MsgDuplicated { to } | TraceEvent::MsgCorrupted { to } => {
             let _ = write!(out, ",\"to\":{to}");

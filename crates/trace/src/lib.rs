@@ -3,14 +3,17 @@
 //! Every event is timestamped in **sim time** (microseconds from the run's
 //! virtual clock) — never the wall clock — so two same-seed runs emit
 //! bit-identical streams, and the determinism suite can assert that with a
-//! [stable digest](digest::fnv1a). The crate sits below `dcs-sim` in the
-//! dependency graph and therefore depends on nothing.
+//! [stable digest](digest::fnv1a). The crate depends on nothing; the
+//! event queue in `dcs-sim` no longer traces, and dispatch is recorded per
+//! peer by `dcs-net`'s engine as [`TraceEvent::EngineDispatch`].
 //!
 //! The pieces:
 //!
-//! * [`Tracer`] — one per emitting actor (a peer, the network fabric, the
-//!   event queue). Internally `Option<Box<_>>`: a disabled tracer is one
-//!   branch on a `None`, with no formatting, allocation, or buffer touch.
+//! * [`Tracer`] — one per emitting stream of a peer (its consensus core,
+//!   its chain, its fabric traffic, its engine dispatches); every record's
+//!   actor is a peer index. Internally `Option<Box<_>>`: a disabled tracer
+//!   is one branch on a `None`, with no formatting, allocation, or buffer
+//!   touch.
 //! * [`TraceEvent`] — the typed event taxonomy (network sends, mempool
 //!   admissions, chain imports/reorgs, PBFT phases, app events).
 //! * [`TraceConfig`] — off, or full with a bounded ring buffer per actor.
@@ -51,7 +54,7 @@ pub mod tracer;
 
 pub use event::{
     Category, EntityKind, Id, ImportOutcome, PbftPhase, RejectReason, TraceEvent, TraceRecord,
-    NETWORK_ACTOR, ORIGIN, SIM_ACTOR,
+    ORIGIN,
 };
 pub use span::{BlockSpan, ReorgSpan, StageSamples, Timelines, TxSpan};
 pub use tracer::{TraceConfig, TraceCounters, TraceMode, TraceSet, Tracer};

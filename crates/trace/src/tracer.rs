@@ -73,8 +73,8 @@ struct Inner {
 
 /// A per-actor tracing handle.
 ///
-/// A `Tracer` is owned by one emitting actor (a peer's consensus core, its
-/// chain, the network fabric, the event queue) and is **not** shared: no
+/// A `Tracer` is owned by one emitting stream of one peer (its consensus
+/// core, its chain, its fabric traffic, its engine dispatches) and is **not** shared: no
 /// locks, no interior mutability, deterministic by construction. Disabled
 /// tracers carry no state — `emit` is one branch.
 #[derive(Debug, Clone, Default)]

@@ -11,11 +11,13 @@ use dcs_crypto::{Address, Hash256};
 use dcs_faults::FaultSchedule;
 use dcs_ledger::builders::{Ng, Ordering, Pbft, Poet, Pos, Pow};
 use dcs_ledger::{
-    build, install_faults, workload::Workload, EngineRule, LedgerNode, NetworkParams,
+    build, install_faults, install_tracing, workload::Workload, EngineRule, LedgerNode,
+    NetworkParams,
 };
 use dcs_net::{NodeId, Runner};
 use dcs_primitives::ConsensusKind;
 use dcs_sim::{SimDuration, SimTime};
+use dcs_trace::{TraceConfig, TraceEvent};
 
 fn at(secs: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(secs)
@@ -292,4 +294,35 @@ fn every_builder_runner_accepts_a_fault_schedule() {
     crash_and_restart_peer_one(preset::<Ordering>(4));
     crash_and_restart_peer_one(preset::<Pbft>(5));
     crash_and_restart_peer_one(preset::<Ng>(6));
+}
+
+/// Faults act at their scripted instant, not at the last event before it:
+/// on the PoW preset, whose events are seconds apart, node 1's crash and
+/// restart are traced at exactly 100 s and 160 s, and the catch-up request
+/// its restart hook sends leaves at 160 s too.
+#[test]
+fn crash_and_restart_act_at_their_scripted_instants() {
+    let mut runner = preset::<Pow>(77);
+    install_tracing(&mut runner, &TraceConfig::full());
+    let schedule = FaultSchedule::new()
+        .crash_at(at(100), NodeId(1))
+        .restart_at(at(160), NodeId(1));
+    let mut driver = install_faults(&runner, schedule);
+    driver.run_until(&mut runner, at(200));
+
+    let records: Vec<_> = runner.net().node_tracers()[1].records().copied().collect();
+    let instants = |event: TraceEvent| -> Vec<u64> {
+        records
+            .iter()
+            .filter(|r| r.event == event)
+            .map(|r| r.at_us)
+            .collect()
+    };
+    assert_eq!(instants(TraceEvent::NodeCrashed), vec![100_000_000]);
+    assert_eq!(instants(TraceEvent::NodeRestarted), vec![160_000_000]);
+    let first_send_after_restart = records
+        .iter()
+        .find(|r| r.at_us >= 160_000_000 && matches!(r.event, TraceEvent::MsgSent { .. }))
+        .map(|r| r.at_us);
+    assert_eq!(first_send_after_restart, Some(160_000_000));
 }
