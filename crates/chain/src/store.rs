@@ -440,23 +440,6 @@ impl BlockTree {
         }
     }
 
-    /// The path of hashes from genesis to `tip`, inclusive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tip` is not in the tree.
-    pub fn path_from_genesis(&self, tip: &Hash256) -> Vec<Hash256> {
-        let mut path = vec![*tip];
-        let mut cur = *tip;
-        while cur != self.genesis {
-            // Documented contract: the caller passes a stored tip.
-            cur = self.get(&cur).expect("path stored").header().parent; // dcs-lint: allow(panic-path)
-            path.push(cur);
-        }
-        path.reverse();
-        path
-    }
-
     /// Lowest common ancestor of two blocks in the tree. Operates on
     /// headers only, so it works across pruned history.
     ///
@@ -491,20 +474,6 @@ impl BlockTree {
     /// maintained leaf set — O(leaves), not a scan of every record.
     pub fn tips(&self) -> Vec<Hash256> {
         self.leaves.iter().copied().collect()
-    }
-
-    /// Number of blocks in the subtree rooted at `hash` (inclusive); the
-    /// weight used by GHOST.
-    pub fn subtree_size(&self, hash: &Hash256) -> u64 {
-        let mut count = 0;
-        let mut stack = vec![*hash];
-        while let Some(h) = stack.pop() {
-            count += 1;
-            // Child links only ever point at stored blocks.
-            // dcs-lint: allow(panic-path)
-            stack.extend(&self.get(&h).expect("subtree stored").children);
-        }
-        count
     }
 }
 
@@ -612,7 +581,7 @@ mod tests {
     }
 
     #[test]
-    fn path_and_common_ancestor() {
+    fn common_ancestor_of_forks() {
         let g = genesis();
         let mut tree = BlockTree::new(g.clone());
         let a1 = child_of(&g, 1);
@@ -622,10 +591,6 @@ mod tests {
         for b in [&a1, &a2, &b1, &b2] {
             tree.insert(b.clone()).unwrap();
         }
-        assert_eq!(
-            tree.path_from_genesis(&a2.hash()),
-            vec![g.hash(), a1.hash(), a2.hash()]
-        );
         assert_eq!(tree.common_ancestor(&a2.hash(), &b2.hash()), g.hash());
         assert_eq!(tree.common_ancestor(&a2.hash(), &a1.hash()), a1.hash());
         assert_eq!(tree.common_ancestor(&a2.hash(), &a2.hash()), a2.hash());
@@ -696,7 +661,7 @@ mod tests {
     }
 
     #[test]
-    fn tips_and_subtree_size() {
+    fn tips_are_the_leaves() {
         let g = genesis();
         let mut tree = BlockTree::new(g.clone());
         assert_eq!(tree.tips(), vec![g.hash()]);
@@ -712,9 +677,6 @@ mod tests {
         let mut expect = vec![a2.hash(), b1.hash()];
         expect.sort();
         assert_eq!(tips, expect, "moves no leaf");
-        assert_eq!(tree.subtree_size(&g.hash()), 4);
-        assert_eq!(tree.subtree_size(&a1.hash()), 2);
-        assert_eq!(tree.subtree_size(&b1.hash()), 1);
     }
 
     /// Every replica keeps one record per block for the life of a run, so
@@ -750,7 +712,6 @@ mod tests {
         }
         // Ancestor walks still work across pruned history.
         assert_eq!(tree.common_ancestor(&hashes[10], &hashes[3]), hashes[3]);
-        assert_eq!(tree.path_from_genesis(&hashes[10]).len(), 11);
         // Pruning is idempotent and monotone.
         tree.note_finalized(8);
         assert_eq!(tree.store_stats().bodies_pruned, 6);

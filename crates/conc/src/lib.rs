@@ -205,31 +205,31 @@ impl<S> Model<S> {
     }
 }
 
-/// Convenience: builds a thread from `n` repetitions of one closure.
-pub fn ops_of<S: 'static>(n: usize, f: impl Fn(&mut S) + Clone + 'static) -> Vec<Op<S>> {
-    (0..n)
-        .map(|_| {
-            let f = f.clone();
-            Box::new(move |s: &mut S| f(s)) as Op<S>
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Builds a thread from `n` repetitions of one closure.
+    fn repeated<S: 'static>(n: usize, f: impl Fn(&mut S) + Clone + 'static) -> Vec<Op<S>> {
+        (0..n)
+            .map(|_| {
+                let f = f.clone();
+                Box::new(move |s: &mut S| f(s)) as Op<S>
+            })
+            .collect()
+    }
 
     #[test]
     fn schedule_count_is_the_multinomial() {
         // 2+2 ops → C(4,2) = 6; 2+2+2 → 6!/(2!2!2!) = 90.
         let m: Model<()> = Model::new()
-            .thread(ops_of(2, |_| {}))
-            .thread(ops_of(2, |_| {}));
+            .thread(repeated(2, |_| {}))
+            .thread(repeated(2, |_| {}));
         assert_eq!(m.schedule_count(), 6);
         let m3: Model<()> = Model::new()
-            .thread(ops_of(2, |_| {}))
-            .thread(ops_of(2, |_| {}))
-            .thread(ops_of(2, |_| {}));
+            .thread(repeated(2, |_| {}))
+            .thread(repeated(2, |_| {}))
+            .thread(repeated(2, |_| {}));
         assert_eq!(m3.schedule_count(), 90);
     }
 
@@ -238,8 +238,8 @@ mod tests {
         // Count schedules via the stats; 3+2 ops → C(5,2) = 10 schedules,
         // each replaying 5 steps.
         let m: Model<u32> = Model::new()
-            .thread(ops_of(3, |s: &mut u32| *s += 1))
-            .thread(ops_of(2, |s: &mut u32| *s += 10));
+            .thread(repeated(3, |s: &mut u32| *s += 1))
+            .thread(repeated(2, |s: &mut u32| *s += 10));
         let explored = m.check(|| 0, |_| Ok(())).unwrap();
         assert_eq!(explored.schedules, 10);
         assert_eq!(explored.steps, 50);
@@ -248,8 +248,8 @@ mod tests {
     #[test]
     fn atomic_increments_always_sum() {
         let m: Model<u64> = Model::new()
-            .thread(ops_of(4, |s: &mut u64| *s += 1))
-            .thread(ops_of(4, |s: &mut u64| *s += 1));
+            .thread(repeated(4, |s: &mut u64| *s += 1))
+            .thread(repeated(4, |s: &mut u64| *s += 1));
         // Final-state invariant only fires at quiescence via a step gate.
         let explored = m
             .check(
@@ -314,8 +314,8 @@ mod tests {
     #[test]
     fn schedule_bound_refuses_oversized_models() {
         let m: Model<()> = Model::new()
-            .thread(ops_of(10, |_| {}))
-            .thread(ops_of(10, |_| {}))
+            .thread(repeated(10, |_| {}))
+            .thread(repeated(10, |_| {}))
             .max_schedules(100);
         let v = m.check(|| (), |_| Ok(())).unwrap_err();
         assert!(v.message.contains("shrink the model"));
@@ -323,7 +323,7 @@ mod tests {
 
     #[test]
     fn violation_reports_the_exact_step() {
-        let m: Model<i32> = Model::new().thread(ops_of(3, |s: &mut i32| *s += 1));
+        let m: Model<i32> = Model::new().thread(repeated(3, |s: &mut i32| *s += 1));
         let v = m
             .check(
                 || 0,

@@ -133,20 +133,6 @@ pub fn approx_tx_size(tx: &Transaction) -> usize {
     }
 }
 
-/// A convenience id for gossip dedup: the hash of the thing being gossiped.
-pub fn gossip_id(msg: &WireMsg) -> Option<Hash256> {
-    match msg {
-        WireMsg::Block(b) => Some(b.hash()),
-        WireMsg::Tx(tx) => Some(tx.id()),
-        // PBFT and sync messages are point-to-point/one-shot.
-        WireMsg::Pbft(_)
-        | WireMsg::BlockRequest(_)
-        | WireMsg::BlockNotFound(_)
-        | WireMsg::SyncRequest { .. }
-        | WireMsg::SyncResponse { .. } => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,16 +162,5 @@ mod tests {
             (approx as f64 / exact as f64) > 0.5 && (approx as f64 / exact as f64) < 2.0,
             "approx {approx} vs exact {exact}"
         );
-    }
-
-    #[test]
-    fn gossip_ids_match_content_hashes() {
-        let tx = Arc::new(Transaction::Coinbase {
-            to: Address::ZERO,
-            value: 1,
-            height: 0,
-        });
-        let sealed = SealedTx::new(tx.clone());
-        assert_eq!(gossip_id(&WireMsg::Tx(sealed)), Some(tx.id()));
     }
 }

@@ -392,6 +392,36 @@ mod tests {
     }
 
     #[test]
+    fn payable_call_credits_the_contract() {
+        let mut db = AccountDb::new();
+        let alice = Address::from_index(1);
+        fund(&mut db, &alice, 10_000_000);
+        let code = crate::assemble("stop").unwrap();
+        let deploy = AccountTx::deploy(alice, code, 0, 1_000_000);
+        let contract = deploy.contract_address();
+        execute_tx(
+            &mut db,
+            &deploy,
+            Hash256::ZERO,
+            &ctx(),
+            &GasSchedule::default(),
+        );
+
+        let balance_before = db.balance(&alice);
+        let call = AccountTx::call(alice, contract, vec![], 500, 1, 100_000);
+        let r = execute_tx(
+            &mut db,
+            &call,
+            Hash256::ZERO,
+            &ctx(),
+            &GasSchedule::default(),
+        );
+        assert!(r.status.is_success(), "{:?}", r.status);
+        assert_eq!(db.balance(&contract), 500);
+        assert_eq!(db.balance(&alice), balance_before - 500 - r.fee_paid);
+    }
+
+    #[test]
     fn out_of_gas_call_fails_but_is_bounded_by_limit() {
         let mut db = AccountDb::new();
         let alice = Address::from_index(1);

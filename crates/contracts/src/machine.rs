@@ -49,11 +49,6 @@ impl AccountMachine {
         self
     }
 
-    /// The verification pipeline, if one is attached.
-    pub fn pipeline(&self) -> Option<&Arc<VerifyPipeline>> {
-        self.pipeline.as_ref()
-    }
-
     /// Reference oracle for [`StateMachine::apply_block`]: the same block
     /// applied write by write straight to the trie, with no overlay. Roots,
     /// receipts, and errors must be bit-identical to the batched path; the
@@ -143,7 +138,6 @@ impl StateMachine for AccountMachine {
 pub struct UtxoMachine {
     /// The unspent-output set.
     pub set: UtxoSet,
-    pipeline: Option<Arc<VerifyPipeline>>,
 }
 
 impl UtxoMachine {
@@ -152,122 +146,33 @@ impl UtxoMachine {
     pub fn new() -> Self {
         UtxoMachine::default()
     }
-
-    /// A machine whose genesis state holds one output per `(owner, value)`.
-    pub fn with_alloc(alloc: &[(Address, Amount)]) -> Self {
-        let mut m = UtxoMachine::new();
-        for (addr, value) in alloc {
-            m.set.mint(*addr, *value);
-        }
-        m
-    }
-
-    /// A machine over `set` (typically
-    /// [`UtxoSet::with_witness_verification`]).
-    pub fn over(set: UtxoSet) -> Self {
-        UtxoMachine {
-            set,
-            ..UtxoMachine::default()
-        }
-    }
-
-    /// Routes witness verification through a shared verification pipeline:
-    /// block signatures are batch-verified statelessly before the serial
-    /// apply loop, which then skips per-input signature re-verification.
-    /// Stateful checks (existence, ownership, balance) and state roots are
-    /// unchanged for any thread count.
-    pub fn with_pipeline(mut self, pipeline: Arc<VerifyPipeline>) -> Self {
-        self.pipeline = Some(pipeline);
-        self
-    }
-
-    /// The verification pipeline, if one is attached.
-    pub fn pipeline(&self) -> Option<&Arc<VerifyPipeline>> {
-        self.pipeline.as_ref()
-    }
-}
-
-impl UtxoMachine {
-    /// Batch-verifies every witness signature in the body through the
-    /// pipeline (stateless, parallel); true when the apply loop may skip
-    /// per-input signature checks. Existence/ownership/balance checks cannot
-    /// run here — an input may be created by an earlier transaction of this
-    /// very block — so they stay with the stateful apply.
-    fn prevalidate(&self, block: &Block) -> Result<bool, String> {
-        match &self.pipeline {
-            Some(pipeline) if self.set.verifies_witnesses() => {
-                UtxoSet::prevalidate_witnesses(block, pipeline).map_err(|e| e.to_string())?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    /// Reference oracle for [`StateMachine::apply_block`]: the same block
-    /// applied one transaction at a time, reverting on the first failure.
-    /// Commitments, fees, undos, and errors must be identical to the batched
-    /// path; the equivalence tests compare the two.
-    pub fn apply_block_serial(
-        &mut self,
-        block: &Block,
-    ) -> Result<(Vec<Receipt>, Vec<UtxoUndo>), String> {
-        let prevalidated = self.prevalidate(block)?;
-        let mut undos = Vec::with_capacity(block.txs.len());
-        let mut receipts = Vec::with_capacity(block.txs.len());
-        for tx in &block.txs {
-            if matches!(tx, Transaction::Account(_)) {
-                self.revert_block(undos);
-                return Err("account transaction in a UTXO ledger".into());
-            }
-            let applied = if prevalidated {
-                self.set.apply_prevalidated(tx)
-            } else {
-                self.set.apply(tx)
-            };
-            match applied {
-                Ok((fee, undo)) => {
-                    undos.push(undo);
-                    let mut r = Receipt::success(tx.id());
-                    r.fee_paid = fee;
-                    receipts.push(r);
-                }
-                Err(e) => {
-                    self.revert_block(undos);
-                    return Err(e.to_string());
-                }
-            }
-        }
-        Ok((receipts, undos))
-    }
 }
 
 impl StateMachine for UtxoMachine {
     type Undo = Vec<UtxoUndo>;
 
+    /// Applies the block one transaction at a time; the first failure
+    /// reverts the ones before it, so a rejected block leaves no residue.
     fn apply_block(&mut self, block: &Block) -> Result<(Vec<Receipt>, Vec<UtxoUndo>), String> {
-        let prevalidated = self.prevalidate(block)?;
-        // Validate against the live set plus the staged deltas, then merge
-        // everything in one sorted sweep. The account-model guard runs first
-        // so the error surfaces exactly as on the serial oracle (which never
-        // commits anything either).
-        if block
-            .txs
-            .iter()
-            .any(|tx| matches!(tx, Transaction::Account(_)))
-        {
-            return Err("account transaction in a UTXO ledger".into());
-        }
-        let applied = self
-            .set
-            .apply_batch(block, !prevalidated)
-            .map_err(|e| e.to_string())?;
-        let mut undos = Vec::with_capacity(applied.len());
-        let mut receipts = Vec::with_capacity(applied.len());
-        for ((fee, undo), id) in applied.into_iter().zip(block.tx_ids()) {
-            let mut r = Receipt::success(*id);
-            r.fee_paid = fee;
-            receipts.push(r);
-            undos.push(undo);
+        let mut undos = Vec::with_capacity(block.txs.len());
+        let mut receipts = Vec::with_capacity(block.txs.len());
+        for (tx, id) in block.txs.iter().zip(block.tx_ids()) {
+            let applied = match tx {
+                Transaction::Account(_) => Err("account transaction in a UTXO ledger".to_string()),
+                _ => self.set.apply(tx).map_err(|e| e.to_string()),
+            };
+            match applied {
+                Ok((fee, undo)) => {
+                    undos.push(undo);
+                    let mut r = Receipt::success(*id);
+                    r.fee_paid = fee;
+                    receipts.push(r);
+                }
+                Err(e) => {
+                    self.revert_block(undos);
+                    return Err(e);
+                }
+            }
         }
         Ok((receipts, undos))
     }
@@ -379,9 +284,9 @@ mod tests {
     fn utxo_machine_round_trip() {
         let alice = Address::from_index(1);
         let bob = Address::from_index(2);
-        let mut m = UtxoMachine::with_alloc(&[(alice, 100)]);
+        let mut m = UtxoMachine::new();
+        let op = m.set.mint(alice, 100);
         let root0 = m.state_root();
-        let op = m.set.outpoints_of(&alice)[0];
 
         let spend = Transaction::Utxo(UtxoTx {
             inputs: vec![TxIn {
@@ -407,9 +312,9 @@ mod tests {
     #[test]
     fn utxo_machine_atomic_on_midblock_failure() {
         let alice = Address::from_index(1);
-        let mut m = UtxoMachine::with_alloc(&[(alice, 100)]);
+        let mut m = UtxoMachine::new();
+        let op = m.set.mint(alice, 100);
         let root0 = m.state_root();
-        let op = m.set.outpoints_of(&alice)[0];
         let good = Transaction::Utxo(UtxoTx {
             inputs: vec![TxIn {
                 prev_tx: op.tx,
@@ -436,104 +341,6 @@ mod tests {
         let block = block_with(Hash256::ZERO, 1, vec![good, bad]);
         assert!(m.apply_block(&block).is_err());
         assert_eq!(m.state_root(), root0, "partial application rolled back");
-    }
-
-    #[test]
-    fn pipelined_utxo_machine_matches_serial_state_root() {
-        use dcs_primitives::TxAuth;
-        let mut kp = dcs_crypto::KeyPair::generate([11u8; 32], 3);
-        let addr = kp.address();
-
-        // Two machines over identical witness-verifying genesis states.
-        let mut genesis = UtxoSet::with_witness_verification();
-        let op = genesis.mint(addr, 100);
-        let mut serial = UtxoMachine::over(genesis.clone());
-        let pipeline = Arc::new(VerifyPipeline::new(4, 1024));
-        let mut piped = UtxoMachine::over(genesis).with_pipeline(Arc::clone(&pipeline));
-
-        // A block of chained signed self-transfers (mid-block dependencies).
-        let mut prev = op;
-        let mut txs = Vec::new();
-        for _ in 0..4 {
-            let mut utx = UtxoTx {
-                inputs: vec![TxIn {
-                    prev_tx: prev.tx,
-                    index: prev.index,
-                    auth: None,
-                }],
-                outputs: vec![TxOut {
-                    value: 100,
-                    recipient: addr,
-                }],
-            };
-            let signing = Transaction::Utxo(utx.clone()).signing_hash();
-            let sig = kp.sign(&signing).unwrap();
-            utx.inputs[0].auth = Some(TxAuth {
-                pubkey: kp.public_key(),
-                signature: sig,
-            });
-            let tx = Transaction::Utxo(utx);
-            prev = dcs_state::OutPoint {
-                tx: tx.id(),
-                index: 0,
-            };
-            txs.push(tx);
-        }
-        let block = block_with(Hash256::ZERO, 1, txs);
-
-        let (r_serial, _) = serial.apply_block(&block).unwrap();
-        let (r_piped, _) = piped.apply_block(&block).unwrap();
-        assert_eq!(
-            serial.state_root(),
-            piped.state_root(),
-            "roots must be bit-identical"
-        );
-        assert_eq!(
-            r_serial.iter().map(|r| r.fee_paid).collect::<Vec<_>>(),
-            r_piped.iter().map(|r| r.fee_paid).collect::<Vec<_>>()
-        );
-        let stats = pipeline.stats();
-        assert_eq!(
-            stats.cache.unwrap().misses,
-            4,
-            "all four signatures verified once"
-        );
-    }
-
-    #[test]
-    fn pipelined_utxo_machine_rejects_forged_witness_atomically() {
-        use dcs_primitives::TxAuth;
-        let mut kp = dcs_crypto::KeyPair::generate([12u8; 32], 2);
-        let addr = kp.address();
-        let mut set = UtxoSet::with_witness_verification();
-        let op = set.mint(addr, 100);
-        let mut m = UtxoMachine::over(set).with_pipeline(Arc::new(VerifyPipeline::new(2, 64)));
-        let root0 = m.state_root();
-
-        let mut utx = UtxoTx {
-            inputs: vec![TxIn {
-                prev_tx: op.tx,
-                index: op.index,
-                auth: None,
-            }],
-            outputs: vec![TxOut {
-                value: 100,
-                recipient: addr,
-            }],
-        };
-        let forged = kp.sign(&dcs_crypto::sha256(b"different message")).unwrap();
-        utx.inputs[0].auth = Some(TxAuth {
-            pubkey: kp.public_key(),
-            signature: forged,
-        });
-        let block = block_with(Hash256::ZERO, 1, vec![Transaction::Utxo(utx)]);
-        let err = m.apply_block(&block).unwrap_err();
-        assert!(err.contains("bad witness"), "{err}");
-        assert_eq!(
-            m.state_root(),
-            root0,
-            "prevalidation failure leaves no residue"
-        );
     }
 
     #[test]
@@ -619,5 +426,61 @@ mod tests {
         assert_eq!(chain.machine().db.balance(&bob), 0);
         assert_eq!(chain.machine().db.balance(&carol), 200);
         assert_eq!(chain.stats().reorgs, 1);
+    }
+
+    #[test]
+    fn chain_integration_reorg_preserves_utxo_state() {
+        // Chain<UtxoMachine> through a reorg: branch A spends the genesis
+        // output to bob, the longer branch B spends the same output to
+        // carol, and the set ends exactly where B alone leaves it.
+        use dcs_chain::Chain;
+        let alice = Address::from_index(1);
+        let bob = Address::from_index(2);
+        let carol = Address::from_index(3);
+        let funded = || {
+            let mut m = UtxoMachine::new();
+            let op = m.set.mint(alice, 100);
+            (m, op)
+        };
+        let spend_to = |op: dcs_state::OutPoint, to: Address| {
+            Transaction::Utxo(UtxoTx {
+                inputs: vec![TxIn {
+                    prev_tx: op.tx,
+                    index: op.index,
+                    auth: None,
+                }],
+                outputs: vec![TxOut {
+                    value: 100,
+                    recipient: to,
+                }],
+            })
+        };
+        let cfg = ChainConfig::bitcoin_like();
+        let genesis = dcs_chain::genesis_block(&cfg);
+        let (machine, op) = funded();
+        let mut chain = Chain::new(genesis.clone(), cfg, machine);
+
+        let a1 = block_with(genesis.hash(), 1, vec![spend_to(op, bob)]);
+        let a_out = dcs_state::OutPoint {
+            tx: a1.txs[0].id(),
+            index: 0,
+        };
+        chain.import(a1).unwrap();
+        assert_eq!(chain.machine().set.balance_of(&bob), 100);
+
+        let b1 = block_with(genesis.hash(), 1, vec![spend_to(op, carol)]);
+        let b2 = block_with(b1.hash(), 2, vec![]);
+        let (mut only_b, _) = funded();
+        only_b.apply_block(&b1).unwrap();
+        only_b.apply_block(&b2).unwrap();
+        chain.import(b1).unwrap();
+        chain.import(b2).unwrap();
+
+        assert_eq!(chain.stats().reorgs, 1);
+        let set = &chain.machine().set;
+        assert_eq!(set.commitment(), only_b.set.commitment());
+        assert!(set.get(&a_out).is_none(), "branch A's output is gone");
+        assert_eq!(set.balance_of(&bob), 0);
+        assert_eq!(set.balance_of(&carol), 100);
     }
 }

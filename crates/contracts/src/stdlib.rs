@@ -9,13 +9,10 @@
 //! Contracts provided:
 //!
 //! * [`greeter`] — the paper's §2.5 HelloWorld (`say` / `setGreeting`).
-//! * [`counter`] — minimal state machine (get / increment).
 //! * [`token`] — a fungible token: `balanceOf` / `transfer` / `mint`.
 //! * [`notary`] — Fig. 3's notary: register document hashes to owners.
-//! * [`escrow`] — deposit / release / refund with buyer authorization.
 //! * [`trade_registry`] — Fig. 3's commodity trade network: register and
 //!   trade symbol ownership.
-//! * [`crowdfund`] — pledge / claim-if-goal-met (a classic ÐApp, §3.2).
 
 use crate::asm::assemble;
 use crate::vm::Word;
@@ -75,35 +72,6 @@ pub fn greeter_set_input(s: &str) -> Vec<u8> {
 /// Input for the free `say()` query.
 pub fn greeter_say_input() -> Vec<u8> {
     input_with(0, &[])
-}
-
-/// A counter: selector 0 = `get()`, selector 1 = `increment()`.
-pub fn counter() -> Vec<u8> {
-    must_assemble(
-        "push @inc
-         push 0
-         calldataload
-         push 1
-         eq
-         jumpi
-         push 0
-         sload
-         push 0
-         swap 0
-         mstore
-         push 0
-         push 32
-         return
-         :inc
-         jumpdest
-         push 0
-         dup 0
-         sload
-         push 1
-         add
-         sstore
-         stop",
-    )
 }
 
 /// A fungible token: selector 0 = `balanceOf(addr)`, 1 = `transfer(to,
@@ -269,107 +237,6 @@ pub fn notary_register_input(doc: &dcs_crypto::Hash256) -> Vec<u8> {
     input_with(1, &[Word::from_hash(doc)])
 }
 
-/// Input for `getDocument(doc_hash)`.
-pub fn notary_get_input(doc: &dcs_crypto::Hash256) -> Vec<u8> {
-    input_with(0, &[Word::from_hash(doc)])
-}
-
-/// Escrow: selector 0 = `amount()`, 1 = `deposit()` (payable), 2 =
-/// `release(seller)` (buyer only), 3 = `refund()` (buyer only).
-pub fn escrow() -> Vec<u8> {
-    must_assemble(
-        "push @deposit
-         push 0
-         calldataload
-         push 1
-         eq
-         jumpi
-         push @release
-         push 0
-         calldataload
-         push 2
-         eq
-         jumpi
-         push @refund
-         push 0
-         calldataload
-         push 3
-         eq
-         jumpi
-         push 2
-         sload
-         push 0
-         swap 0
-         mstore
-         push 0
-         push 32
-         return
-         :deposit
-         jumpdest
-         push 1
-         sload
-         push @fail
-         swap 0
-         jumpi
-         push 1
-         caller
-         sstore
-         push 2
-         callvalue
-         sstore
-         stop
-         :release
-         jumpdest
-         push 1
-         sload
-         caller
-         eq
-         iszero
-         push @fail
-         swap 0
-         jumpi
-         push 32
-         calldataload
-         push 2
-         sload
-         transfer
-         push 1
-         push 0
-         sstore
-         push 2
-         push 0
-         sstore
-         stop
-         :refund
-         jumpdest
-         push 1
-         sload
-         caller
-         eq
-         iszero
-         push @fail
-         swap 0
-         jumpi
-         push 1
-         sload
-         push 2
-         sload
-         transfer
-         push 1
-         push 0
-         sstore
-         push 2
-         push 0
-         sstore
-         stop
-         :fail
-         jumpdest
-         push 0
-         push 0
-         revert",
-    )
-}
-
 /// The trade-network registry of Fig. 3: selector 0 = `ownerOf(symbol)`,
 /// 1 = `register(symbol)`, 2 = `trade(symbol, newOwner)` (owner only).
 pub fn trade_registry() -> Vec<u8> {
@@ -444,80 +311,6 @@ pub fn trade_input(selector: u8, symbol: &str, new_owner: Option<&Address>) -> V
         args.push(Word::from_address(a));
     }
     input_with(selector, &args)
-}
-
-/// Crowdfunding: selector 0 = `total()`, 1 = `pledge()` (payable), 2 =
-/// `claim(to, goal)` (pays out if the goal is met, else reverts).
-pub fn crowdfund() -> Vec<u8> {
-    must_assemble(
-        "push @pledge
-         push 0
-         calldataload
-         push 1
-         eq
-         jumpi
-         push @claim
-         push 0
-         calldataload
-         push 2
-         eq
-         jumpi
-         push 0
-         sload
-         push 0
-         swap 0
-         mstore
-         push 0
-         push 32
-         return
-         :pledge
-         jumpdest
-         push 0
-         dup 0
-         sload
-         callvalue
-         add
-         sstore
-         push 0
-         caller
-         mstore
-         push 0
-         push 32
-         sha256
-         dup 0
-         sload
-         callvalue
-         add
-         sstore
-         push 0
-         push 0
-         log0
-         stop
-         :claim
-         jumpdest
-         push 0
-         sload
-         dup 0
-         push 64
-         calldataload
-         lt
-         push @fail
-         swap 0
-         jumpi
-         push 32
-         calldataload
-         swap 0
-         transfer
-         push 0
-         push 0
-         sstore
-         stop
-         :fail
-         jumpdest
-         push 0
-         push 0
-         revert",
-    )
 }
 
 #[cfg(test)]
@@ -608,19 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_increments() {
-        let mut w = World::new();
-        w.fund(&alice(), 100_000_000);
-        let c = w.deploy(&alice(), counter());
-        assert_eq!(w.query_u64(&c, input_with(0, &[])), 0);
-        for _ in 0..3 {
-            let r = w.call(&alice(), &c, input_with(1, &[]), 0);
-            assert!(r.status.is_success(), "{:?}", r.status);
-        }
-        assert_eq!(w.query_u64(&c, input_with(0, &[])), 3);
-    }
-
-    #[test]
     fn token_mint_transfer_balance() {
         let mut w = World::new();
         w.fund(&alice(), 100_000_000);
@@ -654,55 +434,14 @@ mod tests {
         let r = w.call(&alice(), &n, notary_register_input(&doc), 0);
         assert!(r.status.is_success(), "{:?}", r.status);
 
-        // Owner recorded.
-        let out = query(&mut w.db, &n, &Address::ZERO, &notary_get_input(&doc)).unwrap();
+        // Owner recorded: `getDocument(hash)` is selector 0.
+        let get = input_with(0, &[Word::from_hash(&doc)]);
+        let out = query(&mut w.db, &n, &Address::ZERO, &get).unwrap();
         assert_eq!(Word(out.try_into().unwrap()).as_address(), alice());
 
         // Second registration (even by the owner) reverts.
         let r = w.call(&bob(), &n, notary_register_input(&doc), 0);
         assert!(!r.status.is_success());
-    }
-
-    #[test]
-    fn escrow_release_flow() {
-        let mut w = World::new();
-        w.fund(&alice(), 100_000_000);
-        let e = w.deploy(&alice(), escrow());
-
-        // Alice deposits 5000 for Bob.
-        let r = w.call(&alice(), &e, input_with(1, &[]), 5_000);
-        assert!(r.status.is_success(), "{:?}", r.status);
-        assert_eq!(w.query_u64(&e, input_with(0, &[])), 5_000);
-        assert_eq!(w.db.balance(&e), 5_000);
-
-        // Bob cannot release to himself.
-        w.fund(&bob(), 100_000_000);
-        let r = w.call(&bob(), &e, input_with(2, &[Word::from_address(&bob())]), 0);
-        assert!(!r.status.is_success(), "only the buyer may release");
-
-        // Alice releases to Bob.
-        let bob_before = w.db.balance(&bob());
-        let r = w.call(
-            &alice(),
-            &e,
-            input_with(2, &[Word::from_address(&bob())]),
-            0,
-        );
-        assert!(r.status.is_success(), "{:?}", r.status);
-        assert_eq!(w.db.balance(&bob()), bob_before + 5_000);
-        assert_eq!(w.query_u64(&e, input_with(0, &[])), 0);
-    }
-
-    #[test]
-    fn escrow_refund_flow() {
-        let mut w = World::new();
-        w.fund(&alice(), 100_000_000);
-        let e = w.deploy(&alice(), escrow());
-        w.call(&alice(), &e, input_with(1, &[]), 3_000);
-        let before = w.db.balance(&alice());
-        let r = w.call(&alice(), &e, input_with(3, &[]), 0);
-        assert!(r.status.is_success(), "{:?}", r.status);
-        assert_eq!(w.db.balance(&alice()), before + 3_000 - r.fee_paid);
     }
 
     #[test]
@@ -736,30 +475,5 @@ mod tests {
         w.fund(&carol, 1);
         let r = w.call(&bob(), &t, trade_input(2, "WHEAT", Some(&carol)), 0);
         assert!(r.status.is_success(), "{:?}", r.status);
-    }
-
-    #[test]
-    fn crowdfund_claim_requires_goal() {
-        let mut w = World::new();
-        w.fund(&alice(), 100_000_000);
-        w.fund(&bob(), 100_000_000);
-        let c = w.deploy(&alice(), crowdfund());
-
-        w.call(&alice(), &c, input_with(1, &[]), 600);
-        w.call(&bob(), &c, input_with(1, &[]), 300);
-        assert_eq!(w.query_u64(&c, input_with(0, &[])), 900);
-
-        // Goal 1000 not met → revert.
-        let beneficiary = Address::from_index(9);
-        let claim =
-            |goal: u64| input_with(2, &[Word::from_address(&beneficiary), Word::from_u64(goal)]);
-        let r = w.call(&alice(), &c, claim(1000), 0);
-        assert!(!r.status.is_success());
-
-        // Goal 900 met → payout.
-        let r = w.call(&alice(), &c, claim(900), 0);
-        assert!(r.status.is_success(), "{:?}", r.status);
-        assert_eq!(w.db.balance(&beneficiary), 900);
-        assert_eq!(w.query_u64(&c, input_with(0, &[])), 0);
     }
 }

@@ -752,6 +752,39 @@ mod tests {
     }
 
     #[test]
+    fn callvalue_lt_and_iszero() {
+        // Returns [callvalue, callvalue < 10, iszero(callvalue < 10)] as
+        // three words; `run` calls with a value of 7.
+        let store_at = |code: &mut Vec<u8>, offset: u8| {
+            code.extend(push1(offset));
+            code.push(Op::Swap as u8);
+            code.push(0);
+            code.push(Op::MStore as u8);
+        };
+        let mut code = vec![Op::CallValue as u8];
+        store_at(&mut code, 0);
+        code.push(Op::CallValue as u8);
+        code.extend(push1(10));
+        code.push(Op::Lt as u8);
+        store_at(&mut code, 32);
+        code.push(Op::CallValue as u8);
+        code.extend(push1(10));
+        code.push(Op::Lt as u8);
+        code.push(Op::IsZero as u8);
+        store_at(&mut code, 64);
+        code.extend(push1(0));
+        code.extend(push1(96));
+        code.push(Op::Return as u8);
+        let out = run(&code, &[]).unwrap();
+        let words: Vec<u64> = out
+            .data
+            .chunks(32)
+            .map(|w| Word(w.try_into().unwrap()).as_u64())
+            .collect();
+        assert_eq!(words, vec![7, 1, 0]);
+    }
+
+    #[test]
     fn calldata_and_env_ops() {
         // return CALLER as a word
         let mut code = Vec::new();

@@ -359,22 +359,6 @@ impl VerifyPipeline {
         self.cache.as_ref()
     }
 
-    /// Verifies one signature through the cache (warming it on a miss).
-    pub fn verify_one(&self, pk: &PublicKey, msg: &Hash256, sig: &Signature) -> bool {
-        match &self.cache {
-            None => pk.verify(msg, sig),
-            Some(cache) => {
-                let key = SigCache::key(pk, msg, sig);
-                if let Some(verdict) = cache.get(&key) {
-                    return verdict;
-                }
-                let verdict = pk.verify(msg, sig);
-                cache.insert(key, verdict);
-                verdict
-            }
-        }
-    }
-
     /// Verifies a batch through cache + pool, returning verdicts in input
     /// order. Identical output to the serial loop for any thread count.
     pub fn verify_batch_refs(&self, items: &[VerifyItem<'_>]) -> Vec<bool> {
@@ -581,11 +565,14 @@ mod tests {
         // with the signature: the tampered signature must MISS the cache (its
         // key commits to the signature bytes) and verify to false.
         let pipeline = VerifyPipeline::new(1, 1024);
+        let verify = |pk: &PublicKey, msg: &Hash256, sig: &Signature| {
+            pipeline.verify_batch_refs(&[(pk, msg, sig)])[0]
+        };
         let mut kp = KeyPair::generate(seed(3), 2);
         let pk = kp.public_key();
         let msg = sha256(b"pay 5 to mallory");
         let sig = kp.sign(&msg).expect("fresh key");
-        assert!(pipeline.verify_one(&pk, &msg, &sig));
+        assert!(verify(&pk, &msg, &sig));
 
         // Same key, same message, different (forged) signature bytes: a
         // signature produced for a different message replayed against `msg`.
@@ -595,7 +582,7 @@ mod tests {
             SigCache::key(&pk, &msg, &forged)
         );
         let before = pipeline.cache().expect("cache configured").stats();
-        assert!(!pipeline.verify_one(&pk, &msg, &forged));
+        assert!(!verify(&pk, &msg, &forged));
         let after = pipeline.cache().expect("cache configured").stats();
         assert_eq!(
             after.hits, before.hits,
@@ -613,13 +600,13 @@ mod tests {
             SigCache::key(&pk, &msg, &sig),
             SigCache::key(&pk, &msg, &flipped)
         );
-        assert!(!pipeline.verify_one(&pk, &msg, &flipped));
+        assert!(!verify(&pk, &msg, &flipped));
         let tampered = pipeline.cache().expect("cache configured").stats();
         assert_eq!(tampered.hits, after.hits, "flipped bytes must not hit");
         assert_eq!(tampered.misses, after.misses + 1);
 
         // And the genuine signature still hits with its cached true verdict.
-        assert!(pipeline.verify_one(&pk, &msg, &sig));
+        assert!(verify(&pk, &msg, &sig));
         assert_eq!(
             pipeline.cache().expect("cache configured").stats().hits,
             tampered.hits + 1

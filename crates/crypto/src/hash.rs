@@ -45,44 +45,11 @@ impl Hash256 {
         u64::from_be_bytes(self.0[..8].try_into().expect("slice of length 8"))
     }
 
-    /// Number of leading zero bits, i.e. the "difficulty" of this digest when
-    /// interpreted as a proof-of-work solution.
-    pub fn leading_zero_bits(&self) -> u32 {
-        let mut bits = 0;
-        for byte in self.0 {
-            if byte == 0 {
-                bits += 8;
-            } else {
-                bits += byte.leading_zeros();
-                break;
-            }
-        }
-        bits
-    }
-
     /// The full 64-character lowercase hex form. Equivalent to `to_string`
     /// but named for intent at call sites that build identifiers (URL
     /// paths, JSON keys) rather than display output.
     pub fn to_hex(&self) -> String {
         self.to_string()
-    }
-
-    /// Parses a 64-character lowercase/uppercase hex string.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` if the string is not exactly 64 hex characters.
-    pub fn from_hex(s: &str) -> Option<Self> {
-        if s.len() != 64 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        for (i, chunk) in s.as_bytes().chunks_exact(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16)?;
-            let lo = (chunk[1] as char).to_digit(16)?;
-            out[i] = ((hi << 4) | lo) as u8;
-        }
-        Some(Hash256(out))
     }
 }
 
@@ -215,25 +182,13 @@ mod tests {
     use crate::sha256;
 
     #[test]
-    fn hex_round_trip() {
-        let h = sha256(b"round trip");
-        let s = h.to_string();
-        assert_eq!(Hash256::from_hex(&s), Some(h));
-        assert_eq!(Hash256::from_hex("zz"), None);
-        assert_eq!(Hash256::from_hex(&s[..60]), None);
-    }
-
-    #[test]
-    fn leading_zero_bits_counts_correctly() {
+    fn hex_is_64_lowercase_digits() {
         let mut b = [0u8; 32];
-        assert_eq!(Hash256::from_bytes(b).leading_zero_bits(), 256);
-        b[0] = 0b0001_0000;
-        assert_eq!(Hash256::from_bytes(b).leading_zero_bits(), 3);
-        b[0] = 0;
-        b[1] = 1;
-        assert_eq!(Hash256::from_bytes(b).leading_zero_bits(), 15);
-        b[0] = 0xff;
-        assert_eq!(Hash256::from_bytes(b).leading_zero_bits(), 0);
+        b[0] = 0xab;
+        b[31] = 0x0f;
+        let s = Hash256::from_bytes(b).to_hex();
+        assert_eq!(s.len(), 64);
+        assert!(s.starts_with("ab00") && s.ends_with("000f"), "{s}");
     }
 
     #[test]

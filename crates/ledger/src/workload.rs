@@ -7,7 +7,7 @@
 use dcs_consensus::WireMsg;
 use dcs_crypto::{Address, Hash256};
 use dcs_net::{Network, NodeId};
-use dcs_primitives::{AccountTx, SealedTx, Transaction, TxPayload};
+use dcs_primitives::{AccountTx, SealedTx, Transaction};
 use dcs_sim::{Rng, SimDuration, SimTime};
 use dcs_trace::{Id as TraceId, TraceEvent};
 use std::collections::{BTreeMap, HashMap};
@@ -28,12 +28,6 @@ pub enum WorkloadKind {
     FundedTransfers {
         /// Sender addresses (must be funded at genesis).
         senders: Vec<Address>,
-    },
-    /// Data-anchoring transactions of the given payload size (the notary /
-    /// IoT telemetry pattern of generation 3.0).
-    DataAnchors {
-        /// Payload size in bytes.
-        payload: usize,
     },
 }
 
@@ -65,20 +59,6 @@ impl Workload {
             duration,
             kind: WorkloadKind::FundedTransfers { senders },
         }
-    }
-
-    /// Data anchors of `payload` bytes.
-    pub fn data_anchors(tps: f64, duration: SimDuration, payload: usize) -> Self {
-        Workload {
-            tps,
-            duration,
-            kind: WorkloadKind::DataAnchors { payload },
-        }
-    }
-
-    /// Expected number of transactions this workload submits.
-    pub fn expected_count(&self) -> u64 {
-        (self.tps * self.duration.as_secs_f64()).round() as u64
     }
 
     /// Generates the transaction stream and schedules each transaction for
@@ -141,16 +121,6 @@ impl Workload {
                 *nonce += 1;
                 Transaction::Account(tx)
             }
-            WorkloadKind::DataAnchors { payload } => {
-                let from = Address::from_index(rng.below(1_000));
-                let mut tx = AccountTx::transfer(from, Address::ZERO, 0, seq);
-                let mut data = vec![0u8; *payload];
-                for b in &mut data {
-                    *b = rng.next_u64() as u8;
-                }
-                tx.payload = TxPayload::Data(data);
-                Transaction::Account(tx)
-            }
         }
     }
 }
@@ -178,7 +148,7 @@ mod tests {
         let w = Workload::transfers(50.0, SimDuration::from_secs(20), 10);
         let mut net = net();
         let submitted = w.inject(&mut net, 42);
-        let expected = w.expected_count() as f64;
+        let expected = w.tps * w.duration.as_secs_f64();
         assert!(
             (submitted.len() as f64 - expected).abs() < expected * 0.25,
             "submitted {} vs expected {expected}",
@@ -213,20 +183,6 @@ mod tests {
                 assert_eq!(b.nonce, 1);
             }
             _ => panic!("expected account txs"),
-        }
-    }
-
-    #[test]
-    fn data_anchor_payload_size() {
-        let w = Workload::data_anchors(10.0, SimDuration::from_secs(1), 256);
-        let mut rng = Rng::seed_from(2);
-        let tx = w.make_tx(&mut rng, &mut BTreeMap::new(), 0);
-        match tx {
-            Transaction::Account(a) => match a.payload {
-                TxPayload::Data(d) => assert_eq!(d.len(), 256),
-                _ => panic!("expected data payload"),
-            },
-            _ => panic!("expected account tx"),
         }
     }
 }

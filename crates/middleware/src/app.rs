@@ -9,7 +9,7 @@
 //! always correct for deterministic applications).
 
 use dcs_chain::StateMachine;
-use dcs_crypto::{sha256, Hash256};
+use dcs_crypto::Hash256;
 use dcs_primitives::{Block, Receipt, Transaction};
 
 /// A replicated application, oblivious to blockchain mechanics.
@@ -96,54 +96,46 @@ impl<A: Application> StateMachine for AppAdapter<A> {
     }
 }
 
-/// A tiny demonstration application: a replicated append-only register of
-/// data payloads (checks the plumbing and serves as a doc example).
-#[derive(Debug, Default, Clone)]
-pub struct KvRegister {
-    entries: Vec<Vec<u8>>,
-}
-
-impl KvRegister {
-    /// Entries recorded so far.
-    pub fn entries(&self) -> &[Vec<u8>] {
-        &self.entries
-    }
-}
-
-impl Application for KvRegister {
-    fn deliver_tx(&mut self, tx: &Transaction) -> Result<(), String> {
-        match tx {
-            Transaction::Account(a) => match &a.payload {
-                dcs_primitives::TxPayload::Data(d) => {
-                    self.entries.push(d.clone());
-                    Ok(())
-                }
-                _ => Err("register accepts only data payloads".into()),
-            },
-            Transaction::Coinbase { .. } => Ok(()),
-            Transaction::Utxo(_) => Err("no UTXO support".into()),
-        }
-    }
-
-    fn state_hash(&self) -> Hash256 {
-        let mut bytes = Vec::new();
-        for e in &self.entries {
-            bytes.extend_from_slice(sha256(e).as_ref());
-        }
-        sha256(&bytes)
-    }
-
-    fn reset(&mut self) {
-        self.entries.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcs_chain::Chain;
-    use dcs_crypto::Address;
+    use dcs_crypto::{sha256, Address};
     use dcs_primitives::{AccountTx, BlockHeader, ChainConfig, Seal, TxPayload};
+
+    /// A replicated append-only register of data payloads.
+    #[derive(Debug, Default, Clone)]
+    struct KvRegister {
+        entries: Vec<Vec<u8>>,
+    }
+
+    impl Application for KvRegister {
+        fn deliver_tx(&mut self, tx: &Transaction) -> Result<(), String> {
+            match tx {
+                Transaction::Account(a) => match &a.payload {
+                    TxPayload::Data(d) => {
+                        self.entries.push(d.clone());
+                        Ok(())
+                    }
+                    _ => Err("register accepts only data payloads".into()),
+                },
+                Transaction::Coinbase { .. } => Ok(()),
+                Transaction::Utxo(_) => Err("no UTXO support".into()),
+            }
+        }
+
+        fn state_hash(&self) -> Hash256 {
+            let mut bytes = Vec::new();
+            for e in &self.entries {
+                bytes.extend_from_slice(sha256(e).as_ref());
+            }
+            sha256(&bytes)
+        }
+
+        fn reset(&mut self) {
+            self.entries.clear();
+        }
+    }
 
     fn data_tx(bytes: &[u8], nonce: u64) -> Transaction {
         let mut tx = AccountTx::transfer(Address::from_index(1), Address::ZERO, 0, nonce);
@@ -165,7 +157,7 @@ mod tests {
         let mut chain = Chain::new(genesis.clone(), cfg, AppAdapter::new(KvRegister::default()));
         let b1 = block(genesis.hash(), 1, vec![data_tx(b"hello", 0)]);
         chain.import(b1).unwrap();
-        assert_eq!(chain.machine().app().entries(), &[b"hello".to_vec()]);
+        assert_eq!(chain.machine().app().entries, &[b"hello".to_vec()]);
     }
 
     #[test]
@@ -176,7 +168,7 @@ mod tests {
 
         let a1 = block(genesis.hash(), 1, vec![data_tx(b"branch-a", 0)]);
         chain.import(a1).unwrap();
-        assert_eq!(chain.machine().app().entries(), &[b"branch-a".to_vec()]);
+        assert_eq!(chain.machine().app().entries, &[b"branch-a".to_vec()]);
 
         let b1 = block(genesis.hash(), 1, vec![data_tx(b"branch-b", 1)]);
         let b2 = block(b1.hash(), 2, vec![data_tx(b"more-b", 2)]);
@@ -185,7 +177,7 @@ mod tests {
 
         // After the reorg the application state reflects only branch B.
         assert_eq!(
-            chain.machine().app().entries(),
+            chain.machine().app().entries,
             &[b"branch-b".to_vec(), b"more-b".to_vec()]
         );
     }
@@ -209,7 +201,7 @@ mod tests {
         let (receipts, ()) = adapter.apply_block(&b).unwrap();
         assert!(receipts[0].status.is_success());
         assert!(!receipts[1].status.is_success());
-        assert_eq!(adapter.app().entries().len(), 1);
+        assert_eq!(adapter.app().entries.len(), 1);
     }
 
     #[test]

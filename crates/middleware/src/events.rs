@@ -5,7 +5,6 @@
 
 use dcs_crypto::{Address, Hash256};
 use dcs_primitives::{LogEntry, Receipt};
-use dcs_trace::{Id as TraceId, TraceEvent, Tracer};
 use std::collections::HashMap;
 
 /// What a subscriber wants to hear about.
@@ -85,25 +84,12 @@ pub struct EventBus {
     next_id: u64,
     subs: HashMap<Subscription, (EventFilter, Vec<Notification>)>,
     delivered: u64,
-    tracer: Tracer,
 }
 
 impl EventBus {
     /// An empty bus.
     pub fn new() -> Self {
         EventBus::default()
-    }
-
-    /// Installs a tracer; [`EventBus::publish_block_at`] records one
-    /// [`TraceEvent::AppEvent`] per fanned-out notification. Disabled by
-    /// default.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// The bus tracer (disabled unless [`EventBus::set_tracer`] ran).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Registers a subscription; returns its handle.
@@ -114,11 +100,6 @@ impl EventBus {
         id
     }
 
-    /// Removes a subscription, returning any undelivered notifications.
-    pub fn unsubscribe(&mut self, sub: Subscription) -> Vec<Notification> {
-        self.subs.remove(&sub).map(|(_, q)| q).unwrap_or_default()
-    }
-
     /// Total notifications fanned out so far.
     pub fn delivered(&self) -> u64 {
         self.delivered
@@ -127,37 +108,19 @@ impl EventBus {
     /// Feeds one block's receipts into the bus (the output of
     /// `Chain::drain_receipts`).
     pub fn publish_block(&mut self, block: Hash256, receipts: &[Receipt]) {
-        self.publish_block_at(0, block, receipts);
-    }
-
-    /// [`EventBus::publish_block`] with a sim-time timestamp for the trace
-    /// events (unused with tracing off).
-    pub fn publish_block_at(&mut self, at_us: u64, block: Hash256, receipts: &[Receipt]) {
-        let EventBus {
-            subs,
-            delivered,
-            tracer,
-            ..
-        } = self;
         for receipt in receipts {
             if !receipt.status.is_success() {
                 continue; // failed txs' logs were rolled back
             }
             for log in &receipt.logs {
-                for (filter, queue) in subs.values_mut() {
+                for (filter, queue) in self.subs.values_mut() {
                     if filter.matches(log) {
                         queue.push(Notification {
                             block,
                             tx_id: receipt.tx_id,
                             log: log.clone(),
                         });
-                        *delivered += 1;
-                        tracer.emit(
-                            at_us,
-                            TraceEvent::AppEvent {
-                                tx: TraceId(receipt.tx_id.into_bytes()),
-                            },
-                        );
+                        self.delivered += 1;
                     }
                 }
             }
@@ -223,21 +186,14 @@ mod tests {
     }
 
     #[test]
-    fn publish_at_traces_one_app_event_per_notification() {
-        use dcs_trace::TraceConfig;
+    fn every_matching_subscriber_gets_its_own_copy() {
         let mut bus = EventBus::new();
-        bus.set_tracer(Tracer::new(0, &TraceConfig::full()));
-        let _a = bus.subscribe(EventFilter::any());
-        let _b = bus.subscribe(EventFilter::any());
+        let a = bus.subscribe(EventFilter::any());
+        let b = bus.subscribe(EventFilter::any());
         let r = receipt_with_log(Address::from_index(1), sha256(b"t"), b"x");
-        bus.publish_block_at(42, sha256(b"b"), std::slice::from_ref(&r));
-        let recs: Vec<_> = bus.tracer().records().collect();
-        assert_eq!(recs.len(), 2, "one event per subscriber delivery");
-        assert!(recs.iter().all(|rec| rec.at_us == 42
-            && rec.event
-                == TraceEvent::AppEvent {
-                    tx: TraceId(r.tx_id.into_bytes())
-                }));
+        bus.publish_block(sha256(b"b"), std::slice::from_ref(&r));
+        assert_eq!(bus.delivered(), 2, "one notification per subscriber");
+        assert_eq!(bus.drain(a), bus.drain(b));
     }
 
     #[test]
@@ -252,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_empties_queue_and_unsubscribe_stops_delivery() {
+    fn drain_empties_the_queue() {
         let mut bus = EventBus::new();
         let sub = bus.subscribe(EventFilter::any());
         bus.publish_block(
@@ -260,12 +216,6 @@ mod tests {
             &[receipt_with_log(Address::ZERO, sha256(b"t"), b"1")],
         );
         assert_eq!(bus.drain(sub).len(), 1);
-        assert!(bus.drain(sub).is_empty());
-        bus.unsubscribe(sub);
-        bus.publish_block(
-            sha256(b"b"),
-            &[receipt_with_log(Address::ZERO, sha256(b"t"), b"2")],
-        );
         assert!(bus.drain(sub).is_empty());
     }
 }

@@ -66,16 +66,6 @@ impl Gossiper {
     pub fn first_sight(&mut self, id: Hash256) -> bool {
         self.seen.insert(id)
     }
-
-    /// True if `id` has been seen before.
-    pub fn has_seen(&self, id: &Hash256) -> bool {
-        self.seen.contains(id)
-    }
-
-    /// Number of distinct items seen.
-    pub fn seen_count(&self) -> usize {
-        self.seen.len()
-    }
 }
 
 #[cfg(test)]
@@ -88,11 +78,10 @@ mod tests {
         let mut g = Gossiper::new();
         let a = sha256(b"a");
         let b = sha256(b"b");
-        assert!(!g.has_seen(&a));
         assert!(g.first_sight(a));
-        assert!(g.has_seen(&a));
         assert!(!g.first_sight(a));
         assert!(g.first_sight(b));
-        assert_eq!(g.seen_count(), 2);
+        assert!(!g.first_sight(b));
+        assert!(!g.first_sight(a));
     }
 }

@@ -472,11 +472,6 @@ impl<M> Network<M> {
         self.down_links.remove(&link_key(a, b));
     }
 
-    /// Whether the undirected link `a`–`b` is currently down.
-    pub fn is_link_down(&self, a: NodeId, b: NodeId) -> bool {
-        self.down_links.contains(&link_key(a, b))
-    }
-
     /// Sets the probability that a sent message is delivered twice (the
     /// copy takes an independently sampled latency). Zero disables the
     /// fault and restores bit-identical behavior to a fault-free run.
@@ -737,7 +732,6 @@ mod tests {
     fn downed_link_drops_both_directions_until_up() {
         let mut r = tiny();
         r.net_mut().set_link_down(NodeId(0), NodeId(1));
-        assert!(r.net().is_link_down(NodeId(1), NodeId(0)));
         send(&mut r, 0, 1, "a", 1);
         send(&mut r, 1, 0, "b", 1);
         send(&mut r, 0, 2, "c", 1);

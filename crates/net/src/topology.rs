@@ -97,53 +97,6 @@ pub fn build(topology: Topology, n: usize, rng: &mut Rng) -> Vec<Vec<NodeId>> {
         .collect()
 }
 
-/// Breadth-first check that every node can reach every other.
-pub fn is_connected(adj: &[Vec<NodeId>]) -> bool {
-    if adj.is_empty() {
-        return true;
-    }
-    let mut seen = vec![false; adj.len()];
-    let mut queue = std::collections::VecDeque::from([0usize]);
-    seen[0] = true;
-    let mut count = 1;
-    while let Some(a) = queue.pop_front() {
-        for &NodeId(b) in &adj[a] {
-            if !seen[b] {
-                seen[b] = true;
-                count += 1;
-                queue.push_back(b);
-            }
-        }
-    }
-    count == adj.len()
-}
-
-/// The overlay diameter (longest shortest path); `usize::MAX` when
-/// disconnected. Used to relate propagation delay to topology in E2.
-pub fn diameter(adj: &[Vec<NodeId>]) -> usize {
-    let n = adj.len();
-    let mut best = 0;
-    for start in 0..n {
-        let mut dist = vec![usize::MAX; n];
-        dist[start] = 0;
-        let mut queue = std::collections::VecDeque::from([start]);
-        while let Some(a) = queue.pop_front() {
-            for &NodeId(b) in &adj[a] {
-                if dist[b] == usize::MAX {
-                    dist[b] = dist[a] + 1;
-                    queue.push_back(b);
-                }
-            }
-        }
-        let far = dist.into_iter().max().unwrap_or(0);
-        if far == usize::MAX {
-            return usize::MAX;
-        }
-        best = best.max(far);
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,11 +105,37 @@ mod tests {
         Rng::seed_from(99)
     }
 
+    /// The overlay diameter (longest shortest path); `usize::MAX` when
+    /// disconnected.
+    fn diameter(adj: &[Vec<NodeId>]) -> usize {
+        let n = adj.len();
+        let mut best = 0;
+        for start in 0..n {
+            let mut dist = vec![usize::MAX; n];
+            dist[start] = 0;
+            let mut queue = std::collections::VecDeque::from([start]);
+            while let Some(a) = queue.pop_front() {
+                for &NodeId(b) in &adj[a] {
+                    if dist[b] == usize::MAX {
+                        dist[b] = dist[a] + 1;
+                        queue.push_back(b);
+                    }
+                }
+            }
+            best = best.max(dist.into_iter().max().unwrap_or(0));
+        }
+        best
+    }
+
+    fn connected(adj: &[Vec<NodeId>]) -> bool {
+        diameter(adj) != usize::MAX
+    }
+
     #[test]
     fn complete_topology() {
         let adj = build(Topology::Complete, 5, &mut rng());
         assert!(adj.iter().all(|nbrs| nbrs.len() == 4));
-        assert!(is_connected(&adj));
+        assert!(connected(&adj));
         assert_eq!(diameter(&adj), 1);
     }
 
@@ -170,7 +149,7 @@ mod tests {
     #[test]
     fn k_regular_is_connected_with_degree_at_least_k() {
         let adj = build(Topology::KRegular { k: 4 }, 50, &mut rng());
-        assert!(is_connected(&adj));
+        assert!(connected(&adj));
         assert!(adj.iter().all(|nbrs| nbrs.len() >= 4));
         // No self links, no duplicates (BTreeSet guarantees, but verify).
         for (a, nbrs) in adj.iter().enumerate() {
@@ -194,7 +173,7 @@ mod tests {
     #[test]
     fn erdos_renyi_connected_even_at_p_zero() {
         let adj = build(Topology::ErdosRenyi { p: 0.0 }, 12, &mut rng());
-        assert!(is_connected(&adj), "ring substrate keeps it connected");
+        assert!(connected(&adj), "ring substrate keeps it connected");
     }
 
     #[test]
@@ -210,7 +189,7 @@ mod tests {
         for t in [Topology::Complete, Topology::Ring, Topology::Star] {
             let adj = build(t, 1, &mut rng());
             assert!(adj[0].is_empty());
-            assert!(is_connected(&adj));
+            assert!(connected(&adj));
         }
     }
 

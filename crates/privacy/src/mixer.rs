@@ -56,11 +56,6 @@ pub struct MixRound {
 }
 
 impl MixRound {
-    /// The anonymity set size of this round.
-    pub fn anonymity_set(&self) -> usize {
-        self.deposits.len()
-    }
-
     /// Mean deposit→payout delay — the latency price of privacy.
     pub fn mean_delay(&self) -> SimDuration {
         if self.deposits.is_empty() {
@@ -72,15 +67,6 @@ impl MixRound {
             .map(|d| self.settled_at.saturating_since(d.at))
             .sum();
         total / self.deposits.len() as u64
-    }
-
-    /// The probability an observer correctly links one specific deposit to
-    /// its payout by guessing: `1 / anonymity_set`.
-    pub fn linkage_probability(&self) -> f64 {
-        if self.deposits.is_empty() {
-            return 1.0;
-        }
-        1.0 / self.deposits.len() as f64
     }
 }
 
@@ -155,11 +141,6 @@ impl Mixer {
     pub fn rounds(&self) -> &[MixRound] {
         &self.completed
     }
-
-    /// Deposits still waiting.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 /// The linkage probability after chaining `rounds` mixes of size `set`:
@@ -197,9 +178,7 @@ mod tests {
         let round = mixer
             .deposit(Address::from_index(3), Address::from_index(103), t(3))
             .unwrap();
-        assert_eq!(round.anonymity_set(), 4);
-        assert_eq!(round.linkage_probability(), 0.25);
-        assert_eq!(mixer.pending_count(), 0);
+        assert_eq!(round.deposits.len(), 4);
     }
 
     #[test]
@@ -238,8 +217,7 @@ mod tests {
         mixer.deposit(Address::from_index(3), Address::from_index(4), t(10));
         assert!(mixer.tick(t(30)).is_none(), "not yet");
         let round = mixer.tick(t(61)).expect("timed out");
-        assert_eq!(round.anonymity_set(), 2);
-        assert_eq!(round.linkage_probability(), 0.5);
+        assert_eq!(round.deposits.len(), 2);
     }
 
     #[test]

@@ -213,29 +213,6 @@ impl MultiChannel {
             .ok_or(ChannelError::NoSuchChannel(id.0))
     }
 
-    /// Submits a member transfer to a channel (queued until the next seal).
-    ///
-    /// # Errors
-    ///
-    /// [`ChannelError::NotAMember`] if `from` is outside the channel.
-    pub fn submit_transfer(
-        &mut self,
-        id: ChannelId,
-        from: Address,
-        to: Address,
-        amount: Amount,
-    ) -> Result<(), ChannelError> {
-        let ch = self.channel_mut(id)?;
-        ch.check_member(&from)?;
-        ch.queue_transfer(from, to, amount);
-        Ok(())
-    }
-
-    /// Seals pending transactions on a channel into a block.
-    pub fn seal_block(&mut self, id: ChannelId) -> Result<usize, ChannelError> {
-        Ok(self.channel_mut(id)?.seal_block())
-    }
-
     /// A member reads a balance. Non-members are refused — the privacy
     /// domain boundary.
     ///
@@ -428,12 +405,12 @@ mod tests {
     #[test]
     fn members_transact_outsiders_cannot() {
         let (mut mc, a, _) = two_channels();
-        mc.submit_transfer(a, alice(), bob(), 100).unwrap();
-        mc.seal_block(a).unwrap();
-        assert_eq!(mc.balance(a, alice(), bob()).unwrap(), 100);
+        let lock = Hashlock::from_secret(b"s");
+        mc.lock(a, alice(), bob(), 100, lock, 5).unwrap();
+        assert_eq!(mc.balance(a, bob(), alice()).unwrap(), 9_900);
 
         assert_eq!(
-            mc.submit_transfer(a, eve(), bob(), 1),
+            mc.lock(a, eve(), bob(), 1, lock, 5),
             Err(ChannelError::NotAMember(eve()))
         );
         assert_eq!(
@@ -445,8 +422,8 @@ mod tests {
     #[test]
     fn channels_are_isolated() {
         let (mut mc, a, b) = two_channels();
-        mc.submit_transfer(a, alice(), bob(), 500).unwrap();
-        mc.seal_block(a).unwrap();
+        mc.lock(a, alice(), bob(), 500, Hashlock::from_secret(b"s"), 5)
+            .unwrap();
         // Nothing moved in channel B.
         assert_eq!(mc.balance(b, bob(), bob()).unwrap(), 10_000);
         assert_eq!(mc.balance(b, bob(), alice()).unwrap(), 0);

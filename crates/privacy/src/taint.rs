@@ -73,29 +73,6 @@ impl TaintTracker {
             self.values.insert(op, out.value);
         }
     }
-
-    /// Fungibility report: fraction of total tracked value whose taint
-    /// exceeds `threshold` — the "discounted coins" share.
-    pub fn tainted_value_fraction(&self, threshold: f64) -> f64 {
-        let mut tainted = 0.0;
-        let mut total = 0.0;
-        for (op, &value) in &self.values {
-            total += value as f64;
-            if self.taint_of(op) > threshold {
-                tainted += value as f64;
-            }
-        }
-        if total == 0.0 {
-            0.0
-        } else {
-            tainted / total
-        }
-    }
-
-    /// Number of live tracked outputs.
-    pub fn tracked_outputs(&self) -> usize {
-        self.values.len()
-    }
 }
 
 #[cfg(test)]
@@ -158,8 +135,8 @@ mod tests {
         t.apply(&tx, id);
         assert!((t.taint_of(&OutPoint { tx: id, index: 0 }) - 0.25).abs() < 1e-12);
         assert!((t.taint_of(&OutPoint { tx: id, index: 1 }) - 0.25).abs() < 1e-12);
-        // Inputs were consumed.
-        assert_eq!(t.tracked_outputs(), 2);
+        // Inputs were consumed: the spent theft output is forgotten.
+        assert_eq!(t.taint_of(&dirty), 0.0);
     }
 
     #[test]
@@ -189,18 +166,6 @@ mod tests {
             t.taint_of(&current) < 0.05,
             "five 1:1 mixes leave ~3% taint"
         );
-    }
-
-    #[test]
-    fn fungibility_report() {
-        let mut t = TaintTracker::new();
-        let dirty = op("theft");
-        let clean = op("mined");
-        t.add_clean(dirty, 100);
-        t.mark_tainted(dirty);
-        t.add_clean(clean, 900);
-        assert!((t.tainted_value_fraction(0.5) - 0.1).abs() < 1e-12);
-        assert_eq!(t.tainted_value_fraction(1.0), 0.0, "threshold is exclusive");
     }
 
     #[test]

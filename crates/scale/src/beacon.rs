@@ -680,11 +680,6 @@ impl BeaconNode {
         &self.chain
     }
 
-    /// The tracked tip height of a shard.
-    pub fn tracked_tip(&self, shard: usize) -> u64 {
-        self.trackers[shard].tip_height()
-    }
-
     /// The well-known account beacon anchor transactions spend from.
     pub fn anchor_authority() -> Address {
         Address::from_hash(&sha256(b"beacon-anchor-authority"))
@@ -1599,7 +1594,10 @@ mod tests {
         let beacon = net.beacon();
         assert_eq!(beacon.stats.invalid_anchors, 2);
         assert_eq!(beacon.stats.anchors, net.stats().shard_blocks);
-        assert_eq!(beacon.tracked_tip(0), net.shard(0).chain().height());
+        assert_eq!(
+            beacon.trackers[0].tip_height(),
+            net.shard(0).chain().height()
+        );
         assert_eq!(net.user_total(&accts), 8 * 1_000_000);
     }
 
@@ -1632,7 +1630,7 @@ mod tests {
         let beacon = net.beacon();
         assert_eq!(beacon.stats.invalid_anchors, 1);
         assert_eq!(beacon.stats.anchors, net.stats().shard_blocks);
-        assert!(beacon.tracked_tip(0) > 0 && beacon.tracked_tip(1) > 0);
+        assert!(beacon.trackers[0].tip_height() > 0 && beacon.trackers[1].tip_height() > 0);
         assert_eq!((net.stats().minted, net.stats().refunded), (3, 0));
         assert_eq!(net.user_total(&accts), 8 * 1_000_000);
     }
@@ -1766,7 +1764,11 @@ mod tests {
         for i in 0..3 {
             let shard = net.shard(i);
             assert_eq!(shard.open_locks(), 0, "shard {i}");
-            assert_eq!(beacon.tracked_tip(i), shard.chain().height(), "shard {i}");
+            assert_eq!(
+                beacon.trackers[i].tip_height(),
+                shard.chain().height(),
+                "shard {i}"
+            );
             locks += shard.stats.locks;
         }
         assert_eq!(stats.minted + stats.refunded, locks);

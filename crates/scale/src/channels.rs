@@ -1008,53 +1008,6 @@ impl ChannelNetwork {
     pub fn signed_current_state(&self, channel_id: u64) -> Result<SignedState, ChannelError> {
         self.book.signed_state(channel_id).cloned()
     }
-
-    /// Unilateral close: publish a dual-signed state of `channel_id` and
-    /// start the dispute window (one on-chain tx).
-    ///
-    /// # Errors
-    ///
-    /// Signature, state or phase errors.
-    pub fn unilateral_close(
-        &mut self,
-        channel_id: u64,
-        state: ChannelState,
-        sig_a: &Signature,
-        sig_b: &Signature,
-    ) -> Result<(), ChannelError> {
-        if state.channel_id != channel_id {
-            return Err(ChannelError::BadState("wrong channel id".into()));
-        }
-        self.apply(ChannelOp::UniClose((state, sig_a.clone(), sig_b.clone())))
-    }
-
-    /// Challenge `channel_id`'s disputed close with a newer dual-signed
-    /// state (one on-chain tx).
-    ///
-    /// # Errors
-    ///
-    /// Not newer, window expired, or signature errors.
-    pub fn challenge(
-        &mut self,
-        channel_id: u64,
-        newer: ChannelState,
-        sig_a: &Signature,
-        sig_b: &Signature,
-    ) -> Result<(), ChannelError> {
-        if newer.channel_id != channel_id {
-            return Err(ChannelError::BadState("wrong channel id".into()));
-        }
-        self.apply(ChannelOp::Challenge((newer, sig_a.clone(), sig_b.clone())))
-    }
-
-    /// Finalizes a disputed close after its window (one on-chain tx).
-    ///
-    /// # Errors
-    ///
-    /// Window still open or wrong phase.
-    pub fn finalize_close(&mut self, channel_id: u64) -> Result<(), ChannelError> {
-        self.apply(ChannelOp::Finalize { id: channel_id })
-    }
 }
 
 #[cfg(test)]
@@ -1227,8 +1180,11 @@ mod tests {
         let replay = ChannelOp::CoopClose((state.clone(), sa.clone(), sb.clone()));
         assert_eq!(net.apply(replay), Err(ChannelError::BadSignature));
         // Nor does re-publishing the disputed state count as a challenge.
-        net.unilateral_close(ch, state.clone(), &sa, &sb).unwrap();
-        let err = net.challenge(ch, state, &sa, &sb).unwrap_err();
+        net.apply(ChannelOp::UniClose((state.clone(), sa.clone(), sb.clone())))
+            .unwrap();
+        let err = net
+            .apply(ChannelOp::Challenge((state, sa, sb)))
+            .unwrap_err();
         assert!(matches!(err, ChannelError::BadState(_)));
         assert_eq!(net.settlement.stats.rejected, 2);
         assert_eq!(net.onchain_txs, 2, "rejected ops cost no on-chain tx");
@@ -1259,25 +1215,24 @@ mod tests {
         let ch = net.open_channel(a, b, 10_000, 0).unwrap();
         net.open_channel(b, c, 10_000, 0).unwrap();
         // a pays b 4000 over time; a keeps the old (richer-for-a) state.
-        let (old_state, old_sa, old_sb) = net.signed_current_state(ch).unwrap();
+        let stale = net.signed_current_state(ch).unwrap();
         for _ in 0..4 {
             net.channel_pay(ch, a, 1_000).unwrap();
         }
 
         // a tries to cheat with the stale state.
-        net.unilateral_close(ch, old_state, &old_sa, &old_sb)
-            .unwrap();
+        net.apply(ChannelOp::UniClose(stale)).unwrap();
         // With the close on the ledger the parties stop using the channel…
         assert_eq!(net.channel_pay(ch, a, 1), Err(ChannelError::WrongPhase));
         assert_eq!(net.pay(a, c, 1), Err(ChannelError::NoRoute));
         assert_eq!(net.cooperative_close(ch), Err(ChannelError::WrongPhase));
         // …but b still holds the newest state, and challenges with it
         // inside the window.
-        let (new_state, new_sa, new_sb) = net.signed_current_state(ch).unwrap();
-        assert_eq!(new_state.seq, 4);
-        net.challenge(ch, new_state, &new_sa, &new_sb).unwrap();
+        let newest = net.signed_current_state(ch).unwrap();
+        assert_eq!(newest.0.seq, 4);
+        net.apply(ChannelOp::Challenge(newest)).unwrap();
         net.advance_height(11);
-        net.finalize_close(ch).unwrap();
+        net.apply(ChannelOp::Finalize { id: ch }).unwrap();
         assert_eq!(
             net.settlement.balance(&b),
             90_000 + 4_000,
@@ -1291,14 +1246,15 @@ mod tests {
     fn finalize_respects_dispute_window() {
         let (mut net, p) = network_with_parties(2);
         let ch = net.open_channel(p[0], p[1], 1_000, 1_000).unwrap();
-        let (state, sa, sb) = net.signed_current_state(ch).unwrap();
-        net.unilateral_close(ch, state, &sa, &sb).unwrap();
+        let current = net.signed_current_state(ch).unwrap();
+        net.apply(ChannelOp::UniClose(current)).unwrap();
+        let finalize = ChannelOp::Finalize { id: ch };
         assert!(matches!(
-            net.finalize_close(ch),
+            net.apply(finalize.clone()),
             Err(ChannelError::BadState(_))
         ));
         net.advance_height(11);
-        net.finalize_close(ch).unwrap();
+        net.apply(finalize).unwrap();
     }
 
     #[test]

@@ -49,17 +49,6 @@ impl Summary {
         self.samples.iter().sum::<f64>() / self.samples.len() as f64
     }
 
-    /// Sample standard deviation; 0 for fewer than two samples.
-    pub fn stddev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.samples.iter().map(|x| (x - m).powi(2)).sum::<f64>()
-            / (self.samples.len() - 1) as f64;
-        var.sqrt()
-    }
-
     /// Smallest sample; 0 when empty.
     pub fn min(&self) -> f64 {
         if self.samples.is_empty() {
@@ -176,15 +165,6 @@ mod tests {
         assert_eq!(s.median(), 2.5);
         assert_eq!(s.percentile(100.0), 4.0);
         assert_eq!(s.percentile(0.0), 1.0);
-    }
-
-    #[test]
-    fn summary_stddev() {
-        let mut s = Summary::new();
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(v);
-        }
-        assert!((s.stddev() - 2.138).abs() < 0.01, "{}", s.stddev());
     }
 
     #[test]

@@ -190,15 +190,6 @@ impl Rng {
             items.swap(i, j);
         }
     }
-
-    /// Samples `k` distinct indices from `[0, n)`; used to wire random
-    /// overlay topologies. Returns fewer than `k` if `k > n`.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        let mut all: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut all);
-        all.truncate(k.min(n));
-        all
-    }
 }
 
 #[cfg(test)]
@@ -313,18 +304,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sample_indices_distinct() {
-        let mut rng = Rng::seed_from(19);
-        let s = rng.sample_indices(20, 8);
-        assert_eq!(s.len(), 8);
-        let mut d = s.clone();
-        d.sort_unstable();
-        d.dedup();
-        assert_eq!(d.len(), 8);
-        assert_eq!(rng.sample_indices(3, 10).len(), 3);
     }
 
     #[test]

@@ -199,12 +199,6 @@ impl AccountDb {
         self.map.len()
     }
 
-    /// Produces a Merkle inclusion proof for an account record, verifiable
-    /// against [`AccountDb::root`] — how a light client checks a balance.
-    pub fn prove_account(&self, addr: &Address) -> Option<crate::merkle_map::MapProof> {
-        self.map.prove(&StateKey::account(addr))
-    }
-
     /// Opens a write batch: subsequent mutations are staged in an overlay
     /// instead of touching the trie, and [`AccountDb::commit_batch`] merges
     /// them in one [`MerkleMap::write_batch`] pass with a single root path
@@ -230,11 +224,6 @@ impl AccountDb {
     /// dropping it is equivalent to committing it. No-op outside a batch.
     pub fn abort_batch(&mut self) {
         self.overlay = None;
-    }
-
-    /// True while a write batch is open.
-    pub fn is_batching(&self) -> bool {
-        self.overlay.is_some()
     }
 
     fn raw_get(&self, key: &StateKey) -> Option<&[u8]> {
@@ -564,20 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn account_proof_verifies_against_root() {
-        let mut db = AccountDb::new();
-        for i in 0..20 {
-            db.credit(&addr(i), 10 * (i + 1));
-        }
-        let root = db.root();
-        let proof = db.prove_account(&addr(3)).expect("account exists");
-        assert!(proof.verify(&root));
-        let acct = decode_all::<Account>(proof.value()).unwrap();
-        assert_eq!(acct.balance, 40);
-        assert!(db.prove_account(&addr(999)).is_none());
-    }
-
-    #[test]
     fn saturating_credit_does_not_wrap() {
         let mut db = AccountDb::new();
         db.credit(&addr(1), Amount::MAX);
@@ -686,7 +661,7 @@ mod tests {
         db.rollback(snap);
         db.abort_batch();
         assert_eq!(db.root(), before);
-        assert!(!db.is_batching());
+        assert!(db.overlay.is_none(), "the batch is closed");
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl UtxoSet {
         }
     }
 
-    /// Whether this set demands and checks spend witnesses.
-    pub fn verifies_witnesses(&self) -> bool {
-        self.verify_witnesses
-    }
-
     /// Number of live outputs.
     pub fn len(&self) -> usize {
         self.live.len()
@@ -131,18 +126,6 @@ impl UtxoSet {
             .filter(|o| o.recipient == *addr)
             .map(|o| o.value)
             .sum()
-    }
-
-    /// All live outpoints owned by `addr`, sorted for determinism.
-    pub fn outpoints_of(&self, addr: &dcs_crypto::Address) -> Vec<OutPoint> {
-        let mut v: Vec<OutPoint> = self
-            .live
-            .iter()
-            .filter(|(_, o)| o.recipient == *addr)
-            .map(|(op, _)| *op)
-            .collect();
-        v.sort();
-        v
     }
 
     /// Mints a fresh output outside consensus (genesis allocations and
@@ -171,23 +154,18 @@ impl UtxoSet {
     ///
     /// Any [`UtxoError`] the transaction violates.
     pub fn validate(&self, tx: &UtxoTx, signing_hash: &Hash256) -> Result<Amount, UtxoError> {
-        self.validate_view(None, tx, Some(signing_hash))
+        self.validate_with(tx, Some(signing_hash))
     }
 
-    /// Validation over the live set overlaid with a batch's staged deltas
-    /// (`Some` = created this batch, `None` = spent this batch). With
-    /// `staged == None` this is exactly the serial validation.
-    ///
-    /// `signing_hash` is what witness signatures are verified against. With
-    /// `None` the *stateful* witness checks still run — a witness must be
-    /// present and its key must hash to the spent output's owner — but the
-    /// signature itself is assumed to have been verified already (by
-    /// [`UtxoSet::prevalidate_witnesses`]). Ownership cannot be checked
-    /// statelessly because the spent output may be created earlier in the
-    /// same block.
-    fn validate_view(
+    /// Validation against the live set. `signing_hash` is what witness
+    /// signatures are verified against. With `None` the *stateful* witness
+    /// checks still run — a witness must be present and its key must hash to
+    /// the spent output's owner — but the signature itself is assumed to
+    /// have been verified already (by [`UtxoSet::prevalidate_witnesses`]).
+    /// Ownership cannot be checked statelessly because the spent output may
+    /// be created earlier in the same block.
+    fn validate_with(
         &self,
-        staged: Option<&BTreeMap<OutPoint, Option<TxOut>>>,
         tx: &UtxoTx,
         signing_hash: Option<&Hash256>,
     ) -> Result<Amount, UtxoError> {
@@ -204,11 +182,7 @@ impl UtxoSet {
             if !seen.insert(op) {
                 return Err(UtxoError::DoubleSpendInTx(op));
             }
-            let out = match staged.and_then(|s| s.get(&op)) {
-                Some(Some(created)) => created,
-                Some(None) => return Err(UtxoError::MissingInput(op)),
-                None => self.live.get(&op).ok_or(UtxoError::MissingInput(op))?,
-            };
+            let out = self.live.get(&op).ok_or(UtxoError::MissingInput(op))?;
             if self.verify_witnesses {
                 let auth = input.auth.as_ref().ok_or(UtxoError::MissingWitness(op))?;
                 if auth.pubkey.address() != out.recipient
@@ -324,11 +298,11 @@ impl UtxoSet {
                 Ok((0, undo))
             }
             Transaction::Utxo(utx) => {
-                // No block around a lone transaction: this path — the serial
-                // oracle — hashes from scratch, and only if it will verify.
+                // No block around a lone transaction: hash from scratch, and
+                // only if it will verify.
                 let signing_hash =
                     (verify_sigs && self.verify_witnesses).then(|| tx.signing_hash());
-                let fee = self.validate_view(None, utx, signing_hash.as_ref())?;
+                let fee = self.validate_with(utx, signing_hash.as_ref())?;
                 for input in &utx.inputs {
                     let op = OutPoint {
                         tx: input.prev_tx,
@@ -350,89 +324,6 @@ impl UtxoSet {
             }
             Transaction::Account(_) => Ok((0, undo)), // not this state machine's concern
         }
-    }
-
-    /// Applies a whole block body in one batched pass: every transaction is
-    /// validated against the live set overlaid with the deltas staged so far
-    /// (so mid-block dependencies resolve exactly as on the serial path),
-    /// then the accumulated deltas merge into the live BTree in a single
-    /// sorted sweep. Ids and — with `verify_sigs`, on a set that checks
-    /// witnesses — signing hashes are the block's memos
-    /// ([`Block::tx_ids`], [`Block::signing_hashes`]), so no transaction is
-    /// re-hashed here.
-    ///
-    /// Fees, undo records, and the resulting [`UtxoSet::commitment`] are
-    /// identical to applying the transactions one at a time; on error
-    /// nothing was mutated at all, making failed blocks free to reject.
-    ///
-    /// # Errors
-    ///
-    /// The first (in block order) [`UtxoError`] any transaction violates,
-    /// exactly as the serial loop would raise it.
-    pub fn apply_batch(
-        &mut self,
-        block: &Block,
-        verify_sigs: bool,
-    ) -> Result<Vec<(Amount, UtxoUndo)>, UtxoError> {
-        let txs = &block.txs;
-        let signing_hashes = (verify_sigs && self.verify_witnesses).then(|| block.signing_hashes());
-        let mut staged: BTreeMap<OutPoint, Option<TxOut>> = BTreeMap::new();
-        let mut results = Vec::with_capacity(txs.len());
-        for (i, (tx, id)) in txs.iter().zip(block.tx_ids()).enumerate() {
-            let mut undo = UtxoUndo::default();
-            match tx {
-                Transaction::Coinbase { to, value, .. } => {
-                    let op = OutPoint { tx: *id, index: 0 };
-                    staged.insert(
-                        op,
-                        Some(TxOut {
-                            value: *value,
-                            recipient: *to,
-                        }),
-                    );
-                    undo.created.push(op);
-                    results.push((0, undo));
-                }
-                Transaction::Utxo(utx) => {
-                    let signing_hash = signing_hashes.map(|hashes| &hashes[i]);
-                    let fee = self.validate_view(Some(&staged), utx, signing_hash)?;
-                    for input in &utx.inputs {
-                        let op = OutPoint {
-                            tx: input.prev_tx,
-                            index: input.index,
-                        };
-                        let out = match staged.insert(op, None) {
-                            Some(prev) => prev.expect("validated input exists"),
-                            None => *self.live.get(&op).expect("validated input exists"),
-                        };
-                        undo.spent.push((op, out));
-                    }
-                    for (i, out) in utx.outputs.iter().enumerate() {
-                        let op = OutPoint {
-                            tx: *id,
-                            index: i as u32,
-                        };
-                        staged.insert(op, Some(*out));
-                        undo.created.push(op);
-                    }
-                    results.push((fee, undo));
-                }
-                Transaction::Account(_) => results.push((0, undo)), // not ours
-            }
-        }
-        // One ordered merge into the live set — the only mutation point, so
-        // any error above left the set untouched.
-        for (op, delta) in staged {
-            match delta {
-                Some(out) => {
-                    self.live.insert(op, out);
-                }
-                None => {
-                    self.live.remove(&op);
-                }
-            }
-        }
-        Ok(results)
     }
 
     /// Reverses a previously applied transaction.
@@ -834,62 +725,6 @@ mod tests {
             set.apply_prevalidated(&tx),
             Err(UtxoError::BadWitness(_))
         ));
-    }
-
-    #[test]
-    fn apply_batch_matches_serial_apply() {
-        // Chained self-transfers: tx[i] spends tx[i-1]'s output, so batched
-        // validation must see staged creations. Include a coinbase too.
-        let mut kp = KeyPair::generate([21u8; 32], 3);
-        let mut serial = UtxoSet::with_witness_verification();
-        let mut txs = signed_chain(&mut serial, &mut kp, 6);
-        txs.insert(
-            0,
-            Transaction::Coinbase {
-                to: Address::from_index(50),
-                value: 25,
-                height: 1,
-            },
-        );
-        let mut batched = serial.clone();
-
-        let batch_results = batched.apply_batch(&body(&txs), true).unwrap();
-        let mut undos = Vec::new();
-        for (i, tx) in txs.iter().enumerate() {
-            let (fee, undo) = serial.apply(tx).unwrap();
-            assert_eq!(batch_results[i].0, fee, "fee mismatch at {i}");
-            undos.push(undo);
-        }
-        assert_eq!(batched.commitment(), serial.commitment());
-        assert_eq!(batched.len(), serial.len());
-
-        // The batch's undo records revert the block exactly like serial ones.
-        let before_serial = {
-            let mut s = serial.clone();
-            for undo in undos.into_iter().rev() {
-                s.revert(undo);
-            }
-            s.commitment()
-        };
-        for (_, undo) in batch_results.into_iter().rev() {
-            batched.revert(undo);
-        }
-        assert_eq!(batched.commitment(), before_serial);
-    }
-
-    #[test]
-    fn apply_batch_error_leaves_set_untouched() {
-        let mut set = UtxoSet::new();
-        let alice = Address::from_index(1);
-        let op = set.mint(alice, 100);
-        let before = set.commitment();
-        let good = transfer(op, Address::from_index(2), 100, alice, 0);
-        let double_spend = transfer(op, Address::from_index(3), 100, alice, 0);
-        assert!(matches!(
-            set.apply_batch(&body(&[good, double_spend]), true),
-            Err(UtxoError::MissingInput(_))
-        ));
-        assert_eq!(set.commitment(), before, "failed batch must not mutate");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use dcs_crypto::codec::{decode_all, Encode};
 use dcs_crypto::{sha256, Address, Hash256};
-use dcs_primitives::{Block, BlockHeader, Seal, Transaction, TxIn, TxOut, UtxoTx};
+use dcs_primitives::{Transaction, TxIn, TxOut, UtxoTx};
 use dcs_state::{AccountDb, MapProof, MerkleMap, StateKey, UtxoSet};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
@@ -610,76 +610,6 @@ proptest! {
             prop_assert_eq!(reverted.code(&addr), prefix.code(&addr));
             let key = sha256(&[i as u8]);
             prop_assert_eq!(reverted.storage(&contract, &key), prefix.storage(&contract, &key));
-        }
-    }
-
-    /// `UtxoSet::apply_batch` must agree with the serial `apply` loop on
-    /// arbitrary spend sequences: same fees, same commitment when every
-    /// transaction is valid, and the same first error (with the set left
-    /// untouched) when one is not — including batches that double-spend an
-    /// output or chain a spend onto an output created earlier in the batch.
-    #[test]
-    fn utxo_apply_batch_matches_serial(
-        picks in proptest::collection::vec((0usize..24, 1u64..100, any::<bool>()), 1..24),
-    ) {
-        let mut base = UtxoSet::new();
-        // Candidate outpoints: minted coins plus (as txs are generated)
-        // outputs created within the batch itself, so some sequences spend
-        // mid-batch outputs and some double-spend.
-        let mut candidates: Vec<(dcs_state::OutPoint, u64)> =
-            (0..8u64).map(|i| (base.mint(Address::from_index(i), 500), 500)).collect();
-
-        let mut txs = Vec::new();
-        for (pick, value, split) in &picks {
-            let (op, available) = candidates[pick % candidates.len()];
-            let spend = *value.min(&available);
-            let mut outputs = vec![TxOut {
-                value: spend,
-                recipient: Address::from_index(200),
-            }];
-            if *split && available > spend {
-                outputs.push(TxOut {
-                    value: available - spend,
-                    recipient: Address::from_index(201),
-                });
-            }
-            let tx = Transaction::Utxo(UtxoTx {
-                inputs: vec![TxIn { prev_tx: op.tx, index: op.index, auth: None }],
-                outputs: outputs.clone(),
-            });
-            for (i, out) in outputs.iter().enumerate() {
-                candidates.push((
-                    dcs_state::OutPoint { tx: tx.id(), index: i as u32 },
-                    out.value,
-                ));
-            }
-            txs.push(tx);
-        }
-        let mut serial = base.clone();
-        let mut serial_result = Ok(Vec::new());
-        for tx in &txs {
-            match serial.apply(tx) {
-                Ok((fee, _)) => serial_result.as_mut().unwrap().push(fee),
-                Err(e) => {
-                    serial_result = Err(e);
-                    break;
-                }
-            }
-        }
-
-        let mut batched = base.clone();
-        let header = BlockHeader::new(Hash256::ZERO, 1, 0, Address::ZERO, Seal::None);
-        match batched.apply_batch(&Block::from_parts(header, txs), false) {
-            Ok(results) => {
-                let fees: Vec<u64> = results.iter().map(|(fee, _)| *fee).collect();
-                prop_assert_eq!(Ok(fees), serial_result);
-                prop_assert_eq!(batched.commitment(), serial.commitment());
-            }
-            Err(e) => {
-                prop_assert_eq!(Err(e), serial_result);
-                // A failed batch leaves the set untouched.
-                prop_assert_eq!(batched.commitment(), base.commitment());
-            }
         }
     }
 }

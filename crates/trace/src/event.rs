@@ -49,7 +49,7 @@ pub enum Category {
     Consensus,
     /// Block import, orphans, reorgs, inclusion, finality.
     Chain,
-    /// Workload submission and middleware events.
+    /// Workload submission.
     App,
 }
 
@@ -128,7 +128,8 @@ pub enum PbftPhase {
 ///
 /// Each variant's encoding tag is an explicit byte in
 /// [`TraceEvent::encode_into`]; tags 0 and 22 belonged to retired queue
-/// events and stay unused, so no digest moved when they went.
+/// events and tag 16 to the event bus's retired application notification.
+/// They stay unused, so no digest moved when they went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// The fabric accepted a message for delivery.
@@ -232,11 +233,6 @@ pub enum TraceEvent {
         /// New finalized height.
         height: u64,
     },
-    /// The middleware event bus delivered an application notification.
-    AppEvent {
-        /// Emitting transaction id.
-        tx: Id,
-    },
     /// The node fail-stopped: inbound deliveries and timers are suppressed
     /// until a matching [`TraceEvent::NodeRestarted`].
     NodeCrashed,
@@ -289,7 +285,7 @@ impl TraceEvent {
             | TraceEvent::Reorg { .. }
             | TraceEvent::TxIncluded { .. }
             | TraceEvent::Finalized { .. } => Category::Chain,
-            TraceEvent::TxSubmitted { .. } | TraceEvent::AppEvent { .. } => Category::App,
+            TraceEvent::TxSubmitted { .. } => Category::App,
         }
     }
 
@@ -311,7 +307,6 @@ impl TraceEvent {
             TraceEvent::Reorg { .. } => "reorg",
             TraceEvent::TxIncluded { .. } => "tx_included",
             TraceEvent::Finalized { .. } => "finalized",
-            TraceEvent::AppEvent { .. } => "app_event",
             TraceEvent::NodeCrashed => "node_crashed",
             TraceEvent::NodeRestarted => "node_restarted",
             TraceEvent::MsgDuplicated { .. } => "msg_duplicated",
@@ -400,10 +395,6 @@ impl TraceEvent {
             TraceEvent::Finalized { height } => {
                 out.push(15);
                 out.extend_from_slice(&height.to_le_bytes());
-            }
-            TraceEvent::AppEvent { tx } => {
-                out.push(16);
-                out.extend_from_slice(&tx.0);
             }
             TraceEvent::NodeCrashed => {
                 out.push(17);
@@ -509,7 +500,6 @@ mod tests {
             },
             TraceEvent::TxIncluded { tx: id, block: id },
             TraceEvent::Finalized { height: 1 },
-            TraceEvent::AppEvent { tx: id },
             TraceEvent::NodeCrashed,
             TraceEvent::NodeRestarted,
             TraceEvent::MsgDuplicated { to: 1 },
@@ -517,14 +507,13 @@ mod tests {
             TraceEvent::EngineDispatch { src: 1, seq: 1 },
         ];
         let mut seen = std::collections::BTreeSet::new();
-        for (i, ev) in events.iter().enumerate() {
+        // Tag 16 is reserved: the retired application notification's.
+        let tags = (1..=15).chain(17..=21);
+        assert_eq!(tags.clone().count(), events.len());
+        for (ev, tag) in events.iter().zip(tags) {
             let mut buf = Vec::new();
             ev.encode_into(&mut buf);
-            assert_eq!(
-                buf[0] as usize,
-                i + 1,
-                "tags are assigned in catalogue order"
-            );
+            assert_eq!(buf[0], tag, "tags are assigned in catalogue order");
             assert!(seen.insert(buf), "duplicate encoding for {ev:?}");
             assert!(!ev.name().is_empty());
         }

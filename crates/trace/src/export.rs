@@ -30,9 +30,7 @@ fn event_fields(out: &mut String, event: &TraceEvent) {
         TraceEvent::MsgDropped { to } | TraceEvent::MsgPartitioned { to } => {
             let _ = write!(out, ",\"to\":{to}");
         }
-        TraceEvent::TxSubmitted { tx }
-        | TraceEvent::TxAdmitted { tx }
-        | TraceEvent::AppEvent { tx } => {
+        TraceEvent::TxSubmitted { tx } | TraceEvent::TxAdmitted { tx } => {
             let _ = write!(out, ",\"tx\":\"{}\"", tx.short_hex());
         }
         TraceEvent::FirstSeen { kind, id, from } => {

@@ -15,14 +15,14 @@
 //!   is one branch on a `None`, with no formatting, allocation, or buffer
 //!   touch.
 //! * [`TraceEvent`] — the typed event taxonomy (network sends, mempool
-//!   admissions, chain imports/reorgs, PBFT phases, app events).
+//!   admissions, chain imports/reorgs, PBFT phases, workload submissions).
 //! * [`TraceConfig`] — off, or full with a bounded ring buffer per actor.
 //! * [`TraceSet`] — merges per-actor buffers into one time-ordered stream
 //!   with per-actor digests.
 //! * [`Timelines`] — lifecycle spans: stitches raw events into per-tx and
 //!   per-block causal timelines (submit → admit → first-seen-per-peer →
-//!   included → committed) and answers latency-breakdown, propagation-CDF,
-//!   and hop-count queries.
+//!   included → committed) and answers latency-breakdown and hop-count
+//!   queries.
 //! * [`export`] — JSONL and Chrome `trace_event` JSON (loadable in
 //!   Perfetto / `chrome://tracing`: one track per node, one async slice per
 //!   transaction and block).

@@ -7,7 +7,7 @@
 //! boundaries are measured on a single **reference peer** so the stages of
 //! one transaction share a clock and sum to its end-to-end commit latency.
 
-use crate::event::{Category, EntityKind, Id, TraceEvent, TraceRecord, ORIGIN};
+use crate::event::{EntityKind, Id, TraceEvent, TraceRecord, ORIGIN};
 use std::collections::BTreeMap;
 
 /// The causal timeline of one transaction.
@@ -213,20 +213,6 @@ impl Timelines {
         s
     }
 
-    /// Block propagation samples: per (block, peer), the delay from the
-    /// proposal to that peer's first sighting — the input for a
-    /// propagation CDF.
-    pub fn block_propagation_us(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for span in self.blocks.values() {
-            let Some(p) = span.proposed_us else { continue };
-            for at in span.first_seen.values() {
-                out.push(at.saturating_sub(p));
-            }
-        }
-        out
-    }
-
     /// Gossip hop-count distribution over every (block, peer) sighting
     /// with a derivable hop: `hist[h]` = number of sightings at hop `h`.
     pub fn hop_histogram(&self) -> Vec<u64> {
@@ -242,12 +228,6 @@ impl Timelines {
         }
         hist
     }
-}
-
-/// Convenience: category of every record in `records` equals `cat`.
-/// Used by tests asserting sampling scoped to one category.
-pub fn all_in_category(records: &[TraceRecord], cat: Category) -> bool {
-    records.iter().all(|r| r.event.category() == cat)
 }
 
 #[cfg(test)]
@@ -370,9 +350,8 @@ mod tests {
         assert_eq!(span.hops[&0], 1);
         assert_eq!(span.hops[&2], 2);
         assert_eq!(t.hop_histogram(), vec![1, 1, 1]);
-        let mut prop = t.block_propagation_us();
-        prop.sort_unstable();
-        assert_eq!(prop, vec![0, 50, 60]);
+        let seen: Vec<u64> = span.first_seen.values().copied().collect();
+        assert_eq!(seen, vec![450, 400, 460], "first sighting per peer");
     }
 
     #[test]

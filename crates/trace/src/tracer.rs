@@ -239,17 +239,6 @@ impl TraceSet {
         &self.digests
     }
 
-    /// One digest over all per-source digests (keys and values), a single
-    /// value the determinism suite can compare across runs.
-    pub fn combined_digest(&self) -> u64 {
-        let mut d = FNV_OFFSET;
-        for (k, v) in &self.digests {
-            d = fnv1a_fold(d, k.as_bytes());
-            d = fnv1a_fold(d, &v.to_le_bytes());
-        }
-        d
-    }
-
     /// Counters summed over every added tracer.
     pub fn counters(&self) -> &TraceCounters {
         &self.counters
@@ -316,7 +305,7 @@ mod tests {
         let mut s1 = build();
         let mut s2 = build();
         assert_eq!(s1.records(), s2.records());
-        assert_eq!(s1.combined_digest(), s2.combined_digest());
+        assert_eq!(s1.digests(), s2.digests());
         let times: Vec<u64> = s1.records().iter().map(|r| r.at_us).collect();
         assert_eq!(times, vec![10, 10, 20, 30]);
         // Tie at t=10 keeps insertion order: node0 first.

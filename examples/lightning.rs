@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example lightning`
 
-use dcs_scale::channels::ChannelNetwork;
+use dcs_scale::channels::{ChannelNetwork, ChannelOp};
 
 fn main() {
     let mut net = ChannelNetwork::new(10);
@@ -56,13 +56,13 @@ fn main() {
     // A cheating close: d publishes a stale state on its hub channel; the
     // hub challenges with the newer one inside the dispute window.
     let hub_d = 6; // the h—d channel id (4th hub channel)
-    let (stale, s_a, s_b) = net.signed_current_state(hub_d).unwrap();
+    let stale = net.signed_current_state(hub_d).unwrap();
     net.channel_pay(hub_d, d, 5_000).unwrap(); // d pays the hub after snapshotting
-    let (fresh, f_a, f_b) = net.signed_current_state(hub_d).unwrap();
-    net.unilateral_close(hub_d, stale, &s_a, &s_b).unwrap();
-    net.challenge(hub_d, fresh, &f_a, &f_b).unwrap();
+    let fresh = net.signed_current_state(hub_d).unwrap();
+    net.apply(ChannelOp::UniClose(stale)).unwrap();
+    net.apply(ChannelOp::Challenge(fresh)).unwrap();
     net.advance_height(11);
-    net.finalize_close(hub_d).unwrap();
+    net.apply(ChannelOp::Finalize { id: hub_d }).unwrap();
     println!("stale close challenged and overridden: the newer state settled");
 
     // Cooperatively close the rest.
