@@ -7,12 +7,12 @@
 //! set lands on the same canonical chain and state root.
 
 use crate::forkchoice::best_tip_with;
-use crate::store::{BlockStore, BlockTree};
+use crate::store::{BlockStore, BlockTree, StoredBlock};
 use crate::ChainError;
 use dcs_crypto::{Hash256, VerifyPipeline};
 use dcs_primitives::{Block, ChainConfig, Receipt, Transaction};
 use dcs_trace::{Id as TraceId, ImportOutcome, TraceEvent, Tracer};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// The application layer beneath the chain: applies blocks to mutable state
@@ -34,6 +34,12 @@ pub trait StateMachine: core::fmt::Debug {
     /// Reverts a previously applied block given its undo token. Undo tokens
     /// are always presented in exact LIFO order.
     fn revert_block(&mut self, undo: Self::Undo);
+
+    /// Returns the machine to its state before its first
+    /// [`StateMachine::apply_block`] — the base a replay of stored blocks
+    /// starts from, when a revert reaches below the undo records the chain
+    /// keeps. Undo tokens issued before the reset are never presented again.
+    fn reset(&mut self);
 
     /// The authenticated root of the current state, compared against header
     /// commitments when they are present.
@@ -59,6 +65,8 @@ impl StateMachine for NullMachine {
     }
 
     fn revert_block(&mut self, _undo: ()) {}
+
+    fn reset(&mut self) {}
 
     fn state_root(&self) -> Hash256 {
         Hash256::ZERO
@@ -198,7 +206,11 @@ pub struct Chain<M: StateMachine> {
     config: ChainConfig,
     machine: M,
     canonical: Vec<Hash256>,
-    undos: Vec<M::Undo>,
+    /// Undo records of the top `undos.len()` canonical blocks, oldest
+    /// first. A block's record goes once the block is `confirmation_depth`
+    /// deep; a revert below the records resets the machine and replays the
+    /// canonical prefix from stored bodies.
+    undos: VecDeque<M::Undo>,
     receipts: Vec<(Hash256, Vec<Receipt>)>,
     /// Blocks that failed state validation and every stored block under
     /// one: closed under descent, so viability is a single probe.
@@ -242,7 +254,7 @@ impl<M: StateMachine> Chain<M> {
             config,
             machine,
             canonical: vec![gh],
-            undos: Vec::new(),
+            undos: VecDeque::new(),
             receipts: Vec::new(),
             invalid: BTreeSet::new(),
             stats: ChainStats::default(),
@@ -443,25 +455,21 @@ impl<M: StateMachine> Chain<M> {
 
     /// Cold-rebuilds the canonical state from the block store — the
     /// restart path after a crash: the store (headers, work, bodies) is
-    /// the durable part of a node, while the state machine, undo stack,
-    /// and canonical index are in-memory and lost. Rolls the machine back
-    /// to its genesis state through the undo stack (a fresh `M::default()`
-    /// would drop a genesis allocation), then re-runs fork choice over the
-    /// stored tree and re-applies the winning branch. Consistency counters
-    /// survive;
+    /// the durable part of a node, while the state machine, undo records,
+    /// and canonical index are in-memory and lost. Resets the machine to
+    /// its state before its first block (a fresh `M::default()` would drop
+    /// a genesis allocation), then re-runs fork choice over the stored tree
+    /// and replays the winning branch. Consistency counters survive;
     /// receipts replayed here are discarded (they were delivered before
     /// the crash). The winning branch's bodies must be resident, which
-    /// holds for archival stores and for pruning stores above the finality
-    /// horizon.
+    /// holds for archival stores.
     ///
     /// # Errors
     ///
-    /// [`ChainError::Internal`] if the stored tree is inconsistent (e.g. a
-    /// canonical-path body is missing).
+    /// [`ChainError::Internal`] if the stored tree is inconsistent or a
+    /// body to replay was pruned.
     pub fn rebuild_from_store(&mut self) -> Result<(), ChainError> {
-        while self.height() > 0 {
-            self.pop_canonical()?;
-        }
+        self.reset_to(0)?;
         // The one-shot genesis→tip apply below is replay, not new history:
         // keep the lifetime consistency stats as they were.
         let saved = self.stats;
@@ -646,7 +654,7 @@ impl<M: StateMachine> Chain<M> {
         let Some(hash) = self.canonical.pop() else {
             return Err(ChainError::Internal("revert reached below genesis"));
         };
-        let Some(undo) = self.undos.pop() else {
+        let Some(undo) = self.undos.pop_back() else {
             return Err(ChainError::Internal("canonical block without an undo"));
         };
         self.machine.revert_block(undo);
@@ -654,6 +662,64 @@ impl<M: StateMachine> Chain<M> {
             self.stats.internal_errors += 1;
         }
         Ok(())
+    }
+
+    /// Reverts the canonical chain to `height`: block by block through the
+    /// undo records where they reach that far, else by [`Chain::reset_to`].
+    fn rewind_to(&mut self, height: u64) -> Result<(), ChainError> {
+        if self.height().saturating_sub(self.undos.len() as u64) > height {
+            return self.reset_to(height);
+        }
+        while self.height() > height {
+            self.pop_canonical()?;
+        }
+        Ok(())
+    }
+
+    /// The cold path of a revert: drops the canonical blocks above `height`
+    /// with their stats contribution, resets the machine, and replays the
+    /// canonical blocks up to `height` from stored bodies. Replayed receipts
+    /// are dropped (they were delivered when the blocks were first applied),
+    /// and only the last `confirmation_depth` undo records are kept.
+    ///
+    /// # Errors
+    ///
+    /// [`ChainError::Internal`] if a body to replay was pruned, or a block
+    /// that applied before fails now.
+    fn reset_to(&mut self, height: u64) -> Result<(), ChainError> {
+        for hash in self.canonical.split_off(height as usize + 1) {
+            if !self.canon_stats.shed(&hash) {
+                self.stats.internal_errors += 1;
+            }
+        }
+        self.undos.clear();
+        self.machine.reset();
+        let window = usize::try_from(self.config.confirmation_depth).unwrap_or(usize::MAX);
+        for hash in &self.canonical[1..] {
+            let block = self
+                .tree
+                .get(hash)
+                .and_then(StoredBlock::body)
+                .ok_or(ChainError::Internal("replay needs a pruned body"))?;
+            let (_, undo) = self
+                .machine
+                .apply_block(block)
+                .map_err(|_| ChainError::Internal("a canonical block failed on replay"))?;
+            self.undos.push_back(undo);
+            if self.undos.len() > window {
+                self.undos.pop_front();
+            }
+        }
+        Ok(())
+    }
+
+    /// The hand-off at finality: a canonical block `confirmation_depth`
+    /// deep loses its undo record, so the records cover the unfinalized
+    /// window only.
+    fn drop_final_undos(&mut self) {
+        let window = self.height().min(self.config.confirmation_depth) as usize;
+        let excess = self.undos.len().saturating_sub(window);
+        self.undos.drain(..excess);
     }
 
     /// Marks `bad` and every stored descendant non-viable.
@@ -680,6 +746,7 @@ impl<M: StateMachine> Chain<M> {
             });
             let old_tip = self.tip_hash();
             if new_tip == old_tip {
+                self.drop_final_undos();
                 return Ok(None);
             }
             let ancestor = self.tree.common_ancestor(&old_tip, &new_tip);
@@ -690,11 +757,8 @@ impl<M: StateMachine> Chain<M> {
                 .height();
 
             // Revert the old branch down to the ancestor.
-            let mut reverted = 0u64;
-            while self.height() > anc_height {
-                self.pop_canonical()?;
-                reverted += 1;
-            }
+            let reverted = self.height() - anc_height;
+            self.rewind_to(anc_height)?;
 
             // Apply the new branch upward from the ancestor.
             let mut to_apply = Vec::new();
@@ -719,7 +783,8 @@ impl<M: StateMachine> Chain<M> {
                     self.tree
                         .get(hash)
                         .ok_or(ChainError::Internal("apply-path block not stored"))?
-                        .block(),
+                        .body()
+                        .ok_or(ChainError::Internal("apply-path body pruned"))?,
                 );
                 match self.machine.apply_block(&block) {
                     Ok((receipts, undo)) => {
@@ -732,7 +797,7 @@ impl<M: StateMachine> Chain<M> {
                             break;
                         }
                         self.canonical.push(*hash);
-                        self.undos.push(undo);
+                        self.undos.push_back(undo);
                         self.receipts.push((*hash, receipts));
                         self.canon_stats.absorb(*hash, &block);
                         applied += 1;
@@ -750,9 +815,7 @@ impl<M: StateMachine> Chain<M> {
                 // and retry fork choice.
                 self.poison(bad);
                 self.stats.invalid_blocks += 1;
-                while self.height() > anc_height {
-                    self.pop_canonical()?;
-                }
+                self.rewind_to(anc_height)?;
                 // Restore the old branch exactly as it was.
                 let mut old_branch = Vec::new();
                 let mut cur = old_tip;
@@ -771,7 +834,8 @@ impl<M: StateMachine> Chain<M> {
                         self.tree
                             .get(&hash)
                             .ok_or(ChainError::Internal("old-branch block not stored"))?
-                            .block(),
+                            .body()
+                            .ok_or(ChainError::Internal("old-branch body pruned"))?,
                     );
                     let (receipts, undo) = self
                         .machine
@@ -779,7 +843,7 @@ impl<M: StateMachine> Chain<M> {
                         .map_err(ChainError::BadTransaction)?;
                     let _ = receipts; // already delivered the first time
                     self.canonical.push(hash);
-                    self.undos.push(undo);
+                    self.undos.push_back(undo);
                     self.canon_stats.absorb(hash, &block);
                 }
                 continue; // re-run fork choice without the poisoned block
@@ -799,9 +863,11 @@ impl<M: StateMachine> Chain<M> {
                 }
             };
             // The head moved: advance the store's finality horizon so a
-            // pruning store can drop bodies `confirmation_depth` behind it.
+            // pruning store can drop bodies `confirmation_depth` behind it,
+            // and hand the blocks that became final off with their undos.
             let finalized = self.height().saturating_sub(self.config.confirmation_depth);
             self.tree.note_finalized(finalized);
+            self.drop_final_undos();
             return Ok(Some(event));
         }
     }
@@ -1079,6 +1145,10 @@ mod tests {
 
         fn revert_block(&mut self, undo: Hash256) {
             assert_eq!(self.applied.pop(), Some(undo), "LIFO revert order");
+        }
+
+        fn reset(&mut self) {
+            self.applied.clear();
         }
 
         fn state_root(&self) -> Hash256 {
@@ -1363,6 +1433,68 @@ mod tests {
         assert!(
             blocks.is_empty(),
             "pruned responder cannot serve deep history"
+        );
+    }
+
+    /// `n` plain blocks in a line on `parent`, salted from `salt`.
+    fn branch(parent: &Block, salt: u64, n: u64) -> Vec<Block> {
+        let mut blocks: Vec<Block> = Vec::new();
+        for i in 0..n {
+            let next = child(blocks.last().unwrap_or(parent), salt + i);
+            blocks.push(next);
+        }
+        blocks
+    }
+
+    #[test]
+    fn undo_records_end_at_finality_and_a_deeper_reorg_replays() {
+        let mut config = cfg();
+        config.confirmation_depth = 3;
+        let g = crate::genesis_block(&config);
+        let mut windowed = Chain::new(g.clone(), config.clone(), Picky::default());
+        config.confirmation_depth = u64::MAX; // finalizes nothing
+        let mut reference = Chain::new(g.clone(), config, Picky::default());
+
+        // A fork off height 2 outgrows a ten-block main chain: the reorg's
+        // ancestor is five blocks below the three-block window.
+        let main = branch(&g, 1, 10);
+        let fork = branch(&main[1], 100, 12);
+        for b in main.iter().chain(&fork) {
+            assert_eq!(windowed.import(b.clone()), reference.import(b.clone()));
+            let final_height = windowed.height().saturating_sub(3);
+            assert_eq!(
+                windowed.undos.len() as u64,
+                windowed.height() - final_height,
+                "an undo record survived below height {final_height}"
+            );
+            assert_eq!(windowed.machine().applied, &windowed.canonical()[1..]);
+        }
+        assert_eq!(windowed.stats().max_reorg_depth, 8);
+        assert_eq!(windowed.canonical(), reference.canonical());
+        assert_eq!(windowed.stats(), reference.stats());
+        assert_eq!(windowed.canon_stats(), reference.canon_stats());
+        assert_eq!(windowed.drain_receipts(), reference.drain_receipts());
+    }
+
+    #[test]
+    fn a_replay_that_needs_a_pruned_body_is_an_internal_error() {
+        let mut config = cfg();
+        config.confirmation_depth = 2;
+        let g = crate::genesis_block(&config);
+        let mut chain = Chain::with_store(g.clone(), config, NullMachine, PrunedStore::new(0));
+        let main = branch(&g, 1, 10);
+        for b in &main {
+            chain.import(b.clone()).unwrap();
+        }
+        assert!(chain.tree().get(&main[0].hash()).unwrap().body().is_none());
+
+        // A fork off height 1 outgrows the main chain; replaying height 1
+        // needs the body the store dropped.
+        let fork = branch(&main[0], 100, 11);
+        let first_error = fork.iter().find_map(|b| chain.import(b.clone()).err());
+        assert_eq!(
+            first_error,
+            Some(ChainError::Internal("replay needs a pruned body"))
         );
     }
 

@@ -266,6 +266,10 @@ impl StateMachine for Picky {
         assert_eq!(self.applied.pop(), Some(undo), "LIFO revert order");
     }
 
+    fn reset(&mut self) {
+        self.applied.clear();
+    }
+
     fn state_root(&self) -> Hash256 {
         Hash256::ZERO
     }

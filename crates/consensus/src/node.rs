@@ -526,14 +526,14 @@ impl<M: StateMachine> NodeCore<M> {
     }
 
     /// Cold-rebuilds this peer from its durable block store — the restart
-    /// path after a crash. The chain rolls its machine back to genesis
-    /// state and re-runs fork choice over the stored tree; the mempool
-    /// contents, gossip dedup tables, and inclusion index are volatile and
-    /// re-derived (canonical blocks and their transactions are marked seen
-    /// so catch-up traffic does not re-gossip old history). The pool keeps
-    /// its capacity, admission pipeline and metrics; lifetime counters
-    /// survive. Rebuild errors land in [`NodeCore::internal_errors`] rather
-    /// than aborting.
+    /// path after a crash. The chain resets its machine to genesis state,
+    /// re-runs fork choice over the stored tree and replays the winner; the
+    /// mempool contents, gossip dedup tables, and inclusion index are
+    /// volatile and re-derived (canonical blocks and their transactions are
+    /// marked seen so catch-up traffic does not re-gossip old history). The
+    /// pool keeps its capacity, admission pipeline and metrics; lifetime
+    /// counters survive. Rebuild errors land in
+    /// [`NodeCore::internal_errors`] rather than aborting.
     pub fn rebuild_from_store(&mut self) {
         if self.chain.rebuild_from_store().is_err() {
             self.internal_errors += 1;

@@ -2,7 +2,8 @@
 //! [`AccountMachine`] executes generation-2.0/3.0 blocks (account transfers,
 //! deployments, contract calls with gas), and [`UtxoMachine`] executes
 //! generation-1.0 blocks over the UTXO set. Both support exact reorg
-//! rollback via undo logs.
+//! rollback via undo logs, and a reset to their state before their first
+//! block.
 
 use crate::exec::{execute_tx, prevalidate_witnesses, verify_witness, BlockCtx};
 use dcs_chain::StateMachine;
@@ -21,6 +22,9 @@ pub struct AccountMachine {
     /// Whether witnesses are demanded and verified (block-invalidating).
     pub verify_signatures: bool,
     pipeline: Option<Arc<VerifyPipeline>>,
+    /// The state before the first block, packed, captured by that block's
+    /// application; [`StateMachine::reset`] restores it.
+    genesis: Option<AccountUndo>,
 }
 
 impl AccountMachine {
@@ -65,6 +69,9 @@ impl AccountMachine {
         block: &Block,
         batched: bool,
     ) -> Result<(Vec<Receipt>, AccountUndo), String> {
+        if self.genesis.is_none() {
+            self.genesis = Some(self.db.image());
+        }
         // Stateless prevalidation: batch-verify every witness up front so the
         // serial execution loop below never touches a signature.
         let prevalidated = match (self.verify_signatures, &self.pipeline) {
@@ -128,6 +135,13 @@ impl StateMachine for AccountMachine {
         self.db.apply_undo(undo);
     }
 
+    fn reset(&mut self) {
+        if let Some(genesis) = &self.genesis {
+            self.db = AccountDb::new();
+            self.db.apply_undo(genesis.clone());
+        }
+    }
+
     fn state_root(&self) -> Hash256 {
         self.db.root()
     }
@@ -138,6 +152,9 @@ impl StateMachine for AccountMachine {
 pub struct UtxoMachine {
     /// The unspent-output set.
     pub set: UtxoSet,
+    /// A copy of the set before the first block, taken by that block's
+    /// application; [`StateMachine::reset`] restores it.
+    genesis: Option<UtxoSet>,
 }
 
 impl UtxoMachine {
@@ -154,6 +171,9 @@ impl StateMachine for UtxoMachine {
     /// Applies the block one transaction at a time; the first failure
     /// reverts the ones before it, so a rejected block leaves no residue.
     fn apply_block(&mut self, block: &Block) -> Result<(Vec<Receipt>, Vec<UtxoUndo>), String> {
+        if self.genesis.is_none() {
+            self.genesis = Some(self.set.clone());
+        }
         let mut undos = Vec::with_capacity(block.txs.len());
         let mut receipts = Vec::with_capacity(block.txs.len());
         for (tx, id) in block.txs.iter().zip(block.tx_ids()) {
@@ -180,6 +200,12 @@ impl StateMachine for UtxoMachine {
     fn revert_block(&mut self, undos: Vec<UtxoUndo>) {
         for undo in undos.into_iter().rev() {
             self.set.revert(undo);
+        }
+    }
+
+    fn reset(&mut self) {
+        if let Some(genesis) = &self.genesis {
+            self.set = genesis.clone();
         }
     }
 

@@ -25,7 +25,9 @@ options:
   --max-ticks N      stop after N ticks        (default 0 = run forever)
 
 --tps × --sim-secs may not exceed 1000000 submissions: every one is built
-before the first tick.
+before the first tick. --tick-ms × --warp, the simulated milliseconds per
+tick, may not exceed 18446744073709551: simulated time counts microseconds
+in 64 bits.
 
 endpoints: /metrics /status /tx/<id> /analytics /recent";
 
@@ -96,6 +98,14 @@ fn parse_serve_args(args: &[String]) -> Result<ServeParams, String> {
     if params.tick_ms == 0 {
         return Err("--tick-ms must be positive".to_string());
     }
+    if params
+        .tick_ms
+        .checked_mul(params.warp)
+        .and_then(|ms| ms.checked_mul(1_000))
+        .is_none()
+    {
+        return Err("--tick-ms × --warp overflows simulated time".to_string());
+    }
     if !(params.tps.is_finite() && params.tps > 0.0) {
         return Err("--tps must be a finite positive rate".to_string());
     }
@@ -164,6 +174,26 @@ mod tests {
         assert!(parsed(&["--sim-secs", &fits, "--tps", "1e-12"]).is_ok());
         let past = (u64::MAX / 1_000_000 - DRAIN_SECS + 1).to_string();
         assert!(parsed(&["--sim-secs", &past, "--tps", "1e-12"]).is_err());
+    }
+
+    #[test]
+    fn a_tick_past_simulated_time_is_refused() {
+        let most = u64::MAX / 1_000;
+        let err = parsed(&[
+            "--tick-ms",
+            "1000",
+            "--warp",
+            &(most / 1000 + 1).to_string(),
+        ])
+        .unwrap_err();
+        assert!(err.contains("--tick-ms × --warp"), "{err}");
+        assert!(parsed(&["--tick-ms", "1", "--warp", &most.to_string()]).is_ok());
+        assert!(parsed(&["--tick-ms", "1", "--warp", &(most + 1).to_string()]).is_err());
+        assert!(parsed(&["--tick-ms", "2", "--warp", &u64::MAX.to_string()]).is_err());
+        assert!(
+            USAGE.contains(&most.to_string()),
+            "the usage text names the bound"
+        );
     }
 
     #[test]

@@ -91,6 +91,11 @@ impl<A: Application> StateMachine for AppAdapter<A> {
         self.applied = blocks;
     }
 
+    fn reset(&mut self) {
+        self.applied.clear();
+        self.app.reset();
+    }
+
     fn state_root(&self) -> Hash256 {
         self.app.state_hash()
     }

@@ -44,12 +44,13 @@ impl LatencyModel {
         }
     }
 
-    /// Draws one latency sample. Samples never fall below
-    /// [`LatencyModel::min_latency`]: the log-normal model clamps its
-    /// extreme low tail (below `median · e^{-3σ}`, about 0.13% of draws) to
-    /// the floor, which gives the sharded engine a usable conservative
-    /// lookahead without visibly changing the distribution.
-    pub fn sample(&self, rng: &mut Rng) -> SimDuration {
+    /// Draws one latency sample, never below `floor`, which is this model's
+    /// [`LatencyModel::min_latency`] — computed once by the caller, since a
+    /// draw costs less than the `exp` behind it. The log-normal model
+    /// clamps its extreme low tail (below `median · e^{-3σ}`, about 0.13% of
+    /// draws) to the floor, which gives the sharded engine a usable
+    /// conservative lookahead without visibly changing the distribution.
+    pub fn sample(&self, floor: SimDuration, rng: &mut Rng) -> SimDuration {
         match *self {
             LatencyModel::Constant(d) => d,
             LatencyModel::Uniform { lo, hi } => {
@@ -60,8 +61,7 @@ impl LatencyModel {
                 }
             }
             LatencyModel::LogNormal { median, sigma } => {
-                SimDuration::from_secs_f64(rng.lognormal(median.as_secs_f64(), sigma))
-                    .max(self.min_latency())
+                SimDuration::from_secs_f64(rng.lognormal(median.as_secs_f64(), sigma)).max(floor)
             }
         }
     }
@@ -90,7 +90,10 @@ mod tests {
         let m = LatencyModel::Constant(SimDuration::from_millis(5));
         let mut rng = Rng::seed_from(1);
         for _ in 0..10 {
-            assert_eq!(m.sample(&mut rng), SimDuration::from_millis(5));
+            assert_eq!(
+                m.sample(m.min_latency(), &mut rng),
+                SimDuration::from_millis(5)
+            );
         }
     }
 
@@ -101,7 +104,7 @@ mod tests {
         let m = LatencyModel::Uniform { lo, hi };
         let mut rng = Rng::seed_from(2);
         for _ in 0..1000 {
-            let s = m.sample(&mut rng);
+            let s = m.sample(m.min_latency(), &mut rng);
             assert!(s >= lo && s < hi, "{s}");
         }
     }
@@ -110,7 +113,7 @@ mod tests {
     fn degenerate_uniform_returns_lo() {
         let lo = SimDuration::from_millis(10);
         let m = LatencyModel::Uniform { lo, hi: lo };
-        assert_eq!(m.sample(&mut Rng::seed_from(3)), lo);
+        assert_eq!(m.sample(lo, &mut Rng::seed_from(3)), lo);
     }
 
     #[test]
@@ -129,7 +132,10 @@ mod tests {
             let floor = m.min_latency();
             assert!(floor > SimDuration::ZERO, "{m:?} must have a usable floor");
             for _ in 0..2000 {
-                assert!(m.sample(&mut rng) >= floor, "{m:?} sampled under its floor");
+                assert!(
+                    m.sample(floor, &mut rng) >= floor,
+                    "{m:?} sampled under its floor"
+                );
             }
         }
     }
@@ -141,7 +147,9 @@ mod tests {
             sigma: 0.5,
         };
         let mut rng = Rng::seed_from(4);
-        let mut samples: Vec<u64> = (0..4001).map(|_| m.sample(&mut rng).as_micros()).collect();
+        let mut samples: Vec<u64> = (0..4001)
+            .map(|_| m.sample(m.min_latency(), &mut rng).as_micros())
+            .collect();
         samples.sort_unstable();
         let median = samples[samples.len() / 2] as f64 / 1000.0;
         assert!((median - 80.0).abs() < 8.0, "median {median} ms");

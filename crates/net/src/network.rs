@@ -122,6 +122,8 @@ pub(crate) fn event_dest<M>(ev: &NetEvent<M>) -> NodeId {
 pub(crate) struct SharedNet<'a> {
     pub adjacency: &'a [Vec<NodeId>],
     pub latency: LatencyModel,
+    /// `latency.min_latency()`, computed once per drive.
+    pub latency_floor: SimDuration,
     pub bandwidth: Option<u64>,
     pub drop_probability: f64,
     pub duplicate_probability: f64,
@@ -133,7 +135,7 @@ pub(crate) struct SharedNet<'a> {
 
 impl SharedNet<'_> {
     fn delivery_delay(&self, size: usize, rng: &mut Rng) -> SimDuration {
-        let mut delay = self.latency.sample(rng);
+        let mut delay = self.latency.sample(self.latency_floor, rng);
         if let Some(bw) = self.bandwidth {
             let ser = SimDuration::from_secs_f64(size as f64 / bw as f64);
             delay = delay + ser;
@@ -394,6 +396,7 @@ impl<M> Network<M> {
             shared: SharedNet {
                 adjacency: &self.adjacency,
                 latency: self.latency,
+                latency_floor: self.latency.min_latency(),
                 bandwidth: self.bandwidth,
                 drop_probability: self.drop_probability,
                 duplicate_probability: self.duplicate_probability,

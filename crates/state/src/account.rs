@@ -149,10 +149,75 @@ impl std::fmt::Debug for StateKey {
     }
 }
 
-/// A block-level undo record extracted from the journal.
+/// A run of packed writes, one exact-size allocation: a block-level undo
+/// record cut from the journal ([`AccountDb::take_undo`]), or a whole state
+/// ([`AccountDb::image`]). [`AccountDb::apply_undo`] writes it back.
 #[derive(Debug, Clone, Default)]
 pub struct AccountUndo {
-    entries: Vec<(StateKey, Option<Vec<u8>>)>,
+    bytes: Box<[u8]>,
+}
+
+/// The header bit of a packed write that carries a value; clear, the key was
+/// absent.
+const PRESENT: u8 = 0x80;
+
+/// Appends one write to `out`: a header byte (the key's length, at most
+/// [`MAX_KEY`], with [`PRESENT`] set when a value follows), the key, then a
+/// value's length as eight little-endian bytes and the value.
+fn pack(out: &mut Vec<u8>, key: &[u8], value: Option<&[u8]>) {
+    out.push(key.len() as u8 | if value.is_some() { PRESENT } else { 0 });
+    out.extend_from_slice(key);
+    if let Some(value) = value {
+        out.extend_from_slice(&(value.len() as u64).to_le_bytes());
+        out.extend_from_slice(value);
+    }
+}
+
+/// The write [`pack`] put at the start of `bytes`, and the bytes after it.
+fn unpack(bytes: &[u8]) -> (StateKey, Option<&[u8]>, &[u8]) {
+    let len = usize::from(bytes[0] & !PRESENT);
+    let mut key = StateKey {
+        bytes: [0; MAX_KEY],
+        len: len as u8,
+    };
+    key.bytes[..len].copy_from_slice(&bytes[1..=len]);
+    let rest = &bytes[1 + len..];
+    if bytes[0] & PRESENT == 0 {
+        return (key, None, rest);
+    }
+    let (prefix, rest) = rest.split_at(8);
+    let mut value_len = [0; 8];
+    value_len.copy_from_slice(prefix);
+    let (value, rest) = rest.split_at(u64::from_le_bytes(value_len) as usize);
+    (key, Some(value), rest)
+}
+
+/// The old values of journaled writes, oldest first, packed into one buffer
+/// that keeps its capacity from block to block: a write copies its old
+/// value's bytes in and allocates nothing once the buffer has grown.
+#[derive(Debug, Clone, Default)]
+struct Journal {
+    bytes: Vec<u8>,
+    /// Where each entry starts in `bytes`; the entry count is the snapshot.
+    starts: Vec<usize>,
+}
+
+impl Journal {
+    fn push(&mut self, key: &StateKey, old: Option<&[u8]>) {
+        self.starts.push(self.bytes.len());
+        pack(&mut self.bytes, key.as_ref(), old);
+    }
+
+    /// Where entry `n` starts in `bytes` (the end, past the last entry).
+    fn offset(&self, n: usize) -> usize {
+        self.starts.get(n).copied().unwrap_or(self.bytes.len())
+    }
+
+    /// Drops the entries from `n` on.
+    fn truncate(&mut self, n: usize) {
+        self.bytes.truncate(self.offset(n));
+        self.starts.truncate(n);
+    }
 }
 
 /// The account database.
@@ -174,7 +239,7 @@ pub struct AccountUndo {
 #[derive(Debug, Clone, Default)]
 pub struct AccountDb {
     map: MerkleMap<StateKey>,
-    journal: Vec<(StateKey, Option<Vec<u8>>)>,
+    journal: Journal,
     /// Batched-application overlay (`Some` while a batch is open): pending
     /// writes staged here are merged into the trie in one
     /// [`MerkleMap::write_batch`] pass at [`AccountDb::commit_batch`] time.
@@ -236,19 +301,21 @@ impl AccountDb {
     }
 
     fn raw_set(&mut self, key: StateKey, value: Option<Vec<u8>>) {
-        let old = match &mut self.overlay {
+        match &mut self.overlay {
             Some(overlay) => match overlay.insert(key, value) {
                 // The overlay-visible previous value: an earlier staged
                 // write, or (first touch in this batch) the trie's value.
-                Some(staged) => staged,
-                None => self.map.get(&key).map(<[u8]>::to_vec),
+                Some(staged) => self.journal.push(&key, staged.as_deref()),
+                None => self.journal.push(&key, self.map.get(&key)),
             },
-            None => match value {
-                Some(v) => self.map.insert(key, v),
-                None => self.map.remove(&key),
-            },
-        };
-        self.journal.push((key, old));
+            None => {
+                let old = match value {
+                    Some(v) => self.map.insert(key, v),
+                    None => self.map.remove(&key),
+                };
+                self.journal.push(&key, old.as_deref());
+            }
+        }
     }
 
     /// Reads an account record (zero balance/nonce if absent).
@@ -393,38 +460,43 @@ impl AccountDb {
     /// Marks the current journal position; pass to [`AccountDb::rollback`]
     /// to revert everything after it (failed-transaction semantics).
     pub fn snapshot(&self) -> usize {
-        self.journal.len()
+        self.journal.starts.len()
     }
 
     /// Reverts all mutations made since `snapshot`.
     pub fn rollback(&mut self, snapshot: usize) {
-        while self.journal.len() > snapshot {
-            let (key, old) = self.journal.pop().expect("journal longer than snapshot");
+        while self.journal.starts.len() > snapshot {
+            let Some(start) = self.journal.starts.pop() else {
+                break;
+            };
+            let (key, old, _) = unpack(&self.journal.bytes[start..]);
             if let Some(overlay) = &mut self.overlay {
                 // Inside a batch the journal records overlay-visible old
                 // values, so restoring is a staged write. Re-staging a value
                 // equal to the trie's own is harmless: the commit-time merge
                 // is content-addressed, so the root is unchanged by it.
-                overlay.insert(key, old);
-                continue;
-            }
-            match old {
-                Some(v) => {
-                    self.map.insert(key, v);
+                overlay.insert(key, old.map(<[u8]>::to_vec));
+            } else {
+                match old {
+                    Some(v) => {
+                        self.map.insert(key, v.to_vec());
+                    }
+                    None => {
+                        self.map.remove(&key);
+                    }
                 }
-                None => {
-                    self.map.remove(&key);
-                }
             }
+            self.journal.bytes.truncate(start);
         }
     }
 
     /// Extracts the journal since `snapshot` as a block-level [`AccountUndo`]
-    /// and clears it from the live journal (the block is now "applied").
+    /// — one copy of its bytes, of their exact size — and clears it from the
+    /// live journal (the block is now "applied").
     pub fn take_undo(&mut self, snapshot: usize) -> AccountUndo {
-        AccountUndo {
-            entries: self.journal.split_off(snapshot),
-        }
+        let bytes = self.journal.bytes[self.journal.offset(snapshot)..].into();
+        self.journal.truncate(snapshot);
+        AccountUndo { bytes }
     }
 
     /// Applies a block-level undo record, reversing an applied block in one
@@ -432,14 +504,34 @@ impl AccountDb {
     /// batch's last write to a key wins, and the value to restore is the
     /// *oldest* one the journal recorded for it.
     pub fn apply_undo(&mut self, undo: AccountUndo) {
-        self.map
-            .write_batch(undo.entries.into_iter().rev().collect());
+        let mut writes = Vec::new();
+        let mut rest = &undo.bytes[..];
+        while !rest.is_empty() {
+            let (key, value, after) = unpack(rest);
+            writes.push((key, value.map(<[u8]>::to_vec)));
+            rest = after;
+        }
+        writes.reverse();
+        self.map.write_batch(writes);
     }
 
-    /// Drops journal history (e.g. after finality): saves memory, forfeits
-    /// rollback past this point.
+    /// The whole committed state as one packed record: applied with
+    /// [`AccountDb::apply_undo`] to an empty database, it rebuilds this one,
+    /// root included. Reads the trie, not an open batch's overlay.
+    pub fn image(&self) -> AccountUndo {
+        let mut bytes = Vec::new();
+        for (key, value) in self.map.iter() {
+            pack(&mut bytes, key, Some(value));
+        }
+        AccountUndo {
+            bytes: bytes.into(),
+        }
+    }
+
+    /// Drops journal history (e.g. after finality) and releases its buffer:
+    /// saves memory, forfeits rollback past this point.
     pub fn clear_journal(&mut self) {
-        self.journal.clear();
+        self.journal = Journal::default();
     }
 }
 

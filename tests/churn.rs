@@ -207,6 +207,84 @@ fn restarted_replica_over_funded_accounts_converges_to_the_reference_state_root(
     );
 }
 
+/// PBFT n=4 over a funded `AccountMachine`, whose chains keep undo records
+/// for the last `confirmation_depth` blocks only: a backup crashes and
+/// restarts at one instant, long after the window has passed many
+/// transfer-carrying blocks. The restart resets the machine and replays the
+/// stored chain, so the replica is back on the same tip and state root at
+/// once, and from then on receives a receipt for each new canonical block
+/// only — none for a block applied before the crash.
+#[test]
+fn restart_replays_history_below_the_undo_window_without_redelivering_receipts() {
+    let senders: Vec<Address> = (100..108).map(Address::from_index).collect();
+    let alloc: Vec<(Address, u64)> = senders.iter().map(|a| (*a, 1_000_000)).collect();
+    let params = NetworkParams::<Pbft> {
+        nodes: 4,
+        ..Default::default()
+    };
+    let depth = params.chain.confirmation_depth;
+    let mut runner = build(&params, 81, |_| AccountMachine::with_alloc(&alloc));
+    Workload::funded_transfers(10.0, SimDuration::from_secs(40), senders)
+        .inject(runner.net_mut(), 810);
+
+    runner.run_until(at(25));
+    let chain = &mut runner.node_mut(NodeId(3)).core.chain;
+    let (tip, height, root) = (
+        chain.tip_hash(),
+        chain.height(),
+        chain.machine().state_root(),
+    );
+    chain.drain_receipts();
+    let final_with_transfers = (1..=height.saturating_sub(depth))
+        .filter(|h| {
+            let hash = chain.canonical_at(*h).unwrap();
+            chain.canon_stats().block_txs(&hash).unwrap() > 0
+        })
+        .count();
+    assert!(
+        final_with_transfers >= 5,
+        "only {final_with_transfers} transfer-carrying blocks below the window"
+    );
+
+    let schedule = FaultSchedule::new()
+        .crash_at(at(25), NodeId(3))
+        .restart_at(at(25), NodeId(3));
+    let mut driver = install_faults(&runner, schedule);
+    driver.run_until(&mut runner, at(25));
+    let chain = &mut runner.node_mut(NodeId(3)).core.chain;
+    assert_eq!(chain.tip_hash(), tip, "restart moved the tip");
+    assert_eq!(
+        chain.machine().state_root(),
+        root,
+        "replay rebuilt another state"
+    );
+    assert!(
+        chain.drain_receipts().is_empty(),
+        "replay re-delivered receipts"
+    );
+
+    driver.run_until(&mut runner, at(60));
+    let reference_tip = runner.nodes()[1].core.chain.tip_hash();
+    let node3 = &mut runner.node_mut(NodeId(3)).core;
+    assert!(node3.chain.height() > height, "the replica never advanced");
+    assert_eq!(node3.chain.tip_hash(), reference_tip);
+    let delivered: Vec<Hash256> = node3
+        .chain
+        .drain_receipts()
+        .into_iter()
+        .map(|(block, _)| block)
+        .collect();
+    assert_eq!(
+        delivered,
+        &node3.chain.canonical()[height as usize + 1..],
+        "a receipt per new canonical block, and none from before the crash"
+    );
+    assert_eq!(
+        node3.internal_errors + node3.chain.stats().internal_errors,
+        0
+    );
+}
+
 /// One ordering-service run with a committing peer crashed for 20 s. The
 /// ordering service had no recovery path before the engines shared one: the
 /// peer must rebuild and catch up to the orderer's tip. Returns the run's
