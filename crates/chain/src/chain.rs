@@ -9,9 +9,8 @@
 use crate::forkchoice::best_tip_with;
 use crate::store::{BlockStore, BlockTree, StoredBlock};
 use crate::ChainError;
-use dcs_crypto::{Hash256, VerifyPipeline};
+use dcs_crypto::Hash256;
 use dcs_primitives::{Block, ChainConfig, Receipt, Transaction};
-use dcs_trace::{Id as TraceId, ImportOutcome, TraceEvent, Tracer};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -217,12 +216,6 @@ pub struct Chain<M: StateMachine> {
     invalid: BTreeSet<Hash256>,
     stats: ChainStats,
     canon_stats: CanonStats,
-    pipeline: Option<Arc<VerifyPipeline>>,
-    tracer: Tracer,
-    metrics: Option<crate::ChainMetrics>,
-    /// Highest finalized height already traced, so [`Chain::import_at`]
-    /// emits each [`TraceEvent::Finalized`] height exactly once.
-    traced_finalized: u64,
     /// When true, `Seal::Work` headers must actually hash below their
     /// difficulty target (real grinding; used by low-difficulty tests).
     pub check_pow_hash: bool,
@@ -259,54 +252,9 @@ impl<M: StateMachine> Chain<M> {
             invalid: BTreeSet::new(),
             stats: ChainStats::default(),
             canon_stats: CanonStats::default(),
-            pipeline: None,
-            tracer: Tracer::disabled(),
-            metrics: None,
-            traced_finalized: 0,
             check_pow_hash: false,
             enforce_block_limit: false,
         }
-    }
-
-    /// Installs a tracer; [`Chain::import_at`] emits import, orphan, reorg,
-    /// and finality events through it. Disabled by default.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// The chain tracer (disabled unless [`Chain::set_tracer`] ran).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Installs live metrics; [`Chain::import`] bumps import-outcome
-    /// counters and head-position gauges through them. Updates are relaxed
-    /// atomic stores off the acceptance logic — installing metrics never
-    /// changes which blocks are accepted (DESIGN.md §16).
-    pub fn set_metrics(&mut self, metrics: crate::ChainMetrics) {
-        self.metrics = Some(metrics);
-    }
-
-    /// The installed chain metrics, if any.
-    pub fn metrics(&self) -> Option<&crate::ChainMetrics> {
-        self.metrics.as_ref()
-    }
-
-    /// Routes the per-import body check (transaction ids + Merkle root)
-    /// through a verification pipeline: ids are computed on the pipeline's
-    /// worker pool and the root via parallel level hashing. The accepted
-    /// block set is unchanged — the same root comparison gates the same
-    /// [`ChainError::BadTxRoot`] — and the tree's serial recomputation is
-    /// skipped so each body is hashed exactly once.
-    pub fn with_pipeline(mut self, pipeline: Arc<VerifyPipeline>) -> Self {
-        self.pipeline = Some(pipeline);
-        self.tree.check_tx_roots = false;
-        self
-    }
-
-    /// The verification pipeline, if one is attached.
-    pub fn pipeline(&self) -> Option<&Arc<VerifyPipeline>> {
-        self.pipeline.as_ref()
     }
 
     /// The underlying block tree.
@@ -348,6 +296,13 @@ impl<M: StateMachine> Chain<M> {
     /// Height of the canonical tip.
     pub fn height(&self) -> u64 {
         self.canonical.len() as u64 - 1
+    }
+
+    /// The finalized height: the tip height less `confirmation_depth`,
+    /// never below genesis. Blocks at or under it are final — their undo
+    /// records are gone and a pruning store may drop their bodies.
+    pub fn finalized_height(&self) -> u64 {
+        self.height().saturating_sub(self.config.confirmation_depth)
     }
 
     /// The canonical hash at `height`, if within the chain.
@@ -505,21 +460,6 @@ impl<M: StateMachine> Chain<M> {
         Ok(())
     }
 
-    /// Parallel replacement for the tree's serial transaction-root check,
-    /// active when a pipeline is attached: the block's (cached, multi-lane
-    /// batch-hashed) ids feed Merkle levels that hash in parallel — once per
-    /// block instance, the root being memoised beside the ids.
-    /// Bit-identical decision to `Block::verify_tx_root`.
-    fn check_body(&self, block: &Block) -> Result<(), ChainError> {
-        let Some(pipeline) = &self.pipeline else {
-            return Ok(()); // BlockTree::insert performs the serial check
-        };
-        if block.body_root_with(pipeline.pool()) != block.header.tx_root {
-            return Err(ChainError::BadTxRoot);
-        }
-        Ok(())
-    }
-
     /// Imports a block: stores it, recomputes fork choice, and applies or
     /// reorgs the state machine as needed. Accepts either an owned
     /// [`Block`] or an [`Arc<Block>`]; in the latter case the block is
@@ -535,16 +475,8 @@ impl<M: StateMachine> Chain<M> {
         let block = block.into();
         self.check_seal(&block)?;
         self.check_rules(&block)?;
-        self.check_body(&block)?;
         let inserted = self.tree.insert_or_orphan(block)?;
         if inserted.is_empty() {
-            if let Some(m) = &self.metrics {
-                m.record(
-                    &ChainEvent::Orphaned,
-                    self.height(),
-                    self.config.confirmation_depth,
-                );
-            }
             return Ok(ChainEvent::Orphaned);
         }
         // A block stored under a non-viable parent is non-viable (parents
@@ -560,86 +492,13 @@ impl<M: StateMachine> Chain<M> {
         let old_tip = self.tip_hash();
         let event = self.update_head()?;
         // If nothing changed, the imported block landed on a side branch.
-        let event = match event {
+        Ok(match event {
             Some(ev) => ev,
             None => {
                 debug_assert_eq!(self.tip_hash(), old_tip);
                 ChainEvent::SideChain { block: inserted[0] }
             }
-        };
-        if let Some(m) = &self.metrics {
-            m.record(&event, self.height(), self.config.confirmation_depth);
-        }
-        Ok(event)
-    }
-
-    /// [`Chain::import`] plus trace emission: records import, orphan,
-    /// reorg, and finality-advance events at sim time `at_us` through the
-    /// installed tracer. With no tracer installed this is exactly
-    /// `import` — the hash/height pre-computation is skipped too.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Chain::import`].
-    pub fn import_at(
-        &mut self,
-        block: impl Into<Arc<Block>>,
-        at_us: u64,
-    ) -> Result<ChainEvent, ChainError> {
-        let block = block.into();
-        if !self.tracer.is_enabled() {
-            return self.import(block);
-        }
-        let id = TraceId(block.hash().into_bytes());
-        let height = block.header.height;
-        let event = self.import(block)?;
-        match &event {
-            ChainEvent::Extended { .. } => self.tracer.emit(
-                at_us,
-                TraceEvent::BlockImported {
-                    block: id,
-                    height,
-                    outcome: ImportOutcome::Extended,
-                },
-            ),
-            ChainEvent::SideChain { .. } => self.tracer.emit(
-                at_us,
-                TraceEvent::BlockImported {
-                    block: id,
-                    height,
-                    outcome: ImportOutcome::SideChain,
-                },
-            ),
-            ChainEvent::Orphaned => self
-                .tracer
-                .emit(at_us, TraceEvent::BlockOrphaned { block: id }),
-            ChainEvent::Reorg {
-                reverted, applied, ..
-            } => {
-                self.tracer.emit(
-                    at_us,
-                    TraceEvent::Reorg {
-                        reverted: *reverted,
-                        applied: *applied,
-                    },
-                );
-                self.tracer.emit(
-                    at_us,
-                    TraceEvent::BlockImported {
-                        block: id,
-                        height,
-                        outcome: ImportOutcome::Extended,
-                    },
-                );
-            }
-        }
-        let finalized = self.height().saturating_sub(self.config.confirmation_depth);
-        if finalized > self.traced_finalized {
-            self.traced_finalized = finalized;
-            self.tracer
-                .emit(at_us, TraceEvent::Finalized { height: finalized });
-        }
-        Ok(event)
+        })
     }
 
     /// Pops the canonical tip, reverting the machine and shedding its stats
@@ -865,8 +724,7 @@ impl<M: StateMachine> Chain<M> {
             // The head moved: advance the store's finality horizon so a
             // pruning store can drop bodies `confirmation_depth` behind it,
             // and hand the blocks that became final off with their undos.
-            let finalized = self.height().saturating_sub(self.config.confirmation_depth);
-            self.tree.note_finalized(finalized);
+            self.tree.note_finalized(self.finalized_height());
             self.drop_final_undos();
             return Ok(Some(event));
         }
@@ -935,63 +793,6 @@ mod tests {
             chain.tree().get(&b1.hash()).unwrap().block(),
             &b1
         ));
-    }
-
-    #[test]
-    fn import_at_traces_imports_reorgs_and_finality_once() {
-        use dcs_trace::TraceConfig;
-        let (mut chain, g) = new_chain();
-        chain.set_tracer(Tracer::new(0, &TraceConfig::full()));
-        let depth = chain.config().confirmation_depth;
-
-        // a-branch of 2, then a b-branch of 3 forces a reorg.
-        let a1 = child(&g, 1);
-        let a2 = child(&a1, 2);
-        let b1 = child(&g, 10);
-        let b2 = child(&b1, 11);
-        let b3 = child(&b2, 12);
-        chain.import_at(a1, 100).unwrap();
-        chain.import_at(a2, 200).unwrap();
-        chain.import_at(b1.clone(), 300).unwrap();
-        chain.import_at(b2, 400).unwrap();
-        chain.import_at(b3.clone(), 500).unwrap();
-
-        let evs: Vec<TraceEvent> = chain.tracer().records().map(|r| r.event).collect();
-        assert!(evs.contains(&TraceEvent::Reorg {
-            reverted: 2,
-            applied: 3
-        }));
-        assert!(evs.contains(&TraceEvent::BlockImported {
-            block: TraceId(b1.hash().into_bytes()),
-            height: 1,
-            outcome: ImportOutcome::SideChain,
-        }));
-        // An orphan is traced as such.
-        let far = child(&b3, 99);
-        let orphan = child(&far, 100);
-        chain.import_at(orphan.clone(), 600).unwrap();
-        assert!(chain.tracer().records().any(|r| r.event
-            == TraceEvent::BlockOrphaned {
-                block: TraceId(orphan.hash().into_bytes())
-            }));
-
-        // Extend past the confirmation depth: each finalized height is
-        // emitted exactly once.
-        let mut tip = b3;
-        for i in 0..depth + 2 {
-            tip = child(&tip, 200 + i);
-            chain.import_at(tip.clone(), 1_000 + i).unwrap();
-        }
-        let finals: Vec<u64> = chain
-            .tracer()
-            .records()
-            .filter_map(|r| match r.event {
-                TraceEvent::Finalized { height } => Some(height),
-                _ => None,
-            })
-            .collect();
-        let expect: Vec<u64> = (1..=chain.height() - depth).collect();
-        assert_eq!(finals, expect, "each height finalized exactly once");
     }
 
     #[test]
@@ -1251,69 +1052,6 @@ mod tests {
             assert_eq!(chain.height(), 3);
             assert_eq!(*chain.canon_stats(), recompute(&chain));
         }
-    }
-
-    #[test]
-    fn pipelined_body_check_matches_serial_decisions() {
-        // Serial chain and pipelined chain must accept and reject the same
-        // blocks, and land on identical canonical chains.
-        let g = crate::genesis_block(&cfg());
-        let mut serial = Chain::new(g.clone(), cfg(), NullMachine);
-        let mut piped = Chain::new(g.clone(), cfg(), NullMachine)
-            .with_pipeline(std::sync::Arc::new(VerifyPipeline::new(4, 0)));
-
-        let tx = |v| {
-            Transaction::Account(AccountTx::transfer(
-                Address::from_index(1),
-                Address::from_index(2),
-                v,
-                0,
-            ))
-        };
-        let b1 = Block::new(
-            BlockHeader::new(g.hash(), 1, 1, Address::from_index(1), Seal::None),
-            (0..10).map(tx).collect(),
-        );
-        assert_eq!(
-            serial.import(b1.clone()).unwrap(),
-            piped.import(b1.clone()).unwrap()
-        );
-
-        // A body/header mismatch is rejected by both, with the same error.
-        // (Edited on a clone: a block from `Block::new` is warm from birth.)
-        let mut tampered = Block::new(
-            BlockHeader::new(b1.hash(), 2, 2, Address::from_index(2), Seal::None),
-            (10..14).map(tx).collect(),
-        )
-        .clone();
-        tampered.txs.push(tx(99)); // body no longer matches the committed root
-        assert_eq!(serial.import(tampered.clone()), Err(ChainError::BadTxRoot));
-        assert_eq!(piped.import(tampered), Err(ChainError::BadTxRoot));
-
-        let b2 = Block::new(
-            BlockHeader::new(b1.hash(), 2, 2, Address::from_index(2), Seal::None),
-            (10..14).map(tx).collect(),
-        );
-        serial.import(b2.clone()).unwrap();
-        piped.import(b2).unwrap();
-        assert_eq!(serial.canonical(), piped.canonical());
-    }
-
-    #[test]
-    fn pipelined_chain_rejects_tampered_orphan_at_import() {
-        // With a pipeline the body check runs at import even for orphans.
-        let g = crate::genesis_block(&cfg());
-        let mut chain = Chain::new(g.clone(), cfg(), NullMachine)
-            .with_pipeline(std::sync::Arc::new(VerifyPipeline::serial()));
-        let b1 = child(&g, 1);
-        let mut orphan = child(&b1, 2).clone(); // cold ids: edited below
-        orphan.txs.push(Transaction::Account(AccountTx::transfer(
-            Address::from_index(1),
-            Address::from_index(2),
-            5,
-            0,
-        )));
-        assert_eq!(chain.import(orphan), Err(ChainError::BadTxRoot));
     }
 
     #[test]

@@ -34,12 +34,10 @@
 
 pub mod chain;
 pub mod forkchoice;
-pub mod metrics;
 pub mod store;
 
 pub use chain::{CanonStats, Chain, ChainEvent, ChainStats, NullMachine, StateMachine};
 pub use forkchoice::best_tip;
-pub use metrics::ChainMetrics;
 pub use store::{BlockStore, BlockTree, PrunedStore, StoreStats, StoredBlock};
 
 use dcs_crypto::Address;

@@ -234,11 +234,6 @@ pub struct BlockTree {
     orphans_evicted: u64,
     orphans_rejected: u64,
     arrivals: u64,
-    /// When false, [`BlockTree::insert`] skips its serial transaction-root
-    /// recomputation. Only [`Chain`](crate::Chain) flips this, after taking
-    /// over the check with a parallel verification pipeline — every block
-    /// still has its root verified exactly once.
-    pub(crate) check_tx_roots: bool,
 }
 
 impl BlockTree {
@@ -263,7 +258,6 @@ impl BlockTree {
             orphans_evicted: 0,
             orphans_rejected: 0,
             arrivals: 1,
-            check_tx_roots: true,
         }
     }
 
@@ -353,7 +347,7 @@ impl BlockTree {
                 expected,
             });
         }
-        if self.check_tx_roots && !block.verify_tx_root() {
+        if !block.verify_tx_root() {
             return Err(ChainError::BadTxRoot);
         }
         let total_work = parent.total_work + block.header.work();

@@ -25,7 +25,6 @@
 pub mod attack;
 pub mod difficulty;
 pub mod mempool;
-pub mod metrics;
 pub mod ng;
 pub mod node;
 pub mod ordering;
@@ -35,8 +34,7 @@ pub mod pos;
 pub mod pow;
 
 pub use mempool::{InsertOutcome, Mempool};
-pub use metrics::{MempoolMetrics, PbftMetrics};
-pub use node::{Inbound, LedgerNode, NodeCore};
+pub use node::{Inbound, LedgerNode, NodeCore, PeerObserver};
 
 use dcs_crypto::Hash256;
 use dcs_primitives::{Block, SealedTx, Transaction, TxPayload};

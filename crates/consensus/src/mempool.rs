@@ -55,7 +55,6 @@ pub struct Mempool {
     capacity: usize,
     admission: Option<Arc<VerifyPipeline>>,
     rejected_invalid: u64,
-    metrics: Option<crate::MempoolMetrics>,
 }
 
 impl Mempool {
@@ -68,18 +67,7 @@ impl Mempool {
             capacity,
             admission: None,
             rejected_invalid: 0,
-            metrics: None,
         }
-    }
-
-    /// Installs live metrics: admission outcomes and pool depth. The gauge
-    /// is seeded from the current contents, so installation on a non-empty
-    /// pool starts accurate. Updates are relaxed atomic bumps beside
-    /// already-taken admission decisions — they never influence what is
-    /// admitted (DESIGN.md §16).
-    pub fn set_metrics(&mut self, metrics: crate::MempoolMetrics) {
-        metrics.set_depth(self.len());
-        self.metrics = Some(metrics);
     }
 
     /// A pool that verifies witness signatures at admission through
@@ -145,15 +133,12 @@ impl Mempool {
     }
 
     /// Empties the pool as a crash does: contents and counters are lost,
-    /// capacity, admission pipeline and metrics stay.
+    /// capacity and admission pipeline stay.
     pub fn clear(&mut self) {
         self.queue.clear();
         self.seq_of.clear();
         self.seq = 0;
         self.rejected_invalid = 0;
-        if let Some(m) = &self.metrics {
-            m.set_depth(0);
-        }
     }
 
     /// Pending transaction count.
@@ -181,17 +166,6 @@ impl Mempool {
     /// refused — the tracing layer records the reason. The id carried by
     /// the sealed transaction is reused; nothing is hashed at admission.
     pub fn insert_outcome(&mut self, tx: SealedTx) -> InsertOutcome {
-        let outcome = self.insert_outcome_inner(tx);
-        if let Some(m) = &self.metrics {
-            m.record_outcome(outcome);
-            if outcome == InsertOutcome::Added {
-                m.set_depth(self.len());
-            }
-        }
-        outcome
-    }
-
-    fn insert_outcome_inner(&mut self, tx: SealedTx) -> InsertOutcome {
         if self.len() >= self.capacity {
             return InsertOutcome::Full;
         }
@@ -209,18 +183,10 @@ impl Mempool {
         InsertOutcome::Added
     }
 
-    fn take(&mut self, id: &Hash256) -> Option<SealedTx> {
-        let seq = self.seq_of.remove(id)?;
-        self.queue.remove(&seq)
-    }
-
     /// Removes a transaction by id.
     pub fn remove(&mut self, id: &Hash256) -> Option<SealedTx> {
-        let tx = self.take(id)?;
-        if let Some(m) = &self.metrics {
-            m.set_depth(self.len());
-        }
-        Some(tx)
+        let seq = self.seq_of.remove(id)?;
+        self.queue.remove(&seq)
     }
 
     /// Selects up to `limit` transactions in FIFO (admission) order,
@@ -243,10 +209,7 @@ impl Mempool {
         txs: impl IntoIterator<Item = (&'a Transaction, &'a Hash256)>,
     ) {
         for (_, id) in txs {
-            self.take(id);
-        }
-        if let Some(m) = &self.metrics {
-            m.set_depth(self.len());
+            self.remove(id);
         }
     }
 }

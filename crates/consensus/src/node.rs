@@ -15,7 +15,9 @@ use dcs_crypto::{Address, Hash256};
 use dcs_net::{Ctx, Gossiper, NodeId, Protocol};
 use dcs_primitives::{Block, BlockHeader, ChainConfig, Seal, SealedTx, Transaction};
 use dcs_sim::{SimDuration, SimTime};
-use dcs_trace::{EntityKind, Id as TraceId, RejectReason, TraceConfig, TraceEvent, Tracer, ORIGIN};
+use dcs_trace::{
+    EntityKind, Id as TraceId, ImportOutcome, RejectReason, TraceConfig, TraceEvent, Tracer, ORIGIN,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -72,13 +74,6 @@ pub trait LedgerNode: Protocol<Msg = WireMsg> {
         0.0 // dcs-lint: allow(float-consensus)
     }
 
-    /// Registers this peer's live metrics on `registry` — chain and
-    /// mempool series from the core, plus any protocol-specific series
-    /// (PBFT view/phase counters override this).
-    fn register_metrics(&mut self, registry: &dcs_metrics::Registry) {
-        self.core_mut().set_metrics(registry);
-    }
-
     /// The node fail-stops: settle any in-progress accounting. No actions
     /// the implementation emits will be delivered to the node itself (the
     /// fabric suppresses them), but sends to peers still go out, so
@@ -100,6 +95,19 @@ pub trait LedgerNode: Protocol<Msg = WireMsg> {
         self.on_start(ctx);
         self.core_mut().begin_catchup(ctx);
     }
+}
+
+/// A reader of one peer's event stream: every event the peer reports, in
+/// the order it reports them, plus the pool depth after each operation that
+/// changes the pool (the one value no event carries). Installed with
+/// [`NodeCore::set_observer`]. It sees decisions only after they are taken,
+/// so a peer behaves bit-identically with or without one.
+pub trait PeerObserver: core::fmt::Debug + Send {
+    /// One reported event.
+    fn observe(&mut self, event: &TraceEvent);
+
+    /// The pool's transaction count after an operation that changed it.
+    fn pool_depth(&mut self, len: usize);
 }
 
 /// What [`NodeCore::on_message`] leaves for the engine once the shared wire
@@ -149,10 +157,13 @@ pub struct NodeCore<M: StateMachine> {
     /// Catch-up rounds started (one per [`NodeCore::begin_catchup`] call,
     /// including the follow-up pages of a multi-batch catch-up).
     pub catchup_rounds: u64,
-    /// This peer's tracer (consensus-layer events: gossip sightings,
-    /// mempool admissions, proposals). Disabled by default; install with
+    /// This peer's one trace stream. Disabled by default; install with
     /// [`NodeCore::set_tracing`].
-    pub tracer: Tracer,
+    tracer: Tracer,
+    observer: Option<Box<dyn PeerObserver>>,
+    /// Highest finalized height reported, so each [`TraceEvent::Finalized`]
+    /// height is emitted once.
+    reported_finalized: u64,
     seen: Gossiper,
     included: BTreeSet<Hash256>,
     /// Missing-ancestor requests awaiting a reply, keyed by block hash.
@@ -183,6 +194,8 @@ impl<M: StateMachine> NodeCore<M> {
             sync_retries: 0,
             catchup_rounds: 0,
             tracer: Tracer::disabled(),
+            observer: None,
+            reported_finalized: 0,
             seen: Gossiper::new(),
             included: BTreeSet::new(),
             pending_blocks: BTreeMap::new(),
@@ -191,26 +204,47 @@ impl<M: StateMachine> NodeCore<M> {
         }
     }
 
-    /// Installs tracing on this peer: one tracer here (consensus events)
-    /// and one on the chain replica (import/reorg/finality events), both
-    /// emitting as this peer's id.
+    /// Installs tracing on this peer: one stream, emitting as this peer's
+    /// id, for everything the peer reports — gossip sightings, admissions,
+    /// proposals, protocol phases, and the chain's imports, reorgs and
+    /// finality.
     pub fn set_tracing(&mut self, cfg: &TraceConfig) {
-        let node = self.id.0 as u32;
-        self.tracer = Tracer::new(node, cfg);
-        self.chain.set_tracer(Tracer::new(node, cfg));
+        self.tracer = Tracer::new(self.id.0 as u32, cfg);
     }
 
-    /// Installs live metrics on this peer: chain head/import series on the
-    /// replica and admission/depth series on the mempool, all labeled with
-    /// this peer's id. Updates are relaxed atomic bumps beside decisions
-    /// that have already been taken, so an instrumented peer behaves
-    /// bit-identically to a bare one (asserted in `tests/determinism.rs`).
-    pub fn set_metrics(&mut self, registry: &dcs_metrics::Registry) {
-        let node = self.id.0.to_string();
-        self.chain
-            .set_metrics(dcs_chain::ChainMetrics::register(registry, &node));
-        self.mempool
-            .set_metrics(crate::MempoolMetrics::register(registry, &node));
+    /// This peer's trace stream.
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+
+    /// Hands every event this peer reports from now on to `observer`,
+    /// starting it with the current pool depth.
+    pub fn set_observer(&mut self, mut observer: Box<dyn PeerObserver>) {
+        observer.pool_depth(self.mempool.len());
+        self.observer = Some(observer);
+    }
+
+    /// Whether anything reads this peer's events. Emit sites check this
+    /// before computing a payload (hashes, per-transaction loops).
+    fn observed(&self) -> bool {
+        self.tracer.is_enabled() || self.observer.is_some()
+    }
+
+    /// Reports one event at sim time `at_us`: recorded on the tracer and
+    /// handed to the observer. Every event a peer reports passes here once.
+    pub(crate) fn emit(&mut self, at_us: u64, event: TraceEvent) {
+        self.tracer.emit(at_us, event);
+        if let Some(observer) = &mut self.observer {
+            observer.observe(&event);
+        }
+    }
+
+    /// Tells the observer the pool's depth after an operation that may
+    /// have changed it.
+    fn report_pool(&mut self) {
+        if let Some(observer) = &mut self.observer {
+            observer.pool_depth(self.mempool.len());
+        }
     }
 
     /// Transaction ids currently on this peer's canonical chain.
@@ -290,19 +324,58 @@ impl<M: StateMachine> NodeCore<M> {
     }
 
     /// [`NodeCore::ingest_block`] with an explicit sim time, so chain and
-    /// inclusion trace events carry the real timestamp (with tracing off
-    /// the time is unused).
+    /// inclusion trace events carry the real timestamp (unobserved, the
+    /// time is unused).
     pub fn ingest_block_at(&mut self, block: Arc<Block>, now: SimTime) -> Option<ChainEvent> {
         let old_tip = self.chain.tip_hash();
-        let event = match self.chain.import_at(block, now.as_micros()) {
+        let imported = self
+            .observed()
+            .then(|| (TraceId(block.hash().into_bytes()), block.header.height));
+        let event = match self.chain.import(block) {
             Ok(ev) => ev,
             Err(_) => {
                 self.rejected_blocks += 1;
                 return None;
             }
         };
+        if let Some((block, height)) = imported {
+            self.report_import(&event, block, height, now.as_micros());
+        }
         self.after_event(&event, old_tip, now);
         Some(event)
+    }
+
+    /// Reports an import's outcome, then the finalized height if it
+    /// advanced. A reorg is reported as the switch followed by the
+    /// imported block's extension.
+    fn report_import(&mut self, event: &ChainEvent, block: TraceId, height: u64, at_us: u64) {
+        let imported = |outcome| TraceEvent::BlockImported {
+            block,
+            height,
+            outcome,
+        };
+        match event {
+            ChainEvent::Extended { .. } => self.emit(at_us, imported(ImportOutcome::Extended)),
+            ChainEvent::SideChain { .. } => self.emit(at_us, imported(ImportOutcome::SideChain)),
+            ChainEvent::Orphaned => self.emit(at_us, TraceEvent::BlockOrphaned { block }),
+            ChainEvent::Reorg {
+                reverted, applied, ..
+            } => {
+                self.emit(
+                    at_us,
+                    TraceEvent::Reorg {
+                        reverted: *reverted,
+                        applied: *applied,
+                    },
+                );
+                self.emit(at_us, imported(ImportOutcome::Extended));
+            }
+        }
+        let finalized = self.chain.finalized_height();
+        if finalized > self.reported_finalized {
+            self.reported_finalized = finalized;
+            self.emit(at_us, TraceEvent::Finalized { height: finalized });
+        }
     }
 
     /// Handles an incoming (or self-produced) block: dedup, re-gossip,
@@ -320,7 +393,7 @@ impl<M: StateMachine> NodeCore<M> {
         if !self.seen.first_sight(hash) {
             return None;
         }
-        self.tracer.emit(
+        self.emit(
             ctx.now.as_micros(),
             TraceEvent::FirstSeen {
                 kind: EntityKind::Block,
@@ -531,14 +604,15 @@ impl<M: StateMachine> NodeCore<M> {
     /// mempool contents, gossip dedup tables, and inclusion index are
     /// volatile and re-derived (canonical blocks and their transactions are
     /// marked seen so catch-up traffic does not re-gossip old history). The
-    /// pool keeps its capacity, admission pipeline and metrics; lifetime
-    /// counters survive. Rebuild errors land in
-    /// [`NodeCore::internal_errors`] rather than aborting.
+    /// pool keeps its capacity and admission pipeline; lifetime counters
+    /// survive. Rebuild errors land in [`NodeCore::internal_errors`] rather
+    /// than aborting.
     pub fn rebuild_from_store(&mut self) {
         if self.chain.rebuild_from_store().is_err() {
             self.internal_errors += 1;
         }
         self.mempool.clear();
+        self.report_pool();
         self.seen = Gossiper::new();
         self.included.clear();
         self.pending_blocks.clear();
@@ -572,7 +646,7 @@ impl<M: StateMachine> NodeCore<M> {
         if !self.seen.first_sight(id) {
             return false;
         }
-        self.tracer.emit(
+        self.emit(
             ctx.now.as_micros(),
             TraceEvent::FirstSeen {
                 kind: EntityKind::Tx,
@@ -585,7 +659,7 @@ impl<M: StateMachine> NodeCore<M> {
         ctx.broadcast_except(from, msg, size);
         if !self.included.contains(&id) {
             let outcome = self.mempool.insert_outcome(tx);
-            if self.tracer.is_enabled() {
+            if self.observed() {
                 let tx = TraceId(id.into_bytes());
                 let event = match outcome {
                     InsertOutcome::Added => TraceEvent::TxAdmitted { tx },
@@ -602,7 +676,10 @@ impl<M: StateMachine> NodeCore<M> {
                         reason: RejectReason::BadWitness,
                     },
                 };
-                self.tracer.emit(ctx.now.as_micros(), event);
+                self.emit(ctx.now.as_micros(), event);
+                if outcome == InsertOutcome::Added {
+                    self.report_pool();
+                }
             }
         }
         true
@@ -664,6 +741,7 @@ impl<M: StateMachine> NodeCore<M> {
                         self.mempool.insert(tx);
                     }
                 }
+                self.report_pool();
             }
             ChainEvent::SideChain { .. } | ChainEvent::Orphaned => {}
         }
@@ -679,11 +757,11 @@ impl<M: StateMachine> NodeCore<M> {
         // computed once, not once per peer per commit.
         let block = Arc::clone(stored.block());
         let ids = block.tx_ids();
-        if self.tracer.is_enabled() {
+        if self.observed() {
             let block_id = TraceId(block_hash.into_bytes());
             for (tx, id) in block.txs.iter().zip(ids) {
                 if !matches!(tx, Transaction::Coinbase { .. }) {
-                    self.tracer.emit(
+                    self.emit(
                         now.as_micros(),
                         TraceEvent::TxIncluded {
                             tx: TraceId(id.into_bytes()),
@@ -694,6 +772,7 @@ impl<M: StateMachine> NodeCore<M> {
             }
         }
         self.mempool.remove_all(block.txs.iter().zip(ids));
+        self.report_pool();
         self.included.extend(ids.iter().copied());
     }
 
@@ -738,8 +817,8 @@ impl<M: StateMachine> NodeCore<M> {
         let header = BlockHeader::new(parent, height, now.as_micros(), self.address, seal);
         self.blocks_produced += 1;
         let block = Arc::new(Block::with_ids(header, body, ids));
-        if self.tracer.is_enabled() {
-            self.tracer.emit(
+        if self.observed() {
+            self.emit(
                 now.as_micros(),
                 TraceEvent::BlockProposed {
                     block: TraceId(block.hash().into_bytes()),
@@ -932,6 +1011,73 @@ mod tests {
             node.chain.tree().get(&a1.hash()).unwrap().block(),
             &a1
         ));
+    }
+
+    #[test]
+    fn ingest_traces_imports_reorgs_and_finality_once() {
+        let (mut node, g) = new_node();
+        node.set_tracing(&TraceConfig::full());
+        let depth = node.chain.config().confirmation_depth;
+        let at = SimTime::from_micros;
+
+        // An a-branch of 2, then a b-branch of 3 forces a reorg.
+        let a1 = block_on(&g, 1, vec![]);
+        let a2 = block_on(&a1, 2, vec![]);
+        let b1 = block_on(&g, 10, vec![]);
+        let b2 = block_on(&b1, 11, vec![]);
+        let b3 = block_on(&b2, 12, vec![]);
+        for (i, b) in [&a1, &a2, &b1, &b2, &b3].into_iter().enumerate() {
+            node.ingest_block_at(Arc::clone(b), at(100 * (i as u64 + 1)));
+        }
+        let evs: Vec<TraceEvent> = node.tracer().records().map(|r| r.event).collect();
+        let reorg = evs
+            .iter()
+            .position(|e| {
+                *e == TraceEvent::Reorg {
+                    reverted: 2,
+                    applied: 3,
+                }
+            })
+            .unwrap();
+        assert_eq!(
+            evs[reorg + 1],
+            TraceEvent::BlockImported {
+                block: TraceId(b3.hash().into_bytes()),
+                height: 3,
+                outcome: ImportOutcome::Extended,
+            },
+            "a reorg is followed by the imported block's extension"
+        );
+        assert!(evs.contains(&TraceEvent::BlockImported {
+            block: TraceId(b1.hash().into_bytes()),
+            height: 1,
+            outcome: ImportOutcome::SideChain,
+        }));
+        // An orphan is traced as such.
+        let orphan = block_on(&block_on(&b3, 99, vec![]), 100, vec![]);
+        node.ingest_block_at(Arc::clone(&orphan), at(600));
+        assert!(node.tracer().records().any(|r| r.event
+            == TraceEvent::BlockOrphaned {
+                block: TraceId(orphan.hash().into_bytes())
+            }));
+
+        // Extend past the confirmation depth: each finalized height is
+        // emitted exactly once.
+        let mut tip = b3;
+        for i in 0..depth + 2 {
+            tip = block_on(&tip, 200 + i, vec![]);
+            node.ingest_block_at(Arc::clone(&tip), at(1_000 + i));
+        }
+        let finals: Vec<u64> = node
+            .tracer()
+            .records()
+            .filter_map(|r| match r.event {
+                TraceEvent::Finalized { height } => Some(height),
+                _ => None,
+            })
+            .collect();
+        let expect: Vec<u64> = (1..=node.chain.finalized_height()).collect();
+        assert_eq!(finals, expect, "each height finalized exactly once");
     }
 
     fn sent_requests(actions: &[dcs_net::Action<WireMsg>]) -> Vec<(NodeId, Hash256)> {

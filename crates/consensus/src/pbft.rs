@@ -90,7 +90,6 @@ pub struct PbftNode<M: StateMachine> {
     view_timeout_us: u64,
     /// The sequence the leader currently has a proposal out for.
     in_flight: Option<u64>,
-    metrics: Option<crate::PbftMetrics>,
 }
 
 impl<M: StateMachine> PbftNode<M> {
@@ -130,13 +129,6 @@ impl<M: StateMachine> PbftNode<M> {
             batch_timeout_us,
             view_timeout_us,
             in_flight: None,
-            metrics: None,
-        }
-    }
-
-    fn record_phase(&self, phase: PbftPhase) {
-        if let Some(m) = &self.metrics {
-            m.record_phase(phase, self.view);
         }
     }
 
@@ -190,8 +182,7 @@ impl<M: StateMachine> PbftNode<M> {
         };
         let block = self.core.build_block(seal, ctx.now);
         self.in_flight = Some(seq);
-        self.record_phase(PbftPhase::PrePrepare);
-        self.core.tracer.emit(
+        self.core.emit(
             ctx.now.as_micros(),
             TraceEvent::Pbft {
                 phase: PbftPhase::PrePrepare,
@@ -232,10 +223,7 @@ impl<M: StateMachine> PbftNode<M> {
         if entry.prepares.len() >= quorum && !entry.sent_commit {
             entry.sent_commit = true;
             entry.commits.insert(self.core.id);
-            if let Some(m) = &self.metrics {
-                m.record_phase(PbftPhase::Commit, view);
-            }
-            self.core.tracer.emit(
+            self.core.emit(
                 ctx.now.as_micros(),
                 TraceEvent::Pbft {
                     phase: PbftPhase::Commit,
@@ -302,8 +290,7 @@ impl<M: StateMachine> PbftNode<M> {
     fn enter_view(&mut self, new_view: u64, ctx: &mut Ctx<'_, WireMsg>) {
         self.view = new_view;
         self.view_changes += 1;
-        self.record_phase(PbftPhase::ViewChange);
-        self.core.tracer.emit(
+        self.core.emit(
             ctx.now.as_micros(),
             TraceEvent::Pbft {
                 phase: PbftPhase::ViewChange,
@@ -376,10 +363,7 @@ impl<M: StateMachine> Protocol for PbftNode<M> {
                     if !entry.sent_prepare {
                         entry.sent_prepare = true;
                         entry.prepares.insert(self.core.id);
-                        if let Some(m) = &self.metrics {
-                            m.record_phase(PbftPhase::Prepare, view);
-                        }
-                        self.core.tracer.emit(
+                        self.core.emit(
                             ctx.now.as_micros(),
                             TraceEvent::Pbft {
                                 phase: PbftPhase::Prepare,
@@ -472,17 +456,6 @@ impl<M: StateMachine> LedgerNode for PbftNode<M> {
 
     fn core_mut(&mut self) -> &mut NodeCore<M> {
         &mut self.core
-    }
-
-    /// The shared peer series (chain, mempool) plus this replica's view
-    /// gauge and phase counters. Counter bumps sit beside the existing trace
-    /// emissions and never gate protocol decisions.
-    fn register_metrics(&mut self, registry: &dcs_metrics::Registry) {
-        self.core.set_metrics(registry);
-        self.metrics = Some(crate::PbftMetrics::register(
-            registry,
-            &self.core.id.0.to_string(),
-        ));
     }
 
     fn on_crash(&mut self, _ctx: &mut Ctx<'_, WireMsg>) {

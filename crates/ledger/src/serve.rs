@@ -1,7 +1,8 @@
 //! The live operations surface: one-call metrics installation for a whole
-//! network ([`install_metrics`]), run-wide gauge mirroring
-//! ([`RunnerGauges`]), and a dependency-free HTTP server ([`serve`])
-//! exposing the registry and rolling run snapshots.
+//! network ([`install_metrics`]: per-peer series folded from each peer's
+//! events), run-wide gauge mirroring ([`RunnerGauges`]), and a
+//! dependency-free HTTP server ([`serve`]) exposing the registry and
+//! rolling run snapshots.
 //!
 //! # Endpoints
 //!
@@ -16,8 +17,8 @@
 //!
 //! # Determinism contract
 //!
-//! Everything here is **out of band**: instrument updates on the hot path
-//! are relaxed atomic bumps beside decisions already taken, and the server
+//! Everything here is **out of band**: per-peer series are folded from the
+//! events a peer reports after its decisions are taken, and the server
 //! thread only *reads* snapshots published between simulation ticks. The
 //! simulated run is bit-identical with metrics and serving on or off
 //! (asserted in `tests/determinism.rs`); see DESIGN.md §16.
@@ -26,6 +27,7 @@ use crate::builders::{build, NetworkParams, Pow};
 use crate::LedgerNode;
 use crate::{collect_traces, install_tracing, workload::Workload};
 use dcs_chain::NullMachine;
+use dcs_consensus::PeerObserver;
 use dcs_crypto::VerifyPipeline;
 use dcs_metrics::{Counter, Gauge, Histogram, Registry, Ring};
 use dcs_net::{NodeId, Runner};
@@ -33,20 +35,190 @@ use dcs_primitives::ConsensusKind;
 use dcs_scale::channels::ChannelNetwork;
 use dcs_scale::light::LightClient;
 use dcs_sim::{SimDuration, SimTime};
-use dcs_trace::{Timelines, TraceConfig};
+use dcs_trace::{ImportOutcome, PbftPhase, RejectReason, Timelines, TraceConfig, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Registers every peer's live metrics (chain, mempool, and any
-/// protocol-specific series) on `registry` — the metrics analogue of
-/// [`install_tracing`]. Purely a registration
-/// pass: no threads, no I/O, and the run stays bit-identical.
+/// Registers every peer's live series (chain, mempool, and on PBFT
+/// replicas the protocol's) on `registry`, and attaches to each peer's core
+/// the observer that folds its events into them — the metrics analogue of
+/// [`install_tracing`]. Call before driving the run. No threads, no I/O,
+/// and the run stays bit-identical.
 pub fn install_metrics<P: LedgerNode>(runner: &mut Runner<P>, registry: &Registry) {
     for i in 0..runner.nodes().len() {
-        runner.node_mut(NodeId(i)).register_metrics(registry);
+        let core = runner.node_mut(NodeId(i)).core_mut();
+        let pbft = matches!(core.chain.config().consensus, ConsensusKind::Pbft { .. });
+        let series = PeerSeries::register(registry, &core.id.0.to_string(), pbft);
+        core.set_observer(Box::new(series));
+    }
+}
+
+/// One peer's live series, folded from the events its core reports.
+#[derive(Debug)]
+struct PeerSeries {
+    height: Gauge,
+    finalized: Gauge,
+    finality_lag: Gauge,
+    extended: Counter,
+    side_chain: Counter,
+    orphaned: Counter,
+    reorgs: Counter,
+    blocks_reverted: Counter,
+    admitted: Counter,
+    rejected_duplicate: Counter,
+    rejected_full: Counter,
+    rejected_bad_witness: Counter,
+    depth: Gauge,
+    pbft: Option<PbftSeries>,
+    /// Canonical height: +1 per extension, `applied − reverted` per reorg.
+    tip: u64,
+    /// Highest finalized height reported.
+    final_height: u64,
+    /// Set by a reorg: the extension reported next is the block that caused
+    /// it, already counted as the reorg.
+    reorg_import: bool,
+}
+
+/// A PBFT replica's view gauge and phase counters.
+#[derive(Debug)]
+struct PbftSeries {
+    view: Gauge,
+    view_changes: Counter,
+    preprepare: Counter,
+    prepare: Counter,
+    commit: Counter,
+}
+
+impl PeerSeries {
+    fn register(registry: &Registry, node: &str, pbft: bool) -> Self {
+        let l = [("node", node)];
+        let gauge = |name, help| registry.gauge(name, help, &l);
+        let counter = |name, help| registry.counter(name, help, &l);
+        let import = |outcome| {
+            registry.counter(
+                "dcs_chain_imports_total",
+                "block imports by outcome",
+                &[("node", node), ("outcome", outcome)],
+            )
+        };
+        let rejected = |reason| {
+            registry.counter(
+                "dcs_mempool_rejected_total",
+                "transactions refused at admission, by reason",
+                &[("node", node), ("reason", reason)],
+            )
+        };
+        let phase = |phase| {
+            registry.counter(
+                "dcs_pbft_phase_total",
+                "protocol phase entries, by phase",
+                &[("node", node), ("phase", phase)],
+            )
+        };
+        PeerSeries {
+            height: gauge("dcs_chain_height", "canonical chain height"),
+            finalized: gauge(
+                "dcs_chain_finalized_height",
+                "highest height at confirmation depth",
+            ),
+            finality_lag: gauge(
+                "dcs_chain_finality_lag",
+                "blocks between tip and finalized height",
+            ),
+            extended: import("extended"),
+            side_chain: import("side_chain"),
+            orphaned: import("orphaned"),
+            reorgs: import("reorg"),
+            blocks_reverted: counter(
+                "dcs_chain_blocks_reverted_total",
+                "canonical blocks reverted across reorgs",
+            ),
+            admitted: counter(
+                "dcs_mempool_admitted_total",
+                "transactions admitted to the pool",
+            ),
+            rejected_duplicate: rejected("duplicate"),
+            rejected_full: rejected("full"),
+            rejected_bad_witness: rejected("bad_witness"),
+            depth: gauge("dcs_mempool_depth", "pending transactions pooled"),
+            pbft: pbft.then(|| PbftSeries {
+                view: gauge("dcs_pbft_view", "current PBFT view"),
+                view_changes: counter("dcs_pbft_view_changes_total", "view changes executed"),
+                preprepare: phase("preprepare"),
+                prepare: phase("prepare"),
+                commit: phase("commit"),
+            }),
+            tip: 0,
+            final_height: 0,
+            reorg_import: false,
+        }
+    }
+
+    fn publish_head(&self) {
+        self.height.set(self.tip as i64);
+        self.finalized.set(self.final_height as i64);
+        self.finality_lag
+            .set(self.tip.saturating_sub(self.final_height) as i64);
+    }
+}
+
+impl PeerObserver for PeerSeries {
+    fn observe(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::BlockImported {
+                outcome: ImportOutcome::Extended,
+                ..
+            } if self.reorg_import => self.reorg_import = false,
+            TraceEvent::BlockImported {
+                outcome: ImportOutcome::Extended,
+                ..
+            } => {
+                self.extended.inc();
+                self.tip += 1;
+                self.publish_head();
+            }
+            TraceEvent::BlockImported {
+                outcome: ImportOutcome::SideChain,
+                ..
+            } => self.side_chain.inc(),
+            TraceEvent::BlockOrphaned { .. } => self.orphaned.inc(),
+            TraceEvent::Reorg { reverted, applied } => {
+                self.reorgs.inc();
+                self.blocks_reverted.add(reverted);
+                self.tip = (self.tip + applied).saturating_sub(reverted);
+                self.reorg_import = true;
+                self.publish_head();
+            }
+            TraceEvent::Finalized { height } => {
+                self.final_height = height;
+                self.publish_head();
+            }
+            TraceEvent::TxAdmitted { .. } => self.admitted.inc(),
+            TraceEvent::TxRejected { reason, .. } => match reason {
+                RejectReason::Duplicate => self.rejected_duplicate.inc(),
+                RejectReason::Full => self.rejected_full.inc(),
+                RejectReason::BadWitness => self.rejected_bad_witness.inc(),
+            },
+            TraceEvent::Pbft { phase, view, .. } => {
+                if let Some(p) = &self.pbft {
+                    match phase {
+                        PbftPhase::PrePrepare => p.preprepare.inc(),
+                        PbftPhase::Prepare => p.prepare.inc(),
+                        PbftPhase::Commit => p.commit.inc(),
+                        PbftPhase::ViewChange => p.view_changes.inc(),
+                    }
+                    p.view.set(view as i64);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn pool_depth(&mut self, len: usize) {
+        self.depth.set(len as i64);
     }
 }
 
@@ -314,9 +486,8 @@ impl ScaleSidecar {
         // Headers only ever up to the finalized height: below the
         // confirmation depth a PoW chain may still reorg, and the light
         // client's strict linkage check would wedge on an orphaned header.
-        let finalized = height.saturating_sub(chain.config().confirmation_depth);
         let mut headers = Vec::new();
-        for h in self.light.tip_height() + 1..=finalized {
+        for h in self.light.tip_height() + 1..=chain.finalized_height() {
             let Some(stored) = chain
                 .canonical_at(h)
                 .and_then(|hash| chain.tree().get(&hash))
@@ -797,8 +968,6 @@ fn publish_snapshots<P: LedgerNode>(
 
     let core = runner.node(NodeId(0)).core();
     let height = core.chain.height();
-    let depth = core.chain.config().confirmation_depth;
-    let finalized = height.saturating_sub(depth);
     let peers: Vec<String> = (0..runner.nodes().len())
         .map(|i| {
             format!(
@@ -821,7 +990,7 @@ fn publish_snapshots<P: LedgerNode>(
         runner.now().as_micros(),
         height,
         core.chain.tip_hash(),
-        finalized,
+        core.chain.finalized_height(),
         core.mempool.len(),
         submitted,
         timelines.txs.len(),

@@ -90,11 +90,16 @@ pub struct ChainConfig {
     pub block_tx_limit: usize,
     /// Block subsidy paid to the proposer via a coinbase transaction.
     pub block_reward: Amount,
-    /// Gas schedule for contract execution.
+    /// Gas schedule for contract execution. Read only by the privacy
+    /// crate's channel ledgers, which copy it into each channel's machine;
+    /// elsewhere gas is charged by the state machine's own schedule
+    /// (`AccountMachine::schedule`).
     pub gas: GasSchedule,
-    /// Whether transaction witnesses are required and verified. Large-scale
-    /// throughput simulations can disable this (documented substitution;
-    /// the crypto is exercised by dedicated tests and benches).
+    /// Whether transaction witnesses should be verified. Nothing reads it:
+    /// witness checks are switched on in the state machine
+    /// (`AccountMachine::verify_signatures`,
+    /// `UtxoSet::with_witness_verification`) and at admission
+    /// (`Mempool::with_admission`).
     pub verify_signatures: bool,
     /// Blocks behind the tip considered final for reporting purposes.
     pub confirmation_depth: u64,

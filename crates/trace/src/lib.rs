@@ -9,9 +9,9 @@
 //!
 //! The pieces:
 //!
-//! * [`Tracer`] — one per emitting stream of a peer (its consensus core,
-//!   its chain, its fabric traffic, its engine dispatches); every record's
-//!   actor is a peer index. Internally `Option<Box<_>>`: a disabled tracer
+//! * [`Tracer`] — one per emitting stream of a peer (its core, which
+//!   reports everything the peer decides, its fabric traffic, its engine
+//!   dispatches); every record's actor is a peer index. Internally `Option<Box<_>>`: a disabled tracer
 //!   is one branch on a `None`, with no formatting, allocation, or buffer
 //!   touch.
 //! * [`TraceEvent`] — the typed event taxonomy (network sends, mempool

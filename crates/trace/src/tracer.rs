@@ -73,9 +73,9 @@ struct Inner {
 
 /// A per-actor tracing handle.
 ///
-/// A `Tracer` is owned by one emitting stream of one peer (its consensus
-/// core, its chain, its fabric traffic, its engine dispatches) and is **not** shared: no
-/// locks, no interior mutability, deterministic by construction. Disabled
+/// A `Tracer` is owned by one emitting stream of one peer (its core, its
+/// fabric traffic, its engine dispatches) and is **not** shared: no locks,
+/// no interior mutability, deterministic by construction. Disabled
 /// tracers carry no state — `emit` is one branch.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer(Option<Box<Inner>>);
@@ -200,8 +200,8 @@ impl TraceSet {
 
     /// Adds one tracer's buffer under `key` (e.g. `"node3"`, `"net"`).
     /// Disabled tracers are ignored. Adding two tracers under the same key
-    /// combines their digests (fold of the pair), so a peer's core and
-    /// chain tracers can share one per-peer key.
+    /// combines their digests (fold of the pair), so every peer's fabric
+    /// tracer can share the `"net"` key.
     pub fn add(&mut self, key: &str, tracer: &Tracer) {
         let Some(inner) = tracer.0.as_deref() else {
             return;

@@ -56,8 +56,7 @@ fn main() {
     let mut _bob = KeyPair::generate([2u8; 32], 4);
     let miner = Address::from_index(9);
 
-    let mut cfg = ChainConfig::bitcoin_like();
-    cfg.verify_signatures = true;
+    let cfg = ChainConfig::bitcoin_like();
     let genesis = dcs_chain::genesis_block(&cfg);
     let mut machine = UtxoMachine::new();
     machine.set = dcs_state::UtxoSet::with_witness_verification();

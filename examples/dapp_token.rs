@@ -33,9 +33,9 @@ fn main() {
     let bob = Address::from_index(2);
     let proposer = Address::from_index(999);
 
-    // A permissioned 2.0 chain with paid gas (Ethereum-style economics).
-    let mut cfg = ChainConfig::hyperledger_like();
-    cfg.gas = dcs_primitives::GasSchedule::default();
+    // A permissioned 2.0 chain; the account machine charges gas by its
+    // default schedule (Ethereum-style economics).
+    let cfg = ChainConfig::hyperledger_like();
     let genesis = dcs_chain::genesis_block(&cfg);
     let machine = AccountMachine::with_alloc(&[(alice, 1_000_000_000), (bob, 1_000_000_000)]);
     let mut chain = Chain::new(genesis, cfg, machine);

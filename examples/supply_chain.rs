@@ -39,8 +39,7 @@ fn main() {
     let retailer = Address::from_index(3);
 
     // --- The goods ledger: trade registry contract. ---------------------
-    let mut cfg = ChainConfig::hyperledger_like();
-    cfg.gas = GasSchedule::free();
+    let cfg = ChainConfig::hyperledger_like();
     let genesis = dcs_chain::genesis_block(&cfg);
     // Balances must cover the *offered* gas (limit × price) up-front, even
     // though the free schedule refunds it all.
