@@ -41,6 +41,7 @@ use dcs_primitives::{
     AccountTx, Amount, Block, BlockHeader, ChainConfig, GasSchedule, Seal, Transaction, TxPayload,
 };
 use dcs_sim::{SimDuration, SimTime};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Timer tags (per-role, so overlap across roles is fine).
@@ -81,7 +82,44 @@ impl LockReceipt {
     }
 }
 
+/// What a destination shard needs to mint a granted lock: the lock id it
+/// deduplicates on, the recipient and value it credits, and the source
+/// shard it acknowledges. The beacon remembers these, not the receipt and
+/// its proof, once a lock is granted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Grant {
+    /// Transaction id of the granted lock.
+    pub lock_id: Hash256,
+    /// Account credited on the destination shard.
+    pub to: Address,
+    /// Amount minted.
+    pub value: Amount,
+    /// Shard the lock sealed on, which the mint acknowledges.
+    pub src_shard: u32,
+}
+
+impl Grant {
+    fn of(receipt: &LockReceipt) -> Self {
+        Grant {
+            lock_id: receipt.lock_id,
+            to: receipt.transfer.to,
+            value: receipt.transfer.value,
+            src_shard: receipt.src_shard,
+        }
+    }
+
+    fn wire_size(&self) -> usize {
+        // lock_id + recipient + value + source shard.
+        32 + 20 + 8 + 4
+    }
+}
+
 /// Messages of the beacon/shard/light protocol.
+///
+/// Every queued event is sized for the largest variant, and a run queues
+/// one `Submit` per client transfer up front, so the rare large payloads
+/// (a header, a receipt with its proof, a checkpoint, an SPV proof) sit
+/// behind a `Box` and the enum stays at most 72 bytes.
 #[derive(Debug, Clone)]
 pub enum ScaleMsg {
     /// A client transfer, injected at its home (source) shard.
@@ -91,13 +129,13 @@ pub enum ScaleMsg {
         /// The sealing shard.
         shard: u32,
         /// The sealed header.
-        header: BlockHeader,
+        header: Box<BlockHeader>,
     },
     /// A shard reports the cross-shard locks of one sealed block to the
     /// beacon, in leaf order.
     Locks(Vec<LockReceipt>),
     /// Beacon → destination shard: the lock verified; mint it.
-    MintGrant(LockReceipt),
+    MintGrant(Grant),
     /// Beacon → source shard: the lock is void; refund the sender.
     MintDenied {
         /// The voided lock.
@@ -113,14 +151,14 @@ pub enum ScaleMsg {
         /// The overdue lock.
         lock_id: Hash256,
         /// Its receipt, in case the beacon never saw the original.
-        receipt: LockReceipt,
+        receipt: Box<LockReceipt>,
     },
     /// Light client → shard: send a checkpoint and the headers above it.
     SnapshotRequest,
     /// Shard → light client: checkpoint header plus headers above it.
     SnapshotResponse {
         /// Trusted checkpoint header (finalized depth).
-        checkpoint: BlockHeader,
+        checkpoint: Box<BlockHeader>,
         /// Consecutive headers from checkpoint+1 to the tip.
         headers: Vec<BlockHeader>,
     },
@@ -146,7 +184,7 @@ pub enum ScaleMsg {
         /// The proven transaction id.
         tx_id: Hash256,
         /// Its Merkle proof.
-        proof: MerkleProof,
+        proof: Box<MerkleProof>,
     },
 }
 
@@ -157,7 +195,7 @@ impl ScaleMsg {
             ScaleMsg::Submit(_) => 48,
             ScaleMsg::Anchor { header, .. } => 4 + header.encoded().len(),
             ScaleMsg::Locks(receipts) => receipts.iter().map(LockReceipt::wire_size).sum(),
-            ScaleMsg::MintGrant(r) => r.wire_size(),
+            ScaleMsg::MintGrant(grant) => grant.wire_size(),
             ScaleMsg::MintDenied { .. } | ScaleMsg::MintAck { .. } => 32,
             ScaleMsg::LockStatus { receipt, .. } => 32 + receipt.wire_size(),
             ScaleMsg::SnapshotRequest => 8,
@@ -433,10 +471,13 @@ impl ShardNode {
             self.chain
                 .import(block)
                 .expect("sequencer blocks are valid by construction");
+            // Nothing reads a sequencer's receipts: admission, not a
+            // failed receipt, keeps an unfunded transfer out of a block.
+            drop(self.chain.drain_receipts());
             self.stats.blocks += 1;
             let anchor = ScaleMsg::Anchor {
                 shard: self.shard,
-                header: sealed_header,
+                header: Box::new(sealed_header),
             };
             let size = anchor.wire_size();
             ctx.send(NodeId(0), anchor, size);
@@ -488,29 +529,29 @@ impl ShardNode {
             pending.deadline = now + self.params.lock_timeout;
             let msg = ScaleMsg::LockStatus {
                 lock_id,
-                receipt: pending.receipt.clone(),
+                receipt: Box::new(pending.receipt.clone()),
             };
             let size = msg.wire_size();
             ctx.send(NodeId(0), msg, size);
         }
     }
 
-    fn grant(&mut self, receipt: LockReceipt, ctx: &mut Ctx<'_, ScaleMsg>) {
-        if !self.minted.insert(receipt.lock_id) {
+    fn grant(&mut self, grant: Grant, ctx: &mut Ctx<'_, ScaleMsg>) {
+        if !self.minted.insert(grant.lock_id) {
             return; // Duplicate grant (status re-query raced the first).
         }
         self.stats.mints += 1;
         self.mint_seq += 1;
         self.pending.push(PendingTx::Plain(Transaction::Coinbase {
-            to: receipt.transfer.to,
-            value: receipt.transfer.value,
+            to: grant.to,
+            value: grant.value,
             height: MINT_HEIGHT_BASE + self.mint_seq,
         }));
         let ack = ScaleMsg::MintAck {
-            lock_id: receipt.lock_id,
+            lock_id: grant.lock_id,
         };
         let size = ack.wire_size();
-        ctx.send(NodeId(1 + receipt.src_shard as usize), ack, size);
+        ctx.send(NodeId(1 + grant.src_shard as usize), ack, size);
         self.arm(ctx);
     }
 
@@ -555,7 +596,7 @@ impl ShardNode {
             return;
         };
         let msg = ScaleMsg::SnapshotResponse {
-            checkpoint,
+            checkpoint: Box::new(checkpoint),
             headers: self.headers_range(cp_height + 1),
         };
         let size = msg.wire_size();
@@ -584,7 +625,7 @@ impl ShardNode {
         let msg = ScaleMsg::ProofResponse {
             height,
             tx_id: leaves[0],
-            proof,
+            proof: Box::new(proof),
         };
         let size = msg.wire_size();
         ctx.send(from, msg, size);
@@ -611,8 +652,10 @@ pub struct BeaconStats {
     pub grants: u64,
     /// Locks voided by timeout queries.
     pub timeout_denials: u64,
-    /// Receipts whose Merkle proof failed verification, or that name a
-    /// shard the beacon does not coordinate.
+    /// Receipts whose Merkle proof failed verification, that name a shard
+    /// the beacon does not coordinate, or that came from a node other than
+    /// their source shard's sequencer; and status queries whose receipt
+    /// names another lock.
     pub invalid_receipts: u64,
     /// Receipts dropped by the `silent_shards` fault knob.
     pub suppressed: u64,
@@ -625,6 +668,16 @@ pub struct BeaconStats {
     /// does not extend the tracked chain. Honest runs without duplicated
     /// deliveries send none, so [`BeaconNet::digest`] leaves it out too.
     pub invalid_anchors: u64,
+}
+
+/// How the beacon settled a lock. Either is final: a granted lock is never
+/// voided and a voided one never granted.
+#[derive(Debug)]
+enum Decision {
+    /// Minted on shard `dst`; a status query re-sends the grant there.
+    Granted { grant: Grant, dst: u32 },
+    /// Refunded on the source shard.
+    Voided,
 }
 
 /// The beacon: tracks every shard header-chain, arbitrates cross-shard
@@ -640,8 +693,8 @@ pub struct BeaconNode {
     anchor_buf: BTreeMap<(u32, u64), BlockHeader>,
     /// Receipts waiting for the anchor covering their height.
     receipt_buf: BTreeMap<(u32, u64), Vec<LockReceipt>>,
-    granted: BTreeMap<Hash256, LockReceipt>,
-    voided: BTreeSet<Hash256>,
+    /// Every settled lock, by lock id.
+    decisions: BTreeMap<Hash256, Decision>,
     pending_anchor_txs: Vec<Transaction>,
     anchor_nonce: u64,
     timer_armed: bool,
@@ -664,8 +717,7 @@ impl BeaconNode {
             trackers,
             anchor_buf: BTreeMap::new(),
             receipt_buf: BTreeMap::new(),
-            granted: BTreeMap::new(),
-            voided: BTreeSet::new(),
+            decisions: BTreeMap::new(),
             pending_anchor_txs: Vec::new(),
             anchor_nonce: 0,
             timer_armed: false,
@@ -740,21 +792,25 @@ impl BeaconNode {
         self.arm(ctx);
     }
 
-    /// Whether a receipt names shards this beacon coordinates. A receipt is
-    /// a peer's bytes: its shard ids index the trackers and address sends,
-    /// so they are checked before either.
-    fn names_known_shards(&self, receipt: &LockReceipt) -> bool {
+    /// Whether `from` may speak for a receipt: it names shards this beacon
+    /// coordinates, and `from` is its source shard's sequencer. A receipt
+    /// is a peer's bytes: its shard ids index the trackers and address
+    /// sends, so they are checked before either, and only the shard that
+    /// sealed a lock reports or chases it — as only it anchors its chain.
+    fn accepts(&self, from: NodeId, receipt: &LockReceipt) -> bool {
         let k = self.trackers.len();
-        (receipt.src_shard as usize) < k && (receipt.dst_shard as usize) < k
+        (receipt.src_shard as usize) < k
+            && (receipt.dst_shard as usize) < k
+            && from.0 == 1 + receipt.src_shard as usize
     }
 
     /// One sealed block's receipts: each passes the per-receipt gates, those
     /// whose covering anchor is tracked are decided together, the rest wait
     /// for it.
-    fn on_locks(&mut self, receipts: Vec<LockReceipt>, ctx: &mut Ctx<'_, ScaleMsg>) {
+    fn on_locks(&mut self, from: NodeId, receipts: Vec<LockReceipt>, ctx: &mut Ctx<'_, ScaleMsg>) {
         let mut ready = Vec::with_capacity(receipts.len());
         for receipt in receipts {
-            if !self.names_known_shards(&receipt) {
+            if !self.accepts(from, &receipt) {
                 self.stats.invalid_receipts += 1;
             } else if self.silent.contains(&receipt.dst_shard) {
                 self.stats.suppressed += 1;
@@ -786,21 +842,23 @@ impl BeaconNode {
             })
             .collect();
         let verified = MerkleProof::verify_many(&claims);
-        for (receipt, verified) in receipts.into_iter().zip(verified) {
-            if self.granted.contains_key(&receipt.lock_id) || self.voided.contains(&receipt.lock_id)
-            {
+        for (receipt, verified) in receipts.iter().zip(verified) {
+            let Entry::Vacant(slot) = self.decisions.entry(receipt.lock_id) else {
                 continue;
-            }
+            };
             if verified {
                 self.stats.grants += 1;
-                let dst = NodeId(1 + receipt.dst_shard as usize);
-                self.granted.insert(receipt.lock_id, receipt.clone());
-                let msg = ScaleMsg::MintGrant(receipt);
+                let grant = Grant::of(receipt);
+                slot.insert(Decision::Granted {
+                    grant,
+                    dst: receipt.dst_shard,
+                });
+                let msg = ScaleMsg::MintGrant(grant);
                 let size = msg.wire_size();
-                ctx.send(dst, msg, size);
+                ctx.send(NodeId(1 + receipt.dst_shard as usize), msg, size);
             } else {
                 self.stats.invalid_receipts += 1;
-                self.voided.insert(receipt.lock_id);
+                slot.insert(Decision::Voided);
                 let src = NodeId(1 + receipt.src_shard as usize);
                 let msg = ScaleMsg::MintDenied {
                     lock_id: receipt.lock_id,
@@ -814,21 +872,32 @@ impl BeaconNode {
     /// Timeout policy: a queried lock the beacon already granted is
     /// re-granted (idempotent at the mint shard); anything else is voided
     /// *permanently* — it can never be granted afterwards, so mint and
-    /// refund are mutually exclusive.
-    fn on_status(&mut self, lock_id: Hash256, receipt: LockReceipt, ctx: &mut Ctx<'_, ScaleMsg>) {
-        if let Some(granted) = self.granted.get(&lock_id) {
-            let dst = NodeId(1 + granted.dst_shard as usize);
-            let msg = ScaleMsg::MintGrant(granted.clone());
-            let size = msg.wire_size();
-            ctx.send(dst, msg, size);
-            return;
-        }
-        if !self.names_known_shards(&receipt) {
+    /// refund are mutually exclusive. Only the lock's source sequencer may
+    /// ask, about the lock its receipt names.
+    fn on_status(
+        &mut self,
+        from: NodeId,
+        lock_id: Hash256,
+        receipt: &LockReceipt,
+        ctx: &mut Ctx<'_, ScaleMsg>,
+    ) {
+        if receipt.lock_id != lock_id || !self.accepts(from, receipt) {
             self.stats.invalid_receipts += 1;
             return;
         }
-        if self.voided.insert(lock_id) {
-            self.stats.timeout_denials += 1;
+        match self.decisions.entry(lock_id) {
+            Entry::Occupied(decided) => {
+                if let Decision::Granted { grant, dst } = decided.get() {
+                    let msg = ScaleMsg::MintGrant(*grant);
+                    let size = msg.wire_size();
+                    ctx.send(NodeId(1 + *dst as usize), msg, size);
+                    return;
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(Decision::Voided);
+                self.stats.timeout_denials += 1;
+            }
         }
         let src = NodeId(1 + receipt.src_shard as usize);
         let msg = ScaleMsg::MintDenied { lock_id };
@@ -856,6 +925,7 @@ impl BeaconNode {
             self.chain
                 .import(Block::new(header, batch))
                 .expect("beacon blocks are valid by construction");
+            drop(self.chain.drain_receipts());
         }
     }
 
@@ -989,7 +1059,7 @@ impl Protocol for ScalePeer {
                 s.admit(t);
                 s.arm(ctx);
             }
-            (ScalePeer::Shard(s), ScaleMsg::MintGrant(receipt)) => s.grant(receipt, ctx),
+            (ScalePeer::Shard(s), ScaleMsg::MintGrant(grant)) => s.grant(grant, ctx),
             (ScalePeer::Shard(s), ScaleMsg::MintDenied { lock_id }) => s.deny(lock_id, ctx),
             (ScalePeer::Shard(s), ScaleMsg::MintAck { lock_id }) => s.ack(lock_id),
             (ScalePeer::Shard(s), ScaleMsg::SnapshotRequest) => s.serve_snapshot(from, ctx),
@@ -1005,11 +1075,11 @@ impl Protocol for ScalePeer {
                 s.serve_proof(from, height, ctx)
             }
             (ScalePeer::Beacon(b), ScaleMsg::Anchor { shard, header }) => {
-                b.on_anchor(from, shard, header, ctx)
+                b.on_anchor(from, shard, *header, ctx)
             }
-            (ScalePeer::Beacon(b), ScaleMsg::Locks(receipts)) => b.on_locks(receipts, ctx),
+            (ScalePeer::Beacon(b), ScaleMsg::Locks(receipts)) => b.on_locks(from, receipts, ctx),
             (ScalePeer::Beacon(b), ScaleMsg::LockStatus { lock_id, receipt }) => {
-                b.on_status(lock_id, receipt, ctx)
+                b.on_status(from, lock_id, &receipt, ctx)
             }
             (
                 ScalePeer::Light(l),
@@ -1017,7 +1087,7 @@ impl Protocol for ScalePeer {
                     checkpoint,
                     headers,
                 },
-            ) => l.bootstrap(checkpoint, &headers),
+            ) => l.bootstrap(*checkpoint, &headers),
             (ScalePeer::Light(l), ScaleMsg::HeadersResponse { headers }) => l.absorb(&headers),
             (
                 ScalePeer::Light(l),
@@ -1279,6 +1349,13 @@ mod tests {
         (a, b)
     }
 
+    /// Every queued event is sized for the largest `ScaleMsg` variant, and
+    /// a run queues one `Submit` per client transfer before it starts.
+    #[test]
+    fn scale_msg_stays_small() {
+        assert!(std::mem::size_of::<ScaleMsg>() <= 72);
+    }
+
     #[test]
     #[should_panic(expected = "need at least one shard")]
     fn zero_shards_is_refused_at_construction() {
@@ -1381,38 +1458,41 @@ mod tests {
         Denied { lock: Hash256, to: usize },
     }
 
-    /// Runs one beacon handler outside a network and returns its sends.
-    fn drive(
-        beacon: &mut BeaconNode,
-        f: impl FnOnce(&mut BeaconNode, &mut Ctx<'_, ScaleMsg>),
-    ) -> Vec<Sent> {
+    /// Runs one handler of a node outside a network and returns its sends,
+    /// timers aside.
+    fn sends<N>(
+        node: &mut N,
+        f: impl FnOnce(&mut N, &mut Ctx<'_, ScaleMsg>),
+    ) -> Vec<(usize, ScaleMsg)> {
         let mut rng = dcs_sim::Rng::seed_from(1);
         let mut actions = Vec::new();
         f(
-            beacon,
+            node,
             &mut Ctx::new(NodeId(0), SimTime::ZERO, &[], &mut rng, &mut actions),
         );
         actions
             .into_iter()
             .filter_map(|action| match action {
-                dcs_net::Action::Send {
-                    to,
-                    msg: ScaleMsg::MintGrant(r),
-                    ..
-                } => Some(Sent::Grant {
-                    lock: r.lock_id,
-                    to: to.0,
-                }),
-                dcs_net::Action::Send {
-                    to,
-                    msg: ScaleMsg::MintDenied { lock_id },
-                    ..
-                } => Some(Sent::Denied {
-                    lock: lock_id,
-                    to: to.0,
-                }),
-                dcs_net::Action::Send { msg, .. } => panic!("unexpected send: {msg:?}"),
+                dcs_net::Action::Send { to, msg, .. } => Some((to.0, msg)),
                 dcs_net::Action::Timer { .. } => None,
+            })
+            .collect()
+    }
+
+    /// Runs one beacon handler outside a network and returns its sends.
+    fn drive(
+        beacon: &mut BeaconNode,
+        f: impl FnOnce(&mut BeaconNode, &mut Ctx<'_, ScaleMsg>),
+    ) -> Vec<Sent> {
+        sends(beacon, f)
+            .into_iter()
+            .map(|(to, msg)| match msg {
+                ScaleMsg::MintGrant(grant) => Sent::Grant {
+                    lock: grant.lock_id,
+                    to,
+                },
+                ScaleMsg::MintDenied { lock_id } => Sent::Denied { lock: lock_id, to },
+                msg => panic!("unexpected send: {msg:?}"),
             })
             .collect()
     }
@@ -1469,7 +1549,7 @@ mod tests {
         forged.proof = receipt_for(1, 3).proof;
         let (l0, l2, l4) = (leaves_at(1)[0], leaves_at(1)[2], leaves_at(1)[4]);
         let bundle = vec![receipt_for(1, 0), forged, receipt_for(1, 4)];
-        let sent = drive(&mut beacon, |b, ctx| b.on_locks(bundle, ctx));
+        let sent = drive(&mut beacon, |b, ctx| b.on_locks(NodeId(1), bundle, ctx));
         // Settled in leaf order: shard 1 (node 2) mints, shard 0 (node 1)
         // refunds.
         assert_eq!(
@@ -1484,7 +1564,7 @@ mod tests {
         // The void is permanent: the honest receipt arriving later changes
         // nothing.
         let late = vec![receipt_for(1, 2)];
-        assert!(drive(&mut beacon, |b, ctx| b.on_locks(late, ctx)).is_empty());
+        assert!(drive(&mut beacon, |b, ctx| b.on_locks(NodeId(1), late, ctx)).is_empty());
     }
 
     #[test]
@@ -1492,7 +1572,7 @@ mod tests {
         let (mut beacon, _) = beacon_with_one_anchor();
         let (l1, l3) = (leaves_at(1)[1], leaves_at(1)[3]);
         let bundle = vec![receipt_for(1, 1), receipt_for(1, 1), receipt_for(1, 3)];
-        let sent = drive(&mut beacon, |b, ctx| b.on_locks(bundle, ctx));
+        let sent = drive(&mut beacon, |b, ctx| b.on_locks(NodeId(1), bundle, ctx));
         assert_eq!(
             sent,
             vec![
@@ -1503,11 +1583,107 @@ mod tests {
         assert_eq!(beacon.stats.grants, 2);
     }
 
+    /// A receipt is only its source sequencer's to report: shard 1's
+    /// sequencer (node 2) replaying shard 0's receipt with the recipient and
+    /// value rewritten is granted nothing, and the honest report still
+    /// mints what was locked.
+    #[test]
+    fn replayed_receipt_from_the_wrong_sequencer_is_granted_nothing() {
+        let (mut beacon, _) = beacon_with_one_anchor();
+        let honest = receipt_for(1, 0);
+        let rewritten = LockReceipt {
+            transfer: Transfer {
+                to: Address::from_index(7),
+                value: 1_000_000,
+                ..honest.transfer
+            },
+            ..honest.clone()
+        };
+        let sent = drive(&mut beacon, |b, ctx| {
+            b.on_locks(NodeId(2), vec![rewritten], ctx)
+        });
+        assert!(sent.is_empty());
+        assert_eq!((beacon.stats.grants, beacon.stats.invalid_receipts), (0, 1));
+        let sent = sends(&mut beacon, |b, ctx| {
+            b.on_locks(NodeId(1), vec![honest.clone()], ctx)
+        });
+        let [(2, ScaleMsg::MintGrant(grant))] = sent.as_slice() else {
+            panic!("expected one grant to shard 1, got {sent:?}");
+        };
+        assert_eq!(*grant, Grant::of(&honest));
+    }
+
+    /// Only a lock's source sequencer may chase it, and only about the lock
+    /// its receipt names: a status from another node, or one whose receipt
+    /// names a different lock, voids nothing.
+    #[test]
+    fn foreign_lock_status_voids_nothing() {
+        let (mut beacon, _) = beacon_with_one_anchor();
+        let receipt = receipt_for(1, 3);
+        let lock = receipt.lock_id;
+        for (from, lock_id) in [(2, lock), (3, lock), (1, leaves_at(1)[4])] {
+            let sent = drive(&mut beacon, |b, ctx| {
+                b.on_status(NodeId(from), lock_id, &receipt, ctx)
+            });
+            assert!(sent.is_empty(), "status from node {from} was acted on");
+        }
+        assert_eq!(beacon.stats.invalid_receipts, 3);
+        assert_eq!(beacon.stats.timeout_denials, 0);
+        let sent = drive(&mut beacon, |b, ctx| {
+            b.on_locks(NodeId(1), vec![receipt], ctx)
+        });
+        assert_eq!(sent, vec![Sent::Grant { lock, to: 2 }]);
+    }
+
+    /// A status query about a lock the beacon already granted re-sends the
+    /// same grant, read from what the beacon kept, and never denies it.
+    #[test]
+    fn status_for_a_granted_lock_re_grants_it() {
+        let (mut beacon, _) = beacon_with_one_anchor();
+        let receipt = receipt_for(1, 2);
+        let first = sends(&mut beacon, |b, ctx| {
+            b.on_locks(NodeId(1), vec![receipt.clone()], ctx)
+        });
+        let again = sends(&mut beacon, |b, ctx| {
+            b.on_status(NodeId(1), receipt.lock_id, &receipt, ctx)
+        });
+        let ([(to, ScaleMsg::MintGrant(granted))], [(to_again, ScaleMsg::MintGrant(regranted))]) =
+            (first.as_slice(), again.as_slice())
+        else {
+            panic!("expected one grant each time, got {first:?} then {again:?}");
+        };
+        assert_eq!((*to, *to_again), (2, 2));
+        assert_eq!(granted, regranted);
+        assert_eq!(
+            (regranted.lock_id, regranted.to, regranted.value),
+            (receipt.lock_id, receipt.transfer.to, receipt.transfer.value)
+        );
+        assert_eq!((beacon.stats.grants, beacon.stats.timeout_denials), (1, 0));
+    }
+
+    /// A grant delivered twice (a status re-query raced the first) mints
+    /// once and acknowledges once.
+    #[test]
+    fn grant_delivered_twice_mints_once() {
+        let params = BeaconParams::default();
+        let mut shard = ShardNode::new(1, &params, &[]);
+        let grant = Grant::of(&receipt_for(1, 0));
+        let first = sends(&mut shard, |s, ctx| s.grant(grant, ctx));
+        let [(1, ScaleMsg::MintAck { lock_id })] = first.as_slice() else {
+            panic!("expected one ack to shard 0, got {first:?}");
+        };
+        assert_eq!(*lock_id, grant.lock_id);
+        let again = sends(&mut shard, |s, ctx| s.grant(grant, ctx));
+        assert!(again.is_empty(), "the duplicate was acted on: {again:?}");
+        assert_eq!(shard.stats.mints, 1);
+        assert_eq!(shard.pending.len(), 1, "one mint queued");
+    }
+
     #[test]
     fn bundle_spanning_a_missing_anchor_settles_each_receipt_at_its_own() {
         let (mut beacon, h1) = beacon_with_one_anchor();
         let bundle = vec![receipt_for(1, 0), receipt_for(2, 4)];
-        let sent = drive(&mut beacon, |b, ctx| b.on_locks(bundle, ctx));
+        let sent = drive(&mut beacon, |b, ctx| b.on_locks(NodeId(1), bundle, ctx));
         assert_eq!(
             sent,
             vec![Sent::Grant {
@@ -1546,7 +1722,7 @@ mod tests {
         ];
         let status = ScaleMsg::LockStatus {
             lock_id: hostile[0].lock_id,
-            receipt: hostile[0].clone(),
+            receipt: Box::new(hostile[0].clone()),
         };
         for msg in [ScaleMsg::Locks(hostile.to_vec()), status] {
             let size = msg.wire_size();
@@ -1579,7 +1755,7 @@ mod tests {
         let header = header_over_leaves(&genesis, 1);
         // Shard 1's sequencer (node 2) names shard 9 of 2, then shard 0.
         for shard in [9, 0] {
-            let header = header.clone();
+            let header = Box::new(header.clone());
             send_to_beacon(&mut net, 2, ScaleMsg::Anchor { shard, header });
         }
         for (i, &from) in accts.iter().enumerate() {
@@ -1614,7 +1790,7 @@ mod tests {
             1,
             ScaleMsg::Anchor {
                 shard: 0,
-                header: orphan,
+                header: Box::new(orphan),
             },
         );
         let (a, b) = cross_pair(2, &accts);
@@ -1643,7 +1819,7 @@ mod tests {
         let params = BeaconParams::default();
         let accts = accounts(8);
         let mut net = BeaconNet::new(&params, 37, &funded(&accts));
-        let header = genesis_block(&shard_config(0, &params)).header.clone();
+        let header = Box::new(genesis_block(&shard_config(0, &params)).header.clone());
         send_to_beacon(&mut net, 1, ScaleMsg::Anchor { shard: 0, header });
         net.run();
         let beacon = net.beacon();
@@ -1652,8 +1828,9 @@ mod tests {
     }
 
     /// End to end: a bundle whose middle receipt carries a forged proof
-    /// reaches the beacon ahead of the honest one. The forged lock is voided
-    /// and refunded on its source shard, its neighbours mint, supply holds.
+    /// reaches the beacon from the source sequencer ahead of the honest
+    /// one. The forged lock is voided and refunded on its source shard, its
+    /// neighbours mint, supply holds.
     #[test]
     fn forged_receipt_is_refunded_while_its_neighbours_mint() {
         let accts = accounts(16);
@@ -1702,11 +1879,7 @@ mod tests {
         bundle[1].proof = tree.prove(2).expect("leaf index in range");
 
         let mut net = net_with_three_locks();
-        let msg = ScaleMsg::Locks(bundle);
-        let size = msg.wire_size();
-        net.runner
-            .net_mut()
-            .inject(SimTime::from_micros(1_000), NodeId(0), msg, size);
+        send_to_beacon(&mut net, 1 + src, ScaleMsg::Locks(bundle));
         net.run();
         let stats = net.stats();
         assert_eq!((stats.minted, stats.refunded), (2, 1));
