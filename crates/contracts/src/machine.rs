@@ -84,9 +84,9 @@ impl AccountMachine {
         let snapshot = self.db.snapshot();
         if batched {
             // Execution stages writes in an overlay and one
-            // `MerkleMap::write_batch` pass merges them at commit, so each
-            // touched trie branch rehashes once per block instead of once
-            // per write.
+            // `MerkleMap::write_batch` pass merges them at commit, so the
+            // trie's structure is edited once per block instead of once per
+            // write; its branches are hashed when a root is read.
             self.db.begin_batch();
         }
         let ctx = BlockCtx {

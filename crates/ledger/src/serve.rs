@@ -754,12 +754,22 @@ fn handle_connection(stream: TcpStream, state: &OpsState) -> std::io::Result<()>
             _ => break,
         }
     }
-    let path = match parse_request_path(&request_line) {
-        Some(p) => p,
-        None => return Ok(()),
-    };
-    let (status, content_type, body) = state.respond(&path);
+    let (status, content_type, body) = answer(state, &request_line);
     write_response(&stream, status, content_type, &body)
+}
+
+/// Answers one request line: the path of a `GET` goes to
+/// [`OpsState::respond`], and a line that is not one is refused with 400
+/// and counted under the `other` route.
+fn answer(state: &OpsState, request_line: &str) -> (u16, &'static str, String) {
+    match parse_request_path(request_line) {
+        Some(path) => state.respond(&path),
+        None => {
+            state.bump("other");
+            let body = "{\"error\":\"bad request\"}".to_string();
+            (400, "application/json", body)
+        }
+    }
 }
 
 /// Answers an over-long line with `status` and closes the connection,
@@ -780,6 +790,7 @@ fn write_response(
 ) -> std::io::Result<()> {
     let reason = match status {
         200 => "OK",
+        400 => "Bad Request",
         404 => "Not Found",
         414 => "URI Too Long",
         431 => "Request Header Fields Too Large",
@@ -1057,8 +1068,12 @@ mod tests {
     use super::*;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
+        send(addr, &format!("GET {path} HTTP/1.1"))
+    }
+
+    fn send(addr: SocketAddr, request_line: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        write!(stream, "{request_line}\r\nHost: x\r\n\r\n").unwrap();
         let mut response = String::new();
         stream.read_to_string(&mut response).unwrap();
         let (head, body) = response.split_once("\r\n\r\n").expect("full response");
@@ -1090,6 +1105,10 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
         let (head, _) = get(addr, "/tx/feed");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
+        for line in ["POST /metrics HTTP/1.1", "GET"] {
+            let (head, _) = send(addr, line);
+            assert!(head.starts_with("HTTP/1.1 400"), "{line}: {head}");
+        }
 
         server.shutdown();
     }
@@ -1233,5 +1252,75 @@ mod tests {
         assert!(metrics.contains("dcs_scale_light_lag"), "{metrics}");
         assert!(analytics.starts_with('{'), "{analytics}");
         assert!(recent.contains("\"entries\""), "{recent}");
+    }
+
+    /// Pieces a hostile path is built from: route prefixes, separators,
+    /// query and percent runs, hex and non-hex digits, whitespace and
+    /// multi-byte characters.
+    const PIECES: [&str; 18] = [
+        "/",
+        "//",
+        "/tx/",
+        "/tx",
+        "tx/",
+        "?",
+        "??",
+        "%",
+        "%%",
+        "%2F",
+        "%zz",
+        "/metrics",
+        "/status",
+        "0123456789abcdef",
+        "g",
+        "abc",
+        " ",
+        "\u{e9}\u{1f642}",
+    ];
+
+    proptest::proptest! {
+        /// Hostile request lines never panic `serve`'s request handling,
+        /// and every one gets a status code back: request lines built from
+        /// route prefixes, `?` and `%` runs, empty segments and `/tx/` ids
+        /// that are not hex, of odd length or over-long, other methods, a
+        /// missing path, and printable noise.
+        #[test]
+        fn every_request_line_gets_a_status_and_none_panics(
+            method in 0usize..4,
+            pieces in proptest::collection::vec(
+                (0usize..PIECES.len(), "\\PC{0,6}", proptest::prelude::any::<bool>()),
+                0..24,
+            ),
+            id in 0usize..9_000,
+            noise in "\\PC{0,160}",
+        ) {
+            let state = OpsState::new(Registry::new(), 8);
+            let known = format!("{:064x}", 7);
+            state.set_txs(vec![(Some(1), known.clone(), "{}".to_string())]);
+            let path: String = pieces
+                .iter()
+                .map(|(at, raw, literal)| if *literal { PIECES[*at] } else { raw.as_str() })
+                .collect();
+            let method = ["GET", "POST", "get", ""][method];
+            let over_long = "ab".repeat(id / 2) + &"z".repeat(id % 2);
+            let lines = [
+                format!("{method} {path} HTTP/1.1"),
+                format!("GET {path}"),
+                format!("GET /tx/{over_long} HTTP/1.1"),
+                path.clone(),
+                noise.clone(),
+                String::new(),
+            ];
+            for line in &lines {
+                let (status, _, _) = answer(&state, line);
+                proptest::prop_assert!(matches!(status, 200 | 400 | 404), "{} for {:?}", status, line);
+            }
+            // The query is cut off before the id is looked up; a prefix of
+            // an indexed id is not one.
+            let cut = id % 65;
+            let line = format!("GET /tx/{}?{path} HTTP/1.1", &known[..cut]);
+            let (status, _, _) = answer(&state, &line);
+            proptest::prop_assert_eq!(status, if cut == 64 { 200 } else { 404 }, "{:?}", line);
+        }
     }
 }

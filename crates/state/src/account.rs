@@ -254,7 +254,9 @@ impl AccountDb {
         AccountDb::default()
     }
 
-    /// The authenticated state root.
+    /// The authenticated state root of the committed state (not an open
+    /// batch's overlay). The first read after writes hashes the trie
+    /// branches they left stale; a read with no write since hashes nothing.
     pub fn root(&self) -> Hash256 {
         self.map.root()
     }
@@ -266,17 +268,20 @@ impl AccountDb {
 
     /// Opens a write batch: subsequent mutations are staged in an overlay
     /// instead of touching the trie, and [`AccountDb::commit_batch`] merges
-    /// them in one [`MerkleMap::write_batch`] pass with a single root path
-    /// rehash per touched branch. Journal semantics (snapshot / rollback /
-    /// take_undo) are unchanged — mid-batch transaction failures revert
-    /// exactly as on the serial path. No-op if a batch is already open.
+    /// them in one [`MerkleMap::write_batch`] pass. Journal semantics
+    /// (snapshot / rollback / take_undo) are unchanged — mid-batch
+    /// transaction failures revert exactly as on the serial path. No-op if
+    /// a batch is already open.
     pub fn begin_batch(&mut self) {
         self.overlay.get_or_insert_with(BTreeMap::new);
     }
 
     /// Merges all staged writes into the trie in one pass and closes the
-    /// batch. The resulting root is bit-identical to applying the same
-    /// mutations serially. No-op when no batch is open.
+    /// batch. The merge marks the branches on each written key's path stale
+    /// and hashes none of them: the next [`AccountDb::root`] hashes each
+    /// once, however many batches came before it, and reads a root
+    /// bit-identical to applying the same mutations serially. No-op when no
+    /// batch is open.
     pub fn commit_batch(&mut self) {
         if let Some(overlay) = self.overlay.take() {
             self.map.write_batch(overlay.into_iter().collect());

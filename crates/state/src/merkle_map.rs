@@ -12,9 +12,16 @@
 //! every read goes to: a lookup by key hashes nothing. The trie beside it
 //! holds only digests — a leaf is its key hash and its leaf digest — in an
 //! index arena (`Vec<Node>`, `u32` children, a free list), so a node can be
-//! addressed by level without re-walking from the root. A block's writes go
-//! through [`MerkleMap::write_batch`], which edits the structure first and
-//! hashes afterwards, level by level, through the multi-lane hasher.
+//! addressed by level without re-walking from the root.
+//!
+//! Writes mark, reads hash. A write ([`MerkleMap::insert`],
+//! [`MerkleMap::remove`], [`MerkleMap::write_batch`]) edits the structure,
+//! computes the digests of the leaves it places, and marks every branch on a
+//! changed key's path stale; it computes no branch digest. The first read of
+//! a digest after writes ([`MerkleMap::root`], [`MerkleMap::prove`]) hashes
+//! the stale branches once, level by level through the multi-lane hasher,
+//! and keeps the digests, so a read with no write since hashes nothing.
+//! However many writes came between two reads, a branch is hashed once.
 //!
 //! The map is generic over its key type: anything ordered that is a byte
 //! string (`K: Ord + AsRef<[u8]>`). The key's bytes are what the trie hashes
@@ -27,6 +34,7 @@ use dcs_crypto::codec::{Decode, DecodeError, Encode, Reader};
 use dcs_crypto::{sha256, Hash256, MultiHasher, Sha256};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Domain prefix of a leaf digest: `sha256(0x10 ‖ key_hash ‖ sha256(value))`.
@@ -67,8 +75,21 @@ enum Node {
     Branch {
         left: u32,
         right: u32,
-        hash: Hash256,
+        /// `None` while stale: a child changed since the digest was last
+        /// computed. A stale branch has only stale ancestors.
+        hash: Option<Hash256>,
     },
+}
+
+impl Node {
+    /// A branch over `left` and `right` whose digest is yet to be computed.
+    fn stale(left: u32, right: u32) -> Node {
+        Node::Branch {
+            left,
+            right,
+            hash: None,
+        }
+    }
 }
 
 /// One write of a [`MerkleMap::write_batch`] call after deduplication,
@@ -80,9 +101,25 @@ struct Write {
     leaf: Option<Hash256>,
 }
 
-/// A branch whose children changed during a batch's structural pass and
-/// whose digest is therefore stale, with the depth it sits at.
-type Dirty = (u32, u32);
+/// The digests: the arena of trie nodes, its free list and the root's id.
+#[derive(Debug, Clone)]
+struct Trie {
+    nodes: Vec<Node>,
+    /// Arena slots released by removals and collapses, reused before the
+    /// arena grows.
+    free: Vec<u32>,
+    root: u32,
+}
+
+impl Default for Trie {
+    fn default() -> Self {
+        Trie {
+            nodes: Vec::new(),
+            free: Vec::new(),
+            root: NIL,
+        }
+    }
+}
 
 /// An authenticated map with a Merkle root and inclusion proofs.
 ///
@@ -102,20 +139,16 @@ type Dirty = (u32, u32);
 pub struct MerkleMap<K = Vec<u8>> {
     /// The contents. Reads never touch the trie.
     entries: BTreeMap<K, Vec<u8>>,
-    nodes: Vec<Node>,
-    /// Arena slots released by removals and collapses, reused before the
-    /// arena grows.
-    free: Vec<u32>,
-    root: u32,
+    /// Behind a `RefCell` because a read through `&self` computes the stale
+    /// branch digests and keeps them; writes reach it through `get_mut`.
+    trie: RefCell<Trie>,
 }
 
 impl<K> Default for MerkleMap<K> {
     fn default() -> Self {
         MerkleMap {
             entries: BTreeMap::new(),
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
+            trie: RefCell::default(),
         }
     }
 }
@@ -139,9 +172,13 @@ impl<K: Ord + AsRef<[u8]>> MerkleMap<K> {
         self.entries.is_empty()
     }
 
-    /// The root digest committing to the full contents.
+    /// The root digest committing to the full contents. The first read after
+    /// writes hashes the branches they left stale, each once, deepest level
+    /// first; a read with no write since hashes nothing.
     pub fn root(&self) -> Hash256 {
-        self.hash_of(self.root)
+        let mut trie = self.trie.borrow_mut();
+        trie.flush();
+        trie.hash_of(trie.root)
     }
 
     /// Looks up the value stored under `key`.
@@ -152,98 +189,13 @@ impl<K: Ord + AsRef<[u8]>> MerkleMap<K> {
         self.entries.get(key).map(Vec::as_slice)
     }
 
-    fn hash_of(&self, id: u32) -> Hash256 {
-        if id == NIL {
-            return Hash256::ZERO;
-        }
-        match self.nodes[id as usize] {
-            Node::Leaf { hash, .. } | Node::Branch { hash, .. } => hash,
-        }
-    }
-
-    fn alloc(&mut self, node: Node) -> u32 {
-        if let Some(id) = self.free.pop() {
-            self.nodes[id as usize] = node;
-            return id;
-        }
-        let id = u32::try_from(self.nodes.len()).expect("fewer than 2^32 trie nodes");
-        assert_ne!(id, NIL, "fewer than 2^32 trie nodes");
-        self.nodes.push(node);
-        id
-    }
-
-    fn release(&mut self, id: u32) {
-        self.free.push(id);
-    }
-
-    /// What a branch left with these children collapses to, if it does:
-    /// nothing when both are gone, and a lone *leaf* child itself, which
-    /// rises to the shallowest depth where its path is unique. A lone
-    /// *branch* child stays put — its subtree's leaves still diverge at
-    /// their original depths, so the unary chain above them is part of the
-    /// canonical shape.
-    fn collapsed(&self, left: u32, right: u32) -> Option<u32> {
-        let only = match (left, right) {
-            (NIL, only) | (only, NIL) => only,
-            _ => return None,
-        };
-        (only == NIL || matches!(self.nodes[only as usize], Node::Leaf { .. })).then_some(only)
-    }
-
     /// Inserts or replaces; returns the previous value if any.
     pub fn insert(&mut self, key: K, value: Vec<u8>) -> Option<Vec<u8>> {
         let kh = sha256(key.as_ref());
         let leaf = leaf_hash(&kh, &value);
-        self.root = self.insert_at(self.root, kh, leaf, 0);
+        let trie = self.trie.get_mut();
+        trie.root = trie.insert_at(trie.root, kh, leaf, 0);
         self.entries.insert(key, value)
-    }
-
-    fn insert_at(&mut self, node: u32, kh: Hash256, leaf: Hash256, depth: usize) -> u32 {
-        let new_leaf = Node::Leaf {
-            key_hash: kh,
-            hash: leaf,
-        };
-        if node == NIL {
-            return self.alloc(new_leaf);
-        }
-        match self.nodes[node as usize] {
-            Node::Leaf { key_hash, .. } if key_hash == kh => {
-                self.nodes[node as usize] = new_leaf;
-                node
-            }
-            Node::Leaf { key_hash, .. } => {
-                // Split: push the existing leaf down until the paths of the
-                // two key hashes diverge.
-                let new_bit = bit(&kh, depth);
-                let (left, right) = if bit(&key_hash, depth) == new_bit {
-                    let child = self.insert_at(node, kh, leaf, depth + 1);
-                    if new_bit {
-                        (NIL, child)
-                    } else {
-                        (child, NIL)
-                    }
-                } else {
-                    let fresh = self.alloc(new_leaf);
-                    if new_bit {
-                        (node, fresh)
-                    } else {
-                        (fresh, node)
-                    }
-                };
-                let hash = branch_hash(&self.hash_of(left), &self.hash_of(right));
-                self.alloc(Node::Branch { left, right, hash })
-            }
-            Node::Branch { left, right, .. } => {
-                let (left, right) = if bit(&kh, depth) {
-                    (left, self.insert_at(right, kh, leaf, depth + 1))
-                } else {
-                    (self.insert_at(left, kh, leaf, depth + 1), right)
-                };
-                let hash = branch_hash(&self.hash_of(left), &self.hash_of(right));
-                self.nodes[node as usize] = Node::Branch { left, right, hash };
-                node
-            }
-        }
     }
 
     /// Removes `key`, returning its value if present. Collapses now-unary
@@ -253,56 +205,21 @@ impl<K: Ord + AsRef<[u8]>> MerkleMap<K> {
         K: Borrow<Q>,
     {
         let old = self.entries.remove(key)?;
-        self.root = self.remove_at(self.root, &sha256(key.as_ref()), 0);
+        let trie = self.trie.get_mut();
+        trie.root = trie.remove_at(trie.root, &sha256(key.as_ref()), 0);
         Some(old)
     }
 
-    /// Removes the leaf of a key the index held, so the walk ends on it.
-    fn remove_at(&mut self, node: u32, kh: &Hash256, depth: usize) -> u32 {
-        match self.nodes[node as usize] {
-            Node::Leaf { key_hash, .. } => {
-                debug_assert_eq!(key_hash, *kh, "index and trie hold the same keys");
-                self.release(node);
-                NIL
-            }
-            Node::Branch { left, right, .. } => {
-                let (left, right) = if bit(kh, depth) {
-                    (left, self.remove_at(right, kh, depth + 1))
-                } else {
-                    (self.remove_at(left, kh, depth + 1), right)
-                };
-                if let Some(leaf) = self.collapsed(left, right) {
-                    self.release(node);
-                    return leaf;
-                }
-                let hash = branch_hash(&self.hash_of(left), &self.hash_of(right));
-                self.nodes[node as usize] = Node::Branch { left, right, hash };
-                node
-            }
-        }
-    }
-
     /// Applies a whole batch of writes (`Some` = insert/replace, `None` =
-    /// remove) in two phases. The structural pass inserts, replaces, removes,
-    /// splits and collapses without hashing a node, noting each branch it
-    /// leaves stale with its depth; then the stale branches are hashed
-    /// deepest level first, a level at a time through the multi-lane hasher —
-    /// as are the key hashes, the value digests and the leaf digests before
-    /// the pass. Every touched node is hashed exactly once per batch, against
-    /// once per write on the serial path, which rehashes the full root path
-    /// each time. Later writes to the same key override earlier ones, exactly
-    /// as serial application would. Because the trie is content-addressed,
-    /// the resulting root is bit-identical to replaying the batch through
+    /// remove): updates the index, computes the key hashes, the value digests
+    /// and the leaf digests, each in one multi-lane call, then inserts,
+    /// replaces, removes, splits and collapses in one walk that marks each
+    /// branch it passes stale and hashes none of them. Later
+    /// writes to the same key override earlier ones, exactly as serial
+    /// application would. Because the trie is content-addressed, the root
+    /// read afterwards is bit-identical to replaying the batch through
     /// [`MerkleMap::insert`] / [`MerkleMap::remove`] in order.
     pub fn write_batch(&mut self, entries: Vec<(K, Option<Vec<u8>>)>) {
-        let dirty = self.restructure(entries);
-        self.rehash(dirty);
-    }
-
-    /// The first phase of [`MerkleMap::write_batch`]: updates the index,
-    /// places the new leaves (their digests computed here, batched) and
-    /// returns the branches left with a stale digest.
-    fn restructure(&mut self, entries: Vec<(K, Option<Vec<u8>>)>) -> Vec<Dirty> {
         let hasher = MultiHasher::wide();
         let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_ref()).collect();
         let key_hashes = hasher.hash_many(&keys);
@@ -353,112 +270,29 @@ impl<K: Ord + AsRef<[u8]>> MerkleMap<K> {
             };
             writes.push(Write { kh, leaf });
         }
-        let mut dirty = Vec::new();
-        self.root = self.write_at(self.root, &writes, 0, &mut dirty);
-        dirty
+        let trie = self.trie.get_mut();
+        trie.root = trie.write_at(trie.root, &writes, 0);
     }
 
-    fn write_at(&mut self, node: u32, writes: &[Write], depth: u32, dirty: &mut Vec<Dirty>) -> u32 {
-        if writes.is_empty() {
-            return node;
-        }
-        if node == NIL {
-            return self.build(writes, depth, dirty);
-        }
-        match self.nodes[node as usize] {
-            Node::Leaf { key_hash, hash } => {
-                // Rebuild this subtree from the writes and the leaf that was
-                // here — unless the batch writes its key, which overrides it.
-                // The leaf keeps the digest it has.
-                self.release(node);
-                let at = writes.partition_point(|w| w.kh < key_hash);
-                if writes.get(at).is_some_and(|w| w.kh == key_hash) {
-                    return self.build(writes, depth, dirty);
-                }
-                let mut merged = Vec::with_capacity(writes.len() + 1);
-                merged.extend_from_slice(&writes[..at]);
-                merged.push(Write {
-                    kh: key_hash,
-                    leaf: Some(hash),
-                });
-                merged.extend_from_slice(&writes[at..]);
-                self.build(&merged, depth, dirty)
-            }
-            Node::Branch { left, right, hash } => {
-                let split = writes.partition_point(|w| !bit(&w.kh, depth as usize));
-                let left = self.write_at(left, &writes[..split], depth + 1, dirty);
-                let right = self.write_at(right, &writes[split..], depth + 1, dirty);
-                if let Some(replacement) = self.collapsed(left, right) {
-                    self.release(node);
-                    return replacement;
-                }
-                self.nodes[node as usize] = Node::Branch { left, right, hash };
-                dirty.push((depth, node));
-                node
-            }
-        }
-    }
-
-    /// Builds a canonical subtree from sorted writes (removals place
-    /// nothing).
-    fn build(&mut self, writes: &[Write], depth: u32, dirty: &mut Vec<Dirty>) -> u32 {
-        let mut live = writes.iter().filter_map(|w| Some((w.kh, w.leaf?)));
-        match (live.next(), live.next()) {
-            (None, _) => NIL,
-            (Some((key_hash, hash)), None) => self.alloc(Node::Leaf { key_hash, hash }),
-            _ => {
-                let split = writes.partition_point(|w| !bit(&w.kh, depth as usize));
-                let left = self.build(&writes[..split], depth + 1, dirty);
-                let right = self.build(&writes[split..], depth + 1, dirty);
-                let hash = Hash256::ZERO;
-                let node = self.alloc(Node::Branch { left, right, hash });
-                dirty.push((depth, node));
-                node
-            }
-        }
-    }
-
-    /// The second phase of [`MerkleMap::write_batch`]: hashes the stale
-    /// branches, deepest level first so a level's children are final when it
-    /// is hashed, each level in one multi-lane call.
-    fn rehash(&mut self, mut dirty: Vec<Dirty>) {
-        let hasher = MultiHasher::wide();
-        dirty.sort_unstable_by_key(|&(depth, _)| std::cmp::Reverse(depth));
-        let (mut children, mut digests) = (Vec::new(), Vec::new());
-        for level in dirty.chunk_by(|a, b| a.0 == b.0) {
-            children.clear();
-            digests.clear();
-            for &(_, id) in level {
-                if let Node::Branch { left, right, .. } = self.nodes[id as usize] {
-                    children.push(self.hash_of(left));
-                    children.push(self.hash_of(right));
-                }
-            }
-            hasher.hash_pairs_into(BRANCH_PREFIX, &children, &mut digests);
-            for (&(_, id), digest) in level.iter().zip(&digests) {
-                if let Node::Branch { hash, .. } = &mut self.nodes[id as usize] {
-                    *hash = *digest;
-                }
-            }
-        }
-    }
-
-    /// Produces an inclusion proof for `key`, or `None` if absent.
+    /// Produces an inclusion proof for `key`, or `None` if absent. Hashes
+    /// what writes left stale first, as [`MerkleMap::root`] does.
     pub fn prove<Q: Ord + AsRef<[u8]> + ?Sized>(&self, key: &Q) -> Option<MapProof>
     where
         K: Borrow<Q>,
     {
         let value = self.entries.get(key)?;
         let kh = sha256(key.as_ref());
+        let mut trie = self.trie.borrow_mut();
+        trie.flush();
         let mut siblings = Vec::new();
-        let mut node = self.root;
-        while let Node::Branch { left, right, .. } = self.nodes[node as usize] {
+        let mut node = trie.root;
+        while let Node::Branch { left, right, .. } = trie.nodes[node as usize] {
             let (child, sibling) = if bit(&kh, siblings.len()) {
                 (right, left)
             } else {
                 (left, right)
             };
-            siblings.push(self.hash_of(sibling));
+            siblings.push(trie.hash_of(sibling));
             node = child;
         }
         siblings.reverse(); // leaf-upward order for verification
@@ -472,6 +306,227 @@ impl<K: Ord + AsRef<[u8]>> MerkleMap<K> {
     /// Iterates over all `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
         self.entries.iter().map(|(k, v)| (k.as_ref(), v.as_slice()))
+    }
+}
+
+impl Trie {
+    /// The digest of a node; only a flushed trie has one for every branch.
+    fn hash_of(&self, id: u32) -> Hash256 {
+        if id == NIL {
+            return Hash256::ZERO;
+        }
+        match self.nodes[id as usize] {
+            Node::Leaf { hash, .. } => hash,
+            Node::Branch { hash, .. } => hash.expect("a stale branch is hashed before it is read"),
+        }
+    }
+
+    fn is_stale(&self, id: u32) -> bool {
+        id != NIL && matches!(self.nodes[id as usize], Node::Branch { hash: None, .. })
+    }
+
+    fn alloc(&mut self, node: Node) -> u32 {
+        if let Some(id) = self.free.pop() {
+            self.nodes[id as usize] = node;
+            return id;
+        }
+        let id = u32::try_from(self.nodes.len()).expect("fewer than 2^32 trie nodes");
+        assert_ne!(id, NIL, "fewer than 2^32 trie nodes");
+        self.nodes.push(node);
+        id
+    }
+
+    fn release(&mut self, id: u32) {
+        self.free.push(id);
+    }
+
+    /// What a branch left with these children collapses to, if it does:
+    /// nothing when both are gone, and a lone *leaf* child itself, which
+    /// rises to the shallowest depth where its path is unique. A lone
+    /// *branch* child stays put — its subtree's leaves still diverge at
+    /// their original depths, so the unary chain above them is part of the
+    /// canonical shape.
+    fn collapsed(&self, left: u32, right: u32) -> Option<u32> {
+        let only = match (left, right) {
+            (NIL, only) | (only, NIL) => only,
+            _ => return None,
+        };
+        (only == NIL || matches!(self.nodes[only as usize], Node::Leaf { .. })).then_some(only)
+    }
+
+    fn insert_at(&mut self, node: u32, kh: Hash256, leaf: Hash256, depth: usize) -> u32 {
+        let new_leaf = Node::Leaf {
+            key_hash: kh,
+            hash: leaf,
+        };
+        if node == NIL {
+            return self.alloc(new_leaf);
+        }
+        match self.nodes[node as usize] {
+            Node::Leaf { key_hash, .. } if key_hash == kh => {
+                self.nodes[node as usize] = new_leaf;
+                node
+            }
+            Node::Leaf { key_hash, .. } => {
+                // Split: push the existing leaf down until the paths of the
+                // two key hashes diverge.
+                let new_bit = bit(&kh, depth);
+                let (left, right) = if bit(&key_hash, depth) == new_bit {
+                    let child = self.insert_at(node, kh, leaf, depth + 1);
+                    if new_bit {
+                        (NIL, child)
+                    } else {
+                        (child, NIL)
+                    }
+                } else {
+                    let fresh = self.alloc(new_leaf);
+                    if new_bit {
+                        (node, fresh)
+                    } else {
+                        (fresh, node)
+                    }
+                };
+                self.alloc(Node::stale(left, right))
+            }
+            Node::Branch { left, right, .. } => {
+                let (left, right) = if bit(&kh, depth) {
+                    (left, self.insert_at(right, kh, leaf, depth + 1))
+                } else {
+                    (self.insert_at(left, kh, leaf, depth + 1), right)
+                };
+                self.nodes[node as usize] = Node::stale(left, right);
+                node
+            }
+        }
+    }
+
+    /// Removes the leaf of a key the index held, so the walk ends on it.
+    fn remove_at(&mut self, node: u32, kh: &Hash256, depth: usize) -> u32 {
+        match self.nodes[node as usize] {
+            Node::Leaf { key_hash, .. } => {
+                debug_assert_eq!(key_hash, *kh, "index and trie hold the same keys");
+                self.release(node);
+                NIL
+            }
+            Node::Branch { left, right, .. } => {
+                let (left, right) = if bit(kh, depth) {
+                    (left, self.remove_at(right, kh, depth + 1))
+                } else {
+                    (self.remove_at(left, kh, depth + 1), right)
+                };
+                if let Some(leaf) = self.collapsed(left, right) {
+                    self.release(node);
+                    return leaf;
+                }
+                self.nodes[node as usize] = Node::stale(left, right);
+                node
+            }
+        }
+    }
+
+    /// Applies sorted, deduplicated writes below `node`, marking every
+    /// branch on a written path stale.
+    fn write_at(&mut self, node: u32, writes: &[Write], depth: u32) -> u32 {
+        if writes.is_empty() {
+            return node;
+        }
+        if node == NIL {
+            return self.build(writes, depth);
+        }
+        match self.nodes[node as usize] {
+            Node::Leaf { key_hash, hash } => {
+                // Rebuild this subtree from the writes and the leaf that was
+                // here — unless the batch writes its key, which overrides it.
+                // The leaf keeps the digest it has.
+                self.release(node);
+                let at = writes.partition_point(|w| w.kh < key_hash);
+                if writes.get(at).is_some_and(|w| w.kh == key_hash) {
+                    return self.build(writes, depth);
+                }
+                let mut merged = Vec::with_capacity(writes.len() + 1);
+                merged.extend_from_slice(&writes[..at]);
+                merged.push(Write {
+                    kh: key_hash,
+                    leaf: Some(hash),
+                });
+                merged.extend_from_slice(&writes[at..]);
+                self.build(&merged, depth)
+            }
+            Node::Branch { left, right, .. } => {
+                let split = writes.partition_point(|w| !bit(&w.kh, depth as usize));
+                let left = self.write_at(left, &writes[..split], depth + 1);
+                let right = self.write_at(right, &writes[split..], depth + 1);
+                if let Some(replacement) = self.collapsed(left, right) {
+                    self.release(node);
+                    return replacement;
+                }
+                self.nodes[node as usize] = Node::stale(left, right);
+                node
+            }
+        }
+    }
+
+    /// Builds a canonical subtree from sorted writes (removals place
+    /// nothing), its branches stale.
+    fn build(&mut self, writes: &[Write], depth: u32) -> u32 {
+        let mut live = writes.iter().filter_map(|w| Some((w.kh, w.leaf?)));
+        match (live.next(), live.next()) {
+            (None, _) => NIL,
+            (Some((key_hash, hash)), None) => self.alloc(Node::Leaf { key_hash, hash }),
+            _ => {
+                let split = writes.partition_point(|w| !bit(&w.kh, depth as usize));
+                let left = self.build(&writes[..split], depth + 1);
+                let right = self.build(&writes[split..], depth + 1);
+                self.alloc(Node::stale(left, right))
+            }
+        }
+    }
+
+    /// The stale branches, a level per depth from the root down. The walk
+    /// enters stale branches only, and finds every one because a stale
+    /// branch has only stale ancestors.
+    fn stale_levels(&self) -> Vec<Vec<u32>> {
+        let mut levels = Vec::new();
+        let mut level = if self.is_stale(self.root) {
+            vec![self.root]
+        } else {
+            Vec::new()
+        };
+        while !level.is_empty() {
+            let mut below = Vec::new();
+            for &id in &level {
+                if let Node::Branch { left, right, .. } = self.nodes[id as usize] {
+                    below.extend([left, right].into_iter().filter(|&c| self.is_stale(c)));
+                }
+            }
+            levels.push(std::mem::replace(&mut level, below));
+        }
+        levels
+    }
+
+    /// Hashes the stale branches and keeps their digests, deepest level
+    /// first so a level's children are final when it is hashed, each level
+    /// in one multi-lane call; returns how many it hashed.
+    fn flush(&mut self) -> usize {
+        let levels = self.stale_levels();
+        let hasher = MultiHasher::wide();
+        let (mut children, mut digests) = (Vec::new(), Vec::new());
+        for level in levels.iter().rev() {
+            children.clear();
+            digests.clear();
+            for &id in level {
+                if let Node::Branch { left, right, .. } = self.nodes[id as usize] {
+                    children.extend([self.hash_of(left), self.hash_of(right)]);
+                }
+            }
+            hasher.hash_pairs_into(BRANCH_PREFIX, &children, &mut digests);
+            for (&id, &digest) in level.iter().zip(&digests) {
+                if let Node::Branch { hash, .. } = &mut self.nodes[id as usize] {
+                    *hash = Some(digest);
+                }
+            }
+        }
+        levels.iter().map(Vec::len).sum()
     }
 }
 
@@ -809,13 +864,13 @@ mod tests {
         assert_eq!(rebuilt.root(), m.root(), "built in one batch");
     }
 
-    /// The branches on the root paths of `key_hashes` in `m`, by arena id.
-    fn branches_on_paths(m: &MerkleMap, key_hashes: &[Hash256]) -> Vec<u32> {
+    /// The branches on the root paths of `key_hashes` in `trie`, by arena id.
+    fn branches_on_paths(trie: &Trie, key_hashes: &[Hash256]) -> Vec<u32> {
         let mut on_path = Vec::new();
         for kh in key_hashes {
-            let (mut node, mut depth) = (m.root, 0);
+            let (mut node, mut depth) = (trie.root, 0);
             while node != NIL {
-                let Node::Branch { left, right, .. } = m.nodes[node as usize] else {
+                let Node::Branch { left, right, .. } = trie.nodes[node as usize] else {
                     break;
                 };
                 on_path.push(node);
@@ -828,43 +883,97 @@ mod tests {
         on_path
     }
 
+    /// A batch of inserts, replacements, removals of present keys and of
+    /// keys never present, with one key written twice.
+    fn mixed_batch(round: u32) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
+        (0..120u32)
+            .map(|i| {
+                let i = i + 40 * round;
+                match i % 4 {
+                    0 => (kv(i).0, None),
+                    1 => (kv(i).0, Some(format!("replaced-{round}").into_bytes())),
+                    2 => (kv(1000 + i / 8).0, Some(format!("new-{i}").into_bytes())),
+                    _ => (kv(5000 + i).0, None), // never present
+                }
+            })
+            .collect()
+    }
+
+    /// The live stale branches of `trie`, by arena id: every slot not on
+    /// the free list, not only those a walk from the root reaches.
+    fn stale_branches(trie: &Trie) -> Vec<u32> {
+        (0..trie.nodes.len() as u32)
+            .filter(|id| !trie.free.contains(id) && trie.is_stale(*id))
+            .collect()
+    }
+
     #[test]
     fn a_batch_hashes_each_touched_branch_once_and_no_other() {
-        // Inserts, replacements, removals of present and of absent keys, a
-        // key written twice: the branches handed to the level hasher are
-        // exactly the ones on a changed key's path in the new trie, each
-        // once — one digest per stale node, none for a removal that removed
-        // nothing.
+        // Three batches and no read between them: no write hashed a branch,
+        // the stale ones are exactly those on a changed key's path in the
+        // final trie — none for a removal that removed nothing — and the
+        // first read hashes each of them once.
         let mut m: MerkleMap = (0..500).map(kv).collect();
-        let batch: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..120u32)
-            .map(|i| match i % 4 {
-                0 => (kv(i).0, None),
-                1 => (kv(i).0, Some(b"replaced".to_vec())),
-                2 => (kv(1000 + i / 8).0, Some(format!("new-{i}").into_bytes())),
-                _ => (kv(5000 + i).0, None), // never present
-            })
-            .collect();
-        let changed: Vec<Hash256> = batch
-            .iter()
-            .filter(|(k, v)| v.is_some() || m.get(k).is_some())
-            .map(|(k, _)| sha256(k))
-            .collect();
+        m.root();
         let mut serial = m.clone();
-        for (k, v) in batch.clone() {
-            match v {
-                Some(v) => serial.insert(k, v),
-                None => serial.remove(&k),
-            };
+        let mut changed = Vec::new();
+        for round in 0..3 {
+            let batch = mixed_batch(round);
+            for (k, v) in batch.clone() {
+                if v.is_some() || serial.get(&k).is_some() {
+                    changed.push(sha256(&k));
+                }
+                match v {
+                    Some(v) => serial.insert(k, v),
+                    None => serial.remove(&k),
+                };
+            }
+            m.write_batch(batch);
         }
+        let trie = m.trie.get_mut();
+        let stale = stale_branches(trie);
+        assert_eq!(stale, branches_on_paths(trie, &changed));
 
-        let dirty = m.restructure(batch);
-        let mut ids: Vec<u32> = dirty.iter().map(|&(_, id)| id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, branches_on_paths(&m, &changed));
-        m.rehash(dirty);
+        // The flush hashes each of them once, and leaves none stale.
+        let mut copy = m.clone();
+        assert_eq!(copy.trie.get_mut().flush(), stale.len());
+        assert!(stale_branches(copy.trie.get_mut()).is_empty());
+
+        // A proof taken while branches are stale verifies against the root.
+        let proof = m.prove(&kv(1000).0).expect("inserted by the batches");
         assert_eq!(m.root(), serial.root());
-        let live = |m: &MerkleMap| m.nodes.len() - m.free.len();
-        assert_eq!(live(&m), live(&serial), "same shape, same node count");
+        assert_eq!(copy.root(), serial.root());
+        assert!(proof.verify(&m.root()));
+        let live = |m: &mut MerkleMap| {
+            let trie = m.trie.get_mut();
+            trie.nodes.len() - trie.free.len()
+        };
+        assert_eq!(
+            live(&mut m),
+            live(&mut serial),
+            "same shape, same node count"
+        );
+    }
+
+    #[test]
+    fn a_second_read_with_no_write_between_hashes_nothing() {
+        let mut m: MerkleMap = (0..200).map(kv).collect();
+        assert!(
+            !stale_branches(m.trie.get_mut()).is_empty(),
+            "inserts leave paths stale"
+        );
+        let root = m.root();
+        assert_eq!(m.trie.get_mut().flush(), 0, "the read kept its digests");
+        assert_eq!(m.root(), root);
+        m.write_batch(vec![(kv(7).0, Some(b"changed".to_vec()))]);
+        let path = stale_branches(m.trie.get_mut()).len();
+        assert!(path > 0 && path < 40, "one path: {path}");
+        m.prove(&kv(7).0).expect("present");
+        assert_eq!(
+            m.trie.get_mut().flush(),
+            0,
+            "prove hashed what the write left stale"
+        );
     }
 
     #[test]
@@ -878,10 +987,10 @@ mod tests {
     #[test]
     fn arena_slots_are_reused_under_churn() {
         let mut m: MerkleMap = (0..200).map(kv).collect();
-        let slots = m.nodes.len();
+        let slots = m.trie.get_mut().nodes.len();
         for round in 0..20u32 {
             m.write_batch((0..100).map(|i| (kv(i).0, None)).collect());
-            assert!(m.free.len() >= 100, "round {round}");
+            assert!(m.trie.get_mut().free.len() >= 100, "round {round}");
             m.write_batch(
                 (0..100)
                     .map(|i| {
@@ -896,7 +1005,11 @@ mod tests {
                 m.insert(k, v);
             }
         }
-        assert_eq!(m.nodes.len(), slots, "the arena did not grow");
+        assert_eq!(
+            m.trie.get_mut().nodes.len(),
+            slots,
+            "the arena did not grow"
+        );
         let fresh: MerkleMap = (0..200).map(kv).collect();
         assert_eq!(m.root(), fresh.root());
     }

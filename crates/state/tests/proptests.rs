@@ -1,13 +1,14 @@
 //! Property-based tests for the data layer: the Merkle map against a
 //! `HashMap` reference model (same contents ⇒ same answers, same root
-//! regardless of history), the fixed-size `StateKey` against the byte
-//! strings it stands for, UTXO value conservation, and journal rollback
-//! exactness.
+//! regardless of history), roots read at random points of histories whose
+//! digests stay stale until read, the fixed-size `StateKey` against the
+//! byte strings it stands for, UTXO value conservation, and journal
+//! rollback exactness.
 
 use dcs_crypto::codec::{decode_all, Encode};
 use dcs_crypto::{sha256, Address, Hash256};
 use dcs_primitives::{Transaction, TxIn, TxOut, UtxoTx};
-use dcs_state::{AccountDb, MapProof, MerkleMap, StateKey, UtxoSet};
+use dcs_state::{Account, AccountDb, AccountUndo, MapProof, MerkleMap, StateKey, UtxoSet};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 
@@ -195,6 +196,165 @@ proptest! {
         for step in steps {
             trie_step(&mut map, &mut model, step);
             check_against_model(&map, &model)?;
+        }
+    }
+}
+
+// --- Digests computed when read ------------------------------------------
+
+/// Addresses and storage slots the account histories use: the contract's
+/// storage lives at `ACCOUNTS - 1`.
+const ACCOUNTS: u64 = 8;
+const SLOTS: u8 = 8;
+
+/// The entries an `AccountDb` holds, as its reads report them over the
+/// addresses and slots a history uses, keyed by the bytes the trie hashes.
+fn account_contents(db: &AccountDb) -> BTreeMap<Vec<u8>, Vec<u8>> {
+    let contract = Address::from_index(ACCOUNTS - 1);
+    let mut contents = BTreeMap::new();
+    for i in 0..ACCOUNTS {
+        let addr = Address::from_index(i);
+        let account = db.account(&addr);
+        if account != Account::default() {
+            contents.insert(
+                StateKey::account(&addr).as_ref().to_vec(),
+                account.encoded(),
+            );
+        }
+        if let Some(code) = db.code(&addr) {
+            contents.insert(StateKey::code(&addr).as_ref().to_vec(), code.to_vec());
+        }
+    }
+    for slot in 0..SLOTS {
+        let slot = sha256(&[slot]);
+        if let Some(value) = db.storage(&contract, &slot) {
+            contents.insert(
+                StateKey::storage(&contract, &slot).as_ref().to_vec(),
+                value.to_vec(),
+            );
+        }
+    }
+    contents
+}
+
+/// One block of seeded transactions, batched or serial: transfers with a
+/// nonce bump, a storage slot toggled between set and cleared, code written
+/// now and then, and one transaction in four rolled back (mid-batch when
+/// batched). Returns the block's undo record.
+fn account_block(db: &mut AccountDb, batched: bool, mut seed: u64) -> AccountUndo {
+    let rng = &mut seed;
+    let contract = Address::from_index(ACCOUNTS - 1);
+    let snapshot = db.snapshot();
+    if batched {
+        db.begin_batch();
+    }
+    for _ in 0..1 + next(rng) % 12 {
+        let from = Address::from_index(next(rng) % ACCOUNTS);
+        let to = Address::from_index(next(rng) % ACCOUNTS);
+        let tx = db.snapshot();
+        db.bump_nonce(&from);
+        let paid = db.transfer(&from, &to, next(rng) % 400).is_ok();
+        let slot = sha256(&[(next(rng) % u64::from(SLOTS)) as u8]);
+        let stored = db.storage(&contract, &slot).is_some();
+        let value = next(rng).to_le_bytes()[..1 + (next(rng) % 8) as usize].to_vec();
+        db.set_storage(&contract, &slot, (!stored).then_some(value));
+        if next(rng).is_multiple_of(5) {
+            db.set_code(&to, next(rng).to_le_bytes().to_vec());
+        }
+        if !paid || next(rng).is_multiple_of(4) {
+            db.rollback(tx);
+        }
+    }
+    db.commit_batch();
+    db.take_undo(snapshot)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Roots read only at random points of a `MerkleMap` history — serial
+    /// inserts and removes, removal runs and mixed batches, and clones —
+    /// with long stretches of writes and no read between them: each read
+    /// is the root from the definition, a second read with no write
+    /// between is equal, a proof taken then verifies against it, and a
+    /// clone taken while branches were stale, read only later, reads the
+    /// root the original had when it was taken.
+    #[test]
+    fn merkle_map_roots_read_at_random_points_match_the_definition(
+        base in 0usize..1_500,
+        seed in any::<u64>(),
+        steps in proptest::collection::vec((0u8..7, 1usize..301, any::<u64>(), 0u8..6), 1..20),
+    ) {
+        let mut rng = seed;
+        let mut model = BTreeMap::new();
+        while model.len() < base {
+            model.insert(trie_key(next(&mut rng)), next(&mut rng).to_le_bytes().to_vec());
+        }
+        let mut map = MerkleMap::new();
+        map.write_batch(model.iter().map(|(k, v)| (k.clone(), Some(v.clone()))).collect());
+        let mut clones = Vec::new();
+        for (kind, n, step_seed, read) in steps {
+            if kind == 6 {
+                clones.push((map.clone(), model_root(&model)));
+            } else {
+                trie_step(&mut map, &mut model, (kind, n, step_seed));
+            }
+            // One step in six reads; the last step always does.
+            if read == 0 {
+                let root = map.root();
+                prop_assert_eq!(root, model_root(&model));
+                prop_assert_eq!(map.root(), root);
+                if let Some(key) = model.keys().nth(n % (model.len() + 1)) {
+                    prop_assert!(map.prove(key).expect("present key").verify(&root));
+                }
+            }
+        }
+        prop_assert_eq!(map.root(), model_root(&model));
+        for (copy, root) in clones {
+            prop_assert_eq!(copy.root(), root);
+        }
+    }
+
+    /// The same over `AccountDb` histories: batched blocks with mid-batch
+    /// rollbacks, serial blocks, `apply_undo` of the newest block and
+    /// clones, with roots read only at random points between blocks. Each
+    /// read is the root from the definition over the entries the database's
+    /// reads report, two reads in a row are equal, and a clone taken while
+    /// branches were stale reads, later, the root its contents define.
+    #[test]
+    fn account_db_roots_read_at_random_points_match_the_definition(
+        steps in proptest::collection::vec((0u8..6, any::<u64>(), 0u8..5), 1..30),
+    ) {
+        let mut db = AccountDb::new();
+        for i in 0..ACCOUNTS {
+            db.credit(&Address::from_index(i), 1_000);
+        }
+        db.clear_journal();
+        let mut undos = Vec::new();
+        let mut clones = Vec::new();
+        for (kind, seed, read) in steps {
+            match kind {
+                0..=2 => undos.push(account_block(&mut db, true, seed)),
+                3 => undos.push(account_block(&mut db, false, seed)),
+                4 => {
+                    if let Some(undo) = undos.pop() {
+                        db.apply_undo(undo);
+                    }
+                }
+                _ => clones.push((db.clone(), account_contents(&db))),
+            }
+            if read == 0 {
+                let contents = account_contents(&db);
+                prop_assert_eq!(db.entry_count(), contents.len());
+                let root = db.root();
+                prop_assert_eq!(root, model_root(&contents));
+                prop_assert_eq!(db.root(), root);
+            }
+        }
+        prop_assert_eq!(db.root(), model_root(&account_contents(&db)));
+        for (copy, contents) in clones {
+            prop_assert_eq!(copy.entry_count(), contents.len());
+            prop_assert_eq!(copy.root(), model_root(&contents));
         }
     }
 }
