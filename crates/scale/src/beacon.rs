@@ -337,11 +337,11 @@ pub struct ShardNode {
     pending: Vec<PendingTx>,
     // BTree everywhere: admission order + map iteration feed block contents,
     // and block contents feed the cross-worker digest gate.
-    nonces: BTreeMap<Address, u64>,
-    pending_spend: BTreeMap<Address, Amount>,
+    /// Per sender, what this seal window has queued: transactions (the
+    /// next nonce is the on-chain one plus these) and the value they spend.
+    queued: BTreeMap<Address, (u64, Amount)>,
     pending_locks: BTreeMap<Hash256, PendingLock>,
     minted: BTreeSet<Hash256>,
-    refunded: BTreeSet<Hash256>,
     mint_seq: u64,
     timer_armed: bool,
     params: BeaconParams,
@@ -375,11 +375,9 @@ impl ShardNode {
                 .collect(),
             chain,
             pending: Vec::new(),
-            nonces: BTreeMap::new(),
-            pending_spend: BTreeMap::new(),
+            queued: BTreeMap::new(),
             pending_locks: BTreeMap::new(),
             minted: BTreeSet::new(),
-            refunded: BTreeSet::new(),
             mint_seq: 0,
             timer_armed: false,
             params: params.clone(),
@@ -398,9 +396,10 @@ impl ShardNode {
     }
 
     fn next_tx(&mut self, from: Address, to: Address, value: Amount) -> Transaction {
-        let nonce = self.nonces.entry(from).or_insert(0);
-        let mut tx = AccountTx::transfer(from, to, value, *nonce);
-        *nonce += 1;
+        let queued = self.queued.entry(from).or_default();
+        let nonce = self.chain.machine().db.nonce(&from) + queued.0;
+        queued.0 += 1;
+        let mut tx = AccountTx::transfer(from, to, value, nonce);
         tx.gas_limit = 0;
         tx.gas_price = 0;
         Transaction::Account(tx)
@@ -412,7 +411,7 @@ impl ShardNode {
             .machine()
             .db
             .balance(addr)
-            .saturating_sub(self.pending_spend.get(addr).copied().unwrap_or(0))
+            .saturating_sub(self.queued.get(addr).map_or(0, |q| q.1))
     }
 
     fn admit(&mut self, t: Transfer) {
@@ -420,7 +419,7 @@ impl ShardNode {
             self.stats.rejected += 1;
             return;
         }
-        *self.pending_spend.entry(t.from).or_insert(0) += t.value;
+        self.queued.entry(t.from).or_default().1 += t.value;
         let dst = ShardedLedger::home_shard(&t.to, self.k as usize) as u32;
         if dst == self.shard {
             self.stats.intra += 1;
@@ -456,7 +455,7 @@ impl ShardNode {
     /// locks.
     fn seal(&mut self, ctx: &mut Ctx<'_, ScaleMsg>) {
         let mut queue = std::mem::take(&mut self.pending);
-        self.pending_spend.clear();
+        self.queued.clear();
         while !queue.is_empty() {
             let take = queue.len().min(self.params.block_tx_limit);
             let batch: Vec<PendingTx> = queue.drain(..take).collect();
@@ -559,9 +558,6 @@ impl ShardNode {
         let Some(pending) = self.pending_locks.remove(&lock_id) else {
             return; // Already refunded or acked.
         };
-        if !self.refunded.insert(lock_id) {
-            return;
-        }
         self.stats.refunds += 1;
         let t = pending.receipt.transfer;
         let bridge = self.bridges[pending.receipt.dst_shard as usize];
