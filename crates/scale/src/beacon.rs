@@ -11,15 +11,16 @@
 //! real blocks:
 //!
 //! 1. **Lock** — the source shard seals a transfer into the per-pair bridge
-//!    escrow and reports it to the beacon as a [`LockReceipt`]: the lock
-//!    transaction id, its Merkle inclusion proof, and the block height. The
-//!    receipts of one sealed block travel together, in one `Locks` message
-//!    behind the block's anchor.
-//! 2. **Grant** — the beacon verifies the proofs of a block's receipts
-//!    lane-wise against the shard header it tracks (the same SPV check a
-//!    pegged sidechain performs), then settles them one by one in leaf
-//!    order: a `MintGrant` to the destination shard, which seals a mint for
-//!    the recipient and acks the source.
+//!    escrow (`Lock::tx`) and reports it to the beacon as a
+//!    [`LockReceipt`]: the [`Lock`], the block height, and the Merkle
+//!    inclusion proof of its transaction. The receipts of one sealed block
+//!    travel together, in one `Locks` message behind the block's anchor.
+//! 2. **Grant** — the beacon recomputes each lock's transaction id, verifies
+//!    the proofs of a block's receipts lane-wise against the shard header it
+//!    tracks (the same SPV check a pegged sidechain performs), then settles
+//!    them one by one in leaf order: a `MintGrant` to the destination shard,
+//!    which seals a mint for the recipient and acks the source. Id, value,
+//!    recipient and destination are all read from the one proven lock.
 //! 3. **Timeout-refund** — a lock unresolved past its timeout makes the
 //!    source shard query the beacon; a lock the beacon never granted is
 //!    *voided* (never granted later), and the source shard seals a refund
@@ -57,35 +58,62 @@ const MINT_HEIGHT_BASE: u64 = 1 << 32;
 /// Cap on headers returned per [`ScaleMsg::HeadersResponse`].
 const HEADERS_PER_RESPONSE: usize = 256;
 
+/// A cross-shard lock: the transfer it moves, the sender nonce it sealed
+/// at, and the shard pair it crosses. Everything the tier knows about a
+/// lock — its id, value, recipient and destination — is derived from this
+/// one value, so no copy of it can disagree with what was sealed.
+#[derive(Debug, Clone, Copy)]
+pub struct Lock {
+    /// The transfer: sender, recipient and value.
+    pub transfer: Transfer,
+    /// The sender's nonce on the source shard.
+    pub nonce: u64,
+    /// Shard the lock seals on.
+    pub src_shard: u32,
+    /// Shard that mints it.
+    pub dst_shard: u32,
+}
+
+impl Lock {
+    /// The lock transaction, the one place the lock format is written: a
+    /// call on the pair's bridge escrow with the recipient as its input, so
+    /// its id binds sender, recipient, value, nonce and both shards. The
+    /// bridge has no code, so executing it credits the escrow like a plain
+    /// transfer (a `Data` payload would not: execution debits its value
+    /// and credits nobody).
+    fn tx(&self) -> Transaction {
+        let Transfer { from, to, value } = self.transfer;
+        let bridge =
+            ShardedLedger::bridge_address(self.src_shard as usize, self.dst_shard as usize);
+        let mut tx = AccountTx::call(from, bridge, to.as_bytes().to_vec(), value, self.nonce, 0);
+        tx.gas_price = 0;
+        Transaction::Account(tx)
+    }
+}
+
 /// A lock receipt: everything the beacon needs to verify that a cross-shard
 /// lock really sealed on its source shard.
 #[derive(Debug, Clone)]
 pub struct LockReceipt {
-    /// Transaction id of the lock (sender → bridge escrow).
-    pub lock_id: Hash256,
-    /// The transfer the lock backs.
-    pub transfer: Transfer,
-    /// Shard the lock sealed on.
-    pub src_shard: u32,
-    /// Shard that should mint.
-    pub dst_shard: u32,
+    /// The lock.
+    pub lock: Lock,
     /// Height of the source-shard block holding the lock.
     pub height: u64,
-    /// Merkle inclusion proof of `lock_id` under that block's tx root.
+    /// Merkle inclusion proof of the lock's transaction id under that
+    /// block's tx root.
     pub proof: MerkleProof,
 }
 
 impl LockReceipt {
     fn wire_size(&self) -> usize {
-        // lock_id + transfer + shard ids + height + proof.
-        32 + 48 + 8 + 8 + self.proof.encoded_len()
+        // lock + height + proof.
+        64 + 8 + self.proof.encoded_len()
     }
 }
 
 /// What a destination shard needs to mint a granted lock: the lock id it
 /// deduplicates on, the recipient and value it credits, and the source
-/// shard it acknowledges. The beacon remembers these, not the receipt and
-/// its proof, once a lock is granted.
+/// shard it acknowledges. The beacon builds it from the proven lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grant {
     /// Transaction id of the granted lock.
@@ -99,12 +127,12 @@ pub struct Grant {
 }
 
 impl Grant {
-    fn of(receipt: &LockReceipt) -> Self {
+    fn of(lock_id: Hash256, lock: &Lock) -> Self {
         Grant {
-            lock_id: receipt.lock_id,
-            to: receipt.transfer.to,
-            value: receipt.transfer.value,
-            src_shard: receipt.src_shard,
+            lock_id,
+            to: lock.transfer.to,
+            value: lock.transfer.value,
+            src_shard: lock.src_shard,
         }
     }
 
@@ -118,8 +146,8 @@ impl Grant {
 ///
 /// Every queued event is sized for the largest variant, and a run queues
 /// one `Submit` per client transfer up front, so the rare large payloads
-/// (a header, a receipt with its proof, a checkpoint, an SPV proof) sit
-/// behind a `Box` and the enum stays at most 72 bytes.
+/// (a header, a checkpoint, an SPV proof) sit behind a `Box` and the enum
+/// stays at most 72 bytes.
 #[derive(Debug, Clone)]
 pub enum ScaleMsg {
     /// A client transfer, injected at its home (source) shard.
@@ -147,12 +175,7 @@ pub enum ScaleMsg {
         lock_id: Hash256,
     },
     /// Source shard → beacon: this lock is past its timeout — decide.
-    LockStatus {
-        /// The overdue lock.
-        lock_id: Hash256,
-        /// Its receipt, in case the beacon never saw the original.
-        receipt: Box<LockReceipt>,
-    },
+    LockStatus(Lock),
     /// Light client → shard: send a checkpoint and the headers above it.
     SnapshotRequest,
     /// Shard → light client: checkpoint header plus headers above it.
@@ -197,7 +220,7 @@ impl ScaleMsg {
             ScaleMsg::Locks(receipts) => receipts.iter().map(LockReceipt::wire_size).sum(),
             ScaleMsg::MintGrant(grant) => grant.wire_size(),
             ScaleMsg::MintDenied { .. } | ScaleMsg::MintAck { .. } => 32,
-            ScaleMsg::LockStatus { receipt, .. } => 32 + receipt.wire_size(),
+            ScaleMsg::LockStatus(_) => 64,
             ScaleMsg::SnapshotRequest => 8,
             ScaleMsg::SnapshotResponse {
                 checkpoint,
@@ -300,28 +323,9 @@ pub struct ShardNodeStats {
     pub blocks: u64,
 }
 
-/// What a queued transaction is, so sealed locks can be located for proofs.
-#[derive(Debug)]
-enum PendingTx {
-    Plain(Transaction),
-    Lock {
-        tx: Transaction,
-        transfer: Transfer,
-        dst: u32,
-    },
-}
-
-impl PendingTx {
-    fn tx(&self) -> &Transaction {
-        match self {
-            PendingTx::Plain(tx) | PendingTx::Lock { tx, .. } => tx,
-        }
-    }
-}
-
 #[derive(Debug)]
 struct PendingLock {
-    receipt: LockReceipt,
+    lock: Lock,
     deadline: SimTime,
 }
 
@@ -330,11 +334,10 @@ struct PendingLock {
 #[derive(Debug)]
 pub struct ShardNode {
     shard: u32,
-    k: u32,
-    /// `bridges[dst]`: the escrow absorbing this shard's locks toward `dst`.
-    bridges: Vec<Address>,
     chain: Chain<AccountMachine>,
-    pending: Vec<PendingTx>,
+    /// Queued transactions, each lock beside the `Lock` it was built from
+    /// so sealed locks can be located for proofs.
+    pending: Vec<(Transaction, Option<Lock>)>,
     // BTree everywhere: admission order + map iteration feed block contents,
     // and block contents feed the cross-worker digest gate.
     /// Per sender, what this seal window has queued: transactions (the
@@ -369,10 +372,6 @@ impl ShardNode {
         );
         ShardNode {
             shard: shard as u32,
-            k: params.shards as u32,
-            bridges: (0..params.shards)
-                .map(|dst| ShardedLedger::bridge_address(shard, dst))
-                .collect(),
             chain,
             pending: Vec::new(),
             queued: BTreeMap::new(),
@@ -395,11 +394,15 @@ impl ShardNode {
         self.pending_locks.len()
     }
 
-    fn next_tx(&mut self, from: Address, to: Address, value: Amount) -> Transaction {
+    fn next_nonce(&mut self, from: Address) -> u64 {
         let queued = self.queued.entry(from).or_default();
         let nonce = self.chain.machine().db.nonce(&from) + queued.0;
         queued.0 += 1;
-        let mut tx = AccountTx::transfer(from, to, value, nonce);
+        nonce
+    }
+
+    fn next_tx(&mut self, from: Address, to: Address, value: Amount) -> Transaction {
+        let mut tx = AccountTx::transfer(from, to, value, self.next_nonce(from));
         tx.gas_limit = 0;
         tx.gas_price = 0;
         Transaction::Account(tx)
@@ -420,19 +423,20 @@ impl ShardNode {
             return;
         }
         self.queued.entry(t.from).or_default().1 += t.value;
-        let dst = ShardedLedger::home_shard(&t.to, self.k as usize) as u32;
-        if dst == self.shard {
+        let dst = ShardedLedger::home_shard(&t.to, self.params.shards) as u32;
+        let entry = if dst == self.shard {
             self.stats.intra += 1;
-            let tx = self.next_tx(t.from, t.to, t.value);
-            self.pending.push(PendingTx::Plain(tx));
+            (self.next_tx(t.from, t.to, t.value), None)
         } else {
-            let tx = self.next_tx(t.from, self.bridges[dst as usize], t.value);
-            self.pending.push(PendingTx::Lock {
-                tx,
+            let lock = Lock {
                 transfer: t,
-                dst,
-            });
-        }
+                nonce: self.next_nonce(t.from),
+                src_shard: self.shard,
+                dst_shard: dst,
+            };
+            (lock.tx(), Some(lock))
+        };
+        self.pending.push(entry);
     }
 
     fn header(&self, timestamp_us: u64) -> BlockHeader {
@@ -458,8 +462,15 @@ impl ShardNode {
         self.queued.clear();
         while !queue.is_empty() {
             let take = queue.len().min(self.params.block_tx_limit);
-            let batch: Vec<PendingTx> = queue.drain(..take).collect();
-            let txs: Vec<Transaction> = batch.iter().map(|p| p.tx().clone()).collect();
+            // The block's transactions, and each lock with its leaf index.
+            let mut txs = Vec::with_capacity(take);
+            let mut locks = Vec::new();
+            for (tx, lock) in queue.drain(..take) {
+                if let Some(lock) = lock {
+                    locks.push((txs.len(), lock));
+                }
+                txs.push(tx);
+            }
             let header = self.header(ctx.now.as_micros());
             // Hashed and rooted once: one tree gives the block its root and
             // id memo, and the lock receipts below their leaves and proofs.
@@ -482,29 +493,21 @@ impl ShardNode {
             ctx.send(NodeId(0), anchor, size);
             // Receipts for the locks this block sealed, in leaf order; only
             // a block that holds one pays for the message.
-            let mut receipts = Vec::new();
-            for (i, entry) in batch.iter().enumerate() {
-                let PendingTx::Lock { transfer, dst, .. } = entry else {
-                    continue;
-                };
-                let receipt = LockReceipt {
-                    lock_id: tree.leaves()[i],
-                    transfer: *transfer,
-                    src_shard: self.shard,
-                    dst_shard: *dst,
-                    height,
-                    proof: tree.prove(i).expect("leaf index in range"),
-                };
-                self.stats.locks += 1;
-                self.pending_locks.insert(
-                    receipt.lock_id,
-                    PendingLock {
-                        receipt: receipt.clone(),
-                        deadline: ctx.now + self.params.lock_timeout,
-                    },
-                );
-                receipts.push(receipt);
-            }
+            let deadline = ctx.now + self.params.lock_timeout;
+            self.stats.locks += locks.len() as u64;
+            let receipts: Vec<LockReceipt> = locks
+                .into_iter()
+                .map(|(i, lock)| {
+                    let pending = PendingLock { lock, deadline };
+                    self.pending_locks.insert(tree.leaves()[i], pending);
+                    let proof = tree.prove(i).expect("leaf index in range");
+                    LockReceipt {
+                        lock,
+                        height,
+                        proof,
+                    }
+                })
+                .collect();
             if !receipts.is_empty() {
                 let msg = ScaleMsg::Locks(receipts);
                 let size = msg.wire_size();
@@ -514,22 +517,13 @@ impl ShardNode {
         // Chase locks past their deadline; push the deadline forward so a
         // lost answer is re-queried instead of spinning every tick.
         let now = ctx.now;
-        let overdue: Vec<Hash256> = self
+        let overdue = self
             .pending_locks
-            .iter()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(id, _)| *id)
-            .collect();
-        for lock_id in overdue {
-            let pending = self
-                .pending_locks
-                .get_mut(&lock_id)
-                .expect("collected from this map");
+            .values_mut()
+            .filter(|p| p.deadline <= now);
+        for pending in overdue {
             pending.deadline = now + self.params.lock_timeout;
-            let msg = ScaleMsg::LockStatus {
-                lock_id,
-                receipt: Box::new(pending.receipt.clone()),
-            };
+            let msg = ScaleMsg::LockStatus(pending.lock);
             let size = msg.wire_size();
             ctx.send(NodeId(0), msg, size);
         }
@@ -541,11 +535,12 @@ impl ShardNode {
         }
         self.stats.mints += 1;
         self.mint_seq += 1;
-        self.pending.push(PendingTx::Plain(Transaction::Coinbase {
+        let mint = Transaction::Coinbase {
             to: grant.to,
             value: grant.value,
             height: MINT_HEIGHT_BASE + self.mint_seq,
-        }));
+        };
+        self.pending.push((mint, None));
         let ack = ScaleMsg::MintAck {
             lock_id: grant.lock_id,
         };
@@ -555,14 +550,14 @@ impl ShardNode {
     }
 
     fn deny(&mut self, lock_id: Hash256, ctx: &mut Ctx<'_, ScaleMsg>) {
-        let Some(pending) = self.pending_locks.remove(&lock_id) else {
+        let Some(PendingLock { lock, .. }) = self.pending_locks.remove(&lock_id) else {
             return; // Already refunded or acked.
         };
         self.stats.refunds += 1;
-        let t = pending.receipt.transfer;
-        let bridge = self.bridges[pending.receipt.dst_shard as usize];
-        let refund = self.next_tx(bridge, t.from, t.value);
-        self.pending.push(PendingTx::Plain(refund));
+        let Transfer { from, value, .. } = lock.transfer;
+        let bridge = ShardedLedger::bridge_address(self.shard as usize, lock.dst_shard as usize);
+        let refund = self.next_tx(bridge, from, value);
+        self.pending.push((refund, None));
         self.arm(ctx);
     }
 
@@ -648,10 +643,10 @@ pub struct BeaconStats {
     pub grants: u64,
     /// Locks voided by timeout queries.
     pub timeout_denials: u64,
-    /// Receipts whose Merkle proof failed verification, that name a shard
-    /// the beacon does not coordinate, or that came from a node other than
-    /// their source shard's sequencer; and status queries whose receipt
-    /// names another lock.
+    /// Receipts whose Merkle proof failed verification, and receipts or
+    /// status queries whose lock names a shard the beacon does not
+    /// coordinate or its own source shard as destination, or that came from
+    /// a node other than their source shard's sequencer.
     pub invalid_receipts: u64,
     /// Receipts dropped by the `silent_shards` fault knob.
     pub suppressed: u64,
@@ -668,10 +663,11 @@ pub struct BeaconStats {
 
 /// How the beacon settled a lock. Either is final: a granted lock is never
 /// voided and a voided one never granted.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum Decision {
-    /// Minted on shard `dst`; a status query re-sends the grant there.
-    Granted { grant: Grant, dst: u32 },
+    /// Minted on its destination shard; a status query re-grants it from
+    /// the status's own lock, whose id names the same preimage.
+    Granted,
     /// Refunded on the source shard.
     Voided,
 }
@@ -689,7 +685,7 @@ pub struct BeaconNode {
     anchor_buf: BTreeMap<(u32, u64), BlockHeader>,
     /// Receipts waiting for the anchor covering their height.
     receipt_buf: BTreeMap<(u32, u64), Vec<LockReceipt>>,
-    /// Every settled lock, by lock id.
+    /// The verdict on every settled lock, by lock id.
     decisions: BTreeMap<Hash256, Decision>,
     pending_anchor_txs: Vec<Transaction>,
     anchor_nonce: u64,
@@ -788,16 +784,19 @@ impl BeaconNode {
         self.arm(ctx);
     }
 
-    /// Whether `from` may speak for a receipt: it names shards this beacon
-    /// coordinates, and `from` is its source shard's sequencer. A receipt
-    /// is a peer's bytes: its shard ids index the trackers and address
-    /// sends, so they are checked before either, and only the shard that
-    /// sealed a lock reports or chases it — as only it anchors its chain.
-    fn accepts(&self, from: NodeId, receipt: &LockReceipt) -> bool {
+    /// Whether `from` may speak for a lock: it crosses between two distinct
+    /// shards this beacon coordinates, and `from` is its source shard's
+    /// sequencer. A lock is a peer's bytes: its shard ids index the
+    /// trackers and address sends, so they are checked before either, and
+    /// only the shard that sealed a lock reports or chases it — as only it
+    /// anchors its chain. A lock onto its own shard would mint value out of
+    /// nothing there.
+    fn accepts(&self, from: NodeId, lock: &Lock) -> bool {
         let k = self.trackers.len();
-        (receipt.src_shard as usize) < k
-            && (receipt.dst_shard as usize) < k
-            && from.0 == 1 + receipt.src_shard as usize
+        (lock.src_shard as usize) < k
+            && (lock.dst_shard as usize) < k
+            && lock.dst_shard != lock.src_shard
+            && from.0 == 1 + lock.src_shard as usize
     }
 
     /// One sealed block's receipts: each passes the per-receipt gates, those
@@ -806,16 +805,17 @@ impl BeaconNode {
     fn on_locks(&mut self, from: NodeId, receipts: Vec<LockReceipt>, ctx: &mut Ctx<'_, ScaleMsg>) {
         let mut ready = Vec::with_capacity(receipts.len());
         for receipt in receipts {
-            if !self.accepts(from, &receipt) {
+            let lock = &receipt.lock;
+            if !self.accepts(from, lock) {
                 self.stats.invalid_receipts += 1;
-            } else if self.silent.contains(&receipt.dst_shard) {
+            } else if self.silent.contains(&lock.dst_shard) {
                 self.stats.suppressed += 1;
-            } else if self.trackers[receipt.src_shard as usize].tip_height() >= receipt.height {
+            } else if self.trackers[lock.src_shard as usize].tip_height() >= receipt.height {
                 ready.push(receipt);
             } else {
                 self.stats.buffered_receipts += 1;
                 self.receipt_buf
-                    .entry((receipt.src_shard, receipt.height))
+                    .entry((lock.src_shard, receipt.height))
                     .or_default()
                     .push(receipt);
             }
@@ -823,45 +823,38 @@ impl BeaconNode {
         self.decide(ready, ctx);
     }
 
-    /// Verifies receipts against the tracked shard headers — all their
-    /// proofs in one lane-wise batch — then grants or voids them one by one
-    /// in order, so a lock repeated inside the batch settles once. Only
-    /// called once the covering anchors are tracked.
+    /// Verifies receipts against the tracked shard headers — each lock's id
+    /// recomputed from the lock, all their proofs in one lane-wise batch —
+    /// then grants or voids them one by one in order, so a lock repeated
+    /// inside the batch settles once. Only called once the covering anchors
+    /// are tracked.
     fn decide(&mut self, receipts: Vec<LockReceipt>, ctx: &mut Ctx<'_, ScaleMsg>) {
+        let txs: Vec<Transaction> = receipts.iter().map(|r| r.lock.tx()).collect();
+        let ids = Transaction::batch_ids(&txs);
         let claims: Vec<(&MerkleProof, Hash256, Hash256)> = receipts
             .iter()
-            .map(|r| {
-                let header = self.trackers[r.src_shard as usize]
+            .zip(&ids)
+            .map(|(r, id)| {
+                let header = self.trackers[r.lock.src_shard as usize]
                     .header_at(r.height)
                     .expect("caller checked coverage");
-                (&r.proof, r.lock_id, header.tx_root)
+                (&r.proof, *id, header.tx_root)
             })
             .collect();
         let verified = MerkleProof::verify_many(&claims);
-        for (receipt, verified) in receipts.iter().zip(verified) {
-            let Entry::Vacant(slot) = self.decisions.entry(receipt.lock_id) else {
+        for ((receipt, id), verified) in receipts.iter().zip(ids).zip(verified) {
+            let Entry::Vacant(slot) = self.decisions.entry(id) else {
                 continue;
             };
-            if verified {
+            let decision = if verified {
                 self.stats.grants += 1;
-                let grant = Grant::of(receipt);
-                slot.insert(Decision::Granted {
-                    grant,
-                    dst: receipt.dst_shard,
-                });
-                let msg = ScaleMsg::MintGrant(grant);
-                let size = msg.wire_size();
-                ctx.send(NodeId(1 + receipt.dst_shard as usize), msg, size);
+                Decision::Granted
             } else {
                 self.stats.invalid_receipts += 1;
-                slot.insert(Decision::Voided);
-                let src = NodeId(1 + receipt.src_shard as usize);
-                let msg = ScaleMsg::MintDenied {
-                    lock_id: receipt.lock_id,
-                };
-                let size = msg.wire_size();
-                ctx.send(src, msg, size);
-            }
+                Decision::Voided
+            };
+            slot.insert(decision);
+            Self::settle(id, &receipt.lock, decision, ctx);
         }
     }
 
@@ -869,36 +862,30 @@ impl BeaconNode {
     /// re-granted (idempotent at the mint shard); anything else is voided
     /// *permanently* — it can never be granted afterwards, so mint and
     /// refund are mutually exclusive. Only the lock's source sequencer may
-    /// ask, about the lock its receipt names.
-    fn on_status(
-        &mut self,
-        from: NodeId,
-        lock_id: Hash256,
-        receipt: &LockReceipt,
-        ctx: &mut Ctx<'_, ScaleMsg>,
-    ) {
-        if receipt.lock_id != lock_id || !self.accepts(from, receipt) {
+    /// ask, and the id the beacon derives names one of that shard's own
+    /// bridges, so it can void no other shard's lock.
+    fn on_status(&mut self, from: NodeId, lock: &Lock, ctx: &mut Ctx<'_, ScaleMsg>) {
+        if !self.accepts(from, lock) {
             self.stats.invalid_receipts += 1;
             return;
         }
-        match self.decisions.entry(lock_id) {
-            Entry::Occupied(decided) => {
-                if let Decision::Granted { grant, dst } = decided.get() {
-                    let msg = ScaleMsg::MintGrant(*grant);
-                    let size = msg.wire_size();
-                    ctx.send(NodeId(1 + *dst as usize), msg, size);
-                    return;
-                }
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(Decision::Voided);
-                self.stats.timeout_denials += 1;
-            }
-        }
-        let src = NodeId(1 + receipt.src_shard as usize);
-        let msg = ScaleMsg::MintDenied { lock_id };
+        let id = lock.tx().id();
+        let decision = *self.decisions.entry(id).or_insert_with(|| {
+            self.stats.timeout_denials += 1;
+            Decision::Voided
+        });
+        Self::settle(id, lock, decision, ctx);
+    }
+
+    /// Sends a verdict: a grant built from the lock to its destination, or
+    /// a denial to its source.
+    fn settle(id: Hash256, lock: &Lock, decision: Decision, ctx: &mut Ctx<'_, ScaleMsg>) {
+        let (to, msg) = match decision {
+            Decision::Granted => (lock.dst_shard, ScaleMsg::MintGrant(Grant::of(id, lock))),
+            Decision::Voided => (lock.src_shard, ScaleMsg::MintDenied { lock_id: id }),
+        };
         let size = msg.wire_size();
-        ctx.send(src, msg, size);
+        ctx.send(NodeId(1 + to as usize), msg, size);
     }
 
     fn seal(&mut self, now: SimTime) {
@@ -948,6 +935,10 @@ pub struct LightNode {
     pub proofs_requested: u64,
     /// SPV proofs that verified.
     pub proofs_verified: u64,
+    /// Served headers of the wanted height that did not extend the tip.
+    /// Each drops the rest of its response. Honest servers send none, so
+    /// [`BeaconNet::digest`] leaves it out.
+    pub rejected_headers: u64,
 }
 
 impl LightNode {
@@ -960,6 +951,7 @@ impl LightNode {
             polls: 0,
             proofs_requested: 0,
             proofs_verified: 0,
+            rejected_headers: 0,
         }
     }
 
@@ -1007,16 +999,19 @@ impl LightNode {
     }
 
     /// Appends only the headers that extend the current tip — responses to
-    /// overlapping requests may arrive out of order.
+    /// overlapping requests may arrive out of order. A served header is a
+    /// peer's bytes: one of the next height that does not link is counted,
+    /// and the rest of its response dropped.
     fn absorb(&mut self, headers: &[BlockHeader]) {
         let Some(client) = self.client.as_mut() else {
             return;
         };
         for header in headers {
-            if header.height == client.tip_height() + 1 {
-                client
-                    .sync(std::slice::from_ref(header))
-                    .expect("serving shard is honest");
+            if header.height == client.tip_height() + 1
+                && client.sync(std::slice::from_ref(header)).is_err()
+            {
+                self.rejected_headers += 1;
+                return;
             }
         }
     }
@@ -1074,9 +1069,7 @@ impl Protocol for ScalePeer {
                 b.on_anchor(from, shard, *header, ctx)
             }
             (ScalePeer::Beacon(b), ScaleMsg::Locks(receipts)) => b.on_locks(from, receipts, ctx),
-            (ScalePeer::Beacon(b), ScaleMsg::LockStatus { lock_id, receipt }) => {
-                b.on_status(from, lock_id, &receipt, ctx)
-            }
+            (ScalePeer::Beacon(b), ScaleMsg::LockStatus(lock)) => b.on_status(from, &lock, ctx),
             (
                 ScalePeer::Light(l),
                 ScaleMsg::SnapshotResponse {
@@ -1493,9 +1486,24 @@ mod tests {
             .collect()
     }
 
-    /// The leaves of a pretend shard-0 block: five lock ids per height.
+    /// Lock `i` of a pretend shard-0 block at `height`: one of five, shard
+    /// 0 → shard 1.
+    fn lock_at(height: u64, i: u64) -> Lock {
+        Lock {
+            transfer: Transfer {
+                from: Address::from_index(0),
+                to: Address::from_index(1),
+                value: 1,
+            },
+            nonce: 5 * height + i,
+            src_shard: 0,
+            dst_shard: 1,
+        }
+    }
+
+    /// The leaves of that block: the ids of its five locks.
     fn leaves_at(height: u64) -> Vec<Hash256> {
-        (0..5u8).map(|i| sha256(&[height as u8, i])).collect()
+        (0..5).map(|i| lock_at(height, i).tx().id()).collect()
     }
 
     /// Shard 0's header at `height` over [`leaves_at`], linked to `parent`.
@@ -1507,18 +1515,10 @@ mod tests {
 
     /// A receipt, shard 0 → shard 1, for leaf `i` of the block at `height`.
     fn receipt_for(height: u64, i: usize) -> LockReceipt {
-        let leaves = leaves_at(height);
         LockReceipt {
-            lock_id: leaves[i],
-            transfer: Transfer {
-                from: Address::from_index(0),
-                to: Address::from_index(1),
-                value: 1,
-            },
-            src_shard: 0,
-            dst_shard: 1,
+            lock: lock_at(height, i as u64),
             height,
-            proof: MerkleTree::from_leaves(leaves)
+            proof: MerkleTree::from_leaves(leaves_at(height))
                 .prove(i)
                 .expect("leaf index in range"),
         }
@@ -1588,10 +1588,13 @@ mod tests {
         let (mut beacon, _) = beacon_with_one_anchor();
         let honest = receipt_for(1, 0);
         let rewritten = LockReceipt {
-            transfer: Transfer {
-                to: Address::from_index(7),
-                value: 1_000_000,
-                ..honest.transfer
+            lock: Lock {
+                transfer: Transfer {
+                    to: Address::from_index(7),
+                    value: 1_000_000,
+                    ..honest.lock.transfer
+                },
+                ..honest.lock
             },
             ..honest.clone()
         };
@@ -1606,24 +1609,23 @@ mod tests {
         let [(2, ScaleMsg::MintGrant(grant))] = sent.as_slice() else {
             panic!("expected one grant to shard 1, got {sent:?}");
         };
-        assert_eq!(*grant, Grant::of(&honest));
+        assert_eq!(*grant, Grant::of(leaves_at(1)[0], &honest.lock));
     }
 
-    /// Only a lock's source sequencer may chase it, and only about the lock
-    /// its receipt names: a status from another node, or one whose receipt
-    /// names a different lock, voids nothing.
+    /// Only a lock's source sequencer may chase it: a status from another
+    /// node voids nothing.
     #[test]
     fn foreign_lock_status_voids_nothing() {
         let (mut beacon, _) = beacon_with_one_anchor();
         let receipt = receipt_for(1, 3);
-        let lock = receipt.lock_id;
-        for (from, lock_id) in [(2, lock), (3, lock), (1, leaves_at(1)[4])] {
+        let lock = leaves_at(1)[3];
+        for from in [2, 3] {
             let sent = drive(&mut beacon, |b, ctx| {
-                b.on_status(NodeId(from), lock_id, &receipt, ctx)
+                b.on_status(NodeId(from), &receipt.lock, ctx)
             });
             assert!(sent.is_empty(), "status from node {from} was acted on");
         }
-        assert_eq!(beacon.stats.invalid_receipts, 3);
+        assert_eq!(beacon.stats.invalid_receipts, 2);
         assert_eq!(beacon.stats.timeout_denials, 0);
         let sent = drive(&mut beacon, |b, ctx| {
             b.on_locks(NodeId(1), vec![receipt], ctx)
@@ -1631,8 +1633,93 @@ mod tests {
         assert_eq!(sent, vec![Sent::Grant { lock, to: 2 }]);
     }
 
+    /// A sequencer can void only its own locks: shard 1's sequencer chasing
+    /// shard 0's transfer as its own names its own bridge, so the id the
+    /// beacon derives is not shard 0's lock, and shard 0's receipt still
+    /// grants.
+    #[test]
+    fn self_named_status_for_another_shards_lock_voids_nothing_of_it() {
+        let (mut beacon, _) = beacon_with_one_anchor();
+        let honest = receipt_for(1, 3);
+        let claimed = Lock {
+            src_shard: 1,
+            dst_shard: 0,
+            ..honest.lock
+        };
+        let sent = drive(&mut beacon, |b, ctx| b.on_status(NodeId(2), &claimed, ctx));
+        let lock = leaves_at(1)[3];
+        assert_ne!(claimed.tx().id(), lock);
+        assert_eq!(
+            sent,
+            vec![Sent::Denied {
+                lock: claimed.tx().id(),
+                to: 2
+            }]
+        );
+        let sent = drive(&mut beacon, |b, ctx| {
+            b.on_locks(NodeId(1), vec![honest], ctx)
+        });
+        assert_eq!(sent, vec![Sent::Grant { lock, to: 2 }]);
+        assert_eq!((beacon.stats.grants, beacon.stats.timeout_denials), (1, 1));
+    }
+
+    /// The true sequencer cannot mint more than it locked, nor to anyone
+    /// else, nor onto its own shard: a receipt whose lock inflates the value
+    /// or rewrites the recipient of a sealed lock names a transaction the
+    /// proof does not hold, and one locking onto its own shard is refused.
+    /// The honest lock in the same bundle still grants.
+    #[test]
+    fn lying_locks_from_the_true_sequencer_are_voided_and_mint_nothing() {
+        let (mut beacon, _) = beacon_with_one_anchor();
+        let honest = receipt_for(1, 0);
+        let lie = |lock: Lock| LockReceipt {
+            lock,
+            ..honest.clone()
+        };
+        let transfer = honest.lock.transfer;
+        let inflated = lie(Lock {
+            transfer: Transfer {
+                value: 1_000_000,
+                ..transfer
+            },
+            ..honest.lock
+        });
+        let rewritten = lie(Lock {
+            transfer: Transfer {
+                to: Address::from_index(7),
+                ..transfer
+            },
+            ..honest.lock
+        });
+        let onto_itself = lie(Lock {
+            dst_shard: 0,
+            ..honest.lock
+        });
+        let (l_inflated, l_rewritten) = (inflated.lock.tx().id(), rewritten.lock.tx().id());
+        let bundle = vec![inflated, rewritten, onto_itself, honest];
+        let sent = drive(&mut beacon, |b, ctx| b.on_locks(NodeId(1), bundle, ctx));
+        assert_eq!(
+            sent,
+            vec![
+                Sent::Denied {
+                    lock: l_inflated,
+                    to: 1
+                },
+                Sent::Denied {
+                    lock: l_rewritten,
+                    to: 1
+                },
+                Sent::Grant {
+                    lock: leaves_at(1)[0],
+                    to: 2
+                },
+            ]
+        );
+        assert_eq!((beacon.stats.grants, beacon.stats.invalid_receipts), (1, 3));
+    }
+
     /// A status query about a lock the beacon already granted re-sends the
-    /// same grant, read from what the beacon kept, and never denies it.
+    /// same grant, rebuilt from the status's own lock, and never denies it.
     #[test]
     fn status_for_a_granted_lock_re_grants_it() {
         let (mut beacon, _) = beacon_with_one_anchor();
@@ -1641,7 +1728,7 @@ mod tests {
             b.on_locks(NodeId(1), vec![receipt.clone()], ctx)
         });
         let again = sends(&mut beacon, |b, ctx| {
-            b.on_status(NodeId(1), receipt.lock_id, &receipt, ctx)
+            b.on_status(NodeId(1), &receipt.lock, ctx)
         });
         let ([(to, ScaleMsg::MintGrant(granted))], [(to_again, ScaleMsg::MintGrant(regranted))]) =
             (first.as_slice(), again.as_slice())
@@ -1650,9 +1737,10 @@ mod tests {
         };
         assert_eq!((*to, *to_again), (2, 2));
         assert_eq!(granted, regranted);
+        let transfer = receipt.lock.transfer;
         assert_eq!(
             (regranted.lock_id, regranted.to, regranted.value),
-            (receipt.lock_id, receipt.transfer.to, receipt.transfer.value)
+            (leaves_at(1)[2], transfer.to, transfer.value)
         );
         assert_eq!((beacon.stats.grants, beacon.stats.timeout_denials), (1, 0));
     }
@@ -1663,7 +1751,7 @@ mod tests {
     fn grant_delivered_twice_mints_once() {
         let params = BeaconParams::default();
         let mut shard = ShardNode::new(1, &params, &[]);
-        let grant = Grant::of(&receipt_for(1, 0));
+        let grant = Grant::of(leaves_at(1)[0], &lock_at(1, 0));
         let first = sends(&mut shard, |s, ctx| s.grant(grant, ctx));
         let [(1, ScaleMsg::MintAck { lock_id })] = first.as_slice() else {
             panic!("expected one ack to shard 0, got {first:?}");
@@ -1708,18 +1796,21 @@ mod tests {
         let mut net = BeaconNet::new(&BeaconParams::default(), 19, &funded(&accts));
         let hostile = [
             LockReceipt {
-                src_shard: 9,
+                lock: Lock {
+                    src_shard: 9,
+                    ..lock_at(1, 0)
+                },
                 ..receipt_for(1, 0)
             },
             LockReceipt {
-                dst_shard: 9,
+                lock: Lock {
+                    dst_shard: 9,
+                    ..lock_at(1, 1)
+                },
                 ..receipt_for(1, 1)
             },
         ];
-        let status = ScaleMsg::LockStatus {
-            lock_id: hostile[0].lock_id,
-            receipt: Box::new(hostile[0].clone()),
-        };
+        let status = ScaleMsg::LockStatus(hostile[0].lock);
         for msg in [ScaleMsg::Locks(hostile.to_vec()), status] {
             let size = msg.wire_size();
             net.runner
@@ -1860,14 +1951,16 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &value)| LockReceipt {
-                lock_id: leaves[i],
-                transfer: Transfer {
-                    from: a,
-                    to: b,
-                    value,
+                lock: Lock {
+                    transfer: Transfer {
+                        from: a,
+                        to: b,
+                        value,
+                    },
+                    nonce: i as u64,
+                    src_shard: src as u32,
+                    dst_shard: dst as u32,
                 },
-                src_shard: src as u32,
-                dst_shard: dst as u32,
                 height: 1,
                 proof: tree.prove(i).expect("leaf index in range"),
             })
@@ -1884,6 +1977,93 @@ mod tests {
         assert_eq!(net.balance(&a), 1_000_000 - 103, "the forged lock refunded");
         assert_eq!(net.balance(&b), 1_000_000 + 103);
         assert_eq!(net.escrow_total(), 103);
+        assert_eq!(net.user_total(&accts), 16 * 1_000_000);
+        for i in 0..2 {
+            assert_eq!(net.shard(i).open_locks(), 0);
+        }
+    }
+
+    /// End to end: the source sequencer sends a bundle of lies about block
+    /// 1's three real locks, each with that lock's real proof, ahead of the
+    /// honest bundle. Only what was locked mints, and supply holds.
+    #[test]
+    fn lying_bundle_ahead_of_the_honest_one_mints_only_what_was_locked() {
+        let accts = accounts(16);
+        let (a, b) = cross_pair(2, &accts);
+        let (src, dst) = (
+            ShardedLedger::home_shard(&a, 2),
+            ShardedLedger::home_shard(&b, 2),
+        );
+        let mut net = BeaconNet::new(&BeaconParams::default(), 23, &funded(&accts));
+        let locks: Vec<Lock> = [100, 20, 3]
+            .into_iter()
+            .enumerate()
+            .map(|(i, value)| {
+                let t = Transfer {
+                    from: a,
+                    to: b,
+                    value,
+                };
+                net.submit_at(SimTime::from_micros(10_000), t);
+                Lock {
+                    transfer: t,
+                    nonce: i as u64,
+                    src_shard: src as u32,
+                    dst_shard: dst as u32,
+                }
+            })
+            .collect();
+        let leaves: Vec<Hash256> = locks.iter().map(|l| l.tx().id()).collect();
+        let tree = MerkleTree::from_leaves(leaves.clone());
+        let c = accts[2..]
+            .iter()
+            .copied()
+            .find(|x| *x != b && ShardedLedger::home_shard(x, 2) == dst)
+            .expect("a second account on the destination shard");
+        let t = |i: usize| locks[i].transfer;
+        let lies = [
+            Lock {
+                transfer: Transfer {
+                    value: 1_000_000,
+                    ..t(0)
+                },
+                ..locks[0]
+            },
+            Lock {
+                transfer: Transfer { to: c, ..t(1) },
+                ..locks[1]
+            },
+            Lock {
+                dst_shard: src as u32,
+                ..locks[2]
+            },
+        ];
+        let bundle = lies
+            .into_iter()
+            .enumerate()
+            .map(|(i, lock)| LockReceipt {
+                lock,
+                height: 1,
+                proof: tree.prove(i).expect("leaf index in range"),
+            })
+            .collect();
+        send_to_beacon(&mut net, 1 + src, ScaleMsg::Locks(bundle));
+        net.run();
+        let chain = net.shard(src).chain();
+        let first = chain.canonical_at(1).expect("the locks sealed");
+        let body = chain.tree().get(&first).expect("stored");
+        assert_eq!(
+            body.body().expect("inside the retention window").tx_ids(),
+            &leaves[..],
+            "the lies carried real proofs"
+        );
+        let stats = net.stats();
+        assert_eq!((stats.minted, stats.refunded), (3, 0));
+        assert_eq!(net.beacon().stats.invalid_receipts, 3);
+        assert_eq!(net.balance(&a), 1_000_000 - 123);
+        assert_eq!(net.balance(&b), 1_000_000 + 123);
+        assert_eq!(net.balance(&c), 1_000_000);
+        assert_eq!(net.escrow_total(), 123, "escrow holds what minted");
         assert_eq!(net.user_total(&accts), 16 * 1_000_000);
         for i in 0..2 {
             assert_eq!(net.shard(i).open_locks(), 0);
@@ -1999,6 +2179,25 @@ mod tests {
             "checkpoint bootstrap skips the genesis-side headers"
         );
         assert_eq!(client.tip_height(), net.shard(0).chain().height());
+    }
+
+    /// A served header is a peer's bytes: one of the next height that does
+    /// not link is counted and the rest of its response dropped, and a
+    /// later honest response still syncs.
+    #[test]
+    fn light_node_counts_a_header_that_does_not_link_and_keeps_syncing() {
+        let params = BeaconParams::default();
+        let genesis = genesis_block(&shard_config(0, &params)).header.clone();
+        let h1 = header_over_leaves(&genesis, 1);
+        let h2 = header_over_leaves(&h1, 2);
+        let forged = BlockHeader::new(sha256(b"no such parent"), 1, 0, Address::ZERO, Seal::None);
+        let mut light = LightNode::new(&params);
+        light.bootstrap(genesis, &[]);
+        light.absorb(&[forged, h1.clone(), h2.clone()]);
+        let tip = |l: &LightNode| l.client().expect("bootstrapped").tip_height();
+        assert_eq!((tip(&light), light.rejected_headers), (0, 1));
+        light.absorb(&[h1, h2]);
+        assert_eq!((tip(&light), light.rejected_headers), (2, 1));
     }
 
     #[test]
