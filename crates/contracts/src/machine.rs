@@ -52,23 +52,12 @@ impl AccountMachine {
         self.pipeline = Some(pipeline);
         self
     }
+}
 
-    /// Reference oracle for [`StateMachine::apply_block`]: the same block
-    /// applied write by write straight to the trie, with no overlay. Roots,
-    /// receipts, and errors must be bit-identical to the batched path; the
-    /// equivalence tests compare the two.
-    pub fn apply_block_serial(
-        &mut self,
-        block: &Block,
-    ) -> Result<(Vec<Receipt>, AccountUndo), String> {
-        self.apply(block, false)
-    }
+impl StateMachine for AccountMachine {
+    type Undo = AccountUndo;
 
-    fn apply(
-        &mut self,
-        block: &Block,
-        batched: bool,
-    ) -> Result<(Vec<Receipt>, AccountUndo), String> {
+    fn apply_block(&mut self, block: &Block) -> Result<(Vec<Receipt>, AccountUndo), String> {
         if self.genesis.is_none() {
             self.genesis = Some(self.db.image());
         }
@@ -82,13 +71,6 @@ impl AccountMachine {
             _ => false,
         };
         let snapshot = self.db.snapshot();
-        if batched {
-            // Execution stages writes in an overlay and one
-            // `MerkleMap::write_batch` pass merges them at commit, so the
-            // trie's structure is edited once per block instead of once per
-            // write; its branches are hashed when a root is read.
-            self.db.begin_batch();
-        }
         let ctx = BlockCtx {
             proposer: block.header.proposer,
             timestamp_us: block.header.timestamp_us,
@@ -106,7 +88,6 @@ impl AccountMachine {
                     if self.verify_signatures && !prevalidated {
                         if let Err(e) = verify_witness(tx) {
                             self.db.rollback(snapshot);
-                            self.db.abort_batch();
                             return Err(e);
                         }
                     }
@@ -114,21 +95,11 @@ impl AccountMachine {
                 }
                 Transaction::Utxo(_) => {
                     self.db.rollback(snapshot);
-                    self.db.abort_batch();
                     return Err("UTXO transaction in an account-model ledger".into());
                 }
             }
         }
-        self.db.commit_batch();
         Ok((receipts, self.db.take_undo(snapshot)))
-    }
-}
-
-impl StateMachine for AccountMachine {
-    type Undo = AccountUndo;
-
-    fn apply_block(&mut self, block: &Block) -> Result<(Vec<Receipt>, AccountUndo), String> {
-        self.apply(block, true)
     }
 
     fn revert_block(&mut self, undo: AccountUndo) {

@@ -645,8 +645,9 @@ pub struct BeaconStats {
     pub timeout_denials: u64,
     /// Receipts whose Merkle proof failed verification, and receipts or
     /// status queries whose lock names a shard the beacon does not
-    /// coordinate or its own source shard as destination, or that came from
-    /// a node other than their source shard's sequencer.
+    /// coordinate, its own source shard or a shard other than its
+    /// recipient's home as destination, or that came from a node other than
+    /// their source shard's sequencer.
     pub invalid_receipts: u64,
     /// Receipts dropped by the `silent_shards` fault knob.
     pub suppressed: u64,
@@ -786,17 +787,20 @@ impl BeaconNode {
 
     /// Whether `from` may speak for a lock: it crosses between two distinct
     /// shards this beacon coordinates, and `from` is its source shard's
-    /// sequencer. A lock is a peer's bytes: its shard ids index the
-    /// trackers and address sends, so they are checked before either, and
-    /// only the shard that sealed a lock reports or chases it — as only it
-    /// anchors its chain. A lock onto its own shard would mint value out of
-    /// nothing there.
+    /// sequencer, and its destination is its recipient's home shard. A lock
+    /// is a peer's bytes: its shard ids index the trackers and address
+    /// sends, so they are checked before either, and only the shard that
+    /// sealed a lock reports or chases it — as only it anchors its chain. A
+    /// lock onto its own shard would mint value out of nothing there, and
+    /// one onto another shard than the recipient's would mint where the
+    /// recipient never spends.
     fn accepts(&self, from: NodeId, lock: &Lock) -> bool {
         let k = self.trackers.len();
         (lock.src_shard as usize) < k
             && (lock.dst_shard as usize) < k
             && lock.dst_shard != lock.src_shard
             && from.0 == 1 + lock.src_shard as usize
+            && ShardedLedger::home_shard(&lock.transfer.to, k) == lock.dst_shard as usize
     }
 
     /// One sealed block's receipts: each passes the per-receipt gates, those
@@ -1486,13 +1490,21 @@ mod tests {
             .collect()
     }
 
+    /// The first address homed on shard `shard` of two.
+    fn homed_on(shard: usize) -> Address {
+        (1..)
+            .map(Address::from_index)
+            .find(|a| ShardedLedger::home_shard(a, 2) == shard)
+            .expect("both shards home some address")
+    }
+
     /// Lock `i` of a pretend shard-0 block at `height`: one of five, shard
-    /// 0 → shard 1.
+    /// 0 → shard 1, paying an address homed on shard 1.
     fn lock_at(height: u64, i: u64) -> Lock {
         Lock {
             transfer: Transfer {
                 from: Address::from_index(0),
-                to: Address::from_index(1),
+                to: homed_on(1),
                 value: 1,
             },
             nonce: 5 * height + i,
@@ -1634,14 +1646,18 @@ mod tests {
     }
 
     /// A sequencer can void only its own locks: shard 1's sequencer chasing
-    /// shard 0's transfer as its own names its own bridge, so the id the
-    /// beacon derives is not shard 0's lock, and shard 0's receipt still
-    /// grants.
+    /// shard 0's transfer as its own (paying a shard-0 address, so the lock
+    /// is well formed) names its own bridge, so the id the beacon derives
+    /// is not shard 0's lock, and shard 0's receipt still grants.
     #[test]
     fn self_named_status_for_another_shards_lock_voids_nothing_of_it() {
         let (mut beacon, _) = beacon_with_one_anchor();
         let honest = receipt_for(1, 3);
         let claimed = Lock {
+            transfer: Transfer {
+                to: homed_on(0),
+                ..honest.lock.transfer
+            },
             src_shard: 1,
             dst_shard: 0,
             ..honest.lock
@@ -1716,6 +1732,57 @@ mod tests {
             ]
         );
         assert_eq!((beacon.stats.grants, beacon.stats.invalid_receipts), (1, 3));
+    }
+
+    /// The true sequencer cannot mint onto a shard the recipient is not
+    /// homed on: a lock it really sealed, proof and all, whose destination
+    /// is not its recipient's home shard is refused like a lock onto its
+    /// own shard, as is a status query about it. The honest lock beside it
+    /// still grants.
+    #[test]
+    fn sealed_lock_onto_a_shard_its_recipient_is_not_homed_on_is_refused() {
+        let params = BeaconParams::default();
+        let mut beacon = BeaconNode::new(&params);
+        let honest = lock_at(1, 1);
+        let misrouted = Lock {
+            transfer: Transfer {
+                to: homed_on(0),
+                ..honest.transfer
+            },
+            ..lock_at(1, 0)
+        };
+        let leaves = vec![misrouted.tx().id(), honest.tx().id()];
+        let tree = MerkleTree::from_leaves(leaves.clone());
+        let genesis = genesis_block(&shard_config(0, &params)).header.clone();
+        let mut h1 = BlockHeader::new(genesis.hash(), 1, 0, Address::ZERO, Seal::None);
+        h1.tx_root = dcs_crypto::merkle_root(&leaves);
+        assert!(drive(&mut beacon, |b, ctx| b.on_anchor(NodeId(1), 0, h1, ctx)).is_empty());
+        let bundle = [misrouted, honest]
+            .into_iter()
+            .enumerate()
+            .map(|(i, lock)| LockReceipt {
+                lock,
+                height: 1,
+                proof: tree.prove(i).expect("leaf index in range"),
+            })
+            .collect();
+        let sent = drive(&mut beacon, |b, ctx| b.on_locks(NodeId(1), bundle, ctx));
+        assert_eq!(
+            sent,
+            vec![Sent::Grant {
+                lock: leaves[1],
+                to: 2
+            }]
+        );
+        assert_eq!((beacon.stats.grants, beacon.stats.invalid_receipts), (1, 1));
+        let sent = drive(&mut beacon, |b, ctx| {
+            b.on_status(NodeId(1), &misrouted, ctx)
+        });
+        assert!(sent.is_empty(), "the status was acted on: {sent:?}");
+        assert_eq!(
+            (beacon.stats.invalid_receipts, beacon.stats.timeout_denials),
+            (2, 0)
+        );
     }
 
     /// A status query about a lock the beacon already granted re-sends the

@@ -72,9 +72,12 @@ const TRANSFERS: u64 = 2_000;
 /// receipts drained at the seal that produced them, the beacon keeping a
 /// `Grant` per decided lock and a 72-byte message, 1 075; with the beacon
 /// keeping only a verdict per decided lock and the sequencers no
-/// per-sender nonce counters, 1 015. The pin sits between the last two, so
-/// the gate tells them apart.
-const PINNED: i64 = 1_050;
+/// per-sender nonce counters, 1 015; with a state write only recording its
+/// key, so that the sequencers, which read no state root, keep a list of
+/// the keys written (56 bytes each) where they kept a trie of two 68-byte
+/// arena nodes a key, 1 001. The pin sits between the last two, so the gate
+/// tells them apart.
+const PINNED: i64 = 1_008;
 
 #[test]
 fn a_quiescent_beacon_run_retains_under_its_pinned_bytes_per_transfer() {

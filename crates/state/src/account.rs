@@ -10,7 +10,6 @@ use dcs_crypto::codec::{decode_all, Decode, DecodeError, Encode, Reader};
 use dcs_crypto::{Address, Hash256};
 use dcs_primitives::Amount;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// The balance/nonce record of one account.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -240,12 +239,6 @@ impl Journal {
 pub struct AccountDb {
     map: MerkleMap<StateKey>,
     journal: Journal,
-    /// Batched-application overlay (`Some` while a batch is open): pending
-    /// writes staged here are merged into the trie in one
-    /// [`MerkleMap::write_batch`] pass at [`AccountDb::commit_batch`] time.
-    /// Reads always consult the overlay first, so execution sees exactly the
-    /// state the serial path would.
-    overlay: Option<BTreeMap<StateKey, Option<Vec<u8>>>>,
 }
 
 impl AccountDb {
@@ -254,9 +247,9 @@ impl AccountDb {
         AccountDb::default()
     }
 
-    /// The authenticated state root of the committed state (not an open
-    /// batch's overlay). The first read after writes hashes the trie
-    /// branches they left stale; a read with no write since hashes nothing.
+    /// The authenticated state root. The first read after writes folds the
+    /// keys they wrote into the trie and hashes what that left stale; a read
+    /// with no write since hashes nothing.
     pub fn root(&self) -> Hash256 {
         self.map.root()
     }
@@ -266,66 +259,27 @@ impl AccountDb {
         self.map.len()
     }
 
-    /// Opens a write batch: subsequent mutations are staged in an overlay
-    /// instead of touching the trie, and [`AccountDb::commit_batch`] merges
-    /// them in one [`MerkleMap::write_batch`] pass. Journal semantics
-    /// (snapshot / rollback / take_undo) are unchanged — mid-batch
-    /// transaction failures revert exactly as on the serial path. No-op if
-    /// a batch is already open.
-    pub fn begin_batch(&mut self) {
-        self.overlay.get_or_insert_with(BTreeMap::new);
-    }
+    /// Does nothing. A write only records its key in the map, which folds
+    /// the keys into the trie when a root is read, so a block has nothing
+    /// to batch; kept because the benchmark's state probe brackets its
+    /// blocks with it.
+    pub fn begin_batch(&mut self) {}
 
-    /// Merges all staged writes into the trie in one pass and closes the
-    /// batch. The merge marks the branches on each written key's path stale
-    /// and hashes none of them: the next [`AccountDb::root`] hashes each
-    /// once, however many batches came before it, and reads a root
-    /// bit-identical to applying the same mutations serially. No-op when no
-    /// batch is open.
-    pub fn commit_batch(&mut self) {
-        if let Some(overlay) = self.overlay.take() {
-            self.map.write_batch(overlay.into_iter().collect());
-        }
-    }
-
-    /// Discards the overlay and closes the batch. The caller must already
-    /// have rolled the journal back to the pre-batch snapshot — after such a
-    /// rollback the overlay holds only writes restoring pre-batch values, so
-    /// dropping it is equivalent to committing it. No-op outside a batch.
-    pub fn abort_batch(&mut self) {
-        self.overlay = None;
-    }
-
-    fn raw_get(&self, key: &StateKey) -> Option<&[u8]> {
-        if let Some(overlay) = &self.overlay {
-            if let Some(staged) = overlay.get(key) {
-                return staged.as_deref();
-            }
-        }
-        self.map.get(key)
-    }
+    /// Does nothing; see [`AccountDb::begin_batch`].
+    pub fn commit_batch(&mut self) {}
 
     fn raw_set(&mut self, key: StateKey, value: Option<Vec<u8>>) {
-        match &mut self.overlay {
-            Some(overlay) => match overlay.insert(key, value) {
-                // The overlay-visible previous value: an earlier staged
-                // write, or (first touch in this batch) the trie's value.
-                Some(staged) => self.journal.push(&key, staged.as_deref()),
-                None => self.journal.push(&key, self.map.get(&key)),
-            },
-            None => {
-                let old = match value {
-                    Some(v) => self.map.insert(key, v),
-                    None => self.map.remove(&key),
-                };
-                self.journal.push(&key, old.as_deref());
-            }
-        }
+        let old = match value {
+            Some(v) => self.map.insert(key, v),
+            None => self.map.remove(&key),
+        };
+        self.journal.push(&key, old.as_deref());
     }
 
     /// Reads an account record (zero balance/nonce if absent).
     pub fn account(&self, addr: &Address) -> Account {
-        self.raw_get(&StateKey::account(addr))
+        self.map
+            .get(&StateKey::account(addr))
             .and_then(|bytes| decode_all::<Account>(bytes).ok())
             .unwrap_or_default()
     }
@@ -444,7 +398,7 @@ impl AccountDb {
 
     /// The contract code stored at `addr`, if any.
     pub fn code(&self, addr: &Address) -> Option<&[u8]> {
-        self.raw_get(&StateKey::code(addr))
+        self.map.get(&StateKey::code(addr))
     }
 
     /// Installs contract code at `addr`.
@@ -454,7 +408,7 @@ impl AccountDb {
 
     /// Reads a contract storage slot.
     pub fn storage(&self, addr: &Address, slot: &Hash256) -> Option<&[u8]> {
-        self.raw_get(&StateKey::storage(addr, slot))
+        self.map.get(&StateKey::storage(addr, slot))
     }
 
     /// Writes (or clears, with `None`) a contract storage slot.
@@ -475,22 +429,10 @@ impl AccountDb {
                 break;
             };
             let (key, old, _) = unpack(&self.journal.bytes[start..]);
-            if let Some(overlay) = &mut self.overlay {
-                // Inside a batch the journal records overlay-visible old
-                // values, so restoring is a staged write. Re-staging a value
-                // equal to the trie's own is harmless: the commit-time merge
-                // is content-addressed, so the root is unchanged by it.
-                overlay.insert(key, old.map(<[u8]>::to_vec));
-            } else {
-                match old {
-                    Some(v) => {
-                        self.map.insert(key, v.to_vec());
-                    }
-                    None => {
-                        self.map.remove(&key);
-                    }
-                }
-            }
+            match old {
+                Some(v) => self.map.insert(key, v.to_vec()),
+                None => self.map.remove(&key),
+            };
             self.journal.bytes.truncate(start);
         }
     }
@@ -504,8 +446,8 @@ impl AccountDb {
         AccountUndo { bytes }
     }
 
-    /// Applies a block-level undo record, reversing an applied block in one
-    /// [`MerkleMap::write_batch`] pass. The entries go in newest first: a
+    /// Applies a block-level undo record, reversing an applied block with
+    /// one [`MerkleMap::write_batch`]. The entries go in newest first: a
     /// batch's last write to a key wins, and the value to restore is the
     /// *oldest* one the journal recorded for it.
     pub fn apply_undo(&mut self, undo: AccountUndo) {
@@ -520,9 +462,9 @@ impl AccountDb {
         self.map.write_batch(writes);
     }
 
-    /// The whole committed state as one packed record: applied with
+    /// The whole state as one packed record: applied with
     /// [`AccountDb::apply_undo`] to an empty database, it rebuilds this one,
-    /// root included. Reads the trie, not an open batch's overlay.
+    /// root included.
     pub fn image(&self) -> AccountUndo {
         let mut bytes = Vec::new();
         for (key, value) in self.map.iter() {
@@ -748,7 +690,7 @@ mod tests {
     }
 
     #[test]
-    fn rolled_back_batch_abort_restores_pre_batch_root() {
+    fn rolled_back_batch_restores_pre_batch_root() {
         let mut db = seeded(5);
         let before = db.root();
         let snap = db.snapshot();
@@ -756,9 +698,8 @@ mod tests {
         db.transfer(&addr(1), &addr(2), 10).unwrap();
         db.bump_nonce(&addr(3));
         db.rollback(snap);
-        db.abort_batch();
+        db.commit_batch();
         assert_eq!(db.root(), before);
-        assert!(db.overlay.is_none(), "the batch is closed");
     }
 
     #[test]

@@ -14,14 +14,23 @@
 //! index arena (`Vec<Node>`, `u32` children, a free list), so a node can be
 //! addressed by level without re-walking from the root.
 //!
-//! Writes mark, reads hash. A write ([`MerkleMap::insert`],
-//! [`MerkleMap::remove`], [`MerkleMap::write_batch`]) edits the structure,
-//! computes the digests of the leaves it places, and marks every branch on a
-//! changed key's path stale; it computes no branch digest. The first read of
-//! a digest after writes ([`MerkleMap::root`], [`MerkleMap::prove`]) hashes
-//! the stale branches once, level by level through the multi-lane hasher,
-//! and keeps the digests, so a read with no write since hashes nothing.
-//! However many writes came between two reads, a branch is hashed once.
+//! A write records, a read folds. A write ([`MerkleMap::insert`],
+//! [`MerkleMap::remove`], [`MerkleMap::write_batch`]) updates the index and
+//! nothing else: it hashes nothing and leaves the trie alone. A key's first
+//! write since the last fold marks it dirty — a bit on its entry, and the
+//! key pushed on a list — so that record grows with the distinct keys
+//! written, never with the writes. A key removed while dirty stays in the
+//! index as a tombstone until the fold; `len`, `get` and `iter` skip
+//! tombstones, and a write drops the folded ones once they outnumber the
+//! live entries. The first read of a digest after writes
+//! ([`MerkleMap::root`], [`MerkleMap::prove`]) folds the dirty keys into the
+//! trie: their key hashes, value digests and leaf digests, each in one
+//! multi-lane call, then one walk in key-hash order that places, replaces
+//! and removes their leaves, splits and collapses, and marks each branch it
+//! passes stale. It then hashes the stale branches once, level by level
+//! through the multi-lane hasher, and keeps the digests, so a read with no
+//! write since hashes nothing. However many writes came between two reads,
+//! a key and a branch are each hashed once.
 //!
 //! The map is generic over its key type: anything ordered that is a byte
 //! string (`K: Ord + AsRef<[u8]>`). The key's bytes are what the trie hashes
@@ -34,8 +43,10 @@ use dcs_crypto::codec::{Decode, DecodeError, Encode, Reader};
 use dcs_crypto::{sha256, Hash256, MultiHasher, Sha256};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Domain prefix of a leaf digest: `sha256(0x10 ‖ key_hash ‖ sha256(value))`.
 const LEAF_PREFIX: u8 = 0x10;
@@ -92,8 +103,7 @@ impl Node {
     }
 }
 
-/// One write of a [`MerkleMap::write_batch`] call after deduplication,
-/// routed by the hash of its key.
+/// One dirty key as a fold hands it to the trie, routed by its key hash.
 #[derive(Clone, Copy)]
 struct Write {
     kh: Hash256,
@@ -137,17 +147,37 @@ impl Default for Trie {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MerkleMap<K = Vec<u8>> {
-    /// The contents. Reads never touch the trie.
-    entries: BTreeMap<K, Vec<u8>>,
-    /// Behind a `RefCell` because a read through `&self` computes the stale
-    /// branch digests and keeps them; writes reach it through `get_mut`.
+    /// The contents, and the tombstones of removed keys. Reads never touch
+    /// the trie.
+    entries: BTreeMap<K, Slot>,
+    /// Entries that are not tombstones.
+    live: usize,
+    /// Tombstones a fold has reached: the trie holds none of their keys.
+    folded_tombstones: Cell<usize>,
+    /// The keys written since the last fold, each once.
+    dirty: RefCell<Vec<K>>,
+    /// Behind a `RefCell` because a read through `&self` folds the dirty
+    /// keys into it and keeps the digests.
     trie: RefCell<Trie>,
+}
+
+/// An entry of the index.
+#[derive(Debug, Clone)]
+struct Slot {
+    /// `None` is a tombstone: the key was removed.
+    value: Option<Vec<u8>>,
+    /// Written since the last fold, so on the dirty list. A `Cell` because
+    /// the fold, which runs under `&self`, clears it.
+    dirty: Cell<bool>,
 }
 
 impl<K> Default for MerkleMap<K> {
     fn default() -> Self {
         MerkleMap {
             entries: BTreeMap::new(),
+            live: 0,
+            folded_tombstones: Cell::new(0),
+            dirty: RefCell::default(),
             trie: RefCell::default(),
         }
     }
@@ -161,22 +191,24 @@ impl MerkleMap {
     }
 }
 
-impl<K: Ord + AsRef<[u8]>> MerkleMap<K> {
+impl<K: Ord + Clone + AsRef<[u8]>> MerkleMap<K> {
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// True when the map holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
 
     /// The root digest committing to the full contents. The first read after
-    /// writes hashes the branches they left stale, each once, deepest level
-    /// first; a read with no write since hashes nothing.
+    /// writes folds the keys they wrote into the trie and hashes the
+    /// branches that left stale, each once, deepest level first; a read with
+    /// no write since hashes nothing.
     pub fn root(&self) -> Hash256 {
         let mut trie = self.trie.borrow_mut();
+        self.fold(&mut trie);
         trie.flush();
         trie.hash_of(trie.root)
     }
@@ -186,103 +218,140 @@ impl<K: Ord + AsRef<[u8]>> MerkleMap<K> {
     where
         K: Borrow<Q>,
     {
-        self.entries.get(key).map(Vec::as_slice)
+        self.entries.get(key)?.value.as_deref()
     }
 
     /// Inserts or replaces; returns the previous value if any.
     pub fn insert(&mut self, key: K, value: Vec<u8>) -> Option<Vec<u8>> {
-        let kh = sha256(key.as_ref());
-        let leaf = leaf_hash(&kh, &value);
-        let trie = self.trie.get_mut();
-        trie.root = trie.insert_at(trie.root, kh, leaf, 0);
-        self.entries.insert(key, value)
+        self.sweep();
+        match self.entries.entry(key) {
+            Entry::Vacant(vacant) => {
+                self.dirty.get_mut().push(vacant.key().clone());
+                vacant.insert(Slot {
+                    value: Some(value),
+                    dirty: Cell::new(true),
+                });
+                self.live += 1;
+                None
+            }
+            Entry::Occupied(mut occupied) => {
+                touch(
+                    self.dirty.get_mut(),
+                    self.folded_tombstones.get_mut(),
+                    occupied.key(),
+                    occupied.get(),
+                );
+                let old = occupied.get_mut().value.replace(value);
+                self.live += usize::from(old.is_none());
+                old
+            }
+        }
     }
 
-    /// Removes `key`, returning its value if present. Collapses now-unary
-    /// branches to keep the structure (and root) canonical.
+    /// Removes `key`, returning its value if present. The key stays in the
+    /// index as a tombstone until the fold takes its leaf out of the trie.
     pub fn remove<Q: Ord + AsRef<[u8]> + ?Sized>(&mut self, key: &Q) -> Option<Vec<u8>>
     where
         K: Borrow<Q>,
     {
-        let old = self.entries.remove(key)?;
-        let trie = self.trie.get_mut();
-        trie.root = trie.remove_at(trie.root, &sha256(key.as_ref()), 0);
-        Some(old)
+        self.sweep();
+        let (key, slot) = self
+            .entries
+            .range_mut::<Q, _>((Bound::Included(key), Bound::Included(key)))
+            .next()?;
+        slot.value.as_ref()?;
+        touch(
+            self.dirty.get_mut(),
+            self.folded_tombstones.get_mut(),
+            key,
+            slot,
+        );
+        self.live -= 1;
+        slot.value.take()
     }
 
-    /// Applies a whole batch of writes (`Some` = insert/replace, `None` =
-    /// remove): updates the index, computes the key hashes, the value digests
-    /// and the leaf digests, each in one multi-lane call, then inserts,
-    /// replaces, removes, splits and collapses in one walk that marks each
-    /// branch it passes stale and hashes none of them. Later
-    /// writes to the same key override earlier ones, exactly as serial
-    /// application would. Because the trie is content-addressed, the root
-    /// read afterwards is bit-identical to replaying the batch through
-    /// [`MerkleMap::insert`] / [`MerkleMap::remove`] in order.
+    /// Records a batch of writes (`Some` = insert/replace, `None` = remove)
+    /// in order, exactly as the same [`MerkleMap::insert`] and
+    /// [`MerkleMap::remove`] calls would: later writes to a key override
+    /// earlier ones, and the trie folds each key once, at the next read.
     pub fn write_batch(&mut self, entries: Vec<(K, Option<Vec<u8>>)>) {
+        for (key, value) in entries {
+            match value {
+                Some(value) => self.insert(key, value),
+                None => self.remove(&key),
+            };
+        }
+    }
+
+    /// Drops the folded tombstones once they outnumber the live entries.
+    fn sweep(&mut self) {
+        if *self.folded_tombstones.get_mut() > self.live {
+            self.entries
+                .retain(|_, slot| slot.value.is_some() || slot.dirty.get());
+            *self.folded_tombstones.get_mut() = 0;
+        }
+    }
+
+    /// Folds the keys written since the last fold into the trie: their key
+    /// hashes, value digests and leaf digests each in one multi-lane call,
+    /// then one walk in key-hash order that marks each branch it passes
+    /// stale. A removal reaches the trie only for a key it holds, so every
+    /// branch on a removal's path is really stale.
+    fn fold(&self, trie: &mut Trie) {
+        let mut dirty = self.dirty.borrow_mut();
+        if dirty.is_empty() {
+            return;
+        }
         let hasher = MultiHasher::wide();
-        let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_ref()).collect();
-        let key_hashes = hasher.hash_many(&keys);
-        let mut items: Vec<(Hash256, K, Option<Vec<u8>>)> = entries
-            .into_iter()
-            .zip(key_hashes)
-            .map(|((key, value), kh)| (kh, key, value))
-            .collect();
+        let keys: Vec<&[u8]> = dirty.iter().map(AsRef::as_ref).collect();
+        let mut items = Vec::with_capacity(dirty.len());
+        for (key, kh) in dirty.iter().zip(hasher.hash_many(&keys)) {
+            let slot = &self.entries[key];
+            slot.dirty.set(false);
+            let value = slot.value.as_deref();
+            if value.is_none() {
+                self.folded_tombstones.set(self.folded_tombstones.get() + 1);
+            }
+            if value.is_some() || trie.holds(&kh) {
+                items.push((kh, value));
+            }
+        }
+        dirty.clear();
         // Byte order of the key hash IS the routing path order (MSB-first
         // bits), so one sort gives every recursion level its partition.
-        // The sort is stable: later writes to the same key stay later, and
-        // the last of each run survives.
-        items.sort_by_key(|e| e.0);
-        items.dedup_by(|later, earlier| {
-            let same = later.0 == earlier.0;
-            if same {
-                std::mem::swap(later, earlier);
-            }
-            same
-        });
-
+        items.sort_unstable_by_key(|item| item.0);
         let (live, values): (Vec<Hash256>, Vec<&[u8]>) = items
             .iter()
-            .filter_map(|(kh, _, value)| Some((*kh, value.as_deref()?)))
+            .filter_map(|&(kh, value)| Some((kh, value?)))
             .unzip();
-        let value_hashes = hasher.hash_many(&values);
         let pairs: Vec<Hash256> = live
             .into_iter()
-            .zip(value_hashes)
+            .zip(hasher.hash_many(&values))
             .flat_map(|(kh, value_hash)| [kh, value_hash])
             .collect();
         let mut leaves = Vec::with_capacity(pairs.len() / 2);
         hasher.hash_pairs_into(LEAF_PREFIX, &pairs, &mut leaves);
-
-        // A removal of a key the index does not hold changes nothing and is
-        // dropped here, so every write the trie sees changes a leaf and every
-        // branch on its path is really stale.
         let mut leaves = leaves.into_iter();
-        let mut writes = Vec::with_capacity(items.len());
-        for (kh, key, value) in items {
-            let leaf = match value {
-                Some(value) => {
-                    self.entries.insert(key, value);
-                    Some(leaves.next().expect("one leaf digest per live write"))
-                }
-                None if self.entries.remove(&key).is_some() => None,
-                None => continue,
-            };
-            writes.push(Write { kh, leaf });
-        }
-        let trie = self.trie.get_mut();
+        let writes: Vec<Write> = items
+            .iter()
+            .map(|&(kh, value)| Write {
+                kh,
+                leaf: value.map(|_| leaves.next().expect("one leaf digest per live write")),
+            })
+            .collect();
         trie.root = trie.write_at(trie.root, &writes, 0);
     }
 
-    /// Produces an inclusion proof for `key`, or `None` if absent. Hashes
-    /// what writes left stale first, as [`MerkleMap::root`] does.
+    /// Produces an inclusion proof for `key`, or `None` if absent. Folds
+    /// and hashes what writes left first, as [`MerkleMap::root`] does.
     pub fn prove<Q: Ord + AsRef<[u8]> + ?Sized>(&self, key: &Q) -> Option<MapProof>
     where
         K: Borrow<Q>,
     {
-        let value = self.entries.get(key)?;
+        let value = self.get(key)?;
         let kh = sha256(key.as_ref());
         let mut trie = self.trie.borrow_mut();
+        self.fold(&mut trie);
         trie.flush();
         let mut siblings = Vec::new();
         let mut node = trie.root;
@@ -298,14 +367,26 @@ impl<K: Ord + AsRef<[u8]>> MerkleMap<K> {
         siblings.reverse(); // leaf-upward order for verification
         Some(MapProof {
             key: key.as_ref().to_vec(),
-            value: value.clone(),
+            value: value.to_vec(),
             siblings,
         })
     }
 
     /// Iterates over all `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
-        self.entries.iter().map(|(k, v)| (k.as_ref(), v.as_slice()))
+        self.entries
+            .iter()
+            .filter_map(|(k, slot)| Some((k.as_ref(), slot.value.as_deref()?)))
+    }
+}
+
+/// Marks a present entry dirty: pushes its key on the dirty list on its
+/// clean→dirty transition, where a folded tombstone written again stops
+/// counting as folded.
+fn touch<K: Clone>(dirty: &mut Vec<K>, folded_tombstones: &mut usize, key: &K, slot: &Slot) {
+    if !slot.dirty.replace(true) {
+        dirty.push(key.clone());
+        *folded_tombstones -= usize::from(slot.value.is_none());
     }
 }
 
@@ -354,74 +435,19 @@ impl Trie {
         (only == NIL || matches!(self.nodes[only as usize], Node::Leaf { .. })).then_some(only)
     }
 
-    fn insert_at(&mut self, node: u32, kh: Hash256, leaf: Hash256, depth: usize) -> u32 {
-        let new_leaf = Node::Leaf {
-            key_hash: kh,
-            hash: leaf,
-        };
-        if node == NIL {
-            return self.alloc(new_leaf);
-        }
-        match self.nodes[node as usize] {
-            Node::Leaf { key_hash, .. } if key_hash == kh => {
-                self.nodes[node as usize] = new_leaf;
-                node
-            }
-            Node::Leaf { key_hash, .. } => {
-                // Split: push the existing leaf down until the paths of the
-                // two key hashes diverge.
-                let new_bit = bit(&kh, depth);
-                let (left, right) = if bit(&key_hash, depth) == new_bit {
-                    let child = self.insert_at(node, kh, leaf, depth + 1);
-                    if new_bit {
-                        (NIL, child)
-                    } else {
-                        (child, NIL)
-                    }
-                } else {
-                    let fresh = self.alloc(new_leaf);
-                    if new_bit {
-                        (node, fresh)
-                    } else {
-                        (fresh, node)
-                    }
-                };
-                self.alloc(Node::stale(left, right))
-            }
-            Node::Branch { left, right, .. } => {
-                let (left, right) = if bit(&kh, depth) {
-                    (left, self.insert_at(right, kh, leaf, depth + 1))
-                } else {
-                    (self.insert_at(left, kh, leaf, depth + 1), right)
-                };
-                self.nodes[node as usize] = Node::stale(left, right);
-                node
-            }
-        }
-    }
-
-    /// Removes the leaf of a key the index held, so the walk ends on it.
-    fn remove_at(&mut self, node: u32, kh: &Hash256, depth: usize) -> u32 {
-        match self.nodes[node as usize] {
-            Node::Leaf { key_hash, .. } => {
-                debug_assert_eq!(key_hash, *kh, "index and trie hold the same keys");
-                self.release(node);
-                NIL
-            }
-            Node::Branch { left, right, .. } => {
-                let (left, right) = if bit(kh, depth) {
-                    (left, self.remove_at(right, kh, depth + 1))
-                } else {
-                    (self.remove_at(left, kh, depth + 1), right)
-                };
-                if let Some(leaf) = self.collapsed(left, right) {
-                    self.release(node);
-                    return leaf;
+    /// Whether the trie has the leaf of key hash `kh`.
+    fn holds(&self, kh: &Hash256) -> bool {
+        let (mut node, mut depth) = (self.root, 0);
+        while node != NIL {
+            match self.nodes[node as usize] {
+                Node::Leaf { key_hash, .. } => return key_hash == *kh,
+                Node::Branch { left, right, .. } => {
+                    node = if bit(kh, depth) { right } else { left };
+                    depth += 1;
                 }
-                self.nodes[node as usize] = Node::stale(left, right);
-                node
             }
         }
+        false
     }
 
     /// Applies sorted, deduplicated writes below `node`, marking every
@@ -530,7 +556,7 @@ impl Trie {
     }
 }
 
-impl<K: Ord + AsRef<[u8]>> FromIterator<(K, Vec<u8>)> for MerkleMap<K> {
+impl<K: Ord + Clone + AsRef<[u8]>> FromIterator<(K, Vec<u8>)> for MerkleMap<K> {
     fn from_iter<I: IntoIterator<Item = (K, Vec<u8>)>>(iter: I) -> Self {
         let mut m = MerkleMap::default();
         for (k, v) in iter {
@@ -909,40 +935,59 @@ mod tests {
 
     #[test]
     fn a_batch_hashes_each_touched_branch_once_and_no_other() {
-        // Three batches and no read between them: no write hashed a branch,
-        // the stale ones are exactly those on a changed key's path in the
-        // final trie — none for a removal that removed nothing — and the
-        // first read hashes each of them once.
+        // Three batches and no read between them: no write touched the
+        // trie, and each changed key is on the dirty list once — none for a
+        // removal that removed nothing. The read folds each of them once,
+        // leaving stale exactly the branches on their paths in the final
+        // trie — none for a key inserted and removed before any read — and
+        // hashes each of those once.
         let mut m: MerkleMap = (0..500).map(kv).collect();
         m.root();
-        let mut serial = m.clone();
+        let slots = m.trie.get_mut().nodes.len();
+        let mut model = BTreeMap::from_iter((0..500).map(kv));
         let mut changed = Vec::new();
         for round in 0..3 {
             let batch = mixed_batch(round);
             for (k, v) in batch.clone() {
-                if v.is_some() || serial.get(&k).is_some() {
-                    changed.push(sha256(&k));
+                if v.is_some() || model.contains_key(&k) {
+                    changed.push(k.clone());
                 }
                 match v {
-                    Some(v) => serial.insert(k, v),
-                    None => serial.remove(&k),
+                    Some(v) => model.insert(k, v),
+                    None => model.remove(&k),
                 };
             }
             m.write_batch(batch);
+            m.insert(b"never folded".to_vec(), b"x".to_vec());
+            m.remove(&b"never folded"[..]);
         }
+        changed.sort();
+        changed.dedup();
+        let mut dirty = m.dirty.get_mut().clone();
+        dirty.retain(|k| k != b"never folded");
+        dirty.sort();
+        assert_eq!(dirty, changed, "each changed key recorded once");
         let trie = m.trie.get_mut();
-        let stale = stale_branches(trie);
-        assert_eq!(stale, branches_on_paths(trie, &changed));
+        assert!(stale_branches(trie).is_empty(), "no write touched the trie");
+        assert_eq!(trie.nodes.len(), slots);
 
-        // The flush hashes each of them once, and leaves none stale.
-        let mut copy = m.clone();
-        assert_eq!(copy.trie.get_mut().flush(), stale.len());
-        assert!(stale_branches(copy.trie.get_mut()).is_empty());
+        let copy = m.clone();
+        let mut trie = copy.trie.borrow_mut();
+        copy.fold(&mut trie);
+        assert!(copy.dirty.borrow().is_empty(), "the fold took every key");
+        let hashes: Vec<Hash256> = changed.iter().map(|k| sha256(k)).collect();
+        let stale = stale_branches(&trie);
+        assert_eq!(stale, branches_on_paths(&trie, &hashes));
+        assert_eq!(trie.flush(), stale.len());
+        assert!(stale_branches(&trie).is_empty());
+        drop(trie);
 
-        // A proof taken while branches are stale verifies against the root.
+        // A proof as the first read folds too, and verifies against the
+        // root.
         let proof = m.prove(&kv(1000).0).expect("inserted by the batches");
-        assert_eq!(m.root(), serial.root());
-        assert_eq!(copy.root(), serial.root());
+        let fresh: MerkleMap = model.into_iter().collect();
+        assert_eq!(m.root(), fresh.root());
+        assert_eq!(copy.root(), fresh.root());
         assert!(proof.verify(&m.root()));
         let live = |m: &mut MerkleMap| {
             let trie = m.trie.get_mut();
@@ -950,7 +995,7 @@ mod tests {
         };
         assert_eq!(
             live(&mut m),
-            live(&mut serial),
+            live(&mut fresh.clone()),
             "same shape, same node count"
         );
     }
@@ -958,22 +1003,29 @@ mod tests {
     #[test]
     fn a_second_read_with_no_write_between_hashes_nothing() {
         let mut m: MerkleMap = (0..200).map(kv).collect();
-        assert!(
-            !stale_branches(m.trie.get_mut()).is_empty(),
-            "inserts leave paths stale"
-        );
+        assert_eq!(m.dirty.get_mut().len(), 200, "inserts record their keys");
+        assert!(m.trie.get_mut().nodes.is_empty(), "and build no trie");
         let root = m.root();
+        assert!(m.dirty.get_mut().is_empty());
         assert_eq!(m.trie.get_mut().flush(), 0, "the read kept its digests");
         assert_eq!(m.root(), root);
         m.write_batch(vec![(kv(7).0, Some(b"changed".to_vec()))]);
-        let path = stale_branches(m.trie.get_mut()).len();
+        assert_eq!(m.dirty.get_mut().len(), 1);
+        assert!(stale_branches(m.trie.get_mut()).is_empty());
+        let copy = m.clone();
+        let mut trie = copy.trie.borrow_mut();
+        copy.fold(&mut trie);
+        let path = stale_branches(&trie).len();
         assert!(path > 0 && path < 40, "one path: {path}");
+        drop(trie);
         m.prove(&kv(7).0).expect("present");
+        assert!(m.dirty.get_mut().is_empty());
         assert_eq!(
             m.trie.get_mut().flush(),
             0,
-            "prove hashed what the write left stale"
+            "prove folded and hashed what the write left"
         );
+        assert_eq!(m.root(), copy.root());
     }
 
     #[test]
@@ -987,9 +1039,11 @@ mod tests {
     #[test]
     fn arena_slots_are_reused_under_churn() {
         let mut m: MerkleMap = (0..200).map(kv).collect();
+        m.root();
         let slots = m.trie.get_mut().nodes.len();
         for round in 0..20u32 {
             m.write_batch((0..100).map(|i| (kv(i).0, None)).collect());
+            m.root();
             assert!(m.trie.get_mut().free.len() >= 100, "round {round}");
             m.write_batch(
                 (0..100)
@@ -999,11 +1053,13 @@ mod tests {
                     })
                     .collect(),
             );
+            m.root();
             for i in 100..150 {
                 let (k, v) = kv(i);
                 m.remove(&k);
                 m.insert(k, v);
             }
+            m.root();
         }
         assert_eq!(
             m.trie.get_mut().nodes.len(),
@@ -1012,6 +1068,44 @@ mod tests {
         );
         let fresh: MerkleMap = (0..200).map(kv).collect();
         assert_eq!(m.root(), fresh.root());
+    }
+
+    /// The tombstones among `m`'s entries, folded or not.
+    fn tombstones(m: &MerkleMap) -> usize {
+        m.entries.len() - m.len()
+    }
+
+    #[test]
+    fn the_dirty_record_grows_with_distinct_keys_not_with_writes() {
+        // A million writes over a hundred keys with no read between them.
+        let keys: Vec<Vec<u8>> = (0..100).map(|i| kv(i).0).collect();
+        let mut m = MerkleMap::new();
+        for i in 0..1_000_000u32 {
+            let key = &keys[i as usize % keys.len()];
+            if i % 3 == 0 {
+                m.remove(key);
+            } else {
+                m.insert(key.clone(), i.to_le_bytes().to_vec());
+            }
+        }
+        assert!(m.dirty.get_mut().len() <= keys.len());
+        assert!(m.entries.len() <= keys.len());
+        let fresh: MerkleMap = m.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        assert_eq!(m.root(), fresh.root());
+
+        // Ever-new keys, each inserted and removed with reads between, beside
+        // fifty that stay: the folded tombstones are swept once they
+        // outnumber the live entries, so they stay bounded by them.
+        let mut m: MerkleMap = (0..50).map(kv).collect();
+        for i in 1_000..11_000 {
+            let (k, v) = kv(i);
+            m.insert(k.clone(), v);
+            m.root();
+            m.remove(&k);
+            m.root();
+            assert!(tombstones(&m) <= m.len() + 1, "key {i}: {}", tombstones(&m));
+        }
+        assert_eq!(m.root(), (0..50).map(kv).collect::<MerkleMap>().root());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the data layer: the Merkle map against a
 //! `HashMap` reference model (same contents ⇒ same answers, same root
 //! regardless of history), roots read at random points of histories whose
-//! digests stay stale until read, the fixed-size `StateKey` against the
+//! writes reach the trie only when read, the fixed-size `StateKey` against the
 //! byte strings it stands for, UTXO value conservation, and journal
 //! rollback exactness.
 
@@ -307,6 +307,73 @@ proptest! {
                 if let Some(key) = model.keys().nth(n % (model.len() + 1)) {
                     prop_assert!(map.prove(key).expect("present key").verify(&root));
                 }
+            }
+        }
+        prop_assert_eq!(map.root(), model_root(&model));
+        for (copy, root) in clones {
+            prop_assert_eq!(copy.root(), root);
+        }
+    }
+
+    /// Churn between reads, which a fold sees only as its net effect: one
+    /// key inserted, removed and inserted again; a key inserted and removed
+    /// before any fold reached it; a present key removed twice; clones
+    /// taken while keys are dirty; and `prove` as a step's only read. Every
+    /// read — a root, or a proof verified against the root from the
+    /// definition — agrees with the model.
+    #[test]
+    fn merkle_map_churn_between_reads_matches_the_definition(
+        base in 0usize..300,
+        seed in any::<u64>(),
+        steps in proptest::collection::vec((0u8..5, any::<u64>()), 1..40),
+    ) {
+        let mut rng = seed;
+        let mut model = BTreeMap::new();
+        while model.len() < base {
+            model.insert(trie_key(next(&mut rng)), next(&mut rng).to_le_bytes().to_vec());
+        }
+        let mut map: MerkleMap = model.clone().into_iter().collect();
+        let mut clones = Vec::new();
+        for (kind, mut step_seed) in steps {
+            let rng = &mut step_seed;
+            let key = trie_key(next(rng));
+            let value = next(rng).to_le_bytes().to_vec();
+            match kind {
+                0 => {
+                    map.insert(key.clone(), b"first".to_vec());
+                    prop_assert_eq!(map.remove(&key), Some(b"first".to_vec()));
+                    prop_assert_eq!(map.insert(key.clone(), value.clone()), None);
+                    model.insert(key, value);
+                }
+                1 => {
+                    let fresh = format!("never-folded-{}", next(rng)).into_bytes();
+                    prop_assert_eq!(map.insert(fresh.clone(), value.clone()), None);
+                    prop_assert_eq!(map.remove(&fresh), Some(value));
+                    prop_assert_eq!(map.get(&fresh), None);
+                }
+                2 => {
+                    let present = model.keys().nth(next(rng) as usize % (model.len() + 1)).cloned();
+                    if let Some(present) = present {
+                        prop_assert_eq!(map.remove(&present), model.remove(&present));
+                        prop_assert_eq!(map.remove(&present), None);
+                    }
+                }
+                3 => clones.push((map.clone(), model_root(&model))),
+                _ => match model.iter().nth(next(rng) as usize % (model.len() + 1)) {
+                    Some((k, v)) => {
+                        let proof = map.prove(k).expect("present key");
+                        prop_assert_eq!(proof.value(), v.as_slice());
+                        prop_assert!(proof.verify(&model_root(&model)));
+                    }
+                    None => prop_assert_eq!(map.prove(&key).is_some(), model.contains_key(&key)),
+                },
+            }
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert!(map
+                .iter()
+                .eq(model.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))));
+            if next(rng).is_multiple_of(4) {
+                prop_assert_eq!(map.root(), model_root(&model));
             }
         }
         prop_assert_eq!(map.root(), model_root(&model));
@@ -670,9 +737,9 @@ proptest! {
         }
     }
 
-    /// The `AccountDb` overlay (begin/commit batch) must commute with
-    /// applying the same operations directly, including conflicting writes
-    /// to one account inside a single batch.
+    /// Bracketing operations with `begin_batch`/`commit_batch` must commute
+    /// with applying them without, including conflicting writes to one
+    /// account inside a single batch.
     #[test]
     fn account_overlay_batch_matches_serial(
         ops in proptest::collection::vec((0u64..8, 0u64..8, 1u64..200), 0..60),
