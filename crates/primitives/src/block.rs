@@ -5,14 +5,14 @@
 //! A [`Block`] instance remembers what is derived from it — its transaction
 //! ids, the Merkle root over them, their signing hashes and its header hash —
 //! so every holder of one `Arc<Block>` shares one computation of each. No memo is part of the
-//! block's identity: the codec and equality skip them, a clone and a decoded
-//! block start cold. `header` and `txs` are public fields; mutate them only
+//! block's identity: the encoding and equality skip them, a clone starts
+//! cold. `header` and `txs` are public fields; mutate them only
 //! before the first use of a memo or on a clone (debug builds assert that the
 //! hash, body-root and signing-hash memos are fresh on every read).
 
 use crate::transaction::Transaction;
 use crate::Amount;
-use dcs_crypto::codec::{Decode, DecodeError, Encode, Reader};
+use dcs_crypto::codec::Encode;
 use dcs_crypto::{merkle, sha256, Address, Hash256, MerkleTree, VerifyPool};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -377,35 +377,6 @@ impl Encode for Seal {
     }
 }
 
-impl Decode for Seal {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Seal::None),
-            1 => Ok(Seal::Work {
-                nonce: u64::decode(r)?,
-                difficulty: u64::decode(r)?,
-            }),
-            2 => Ok(Seal::Stake {
-                slot: u64::decode(r)?,
-                proof: Hash256::decode(r)?,
-            }),
-            3 => Ok(Seal::ElapsedTime {
-                wait_us: u64::decode(r)?,
-            }),
-            4 => Ok(Seal::Authority {
-                view: u64::decode(r)?,
-                sequence: u64::decode(r)?,
-                votes: u32::decode(r)?,
-            }),
-            5 => Ok(Seal::Micro {
-                key_block: Hash256::decode(r)?,
-                sequence: u64::decode(r)?,
-            }),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-}
-
 impl Encode for BlockHeader {
     fn encode(&self, out: &mut Vec<u8>) {
         self.parent.encode(out);
@@ -418,20 +389,6 @@ impl Encode for BlockHeader {
     }
 }
 
-impl Decode for BlockHeader {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(BlockHeader {
-            parent: Hash256::decode(r)?,
-            height: u64::decode(r)?,
-            timestamp_us: u64::decode(r)?,
-            tx_root: Hash256::decode(r)?,
-            state_root: Hash256::decode(r)?,
-            proposer: Address::decode(r)?,
-            seal: Seal::decode(r)?,
-        })
-    }
-}
-
 impl Encode for Block {
     fn encode(&self, out: &mut Vec<u8>) {
         self.header.encode(out);
@@ -439,17 +396,10 @@ impl Encode for Block {
     }
 }
 
-impl Decode for Block {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Block::from_parts(BlockHeader::decode(r)?, Vec::decode(r)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transaction::AccountTx;
-    use dcs_crypto::codec::decode_all;
 
     fn tx(n: u64) -> Transaction {
         Transaction::Account(AccountTx::transfer(
@@ -496,11 +446,9 @@ mod tests {
         let warm = b.ids.get().expect("seeded by Block::new");
         assert_eq!(&warm[..], &Transaction::batch_ids(&b.txs)[..]);
         assert_eq!(b.header.tx_root, Block::compute_tx_root(&b.txs));
-        // `from_parts`, a clone and a decoded block stay cold.
+        // `from_parts` and a clone stay cold.
         let cold = Block::from_parts(b.header.clone(), b.txs.clone());
-        let decoded = decode_all::<Block>(&b.encoded()).unwrap();
         assert!(cold.ids.get().is_none() && b.clone().ids.get().is_none());
-        assert!(decoded.ids.get().is_none());
         assert_eq!(cold.tx_ids(), b.tx_ids());
     }
 
@@ -510,15 +458,14 @@ mod tests {
         // Warm from birth, and equal to what the header committed.
         assert_eq!(b.body_root.get(), Some(&b.header.tx_root));
         assert_eq!(b.header.tx_root, Block::compute_tx_root(&b.txs));
-        // `from_parts`, a clone and a decoded block start cold, fill on the
-        // first check and agree; equality ignores the memo.
+        // `from_parts` and a clone start cold, fill on the first check and
+        // agree; equality ignores the memo.
         let cold = Block::from_parts(b.header.clone(), b.txs.clone());
-        let decoded = decode_all::<Block>(&b.encoded()).unwrap();
-        assert!(cold.body_root.get().is_none() && b.clone().body_root.get().is_none());
-        assert!(decoded.body_root.get().is_none());
-        assert!(cold.verify_tx_root() && decoded.verify_tx_root());
+        let cloned = b.clone();
+        assert!(cold.body_root.get().is_none() && cloned.body_root.get().is_none());
+        assert!(cold.verify_tx_root() && cloned.verify_tx_root());
         assert_eq!(cold.body_root.get(), Some(&b.header.tx_root));
-        assert_eq!((&cold, &decoded), (&b, &b));
+        assert_eq!((&cold, &cloned), (&b, &b));
         // The memo is the body's root, not the header's claim: a tampered
         // `header.tx_root` fails on a warm block and on a cold one.
         let mut forged = b.clone();
@@ -570,11 +517,10 @@ mod tests {
         let b = block(2);
         let h = b.hash();
         assert_eq!(h, b.header.hash(), "the memo is the header hash");
-        // Clone and decode start cold, and agree once asked.
+        // A clone starts cold, and agrees once asked.
         let cloned = b.clone();
-        let decoded = decode_all::<Block>(&b.encoded()).unwrap();
-        assert!(cloned.hash.get().is_none() && decoded.hash.get().is_none());
-        assert_eq!((cloned.hash(), decoded.hash()), (h, h));
+        assert!(cloned.hash.get().is_none());
+        assert_eq!(cloned.hash(), h);
         // Equality ignores the memo: warm == cold.
         assert_eq!(b, block(2));
         // A clone's header may change; the original's memo is untouched.
@@ -599,12 +545,11 @@ mod tests {
             "lazy: nothing hashed until asked"
         );
         assert_eq!(b.signing_hashes(), &expected[..]);
-        // Clone and decode start cold; equality ignores the memo.
+        // A clone starts cold; equality ignores the memo.
         let cloned = b.clone();
-        let decoded = decode_all::<Block>(&b.encoded()).unwrap();
-        assert!(cloned.signing.get().is_none() && decoded.signing.get().is_none());
-        assert_eq!((&cloned, &decoded), (&b, &b));
-        assert_eq!(decoded.signing_hashes(), &expected[..]);
+        assert!(cloned.signing.get().is_none());
+        assert_eq!(&cloned, &b);
+        assert_eq!(b.clone().signing_hashes(), &expected[..]);
         // A clone's body may change; the original's memo is untouched.
         let mut edited = cloned;
         edited.txs[0] = tx(77);
@@ -669,38 +614,6 @@ mod tests {
         assert!(!hard.meets_pow_target());
         let none = BlockHeader::new(Hash256::ZERO, 0, 0, Address::ZERO, Seal::None);
         assert!(none.meets_pow_target());
-    }
-
-    #[test]
-    fn codec_round_trips_all_seals() {
-        let seals = vec![
-            Seal::None,
-            Seal::Work {
-                nonce: 42,
-                difficulty: 1 << 20,
-            },
-            Seal::Stake {
-                slot: 7,
-                proof: dcs_crypto::sha256(b"p"),
-            },
-            Seal::ElapsedTime { wait_us: 123_456 },
-            Seal::Authority {
-                view: 2,
-                sequence: 19,
-                votes: 7,
-            },
-            Seal::Micro {
-                key_block: dcs_crypto::sha256(b"k"),
-                sequence: 3,
-            },
-        ];
-        for seal in seals {
-            let mut b = block(2);
-            b.header.seal = seal;
-            let decoded = decode_all::<Block>(&b.encoded()).unwrap();
-            assert_eq!(decoded, b);
-            assert_eq!(decoded.hash(), b.hash());
-        }
     }
 
     #[test]

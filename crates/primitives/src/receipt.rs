@@ -4,7 +4,7 @@
 //! to.
 
 use crate::Amount;
-use dcs_crypto::codec::{Decode, DecodeError, Encode, Reader};
+use dcs_crypto::codec::Encode;
 use dcs_crypto::{Address, Hash256};
 use serde::{Deserialize, Serialize};
 
@@ -89,31 +89,11 @@ impl Encode for TxStatus {
     }
 }
 
-impl Decode for TxStatus {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(TxStatus::Success),
-            1 => Ok(TxStatus::Failed(String::decode(r)?)),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-}
-
 impl Encode for LogEntry {
     fn encode(&self, out: &mut Vec<u8>) {
         self.contract.encode(out);
         self.topics.encode(out);
         self.data.encode(out);
-    }
-}
-
-impl Decode for LogEntry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(LogEntry {
-            contract: Address::decode(r)?,
-            topics: Vec::decode(r)?,
-            data: Vec::decode(r)?,
-        })
     }
 }
 
@@ -127,22 +107,10 @@ impl Encode for Receipt {
     }
 }
 
-impl Decode for Receipt {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Receipt {
-            tx_id: Hash256::decode(r)?,
-            status: TxStatus::decode(r)?,
-            gas_used: Amount::decode(r)?,
-            fee_paid: Amount::decode(r)?,
-            logs: Vec::decode(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcs_crypto::{codec::decode_all, sha256};
+    use dcs_crypto::sha256;
 
     #[test]
     fn constructors() {
@@ -151,21 +119,5 @@ mod tests {
         let f = Receipt::failed(id, "insufficient balance");
         assert!(!f.status.is_success());
         assert_eq!(f.status, TxStatus::Failed("insufficient balance".into()));
-    }
-
-    #[test]
-    fn codec_round_trip() {
-        let r = Receipt {
-            tx_id: sha256(b"tx"),
-            status: TxStatus::Failed("out of gas".into()),
-            gas_used: 12_345,
-            fee_paid: 12_345,
-            logs: vec![LogEntry {
-                contract: Address::from_index(1),
-                topics: vec![sha256(b"Transfer")],
-                data: vec![0, 1, 2],
-            }],
-        };
-        assert_eq!(decode_all::<Receipt>(&r.encoded()).unwrap(), r);
     }
 }

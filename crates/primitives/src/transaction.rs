@@ -15,7 +15,7 @@
 //! [`crate::Block::signing_hashes`] on a block.
 
 use crate::Amount;
-use dcs_crypto::codec::{Decode, DecodeError, Encode, Reader};
+use dcs_crypto::codec::Encode;
 use dcs_crypto::{sha256, Address, Hash256, MultiHasher, PublicKey, Signature};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -347,30 +347,11 @@ impl Encode for TxAuth {
     }
 }
 
-impl Decode for TxAuth {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(TxAuth {
-            pubkey: PublicKey::decode(r)?,
-            signature: Signature::decode(r)?,
-        })
-    }
-}
-
 impl Encode for TxIn {
     fn encode(&self, out: &mut Vec<u8>) {
         self.prev_tx.encode(out);
         self.index.encode(out);
         self.auth.encode(out);
-    }
-}
-
-impl Decode for TxIn {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(TxIn {
-            prev_tx: Hash256::decode(r)?,
-            index: u32::decode(r)?,
-            auth: Option::decode(r)?,
-        })
     }
 }
 
@@ -381,28 +362,10 @@ impl Encode for TxOut {
     }
 }
 
-impl Decode for TxOut {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(TxOut {
-            value: Amount::decode(r)?,
-            recipient: Address::decode(r)?,
-        })
-    }
-}
-
 impl Encode for UtxoTx {
     fn encode(&self, out: &mut Vec<u8>) {
         self.inputs.encode(out);
         self.outputs.encode(out);
-    }
-}
-
-impl Decode for UtxoTx {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(UtxoTx {
-            inputs: Vec::decode(r)?,
-            outputs: Vec::decode(r)?,
-        })
     }
 }
 
@@ -422,18 +385,6 @@ impl Encode for TxPayload {
                 out.push(3);
                 data.encode(out);
             }
-        }
-    }
-}
-
-impl Decode for TxPayload {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(TxPayload::Transfer),
-            1 => Ok(TxPayload::Deploy(Vec::decode(r)?)),
-            2 => Ok(TxPayload::Call(Vec::decode(r)?)),
-            3 => Ok(TxPayload::Data(Vec::decode(r)?)),
-            t => Err(DecodeError::BadTag(t)),
         }
     }
 }
@@ -458,21 +409,6 @@ impl Encode for AccountTx {
     }
 }
 
-impl Decode for AccountTx {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(AccountTx {
-            from: Address::decode(r)?,
-            to: Option::decode(r)?,
-            value: Amount::decode(r)?,
-            nonce: u64::decode(r)?,
-            gas_limit: Amount::decode(r)?,
-            gas_price: Amount::decode(r)?,
-            payload: TxPayload::decode(r)?,
-            auth: Option::decode(r)?,
-        })
-    }
-}
-
 impl Encode for Transaction {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -494,25 +430,9 @@ impl Encode for Transaction {
     }
 }
 
-impl Decode for Transaction {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Transaction::Coinbase {
-                to: Address::decode(r)?,
-                value: Amount::decode(r)?,
-                height: u64::decode(r)?,
-            }),
-            1 => Ok(Transaction::Utxo(UtxoTx::decode(r)?)),
-            2 => Ok(Transaction::Account(AccountTx::decode(r)?)),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcs_crypto::codec::decode_all;
     use dcs_crypto::KeyPair;
 
     fn sample_account_tx() -> Transaction {
@@ -550,51 +470,6 @@ mod tests {
             height: 2,
         };
         assert_ne!(c1.id(), c2.id());
-    }
-
-    #[test]
-    fn codec_round_trips_all_variants() {
-        let txs = vec![
-            Transaction::Coinbase {
-                to: Address::from_index(3),
-                value: 50,
-                height: 9,
-            },
-            Transaction::Utxo(UtxoTx {
-                inputs: vec![TxIn {
-                    prev_tx: sha256(b"prev"),
-                    index: 1,
-                    auth: None,
-                }],
-                outputs: vec![TxOut {
-                    value: 10,
-                    recipient: Address::from_index(4),
-                }],
-            }),
-            sample_account_tx(),
-            Transaction::Account(AccountTx::deploy(
-                Address::from_index(5),
-                vec![1, 2, 3],
-                0,
-                90_000,
-            )),
-            Transaction::Account(AccountTx::call(
-                Address::from_index(5),
-                Address::from_index(6),
-                vec![9, 9],
-                1,
-                1,
-                50_000,
-            )),
-            Transaction::Account(AccountTx {
-                payload: TxPayload::Data(b"notarized document hash".to_vec()),
-                ..AccountTx::transfer(Address::from_index(7), Address::from_index(8), 0, 0)
-            }),
-        ];
-        for tx in txs {
-            let decoded = decode_all::<Transaction>(&tx.encoded()).unwrap();
-            assert_eq!(decoded, tx);
-        }
     }
 
     #[test]

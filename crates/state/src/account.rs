@@ -247,9 +247,8 @@ impl AccountDb {
         AccountDb::default()
     }
 
-    /// The authenticated state root. The first read after writes folds the
-    /// keys they wrote into the trie and hashes what that left stale; a read
-    /// with no write since hashes nothing.
+    /// The authenticated state root. The first read after a write builds the
+    /// map's trie; a read with no write since hashes nothing.
     pub fn root(&self) -> Hash256 {
         self.map.root()
     }
@@ -259,10 +258,9 @@ impl AccountDb {
         self.map.len()
     }
 
-    /// Does nothing. A write only records its key in the map, which folds
-    /// the keys into the trie when a root is read, so a block has nothing
-    /// to batch; kept because the benchmark's state probe brackets its
-    /// blocks with it.
+    /// Does nothing. A write only updates the map's index, which builds its
+    /// trie when a root is read, so a block has nothing to batch; kept
+    /// because the benchmark's state probe brackets its blocks with it.
     pub fn begin_batch(&mut self) {}
 
     /// Does nothing; see [`AccountDb::begin_batch`].

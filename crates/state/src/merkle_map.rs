@@ -3,34 +3,23 @@
 //! with `O(log n)` inclusion proofs.
 //!
 //! Keys are routed by the bits of their SHA-256, so the trie is balanced in
-//! expectation without rotations. The structure is kept canonical — every
-//! branch has at least two leaves below it, and removals collapse chains — so
-//! two maps with equal contents always have equal roots, which is what makes
-//! the root usable as the header `state_root`.
+//! expectation without rotations. The trie is defined by the entries alone:
+//! over their `(key hash, leaf digest)` pairs sorted by key hash, no entries
+//! is [`Hash256::ZERO`], one entry is its leaf digest, and two or more are
+//! the branch digest of the entries whose key hash has the next bit clear and
+//! of those that have it set. Two maps with equal contents therefore always
+//! have equal roots, which is what makes the root usable as the header
+//! `state_root`.
 //!
 //! The map keeps its entries once, in an ordered `key → value` index that
-//! every read goes to: a lookup by key hashes nothing. The trie beside it
-//! holds only digests — a leaf is its key hash and its leaf digest — in an
-//! index arena (`Vec<Node>`, `u32` children, a free list), so a node can be
-//! addressed by level without re-walking from the root.
-//!
-//! A write records, a read folds. A write ([`MerkleMap::insert`],
-//! [`MerkleMap::remove`], [`MerkleMap::write_batch`]) updates the index and
-//! nothing else: it hashes nothing and leaves the trie alone. A key's first
-//! write since the last fold marks it dirty — a bit on its entry, and the
-//! key pushed on a list — so that record grows with the distinct keys
-//! written, never with the writes. A key removed while dirty stays in the
-//! index as a tombstone until the fold; `len`, `get` and `iter` skip
-//! tombstones, and a write drops the folded ones once they outnumber the
-//! live entries. The first read of a digest after writes
-//! ([`MerkleMap::root`], [`MerkleMap::prove`]) folds the dirty keys into the
-//! trie: their key hashes, value digests and leaf digests, each in one
-//! multi-lane call, then one walk in key-hash order that places, replaces
-//! and removes their leaves, splits and collapses, and marks each branch it
-//! passes stale. It then hashes the stale branches once, level by level
-//! through the multi-lane hasher, and keeps the digests, so a read with no
-//! write since hashes nothing. However many writes came between two reads,
-//! a key and a branch are each hashed once.
+//! every lookup goes to, and beside it a memo of the trie. A write
+//! ([`MerkleMap::insert`], [`MerkleMap::remove`], [`MerkleMap::write_batch`])
+//! updates the index and drops the memo; it hashes nothing. The first read
+//! of a digest after a write ([`MerkleMap::root`], [`MerkleMap::prove`])
+//! builds the whole trie from the definition — key, value and leaf digests
+//! in multi-lane calls, one sort, one recursive build — and keeps it until
+//! the next write, so a read with no write since hashes nothing. A workload
+//! that never reads a root never builds one.
 //!
 //! The map is generic over its key type: anything ordered that is a byte
 //! string (`K: Ord + AsRef<[u8]>`). The key's bytes are what the trie hashes
@@ -43,10 +32,8 @@ use dcs_crypto::codec::{Decode, DecodeError, Encode, Reader};
 use dcs_crypto::{sha256, Hash256, MultiHasher, Sha256};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-use std::cell::{Cell, RefCell};
-use std::collections::btree_map::Entry;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::ops::Bound;
 
 /// Domain prefix of a leaf digest: `sha256(0x10 ‖ key_hash ‖ sha256(value))`.
 const LEAF_PREFIX: u8 = 0x10;
@@ -74,60 +61,78 @@ fn bit(h: &Hash256, i: usize) -> bool {
     (h.as_bytes()[i / 8] >> (7 - i % 8)) & 1 == 1
 }
 
-/// Arena index of "no child".
-const NIL: u32 = u32::MAX;
-
+/// A node of a built trie: its digest and, for a branch, the indices of its
+/// two children. A leaf, and the empty side of a branch, have none.
 #[derive(Debug, Clone, Copy)]
-enum Node {
-    Leaf {
-        key_hash: Hash256,
-        hash: Hash256,
-    },
-    Branch {
-        left: u32,
-        right: u32,
-        /// `None` while stale: a child changed since the digest was last
-        /// computed. A stale branch has only stale ancestors.
-        hash: Option<Hash256>,
-    },
+struct Node {
+    hash: Hash256,
+    children: Option<(u32, u32)>,
 }
 
-impl Node {
-    /// A branch over `left` and `right` whose digest is yet to be computed.
-    fn stale(left: u32, right: u32) -> Node {
-        Node::Branch {
-            left,
-            right,
-            hash: None,
-        }
-    }
-}
-
-/// One dirty key as a fold hands it to the trie, routed by its key hash.
-#[derive(Clone, Copy)]
-struct Write {
-    kh: Hash256,
-    /// The digest of the leaf to place; `None` removes the key.
-    leaf: Option<Hash256>,
-}
-
-/// The digests: the arena of trie nodes, its free list and the root's id.
+/// A trie built from the definition: its nodes, children before parents,
+/// so the root is the last.
 #[derive(Debug, Clone)]
 struct Trie {
     nodes: Vec<Node>,
-    /// Arena slots released by removals and collapses, reused before the
-    /// arena grows.
-    free: Vec<u32>,
-    root: u32,
 }
 
-impl Default for Trie {
-    fn default() -> Self {
-        Trie {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
-        }
+impl Trie {
+    /// Builds the trie of `entries`.
+    fn build<'a>(entries: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> Trie {
+        let (keys, values): (Vec<&[u8]>, Vec<&[u8]>) = entries.unzip();
+        let hasher = MultiHasher::wide();
+        let key_hashes = hasher.hash_many(&keys);
+        let pairs: Vec<Hash256> = key_hashes
+            .iter()
+            .zip(hasher.hash_many(&values))
+            .flat_map(|(&kh, value_hash)| [kh, value_hash])
+            .collect();
+        let mut leaves = Vec::with_capacity(keys.len());
+        hasher.hash_pairs_into(LEAF_PREFIX, &pairs, &mut leaves);
+        let mut leaves: Vec<(Hash256, Hash256)> = key_hashes.into_iter().zip(leaves).collect();
+        // Byte order of the key hash IS the routing path order (MSB-first
+        // bits), so one sort gives every level its partition.
+        leaves.sort_unstable_by_key(|&(kh, _)| kh);
+        let mut trie = Trie {
+            nodes: Vec::with_capacity(2 * leaves.len() + 1),
+        };
+        trie.add(&leaves, 0);
+        trie
+    }
+
+    /// Adds the subtree of `leaves`, sorted by key hash and sharing their
+    /// first `depth` bits, and returns its index.
+    fn add(&mut self, leaves: &[(Hash256, Hash256)], depth: usize) -> u32 {
+        let node = match leaves {
+            [] => Node {
+                hash: Hash256::ZERO,
+                children: None,
+            },
+            [(_, leaf)] => Node {
+                hash: *leaf,
+                children: None,
+            },
+            _ => {
+                let split = leaves.partition_point(|(kh, _)| !bit(kh, depth));
+                let left = self.add(&leaves[..split], depth + 1);
+                let right = self.add(&leaves[split..], depth + 1);
+                Node {
+                    hash: branch_hash(&self.hash_of(left), &self.hash_of(right)),
+                    children: Some((left, right)),
+                }
+            }
+        };
+        let id = u32::try_from(self.nodes.len()).expect("fewer than 2^32 trie nodes");
+        self.nodes.push(node);
+        id
+    }
+
+    fn hash_of(&self, id: u32) -> Hash256 {
+        self.nodes[id as usize].hash
+    }
+
+    fn root(&self) -> &Node {
+        self.nodes.last().expect("a built trie has a root")
     }
 }
 
@@ -147,38 +152,18 @@ impl Default for Trie {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MerkleMap<K = Vec<u8>> {
-    /// The contents, and the tombstones of removed keys. Reads never touch
-    /// the trie.
-    entries: BTreeMap<K, Slot>,
-    /// Entries that are not tombstones.
-    live: usize,
-    /// Tombstones a fold has reached: the trie holds none of their keys.
-    folded_tombstones: Cell<usize>,
-    /// The keys written since the last fold, each once.
-    dirty: RefCell<Vec<K>>,
-    /// Behind a `RefCell` because a read through `&self` folds the dirty
-    /// keys into it and keeps the digests.
-    trie: RefCell<Trie>,
-}
-
-/// An entry of the index.
-#[derive(Debug, Clone)]
-struct Slot {
-    /// `None` is a tombstone: the key was removed.
-    value: Option<Vec<u8>>,
-    /// Written since the last fold, so on the dirty list. A `Cell` because
-    /// the fold, which runs under `&self`, clears it.
-    dirty: Cell<bool>,
+    /// The contents. Lookups never touch the trie.
+    entries: BTreeMap<K, Vec<u8>>,
+    /// The trie of `entries`, built by the first read after a write and
+    /// dropped by the next write.
+    trie: OnceCell<Trie>,
 }
 
 impl<K> Default for MerkleMap<K> {
     fn default() -> Self {
         MerkleMap {
             entries: BTreeMap::new(),
-            live: 0,
-            folded_tombstones: Cell::new(0),
-            dirty: RefCell::default(),
-            trie: RefCell::default(),
+            trie: OnceCell::new(),
         }
     }
 }
@@ -191,26 +176,26 @@ impl MerkleMap {
     }
 }
 
-impl<K: Ord + Clone + AsRef<[u8]>> MerkleMap<K> {
+impl<K: Ord + AsRef<[u8]>> MerkleMap<K> {
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.live
+        self.entries.len()
     }
 
     /// True when the map holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.entries.is_empty()
+    }
+
+    /// The trie of the current entries, built if a write dropped it.
+    fn trie(&self) -> &Trie {
+        self.trie.get_or_init(|| Trie::build(self.iter()))
     }
 
     /// The root digest committing to the full contents. The first read after
-    /// writes folds the keys they wrote into the trie and hashes the
-    /// branches that left stale, each once, deepest level first; a read with
-    /// no write since hashes nothing.
+    /// a write builds the trie; a read with no write since hashes nothing.
     pub fn root(&self) -> Hash256 {
-        let mut trie = self.trie.borrow_mut();
-        self.fold(&mut trie);
-        trie.flush();
-        trie.hash_of(trie.root)
+        self.trie().root().hash
     }
 
     /// Looks up the value stored under `key`.
@@ -218,62 +203,29 @@ impl<K: Ord + Clone + AsRef<[u8]>> MerkleMap<K> {
     where
         K: Borrow<Q>,
     {
-        self.entries.get(key)?.value.as_deref()
+        self.entries.get(key).map(Vec::as_slice)
     }
 
     /// Inserts or replaces; returns the previous value if any.
     pub fn insert(&mut self, key: K, value: Vec<u8>) -> Option<Vec<u8>> {
-        self.sweep();
-        match self.entries.entry(key) {
-            Entry::Vacant(vacant) => {
-                self.dirty.get_mut().push(vacant.key().clone());
-                vacant.insert(Slot {
-                    value: Some(value),
-                    dirty: Cell::new(true),
-                });
-                self.live += 1;
-                None
-            }
-            Entry::Occupied(mut occupied) => {
-                touch(
-                    self.dirty.get_mut(),
-                    self.folded_tombstones.get_mut(),
-                    occupied.key(),
-                    occupied.get(),
-                );
-                let old = occupied.get_mut().value.replace(value);
-                self.live += usize::from(old.is_none());
-                old
-            }
-        }
+        self.trie.take();
+        self.entries.insert(key, value)
     }
 
-    /// Removes `key`, returning its value if present. The key stays in the
-    /// index as a tombstone until the fold takes its leaf out of the trie.
-    pub fn remove<Q: Ord + AsRef<[u8]> + ?Sized>(&mut self, key: &Q) -> Option<Vec<u8>>
+    /// Removes `key`, returning its value if present.
+    pub fn remove<Q: Ord + ?Sized>(&mut self, key: &Q) -> Option<Vec<u8>>
     where
         K: Borrow<Q>,
     {
-        self.sweep();
-        let (key, slot) = self
-            .entries
-            .range_mut::<Q, _>((Bound::Included(key), Bound::Included(key)))
-            .next()?;
-        slot.value.as_ref()?;
-        touch(
-            self.dirty.get_mut(),
-            self.folded_tombstones.get_mut(),
-            key,
-            slot,
-        );
-        self.live -= 1;
-        slot.value.take()
+        let old = self.entries.remove(key)?;
+        self.trie.take();
+        Some(old)
     }
 
-    /// Records a batch of writes (`Some` = insert/replace, `None` = remove)
+    /// Applies a batch of writes (`Some` = insert/replace, `None` = remove)
     /// in order, exactly as the same [`MerkleMap::insert`] and
     /// [`MerkleMap::remove`] calls would: later writes to a key override
-    /// earlier ones, and the trie folds each key once, at the next read.
+    /// earlier ones.
     pub fn write_batch(&mut self, entries: Vec<(K, Option<Vec<u8>>)>) {
         for (key, value) in entries {
             match value {
@@ -283,86 +235,25 @@ impl<K: Ord + Clone + AsRef<[u8]>> MerkleMap<K> {
         }
     }
 
-    /// Drops the folded tombstones once they outnumber the live entries.
-    fn sweep(&mut self) {
-        if *self.folded_tombstones.get_mut() > self.live {
-            self.entries
-                .retain(|_, slot| slot.value.is_some() || slot.dirty.get());
-            *self.folded_tombstones.get_mut() = 0;
-        }
-    }
-
-    /// Folds the keys written since the last fold into the trie: their key
-    /// hashes, value digests and leaf digests each in one multi-lane call,
-    /// then one walk in key-hash order that marks each branch it passes
-    /// stale. A removal reaches the trie only for a key it holds, so every
-    /// branch on a removal's path is really stale.
-    fn fold(&self, trie: &mut Trie) {
-        let mut dirty = self.dirty.borrow_mut();
-        if dirty.is_empty() {
-            return;
-        }
-        let hasher = MultiHasher::wide();
-        let keys: Vec<&[u8]> = dirty.iter().map(AsRef::as_ref).collect();
-        let mut items = Vec::with_capacity(dirty.len());
-        for (key, kh) in dirty.iter().zip(hasher.hash_many(&keys)) {
-            let slot = &self.entries[key];
-            slot.dirty.set(false);
-            let value = slot.value.as_deref();
-            if value.is_none() {
-                self.folded_tombstones.set(self.folded_tombstones.get() + 1);
-            }
-            if value.is_some() || trie.holds(&kh) {
-                items.push((kh, value));
-            }
-        }
-        dirty.clear();
-        // Byte order of the key hash IS the routing path order (MSB-first
-        // bits), so one sort gives every recursion level its partition.
-        items.sort_unstable_by_key(|item| item.0);
-        let (live, values): (Vec<Hash256>, Vec<&[u8]>) = items
-            .iter()
-            .filter_map(|&(kh, value)| Some((kh, value?)))
-            .unzip();
-        let pairs: Vec<Hash256> = live
-            .into_iter()
-            .zip(hasher.hash_many(&values))
-            .flat_map(|(kh, value_hash)| [kh, value_hash])
-            .collect();
-        let mut leaves = Vec::with_capacity(pairs.len() / 2);
-        hasher.hash_pairs_into(LEAF_PREFIX, &pairs, &mut leaves);
-        let mut leaves = leaves.into_iter();
-        let writes: Vec<Write> = items
-            .iter()
-            .map(|&(kh, value)| Write {
-                kh,
-                leaf: value.map(|_| leaves.next().expect("one leaf digest per live write")),
-            })
-            .collect();
-        trie.root = trie.write_at(trie.root, &writes, 0);
-    }
-
-    /// Produces an inclusion proof for `key`, or `None` if absent. Folds
-    /// and hashes what writes left first, as [`MerkleMap::root`] does.
+    /// Produces an inclusion proof for `key`, or `None` if absent. Builds the
+    /// trie first if a write dropped it, as [`MerkleMap::root`] does.
     pub fn prove<Q: Ord + AsRef<[u8]> + ?Sized>(&self, key: &Q) -> Option<MapProof>
     where
         K: Borrow<Q>,
     {
         let value = self.get(key)?;
         let kh = sha256(key.as_ref());
-        let mut trie = self.trie.borrow_mut();
-        self.fold(&mut trie);
-        trie.flush();
+        let trie = self.trie();
         let mut siblings = Vec::new();
-        let mut node = trie.root;
-        while let Node::Branch { left, right, .. } = trie.nodes[node as usize] {
+        let mut node = trie.root();
+        while let Some((left, right)) = node.children {
             let (child, sibling) = if bit(&kh, siblings.len()) {
                 (right, left)
             } else {
                 (left, right)
             };
             siblings.push(trie.hash_of(sibling));
-            node = child;
+            node = &trie.nodes[child as usize];
         }
         siblings.reverse(); // leaf-upward order for verification
         Some(MapProof {
@@ -374,195 +265,16 @@ impl<K: Ord + Clone + AsRef<[u8]>> MerkleMap<K> {
 
     /// Iterates over all `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
-        self.entries
-            .iter()
-            .filter_map(|(k, slot)| Some((k.as_ref(), slot.value.as_deref()?)))
+        self.entries.iter().map(|(k, v)| (k.as_ref(), v.as_slice()))
     }
 }
 
-/// Marks a present entry dirty: pushes its key on the dirty list on its
-/// clean→dirty transition, where a folded tombstone written again stops
-/// counting as folded.
-fn touch<K: Clone>(dirty: &mut Vec<K>, folded_tombstones: &mut usize, key: &K, slot: &Slot) {
-    if !slot.dirty.replace(true) {
-        dirty.push(key.clone());
-        *folded_tombstones -= usize::from(slot.value.is_none());
-    }
-}
-
-impl Trie {
-    /// The digest of a node; only a flushed trie has one for every branch.
-    fn hash_of(&self, id: u32) -> Hash256 {
-        if id == NIL {
-            return Hash256::ZERO;
-        }
-        match self.nodes[id as usize] {
-            Node::Leaf { hash, .. } => hash,
-            Node::Branch { hash, .. } => hash.expect("a stale branch is hashed before it is read"),
-        }
-    }
-
-    fn is_stale(&self, id: u32) -> bool {
-        id != NIL && matches!(self.nodes[id as usize], Node::Branch { hash: None, .. })
-    }
-
-    fn alloc(&mut self, node: Node) -> u32 {
-        if let Some(id) = self.free.pop() {
-            self.nodes[id as usize] = node;
-            return id;
-        }
-        let id = u32::try_from(self.nodes.len()).expect("fewer than 2^32 trie nodes");
-        assert_ne!(id, NIL, "fewer than 2^32 trie nodes");
-        self.nodes.push(node);
-        id
-    }
-
-    fn release(&mut self, id: u32) {
-        self.free.push(id);
-    }
-
-    /// What a branch left with these children collapses to, if it does:
-    /// nothing when both are gone, and a lone *leaf* child itself, which
-    /// rises to the shallowest depth where its path is unique. A lone
-    /// *branch* child stays put — its subtree's leaves still diverge at
-    /// their original depths, so the unary chain above them is part of the
-    /// canonical shape.
-    fn collapsed(&self, left: u32, right: u32) -> Option<u32> {
-        let only = match (left, right) {
-            (NIL, only) | (only, NIL) => only,
-            _ => return None,
-        };
-        (only == NIL || matches!(self.nodes[only as usize], Node::Leaf { .. })).then_some(only)
-    }
-
-    /// Whether the trie has the leaf of key hash `kh`.
-    fn holds(&self, kh: &Hash256) -> bool {
-        let (mut node, mut depth) = (self.root, 0);
-        while node != NIL {
-            match self.nodes[node as usize] {
-                Node::Leaf { key_hash, .. } => return key_hash == *kh,
-                Node::Branch { left, right, .. } => {
-                    node = if bit(kh, depth) { right } else { left };
-                    depth += 1;
-                }
-            }
-        }
-        false
-    }
-
-    /// Applies sorted, deduplicated writes below `node`, marking every
-    /// branch on a written path stale.
-    fn write_at(&mut self, node: u32, writes: &[Write], depth: u32) -> u32 {
-        if writes.is_empty() {
-            return node;
-        }
-        if node == NIL {
-            return self.build(writes, depth);
-        }
-        match self.nodes[node as usize] {
-            Node::Leaf { key_hash, hash } => {
-                // Rebuild this subtree from the writes and the leaf that was
-                // here — unless the batch writes its key, which overrides it.
-                // The leaf keeps the digest it has.
-                self.release(node);
-                let at = writes.partition_point(|w| w.kh < key_hash);
-                if writes.get(at).is_some_and(|w| w.kh == key_hash) {
-                    return self.build(writes, depth);
-                }
-                let mut merged = Vec::with_capacity(writes.len() + 1);
-                merged.extend_from_slice(&writes[..at]);
-                merged.push(Write {
-                    kh: key_hash,
-                    leaf: Some(hash),
-                });
-                merged.extend_from_slice(&writes[at..]);
-                self.build(&merged, depth)
-            }
-            Node::Branch { left, right, .. } => {
-                let split = writes.partition_point(|w| !bit(&w.kh, depth as usize));
-                let left = self.write_at(left, &writes[..split], depth + 1);
-                let right = self.write_at(right, &writes[split..], depth + 1);
-                if let Some(replacement) = self.collapsed(left, right) {
-                    self.release(node);
-                    return replacement;
-                }
-                self.nodes[node as usize] = Node::stale(left, right);
-                node
-            }
-        }
-    }
-
-    /// Builds a canonical subtree from sorted writes (removals place
-    /// nothing), its branches stale.
-    fn build(&mut self, writes: &[Write], depth: u32) -> u32 {
-        let mut live = writes.iter().filter_map(|w| Some((w.kh, w.leaf?)));
-        match (live.next(), live.next()) {
-            (None, _) => NIL,
-            (Some((key_hash, hash)), None) => self.alloc(Node::Leaf { key_hash, hash }),
-            _ => {
-                let split = writes.partition_point(|w| !bit(&w.kh, depth as usize));
-                let left = self.build(&writes[..split], depth + 1);
-                let right = self.build(&writes[split..], depth + 1);
-                self.alloc(Node::stale(left, right))
-            }
-        }
-    }
-
-    /// The stale branches, a level per depth from the root down. The walk
-    /// enters stale branches only, and finds every one because a stale
-    /// branch has only stale ancestors.
-    fn stale_levels(&self) -> Vec<Vec<u32>> {
-        let mut levels = Vec::new();
-        let mut level = if self.is_stale(self.root) {
-            vec![self.root]
-        } else {
-            Vec::new()
-        };
-        while !level.is_empty() {
-            let mut below = Vec::new();
-            for &id in &level {
-                if let Node::Branch { left, right, .. } = self.nodes[id as usize] {
-                    below.extend([left, right].into_iter().filter(|&c| self.is_stale(c)));
-                }
-            }
-            levels.push(std::mem::replace(&mut level, below));
-        }
-        levels
-    }
-
-    /// Hashes the stale branches and keeps their digests, deepest level
-    /// first so a level's children are final when it is hashed, each level
-    /// in one multi-lane call; returns how many it hashed.
-    fn flush(&mut self) -> usize {
-        let levels = self.stale_levels();
-        let hasher = MultiHasher::wide();
-        let (mut children, mut digests) = (Vec::new(), Vec::new());
-        for level in levels.iter().rev() {
-            children.clear();
-            digests.clear();
-            for &id in level {
-                if let Node::Branch { left, right, .. } = self.nodes[id as usize] {
-                    children.extend([self.hash_of(left), self.hash_of(right)]);
-                }
-            }
-            hasher.hash_pairs_into(BRANCH_PREFIX, &children, &mut digests);
-            for (&id, &digest) in level.iter().zip(&digests) {
-                if let Node::Branch { hash, .. } = &mut self.nodes[id as usize] {
-                    *hash = Some(digest);
-                }
-            }
-        }
-        levels.iter().map(Vec::len).sum()
-    }
-}
-
-impl<K: Ord + Clone + AsRef<[u8]>> FromIterator<(K, Vec<u8>)> for MerkleMap<K> {
+impl<K: Ord + AsRef<[u8]>> FromIterator<(K, Vec<u8>)> for MerkleMap<K> {
     fn from_iter<I: IntoIterator<Item = (K, Vec<u8>)>>(iter: I) -> Self {
-        let mut m = MerkleMap::default();
-        for (k, v) in iter {
-            m.insert(k, v);
+        MerkleMap {
+            entries: iter.into_iter().collect(),
+            trie: OnceCell::new(),
         }
-        m
     }
 }
 
@@ -890,222 +602,28 @@ mod tests {
         assert_eq!(rebuilt.root(), m.root(), "built in one batch");
     }
 
-    /// The branches on the root paths of `key_hashes` in `trie`, by arena id.
-    fn branches_on_paths(trie: &Trie, key_hashes: &[Hash256]) -> Vec<u32> {
-        let mut on_path = Vec::new();
-        for kh in key_hashes {
-            let (mut node, mut depth) = (trie.root, 0);
-            while node != NIL {
-                let Node::Branch { left, right, .. } = trie.nodes[node as usize] else {
-                    break;
-                };
-                on_path.push(node);
-                node = if bit(kh, depth) { right } else { left };
-                depth += 1;
-            }
-        }
-        on_path.sort_unstable();
-        on_path.dedup();
-        on_path
-    }
-
-    /// A batch of inserts, replacements, removals of present keys and of
-    /// keys never present, with one key written twice.
-    fn mixed_batch(round: u32) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
-        (0..120u32)
-            .map(|i| {
-                let i = i + 40 * round;
-                match i % 4 {
-                    0 => (kv(i).0, None),
-                    1 => (kv(i).0, Some(format!("replaced-{round}").into_bytes())),
-                    2 => (kv(1000 + i / 8).0, Some(format!("new-{i}").into_bytes())),
-                    _ => (kv(5000 + i).0, None), // never present
-                }
-            })
-            .collect()
-    }
-
-    /// The live stale branches of `trie`, by arena id: every slot not on
-    /// the free list, not only those a walk from the root reaches.
-    fn stale_branches(trie: &Trie) -> Vec<u32> {
-        (0..trie.nodes.len() as u32)
-            .filter(|id| !trie.free.contains(id) && trie.is_stale(*id))
-            .collect()
-    }
-
     #[test]
-    fn a_batch_hashes_each_touched_branch_once_and_no_other() {
-        // Three batches and no read between them: no write touched the
-        // trie, and each changed key is on the dirty list once — none for a
-        // removal that removed nothing. The read folds each of them once,
-        // leaving stale exactly the branches on their paths in the final
-        // trie — none for a key inserted and removed before any read — and
-        // hashes each of those once.
-        let mut m: MerkleMap = (0..500).map(kv).collect();
-        m.root();
-        let slots = m.trie.get_mut().nodes.len();
-        let mut model = BTreeMap::from_iter((0..500).map(kv));
-        let mut changed = Vec::new();
-        for round in 0..3 {
-            let batch = mixed_batch(round);
-            for (k, v) in batch.clone() {
-                if v.is_some() || model.contains_key(&k) {
-                    changed.push(k.clone());
-                }
-                match v {
-                    Some(v) => model.insert(k, v),
-                    None => model.remove(&k),
-                };
-            }
-            m.write_batch(batch);
-            m.insert(b"never folded".to_vec(), b"x".to_vec());
-            m.remove(&b"never folded"[..]);
-        }
-        changed.sort();
-        changed.dedup();
-        let mut dirty = m.dirty.get_mut().clone();
-        dirty.retain(|k| k != b"never folded");
-        dirty.sort();
-        assert_eq!(dirty, changed, "each changed key recorded once");
-        let trie = m.trie.get_mut();
-        assert!(stale_branches(trie).is_empty(), "no write touched the trie");
-        assert_eq!(trie.nodes.len(), slots);
-
-        let copy = m.clone();
-        let mut trie = copy.trie.borrow_mut();
-        copy.fold(&mut trie);
-        assert!(copy.dirty.borrow().is_empty(), "the fold took every key");
-        let hashes: Vec<Hash256> = changed.iter().map(|k| sha256(k)).collect();
-        let stale = stale_branches(&trie);
-        assert_eq!(stale, branches_on_paths(&trie, &hashes));
-        assert_eq!(trie.flush(), stale.len());
-        assert!(stale_branches(&trie).is_empty());
-        drop(trie);
-
-        // A proof as the first read folds too, and verifies against the
-        // root.
-        let proof = m.prove(&kv(1000).0).expect("inserted by the batches");
-        let fresh: MerkleMap = model.into_iter().collect();
-        assert_eq!(m.root(), fresh.root());
-        assert_eq!(copy.root(), fresh.root());
-        assert!(proof.verify(&m.root()));
-        let live = |m: &mut MerkleMap| {
-            let trie = m.trie.get_mut();
-            trie.nodes.len() - trie.free.len()
-        };
-        assert_eq!(
-            live(&mut m),
-            live(&mut fresh.clone()),
-            "same shape, same node count"
-        );
-    }
-
-    #[test]
-    fn a_second_read_with_no_write_between_hashes_nothing() {
+    fn a_read_builds_the_trie_and_a_write_drops_it() {
+        let built = |m: &MerkleMap| m.trie.get().map(|t| t.nodes.as_ptr());
         let mut m: MerkleMap = (0..200).map(kv).collect();
-        assert_eq!(m.dirty.get_mut().len(), 200, "inserts record their keys");
-        assert!(m.trie.get_mut().nodes.is_empty(), "and build no trie");
+        assert_eq!(built(&m), None, "writes build nothing");
         let root = m.root();
-        assert!(m.dirty.get_mut().is_empty());
-        assert_eq!(m.trie.get_mut().flush(), 0, "the read kept its digests");
+        let first = built(&m).expect("a read builds the trie");
         assert_eq!(m.root(), root);
-        m.write_batch(vec![(kv(7).0, Some(b"changed".to_vec()))]);
-        assert_eq!(m.dirty.get_mut().len(), 1);
-        assert!(stale_branches(m.trie.get_mut()).is_empty());
-        let copy = m.clone();
-        let mut trie = copy.trie.borrow_mut();
-        copy.fold(&mut trie);
-        let path = stale_branches(&trie).len();
-        assert!(path > 0 && path < 40, "one path: {path}");
-        drop(trie);
         m.prove(&kv(7).0).expect("present");
-        assert!(m.dirty.get_mut().is_empty());
-        assert_eq!(
-            m.trie.get_mut().flush(),
-            0,
-            "prove folded and hashed what the write left"
-        );
-        assert_eq!(m.root(), copy.root());
-    }
+        assert_eq!(built(&m), Some(first), "later reads reuse the build");
+        assert!(built(&m.clone()).is_some(), "a clone carries it");
+        assert_eq!(m.clone().root(), root);
 
-    #[test]
-    fn node_layout_is_pinned() {
-        // A leaf is two digests, a branch two arena ids and one: no key, no
-        // value, no pointer. (112 bytes plus a `Box` each, and the key and
-        // value inside every leaf, before the arena.)
-        assert_eq!(std::mem::size_of::<Node>(), 68);
-    }
-
-    #[test]
-    fn arena_slots_are_reused_under_churn() {
-        let mut m: MerkleMap = (0..200).map(kv).collect();
-        m.root();
-        let slots = m.trie.get_mut().nodes.len();
-        for round in 0..20u32 {
-            m.write_batch((0..100).map(|i| (kv(i).0, None)).collect());
-            m.root();
-            assert!(m.trie.get_mut().free.len() >= 100, "round {round}");
-            m.write_batch(
-                (0..100)
-                    .map(|i| {
-                        let (k, v) = kv(i);
-                        (k, Some(v))
-                    })
-                    .collect(),
-            );
-            m.root();
-            for i in 100..150 {
-                let (k, v) = kv(i);
-                m.remove(&k);
-                m.insert(k, v);
-            }
-            m.root();
-        }
-        assert_eq!(
-            m.trie.get_mut().nodes.len(),
-            slots,
-            "the arena did not grow"
-        );
-        let fresh: MerkleMap = (0..200).map(kv).collect();
-        assert_eq!(m.root(), fresh.root());
-    }
-
-    /// The tombstones among `m`'s entries, folded or not.
-    fn tombstones(m: &MerkleMap) -> usize {
-        m.entries.len() - m.len()
-    }
-
-    #[test]
-    fn the_dirty_record_grows_with_distinct_keys_not_with_writes() {
-        // A million writes over a hundred keys with no read between them.
-        let keys: Vec<Vec<u8>> = (0..100).map(|i| kv(i).0).collect();
-        let mut m = MerkleMap::new();
-        for i in 0..1_000_000u32 {
-            let key = &keys[i as usize % keys.len()];
-            if i % 3 == 0 {
-                m.remove(key);
-            } else {
-                m.insert(key.clone(), i.to_le_bytes().to_vec());
-            }
-        }
-        assert!(m.dirty.get_mut().len() <= keys.len());
-        assert!(m.entries.len() <= keys.len());
-        let fresh: MerkleMap = m.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
-        assert_eq!(m.root(), fresh.root());
-
-        // Ever-new keys, each inserted and removed with reads between, beside
-        // fifty that stay: the folded tombstones are swept once they
-        // outnumber the live entries, so they stay bounded by them.
-        let mut m: MerkleMap = (0..50).map(kv).collect();
-        for i in 1_000..11_000 {
-            let (k, v) = kv(i);
-            m.insert(k.clone(), v);
-            m.root();
-            m.remove(&k);
-            m.root();
-            assert!(tombstones(&m) <= m.len() + 1, "key {i}: {}", tombstones(&m));
-        }
-        assert_eq!(m.root(), (0..50).map(kv).collect::<MerkleMap>().root());
+        m.remove(&b"absent"[..]);
+        assert_eq!(built(&m), Some(first), "removing nothing keeps it");
+        m.insert(kv(7).0, b"changed".to_vec());
+        assert_eq!(built(&m), None, "an insert drops it");
+        assert_ne!(m.root(), root);
+        m.remove(&kv(7).0);
+        assert_eq!(built(&m), None, "a removal drops it");
+        m.insert(kv(7).0, kv(7).1);
+        assert_eq!(m.root(), root);
     }
 
     #[test]

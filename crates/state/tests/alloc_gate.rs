@@ -73,8 +73,8 @@ fn seeded(n: u64) -> AccountDb {
     db
 }
 
-/// Every read of a present and an absent record, folded into the trie or
-/// written since the last read.
+/// Every read of a present and an absent record, written before or since
+/// the last root.
 fn read_everything(db: &AccountDb) -> u64 {
     let mut sum = 0;
     for i in [0, 1, 999] {
@@ -133,16 +133,18 @@ const TRANSFERS: u64 = 64;
 /// Allocations the pinned block makes at either code generation: three per
 /// transfer for the values the writes encode, the rest in the packed
 /// journal's growth, which starts empty here because seeding cleared it,
-/// and the one exact-size undo record. A write only records its key in the
-/// index — nothing reads a root here, so nothing is folded into the trie —
-/// and the seeding's keys are still on the dirty list, so the block's
-/// writes to them push nothing. When the block was staged in an overlay and
-/// merged into the trie at commit, it made 254, and 272 while the commit
-/// hashed branches too. When a key's first write in a block copied its old
-/// value into a `Vec` of its own rather than the journal's one buffer, it
-/// made 382, and 2 687 before fixed-size keys, the one-write sender charge
-/// and the free zero credit (a `Vec` key per read, the sender read four
-/// times and written twice, the zero refund written).
+/// and the one exact-size undo record. A write updates the ordered index
+/// and drops the trie, which nothing rebuilds here because nothing reads a
+/// root. When a write also recorded its key on a dirty list, for a fold
+/// into a trie kept between reads, the block made 211 as well: the
+/// seeding's keys were already on the list.
+/// When the block was staged in an overlay and merged into the trie at
+/// commit, it made 254, and 272 while the commit hashed branches too. When
+/// a key's first write in a block copied its old value into a `Vec` of its
+/// own rather than the journal's one buffer, it made 382, and 2 687 before
+/// fixed-size keys, the one-write sender charge and the free zero credit (a
+/// `Vec` key per read, the sender read four times and written twice, the
+/// zero refund written).
 const PINNED: u64 = 211;
 
 #[test]

@@ -503,8 +503,8 @@ fn pow_gossip_with_faults_is_shard_count_invariant() {
 }
 
 /// The commit pipeline's central contract: a block applied through
-/// `AccountMachine::apply_block` (writes recorded in the state index and
-/// folded into the trie when the root is read, multi-lane hashing,
+/// `AccountMachine::apply_block` (writes recorded in the state index, the
+/// trie built from it when the root is read, multi-lane hashing,
 /// cache-warmed witness verification) gives, at every verification worker
 /// count, the trajectory the serial per-write path gave. Runs a
 /// deterministic sequence of signed blocks at 1, 2, and 8 pipeline threads

@@ -10,17 +10,21 @@
 # meanwhile either. Default seed 7.
 #
 # Per run it prints committed_tx_per_s, peak_rss_mb, setup_s and run_digest.
-# At the end it prints, per side, the median and quartiles of those metrics,
-# the pairs the change won on committed_tx_per_s (ties count for neither),
-# and whether every run had the same run_digest. Claim a gain only when
-# the change wins at least nine tenths of the pairs and the medians differ
-# by more than the distance between the parent's quartiles.
+# At the end it prints, for every end-to-end metric BENCHMARK.json lists,
+# each side's median and inter-quartile range (IQR) and a verdict against
+# the metric's bound there: "worse beyond bound" when the change's median is
+# worse than the parent's by more than the bound (a share of the parent's
+# median, in the metric's "better" direction), else "unresolved" when either
+# side's IQR exceeds the bound, else "ok". Then the pairs the change won on
+# committed_tx_per_s (ties count for neither), and whether every run had the
+# same run_digest. Claim a gain only when the change wins at least nine
+# tenths of the pairs and the medians differ by more than the parent's IQR.
 #
 # Each run's whole stdout is kept in target/pairs/<workload>_<seed>/.
 set -euo pipefail
 
 if [[ $# -lt 4 || $# -gt 5 ]]; then
-    sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 parent=$(realpath "$1")
@@ -56,16 +60,16 @@ for i in $(seq "$pairs"); do
     for side in $order; do run "$side" "$i"; done
 done
 
-python3 - "$out" "$pairs" <<'EOF'
+python3 - "$out" "$pairs" BENCHMARK.json <<'EOF'
 import json, re, statistics, sys
-out, pairs = sys.argv[1], int(sys.argv[2])
-names = ["committed_tx_per_s", "peak_rss_mb", "setup_s"]
+out, pairs, spec = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+metrics_spec = json.load(open(spec))["end_to_end"]
 runs = {"parent": [], "change": []}
 for side in runs:
     for i in range(1, pairs + 1):
         text = open(f"{out}/{side}_{i}.txt").read()
         metrics = json.loads(text.strip().splitlines()[-1])["metrics"]
-        row = {name: metrics[name]["value"] for name in names}
+        row = {m["name"]: metrics[m["name"]]["value"] for m in metrics_spec}
         row["run_digest"] = re.search(r"run_digest=([0-9a-f]+)", text).group(1)
         runs[side].append(row)
 
@@ -75,10 +79,25 @@ def quartiles(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
 
-for name in names:
-    for side in runs:
-        q1, median, q3 = quartiles([r[name] for r in runs[side]])
-        print(f"{name:<20} {side:<6} median={median:.4f} q1={q1:.4f} q3={q3:.4f}")
+def share(delta, base):
+    """delta as a share of |base|; a nonzero delta on a zero base is infinite."""
+    if base:
+        return delta / abs(base)
+    return 0.0 if delta == 0 else float("inf")
+
+print(f"{'metric':<28} {'parent median':>14} {'IQR':>10} {'change median':>14} {'IQR':>10} "
+      f"{'worse by':>9} {'bound':>6}  verdict")
+for m in metrics_spec:
+    name, bound = m["name"], m["bound"]
+    q = {side: quartiles([r[name] for r in runs[side]]) for side in runs}
+    p_med, c_med = q["parent"][1], q["change"][1]
+    iqr = {side: q[side][2] - q[side][0] for side in runs}
+    worse = share(c_med - p_med if m["better"] == "lower" else p_med - c_med, p_med)
+    spread = max(share(iqr[side], p_med) for side in runs)
+    verdict = ("worse beyond bound" if worse > bound
+               else "unresolved" if spread > bound else "ok")
+    print(f"{name:<28} {p_med:>14.6g} {iqr['parent']:>10.4g} {c_med:>14.6g} {iqr['change']:>10.4g} "
+          f"{100 * worse:>+8.1f}% {100 * bound:>5.1f}%  {verdict}")
 tps = [(p["committed_tx_per_s"], c["committed_tx_per_s"]) for p, c in zip(runs["parent"], runs["change"])]
 wins = sum(c > p for p, c in tps)
 losses = sum(c < p for p, c in tps)
