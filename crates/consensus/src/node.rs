@@ -637,10 +637,21 @@ impl<M: StateMachine> NodeCore<M> {
         }
     }
 
-    /// Handles an incoming transaction: dedup, re-gossip, mempool
-    /// insertion. Returns true if the tx was new. The sealed transaction
-    /// carries its content id, so this hot path — run once per peer per
-    /// gossiped tx — never hashes the body.
+    /// Handles an incoming transaction: dedup, mempool admission, then
+    /// relay of what admission kept. Returns true if the tx was new.
+    ///
+    /// Admission decides relay. The body goes on to every neighbor but the
+    /// sender only if this peer's pool took it (`Added`), already held it
+    /// (`Duplicate`), or the id is already on the canonical chain. A `Full`
+    /// pool or a refused witness ends the transaction at this peer, and its
+    /// `TxRejected` event counts the withheld relay: a peer forwards nothing
+    /// it would not pool, as a Bitcoin node relays only what its mempool
+    /// accepted. Late copies of committed transactions keep flowing, so a
+    /// run whose pools never fill and that carries no forged witness relays
+    /// every first-seen body.
+    ///
+    /// The sealed transaction carries its content id, so this hot path —
+    /// run once per peer per gossiped tx — never hashes the body.
     fn handle_tx(&mut self, tx: SealedTx, from: NodeId, ctx: &mut Ctx<'_, WireMsg>) -> bool {
         let id = tx.id();
         if !self.seen.first_sight(id) {
@@ -654,11 +665,8 @@ impl<M: StateMachine> NodeCore<M> {
                 from: from.0 as u32,
             },
         );
-        let msg = WireMsg::Tx(tx.clone());
-        let size = wire_size(&msg);
-        ctx.broadcast_except(from, msg, size);
-        if !self.included.contains(&id) {
-            let outcome = self.mempool.insert_outcome(tx);
+        let relay = self.included.contains(&id) || {
+            let outcome = self.mempool.insert_outcome(tx.clone());
             if self.observed() {
                 let tx = TraceId(id.into_bytes());
                 let event = match outcome {
@@ -681,6 +689,12 @@ impl<M: StateMachine> NodeCore<M> {
                     self.report_pool();
                 }
             }
+            matches!(outcome, InsertOutcome::Added | InsertOutcome::Duplicate)
+        };
+        if relay {
+            let msg = WireMsg::Tx(tx);
+            let size = wire_size(&msg);
+            ctx.broadcast_except(from, msg, size);
         }
         true
     }
@@ -1092,6 +1106,114 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    fn relayed(actions: &[dcs_net::Action<WireMsg>]) -> Vec<(NodeId, Hash256)> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                dcs_net::Action::Send {
+                    to,
+                    msg: WireMsg::Tx(tx),
+                    ..
+                } => Some((*to, tx.id())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Hands `tx` to `node` from peer 1 of neighbors 1, 2 and 3; returns
+    /// whether it was fresh and where it was relayed.
+    fn offer(node: &mut NodeCore<NullMachine>, tx: SealedTx) -> (bool, Vec<(NodeId, Hash256)>) {
+        let neighbors = [NodeId(1), NodeId(2), NodeId(3)];
+        let mut rng = dcs_sim::Rng::seed_from(1);
+        let mut actions = Vec::new();
+        let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
+        let fresh = node.handle_tx(tx, NodeId(1), &mut ctx);
+        (fresh, relayed(&actions))
+    }
+
+    #[test]
+    fn a_pooled_transaction_is_relayed_to_every_neighbor_but_the_sender() {
+        let (mut node, _) = new_node();
+        let t = SealedTx::new(Arc::new(tx(1)));
+        let id = t.id();
+        assert_eq!(
+            offer(&mut node, t.clone()),
+            (true, vec![(NodeId(2), id), (NodeId(3), id)])
+        );
+        assert!(node.mempool.contains(&id));
+        assert_eq!(offer(&mut node, t), (false, vec![]), "a repeat is dropped");
+    }
+
+    #[test]
+    fn a_full_pool_relays_nothing_and_counts_the_refusal() {
+        let (mut node, _) = new_node();
+        node.set_tracing(&TraceConfig::full());
+        node.mempool = Mempool::new(1);
+        let first = SealedTx::new(Arc::new(tx(1)));
+        assert_eq!(offer(&mut node, first).1.len(), 2);
+        let shed = SealedTx::new(Arc::new(tx(2)));
+        let id = shed.id();
+        assert_eq!(offer(&mut node, shed), (true, vec![]), "shed at the edge");
+        assert!(!node.mempool.contains(&id));
+        assert!(node.tracer().records().any(|r| r.event
+            == TraceEvent::TxRejected {
+                tx: TraceId(id.into_bytes()),
+                reason: RejectReason::Full,
+            }));
+    }
+
+    #[test]
+    fn a_forged_witness_is_relayed_nowhere() {
+        use dcs_crypto::{KeyPair, VerifyPipeline};
+        use dcs_primitives::TxAuth;
+        let (mut node, _) = new_node();
+        node.mempool = Mempool::with_admission(16, Arc::new(VerifyPipeline::new(1, 64)));
+        let mut alice = KeyPair::generate([1u8; 32], 1);
+        let mallory = KeyPair::generate([2u8; 32], 1);
+        // Mallory's transfer under mallory's key, carrying alice's signature.
+        let mut forged = AccountTx::transfer(mallory.address(), Address::from_index(9), 5, 0);
+        let signing_hash = Transaction::Account(forged.clone()).signing_hash();
+        forged.auth = Some(TxAuth {
+            pubkey: mallory.public_key(),
+            signature: alice.sign(&signing_hash).unwrap(),
+        });
+        let forged = SealedTx::new(Arc::new(Transaction::Account(forged)));
+        let id = forged.id();
+        assert_eq!(offer(&mut node, forged), (true, vec![]));
+        assert!(!node.mempool.contains(&id));
+        assert_eq!(node.mempool.rejected_invalid(), 1);
+    }
+
+    #[test]
+    fn included_and_already_pooled_ids_are_still_relayed() {
+        let (mut node, g) = new_node();
+        // Even with no room left, an id already on the canonical chain goes
+        // on, so a run whose pools never fill relays every first-seen body.
+        // Cutting these late copies would change which peers hear a body
+        // first, and with it a seeded run's proof-of-work lottery.
+        node.mempool = Mempool::new(0);
+        let committed = tx(1);
+        node.ingest_block(block_on(&g, 1, vec![committed.clone()]))
+            .unwrap();
+        let id = committed.id();
+        assert!(node.included().contains(&id));
+        assert_eq!(
+            offer(&mut node, SealedTx::new(Arc::new(committed))),
+            (true, vec![(NodeId(2), id), (NodeId(3), id)])
+        );
+
+        // A pooled id this peer has not seen on the wire (a reorg returned
+        // it) is a `Duplicate` at admission, and relayed too.
+        node.mempool = Mempool::new(2);
+        let pooled = SealedTx::new(Arc::new(tx(2)));
+        let id = pooled.id();
+        assert!(node.mempool.insert(pooled.clone()));
+        assert_eq!(
+            offer(&mut node, pooled),
+            (true, vec![(NodeId(2), id), (NodeId(3), id)])
+        );
     }
 
     fn sync_timer_tags(actions: &[dcs_net::Action<WireMsg>]) -> Vec<u64> {

@@ -349,11 +349,6 @@ impl VerifyPipeline {
         VerifyPipeline::default()
     }
 
-    /// The worker pool.
-    pub fn pool(&self) -> &VerifyPool {
-        &self.pool
-    }
-
     /// The shared signature cache, if one is configured.
     pub fn cache(&self) -> Option<&Arc<SigCache>> {
         self.cache.as_ref()

@@ -177,6 +177,102 @@ fn signed_transactions_verified_across_the_network() {
     }
 }
 
+/// A hostile peer (ROADMAP 5(a)): a transfer carrying another key's
+/// signature, handed to peer 1 of a signed PoW network whose pools verify at
+/// admission. Peer 1 refuses it and relays nothing, so no other peer ever
+/// sees it; a peer that relayed before asking its pool would flood the
+/// forgery to all eight. A valid transfer handed over at the same instant
+/// reaches and commits on every peer, so the trace shows what a relay
+/// looks like.
+#[test]
+fn a_forged_transfer_never_leaves_the_peer_it_was_handed_to() {
+    use dcs_crypto::VerifyPipeline;
+    use dcs_trace::{EntityKind, Id as TraceId, TraceConfig, TraceEvent};
+
+    let mut alice_keys = KeyPair::generate([47u8; 32], 2);
+    let mallory_keys = KeyPair::generate([48u8; 32], 2);
+    let (alice, mallory) = (alice_keys.address(), mallory_keys.address());
+    let bob = Address::from_index(7_000);
+    let mut params = NetworkParams::<Pow> {
+        nodes: 8,
+        ..Default::default()
+    };
+    params.chain.gas = GasSchedule::free();
+    params.chain.consensus = ConsensusKind::ProofOfWork {
+        initial_difficulty: 8 * 1_000 * 5, // ~5 s blocks
+        retarget_window: 0,
+        target_interval_us: 5_000_000,
+    };
+    let pipeline = Arc::new(VerifyPipeline::new(1, 256));
+    let mut runner = build(&params, 23, |_| {
+        let mut machine = AccountMachine::with_alloc(&[(alice, 1_000_000), (mallory, 1_000_000)])
+            .with_pipeline(Arc::clone(&pipeline));
+        machine.schedule = GasSchedule::free();
+        machine.verify_signatures = true;
+        machine
+    });
+    dcs_ledger::install_tracing(&mut runner, &TraceConfig::full());
+    for i in 0..params.nodes {
+        runner
+            .node_mut(NodeId(i))
+            .core_mut()
+            .mempool
+            .set_admission(Arc::clone(&pipeline));
+    }
+
+    let sealed = |tx: AccountTx| SealedTx::new(Arc::new(Transaction::Account(tx)));
+    let unsigned = |from: Address| {
+        let mut tx = AccountTx::transfer(from, bob, 250, 0);
+        tx.gas_limit = 0;
+        tx.gas_price = 0;
+        let signing_hash = Transaction::Account(tx.clone()).signing_hash();
+        (tx, signing_hash)
+    };
+    let (mut valid, signing_hash) = unsigned(alice);
+    valid.auth = Some(TxAuth {
+        pubkey: alice_keys.public_key(),
+        signature: alice_keys.sign(&signing_hash).unwrap(),
+    });
+    // Mallory's transfer under mallory's key, signed by alice's.
+    let (mut forged, signing_hash) = unsigned(mallory);
+    forged.auth = Some(TxAuth {
+        pubkey: mallory_keys.public_key(),
+        signature: alice_keys.sign(&signing_hash).unwrap(),
+    });
+    let (valid, forged) = (sealed(valid), sealed(forged));
+    let ids = [valid.id(), forged.id()];
+    for tx in [valid, forged] {
+        let msg = WireMsg::Tx(tx);
+        let size = dcs_consensus::wire_size(&msg);
+        runner.net_mut().inject(at(1), NodeId(1), msg, size);
+    }
+    runner.run_until(at(40));
+
+    let sightings = |id: Hash256| -> Vec<usize> {
+        runner
+            .nodes()
+            .iter()
+            .enumerate()
+            .filter(|(_, node)| {
+                node.core().tracer().records().any(|r| {
+                    matches!(r.event, TraceEvent::FirstSeen { kind: EntityKind::Tx, id: seen, .. }
+                        if seen == TraceId(id.into_bytes()))
+                })
+            })
+            .map(|(i, _)| i)
+            .collect()
+    };
+    assert_eq!(sightings(ids[0]), (0..8).collect::<Vec<_>>(), "relayed");
+    assert_eq!(sightings(ids[1]), vec![1], "shed at the edge");
+    for (i, node) in runner.nodes().iter().enumerate() {
+        let core = node.core();
+        assert_eq!(core.chain.machine().db.balance(&bob), 250, "peer {i}");
+        assert!(!core.included().contains(&ids[1]), "peer {i}");
+        let refused = u64::from(i == 1);
+        assert_eq!(core.mempool.rejected_invalid(), refused, "peer {i}");
+    }
+}
+
 /// Commits one WOTS-signed transfer on `params`' network, every peer over a
 /// funded `AccountMachine` that verifies witnesses; returns the state root
 /// every replica ends on.
