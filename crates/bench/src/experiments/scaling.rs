@@ -176,7 +176,7 @@ pub fn e10_light_clients(scale: Scale) {
 /// and 8 engine workers: identical delivery times at every worker count
 /// (asserted), wall-clock events/s per configuration reported.
 pub fn e19_sharded_engine(scale: Scale) {
-    use dcs_net::{Ctx, Gossiper, LatencyModel, NetConfig, NodeId, Protocol, Runner, Topology};
+    use dcs_net::{Ctx, LatencyModel, NetConfig, NodeId, Protocol, Runner, Topology};
     use dcs_sim::{SimDuration, SimTime};
     use std::time::Instant;
 
@@ -191,7 +191,7 @@ pub fn e19_sharded_engine(scale: Scale) {
     /// several windows.
     struct Flood {
         id: NodeId,
-        gossip: Gossiper,
+        gossip: dcs_crypto::IdSet,
         rounds: u64,
         origin: bool,
         heard: u64,
@@ -217,7 +217,7 @@ pub fn e19_sharded_engine(scale: Scale) {
         }
 
         fn on_message(&mut self, from: NodeId, msg: Hash256, ctx: &mut Ctx<'_, Hash256>) {
-            if self.gossip.first_sight(msg) {
+            if self.gossip.insert(msg) {
                 self.heard += 1;
                 self.last_heard = ctx.now;
                 ctx.broadcast_except(from, msg, 32);
@@ -226,7 +226,7 @@ pub fn e19_sharded_engine(scale: Scale) {
 
         fn on_timer(&mut self, round: u64, ctx: &mut Ctx<'_, Hash256>) {
             let rumor = self.rumor(round);
-            self.gossip.first_sight(rumor);
+            self.gossip.insert(rumor);
             self.heard += 1;
             self.last_heard = ctx.now;
             ctx.broadcast(rumor, 32);
@@ -251,7 +251,7 @@ pub fn e19_sharded_engine(scale: Scale) {
             42,
             |id| Flood {
                 id,
-                gossip: Gossiper::new(),
+                gossip: dcs_crypto::IdSet::default(),
                 rounds,
                 origin: id.0 % (nodes / origins) == 0,
                 heard: 0,

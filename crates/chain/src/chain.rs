@@ -11,7 +11,7 @@ use crate::store::{BlockStore, BlockTree, StoredBlock};
 use crate::ChainError;
 use dcs_crypto::Hash256;
 use dcs_primitives::{Block, ChainConfig, Receipt, Transaction};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// The application layer beneath the chain: applies blocks to mutable state
@@ -153,7 +153,7 @@ pub struct CanonStats {
     pub total_fees: u128,
     /// Per-canonical-block contribution, so a revert can subtract exactly
     /// what the apply added without re-reading the body.
-    per_block: BTreeMap<Hash256, BlockDelta>,
+    per_block: dcs_crypto::IdMap<BlockDelta>, // dcs-lint: allow(hash-collections) — probed by hash, never iterated
 }
 
 /// One canonical block's contribution to [`CanonStats`].

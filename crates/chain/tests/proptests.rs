@@ -5,7 +5,7 @@
 //! property holds the incremental fork choice (leaf set, descent-closed
 //! poison set) to a from-scratch reference after every single import.
 
-use dcs_chain::{BlockTree, Chain, NullMachine, PrunedStore, StateMachine};
+use dcs_chain::{BlockTree, Chain, NullMachine, PrunedStore, StateMachine, StoredBlock};
 use dcs_crypto::{Address, Hash256};
 use dcs_primitives::{
     AccountTx, Block, BlockHeader, ChainConfig, ForkChoice, Receipt, Seal, Transaction,
@@ -14,6 +14,13 @@ use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// The stored records by hash. [`BlockTree::iter`] promises no order (the
+/// records sit in a hash table), so every walk of it here goes through
+/// this sorted view and no verdict depends on table order.
+fn records(tree: &BlockTree) -> BTreeMap<Hash256, &StoredBlock> {
+    tree.iter().map(|sb| (sb.hash(), sb)).collect()
+}
 
 /// Builds a random tree description: each entry is (parent index into the
 /// list of already-created blocks, salt).
@@ -212,8 +219,9 @@ proptest! {
                 <= archival.tree().store_stats().resident_body_bytes
         );
         // Headers and work metadata survive pruning for every stored block.
-        for sb in archival.tree().iter() {
-            let other = pruned.tree().get(&sb.hash()).expect("same block set");
+        let (kept, pruned_records) = (records(archival.tree()), records(pruned.tree()));
+        prop_assert!(kept.keys().eq(pruned_records.keys()), "same block set");
+        for (sb, other) in kept.values().zip(pruned_records.values()) {
             prop_assert_eq!(sb.header(), other.header());
             prop_assert_eq!(sb.total_work, other.total_work);
         }
@@ -287,12 +295,12 @@ struct Reference {
 
 impl Reference {
     fn of(tree: &BlockTree) -> Self {
-        let record = |sb: &dcs_chain::StoredBlock| {
+        let record = |(hash, sb): (Hash256, &StoredBlock)| {
             let header = sb.header();
-            (sb.hash(), (header.parent, header.work(), sb.arrival))
+            (hash, (header.parent, header.work(), sb.arrival))
         };
         Reference {
-            records: tree.iter().map(record).collect(),
+            records: records(tree).into_iter().map(record).collect(),
             genesis: tree.genesis(),
         }
     }
@@ -396,8 +404,7 @@ fn assert_matches_reference(
     prop_assert_eq!(stats.total_fees, fees.sum::<u128>());
     let txs = canonical.iter().map(|h| u64::from(client_txs(h)));
     prop_assert_eq!(stats.committed_txs, txs.sum::<u64>());
-    for sb in chain.tree().iter() {
-        let hash = sb.hash();
+    for hash in records(chain.tree()).into_keys() {
         let expect = canonical.contains(&hash).then(|| client_txs(&hash));
         prop_assert_eq!(stats.block_txs(&hash), expect);
     }

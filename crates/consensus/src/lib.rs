@@ -24,6 +24,7 @@
 
 pub mod attack;
 pub mod difficulty;
+mod marks;
 pub mod mempool;
 pub mod ng;
 pub mod node;

@@ -6,7 +6,10 @@
 //! Every admitted transaction takes the next admission sequence number. The
 //! pool is two maps kept in step — sequence → transaction (the FIFO) and
 //! id → sequence (duplicate detection and removal by id) — so an id is in
-//! the queue at most once and selection is an in-order walk.
+//! the queue at most once and selection is an in-order walk. The id index is
+//! only probed, never walked, so it is hashed by the id itself (an
+//! [`IdMap`](dcs_crypto::IdMap), DESIGN.md §10); the queue, which selection
+//! walks, stays ordered.
 
 use dcs_crypto::{Hash256, VerifyItem, VerifyPipeline};
 use dcs_primitives::{SealedTx, Transaction};
@@ -49,7 +52,7 @@ pub struct Mempool {
     /// Pooled transactions by admission sequence number.
     queue: BTreeMap<u64, SealedTx>,
     /// Admission sequence number of every pooled id.
-    seq_of: BTreeMap<Hash256, u64>,
+    seq_of: dcs_crypto::IdMap<u64>, // dcs-lint: allow(hash-collections) — probed by id, never iterated
     /// Next admission sequence number.
     seq: u64,
     capacity: usize,
@@ -62,7 +65,7 @@ impl Mempool {
     pub fn new(capacity: usize) -> Self {
         Mempool {
             queue: BTreeMap::new(),
-            seq_of: BTreeMap::new(),
+            seq_of: Default::default(),
             seq: 0,
             capacity,
             admission: None,
@@ -137,8 +140,19 @@ impl Mempool {
     pub fn clear(&mut self) {
         self.queue.clear();
         self.seq_of.clear();
+        self.trim();
         self.seq = 0;
         self.rejected_invalid = 0;
+    }
+
+    /// Gives back the id index's memory once the pool has drained far
+    /// below the size it grew to: a hash table keeps its capacity where an
+    /// ordered map frees nodes as ids leave. Shrinking to twice the live
+    /// count leaves room to refill before the table grows again.
+    fn trim(&mut self) {
+        if self.seq_of.len() < self.seq_of.capacity() / 8 {
+            self.seq_of.shrink_to(2 * self.seq_of.len());
+        }
     }
 
     /// Pending transaction count.
@@ -165,13 +179,16 @@ impl Mempool {
     /// Like [`Mempool::insert`], but reports *why* a transaction was
     /// refused — the tracing layer records the reason. The id carried by
     /// the sealed transaction is reused; nothing is hashed at admission.
+    ///
+    /// A pooled id is a `Duplicate` even when the pool is full: the pool
+    /// holds that body, whatever room is left.
     pub fn insert_outcome(&mut self, tx: SealedTx) -> InsertOutcome {
-        if self.len() >= self.capacity {
-            return InsertOutcome::Full;
-        }
         let id = tx.id();
         if self.contains(&id) {
             return InsertOutcome::Duplicate;
+        }
+        if self.len() >= self.capacity {
+            return InsertOutcome::Full;
         }
         if !self.admit(&tx) {
             self.rejected_invalid += 1;
@@ -194,9 +211,19 @@ impl Mempool {
     /// chain). The pool is not modified — selected transactions leave the
     /// pool only when a block containing them commits.
     pub fn select(&mut self, limit: usize, exclude: &BTreeSet<Hash256>) -> Vec<SealedTx> {
+        self.select_unless(limit, |id| exclude.contains(id))
+    }
+
+    /// [`Mempool::select`] with the exclusion as a predicate on the id, so
+    /// a caller asks its own index instead of building a set.
+    pub fn select_unless(
+        &mut self,
+        limit: usize,
+        excluded: impl Fn(&Hash256) -> bool,
+    ) -> Vec<SealedTx> {
         self.queue
             .values()
-            .filter(|tx| !exclude.contains(&tx.id()))
+            .filter(|tx| !excluded(&tx.id()))
             .take(limit)
             .cloned()
             .collect()
@@ -211,6 +238,7 @@ impl Mempool {
         for (_, id) in txs {
             self.remove(id);
         }
+        self.trim();
     }
 }
 
@@ -290,6 +318,15 @@ mod tests {
         assert_eq!(pool.insert_outcome(tx(1)), InsertOutcome::Duplicate);
         assert_eq!(pool.insert_outcome(tx(2)), InsertOutcome::Added);
         assert_eq!(pool.insert_outcome(tx(3)), InsertOutcome::Full);
+    }
+
+    #[test]
+    fn a_full_pool_reports_a_body_it_holds_as_a_duplicate() {
+        let mut pool = Mempool::new(1);
+        assert_eq!(pool.insert_outcome(tx(1)), InsertOutcome::Added);
+        assert_eq!(pool.insert_outcome(tx(2)), InsertOutcome::Full);
+        assert_eq!(pool.insert_outcome(tx(1)), InsertOutcome::Duplicate);
+        assert_eq!(pool.len(), 1);
     }
 
     #[test]

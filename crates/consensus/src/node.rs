@@ -7,12 +7,13 @@
 //! `NodeCore`, implements [`LedgerNode`], and adds only its block rule, its
 //! own timers and its proposal rule.
 
+use crate::marks::IdMarks;
 use crate::mempool::{InsertOutcome, Mempool};
 use crate::pbft::PbftMsg;
 use crate::{wire_size, WireMsg};
 use dcs_chain::{Chain, ChainEvent, StateMachine};
 use dcs_crypto::{Address, Hash256};
-use dcs_net::{Ctx, Gossiper, NodeId, Protocol};
+use dcs_net::{Ctx, NodeId, Protocol};
 use dcs_primitives::{Block, BlockHeader, ChainConfig, Seal, SealedTx, Transaction};
 use dcs_sim::{SimDuration, SimTime};
 use dcs_trace::{
@@ -164,8 +165,8 @@ pub struct NodeCore<M: StateMachine> {
     /// Highest finalized height reported, so each [`TraceEvent::Finalized`]
     /// height is emitted once.
     reported_finalized: u64,
-    seen: Gossiper,
-    included: BTreeSet<Hash256>,
+    /// Gossip dedup and the canonical-chain index, one mark byte per id.
+    marks: IdMarks,
     /// Missing-ancestor requests awaiting a reply, keyed by block hash.
     pending_blocks: BTreeMap<Hash256, SyncAttempt>,
     /// The in-flight catch-up range request, if any.
@@ -196,8 +197,7 @@ impl<M: StateMachine> NodeCore<M> {
             tracer: Tracer::disabled(),
             observer: None,
             reported_finalized: 0,
-            seen: Gossiper::new(),
-            included: BTreeSet::new(),
+            marks: IdMarks::default(),
             pending_blocks: BTreeMap::new(),
             catchup: None,
             sync_epoch: 0,
@@ -247,9 +247,15 @@ impl<M: StateMachine> NodeCore<M> {
         }
     }
 
-    /// Transaction ids currently on this peer's canonical chain.
-    pub fn included(&self) -> &BTreeSet<Hash256> {
-        &self.included
+    /// True if transaction `id` is on this peer's canonical chain.
+    pub fn is_included(&self, id: &Hash256) -> bool {
+        self.marks.is_included(id)
+    }
+
+    /// Every transaction id on this peer's canonical chain, sorted. A scan
+    /// of the whole id table: for tests and diagnostics, not hot paths.
+    pub fn included_ids(&self) -> BTreeSet<Hash256> {
+        self.marks.included()
     }
 
     /// The one message entry point: runs the non-consensus wire protocol
@@ -390,9 +396,8 @@ impl<M: StateMachine> NodeCore<M> {
         ctx: &mut Ctx<'_, WireMsg>,
     ) -> Option<ChainEvent> {
         let hash = block.hash();
-        if !self.seen.first_sight(hash) {
-            return None;
-        }
+        // A repeat is dropped.
+        self.marks.first_sight(hash)?;
         self.emit(
             ctx.now.as_micros(),
             TraceEvent::FirstSeen {
@@ -500,7 +505,7 @@ impl<M: StateMachine> NodeCore<M> {
             }
             let hash = block.hash();
             self.pending_blocks.remove(&hash);
-            self.seen.first_sight(hash);
+            self.marks.first_sight(hash);
             if self.chain.tree().contains(&hash) {
                 continue;
             }
@@ -613,13 +618,11 @@ impl<M: StateMachine> NodeCore<M> {
         }
         self.mempool.clear();
         self.report_pool();
-        self.seen = Gossiper::new();
-        self.included.clear();
         self.pending_blocks.clear();
         self.catchup = None;
-        let canonical: Vec<Hash256> = self.chain.canonical().to_vec();
+        let canonical = &self.chain.canonical()[1..];
         let mut tx_ids = Vec::new();
-        for hash in canonical.iter().skip(1) {
+        for hash in canonical {
             if let Some(body) = self.chain.tree().get(hash).and_then(|sb| sb.body()) {
                 for (tx, id) in body.txs.iter().zip(body.tx_ids()) {
                     if !matches!(tx, Transaction::Coinbase { .. }) {
@@ -628,13 +631,7 @@ impl<M: StateMachine> NodeCore<M> {
                 }
             }
         }
-        for hash in canonical.iter().skip(1) {
-            self.seen.first_sight(*hash);
-        }
-        for id in tx_ids {
-            self.seen.first_sight(id);
-            self.included.insert(id);
-        }
+        self.marks.rebuild(canonical.iter().copied(), tx_ids);
     }
 
     /// Handles an incoming transaction: dedup, mempool admission, then
@@ -654,9 +651,9 @@ impl<M: StateMachine> NodeCore<M> {
     /// run once per peer per gossiped tx — never hashes the body.
     fn handle_tx(&mut self, tx: SealedTx, from: NodeId, ctx: &mut Ctx<'_, WireMsg>) -> bool {
         let id = tx.id();
-        if !self.seen.first_sight(id) {
+        let Some(included) = self.marks.first_sight(id) else {
             return false;
-        }
+        };
         self.emit(
             ctx.now.as_micros(),
             TraceEvent::FirstSeen {
@@ -665,7 +662,7 @@ impl<M: StateMachine> NodeCore<M> {
                 from: from.0 as u32,
             },
         );
-        let relay = self.included.contains(&id) || {
+        let relay = included || {
             let outcome = self.mempool.insert_outcome(tx.clone());
             if self.observed() {
                 let tx = TraceId(id.into_bytes());
@@ -710,8 +707,8 @@ impl<M: StateMachine> NodeCore<M> {
                 new_tip,
             } => {
                 // Shed the abandoned branch: collect its transactions so
-                // they can return to the mempool, and drop their ids from
-                // `included`. O(reverted), not O(chain).
+                // they can return to the mempool, and clear their canonical
+                // marks. O(reverted), not O(chain).
                 let mut abandoned: Vec<SealedTx> = Vec::new();
                 let mut cur = old_tip;
                 for _ in 0..*reverted {
@@ -725,7 +722,7 @@ impl<M: StateMachine> NodeCore<M> {
                     cur = block.header.parent;
                     for (tx, id) in block.txs.iter().zip(block.tx_ids()) {
                         if !matches!(tx, Transaction::Coinbase { .. }) {
-                            self.included.remove(id);
+                            self.marks.exclude(id);
                             abandoned.push(SealedTx::from_parts(Arc::new(tx.clone()), *id));
                         }
                     }
@@ -751,7 +748,7 @@ impl<M: StateMachine> NodeCore<M> {
                 // go back to the mempool.
                 for tx in abandoned {
                     let id = tx.id();
-                    if !self.included.contains(&id) {
+                    if !self.marks.is_included(&id) {
                         self.mempool.insert(tx);
                     }
                 }
@@ -787,7 +784,9 @@ impl<M: StateMachine> NodeCore<M> {
         }
         self.mempool.remove_all(block.txs.iter().zip(ids));
         self.report_pool();
-        self.included.extend(ids.iter().copied());
+        for id in ids {
+            self.marks.include(*id);
+        }
     }
 
     /// Assembles a new block on the current tip: selects mempool
@@ -805,8 +804,9 @@ impl<M: StateMachine> NodeCore<M> {
         let height = self.chain.height() + 1;
         let limit = self.chain.config().block_tx_limit;
         let selected = if include_txs {
-            let included = &self.included;
-            self.mempool.select(limit.saturating_sub(1), included)
+            let marks = &self.marks;
+            self.mempool
+                .select_unless(limit.saturating_sub(1), |id| marks.is_included(id))
         } else {
             Vec::new()
         };
@@ -926,7 +926,7 @@ mod tests {
             node.ingest_block(Arc::clone(&a1)),
             Some(ChainEvent::Extended { .. })
         ));
-        assert!(node.included().contains(&shared.id()));
+        assert!(node.is_included(&shared.id()));
 
         // New branch: g → b1 {shared} → b2 {only_new} wins by length.
         let b1 = block_on(&g, 10, vec![shared.clone()]);
@@ -953,7 +953,7 @@ mod tests {
             "re-included tx not restored"
         );
         assert!(!node.mempool.contains(&only_new.id()));
-        assert_eq!(node.included(), &included_recomputed(&node));
+        assert_eq!(node.included_ids(), included_recomputed(&node));
         assert_eq!(node.committed_tx_count(), 2); // shared + only_new
     }
 
@@ -988,8 +988,8 @@ mod tests {
         ));
 
         assert_eq!(
-            node.included(),
-            &included_recomputed(&node),
+            node.included_ids(),
+            included_recomputed(&node),
             "included ≡ canonical"
         );
         assert_eq!(node.committed_tx_count(), 3); // 11, 20, 21
@@ -1165,6 +1165,28 @@ mod tests {
     }
 
     #[test]
+    fn a_full_pool_relays_a_body_it_already_holds() {
+        // A reorg returned the body to the pool before this peer saw it on
+        // the wire, and the pool is now full. The pool holds the body, so
+        // it is a `Duplicate`, relayed like every other pooled body.
+        let (mut node, _) = new_node();
+        node.set_tracing(&TraceConfig::full());
+        node.mempool = Mempool::new(1);
+        let pooled = SealedTx::new(Arc::new(tx(1)));
+        let id = pooled.id();
+        assert!(node.mempool.insert(pooled.clone()));
+        assert_eq!(
+            offer(&mut node, pooled),
+            (true, vec![(NodeId(2), id), (NodeId(3), id)])
+        );
+        assert!(node.tracer().records().any(|r| r.event
+            == TraceEvent::TxRejected {
+                tx: TraceId(id.into_bytes()),
+                reason: RejectReason::Duplicate,
+            }));
+    }
+
+    #[test]
     fn a_forged_witness_is_relayed_nowhere() {
         use dcs_crypto::{KeyPair, VerifyPipeline};
         use dcs_primitives::TxAuth;
@@ -1198,7 +1220,7 @@ mod tests {
         node.ingest_block(block_on(&g, 1, vec![committed.clone()]))
             .unwrap();
         let id = committed.id();
-        assert!(node.included().contains(&id));
+        assert!(node.is_included(&id));
         assert_eq!(
             offer(&mut node, SealedTx::new(Arc::new(committed))),
             (true, vec![(NodeId(2), id), (NodeId(3), id)])
@@ -1399,7 +1421,7 @@ mod tests {
         assert_eq!(node.internal_errors, 0);
         assert!(node.mempool.is_empty(), "mempool is volatile");
         assert_eq!(node.blocks_produced, 5, "lifetime counters survive");
-        assert_eq!(node.included(), &included_recomputed(&node));
+        assert_eq!(node.included_ids(), included_recomputed(&node));
         // Canonical history is marked seen: a re-gossiped old block is
         // deduped, not re-broadcast.
         let neighbors = [NodeId(1)];

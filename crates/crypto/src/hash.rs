@@ -1,7 +1,10 @@
-//! The [`Hash256`] digest type and [`Address`] account identifier.
+//! The [`Hash256`] digest type, the [`IdMap`]/[`IdSet`] tables keyed by it,
+//! and the [`Address`] account identifier.
 
 use crate::codec::{Decode, DecodeError, Encode, Reader};
 use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A 256-bit digest, the universal identifier in the platform: block hashes,
 /// transaction ids, Merkle roots, and state roots are all `Hash256`.
@@ -96,6 +99,51 @@ impl Decode for Hash256 {
         Ok(Hash256(r.take_array::<32>()?))
     }
 }
+
+/// Hashes a [`Hash256`] to its own last 8 bytes — the end a proof-of-work
+/// grind does not drive toward zero. Ids are SHA-256 outputs, already
+/// uniform: hashing them again (SipHash, `RandomState`) buys nothing, and
+/// with no per-process seed a table's layout is a function of its history.
+///
+/// The price is that bucket placement is public: finding an id that lands
+/// in a chosen bucket costs a sender 2^k SHA-256 evaluations for k index
+/// bits, and a long probe chain slows one table's lookups without changing
+/// its answers (DESIGN.md §10).
+#[derive(Debug, Default)]
+pub struct IdTail(u64);
+
+impl Hasher for IdTail {
+    fn write(&mut self, bytes: &[u8]) {
+        if let Some(tail) = bytes.last_chunk::<8>() {
+            self.0 = u64::from_le_bytes(*tail);
+        }
+    }
+
+    /// The slice-length prefix `[u8; 32]` hashes first carries nothing.
+    fn write_usize(&mut self, _len: usize) {}
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A hash table keyed by 32-byte ids, hashed by [`IdTail`]. For per-replica
+/// lookups (seen, pooled, stored) whose iteration order never reaches an
+/// output; a table that is iterated where order matters stays ordered.
+///
+/// # Examples
+///
+/// ```
+/// use dcs_crypto::{sha256, IdMap};
+///
+/// let mut seq: IdMap<u64> = IdMap::default();
+/// seq.insert(sha256(b"tx"), 7);
+/// assert_eq!(seq.get(&sha256(b"tx")), Some(&7));
+/// ```
+pub type IdMap<V> = HashMap<Hash256, V, BuildHasherDefault<IdTail>>;
+
+/// The set form of [`IdMap`].
+pub type IdSet = HashSet<Hash256, BuildHasherDefault<IdTail>>;
 
 /// A 20-byte account/contract address, derived as the first 20 bytes of the
 /// SHA-256 of a public key (mirroring the Bitcoin/Ethereum convention the
@@ -216,5 +264,16 @@ mod tests {
         assert_eq!(decode_all::<Hash256>(&bytes).unwrap(), h);
         let a = Address::from_hash(&h);
         assert_eq!(decode_all::<Address>(&a.encoded()).unwrap(), a);
+    }
+
+    #[test]
+    fn an_id_hashes_to_its_last_eight_bytes() {
+        use std::hash::BuildHasher;
+        let id = sha256(b"block 7");
+        let tail = u64::from_le_bytes(*id.as_bytes().last_chunk::<8>().unwrap());
+        assert_eq!(BuildHasherDefault::<IdTail>::default().hash_one(id), tail);
+        let mut seen = IdSet::default();
+        assert!(seen.insert(id), "new id");
+        assert!(!seen.insert(id), "repeat");
     }
 }

@@ -42,7 +42,7 @@ pub mod sig;
 
 pub use batch::{PipelineStats, SigCache, SigCacheStats, VerifyItem, VerifyPipeline, VerifyPool};
 pub use codec::{Decode, Encode, Reader};
-pub use hash::{Address, Hash256};
+pub use hash::{Address, Hash256, IdMap, IdSet};
 pub use merkle::{merkle_root, merkle_root_with, MerkleProof, MerkleTree};
 pub use sha256::{sha256, sha256_concat, MultiHasher, Sha256};
 pub use sig::{KeyPair, PublicKey, Signature};

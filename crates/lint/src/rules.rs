@@ -38,8 +38,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "hash-collections",
-        summary: "no HashMap/HashSet in determinism-critical crates (sim, net, consensus, chain, state)",
-        hint: "RandomState iteration order varies per process; use BTreeMap/BTreeSet or sort keys",
+        summary: "no HashMap/HashSet, nor the IdMap/IdSet aliases, in determinism-critical crates (sim, net, consensus, chain, state)",
+        hint: "hash-table iteration order is not an input (RandomState varies per process; IdMap follows its history); use BTreeMap/BTreeSet or sort keys, or allow an id table that is only probed",
     },
     RuleInfo {
         id: "float-consensus",
@@ -217,7 +217,7 @@ pub fn scan_pre_suppress(path: &str, source: &str, lexed: &Lexed<'_>) -> Vec<Fin
             "random" if active.contains(&"unseeded-rng") && path_prefix_is(toks, i, "rand") => {
                 raw.push((i, "unseeded-rng"));
             }
-            "HashMap" | "HashSet" if active.contains(&"hash-collections") => {
+            "HashMap" | "HashSet" | "IdMap" | "IdSet" if active.contains(&"hash-collections") => {
                 raw.push((i, "hash-collections"));
             }
             "f32" | "f64" if active.contains(&"float-consensus") => {

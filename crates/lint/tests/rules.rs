@@ -122,6 +122,19 @@ fn host_env_allowed_outside_determinism_crates_and_in_tests() {
 }
 
 #[test]
+fn hash_collections_fires_on_the_id_table_aliases() {
+    let src = fixture("id_tables.rs");
+    // One finding per alias token: the `use` line's two, the field, the
+    // constructor.
+    let hits = findings("crates/consensus/src/bad.rs", &src);
+    assert_eq!(hits, vec!["hash-collections"; 4]);
+    assert!(findings("crates/ledger/src/ok.rs", &src).is_empty());
+    let allowed = "pub struct Peer {\n    \
+                   seen: dcs_crypto::IdSet, // dcs-lint: allow(hash-collections) — probed only\n}\n";
+    assert!(findings("crates/net/src/ok.rs", allowed).is_empty());
+}
+
+#[test]
 fn hash_collections_allowed_outside_determinism_crates() {
     let hits = findings("crates/ledger/src/ok.rs", &fixture("hash_collections.rs"));
     assert!(hits.is_empty(), "{hits:?}");
@@ -347,6 +360,7 @@ fn cli_rejects_every_violating_fixture() {
         ("host_env.rs", "crates/net/src/bad.rs"),
         ("unseeded_rng.rs", "crates/crypto/src/bad.rs"),
         ("hash_collections.rs", "crates/sim/src/bad.rs"),
+        ("id_tables.rs", "crates/chain/src/bad.rs"),
         ("float_consensus.rs", "crates/consensus/src/difficulty.rs"),
         ("panic_path.rs", "crates/chain/src/peer.rs"),
         ("thread_spawn.rs", "crates/sim/src/bad.rs"),

@@ -42,13 +42,11 @@
 #![warn(missing_docs)]
 
 pub(crate) mod engine;
-pub mod gossip;
 pub mod latency;
 pub mod network;
 pub mod runner;
 pub mod topology;
 
-pub use gossip::Gossiper;
 pub use latency::LatencyModel;
 pub use network::{NetConfig, NetStats, Network};
 pub use runner::{Action, Ctx, Protocol, Runner};

@@ -293,7 +293,7 @@ mod tests {
     /// Flood gossip: node 0 originates one rumor; everyone forwards on
     /// first sight.
     struct Rumor {
-        gossip: crate::Gossiper,
+        gossip: dcs_crypto::IdSet,
         heard_at: Option<SimTime>,
         origin: bool,
     }
@@ -304,14 +304,14 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
             if self.origin {
                 let id = sha256(b"rumor");
-                self.gossip.first_sight(id);
+                self.gossip.insert(id);
                 self.heard_at = Some(ctx.now);
                 ctx.broadcast(id, 32);
             }
         }
 
         fn on_message(&mut self, from: NodeId, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>) {
-            if self.gossip.first_sight(msg) {
+            if self.gossip.insert(msg) {
                 self.heard_at = Some(ctx.now);
                 ctx.broadcast_except(from, msg, 32);
             }
@@ -331,7 +331,7 @@ mod tests {
     #[test]
     fn rumor_reaches_every_node() {
         let mut runner = Runner::new(gossip_config(40), 11, |id| Rumor {
-            gossip: crate::Gossiper::new(),
+            gossip: dcs_crypto::IdSet::default(),
             heard_at: None,
             origin: id == NodeId(0),
         });
@@ -351,7 +351,7 @@ mod tests {
     #[test]
     fn rumor_blocked_by_partition_then_heals() {
         let mut runner = Runner::new(gossip_config(20), 13, |id| Rumor {
-            gossip: crate::Gossiper::new(),
+            gossip: dcs_crypto::IdSet::default(),
             heard_at: None,
             origin: id == NodeId(0),
         });
@@ -409,7 +409,7 @@ mod tests {
     #[test]
     fn run_until_respects_deadline() {
         let mut runner = Runner::new(gossip_config(30), 17, |id| Rumor {
-            gossip: crate::Gossiper::new(),
+            gossip: dcs_crypto::IdSet::default(),
             heard_at: None,
             origin: id == NodeId(0),
         });
@@ -431,7 +431,7 @@ mod tests {
         let mut cfg = gossip_config(48);
         cfg.latency = latency;
         let mut runner = Runner::new(cfg, 11, |id| Rumor {
-            gossip: crate::Gossiper::new(),
+            gossip: dcs_crypto::IdSet::default(),
             heard_at: None,
             origin: id == NodeId(0),
         });
@@ -474,7 +474,7 @@ mod tests {
     fn deadline_windows_are_respected_when_sharded() {
         let run = |shards: usize| {
             let mut runner = Runner::new(gossip_config(30), 17, |id| Rumor {
-                gossip: crate::Gossiper::new(),
+                gossip: dcs_crypto::IdSet::default(),
                 heard_at: None,
                 origin: id == NodeId(0),
             });

@@ -267,7 +267,7 @@ fn a_forged_transfer_never_leaves_the_peer_it_was_handed_to() {
     for (i, node) in runner.nodes().iter().enumerate() {
         let core = node.core();
         assert_eq!(core.chain.machine().db.balance(&bob), 250, "peer {i}");
-        assert!(!core.included().contains(&ids[1]), "peer {i}");
+        assert!(!core.is_included(&ids[1]), "peer {i}");
         let refused = u64::from(i == 1);
         assert_eq!(core.mempool.rejected_invalid(), refused, "peer {i}");
     }
@@ -623,14 +623,14 @@ fn invalid_child_of_the_tip_leaves_head_inclusion_and_mempool_alone() {
     x.header.state_root = dcs_crypto::sha256(b"not the state this block leads to");
     let x = Arc::new(x);
 
-    let included = node.included().clone();
+    let included = node.included_ids();
     assert_eq!(included.len(), 2, "a1's and a2's transfers");
     let event = node.ingest_block(Arc::clone(&x));
     assert_eq!(event, Some(ChainEvent::SideChain { block: x.hash() }));
     assert_eq!(node.chain.tip_hash(), a2.hash(), "no reorg backwards");
     assert_eq!(node.chain.stats().invalid_blocks, 1);
     assert_eq!(node.chain.stats().reorgs, 0);
-    assert_eq!(node.included(), &included);
+    assert_eq!(node.included_ids(), included);
     assert_eq!(node.mempool.len(), 1);
     assert!(node.mempool.contains(&pending.id()));
     assert_eq!(node.chain.machine().db.balance(&Address::from_index(2)), 21);
@@ -642,7 +642,7 @@ fn invalid_child_of_the_tip_leaves_head_inclusion_and_mempool_alone() {
     assert_eq!(a3.header.parent, a2.hash());
     let event = node.ingest_block(Arc::clone(&a3));
     assert_eq!(event, Some(ChainEvent::Extended { block: a3.hash() }));
-    assert!(node.included().contains(&pending.id()));
+    assert!(node.is_included(&pending.id()));
     assert!(node.mempool.is_empty());
 }
 
@@ -794,7 +794,7 @@ fn forged_stake_seal_is_refused_through_catch_up_sync() {
 
     assert_eq!(victim.core.chain.tip_hash(), genesis.hash());
     assert_eq!(victim.invalid_seals, 1);
-    assert!(victim.core.included().is_empty());
+    assert!(victim.core.included_ids().is_empty());
     assert_eq!(victim.core.chain.machine().db.balance(&bob), 0);
     assert_eq!(victim.core.chain.machine().db.balance(&alice), 1_000_000);
     // Still behind, the peer asks someone else instead of the forger again.
