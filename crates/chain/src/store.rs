@@ -148,9 +148,10 @@ pub struct StoreStats {
 /// heights, children) are enforced by the tree.
 #[derive(Debug, Clone, Default)]
 pub struct BlockStore {
-    /// Every stored record by hash. Probed by hash; its one walk,
-    /// [`BlockTree::iter`], promises no order (DESIGN.md §10).
-    blocks: dcs_crypto::IdMap<StoredBlock>, // dcs-lint: allow(hash-collections) — probed by hash; iter() is documented unordered
+    /// Every stored record by hash. Ordered, unlike the pool's id index:
+    /// hashed, it made the peak RSS of a process that builds chain after
+    /// chain step up by up to 10 MB with the count (DESIGN.md §10).
+    blocks: BTreeMap<Hash256, StoredBlock>,
     keep_depth: Option<u64>,
     /// Heights that still have resident bodies → the blocks at that height.
     /// Maintained only when pruning; an archival store never reads it.
@@ -226,8 +227,8 @@ pub struct BlockTree {
     store: BlockStore,
     genesis: Hash256,
     /// Stored blocks with no children, maintained by [`BlockTree::insert`].
-    /// Ordered, unlike the records: fork choice walks it, and the walk
-    /// order is part of its tie-break.
+    /// Ordered: fork choice walks it, and the walk order is part of its
+    /// tie-break.
     leaves: BTreeSet<Hash256>,
     /// parent hash → orphans waiting on it, each with its precomputed hash.
     orphans: BTreeMap<Hash256, Vec<(Hash256, Arc<Block>)>>,
@@ -463,9 +464,8 @@ impl BlockTree {
         a
     }
 
-    /// Iterates over all stored blocks in no particular order: the records
-    /// sit in a hash table. Sort, or compare as sets, wherever the order
-    /// could reach a result.
+    /// Iterates over all stored blocks in unspecified order. Sort, or
+    /// compare as sets, wherever the order could reach a result.
     pub fn iter(&self) -> impl Iterator<Item = &StoredBlock> {
         self.store.blocks.values()
     }
