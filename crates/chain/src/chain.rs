@@ -592,11 +592,65 @@ impl<M: StateMachine> Chain<M> {
         }
     }
 
+    /// Applies `branch` (oldest first) on top of the canonical tip. A
+    /// `fresh` branch is new history: its receipts are delivered, and the
+    /// first block that fails (a refused transaction, or a state root that
+    /// does not match its header) is returned with the machine left on its
+    /// parent. A restored branch (`fresh = false`) applied before, delivers
+    /// no receipts, and failing again is a broken invariant.
+    ///
+    /// # Errors
+    ///
+    /// [`ChainError::Internal`] if a block or its body is not stored, or a
+    /// restored block fails.
+    fn apply_branch(
+        &mut self,
+        branch: &[Hash256],
+        fresh: bool,
+    ) -> Result<Option<Hash256>, ChainError> {
+        for hash in branch {
+            // Refcount bump, not a body copy: applying a 10k-tx block costs
+            // the same as a 0-tx block on this line.
+            let block = Arc::clone(
+                self.tree
+                    .get(hash)
+                    .ok_or(ChainError::Internal("branch block not stored"))?
+                    .body()
+                    .ok_or(ChainError::Internal("branch body pruned"))?,
+            );
+            // The header's state commitment is checked when present: a root
+            // nothing reads is never computed.
+            let root = block.header.state_root;
+            let applied = match self.machine.apply_block(&block) {
+                Ok(ok) if root == Hash256::ZERO || self.machine.state_root() == root => Some(ok),
+                Ok((_, undo)) => {
+                    self.machine.revert_block(undo);
+                    None
+                }
+                Err(_) => None,
+            };
+            let Some((receipts, undo)) = applied else {
+                if !fresh {
+                    return Err(ChainError::Internal("a restored block failed again"));
+                }
+                return Ok(Some(*hash));
+            };
+            self.canonical.push(*hash);
+            self.undos.push_back(undo);
+            if fresh {
+                self.receipts.push((*hash, receipts));
+            }
+            self.canon_stats.absorb(*hash, &block);
+        }
+        Ok(None)
+    }
+
     /// Recomputes the best tip and moves the state machine onto it.
-    /// Returns `None` if the head did not move. Walks nothing: the
-    /// candidates are the tree's leaf set and viability is a probe of
+    /// Returns `None` if the head did not move. Fork choice walks nothing
+    /// (the candidates are the tree's leaf set and viability is a probe of
     /// `invalid`, which [`Chain::import`] and [`Chain::poison`] keep closed
-    /// under descent (and which is empty in every healthy run).
+    /// under descent, and empty in every healthy run); the move walks only
+    /// the branches it switches.
     fn update_head(&mut self) -> Result<Option<ChainEvent>, ChainError> {
         loop {
             let invalid = &self.invalid;
@@ -608,105 +662,46 @@ impl<M: StateMachine> Chain<M> {
                 self.drop_final_undos();
                 return Ok(None);
             }
-            let ancestor = self.tree.common_ancestor(&old_tip, &new_tip);
+            // The new branch: the new tip's ancestors above the first one on
+            // the canonical chain (the common ancestor), walked tip-backwards.
+            let mut branch = Vec::new();
             let anc_height = self
                 .tree
-                .get(&ancestor)
-                .ok_or(ChainError::Internal("common ancestor not stored"))?
-                .height();
+                .ancestors(new_tip)
+                .find_map(|sb| {
+                    let on_chain = self.canonical_at(sb.height()) == Some(sb.hash());
+                    if !on_chain {
+                        branch.push(sb.hash());
+                    }
+                    on_chain.then(|| sb.height())
+                })
+                .ok_or(ChainError::Internal("new-branch block not stored"))?;
+            branch.reverse();
 
-            // Revert the old branch down to the ancestor.
+            // Revert the old branch down to the ancestor, apply the new one.
             let reverted = self.height() - anc_height;
             self.rewind_to(anc_height)?;
-
-            // Apply the new branch upward from the ancestor.
-            let mut to_apply = Vec::new();
-            let mut cur = new_tip;
-            while cur != ancestor {
-                to_apply.push(cur);
-                cur = self
-                    .tree
-                    .get(&cur)
-                    .ok_or(ChainError::Internal("new-branch block not stored"))?
-                    .header()
-                    .parent;
-            }
-            to_apply.reverse();
-
-            let mut applied = 0u64;
-            let mut failure: Option<Hash256> = None;
-            for hash in &to_apply {
-                // Refcount bump, not a body copy: applying a 10k-tx block
-                // costs the same as a 0-tx block on this line.
-                let block = Arc::clone(
-                    self.tree
-                        .get(hash)
-                        .ok_or(ChainError::Internal("apply-path block not stored"))?
-                        .body()
-                        .ok_or(ChainError::Internal("apply-path body pruned"))?,
-                );
-                match self.machine.apply_block(&block) {
-                    Ok((receipts, undo)) => {
-                        // Verify the header's state commitment when present.
-                        if block.header.state_root != Hash256::ZERO
-                            && self.machine.state_root() != block.header.state_root
-                        {
-                            self.machine.revert_block(undo);
-                            failure = Some(*hash);
-                            break;
-                        }
-                        self.canonical.push(*hash);
-                        self.undos.push_back(undo);
-                        self.receipts.push((*hash, receipts));
-                        self.canon_stats.absorb(*hash, &block);
-                        applied += 1;
-                    }
-                    Err(_reason) => {
-                        failure = Some(*hash);
-                        break;
-                    }
-                }
-            }
-
-            if let Some(bad) = failure {
+            if let Some(bad) = self.apply_branch(&branch, true)? {
                 // Poison the failing block and what is stored under it, roll
                 // everything back to the ancestor, restore the old branch,
                 // and retry fork choice.
                 self.poison(bad);
                 self.stats.invalid_blocks += 1;
                 self.rewind_to(anc_height)?;
-                // Restore the old branch exactly as it was.
-                let mut old_branch = Vec::new();
-                let mut cur = old_tip;
-                while cur != ancestor {
-                    old_branch.push(cur);
-                    cur = self
-                        .tree
-                        .get(&cur)
-                        .ok_or(ChainError::Internal("old-branch block not stored"))?
-                        .header()
-                        .parent;
+                let mut old_branch: Vec<Hash256> = self
+                    .tree
+                    .ancestors(old_tip)
+                    .take(reverted as usize)
+                    .map(StoredBlock::hash)
+                    .collect();
+                if old_branch.len() as u64 != reverted {
+                    return Err(ChainError::Internal("old-branch block not stored"));
                 }
                 old_branch.reverse();
-                for hash in old_branch {
-                    let block = Arc::clone(
-                        self.tree
-                            .get(&hash)
-                            .ok_or(ChainError::Internal("old-branch block not stored"))?
-                            .body()
-                            .ok_or(ChainError::Internal("old-branch body pruned"))?,
-                    );
-                    let (receipts, undo) = self
-                        .machine
-                        .apply_block(&block)
-                        .map_err(ChainError::BadTransaction)?;
-                    let _ = receipts; // already delivered the first time
-                    self.canonical.push(hash);
-                    self.undos.push_back(undo);
-                    self.canon_stats.absorb(hash, &block);
-                }
+                self.apply_branch(&old_branch, false)?;
                 continue; // re-run fork choice without the poisoned block
             }
+            let applied = branch.len() as u64;
 
             let event = if reverted == 0 && applied == 1 {
                 ChainEvent::Extended { block: new_tip }
@@ -1212,6 +1207,97 @@ mod tests {
         assert_eq!(windowed.stats(), reference.stats());
         assert_eq!(windowed.canon_stats(), reference.canon_stats());
         assert_eq!(windowed.drain_receipts(), reference.drain_receipts());
+    }
+
+    /// [`Picky`] that also refuses any block it applied before: its old
+    /// branch cannot be restored.
+    #[derive(Debug, Default)]
+    struct Forgetful {
+        picky: Picky,
+        seen: BTreeSet<Hash256>,
+    }
+
+    impl StateMachine for Forgetful {
+        type Undo = Hash256;
+
+        fn apply_block(&mut self, block: &Block) -> Result<(Vec<Receipt>, Hash256), String> {
+            if !self.seen.insert(block.hash()) {
+                return Err("applied before".into());
+            }
+            self.picky.apply_block(block)
+        }
+
+        fn revert_block(&mut self, undo: Hash256) {
+            self.picky.revert_block(undo);
+        }
+
+        fn reset(&mut self) {
+            self.picky.reset();
+        }
+
+        fn state_root(&self) -> Hash256 {
+            Hash256::ZERO
+        }
+    }
+
+    #[test]
+    fn a_restored_block_that_fails_again_is_an_internal_error() {
+        let g = crate::genesis_block(&cfg());
+        let mut chain = Chain::new(g.clone(), cfg(), Forgetful::default());
+        let a1 = child(&g, 1);
+        let b1 = child(&g, 10);
+        chain.import(a1).unwrap();
+        chain.import(b1.clone()).unwrap();
+        // The b-branch outgrows a1, fails at b2, and a1 will not re-apply.
+        assert_eq!(
+            chain.import(cursed_child(&b1, 11)),
+            Err(ChainError::Internal("a restored block failed again"))
+        );
+    }
+
+    /// Counts the state roots read: a root is a whole-trie hash on a real
+    /// machine, so an import reads one only where a header commits to it.
+    #[derive(Debug, Default)]
+    struct RootCounter {
+        reads: std::cell::Cell<u32>,
+    }
+
+    impl StateMachine for RootCounter {
+        type Undo = ();
+
+        fn apply_block(&mut self, block: &Block) -> Result<(Vec<Receipt>, ()), String> {
+            NullMachine.apply_block(block)
+        }
+
+        fn revert_block(&mut self, _undo: ()) {}
+
+        fn reset(&mut self) {}
+
+        fn state_root(&self) -> Hash256 {
+            self.reads.set(self.reads.get() + 1);
+            Hash256::ZERO
+        }
+    }
+
+    #[test]
+    fn import_reads_a_state_root_only_where_a_header_commits_to_one() {
+        let g = crate::genesis_block(&cfg());
+        let mut chain = Chain::new(g.clone(), cfg(), RootCounter::default());
+        let main = branch(&g, 1, 3);
+        for b in &main {
+            chain.import(b.clone()).unwrap();
+        }
+        assert_eq!(chain.machine().reads.get(), 0);
+        let mut committed = child(&main[2], 4);
+        committed.header.state_root = dcs_crypto::sha256(b"some state");
+        let committed = Block::new(committed.header, vec![]);
+        assert_eq!(
+            chain.import(committed.clone()),
+            Ok(ChainEvent::SideChain {
+                block: committed.hash()
+            })
+        );
+        assert_eq!(chain.machine().reads.get(), 1);
     }
 
     #[test]

@@ -63,18 +63,12 @@ fn extremal_tip(
     viable: impl Fn(&Hash256) -> bool,
 ) -> Hash256 {
     let mut best = None;
-    for mut hash in tree.tips() {
+    for leaf in tree.tips() {
         // Each leaf stands for its first viable ancestor-or-self: zero steps
         // unless the leaf is poisoned. Scores grow along every branch, so
-        // the best of these is the best viable block in the whole tree. (A
-        // miss ends the walk: candidates come from the tree itself, so it
-        // would be a broken invariant — skip rather than panic.)
-        while let Some(sb) = tree.get(&hash) {
-            if viable(&hash) {
-                keep_better(&mut best, (score(sb), sb.arrival, hash));
-                break;
-            }
-            hash = sb.header().parent;
+        // the best of these is the best viable block in the whole tree.
+        if let Some(sb) = tree.ancestors(leaf).find(|sb| viable(&sb.hash())) {
+            keep_better(&mut best, (score(sb), sb.arrival, sb.hash()));
         }
     }
     best.map_or_else(|| tree.genesis(), |b| b.2)

@@ -10,7 +10,7 @@
 //! (what every simulated full node historically did); built with
 //! [`PrunedStore::new`] it drops bodies a configurable depth behind the
 //! finalized tip while retaining headers, cumulative work, and child links,
-//! so fork choice, common-ancestor walks, and light-client header sync keep
+//! so fork choice, ancestor walks, and light-client header sync keep
 //! working on a fraction of the memory (the paper's §5.4 "full download of
 //! the blockchain … will continue to grow" concern).
 //!
@@ -439,29 +439,12 @@ impl BlockTree {
         }
     }
 
-    /// Lowest common ancestor of two blocks in the tree. Operates on
-    /// headers only, so it works across pruned history.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either hash is not in the tree.
-    pub fn common_ancestor(&self, a: &Hash256, b: &Hash256) -> Hash256 {
-        // Documented contract: both hashes are stored (see # Panics above).
-        let height = |h: &Hash256| self.get(h).expect("block stored").height(); // dcs-lint: allow(panic-path)
-        let parent = |h: &Hash256| self.get(h).expect("block stored").header().parent; // dcs-lint: allow(panic-path)
-        let mut a = *a;
-        let mut b = *b;
-        while height(&a) > height(&b) {
-            a = parent(&a);
-        }
-        while height(&b) > height(&a) {
-            b = parent(&b);
-        }
-        while a != b {
-            a = parent(&a);
-            b = parent(&b);
-        }
-        a
+    /// The record of `hash`, then its stored parents, newest first: the one
+    /// walk up the tree. It ends after genesis, or at the first hash not
+    /// stored, so a caller that needs `n` steps checks that it got `n`.
+    /// Headers only: it works across pruned history.
+    pub fn ancestors(&self, hash: Hash256) -> impl Iterator<Item = &StoredBlock> + '_ {
+        std::iter::successors(self.get(&hash), |sb| self.get(&sb.header().parent))
     }
 
     /// Iterates over all stored blocks in unspecified order. Sort, or
@@ -581,19 +564,21 @@ mod tests {
     }
 
     #[test]
-    fn common_ancestor_of_forks() {
+    fn ancestors_walk_back_to_genesis_and_stop_at_a_miss() {
         let g = genesis();
         let mut tree = BlockTree::new(g.clone());
         let a1 = child_of(&g, 1);
         let a2 = child_of(&a1, 2);
         let b1 = child_of(&g, 10);
-        let b2 = child_of(&b1, 11);
-        for b in [&a1, &a2, &b1, &b2] {
+        for b in [&a1, &a2, &b1] {
             tree.insert(b.clone()).unwrap();
         }
-        assert_eq!(tree.common_ancestor(&a2.hash(), &b2.hash()), g.hash());
-        assert_eq!(tree.common_ancestor(&a2.hash(), &a1.hash()), a1.hash());
-        assert_eq!(tree.common_ancestor(&a2.hash(), &a2.hash()), a2.hash());
+        let walk =
+            |h: Hash256| -> Vec<Hash256> { tree.ancestors(h).map(StoredBlock::hash).collect() };
+        assert_eq!(walk(a2.hash()), vec![a2.hash(), a1.hash(), g.hash()]);
+        assert_eq!(walk(b1.hash()), vec![b1.hash(), g.hash()]);
+        assert_eq!(walk(g.hash()), vec![g.hash()]);
+        assert!(walk(child_of(&a2, 3).hash()).is_empty(), "not stored");
     }
 
     #[test]
@@ -711,7 +696,7 @@ mod tests {
             assert_eq!(sb.body().is_some(), height >= 6, "bodies split at horizon");
         }
         // Ancestor walks still work across pruned history.
-        assert_eq!(tree.common_ancestor(&hashes[10], &hashes[3]), hashes[3]);
+        assert_eq!(tree.ancestors(hashes[10]).count(), 11);
         // Pruning is idempotent and monotone.
         tree.note_finalized(8);
         assert_eq!(tree.store_stats().bodies_pruned, 6);

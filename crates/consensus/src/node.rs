@@ -47,6 +47,16 @@ const MAX_SYNC_ATTEMPTS: u32 = 8;
 /// Blocks per catch-up response batch.
 const SYNC_BATCH: usize = 32;
 
+/// What a sync request asks a neighbor for; the key of
+/// [`NodeCore`]'s one request table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Want {
+    /// A page of canonical blocks above this replica's locator (catch-up).
+    Range,
+    /// One block by hash: an orphan's missing parent.
+    Block(Hash256),
+}
+
 /// One in-flight sync request: which epoch its retry timer carries and how
 /// many times it has been (re)sent.
 #[derive(Debug, Clone, Copy)]
@@ -167,10 +177,9 @@ pub struct NodeCore<M: StateMachine> {
     reported_finalized: u64,
     /// Gossip dedup and the canonical-chain index, one mark byte per id.
     marks: IdMarks,
-    /// Missing-ancestor requests awaiting a reply, keyed by block hash.
-    pending_blocks: BTreeMap<Hash256, SyncAttempt>,
-    /// The in-flight catch-up range request, if any.
-    catchup: Option<SyncAttempt>,
+    /// Sync requests awaiting a reply: the catch-up page and the
+    /// orphan-parent requests, each with its own retry timer.
+    requests: BTreeMap<Want, SyncAttempt>,
     /// Monotonic epoch distinguishing live sync timers from stale ones.
     sync_epoch: u64,
 }
@@ -198,8 +207,7 @@ impl<M: StateMachine> NodeCore<M> {
             observer: None,
             reported_finalized: 0,
             marks: IdMarks::default(),
-            pending_blocks: BTreeMap::new(),
-            catchup: None,
+            requests: BTreeMap::new(),
             sync_epoch: 0,
         }
     }
@@ -296,9 +304,7 @@ impl<M: StateMachine> NodeCore<M> {
             WireMsg::BlockNotFound(hash) => {
                 // Re-target the request at the next neighbor (round-robin)
                 // now, instead of waiting out the retry timer.
-                if self.pending_blocks.contains_key(&hash) {
-                    self.retry_block_request(hash, ctx);
-                }
+                self.retry(Want::Block(hash), ctx);
                 Inbound::Handled
             }
             WireMsg::SyncRequest { locator } => {
@@ -384,11 +390,16 @@ impl<M: StateMachine> NodeCore<M> {
         }
     }
 
-    /// Handles an incoming (or self-produced) block: dedup, re-gossip,
-    /// import, mempool/included maintenance. `from` is `None` for blocks
+    /// Handles an incoming (or self-produced) block: dedup, import,
+    /// mempool/included maintenance, then relay. `from` is `None` for blocks
     /// this peer produced itself. Returns the chain event if the block was
     /// new and imported. The `Arc` is shared with the chain's store — the
     /// block is never deep-copied on this path.
+    ///
+    /// A peer relays what it imports: a block the chain refused, or one
+    /// that failed state validation (it is then in the chain's invalid
+    /// set), goes no further. An orphan, which cannot be judged yet, is
+    /// relayed.
     pub fn handle_block(
         &mut self,
         block: Arc<Block>,
@@ -406,39 +417,29 @@ impl<M: StateMachine> NodeCore<M> {
                 from: from.map_or(ORIGIN, |n| n.0 as u32),
             },
         );
-        let msg = WireMsg::Block(Arc::clone(&block));
-        let size = wire_size(&msg);
-        match from {
-            Some(sender) => ctx.broadcast_except(sender, msg, size),
-            None => ctx.broadcast(msg, size),
-        }
         let parent = block.header.parent;
         // However the block arrived, it satisfies any outstanding request.
-        self.pending_blocks.remove(&hash);
-        let event = self.ingest_block_at(block, ctx.now)?;
+        self.requests.remove(&Want::Block(hash));
+        let event = self.ingest_block_at(Arc::clone(&block), ctx.now)?;
+        if !self.chain.invalid().contains(&hash) {
+            let msg = WireMsg::Block(block);
+            let size = wire_size(&msg);
+            match from {
+                Some(sender) => ctx.broadcast_except(sender, msg, size),
+                None => ctx.broadcast(msg, size),
+            }
+        }
         if let (ChainEvent::Orphaned, Some(sender)) = (&event, from) {
             // Missing ancestry (e.g. after a healed partition): walk it back
             // one hop at a time from whoever showed us the descendant, with
             // a bounded retry timer so a lost request or reply cannot stall
             // this branch forever.
-            self.request_block(parent, sender, ctx);
+            let want = Want::Block(parent);
+            if !self.chain.tree().contains(&parent) && !self.requests.contains_key(&want) {
+                self.ask(want, sender, 0, ctx);
+            }
         }
         Some(event)
-    }
-
-    /// Sends a [`WireMsg::BlockRequest`] for `hash` to `peer` and arms a
-    /// backoff retry timer. No-op if the block is already stored or already
-    /// requested.
-    fn request_block(&mut self, hash: Hash256, peer: NodeId, ctx: &mut Ctx<'_, WireMsg>) {
-        if self.chain.tree().contains(&hash) || self.pending_blocks.contains_key(&hash) {
-            return;
-        }
-        let req = WireMsg::BlockRequest(hash);
-        let size = wire_size(&req);
-        ctx.send(peer, req, size);
-        let epoch = self.arm_sync_timer(0, ctx);
-        self.pending_blocks
-            .insert(hash, SyncAttempt { epoch, attempts: 0 });
     }
 
     /// Serves a sync request: if we hold `hash` with its body resident,
@@ -466,18 +467,43 @@ impl<M: StateMachine> NodeCore<M> {
         let Some(&peer) = ctx.neighbors.first() else {
             return;
         };
-        self.send_catchup_request(peer, 0, ctx);
+        self.catchup_rounds += 1;
+        self.ask(Want::Range, peer, 0, ctx);
     }
 
-    fn send_catchup_request(&mut self, peer: NodeId, attempts: u32, ctx: &mut Ctx<'_, WireMsg>) {
-        self.catchup_rounds += 1;
-        let msg = WireMsg::SyncRequest {
-            locator: self.chain.locator(),
+    /// Sends the request for `want` to `peer` and arms its retry timer,
+    /// whose backoff grows with `attempts`.
+    fn ask(&mut self, want: Want, peer: NodeId, attempts: u32, ctx: &mut Ctx<'_, WireMsg>) {
+        let msg = match want {
+            Want::Range => WireMsg::SyncRequest {
+                locator: self.chain.locator(),
+            },
+            Want::Block(hash) => WireMsg::BlockRequest(hash),
         };
         let size = wire_size(&msg);
         ctx.send(peer, msg, size);
         let epoch = self.arm_sync_timer(attempts, ctx);
-        self.catchup = Some(SyncAttempt { epoch, attempts });
+        self.requests.insert(want, SyncAttempt { epoch, attempts });
+    }
+
+    /// Re-sends an outstanding request to the next neighbor (round-robin),
+    /// or gives up: when the block it wants is already stored, after
+    /// [`MAX_SYNC_ATTEMPTS`] retries, or with no neighbor to ask. A retry is
+    /// not a new catch-up round. Gossip of a later descendant re-triggers a
+    /// request given up on.
+    fn retry(&mut self, want: Want, ctx: &mut Ctx<'_, WireMsg>) {
+        let Some(attempt) = self.requests.get(&want) else {
+            return;
+        };
+        let attempts = attempt.attempts + 1;
+        let stored = matches!(want, Want::Block(hash) if self.chain.tree().contains(&hash));
+        if stored || attempts > MAX_SYNC_ATTEMPTS || ctx.neighbors.is_empty() {
+            self.requests.remove(&want);
+            return;
+        }
+        self.sync_retries += 1;
+        let peer = ctx.neighbors[attempts as usize % ctx.neighbors.len()];
+        self.ask(want, peer, attempts, ctx);
     }
 
     /// Ingests a catch-up batch. Blocks are imported without re-gossip
@@ -504,7 +530,7 @@ impl<M: StateMachine> NodeCore<M> {
                 break;
             }
             let hash = block.hash();
-            self.pending_blocks.remove(&hash);
+            self.requests.remove(&Want::Block(hash));
             self.marks.first_sight(hash);
             if self.chain.tree().contains(&hash) {
                 continue;
@@ -512,16 +538,18 @@ impl<M: StateMachine> NodeCore<M> {
             let event = self.ingest_block_at(block, ctx.now);
             advanced |= event.is_some_and(|e| e.moved_tip());
         }
-        if self.catchup.is_some() {
+        if self.requests.contains_key(&Want::Range) {
             if self.chain.height() >= tip_height {
-                self.catchup = None; // caught up to this responder's tip
+                // Caught up to this responder's tip.
+                self.requests.remove(&Want::Range);
             } else if unserved {
                 // The responder is ahead but served nothing usable (pruned
                 // history, forged seal): a failed attempt; re-target.
-                self.retry_catchup(ctx);
+                self.retry(Want::Range, ctx);
             } else {
                 // Progress: page the next batch from the same responder.
-                self.send_catchup_request(from, 0, ctx);
+                self.catchup_rounds += 1;
+                self.ask(Want::Range, from, 0, ctx);
             }
         }
         advanced
@@ -537,61 +565,15 @@ impl<M: StateMachine> NodeCore<M> {
             return false;
         }
         let epoch = tag & !TAG_KIND_MASK;
-        if let Some(c) = self.catchup {
-            if c.epoch == epoch {
-                self.retry_catchup(ctx);
-                return true;
-            }
-        }
-        let hash = self
-            .pending_blocks
+        let want = self
+            .requests
             .iter()
             .find(|(_, a)| a.epoch == epoch)
-            .map(|(h, _)| *h);
-        if let Some(hash) = hash {
-            self.retry_block_request(hash, ctx);
+            .map(|(want, _)| *want);
+        if let Some(want) = want {
+            self.retry(want, ctx);
         }
         true
-    }
-
-    fn retry_block_request(&mut self, hash: Hash256, ctx: &mut Ctx<'_, WireMsg>) {
-        if self.chain.tree().contains(&hash) {
-            self.pending_blocks.remove(&hash);
-            return;
-        }
-        let Some(attempt) = self.pending_blocks.get(&hash).copied() else {
-            return;
-        };
-        let attempts = attempt.attempts + 1;
-        if attempts > MAX_SYNC_ATTEMPTS || ctx.neighbors.is_empty() {
-            // Give up; gossip of a later descendant will re-trigger.
-            self.pending_blocks.remove(&hash);
-            return;
-        }
-        self.sync_retries += 1;
-        let peer = ctx.neighbors[attempts as usize % ctx.neighbors.len()];
-        let req = WireMsg::BlockRequest(hash);
-        let size = wire_size(&req);
-        ctx.send(peer, req, size);
-        let epoch = self.arm_sync_timer(attempts, ctx);
-        self.pending_blocks
-            .insert(hash, SyncAttempt { epoch, attempts });
-    }
-
-    fn retry_catchup(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
-        let Some(attempt) = self.catchup else {
-            return;
-        };
-        let attempts = attempt.attempts + 1;
-        if attempts > MAX_SYNC_ATTEMPTS || ctx.neighbors.is_empty() {
-            self.catchup = None;
-            return;
-        }
-        self.sync_retries += 1;
-        let peer = ctx.neighbors[attempts as usize % ctx.neighbors.len()];
-        // send_catchup_request counts a round; a retry is the same round.
-        self.catchup_rounds -= 1;
-        self.send_catchup_request(peer, attempts, ctx);
     }
 
     /// Arms a sync retry timer with exponential backoff and returns its
@@ -618,17 +600,12 @@ impl<M: StateMachine> NodeCore<M> {
         }
         self.mempool.clear();
         self.report_pool();
-        self.pending_blocks.clear();
-        self.catchup = None;
+        self.requests.clear();
         let canonical = &self.chain.canonical()[1..];
         let mut tx_ids = Vec::new();
         for hash in canonical {
             if let Some(body) = self.chain.tree().get(hash).and_then(|sb| sb.body()) {
-                for (tx, id) in body.txs.iter().zip(body.tx_ids()) {
-                    if !matches!(tx, Transaction::Coinbase { .. }) {
-                        tx_ids.push(*id);
-                    }
-                }
+                tx_ids.extend(client_txs(body).map(|(_, id)| *id));
             }
         }
         self.marks.rebuild(canonical.iter().copied(), tx_ids);
@@ -696,95 +673,74 @@ impl<M: StateMachine> NodeCore<M> {
         true
     }
 
+    /// Moves the pool and the canonical marks with the chain. An extension
+    /// is the reorg that reverts nothing and applies one block: the reverted
+    /// blocks' client transactions lose their marks, the applied blocks are
+    /// noted in chain order, and what the new branch did not re-include
+    /// returns to the pool. O(reverted + applied), not O(chain).
     fn after_event(&mut self, event: &ChainEvent, old_tip: Hash256, now: SimTime) {
-        match event {
-            ChainEvent::Extended { block } => {
-                self.note_included(block, now);
-            }
+        let (reverted, applied, new_tip) = match *event {
+            ChainEvent::Extended { block } => (0, 1, block),
             ChainEvent::Reorg {
                 reverted,
                 applied,
                 new_tip,
-            } => {
-                // Shed the abandoned branch: collect its transactions so
-                // they can return to the mempool, and clear their canonical
-                // marks. O(reverted), not O(chain).
-                let mut abandoned: Vec<SealedTx> = Vec::new();
-                let mut cur = old_tip;
-                for _ in 0..*reverted {
-                    let Some(stored) = self.chain.tree().get(&cur) else {
-                        // The reverted branch must be stored; a miss is a
-                        // broken invariant — count it and salvage the rest.
-                        self.internal_errors += 1;
-                        break;
-                    };
-                    let block = Arc::clone(stored.block());
-                    cur = block.header.parent;
-                    for (tx, id) in block.txs.iter().zip(block.tx_ids()) {
-                        if !matches!(tx, Transaction::Coinbase { .. }) {
-                            self.marks.exclude(id);
-                            abandoned.push(SealedTx::from_parts(Arc::new(tx.clone()), *id));
-                        }
-                    }
-                }
-                // Absorb the new branch (walked tip-backwards, noted in
-                // chain order).
-                let mut new_blocks = Vec::with_capacity(*applied as usize);
-                let mut cur = *new_tip;
-                for _ in 0..*applied {
-                    new_blocks.push(cur);
-                    match self.chain.tree().get(&cur) {
-                        Some(stored) => cur = stored.header().parent,
-                        None => {
-                            self.internal_errors += 1;
-                            break;
-                        }
-                    }
-                }
-                for hash in new_blocks.iter().rev() {
-                    self.note_included(hash, now);
-                }
-                // Abandoned transactions not re-included on the new branch
-                // go back to the mempool.
-                for tx in abandoned {
-                    let id = tx.id();
-                    if !self.marks.is_included(&id) {
-                        self.mempool.insert(tx);
-                    }
-                }
-                self.report_pool();
+            } => (reverted, applied, new_tip),
+            ChainEvent::SideChain { .. } | ChainEvent::Orphaned => return,
+        };
+        // Both branches must be stored; a short walk is a broken invariant,
+        // counted, and the rest is salvaged.
+        let walk = |chain: &Chain<M>, tip: Hash256, n: u64| -> Vec<Arc<Block>> {
+            let blocks = chain.tree().ancestors(tip).take(n as usize);
+            blocks.map(|sb| Arc::clone(sb.block())).collect()
+        };
+        let old_branch = walk(&self.chain, old_tip, reverted);
+        let new_branch = walk(&self.chain, new_tip, applied);
+        self.internal_errors += u64::from(old_branch.len() as u64 != reverted);
+        self.internal_errors += u64::from(new_branch.len() as u64 != applied);
+        let mut abandoned: Vec<SealedTx> = Vec::new();
+        for block in &old_branch {
+            for (tx, id) in client_txs(block) {
+                self.marks.exclude(id);
+                abandoned.push(SealedTx::from_parts(Arc::new(tx.clone()), *id));
             }
-            ChainEvent::SideChain { .. } | ChainEvent::Orphaned => {}
+        }
+        for block in new_branch.iter().rev() {
+            self.note_included(block, now);
+        }
+        if let ChainEvent::Reorg { .. } = event {
+            // Abandoned transactions not re-included on the new branch go
+            // back to the mempool.
+            for tx in abandoned {
+                if !self.marks.is_included(&tx.id()) {
+                    self.mempool.insert(tx);
+                }
+            }
+            self.report_pool();
         }
     }
 
-    fn note_included(&mut self, block_hash: &Hash256, now: SimTime) {
-        let Some(stored) = self.chain.tree().get(block_hash) else {
-            self.internal_errors += 1;
-            return;
-        };
+    /// Notes one newly canonical block: its client transactions leave the
+    /// pool and are marked included.
+    fn note_included(&mut self, block: &Block, now: SimTime) {
         // The id slice is cached in the block, and the `Arc` behind it is
         // shared network-wide by gossip: across all peers these ids are
         // computed once, not once per peer per commit.
-        let block = Arc::clone(stored.block());
-        let ids = block.tx_ids();
         if self.observed() {
-            let block_id = TraceId(block_hash.into_bytes());
-            for (tx, id) in block.txs.iter().zip(ids) {
-                if !matches!(tx, Transaction::Coinbase { .. }) {
-                    self.emit(
-                        now.as_micros(),
-                        TraceEvent::TxIncluded {
-                            tx: TraceId(id.into_bytes()),
-                            block: block_id,
-                        },
-                    );
-                }
+            let block_id = TraceId(block.hash().into_bytes());
+            for (_, id) in client_txs(block) {
+                self.emit(
+                    now.as_micros(),
+                    TraceEvent::TxIncluded {
+                        tx: TraceId(id.into_bytes()),
+                        block: block_id,
+                    },
+                );
             }
         }
-        self.mempool.remove_all(block.txs.iter().zip(ids));
+        self.mempool.remove_all(client_txs(block));
         self.report_pool();
-        for id in ids {
+        for (_, id) in client_txs(block) {
             self.marks.include(*id);
         }
     }
@@ -852,6 +808,14 @@ impl<M: StateMachine> NodeCore<M> {
     }
 }
 
+/// A block's client transactions, with their cached ids: every
+/// transaction but the coinbase. The one rule for what a block puts on, or
+/// takes off, the canonical marks and the pool.
+fn client_txs(block: &Block) -> impl Iterator<Item = (&Transaction, &Hash256)> {
+    let txs = block.txs.iter().zip(block.tx_ids());
+    txs.filter(|(tx, _)| !matches!(tx, Transaction::Coinbase { .. }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,24 +857,171 @@ mod tests {
         (node, genesis)
     }
 
-    /// The canonical-chain tx set above genesis, recomputed the slow way.
+    /// The canonical chain's client transactions above genesis, recomputed
+    /// the slow way.
     fn included_recomputed(node: &NodeCore<NullMachine>) -> BTreeSet<Hash256> {
         node.chain
             .canonical()
             .iter()
             .skip(1)
             .flat_map(|h| {
-                node.chain
-                    .tree()
-                    .get(h)
-                    .unwrap()
-                    .block()
-                    .txs
-                    .iter()
-                    .map(Transaction::id)
-                    .collect::<Vec<_>>()
+                let block = node.chain.tree().get(h).unwrap().block();
+                client_txs(block).map(|(_, id)| *id).collect::<Vec<_>>()
             })
             .collect()
+    }
+
+    /// Runs `f` on `node` with neighbors 1 and 2; returns what it asked for.
+    fn step(
+        node: &mut NodeCore<NullMachine>,
+        f: impl FnOnce(&mut NodeCore<NullMachine>, &mut Ctx<'_, WireMsg>),
+    ) -> Vec<dcs_net::Action<WireMsg>> {
+        let neighbors = [NodeId(1), NodeId(2)];
+        let mut rng = dcs_sim::Rng::seed_from(1);
+        let mut actions = Vec::new();
+        f(
+            node,
+            &mut Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions),
+        );
+        actions
+    }
+
+    /// A coinbase is never gossiped or pooled, so it never carries a mark:
+    /// not when its block is connected, not after its block is reverted,
+    /// and not after a restart rebuilds the table.
+    #[test]
+    fn coinbase_ids_are_never_marked_included() {
+        let (mut node, g) = new_node();
+        let transfer = SealedTx::new(Arc::new(tx(1)));
+        node.mempool.insert(transfer.clone());
+        let a1 = node.build_block(Seal::None, SimTime::ZERO);
+        let coinbase = a1.tx_ids()[0];
+        node.ingest_block(Arc::clone(&a1)).unwrap();
+        assert_eq!(node.included_ids(), BTreeSet::from([transfer.id()]));
+        assert_eq!(node.included_ids(), included_recomputed(&node));
+
+        // A two-block sibling branch reorgs a1 out.
+        let b1 = block_on(&g, 10, vec![]);
+        let b2 = block_on(&b1, 11, vec![]);
+        node.ingest_block(b1).unwrap();
+        let ev = node.ingest_block(b2).unwrap();
+        assert!(matches!(ev, ChainEvent::Reorg { reverted: 1, .. }));
+        assert!(
+            !node.is_included(&coinbase),
+            "a reverted coinbase is unmarked"
+        );
+        assert!(node.included_ids().is_empty());
+        assert!(
+            node.mempool.contains(&transfer.id()),
+            "the transfer is back"
+        );
+
+        // Back onto a1's branch, then a restart: the same one id.
+        let a2 = block_on(&a1, 2, vec![]);
+        let a3 = block_on(&a2, 3, vec![]);
+        node.ingest_block(a2).unwrap();
+        node.ingest_block(a3).unwrap();
+        assert_eq!(node.included_ids(), BTreeSet::from([transfer.id()]));
+        node.rebuild_from_store();
+        assert_eq!(node.included_ids(), BTreeSet::from([transfer.id()]));
+        assert_eq!(node.included_ids(), included_recomputed(&node));
+    }
+
+    /// Where a block was relayed by `handle_block`, handed over by peer 1.
+    fn relayed_blocks(node: &mut NodeCore<NullMachine>, block: &Arc<Block>) -> Vec<NodeId> {
+        let actions = step(node, |n, ctx| {
+            n.handle_block(Arc::clone(block), Some(NodeId(1)), ctx);
+        });
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                dcs_net::Action::Send {
+                    to,
+                    msg: WireMsg::Block(b),
+                    ..
+                } if b.hash() == block.hash() => Some(*to),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_peer_relays_what_it_imports_and_orphans_but_no_refused_block() {
+        let (mut node, g) = new_node();
+        let mut header = block_on(&g, 1, vec![]).header.clone();
+        header.state_root = dcs_crypto::sha256(b"not the state this block leads to");
+        let bad_root = Arc::new(Block::new(header, vec![]));
+        let mut header = block_on(&g, 2, vec![]).header.clone();
+        header.height = 7;
+        let bad_height = Arc::new(Block::new(header, vec![]));
+        let orphan = block_on(&block_on(&g, 3, vec![]), 4, vec![]);
+        let good = block_on(&g, 5, vec![]);
+
+        assert_eq!(relayed_blocks(&mut node, &bad_root), vec![]);
+        assert!(node.chain.invalid().contains(&bad_root.hash()));
+        assert_eq!(relayed_blocks(&mut node, &bad_height), vec![]);
+        assert_eq!(node.rejected_blocks, 1);
+        assert_eq!(relayed_blocks(&mut node, &orphan), vec![NodeId(2)]);
+        assert_eq!(relayed_blocks(&mut node, &good), vec![NodeId(2)]);
+        assert_eq!(node.chain.tip_hash(), good.hash());
+    }
+
+    fn sent_ranges(actions: &[dcs_net::Action<WireMsg>]) -> Vec<NodeId> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                dcs_net::Action::Send {
+                    to,
+                    msg: WireMsg::SyncRequest { .. },
+                    ..
+                } => Some(*to),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The catch-up page and an orphan-parent request share one table, not
+    /// one timer: each retries on its own, and a block ends only the
+    /// request that wants it.
+    #[test]
+    fn a_catch_up_page_and_an_orphan_request_retry_and_end_apart() {
+        let (mut node, g) = new_node();
+        let b1 = block_on(&g, 1, vec![]);
+        let b2 = block_on(&b1, 2, vec![]);
+
+        let actions = step(&mut node, |n, ctx| n.begin_catchup(ctx));
+        assert_eq!(sent_ranges(&actions), vec![NodeId(1)]);
+        let range = sync_timer_tags(&actions)[0];
+        let actions = step(&mut node, |n, ctx| {
+            n.handle_block(Arc::clone(&b2), Some(NodeId(2)), ctx);
+        });
+        assert_eq!(sent_requests(&actions), vec![(NodeId(2), b1.hash())]);
+        let block = sync_timer_tags(&actions)[0];
+        assert_eq!(node.requests.len(), 2, "both in flight");
+
+        // Each timer re-sends only its own request, to the next neighbor.
+        let actions = step(&mut node, |n, ctx| assert!(n.on_timer(block, ctx)));
+        assert_eq!(sent_requests(&actions), vec![(NodeId(2), b1.hash())]);
+        assert!(sent_ranges(&actions).is_empty());
+        let block = sync_timer_tags(&actions)[0];
+        let actions = step(&mut node, |n, ctx| assert!(n.on_timer(range, ctx)));
+        assert_eq!(sent_ranges(&actions), vec![NodeId(2)]);
+        assert!(sent_requests(&actions).is_empty());
+        let range = sync_timer_tags(&actions)[0];
+        assert_eq!(node.sync_retries, 2);
+        assert_eq!(node.catchup_rounds, 1, "a retry is not a new round");
+
+        // The parent arrives: it ends the block request, not the page.
+        step(&mut node, |n, ctx| {
+            n.handle_block(Arc::clone(&b1), Some(NodeId(2)), ctx);
+        });
+        assert_eq!(node.chain.tip_hash(), b2.hash());
+        let actions = step(&mut node, |n, ctx| assert!(n.on_timer(block, ctx)));
+        assert!(actions.is_empty(), "the block request ended");
+        let actions = step(&mut node, |n, ctx| assert!(n.on_timer(range, ctx)));
+        assert_eq!(sent_ranges(&actions), vec![NodeId(1)]);
+        assert_eq!(node.sync_retries, 3);
+        assert_eq!(node.catchup_rounds, 1);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! tolerating `f` faulty ones, with view changes to replace a failed leader.
 //!
 //! Peers communicate point-to-point (consortium networks are small and fully
-//! connected), not by gossip. Fail-stop faults are modeled with the
-//! [`PbftNode::crashed`] flag; equivocation is not modeled (the simulator
+//! connected), not by gossip. A fail-stop fault is the fabric's: a crashed
+//! replica is never dispatched (`dcs_net::Network::crash`), and its restart
+//! is [`LedgerNode::on_restart`]. Equivocation is not modeled (the simulator
 //! drives all honest peers from the same implementation).
 
 use crate::node::{Inbound, LedgerNode, NodeCore};
@@ -74,8 +75,6 @@ struct SeqState {
 pub struct PbftNode<M: StateMachine> {
     /// Shared peer machinery.
     pub core: NodeCore<M>,
-    /// Fail-stop switch: a crashed replica ignores all events.
-    pub crashed: bool,
     /// View changes this replica has executed.
     pub view_changes: u64,
     n: usize,
@@ -118,7 +117,6 @@ impl<M: StateMachine> PbftNode<M> {
         };
         PbftNode {
             core: NodeCore::new(id, address, genesis, config, machine),
-            crashed: false,
             view_changes: 0,
             n,
             view: 0,
@@ -310,17 +308,11 @@ impl<M: StateMachine> Protocol for PbftNode<M> {
     type Msg = WireMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
-        if self.crashed {
-            return;
-        }
         self.schedule_batch_tick(ctx);
         self.arm_view_timer(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: WireMsg, ctx: &mut Ctx<'_, WireMsg>) {
-        if self.crashed {
-            return;
-        }
         match self.core.on_message(from, msg, ctx) {
             Inbound::Handled => {}
             Inbound::Tx { .. } => self.try_propose(ctx),
@@ -413,7 +405,7 @@ impl<M: StateMachine> Protocol for PbftNode<M> {
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, WireMsg>) {
-        if self.crashed || self.core.on_timer(tag, ctx) {
+        if self.core.on_timer(tag, ctx) {
             return;
         }
         let kind = tag & (0xff << 40);
@@ -458,14 +450,7 @@ impl<M: StateMachine> LedgerNode for PbftNode<M> {
         &mut self.core
     }
 
-    fn on_crash(&mut self, _ctx: &mut Ctx<'_, WireMsg>) {
-        // Fail-stop: the flag gates every callback until restart, so even
-        // events already in flight toward this replica are ignored.
-        self.crashed = true;
-    }
-
     fn reset_volatile(&mut self) {
-        self.crashed = false;
         // All per-view and per-sequence protocol state is volatile; a
         // restarted replica rediscovers the working view from the next
         // PrePrepare it hears (view adoption in `on_message`).
@@ -530,7 +515,6 @@ mod tests {
         let before = batch_ticks(&mut node, |n, ctx| n.on_start(ctx));
         assert_eq!(before.len(), 1);
         // Down and up again before that first tick fires.
-        assert!(batch_ticks(&mut node, |n, ctx| n.on_crash(ctx)).is_empty());
         let after = batch_ticks(&mut node, |n, ctx| n.on_restart(ctx));
         assert_eq!(after.len(), 1);
         assert_ne!(before, after, "the restart's tick carries a new epoch");

@@ -146,21 +146,17 @@ impl<M: StateMachine> EngineRule<M> for Ordering {
     }
 }
 
-/// PBFT: the replicas crashed (fail-stop) from the start.
+/// PBFT: nothing per replica beyond the replica count. A replica that is
+/// down from the start is a [`dcs_net::Network::crash`] before the run.
 #[derive(Debug, Clone, Default)]
-pub struct Pbft {
-    /// Indices of the crashed replicas.
-    pub crashed: Vec<usize>,
-}
+pub struct Pbft;
 
 impl<M: StateMachine> EngineRule<M> for Pbft {
     type Node = PbftNode<M>;
 
     fn peers(p: &NetworkParams<Self>) -> impl Fn(NodeId, Block, ChainConfig, M) -> PbftNode<M> {
         move |id, genesis, chain, machine| {
-            let mut node = PbftNode::new(id, node_address(id.0), genesis, chain, machine, p.nodes);
-            node.crashed = p.engine.crashed.contains(&id.0);
-            node
+            PbftNode::new(id, node_address(id.0), genesis, chain, machine, p.nodes)
         }
     }
 }
@@ -290,7 +286,7 @@ impl Default for NetworkParams<Pbft> {
                 ..ChainConfig::hyperledger_like()
             },
             net: lan(7),
-            engine: Pbft::default(),
+            engine: Pbft,
         }
     }
 }

@@ -260,20 +260,17 @@ fn pbft_commits_with_quorum_and_agrees() {
 #[test]
 fn pbft_survives_crashed_replicas_up_to_f() {
     // n=7 → f=2; two non-leader replicas fail-stop.
-    let params = NetworkParams::<Pbft> {
-        engine: Pbft {
-            crashed: vec![2, 5],
-        },
-        ..Default::default()
-    };
+    let params = NetworkParams::<Pbft>::default();
+    let crashed = [2, 5];
     let mut runner = build(&params, 43, |_| NullMachine);
+    for i in crashed {
+        runner.net_mut().crash(NodeId(i));
+    }
     let submitted =
         Workload::transfers(20.0, SimDuration::from_secs(15), 20).inject(runner.net_mut(), 47);
     runner.run_until(at(60));
     // Measure agreement among the live replicas only.
-    let live: Vec<usize> = (0..7)
-        .filter(|i| !params.engine.crashed.contains(i))
-        .collect();
+    let live: Vec<usize> = (0..7).filter(|i| !crashed.contains(i)).collect();
     let reference = runner.node(NodeId(live[0])).core();
     // Transactions injected at the two crashed peers are lost with them
     // (clients picked a dead point of contact), so expect ~5/7 to commit.
@@ -291,13 +288,9 @@ fn pbft_survives_crashed_replicas_up_to_f() {
 
 #[test]
 fn pbft_view_change_replaces_crashed_leader() {
-    let params = NetworkParams::<Pbft> {
-        engine: Pbft {
-            crashed: vec![0], // the view-0 leader is dead
-        },
-        ..Default::default()
-    };
+    let params = NetworkParams::<Pbft>::default();
     let mut runner = build(&params, 53, |_| NullMachine);
+    runner.net_mut().crash(NodeId(0)); // the view-0 leader is dead
     let submitted =
         Workload::transfers(20.0, SimDuration::from_secs(15), 20).inject(runner.net_mut(), 59);
     runner.run_until(at(120));
