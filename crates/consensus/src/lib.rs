@@ -33,6 +33,7 @@ pub mod pbft;
 pub mod poet;
 pub mod pos;
 pub mod pow;
+mod sync;
 
 pub use mempool::{InsertOutcome, Mempool};
 pub use node::{Inbound, LedgerNode, NodeCore, PeerObserver};
