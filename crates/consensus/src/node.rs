@@ -1,9 +1,9 @@
 //! The peer core shared by every consensus protocol: a [`Chain`] replica, a
 //! [`Mempool`], gossip dedup tables, block assembly, and the bookkeeping
 //! that returns reverted transactions to the pool after reorgs — plus the
-//! whole non-consensus wire protocol (tx gossip, block serving, catch-up
-//! sync), written once behind [`NodeCore::on_message`] and
-//! [`NodeCore::on_timer`]. An engine file (`pow`, `pos`, …) wraps a
+//! whole non-consensus wire protocol (tx gossip here; block serving and
+//! catch-up sync in the `sync` module), written once behind
+//! [`NodeCore::on_message`] and [`NodeCore::on_timer`]. An engine file (`pow`, `pos`, …) wraps a
 //! `NodeCore`, implements [`LedgerNode`], and adds only its block rule, its
 //! own timers and its proposal rule.
 

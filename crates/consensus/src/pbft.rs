@@ -515,6 +515,7 @@ mod tests {
         let before = batch_ticks(&mut node, |n, ctx| n.on_start(ctx));
         assert_eq!(before.len(), 1);
         // Down and up again before that first tick fires.
+        assert!(batch_ticks(&mut node, |n, ctx| n.on_crash(ctx)).is_empty());
         let after = batch_ticks(&mut node, |n, ctx| n.on_restart(ctx));
         assert_eq!(after.len(), 1);
         assert_ne!(before, after, "the restart's tick carries a new epoch");
