@@ -67,8 +67,10 @@ impl IdMarks {
     }
 
     /// Forgets every mark (a crash loses the table), then marks `blocks`
-    /// seen and `txs` seen and included: a restarted peer's canonical
-    /// history, so catch-up traffic does not re-gossip it.
+    /// seen and `txs` seen and included: a restarted peer passes every
+    /// block it stores, side branches included, and its canonical
+    /// transactions, so neither a re-gossiped stored block nor catch-up
+    /// traffic is taken for news.
     pub(crate) fn rebuild(
         &mut self,
         blocks: impl IntoIterator<Item = Hash256>,

@@ -84,11 +84,6 @@ impl Mempool {
         pool
     }
 
-    /// The admission pipeline, if one is configured.
-    pub fn admission(&self) -> Option<&Arc<VerifyPipeline>> {
-        self.admission.as_ref()
-    }
-
     /// Installs (or replaces) the admission pipeline on an existing pool —
     /// the post-construction form of [`Mempool::with_admission`], for
     /// builders that hand out already-constructed nodes.

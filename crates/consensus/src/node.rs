@@ -407,11 +407,13 @@ impl<M: StateMachine> NodeCore<M> {
     /// path after a crash. The chain resets its machine to genesis state,
     /// re-runs fork choice over the stored tree and replays the winner; the
     /// mempool contents, gossip dedup tables, and inclusion index are
-    /// volatile and re-derived (canonical blocks and their transactions are
-    /// marked seen so catch-up traffic does not re-gossip old history). The
-    /// pool keeps its capacity and admission pipeline; lifetime counters
-    /// survive. Rebuild errors land in [`NodeCore::internal_errors`] rather
-    /// than aborting.
+    /// volatile and re-derived. Every stored block, side branches included,
+    /// is marked seen, so a re-gossiped copy of one is dropped as a repeat
+    /// rather than imported again and counted rejected; canonical
+    /// transactions are marked seen and included, so catch-up traffic does
+    /// not re-gossip old history. The pool keeps its capacity and admission
+    /// pipeline; lifetime counters survive. Rebuild errors land in
+    /// [`NodeCore::internal_errors`] rather than aborting.
     pub fn rebuild_from_store(&mut self) {
         if self.chain.rebuild_from_store().is_err() {
             self.internal_errors += 1;
@@ -419,14 +421,14 @@ impl<M: StateMachine> NodeCore<M> {
         self.mempool.clear();
         self.report_pool();
         self.requests.clear();
-        let canonical = &self.chain.canonical()[1..];
         let mut tx_ids = Vec::new();
-        for hash in canonical {
+        for hash in &self.chain.canonical()[1..] {
             if let Some(body) = self.chain.tree().get(hash).and_then(|sb| sb.body()) {
                 tx_ids.extend(client_txs(body).map(|(_, id)| *id));
             }
         }
-        self.marks.rebuild(canonical.iter().copied(), tx_ids);
+        self.marks
+            .rebuild(self.chain.tree().iter().map(|sb| sb.hash()), tx_ids);
     }
 
     /// Handles an incoming transaction: dedup, mempool admission, then
@@ -1130,5 +1132,33 @@ pub(crate) mod tests {
             );
         }
         assert!(actions.is_empty(), "no re-gossip of known history");
+    }
+
+    #[test]
+    fn a_stored_side_block_is_a_repeat_after_rebuild() {
+        let (mut node, g) = new_node();
+        let a1 = block_on(&g, 1, vec![]);
+        let b1 = block_on(&g, 2, vec![]);
+        for b in [&a1, &b1] {
+            node.ingest_block(Arc::clone(b)).unwrap();
+        }
+        let side = if node.chain.tip_hash() == a1.hash() {
+            b1
+        } else {
+            a1
+        };
+
+        node.rebuild_from_store();
+
+        let neighbors = [NodeId(1)];
+        let mut rng = dcs_sim::Rng::seed_from(1);
+        let mut actions = Vec::new();
+        let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
+        assert!(node.handle_block(side, Some(NodeId(1)), &mut ctx).is_none());
+        assert_eq!(
+            node.rejected_blocks, 0,
+            "a held block is a repeat, not a reject"
+        );
+        assert!(actions.is_empty(), "and it is relayed nowhere");
     }
 }

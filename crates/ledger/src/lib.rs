@@ -59,9 +59,6 @@ pub use dcs_consensus::LedgerNode;
 pub use faults::install_faults;
 pub use metrics::{collect, SimResult};
 pub use scale::{run_channel_workload, ChannelRunReport, ChannelWorkloadParams};
-pub use serve::{
-    install_metrics, run_live, OpsServer, OpsState, RunnerGauges, ScaleSidecar, ScaleStatus,
-    ServeParams,
-};
+pub use serve::{install_metrics, run_live, OpsServer, OpsState, RunnerGauges, ServeParams};
 pub use trace::{collect_traces, install_tracing};
 pub use workload::Workload;

@@ -9,8 +9,8 @@
 //! | Path         | Body                                                  |
 //! |--------------|-------------------------------------------------------|
 //! | `/metrics`   | Prometheus text exposition (format 0.0.4)             |
-//! | `/status`    | JSON: chain head, mempool depth, peer liveness, and   |
-//! |              | the scale sidecar (shards, channels, light client)    |
+//! | `/status`    | JSON: chain head, finalized height, mempool depth,    |
+//! |              | submitted and tracked transactions, peer liveness     |
 //! | `/tx/<id>`   | JSON: submit → admit → included → committed timeline  |
 //! | `/analytics` | JSON: the [`dcs_middleware::ChainReport`]             |
 //! | `/recent`    | JSON: the bounded flight-recorder ring                |
@@ -28,12 +28,9 @@ use crate::LedgerNode;
 use crate::{collect_traces, install_tracing, workload::Workload};
 use dcs_chain::NullMachine;
 use dcs_consensus::PeerObserver;
-use dcs_crypto::VerifyPipeline;
 use dcs_metrics::{Counter, Gauge, Histogram, Registry, Ring};
 use dcs_net::{NodeId, Runner};
 use dcs_primitives::ConsensusKind;
-use dcs_scale::channels::ChannelNetwork;
-use dcs_scale::light::LightClient;
 use dcs_sim::{SimDuration, SimTime};
 use dcs_trace::{ImportOutcome, PbftPhase, RejectReason, Timelines, TraceConfig, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
@@ -232,10 +229,9 @@ const TICK_EVENT_BOUNDS: &[u64] = &[1, 10, 100, 1_000, 10_000, 100_000];
 
 /// Handles for the run-wide series that are *mirrored* from existing
 /// statistics rather than bumped inline: fabric counters, event-queue
-/// depth, per-shard engine dispatch counts, verify-pipeline cache
-/// counters, and the simulated clock. Call [`RunnerGauges::sample`]
-/// between simulation ticks; monotone mirrors use saturating set-to-total
-/// updates so a sample never regresses a counter.
+/// depth, per-shard engine dispatch counts, and the simulated clock. Call
+/// [`RunnerGauges::sample`] between simulation ticks; monotone mirrors use
+/// saturating set-to-total updates so a sample never regresses a counter.
 pub struct RunnerGauges {
     sim_now_us: Gauge,
     queue_depth: Gauge,
@@ -245,12 +241,6 @@ pub struct RunnerGauges {
     dropped: Counter,
     bytes_sent: Counter,
     shard_events: Vec<Counter>,
-    verify_batches: Counter,
-    verify_items: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    cache_evictions: Counter,
-    cache_entries: Gauge,
     /// Commit latency (µs) over transactions newly observed committed.
     pub commit_latency_us: Histogram,
     /// Events dispatched per simulation tick.
@@ -286,36 +276,6 @@ impl RunnerGauges {
             delivered: registry.counter("dcs_net_delivered_total", "messages delivered", &[]),
             dropped: registry.counter("dcs_net_dropped_total", "messages dropped in flight", &[]),
             bytes_sent: registry.counter("dcs_net_bytes_sent_total", "payload bytes sent", &[]),
-            verify_batches: registry.counter(
-                "dcs_verify_batches_total",
-                "batches submitted to the verify pipeline",
-                &[],
-            ),
-            verify_items: registry.counter(
-                "dcs_verify_items_total",
-                "signatures submitted across all batches",
-                &[],
-            ),
-            cache_hits: registry.counter(
-                "dcs_verify_cache_hits_total",
-                "signature checks answered from the cache",
-                &[],
-            ),
-            cache_misses: registry.counter(
-                "dcs_verify_cache_misses_total",
-                "signature checks that ran a real verification",
-                &[],
-            ),
-            cache_evictions: registry.counter(
-                "dcs_verify_cache_evictions_total",
-                "cached verdicts dropped to stay within capacity",
-                &[],
-            ),
-            cache_entries: registry.gauge(
-                "dcs_verify_cache_entries",
-                "verdicts currently cached",
-                &[],
-            ),
             commit_latency_us: registry.histogram(
                 "dcs_commit_latency_us",
                 "submit-to-commit latency per transaction (microseconds)",
@@ -349,194 +309,6 @@ impl RunnerGauges {
                 c.set_total(*count);
             }
         }
-        if let Some(pipeline) = runner.node(NodeId(0)).core().mempool.admission() {
-            let p = pipeline.stats();
-            self.verify_batches.set_total(p.batches);
-            self.verify_items.set_total(p.batch_items);
-            if let Some(c) = p.cache {
-                self.cache_hits.set_total(c.hits);
-                self.cache_misses.set_total(c.misses);
-                self.cache_evictions.set_total(c.evictions);
-                self.cache_entries.set(c.entries as i64);
-            }
-        }
-    }
-}
-
-/// The scale-out companions of a serve run (PR 10), published on
-/// `/status` and `/metrics`: a real [`LightClient`] syncing node 0's
-/// header chain out of band (headers only, PoW-checked, never a body), and
-/// a payment-channel hub routing dual-signed off-chain payments paced by
-/// the simulated clock. Both are pure readers/side-state — the simulated
-/// run stays bit-identical with the sidecar on or off.
-pub struct ScaleSidecar {
-    light: LightClient,
-    channels: ChannelNetwork,
-    hub: dcs_crypto::Address,
-    spokes: Vec<dcs_crypto::Address>,
-    channels_open: u64,
-    mirrored_height: u64,
-    next_pay_at: SimTime,
-    payments_budget: u64,
-    engine_shards: Gauge,
-    g_channels_open: Gauge,
-    c_channel_payments: Counter,
-    g_light_tip: Gauge,
-    g_light_lag: Gauge,
-    c_light_bytes: Counter,
-}
-
-/// The `/status` `scale` document published each snapshot.
-#[derive(Debug, Clone, Copy)]
-pub struct ScaleStatus {
-    /// Engine worker shards driving the simulated network.
-    pub engine_shards: usize,
-    /// Payment channels currently open at the hub.
-    pub channels_open: u64,
-    /// Off-chain payments routed so far.
-    pub channel_payments: u64,
-    /// The light client's synced header height.
-    pub light_tip: u64,
-    /// Full-node height minus the light client's tip.
-    pub light_lag: u64,
-    /// Bytes the light client has downloaded (headers + checkpoints).
-    pub light_bytes: u64,
-}
-
-impl ScaleSidecar {
-    /// Builds the sidecar against node 0's genesis header and registers its
-    /// metric families.
-    pub fn new<P: LedgerNode>(runner: &Runner<P>, registry: &Registry) -> Self {
-        let chain = &runner.node(NodeId(0)).core().chain;
-        let genesis = chain
-            .canonical_at(0)
-            .and_then(|h| chain.tree().get(&h))
-            .expect("every chain stores its genesis")
-            .header()
-            .clone();
-        // Leave `check_pow` off: the simulated miner models block discovery
-        // with exponential arrival times and seals with an RNG nonce, so
-        // live headers do not satisfy the literal hash-target relation
-        // (only `mine_header`-ground ones do). With it on, every batch
-        // fails `BadPow` and the client wedges at the genesis tip.
-        let light = LightClient::new(genesis);
-
-        // A hub-and-spoke channel web with real WOTS keys. Key height 10 =
-        // 1024 signatures per party; the payment budget stays inside it.
-        let mut channels = ChannelNetwork::new(10);
-        let hub = channels.add_party([0xAA; 32], 10, 100_000_000);
-        let spokes: Vec<dcs_crypto::Address> = (0..3)
-            .map(|i| channels.add_party([0xB0 + i; 32], 10, 10_000_000))
-            .collect();
-        let mut channels_open = 0;
-        for &s in &spokes {
-            channels
-                .open_channel(hub, s, 2_000_000, 200_000)
-                .expect("parties funded above");
-            channels_open += 1;
-        }
-        ScaleSidecar {
-            light,
-            channels,
-            hub,
-            spokes,
-            channels_open,
-            mirrored_height: 0,
-            next_pay_at: SimTime::ZERO,
-            payments_budget: 400,
-            engine_shards: registry.gauge(
-                "dcs_scale_engine_shards",
-                "event-engine worker shards driving the run",
-                &[],
-            ),
-            g_channels_open: registry.gauge(
-                "dcs_scale_channels_open",
-                "payment channels currently open at the serve hub",
-                &[],
-            ),
-            c_channel_payments: registry.counter(
-                "dcs_scale_channel_payments_total",
-                "off-chain payments routed through the channel hub",
-                &[],
-            ),
-            g_light_tip: registry.gauge(
-                "dcs_scale_light_tip",
-                "header height the light client has verified up to",
-                &[],
-            ),
-            g_light_lag: registry.gauge(
-                "dcs_scale_light_lag",
-                "full-node height minus the light client tip",
-                &[],
-            ),
-            c_light_bytes: registry.counter(
-                "dcs_scale_light_bytes_total",
-                "bytes the light client downloaded (headers + checkpoints)",
-                &[],
-            ),
-        }
-    }
-
-    /// Syncs the light client to node 0's finalized headers, routes any due
-    /// channel payments, mirrors the gauges, and returns the `/status`
-    /// snapshot. Reads the runner only.
-    pub fn sample<P: LedgerNode>(&mut self, runner: &Runner<P>) -> ScaleStatus {
-        let chain = &runner.node(NodeId(0)).core().chain;
-        let height = chain.height();
-        // Headers only ever up to the finalized height: below the
-        // confirmation depth a PoW chain may still reorg, and the light
-        // client's strict linkage check would wedge on an orphaned header.
-        let mut headers = Vec::new();
-        for h in self.light.tip_height() + 1..=chain.finalized_height() {
-            let Some(stored) = chain
-                .canonical_at(h)
-                .and_then(|hash| chain.tree().get(&hash))
-            else {
-                break;
-            };
-            headers.push(stored.header().clone());
-        }
-        if !headers.is_empty() {
-            // A failure means node 0 reorged under us mid-walk; drop the
-            // batch and retry at the next snapshot.
-            let _ = self.light.sync(&headers);
-        }
-
-        // Channel traffic: one routed payment per simulated 5 s, keys
-        // permitting. The settlement ledger height mirrors the chain.
-        if height > self.mirrored_height {
-            self.channels.advance_height(height - self.mirrored_height);
-            self.mirrored_height = height;
-        }
-        let now = runner.now();
-        while now >= self.next_pay_at && self.payments_budget > 0 {
-            self.next_pay_at += SimDuration::from_secs(5);
-            let i = (self.channels.payments as usize) % self.spokes.len();
-            let (from, to) = if self.channels.payments.is_multiple_of(2) {
-                (self.hub, self.spokes[i])
-            } else {
-                (self.spokes[i], self.hub)
-            };
-            if self.channels.pay(from, to, 1_000).is_ok() {
-                self.payments_budget -= 1;
-            }
-        }
-
-        let status = ScaleStatus {
-            engine_shards: runner.shards(),
-            channels_open: self.channels_open,
-            channel_payments: self.channels.payments,
-            light_tip: self.light.tip_height(),
-            light_lag: height.saturating_sub(self.light.tip_height()),
-            light_bytes: self.light.bytes_downloaded,
-        };
-        self.engine_shards.set(status.engine_shards as i64);
-        self.g_channels_open.set(status.channels_open as i64);
-        self.c_channel_payments.set_total(status.channel_payments);
-        self.g_light_tip.set(status.light_tip as i64);
-        self.g_light_lag.set(status.light_lag as i64);
-        self.c_light_bytes.set_total(status.light_bytes);
-        status
     }
 }
 
@@ -862,8 +634,7 @@ impl Default for ServeParams {
 }
 
 /// Builds the serve network: the standard PoW-gossip profile (~5 s
-/// blocks) with full tracing, a shared admission pipeline on every peer,
-/// and per-peer metrics on `registry`.
+/// blocks) with full tracing and per-peer metrics on `registry`.
 fn build_serve_runner(
     params: &ServeParams,
     registry: &Registry,
@@ -881,14 +652,6 @@ fn build_serve_runner(
     runner.set_shards(params.shards);
     install_tracing(&mut runner, &TraceConfig::full());
     install_metrics(&mut runner, registry);
-    let pipeline = Arc::new(VerifyPipeline::new(2, 4096));
-    for i in 0..params.nodes {
-        runner
-            .node_mut(NodeId(i))
-            .core_mut()
-            .mempool
-            .set_admission(Arc::clone(&pipeline));
-    }
     runner
 }
 
@@ -907,7 +670,6 @@ pub fn run_live(params: &ServeParams, on_ready: impl FnOnce(SocketAddr)) -> std:
     let submitted = Workload::transfers(params.tps, SimDuration::from_secs(params.sim_secs), 100)
         .inject(runner.net_mut(), params.seed ^ 0x5eed);
     let state = OpsState::new(registry, 256);
-    let mut sidecar = ScaleSidecar::new(&runner, &state.registry);
     let server = serve(&params.addr, Arc::clone(&state))?;
     on_ready(server.addr());
 
@@ -925,7 +687,6 @@ pub fn run_live(params: &ServeParams, on_ready: impl FnOnce(SocketAddr)) -> std:
         };
         gauges.sample(&runner);
         gauges.tick_events.observe(dispatched);
-        let scale = sidecar.sample(&runner);
         // Rebuilding timelines is the expensive part of a tick; once the
         // run has drained (no events dispatched) the snapshots are static,
         // so refresh them only occasionally to keep idle serving cheap.
@@ -936,7 +697,6 @@ pub fn run_live(params: &ServeParams, on_ready: impl FnOnce(SocketAddr)) -> std:
                 &gauges,
                 &mut committed_seen,
                 submitted.len(),
-                &scale,
             );
         }
         tick += 1;
@@ -956,7 +716,6 @@ fn publish_snapshots<P: LedgerNode>(
     gauges: &RunnerGauges,
     committed_seen: &mut BTreeSet<dcs_trace::Id>,
     submitted: usize,
-    scale: &ScaleStatus,
 ) {
     let mut traces = collect_traces(runner);
     let timelines = Timelines::build(traces.records(), 0);
@@ -993,10 +752,7 @@ fn publish_snapshots<P: LedgerNode>(
             "{{\"now_us\":{},\"head\":{{\"height\":{},\"tip\":\"{}\"}},",
             "\"finalized_height\":{},\"mempool_depth\":{},",
             "\"txs_submitted\":{},\"txs_tracked\":{},\"reorgs_observed\":{},",
-            "\"sample_tx\":{},\"peers\":[{}],",
-            "\"scale\":{{\"engine_shards\":{},\"channels_open\":{},",
-            "\"channel_payments\":{},\"light_tip\":{},\"light_lag\":{},",
-            "\"light_bytes\":{}}}}}"
+            "\"sample_tx\":{},\"peers\":[{}]}}"
         ),
         runner.now().as_micros(),
         height,
@@ -1011,12 +767,6 @@ fn publish_snapshots<P: LedgerNode>(
             None => "null".to_string(),
         },
         peers.join(","),
-        scale.engine_shards,
-        scale.channels_open,
-        scale.channel_payments,
-        scale.light_tip,
-        scale.light_lag,
-        scale.light_bytes,
     ));
 
     state.set_analytics(dcs_middleware::analyze(&core.chain).to_json());
@@ -1181,33 +931,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_sidecar_light_client_tracks_the_live_chain() {
-        let params = ServeParams {
-            nodes: 3,
-            ..Default::default()
-        };
-        let registry = Registry::new();
-        let mut runner = build_serve_runner(&params, &registry);
-        let mut sidecar = ScaleSidecar::new(&runner, &registry);
-        runner.run_until(SimTime::ZERO + SimDuration::from_secs(300));
-        let status = sidecar.sample(&runner);
-        let height = runner.node(NodeId(0)).core().chain.height();
-        let depth = runner
-            .node(NodeId(0))
-            .core()
-            .chain
-            .config()
-            .confirmation_depth;
-        assert!(height > depth, "run too short to finalize: {height}");
-        // The regression this guards: a PoW-target check against the
-        // time-simulated miner wedges the client at the genesis tip.
-        assert!(status.light_tip > 0, "light client wedged: {status:?}");
-        assert_eq!(status.light_tip, height - depth);
-        assert_eq!(status.light_lag, height - status.light_tip);
-        assert!(status.light_bytes > 0);
-    }
-
-    #[test]
     fn live_run_populates_every_endpoint() {
         let params = ServeParams {
             addr: "127.0.0.1:0".to_string(),
@@ -1242,14 +965,12 @@ mod tests {
         let (status, metrics, analytics, recent) = probe.join().expect("probe");
         assert!(status.contains("\"now_us\""), "{status}");
         assert!(status.contains("\"peers\""), "{status}");
-        assert!(status.contains("\"scale\":{\"engine_shards\":"), "{status}");
-        assert!(status.contains("\"channels_open\":3"), "{status}");
-        assert!(status.contains("\"light_lag\":"), "{status}");
+        assert!(status.contains("\"finalized_height\":"), "{status}");
+        assert!(status.contains("\"txs_tracked\":"), "{status}");
         assert!(metrics.contains("dcs_sim_now_us"), "{metrics}");
         assert!(metrics.contains("dcs_chain_height"), "{metrics}");
         assert!(metrics.contains("dcs_mempool_depth"), "{metrics}");
-        assert!(metrics.contains("dcs_scale_channels_open"), "{metrics}");
-        assert!(metrics.contains("dcs_scale_light_lag"), "{metrics}");
+        assert!(metrics.contains("dcs_commit_latency_us"), "{metrics}");
         assert!(analytics.starts_with('{'), "{analytics}");
         assert!(recent.contains("\"entries\""), "{recent}");
     }
