@@ -72,6 +72,16 @@ pub enum WireMsg {
         /// Exponentially spaced canonical hashes, newest first.
         locator: Vec<Hash256>,
     },
+    /// A PBFT replica's request, sent to the proposer of the compact
+    /// proposal for `block`, for the client bodies it names that the
+    /// replica's pool lacks. Answered with one [`WireMsg::Tx`] per body the
+    /// proposer still holds, in its pool or in the stored block.
+    TxRequest {
+        /// Hash of the proposed block.
+        block: Hash256,
+        /// Ids of the missing client transactions.
+        ids: Vec<Hash256>,
+    },
     /// A batch of canonical blocks answering a [`WireMsg::SyncRequest`],
     /// plus the responder's tip height so the asker knows whether to keep
     /// paging.
@@ -86,17 +96,27 @@ pub enum WireMsg {
 /// Cheap wire-size estimate in bytes, used for bandwidth accounting without
 /// re-encoding bodies on every gossip hop. (Experiments that measure exact
 /// sizes — e.g. E10 — call `encoded_len` on the payloads directly.)
+///
+/// A PBFT `PrePrepare` is compact: the header, the coinbase and one 32-byte
+/// id per client transaction, whose bodies the replicas already pool (a
+/// replica asks the proposer for the ones it lacks with
+/// [`WireMsg::TxRequest`]).
 pub fn wire_size(msg: &WireMsg) -> usize {
     match msg {
         WireMsg::Block(b) => approx_block_size(b),
         WireMsg::Tx(tx) => approx_tx_size(tx),
         WireMsg::Pbft(m) => match m {
             pbft::PbftMsg::PrePrepare { block, .. } => {
-                200 + block.txs.iter().map(approx_tx_size).sum::<usize>()
+                let compact = |tx: &Transaction| match tx {
+                    Transaction::Coinbase { .. } => approx_tx_size(tx),
+                    _ => 32,
+                };
+                200 + block.txs.iter().map(compact).sum::<usize>()
             }
             _ => 100,
         },
         WireMsg::BlockRequest(_) | WireMsg::BlockNotFound(_) => 40,
+        WireMsg::TxRequest { ids, .. } => 40 + 32 * ids.len(),
         WireMsg::SyncRequest { locator } => 16 + 32 * locator.len(),
         WireMsg::SyncResponse { blocks, .. } => {
             16 + blocks.iter().map(|b| approx_block_size(b)).sum::<usize>()
@@ -140,8 +160,9 @@ mod tests {
     use dcs_primitives::AccountTx;
 
     /// Every queued network event holds a `WireMsg`; its largest variant is
-    /// the sealed transaction (80 bytes) plus the tag. Growing it is a
-    /// measured decision (CHANGES.md, issue 20).
+    /// the sealed transaction (80 bytes) plus the tag (`TxRequest`, a hash
+    /// and a `Vec`, is 56). Growing it is a measured decision (CHANGES.md,
+    /// issue 20).
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn wire_msg_stays_within_88_bytes() {

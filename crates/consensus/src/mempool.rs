@@ -165,6 +165,11 @@ impl Mempool {
         self.seq_of.contains_key(id)
     }
 
+    /// The pooled transaction with this id.
+    pub(crate) fn get(&self, id: &Hash256) -> Option<&SealedTx> {
+        self.queue.get(self.seq_of.get(id)?)
+    }
+
     /// Adds a transaction; returns false if it is a duplicate, the pool is
     /// full, or (with an admission pipeline) it carries a forged witness.
     pub fn insert(&mut self, tx: SealedTx) -> bool {

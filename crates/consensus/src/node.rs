@@ -103,6 +103,20 @@ pub enum Inbound {
     Pbft(PbftMsg),
 }
 
+/// What a peer forwards of what reaches it. An engine picks its rule at
+/// construction; it is not a run option.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Relay {
+    /// Gossip: every block the peer imports and every transaction its pool
+    /// keeps goes on to every neighbor but the sender.
+    Flood,
+    /// A fully connected consortium: the peer a client hands a transaction
+    /// to sends it to every peer, and nothing that came from a peer goes
+    /// further. Blocks travel inside the engine's own messages, so the
+    /// core relays none.
+    Direct,
+}
+
 /// Shared per-peer machinery.
 #[derive(Debug)]
 pub struct NodeCore<M: StateMachine> {
@@ -143,6 +157,9 @@ pub struct NodeCore<M: StateMachine> {
     pub(crate) requests: BTreeMap<Want, SyncAttempt>,
     /// Monotonic epoch distinguishing live sync timers from stale ones.
     pub(crate) sync_epoch: u64,
+    /// What this peer forwards ([`Relay::Flood`] unless the engine says
+    /// otherwise).
+    pub(crate) relay: Relay,
 }
 
 impl<M: StateMachine> NodeCore<M> {
@@ -170,6 +187,7 @@ impl<M: StateMachine> NodeCore<M> {
             marks: IdMarks::default(),
             requests: BTreeMap::new(),
             sync_epoch: 0,
+            relay: Relay::Flood,
         }
     }
 
@@ -260,6 +278,10 @@ impl<M: StateMachine> NodeCore<M> {
             WireMsg::Pbft(pbft) => Inbound::Pbft(pbft),
             WireMsg::BlockRequest(hash) => {
                 self.handle_block_request(hash, from, ctx);
+                Inbound::Handled
+            }
+            WireMsg::TxRequest { block, ids } => {
+                self.handle_tx_request(block, &ids, from, ctx);
                 Inbound::Handled
             }
             WireMsg::BlockNotFound(hash) => {
@@ -357,10 +379,11 @@ impl<M: StateMachine> NodeCore<M> {
     /// new and imported. The `Arc` is shared with the chain's store — the
     /// block is never deep-copied on this path.
     ///
-    /// A peer relays what it imports: a block the chain refused, or one
-    /// that failed state validation (it is then in the chain's invalid
+    /// A gossip peer relays what it imports: a block the chain refused, or
+    /// one that failed state validation (it is then in the chain's invalid
     /// set), goes no further. An orphan, which cannot be judged yet, is
-    /// relayed.
+    /// relayed. A consortium replica (PBFT), whose blocks travel inside its
+    /// engine's own messages, relays no block, its own included.
     pub fn handle_block(
         &mut self,
         block: Arc<Block>,
@@ -382,7 +405,7 @@ impl<M: StateMachine> NodeCore<M> {
         // However the block arrived, it satisfies any outstanding request.
         self.requests.remove(&Want::Block(hash));
         let event = self.ingest_block_at(Arc::clone(&block), ctx.now)?;
-        if !self.chain.invalid().contains(&hash) {
+        if self.relay == Relay::Flood && !self.chain.invalid().contains(&hash) {
             let msg = WireMsg::Block(block);
             let size = wire_size(&msg);
             match from {
@@ -444,6 +467,11 @@ impl<M: StateMachine> NodeCore<M> {
     /// run whose pools never fill and that carries no forged witness relays
     /// every first-seen body.
     ///
+    /// A [`Relay::Direct`] peer forwards only what a client handed it (the
+    /// fabric delivers a client's transaction as if from the peer itself),
+    /// and admission still decides that relay; a body from another peer is
+    /// pooled and goes no further.
+    ///
     /// The sealed transaction carries its content id, so this hot path —
     /// run once per peer per gossiped tx — never hashes the body.
     fn handle_tx(&mut self, tx: SealedTx, from: NodeId, ctx: &mut Ctx<'_, WireMsg>) -> bool {
@@ -485,7 +513,7 @@ impl<M: StateMachine> NodeCore<M> {
             }
             matches!(outcome, InsertOutcome::Added | InsertOutcome::Duplicate)
         };
-        if relay {
+        if relay && (self.relay == Relay::Flood || from == self.id) {
             let msg = WireMsg::Tx(tx);
             let size = wire_size(&msg);
             ctx.broadcast_except(from, msg, size);
@@ -631,7 +659,7 @@ impl<M: StateMachine> NodeCore<M> {
 /// A block's client transactions, with their cached ids: every
 /// transaction but the coinbase. The one rule for what a block puts on, or
 /// takes off, the canonical marks and the pool.
-fn client_txs(block: &Block) -> impl Iterator<Item = (&Transaction, &Hash256)> {
+pub(crate) fn client_txs(block: &Block) -> impl Iterator<Item = (&Transaction, &Hash256)> {
     let txs = block.txs.iter().zip(block.tx_ids());
     txs.filter(|(tx, _)| !matches!(tx, Transaction::Coinbase { .. }))
 }

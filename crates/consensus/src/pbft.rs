@@ -5,12 +5,28 @@
 //! tolerating `f` faulty ones, with view changes to replace a failed leader.
 //!
 //! Peers communicate point-to-point (consortium networks are small and fully
-//! connected), not by gossip. A fail-stop fault is the fabric's: a crashed
-//! replica is never dispatched (`dcs_net::Network::crash`), and its restart
-//! is [`LedgerNode::on_restart`]. Equivocation is not modeled (the simulator
+//! connected), not by gossip, and each body crosses each link once:
+//!
+//! * The replica a client hands a transaction to sends it to every replica;
+//!   no replica relays a transaction it got from another one.
+//! * A `PrePrepare` is compact on the wire: the header, the coinbase and one
+//!   id per client transaction ([`crate::wire_size`]). A replica prepares
+//!   only once its pool holds every body the proposal names, and asks the
+//!   proposer for the ones it lacks with one [`WireMsg::TxRequest`]. In
+//!   memory the proposal stays the leader's `Arc<Block>`: ids are content
+//!   addresses, so the block a replica would rebuild from its pool is that
+//!   block, and a rebuild would only deep-copy every body.
+//! * A committed block goes to nobody. A replica that falls behind — its
+//!   view timer fires while it holds a commit quorum for a sequence it
+//!   cannot commit — pulls the missing blocks from the view's leader by
+//!   catch-up sync instead of voting for a view change.
+//!
+//! A fail-stop fault is the fabric's: a crashed replica is never dispatched
+//! (`dcs_net::Network::crash`), and its restart is
+//! [`LedgerNode::on_restart`]. Equivocation is not modeled (the simulator
 //! drives all honest peers from the same implementation).
 
-use crate::node::{Inbound, LedgerNode, NodeCore};
+use crate::node::{client_txs, Inbound, LedgerNode, NodeCore, Relay};
 use crate::WireMsg;
 use dcs_chain::StateMachine;
 use dcs_crypto::{Address, Hash256};
@@ -30,7 +46,8 @@ pub enum PbftMsg {
         view: u64,
         /// Sequence number (block height).
         seq: u64,
-        /// The proposed block.
+        /// The proposed block: on the wire its header, coinbase and client
+        /// transaction ids; the bodies are the ones the replicas pool.
         block: Arc<Block>,
     },
     /// A replica's agreement that the proposal for `(view, seq)` is `digest`.
@@ -64,6 +81,9 @@ const TAG_VIEW: u64 = 2 << 40;
 #[derive(Debug, Default)]
 struct SeqState {
     candidate: Option<Arc<Block>>,
+    /// Client bodies the candidate names that this replica's pool lacked;
+    /// it prepares and commits the candidate only once this is empty.
+    missing: Vec<Hash256>,
     prepares: BTreeSet<NodeId>,
     commits: BTreeSet<NodeId>,
     sent_prepare: bool,
@@ -115,8 +135,10 @@ impl<M: StateMachine> PbftNode<M> {
             // Constructor misuse is a programmer error, not a peer input.
             panic!("PbftNode requires a Pbft consensus config") // dcs-lint: allow(panic-path)
         };
+        let mut core = NodeCore::new(id, address, genesis, config, machine);
+        core.relay = Relay::Direct;
         PbftNode {
-            core: NodeCore::new(id, address, genesis, config, machine),
+            core,
             view_changes: 0,
             n,
             view: 0,
@@ -216,6 +238,9 @@ impl<M: StateMachine> PbftNode<M> {
         let Some(block) = entry.candidate.clone() else {
             return;
         };
+        if !entry.missing.is_empty() {
+            return;
+        }
         let digest = block.hash();
 
         if entry.prepares.len() >= quorum && !entry.sent_commit {
@@ -248,6 +273,7 @@ impl<M: StateMachine> PbftNode<M> {
             if self.in_flight == Some(seq) {
                 self.in_flight = None;
             }
+            // A direct-relay core sends the block to nobody.
             self.core.handle_block(block, None, ctx);
             // Progress achieved: reset the view-change timer.
             self.arm_view_timer(ctx);
@@ -257,9 +283,65 @@ impl<M: StateMachine> PbftNode<M> {
         }
     }
 
-    /// The chain advanced outside this replica's own commit path (gossip
-    /// fallback or catch-up sync): drop buffered per-seq state at or below
-    /// the new tip and carry on from there.
+    /// Prepares `seq`'s candidate once this replica's pool holds every
+    /// body it names, then counts quorums.
+    fn prepare(&mut self, seq: u64, ctx: &mut Ctx<'_, WireMsg>) {
+        let view = self.view;
+        let Some(entry) = self.state.get_mut(&seq) else {
+            return;
+        };
+        let Some(block) = entry.candidate.as_ref() else {
+            return;
+        };
+        if entry.missing.is_empty() && !entry.sent_prepare {
+            let digest = block.hash();
+            entry.sent_prepare = true;
+            entry.prepares.insert(self.core.id);
+            self.core.emit(
+                ctx.now.as_micros(),
+                TraceEvent::Pbft {
+                    phase: PbftPhase::Prepare,
+                    view,
+                    seq,
+                },
+            );
+            self.send_all(PbftMsg::Prepare { view, seq, digest }, ctx);
+        }
+        self.check_quorums(seq, ctx);
+    }
+
+    /// A transaction reached the pool: a candidate that was waiting for it
+    /// may now be prepared.
+    fn bodies_arrived(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+        let pool = &self.core.mempool;
+        let ready: Vec<u64> = self
+            .state
+            .iter_mut()
+            .filter(|(_, entry)| !entry.missing.is_empty())
+            .filter_map(|(&seq, entry)| {
+                entry.missing.retain(|id| !pool.contains(id));
+                entry.missing.is_empty().then_some(seq)
+            })
+            .collect();
+        for seq in ready {
+            self.prepare(seq, ctx);
+        }
+    }
+
+    /// True if a quorum has committed a sequence this replica has not:
+    /// 2f+1 commits at or above its next sequence, which it would have
+    /// committed already had it held that candidate and its bodies.
+    fn behind_the_quorum(&self) -> bool {
+        let quorum = self.quorum();
+        let next = self.next_seq();
+        self.state
+            .range(next..)
+            .any(|(_, entry)| entry.commits.len() >= quorum)
+    }
+
+    /// The chain advanced outside this replica's own commit path (a
+    /// requested block or catch-up sync): drop buffered per-seq state at or
+    /// below the new tip and carry on from there.
     fn chain_moved(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
         let height = self.core.chain.height();
         self.state.retain(|&s, _| s > height);
@@ -315,13 +397,18 @@ impl<M: StateMachine> Protocol for PbftNode<M> {
     fn on_message(&mut self, from: NodeId, msg: WireMsg, ctx: &mut Ctx<'_, WireMsg>) {
         match self.core.on_message(from, msg, ctx) {
             Inbound::Handled => {}
-            Inbound::Tx { .. } => self.try_propose(ctx),
+            Inbound::Tx { fresh } => {
+                if fresh {
+                    self.bodies_arrived(ctx);
+                }
+                self.try_propose(ctx);
+            }
             Inbound::Block(block) => {
-                // Fallback sync path: peers whose commit quorum completed
-                // first gossip the committed block; accept it and catch up.
-                // Without this reconciliation the leader can wedge — its
-                // own quorum never completes because the chain already
-                // moved underneath it.
+                // Replicas announce no block, so none arrives from one; a
+                // block that arrives anyway is imported. A replica the
+                // quorum left behind pulls by catch-up sync instead (the
+                // view-timer arm of `on_timer`), whose pages land as
+                // `TipMoved`.
                 if self.core.handle_block(block, Some(from), ctx).is_some() {
                     self.chain_moved(ctx);
                 }
@@ -347,28 +434,32 @@ impl<M: StateMachine> Protocol for PbftNode<M> {
                     if seq < self.next_seq() {
                         return;
                     }
-                    let digest = block.hash();
                     let entry = self.state.entry(seq).or_default();
                     if entry.candidate.is_none() {
+                        // The compact proposal names its bodies by id: the
+                        // ones the pool lacks are asked of the proposer,
+                        // once.
+                        let pool = &self.core.mempool;
+                        entry.missing = client_txs(&block)
+                            .map(|(_, id)| *id)
+                            .filter(|id| !pool.contains(id))
+                            .collect();
+                        if !entry.missing.is_empty() {
+                            let msg = WireMsg::TxRequest {
+                                block: block.hash(),
+                                ids: entry.missing.clone(),
+                            };
+                            let size = crate::wire_size(&msg);
+                            ctx.send(from, msg, size);
+                        }
                         entry.candidate = Some(block);
                     }
-                    if !entry.sent_prepare {
-                        entry.sent_prepare = true;
-                        entry.prepares.insert(self.core.id);
-                        self.core.emit(
-                            ctx.now.as_micros(),
-                            TraceEvent::Pbft {
-                                phase: PbftPhase::Prepare,
-                                view,
-                                seq,
-                            },
-                        );
-                        self.send_all(PbftMsg::Prepare { view, seq, digest }, ctx);
-                    }
-                    self.check_quorums(seq, ctx);
+                    self.prepare(seq, ctx);
                 }
                 PbftMsg::Prepare { view, seq, digest } => {
-                    if view != self.view {
+                    // A vote for a sequence already committed here is late:
+                    // recording it would leave an entry nothing removes.
+                    if view != self.view || seq < self.next_seq() {
                         return;
                     }
                     let entry = self.state.entry(seq).or_default();
@@ -379,7 +470,7 @@ impl<M: StateMachine> Protocol for PbftNode<M> {
                     self.check_quorums(seq, ctx);
                 }
                 PbftMsg::Commit { view, seq, digest } => {
-                    if view != self.view {
+                    if view != self.view || seq < self.next_seq() {
                         return;
                     }
                     let entry = self.state.entry(seq).or_default();
@@ -422,8 +513,20 @@ impl<M: StateMachine> Protocol for PbftNode<M> {
                 if counter != self.view_timer_epoch {
                     return;
                 }
-                // No progress: demand a view change if there is work to do.
-                if !self.core.mempool.is_empty() {
+                // No progress. If the quorum moved on without this replica,
+                // pull the blocks it missed; the view is working. Otherwise
+                // demand a view change if there is work to do.
+                if self.behind_the_quorum() {
+                    // The leader proposed that sequence only after it had
+                    // committed every one below it: pull from it, not from
+                    // a neighbor that may be as far behind.
+                    let leader = self.leader_of(self.view);
+                    if leader == self.core.id {
+                        self.core.begin_catchup(ctx);
+                    } else {
+                        self.core.catch_up_from(leader, ctx);
+                    }
+                } else if !self.core.mempool.is_empty() {
                     let new_view = self.view + 1;
                     self.send_all(PbftMsg::ViewChange { new_view }, ctx);
                     let votes = self.view_votes.entry(new_view).or_default();
@@ -467,6 +570,7 @@ mod tests {
     use super::*;
     use dcs_chain::NullMachine;
     use dcs_net::Action;
+    use dcs_primitives::{AccountTx, SealedTx, Transaction};
     use dcs_sim::SimTime;
 
     type Replica = PbftNode<NullMachine>;
@@ -496,21 +600,198 @@ mod tests {
             .collect()
     }
 
-    /// A crash and restart inside one `batch_timeout` used to leave the
-    /// pre-crash tick alive beside the restart's own: two chains, each
-    /// re-arming itself forever, doubling the proposal attempts.
-    #[test]
-    fn restarted_replica_has_exactly_one_live_tick_chain() {
-        let config = ChainConfig {
+    fn config() -> ChainConfig {
+        ChainConfig {
             consensus: ConsensusKind::Pbft {
                 batch_size: 100,
                 batch_timeout_us: 500_000,
                 view_timeout_us: 4_000_000,
             },
             ..ChainConfig::hyperledger_like()
-        };
+        }
+    }
+
+    fn replica(id: usize) -> Replica {
+        let config = config();
         let genesis = dcs_chain::genesis_block(&config);
-        let mut node = PbftNode::new(NodeId(1), Address::ZERO, genesis, config, NullMachine, 4);
+        PbftNode::new(NodeId(id), Address::ZERO, genesis, config, NullMachine, 4)
+    }
+
+    fn sealed(v: u64) -> SealedTx {
+        SealedTx::new(Arc::new(Transaction::Account(AccountTx::transfer(
+            Address::from_index(1),
+            Address::from_index(2),
+            v,
+            v,
+        ))))
+    }
+
+    /// Delivers `msg` from `from` to `node`; returns what it asked for.
+    fn deliver(node: &mut Replica, from: usize, msg: WireMsg) -> Vec<Action<WireMsg>> {
+        let neighbors: Vec<NodeId> = (0..4).map(NodeId).filter(|&i| i != node.core.id).collect();
+        let mut rng = dcs_sim::Rng::seed_from(1);
+        let mut actions = Vec::new();
+        let mut ctx = Ctx::new(
+            node.core.id,
+            SimTime::ZERO,
+            &neighbors,
+            &mut rng,
+            &mut actions,
+        );
+        node.on_message(NodeId(from), msg, &mut ctx);
+        actions
+    }
+
+    /// The sends among `actions`, as (destination, message).
+    fn sends(actions: Vec<Action<WireMsg>>) -> Vec<(NodeId, WireMsg)> {
+        actions
+            .into_iter()
+            .filter_map(|a| match a {
+                Action::Send { to, msg, .. } => Some((to, msg)),
+                Action::Timer { .. } => None,
+            })
+            .collect()
+    }
+
+    fn prepares(actions: Vec<Action<WireMsg>>) -> usize {
+        let sent = sends(actions);
+        let is_prepare = |m: &WireMsg| matches!(m, WireMsg::Pbft(PbftMsg::Prepare { .. }));
+        sent.iter().filter(|(_, m)| is_prepare(m)).count()
+    }
+
+    /// The view-0 leader (replica 0) pools `a` and `b` and proposes
+    /// sequence 1; replica 1 has pooled only `a`.
+    fn proposal_lacking_one_body() -> (Replica, Replica, SealedTx, Arc<Block>) {
+        let (a, b) = (sealed(1), sealed(2));
+        let mut leader = replica(0);
+        leader.core.mempool.insert(a.clone());
+        leader.core.mempool.insert(b.clone());
+        let seal = Seal::Authority {
+            view: 0,
+            sequence: 1,
+            votes: 3,
+        };
+        let block = leader.core.build_block(seal, SimTime::ZERO);
+        let mut backup = replica(1);
+        backup.core.mempool.insert(a);
+        (leader, backup, b, block)
+    }
+
+    fn pre_prepare(block: &Arc<Block>) -> WireMsg {
+        WireMsg::Pbft(PbftMsg::PrePrepare {
+            view: 0,
+            seq: 1,
+            block: Arc::clone(block),
+        })
+    }
+
+    /// A replica prepares a compact proposal only once it pools every body
+    /// the proposal names: it asks the proposer for the one it lacks, once,
+    /// and prepares when the proposer's answer lands.
+    #[test]
+    fn a_missing_body_is_asked_of_the_proposer_before_the_prepare() {
+        let (mut leader, mut backup, b, block) = proposal_lacking_one_body();
+
+        let sent = sends(deliver(&mut backup, 0, pre_prepare(&block)));
+        let [(to, WireMsg::TxRequest { block: asked, ids })] = sent.as_slice() else {
+            panic!("expected one TxRequest and nothing else, got {sent:?}");
+        };
+        assert_eq!(
+            (*to, *asked, ids.as_slice()),
+            (NodeId(0), block.hash(), &[b.id()][..])
+        );
+
+        // The proposer answers from its pool: the body, to the asker only.
+        let request = sent.into_iter().next().unwrap().1;
+        let answer = sends(deliver(&mut leader, 1, request));
+        let [(NodeId(1), WireMsg::Tx(body))] = answer.as_slice() else {
+            panic!("expected the body back, got {answer:?}");
+        };
+        assert_eq!(body.id(), b.id());
+
+        // The body lands: the replica prepares, to every other replica.
+        let arrived = deliver(&mut backup, 0, WireMsg::Tx(body.clone()));
+        assert_eq!(prepares(arrived), 3);
+    }
+
+    /// A proposal whose body never arrives is never prepared, nor
+    /// committed — not on a full quorum of the others' votes, nor when
+    /// some other transaction reaches the pool.
+    #[test]
+    fn a_proposal_whose_body_never_arrives_is_never_prepared() {
+        let (_, mut backup, _, block) = proposal_lacking_one_body();
+        let digest = block.hash();
+        let mut actions = deliver(&mut backup, 0, pre_prepare(&block));
+        for from in [0, 2, 3] {
+            let prepare = PbftMsg::Prepare {
+                view: 0,
+                seq: 1,
+                digest,
+            };
+            actions.extend(deliver(&mut backup, from, WireMsg::Pbft(prepare)));
+            let commit = PbftMsg::Commit {
+                view: 0,
+                seq: 1,
+                digest,
+            };
+            actions.extend(deliver(&mut backup, from, WireMsg::Pbft(commit)));
+        }
+        actions.extend(deliver(&mut backup, 2, WireMsg::Tx(sealed(3))));
+        let votes = sends(actions)
+            .into_iter()
+            .filter(|(_, m)| matches!(m, WireMsg::Pbft(_)))
+            .count();
+        assert_eq!(votes, 0, "neither a prepare nor a commit");
+        assert_eq!(backup.core.chain.height(), 0);
+    }
+
+    /// Votes that land after their sequence committed leave no entry:
+    /// nothing else would remove it once committed blocks stopped arriving
+    /// from other replicas, and every pooled transaction scans the entries.
+    #[test]
+    fn a_late_vote_for_a_committed_sequence_leaves_no_entry() {
+        let (_, mut backup, b, block) = proposal_lacking_one_body();
+        backup.core.mempool.insert(b);
+        let digest = block.hash();
+        let vote = |commit: bool| {
+            let (view, seq) = (0, 1);
+            WireMsg::Pbft(if commit {
+                PbftMsg::Commit { view, seq, digest }
+            } else {
+                PbftMsg::Prepare { view, seq, digest }
+            })
+        };
+        assert_eq!(prepares(deliver(&mut backup, 0, pre_prepare(&block))), 3);
+        for commit in [false, true] {
+            for from in [0, 2] {
+                deliver(&mut backup, from, vote(commit));
+            }
+        }
+        assert_eq!(backup.core.chain.tip_hash(), digest, "committed");
+        assert!(backup.state.is_empty());
+        deliver(&mut backup, 3, vote(false));
+        deliver(&mut backup, 3, vote(true));
+        assert!(backup.state.is_empty(), "the fourth votes are late");
+    }
+
+    /// A replica relays nothing it got from another replica; the compact
+    /// proposal leaves every body to the direct sends.
+    #[test]
+    fn a_replica_relays_no_peer_transaction() {
+        let mut backup = replica(1);
+        assert!(sends(deliver(&mut backup, 2, WireMsg::Tx(sealed(1)))).is_empty());
+        // A client's transaction is delivered as if from the replica itself.
+        let direct = sends(deliver(&mut backup, 1, WireMsg::Tx(sealed(2))));
+        let to: Vec<NodeId> = direct.iter().map(|(to, _)| *to).collect();
+        assert_eq!(to, vec![NodeId(0), NodeId(2), NodeId(3)]);
+    }
+
+    /// A crash and restart inside one `batch_timeout` used to leave the
+    /// pre-crash tick alive beside the restart's own: two chains, each
+    /// re-arming itself forever, doubling the proposal attempts.
+    #[test]
+    fn restarted_replica_has_exactly_one_live_tick_chain() {
+        let mut node = replica(1);
 
         let before = batch_ticks(&mut node, |n, ctx| n.on_start(ctx));
         assert_eq!(before.len(), 1);

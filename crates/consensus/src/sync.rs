@@ -1,15 +1,16 @@
 //! Sync between peers: one table of in-flight requests, the catch-up
 //! page ([`Want::Range`]) and orphan-parent requests ([`Want::Block`]),
 //! each with its own retry timer; and the serving side, which answers a
-//! block request from the store. [`NodeCore`] reaches it through
-//! [`NodeCore::on_message`] and [`NodeCore::on_timer`].
+//! block request from the store and a PBFT replica's request for the
+//! bodies of a compact proposal from the pool or the store. [`NodeCore`]
+//! reaches it through [`NodeCore::on_message`] and [`NodeCore::on_timer`].
 
-use crate::node::NodeCore;
+use crate::node::{client_txs, NodeCore};
 use crate::{wire_size, WireMsg};
 use dcs_chain::StateMachine;
 use dcs_crypto::Hash256;
 use dcs_net::{Ctx, NodeId};
-use dcs_primitives::Block;
+use dcs_primitives::{Block, SealedTx};
 use dcs_sim::SimDuration;
 use std::sync::Arc;
 
@@ -76,6 +77,33 @@ impl<M: StateMachine> NodeCore<M> {
         }
     }
 
+    /// Serves a [`WireMsg::TxRequest`]: each body asked for goes back to
+    /// the asker as one [`WireMsg::Tx`], taken from the pool (a refcount
+    /// bump) or, once the proposal has committed here and left the pool,
+    /// from the stored block. A body held in neither is not answered; the
+    /// asker's view timer is the backstop.
+    pub(crate) fn handle_tx_request(
+        &self,
+        block: Hash256,
+        ids: &[Hash256],
+        from: NodeId,
+        ctx: &mut Ctx<'_, WireMsg>,
+    ) {
+        let stored = self.chain.tree().get(&block).and_then(|sb| sb.body());
+        for id in ids {
+            let pooled = self.mempool.get(id).cloned();
+            let tx = pooled.or_else(|| {
+                let (tx, _) = client_txs(stored?).find(|(_, stored_id)| *stored_id == id)?;
+                Some(SealedTx::from_parts(Arc::new(tx.clone()), *id))
+            });
+            if let Some(tx) = tx {
+                let msg = WireMsg::Tx(tx);
+                let size = wire_size(&msg);
+                ctx.send(from, msg, size);
+            }
+        }
+    }
+
     /// Starts (or restarts) catch-up sync: sends a locator-based range
     /// request to the first neighbor and arms the retry timer. The reply
     /// handler keeps paging until this replica reaches the responder's
@@ -84,6 +112,12 @@ impl<M: StateMachine> NodeCore<M> {
         let Some(&peer) = ctx.neighbors.first() else {
             return;
         };
+        self.catch_up_from(peer, ctx);
+    }
+
+    /// [`NodeCore::begin_catchup`] from `peer` rather than the first
+    /// neighbor.
+    pub(crate) fn catch_up_from(&mut self, peer: NodeId, ctx: &mut Ctx<'_, WireMsg>) {
         self.catchup_rounds += 1;
         self.ask(Want::Range, peer, 0, ctx);
     }

@@ -4,6 +4,7 @@
 //! experiments E1–E5.
 
 use dcs_chain::NullMachine;
+use dcs_consensus::pbft::PbftNode;
 use dcs_ledger::builders::{Ng, Ordering, Pbft, Poet, Pos, Pow};
 use dcs_ledger::{build, collect, workload::Workload, LedgerNode, NetworkParams};
 use dcs_net::{NodeId, Topology};
@@ -494,4 +495,138 @@ fn overloaded_pow_network_seals_full_blocks_and_sheds_at_the_edge() {
         per_tx < (NODES * (DEGREE - 1)) as f64 / 4.0,
         "{per_tx:.2} messages per submitted transaction"
     );
+}
+
+/// Cuts every link between the `cut` replicas and the rest of an
+/// `n`-replica consortium from `down` to `up` seconds while transfers keep
+/// arriving, runs to 60 s, and returns the runner.
+fn cut_off(n: usize, cut: &[usize], down: u64, up: u64) -> dcs_net::Runner<PbftNode<NullMachine>> {
+    let params = NetworkParams::<Pbft> {
+        nodes: n,
+        ..Default::default()
+    };
+    let mut runner = build(&params, 61, |_| NullMachine);
+    Workload::transfers(20.0, SimDuration::from_secs(30), 20).inject(runner.net_mut(), 61);
+    let links: Vec<(NodeId, NodeId)> = cut
+        .iter()
+        .flat_map(|&c| {
+            (0..n)
+                .filter(|i| !cut.contains(i))
+                .map(move |i| (NodeId(c), NodeId(i)))
+        })
+        .collect();
+    runner.run_until(at(down));
+    for &(a, b) in &links {
+        runner.net_mut().set_link_down(a, b);
+    }
+    runner.run_until(at(up));
+    for &(a, b) in &links {
+        runner.net_mut().set_link_up(a, b);
+    }
+    runner.run_until(at(60));
+    runner
+}
+
+/// Replicas cut off from the quorum while it keeps committing. Nobody
+/// announces a committed block, so a cut-off replica, back on the network,
+/// holds commit quorums for sequences it cannot commit: its view timer must
+/// pull the missing blocks by catch-up sync rather than wedge at the height
+/// it was cut off at.
+///
+/// Four replicas, replica 3 cut off from 5 s to 8 s. Then seven replicas
+/// with the view-0 leader and replica 1 cut off from 5 s to 20 s: the rest
+/// change view twice and commit under replica 2, and each returning replica
+/// is the other's first neighbor, so a pull from the first neighbor would
+/// ask a replica as far behind as itself.
+#[test]
+fn pbft_replica_cut_off_from_the_quorum_pulls_what_it_missed() {
+    for (n, cut, up) in [(4, &[3][..], 8), (7, &[0, 1][..], 20)] {
+        let runner = cut_off(n, cut, 5, up);
+        let tip = runner.node(NodeId(n - 1)).core().chain.tip_hash();
+        let heights: Vec<u64> = runner
+            .nodes()
+            .iter()
+            .map(|n| n.core().chain.height())
+            .collect();
+        for node in runner.nodes() {
+            assert_eq!(node.core().chain.tip_hash(), tip, "heights {heights:?}");
+        }
+        for &c in cut {
+            let rounds = runner.node(NodeId(c)).core().catchup_rounds;
+            assert!(rounds > 0, "replica {c} of {n} never pulled");
+        }
+    }
+}
+
+/// A PBFT replica that counts the block announcements delivered to it.
+struct CountingReplica {
+    replica: PbftNode<NullMachine>,
+    blocks_in: u64,
+}
+
+impl dcs_net::Protocol for CountingReplica {
+    type Msg = dcs_consensus::WireMsg;
+
+    fn on_start(&mut self, ctx: &mut dcs_net::Ctx<'_, Self::Msg>) {
+        self.replica.on_start(ctx);
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: Self::Msg, ctx: &mut dcs_net::Ctx<'_, Self::Msg>) {
+        self.blocks_in += u64::from(matches!(msg, dcs_consensus::WireMsg::Block(_)));
+        self.replica.on_message(from, msg, ctx);
+    }
+
+    fn on_timer(&mut self, tag: u64, ctx: &mut dcs_net::Ctx<'_, Self::Msg>) {
+        self.replica.on_timer(tag, ctx);
+    }
+}
+
+/// Each body crosses each consortium link once: the replica a client picks
+/// sends the transaction to the others, a pre-prepare carries ids, and a
+/// committed block goes to nobody. A fault-free run delivers no block
+/// announcement, and its fabric bytes and sends per committed transaction
+/// stay near that floor.
+#[test]
+fn fault_free_pbft_sends_each_body_once() {
+    let params = NetworkParams::<Pbft> {
+        nodes: 4,
+        ..Default::default()
+    };
+    let genesis = dcs_chain::genesis_block(&params.chain);
+    let net = dcs_net::NetConfig {
+        nodes: 4,
+        ..params.net.clone()
+    };
+    let mut runner = dcs_net::Runner::new(net, 71, |id| CountingReplica {
+        replica: PbftNode::new(
+            id,
+            dcs_ledger::builders::node_address(id.0),
+            genesis.clone(),
+            params.chain.clone(),
+            NullMachine,
+            4,
+        ),
+        blocks_in: 0,
+    });
+    let submitted =
+        Workload::transfers(50.0, SimDuration::from_secs(20), 50).inject(runner.net_mut(), 73);
+    runner.run_until(at(40));
+
+    let committed = runner.node(NodeId(0)).replica.core().committed_tx_count();
+    assert_eq!(committed, submitted.len() as u64, "every transfer commits");
+    let blocks_in: u64 = runner.nodes().iter().map(|n| n.blocks_in).sum();
+    assert_eq!(blocks_in, 0, "no replica announces a block");
+    // Measured: 3 575 bytes and 31.4 sends per committed transaction; with
+    // every replica re-relaying transactions and flooding committed blocks
+    // the same run cost 7 778 bytes and 48.6 sends. Votes are most of what
+    // is left: the leader proposes as soon as it pools a transaction, so
+    // blocks are small.
+    let stats = runner.net().stats();
+    let bytes = stats.bytes_sent as f64 / committed as f64;
+    let sends = stats.sent as f64 / committed as f64;
+    assert!(
+        bytes < 4_000.0,
+        "{bytes:.0} bytes per committed transaction"
+    );
+    assert!(sends < 35.0, "{sends:.1} sends per committed transaction");
 }

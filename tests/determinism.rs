@@ -313,6 +313,9 @@ fn known_answer<P: LedgerNode + Send>(mut runner: Runner<P>) -> (String, [u64; 1
 /// machine, reproduces the digest and statistics those builders produced
 /// (captured at their last commit). A constructor that built another network
 /// — another `NetConfig`, construction order or RNG fork — moves these.
+/// PBFT's pin was retaken when its replicas stopped relaying each other's
+/// transactions and committed blocks: delivery delays are drawn in send
+/// order, so its digest and mean latency moved; its 226 blocks held.
 #[test]
 fn every_family_preset_builds_the_pinned_network() {
     // Every preset commits all 226 transfers with no stale block, so its
@@ -373,9 +376,9 @@ fn every_family_preset_builds_the_pinned_network() {
     assert_eq!(
         known_answer(preset::<Pbft>(seed)),
         pinned(
-            "0af1e5544804a33212bf074ed63387eedd4d1158ac0052cb2c6e73f4439e8676",
+            "47590d0dbc2ff6424e7f062f3872596d91495a67935e3c33bf65889f48777a4d",
             226,
-            4561172657881529884
+            4561212285732183806
         ),
         "PBFT"
     );
