@@ -4,74 +4,104 @@
 use crate::table::Table;
 use crate::Scale;
 use dcs_chain::{Chain, NullMachine};
-use dcs_crypto::{Address, Hash256, MerkleTree};
-use dcs_primitives::{AccountTx, Block, BlockHeader, ChainConfig, Seal, SealedTx, Transaction};
-use dcs_scale::channels::ChannelNetwork;
+use dcs_consensus::approx_tx_size;
+use dcs_crypto::{Address, Hash256, KeyPair, MerkleTree};
+use dcs_ledger::{run_channel_workload, ChannelWorkloadParams};
+use dcs_primitives::{
+    AccountTx, Block, BlockHeader, ChainConfig, Seal, SealedTx, Transaction, TxAuth,
+};
 use dcs_scale::light::LightClient;
 use dcs_scale::sharding::{ShardedLedger, Transfer};
 use dcs_sim::Rng;
 
-/// E8: payment channels offload the chain (§5.4, \[30\]).
+/// E8: payment channels offload the chain (§5.4, \[30\]), counted on a
+/// peer's committed chain.
 pub fn e8_payment_channels(scale: Scale) {
     println!("\nE8 — off-chain payment channels vs on-chain transfers");
     println!("Paper claim: \"offload transactions outside the blockchain, as in the");
-    println!("Lightning network\" (§5.2/§5.4). Hub-and-spoke network, real WOTS-signed");
-    println!("channel updates, every payment routed.\n");
-    let payments = scale.pick(300u64, 2_000);
-    let key_height = scale.pick(10u8, 13);
+    println!("Lightning network\" (§5.2/§5.4). A hub and 6 spokes over a 4-peer ordering");
+    println!("network: real WOTS-signed channel updates, every payment routed; opens,");
+    println!("closes and disputes (odd channels publish a stale state, a watchtower");
+    println!("challenges it) are read off peer 0's committed chain.\n");
+    let params = ChannelWorkloadParams {
+        parties: 7,
+        payments: scale.pick(300, 2_000),
+        ..ChannelWorkloadParams::default()
+    };
+    let r = run_channel_workload(&params, 8);
+    let routed = r.routed_payments;
 
-    let mut net = ChannelNetwork::new(10);
-    let spokes: Vec<Address> = (0..6)
-        .map(|i| net.add_party([i + 1; 32], key_height, 10_000_000))
-        .collect();
-    let hub = net.add_party([99u8; 32], key_height, 100_000_000);
-    for &s in &spokes {
-        net.open_channel(hub, s, 2_000_000, 200_000).unwrap();
-    }
-    let mut rng = Rng::seed_from(8);
-    let mut routed = 0u64;
-    let mut hops = 0usize;
-    for _ in 0..payments {
-        let from = spokes[rng.below(6) as usize];
-        let to = spokes[rng.below(6) as usize];
-        if from == to {
-            continue;
-        }
-        if let Ok(h) = net.pay(from, to, 1 + rng.below(50)) {
-            routed += 1;
-            hops += h;
-        }
-    }
-    for id in 0..6 {
-        net.cooperative_close(id).unwrap();
-    }
+    // What one payment costs as a signed on-chain transfer instead.
+    let mut keys = KeyPair::generate([8; 32], 0);
+    let mut transfer = AccountTx::transfer(keys.address(), Address::from_index(1), 1, 0);
+    let digest = Transaction::Account(transfer.clone()).signing_hash();
+    transfer.auth = Some(TxAuth {
+        pubkey: keys.public_key(),
+        signature: keys.sign(&digest).expect("one leaf, one signature"),
+    });
+    let transfer_bytes = approx_tx_size(&Transaction::Account(transfer));
 
     let mut table = Table::new(&[
         "strategy",
         "payments",
         "on-chain txs",
         "payments per on-chain tx",
+        "on-chain bytes per payment",
     ]);
     table.row(vec![
         "on-chain transfers".into(),
         format!("{routed}"),
         format!("{routed}"),
         "1.0".into(),
+        format!("{transfer_bytes}"),
     ]);
+    let per_op = routed as f64 / r.onchain_ops as f64;
     table.row(vec![
         "payment channels".into(),
         format!("{routed}"),
-        format!("{}", net.onchain_txs),
-        format!("{:.1}", routed as f64 / net.onchain_txs as f64),
+        format!("{}", r.onchain_ops),
+        format!("{per_op:.1}"),
+        format!("{:.0}", r.onchain_bytes as f64 / routed as f64),
     ]);
     println!("{table}");
+    let worst = r.dispute_heights.iter().max().copied().unwrap_or(0);
     println!(
-        "(mean route length {:.2} hops; {} off-chain signed updates)",
-        hops as f64 / routed as f64,
-        net.offchain_updates
+        "({routed} of {} payments routed, mean route {:.2} hops, {} off-chain signed updates;",
+        params.payments,
+        r.offchain_updates as f64 / routed as f64,
+        r.offchain_updates
     );
-    println!("Expected shape: on-chain cost collapses from N to ~(channels + closes),");
-    println!("so the per-payment chain footprint shrinks with volume.");
+    println!(
+        " {} stale closes, {} challenged; worst stale-close→challenge distance {worst} of a",
+        r.cheats_attempted, r.app_stats.challenges
+    );
+    println!(" {}-height dispute window)", params.dispute_window);
+    println!("Expected shape: on-chain cost collapses from N to ~(channels + closes +");
+    println!("disputes), so the per-payment chain footprint shrinks with volume.");
+
+    assert!(r.cheats_attempted > 0, "the schedule must cheat");
+    assert_eq!(
+        (r.cheats_punished, r.app_stats.challenges),
+        (r.cheats_attempted, r.cheats_attempted),
+        "every cheat is challenged on-chain"
+    );
+    assert_eq!(
+        r.payout_mismatches, 0,
+        "every channel settles at its latest split"
+    );
+    assert_eq!(
+        r.onchain_total,
+        params.parties as u64 * params.funding,
+        "Σ balances = Σ funding"
+    );
+    assert!(
+        worst <= params.dispute_window,
+        "every challenge lands inside the window"
+    );
+    assert!(
+        per_op > 10.0,
+        "channels offload the chain: {per_op:.1} payments per op"
+    );
 }
 
 fn build_chain(blocks: u64, txs_per_block: usize) -> Chain<NullMachine> {

@@ -6,14 +6,14 @@
 //! dual-signed state only at close.
 //!
 //! The application *is* `dcs_scale`'s one [`Settlement`](ChannelApp) — the
-//! "contract" that escrows funds at open, runs dispute windows in block
-//! heights and pays out the co-signed or winning state, and that the
-//! in-process `ChannelNetwork` applies its ops to as well. This module
-//! only teaches it to be fed by a chain: the byte boundary
-//! ([`ChannelOp::from_tx`]), the dispute clock (each block's leading
-//! coinbase height), and reset-to-genesis for reorg replay. A watchtower
-//! is just a client that submits [`ChannelOp::Challenge`] when it sees a
-//! stale unilateral close committed — see `dcs_ledger`'s channel workload.
+//! "contract" that escrows funds at an open both parties signed, runs
+//! dispute windows in block heights and pays out the co-signed or winning
+//! state. This module only teaches it to be fed by a chain: the byte
+//! boundary ([`ChannelOp::from_tx`]), the dispute clock (each block's
+//! leading coinbase height), and reset-to-genesis for reorg replay. A
+//! watchtower is just a client that submits [`ChannelOp::Challenge`] when
+//! it sees a stale unilateral close committed — see `dcs_ledger`'s channel
+//! workload, which drives this application for experiment E8.
 
 use crate::Application;
 use dcs_crypto::Hash256;

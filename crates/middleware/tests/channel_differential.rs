@@ -1,19 +1,19 @@
-//! One settlement, two compositions, one answer.
+//! One settlement, two roads, one answer.
 //!
-//! `dcs_scale::ChannelNetwork` applies channel ops to its settlement
-//! directly; `dcs_middleware::ChannelApp` receives the same ops as encoded
-//! transactions off a chain. Both are the one `Settlement`, so what this
-//! compares is what lies between an op and it on each road: the op codec,
-//! `into_tx` / `from_tx`, `deliver_tx`'s error mapping and coinbase clock
-//! on one; the network's tx counting and party-book upkeep on the other.
-//! Random histories — opens (some underfunded),
+//! A channel op reaches the one `Settlement` either directly — `apply`,
+//! after which the parties' `PartyBook` observes the channel's phase — or
+//! as `dcs_middleware::ChannelApp` receives it off a chain: encoded into a
+//! transaction and handed to `deliver_tx`. What this compares is what
+//! lies between an op and the settlement on the second road: the op
+//! codec, `into_tx` / `from_tx`, and `deliver_tx`'s error mapping and
+//! coinbase clock. Random histories — opens (some underfunded),
 //! off-chain payments, cooperative closes, unilateral closes at the fresh
 //! or a stale state, challenges, finalizations, height ticks, replayed and
-//! tampered ops, stray bytes — must leave both with the same verdict per
-//! op and the same balances, phases, counters and state hash, and must
-//! never create or destroy value.
+//! tampered ops (a stranger's open among them), stray bytes — must leave
+//! both with the same verdict per op and the same balances, phases,
+//! counters and state hash, and must never create or destroy value.
 //!
-//! The byte boundary under the second composition is pinned too:
+//! The byte boundary under the second road is pinned too:
 //! `decode_all::<ChannelOp>` never panics on arbitrary bytes, and decoding
 //! an encoded op gives the op back.
 
@@ -21,7 +21,7 @@ use dcs_crypto::codec::{decode_all, Encode};
 use dcs_crypto::Address;
 use dcs_middleware::{Application, ChannelApp, ChannelOp};
 use dcs_primitives::{AccountTx, Transaction, TxPayload};
-use dcs_scale::channels::{ChannelNetwork, Phase, SignedState};
+use dcs_scale::channels::{PartyBook, Phase, Settlement, SignedState};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -29,11 +29,15 @@ const PARTIES: u64 = 3;
 const FUNDS: u64 = 10_000;
 const WINDOW: u64 = 4;
 
-/// The two compositions side by side, plus what a cheating party keeps.
+/// The two roads side by side, the parties' book, and what a cheating
+/// party keeps.
 struct Pair {
-    net: ChannelNetwork,
+    book: PartyBook,
+    direct: Settlement,
     app: ChannelApp,
     parties: Vec<Address>,
+    /// Ops the direct road accepted: each one on-chain transaction.
+    accepted: u64,
     /// Every op that went on-chain, for replays.
     log: Vec<ChannelOp>,
     /// A stale signed state per channel, for cheating closes.
@@ -42,27 +46,34 @@ struct Pair {
 
 impl Pair {
     fn new() -> Self {
-        let mut net = ChannelNetwork::new(WINDOW);
+        let mut book = PartyBook::default();
         let parties: Vec<Address> = (0..PARTIES)
-            .map(|i| net.add_party([i as u8 + 1; 32], 6, FUNDS))
+            .map(|i| book.add_party([i as u8 + 1; 32], 6))
             .collect();
         let alloc: Vec<(Address, u64)> = parties.iter().map(|p| (*p, FUNDS)).collect();
         Pair {
-            net,
+            book,
+            direct: Settlement::new(WINDOW, &alloc),
             app: ChannelApp::new(WINDOW, &alloc),
             parties,
+            accepted: 0,
             log: Vec::new(),
             kept: BTreeMap::new(),
         }
     }
 
-    /// The same op down both roads: applied directly, and delivered as an
-    /// encoded transaction. Returns whether it was accepted.
+    /// The same op down both roads: applied directly (the parties then see
+    /// its channel's phase), and delivered as an encoded transaction.
+    /// Returns whether it was accepted.
     fn submit(&mut self, op: ChannelOp) -> bool {
         let tx = op.clone().into_tx(self.parties[0], self.log.len() as u64);
-        let direct = self.net.apply(op.clone()).map_err(|e| e.to_string());
+        let id = op.channel_id();
+        let direct = self.direct.apply(op.clone()).map_err(|e| e.to_string());
+        self.book
+            .observe(id, self.direct.channel(id).map(|ch| &ch.phase));
         let wired = self.app.deliver_tx(&tx);
         assert_eq!(direct, wired, "verdicts differ on {op:?}");
+        self.accepted += u64::from(direct.is_ok());
         self.log.push(op);
         direct.is_ok()
     }
@@ -70,7 +81,7 @@ impl Pair {
     /// Picks a channel: half the time the newest (so histories build up on
     /// one), else any existing one or the unknown one past the end.
     fn pick(&self, x: u64) -> u64 {
-        let count = self.net.settlement().channel_count() as u64;
+        let count = self.direct.channel_count() as u64;
         if x.is_multiple_of(2) {
             count.saturating_sub(1)
         } else {
@@ -82,7 +93,7 @@ impl Pair {
     /// channel, `y` and `z` the parties, amounts and variants.
     fn step(&mut self, (kind, x, y, z): (u8, u64, u64, u64)) {
         let ch = self.pick(x);
-        let phase = self.net.settlement().channel(ch).map(|c| c.phase.clone());
+        let phase = self.direct.channel(ch).map(|c| c.phase.clone());
         // Payments are the bulk of every draw. Nobody pays over a channel
         // that is not open, so those draws move the history on instead:
         // fight the dispute, or open the next channel.
@@ -99,34 +110,34 @@ impl Pair {
                     self.parties[(x % PARTIES) as usize],
                     self.parties[(y % PARTIES) as usize],
                 );
-                let id = self.net.settlement().channel_count() as u64;
+                let id = self.direct.channel_count() as u64;
                 // Up to 5 000 a side out of 10 000: later opens run dry.
                 // (An `Err` here is a party out of one-time keys.)
-                if let Ok(op) = self.net.book_mut().open(id, a, b, y % 5_000, z % 5_000) {
+                if let Ok(op) = self.book.open(id, a, b, y % 5_000, z % 5_000) {
                     self.submit(op);
                 }
             }
             PAY_FIRST..=PAY_LAST => {
                 // Mostly from one of the channel's own sides; an outsider
                 // or an amount the side lacks changes nothing anywhere.
-                let from = match self.net.settlement().channel(ch) {
+                let from = match self.direct.channel(ch) {
                     Some(c) if y % 8 != 0 => [c.a, c.b][(y % 2) as usize],
                     _ => self.parties[(y % PARTIES) as usize],
                 };
                 // Whoever cheats later keeps the state this payment
                 // supersedes (KEEP refreshes it).
-                let before = self.net.signed_current_state(ch);
-                if self.net.channel_pay(ch, from, z % 1_000).is_ok() {
+                let before = self.book.signed_state(ch).cloned();
+                if self.book.pay(ch, from, z % 1_000).is_ok() {
                     self.kept.entry(ch).or_insert(before.expect("paid over it"));
                 }
             }
             KEEP => {
-                if let Ok(signed) = self.net.signed_current_state(ch) {
-                    self.kept.insert(ch, signed);
+                if let Ok(signed) = self.book.signed_state(ch) {
+                    self.kept.insert(ch, signed.clone());
                 }
             }
             COOP_CLOSE => {
-                if let Ok(op) = self.net.book_mut().coop_close(ch) {
+                if let Ok(op) = self.book.coop_close(ch) {
                     self.submit(op);
                 }
             }
@@ -135,7 +146,7 @@ impl Pair {
                 // mostly by the closer, now and then by the challenger.
                 let stale = self.kept.get(&ch).cloned();
                 let stale = stale.filter(|_| (y % 4 != 0) == (kind == UNI_CLOSE));
-                if let Some(signed) = stale.or(self.net.signed_current_state(ch).ok()) {
+                if let Some(signed) = stale.or(self.book.signed_state(ch).ok().cloned()) {
                     self.submit(if kind == UNI_CLOSE {
                         ChannelOp::UniClose(signed)
                     } else {
@@ -147,8 +158,8 @@ impl Pair {
                 self.submit(ChannelOp::Finalize { id: ch });
             }
             TICK => {
-                self.net.advance_height(1 + y % (WINDOW + 1));
-                let height = self.net.settlement().height();
+                let height = self.direct.height() + 1 + y % (WINDOW + 1);
+                self.direct.observe_height(height);
                 let coinbase = Transaction::Coinbase {
                     to: Address::ZERO,
                     value: 0,
@@ -158,8 +169,12 @@ impl Pair {
             }
             REPLAY if !self.log.is_empty() => {
                 // Replay an earlier op; with z odd, a co-signed state is
-                // first altered, or re-labelled as an agreed close.
+                // first altered, or re-labelled as an agreed close, or a
+                // funding state is altered and moved to the next free
+                // channel id: a stranger opening a channel with the
+                // parties' funds, which must never go through.
                 let mut op = self.log[(y % self.log.len() as u64) as usize].clone();
+                let forged_open = z % 2 == 1 && matches!(op, ChannelOp::Open { .. });
                 if z % 2 == 1 {
                     op = match op {
                         ChannelOp::CoopClose((mut state, sig_a, sig_b)) => {
@@ -169,10 +184,24 @@ impl Pair {
                         ChannelOp::UniClose(signed) | ChannelOp::Challenge(signed) => {
                             ChannelOp::CoopClose(signed)
                         }
+                        ChannelOp::Open {
+                            key_a,
+                            key_b,
+                            funding: (mut state, sig_a, sig_b),
+                        } => {
+                            state.channel_id = self.direct.channel_count() as u64;
+                            state.balance_a = state.balance_a.wrapping_add(z);
+                            ChannelOp::Open {
+                                key_a,
+                                key_b,
+                                funding: (state, sig_a, sig_b),
+                            }
+                        }
                         other => other,
                     };
                 }
-                self.submit(op);
+                let accepted = self.submit(op);
+                assert!(!(forged_open && accepted), "a stranger's open went through");
             }
             _ => {
                 // Stray bytes addressed to the app: an op only if they
@@ -227,7 +256,7 @@ proptest! {
         for step in steps {
             pair.step(step);
         }
-        let (direct, wired) = (pair.net.settlement(), &pair.app);
+        let (direct, wired) = (&pair.direct, &pair.app);
         prop_assert_eq!(direct.stats, wired.stats);
         prop_assert_eq!(direct.height(), wired.height());
         let mut escrowed = 0u64;
@@ -251,7 +280,7 @@ proptest! {
         // …and every accepted op, and only those, cost one on-chain tx.
         let s = direct.stats;
         prop_assert_eq!(
-            pair.net.onchain_txs,
+            pair.accepted,
             s.opens + s.coop_closes + s.uni_closes + s.challenges + s.finalized
         );
     }

@@ -10,9 +10,9 @@
 //! side of all channels (escrow, dispute clock, counters), changed only by
 //! applying a [`ChannelOp`]; and [`PartyBook`], the off-chain side (keys,
 //! latest dual-signed states, payments, routing, and the builders of the
-//! ops). [`ChannelNetwork`] composes book and settlement in one process;
-//! `dcs_middleware::ChannelApp` puts the same settlement behind the op
-//! codec on a real chain, driven by the same book.
+//! ops). `dcs_middleware::ChannelApp` puts the settlement behind the op
+//! codec on a real chain, and `dcs_ledger::run_channel_workload` drives it
+//! there with the book.
 //!
 //! Disputes use the standard scheme: a unilateral close publishes a
 //! dual-signed state and opens a dispute window during which anyone holding
@@ -133,26 +133,15 @@ pub struct PaymentChannel {
 
 impl PaymentChannel {
     /// A freshly opened channel between the holders of the two keys (whose
-    /// accounts are the keys' addresses), with the given funding split.
-    pub fn open(
-        id: u64,
-        key_a: PublicKey,
-        key_b: PublicKey,
-        fund_a: Amount,
-        fund_b: Amount,
-    ) -> Self {
+    /// accounts are the keys' addresses), at the funding split `state`.
+    fn open(key_a: PublicKey, key_b: PublicKey, state: ChannelState) -> Self {
         PaymentChannel {
-            id,
+            id: state.channel_id,
             a: key_a.address(),
             b: key_b.address(),
             key_a,
             key_b,
-            state: ChannelState {
-                channel_id: id,
-                seq: 0,
-                balance_a: fund_a,
-                balance_b: fund_b,
-            },
+            state,
             phase: Phase::Open,
         }
     }
@@ -271,19 +260,17 @@ impl PaymentChannel {
 /// state's `channel_id`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChannelOp {
-    /// Open a channel: escrow `fund_a` + `fund_b` from the two parties,
-    /// whose accounts are the addresses of their keys.
+    /// Open a channel: escrow the funding state's two balances from the
+    /// two parties, whose accounts are the addresses of their keys.
     Open {
-        /// Caller-chosen channel id (must be unused).
-        id: u64,
         /// `a`'s state-verification key.
         key_a: PublicKey,
         /// `b`'s state-verification key.
         key_b: PublicKey,
-        /// `a`'s escrowed funding.
-        fund_a: Amount,
-        /// `b`'s escrowed funding.
-        fund_b: Amount,
+        /// State 0 of the channel (its id caller-chosen and unused, its
+        /// balances the funding), signed by both keys over its
+        /// [`ChannelState::digest`]: the parties' consent to the escrow.
+        funding: SignedState,
     },
     /// Both parties settle this state, which they signed over its
     /// [`ChannelState::close_digest`].
@@ -315,21 +302,16 @@ impl Encode for ChannelOp {
             ChannelOp::Challenge(_) => OP_CHALLENGE,
             ChannelOp::Finalize { .. } => OP_FINALIZE,
         });
+        if let ChannelOp::Open { key_a, key_b, .. } = self {
+            key_a.encode(out);
+            key_b.encode(out);
+        }
         match self {
             ChannelOp::Open {
-                id,
-                key_a,
-                key_b,
-                fund_a,
-                fund_b,
-            } => {
-                id.encode(out);
-                key_a.encode(out);
-                key_b.encode(out);
-                fund_a.encode(out);
-                fund_b.encode(out);
+                funding: (state, sig_a, sig_b),
+                ..
             }
-            ChannelOp::CoopClose((state, sig_a, sig_b))
+            | ChannelOp::CoopClose((state, sig_a, sig_b))
             | ChannelOp::UniClose((state, sig_a, sig_b))
             | ChannelOp::Challenge((state, sig_a, sig_b)) => {
                 state.encode(out);
@@ -354,11 +336,9 @@ impl Decode for ChannelOp {
         }
         match r.take_array::<1>()?[0] {
             OP_OPEN => Ok(ChannelOp::Open {
-                id: u64::decode(r)?,
                 key_a: PublicKey::decode(r)?,
                 key_b: PublicKey::decode(r)?,
-                fund_a: u64::decode(r)?,
-                fund_b: u64::decode(r)?,
+                funding: signed(r)?,
             }),
             OP_COOP_CLOSE => Ok(ChannelOp::CoopClose(signed(r)?)),
             OP_UNI_CLOSE => Ok(ChannelOp::UniClose(signed(r)?)),
@@ -375,8 +355,11 @@ impl ChannelOp {
     /// The channel this op opens, closes or disputes.
     pub fn channel_id(&self) -> u64 {
         match self {
-            ChannelOp::Open { id, .. } | ChannelOp::Finalize { id } => *id,
-            ChannelOp::CoopClose(signed)
+            ChannelOp::Finalize { id } => *id,
+            ChannelOp::Open {
+                funding: signed, ..
+            }
+            | ChannelOp::CoopClose(signed)
             | ChannelOp::UniClose(signed)
             | ChannelOp::Challenge(signed) => signed.0.channel_id,
         }
@@ -461,7 +444,7 @@ impl Settlement {
     }
 
     /// Adds on-chain funds to an account (genesis allocation).
-    pub fn fund(&mut self, addr: &Address, amount: Amount) {
+    fn fund(&mut self, addr: &Address, amount: Amount) {
         self.genesis.push((*addr, amount));
         self.ledger.credit(addr, amount);
     }
@@ -501,11 +484,15 @@ impl Settlement {
     ///
     /// # Errors
     ///
-    /// Whatever makes the op invalid: unknown or duplicate channel,
-    /// underfunded open, wrong phase, bad signatures or state, a window
-    /// still open or already expired.
+    /// Whatever makes the op invalid: unknown or duplicate channel, an
+    /// open its parties did not both sign, underfunded open, wrong phase,
+    /// bad signatures or state, a window still open or already expired.
     pub fn apply(&mut self, op: ChannelOp) -> Result<(), ChannelError> {
-        self.try_apply(op).inspect_err(|_| self.stats.rejected += 1)
+        let verdict = self.try_apply(op).inspect_err(|_| self.stats.rejected += 1);
+        // Opens undo by hand and nothing rolls the ledger back, so its
+        // journal would only grow.
+        self.ledger.clear_journal();
+        verdict
     }
 
     fn try_apply(&mut self, op: ChannelOp) -> Result<(), ChannelError> {
@@ -514,16 +501,22 @@ impl Settlement {
             ChannelOp::Open {
                 key_a,
                 key_b,
-                fund_a,
-                fund_b,
-                ..
+                funding: (state, sig_a, sig_b),
             } => {
                 if self.channels.contains_key(&id) {
                     return Err(ChannelError::BadState(format!(
                         "channel {id} already exists"
                     )));
                 }
-                let channel = PaymentChannel::open(id, key_a, key_b, fund_a, fund_b);
+                let digest = state.digest();
+                if !key_a.verify(&digest, &sig_a) || !key_b.verify(&digest, &sig_b) {
+                    return Err(ChannelError::BadSignature);
+                }
+                if state.seq != 0 {
+                    return Err(ChannelError::BadState("funding state is not seq 0".into()));
+                }
+                let (fund_a, fund_b) = (state.balance_a, state.balance_b);
+                let channel = PaymentChannel::open(key_a, key_b, state);
                 let underfunded = |e: dcs_state::StateError| ChannelError::BadState(e.to_string());
                 self.ledger.debit(&channel.a, fund_a).map_err(underfunded)?;
                 if let Err(e) = self.ledger.debit(&channel.b, fund_b) {
@@ -658,7 +651,7 @@ impl PartyBook {
 
     /// The parties co-sign the funding split as state 0 of channel `id`
     /// (the book tracks it from here on); returns the op that escrows the
-    /// funds on-chain.
+    /// funds on-chain, carrying that signed state.
     ///
     /// # Errors
     ///
@@ -686,15 +679,14 @@ impl PartyBook {
         };
         let (sig_a, sig_b) = self.co_sign(&a, &b, &state.digest())?;
         let latest = (state, sig_a, sig_b);
+        let funding = latest.clone();
         let open = true;
         let tracked = BookChannel { a, b, latest, open };
         self.channels.insert(id, tracked);
         Ok(ChannelOp::Open {
-            id,
             key_a,
             key_b,
-            fund_a,
-            fund_b,
+            funding,
         })
     }
 
@@ -729,7 +721,7 @@ impl PartyBook {
     ///
     /// Unknown channel, a close on the ledger, stale sequence, altered
     /// capacity, or bad signatures.
-    pub fn accept_update(&mut self, signed: SignedState) -> Result<(), ChannelError> {
+    fn accept_update(&mut self, signed: SignedState) -> Result<(), ChannelError> {
         let (state, sig_a, sig_b) = &signed;
         let ch = self.channel(state.channel_id)?;
         let current = &ch.latest.0;
@@ -791,7 +783,7 @@ impl PartyBook {
     /// Finds a route of open channels from `from` to `to` with
     /// directional capacity ≥ `amount` on every hop (breadth-first, fewest
     /// hops).
-    pub fn find_route(&self, from: Address, to: Address, amount: Amount) -> Option<Vec<u64>> {
+    fn find_route(&self, from: Address, to: Address, amount: Amount) -> Option<Vec<u64>> {
         // BTreeMap keeps the search — and therefore the chosen route on
         // ties — independent of hash order.
         let mut visited: BTreeMap<Address, (Address, u64)> = BTreeMap::new();
@@ -868,154 +860,98 @@ impl PartyBook {
     }
 }
 
-/// A channel network in one process: the [`PartyBook`]'s ops applied
-/// straight to a private [`Settlement`], each one counted as the on-chain
-/// transaction it stands for.
-#[derive(Debug)]
-pub struct ChannelNetwork {
-    book: PartyBook,
-    settlement: Settlement,
-    /// On-chain transactions consumed (opens, closes, disputes) — the E8
-    /// numerator.
-    pub onchain_txs: u64,
-    /// Off-chain state updates exchanged.
-    pub offchain_updates: u64,
-    /// Completed payments.
-    pub payments: u64,
-}
-
-impl ChannelNetwork {
-    /// An empty network with the given dispute window (in ledger heights).
-    pub fn new(dispute_window: u64) -> Self {
-        ChannelNetwork {
-            book: PartyBook::default(),
-            settlement: Settlement::new(dispute_window, &[]),
-            onchain_txs: 0,
-            offchain_updates: 0,
-            payments: 0,
-        }
-    }
-
-    /// The off-chain side, for building ops by hand.
-    pub fn book_mut(&mut self) -> &mut PartyBook {
-        &mut self.book
-    }
-
-    /// The on-chain side: balances, hosted channels, height, counters.
-    pub fn settlement(&self) -> &Settlement {
-        &self.settlement
-    }
-
-    /// Settles one op on-chain (one on-chain tx when it is accepted); the
-    /// parties see what became of its channel.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`Settlement::apply`] rejects it for.
-    pub fn apply(&mut self, op: ChannelOp) -> Result<(), ChannelError> {
-        let id = op.channel_id();
-        let verdict = self.settlement.apply(op);
-        self.onchain_txs += u64::from(verdict.is_ok());
-        let on_chain = self.settlement.channel(id);
-        self.book.observe(id, on_chain.map(|ch| &ch.phase));
-        verdict
-    }
-
-    /// Registers a party with on-chain funds; returns its address.
-    /// `key_height` bounds its lifetime signature count at `2^key_height`.
-    pub fn add_party(&mut self, seed: [u8; 32], key_height: u8, funds: Amount) -> Address {
-        let addr = self.book.add_party(seed, key_height);
-        self.settlement.fund(&addr, funds);
-        addr
-    }
-
-    /// Advances the settlement ledger height (time passing on-chain).
-    pub fn advance_height(&mut self, blocks: u64) {
-        let height = self.settlement.height() + blocks;
-        self.settlement.observe_height(height);
-    }
-
-    /// Opens a channel funded `fund_a` + `fund_b` (one on-chain tx).
-    ///
-    /// # Errors
-    ///
-    /// Unknown parties or insufficient on-chain funds; nothing changes.
-    pub fn open_channel(
-        &mut self,
-        a: Address,
-        b: Address,
-        fund_a: Amount,
-        fund_b: Amount,
-    ) -> Result<u64, ChannelError> {
-        let id = self.settlement.channel_count() as u64;
-        let op = self.book.open(id, a, b, fund_a, fund_b)?;
-        self.apply(op)?;
-        Ok(id)
-    }
-
-    /// One direct off-chain payment over an open channel (no on-chain tx).
-    ///
-    /// # Errors
-    ///
-    /// Insufficient channel balance or signature/phase errors.
-    pub fn channel_pay(
-        &mut self,
-        channel_id: u64,
-        from: Address,
-        amount: Amount,
-    ) -> Result<(), ChannelError> {
-        self.book.pay(channel_id, from, amount)?;
-        self.offchain_updates += 1;
-        self.payments += 1;
-        Ok(())
-    }
-
-    /// A multi-hop payment, entirely off-chain. Returns the hop count.
-    ///
-    /// # Errors
-    ///
-    /// [`ChannelError::NoRoute`] or per-hop update failures.
-    pub fn pay(
-        &mut self,
-        from: Address,
-        to: Address,
-        amount: Amount,
-    ) -> Result<usize, ChannelError> {
-        let hops = self.book.route(from, to, amount)?;
-        self.offchain_updates += hops as u64;
-        self.payments += 1;
-        Ok(hops)
-    }
-
-    /// Cooperative close: both parties settle the latest state on-chain
-    /// (one on-chain tx).
-    ///
-    /// # Errors
-    ///
-    /// [`ChannelError::WrongPhase`] if disputed, [`ChannelError::Unknown`]
-    /// if closed.
-    pub fn cooperative_close(&mut self, channel_id: u64) -> Result<(), ChannelError> {
-        let op = self.book.coop_close(channel_id)?;
-        self.apply(op)
-    }
-
-    /// The dual-signed current state of a channel (what a unilateral close
-    /// or a challenge publishes).
-    ///
-    /// # Errors
-    ///
-    /// Unknown channel.
-    pub fn signed_current_state(&self, channel_id: u64) -> Result<SignedState, ChannelError> {
-        self.book.signed_state(channel_id).cloned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn network_with_parties(n: u8) -> (ChannelNetwork, Vec<Address>) {
-        let mut net = ChannelNetwork::new(10);
+    /// A book and a settlement with nothing between them: each op the book
+    /// builds is applied straight to the settlement and counted as the
+    /// on-chain transaction it stands for, and the parties see what became
+    /// of its channel.
+    struct Net {
+        book: PartyBook,
+        settlement: Settlement,
+        onchain_txs: u64,
+        offchain_updates: u64,
+    }
+
+    impl Net {
+        fn new() -> Self {
+            Net {
+                book: PartyBook::default(),
+                settlement: Settlement::new(10, &[]),
+                onchain_txs: 0,
+                offchain_updates: 0,
+            }
+        }
+
+        fn add_party(&mut self, seed: [u8; 32], key_height: u8, funds: Amount) -> Address {
+            let addr = self.book.add_party(seed, key_height);
+            self.settlement.fund(&addr, funds);
+            addr
+        }
+
+        fn apply(&mut self, op: ChannelOp) -> Result<(), ChannelError> {
+            let id = op.channel_id();
+            let verdict = self.settlement.apply(op);
+            self.onchain_txs += u64::from(verdict.is_ok());
+            let on_chain = self.settlement.channel(id);
+            self.book.observe(id, on_chain.map(|ch| &ch.phase));
+            verdict
+        }
+
+        fn open_channel(
+            &mut self,
+            a: Address,
+            b: Address,
+            fund_a: Amount,
+            fund_b: Amount,
+        ) -> Result<u64, ChannelError> {
+            let id = self.settlement.channel_count() as u64;
+            let op = self.book.open(id, a, b, fund_a, fund_b)?;
+            self.apply(op)?;
+            Ok(id)
+        }
+
+        fn channel_pay(
+            &mut self,
+            id: u64,
+            from: Address,
+            amount: Amount,
+        ) -> Result<(), ChannelError> {
+            self.book.pay(id, from, amount)?;
+            self.offchain_updates += 1;
+            Ok(())
+        }
+
+        fn pay(
+            &mut self,
+            from: Address,
+            to: Address,
+            amount: Amount,
+        ) -> Result<usize, ChannelError> {
+            let hops = self.book.route(from, to, amount)?;
+            self.offchain_updates += hops as u64;
+            Ok(hops)
+        }
+
+        fn cooperative_close(&mut self, id: u64) -> Result<(), ChannelError> {
+            let op = self.book.coop_close(id)?;
+            self.apply(op)
+        }
+
+        fn signed_current_state(&self, id: u64) -> Result<SignedState, ChannelError> {
+            self.book.signed_state(id).cloned()
+        }
+
+        fn advance_height(&mut self, blocks: u64) {
+            let height = self.settlement.height() + blocks;
+            self.settlement.observe_height(height);
+        }
+    }
+
+    fn network_with_parties(n: u8) -> (Net, Vec<Address>) {
+        let mut net = Net::new();
         let parties: Vec<Address> = (0..n)
             .map(|i| net.add_party([i + 1; 32], 6, 100_000))
             .collect();
@@ -1076,11 +1012,85 @@ mod tests {
         assert_eq!(net.channel_pay(ch, a, 1), Err(ChannelError::Unknown));
     }
 
+    /// Regression: `Open` used to carry no signatures, so anyone who knew
+    /// two parties' public keys could lock their funds into a channel
+    /// between them.
+    #[test]
+    fn an_open_its_parties_did_not_both_sign_is_refused() {
+        let (mut net, p) = network_with_parties(2);
+        let (a, b) = (p[0], p[1]);
+        let key = |who: &Address| net.book.parties[who].public_key();
+        let (key_a, key_b) = (key(&a), key(&b));
+        let funding = |seq| ChannelState {
+            channel_id: 0,
+            seq,
+            balance_a: 5_000,
+            balance_b: 5_000,
+        };
+        let digest = funding(0).digest();
+        let mut mallory = PartyBook::default();
+        let m = mallory.add_party([9; 32], 3);
+        let sig_m = mallory.parties.get_mut(&m).unwrap().sign(&digest).unwrap();
+        let sig_a = net.book.parties.get_mut(&a).unwrap().sign(&digest).unwrap();
+        let later = funding(1);
+        let (later_a, later_b) = net.book.co_sign(&a, &b, &later.digest()).unwrap();
+        let stranger = |funding: SignedState| ChannelOp::Open {
+            key_a,
+            key_b,
+            funding,
+        };
+        let cases = [
+            // Signed by a stranger in both parties' places.
+            (
+                stranger((funding(0), sig_m.clone(), sig_m)),
+                ChannelError::BadSignature,
+            ),
+            // `a` consented, `b` did not: `a`'s signature twice.
+            (
+                stranger((funding(0), sig_a.clone(), sig_a)),
+                ChannelError::BadSignature,
+            ),
+            // Both signed, but a later state, not a funding one.
+            (
+                stranger((later, later_a, later_b)),
+                ChannelError::BadState("funding state is not seq 0".into()),
+            ),
+        ];
+        for (op, why) in cases {
+            assert_eq!(net.apply(op), Err(why));
+            assert_eq!(net.settlement.balance(&a), 100_000, "a's funds untouched");
+            assert_eq!(net.settlement.balance(&b), 100_000, "b's funds untouched");
+            assert!(net.settlement.channel(0).is_none());
+        }
+        assert_eq!(net.settlement.stats.rejected, 3);
+        assert_eq!(net.onchain_txs, 0);
+        // The parties' own open of the same split goes through.
+        assert_eq!(net.open_channel(a, b, 5_000, 5_000), Ok(0));
+        assert_eq!(net.settlement.balance(&a), 95_000);
+    }
+
+    /// Nothing rolls the escrow ledger back, so it keeps no journal: a whole
+    /// history leaves none behind.
+    #[test]
+    fn settlement_keeps_no_journal() {
+        let (mut net, p) = network_with_parties(2);
+        let ch = net.open_channel(p[0], p[1], 1_000, 1_000).unwrap();
+        let stale = net.signed_current_state(ch).unwrap();
+        net.channel_pay(ch, p[0], 300).unwrap();
+        net.apply(ChannelOp::UniClose(stale)).unwrap();
+        let newest = net.signed_current_state(ch).unwrap();
+        net.apply(ChannelOp::Challenge(newest)).unwrap();
+        net.advance_height(11);
+        net.apply(ChannelOp::Finalize { id: ch }).unwrap();
+        assert_eq!(net.settlement.balance(&p[1]), 100_000 + 300);
+        assert_eq!(net.settlement.ledger.snapshot(), 0, "journal left behind");
+    }
+
     /// Regression: the pre-merge in-process open debited `a`, failed on
     /// `b`, and returned `Err` with `a`'s escrow gone.
     #[test]
     fn underfunded_open_is_atomic() {
-        let mut net = ChannelNetwork::new(10);
+        let mut net = Net::new();
         let a = net.add_party([1; 32], 3, 1_000);
         let b = net.add_party([2; 32], 3, 10);
         let err = net.open_channel(a, b, 500, 500).unwrap_err();

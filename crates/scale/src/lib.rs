@@ -11,8 +11,8 @@
 //!   experiment E22.
 //! * [`channels`] — off-chain payment channels: one on-chain settlement
 //!   (escrow, dispute windows, co-signed closes) and one off-chain party
-//!   book (dual-signed updates, multi-hop HTLC routing), composed in
-//!   process (experiment E8) and by the middleware channel application.
+//!   book (dual-signed updates, multi-hop HTLC routing), put on a chain by
+//!   the middleware channel application (experiment E8).
 //! * [`light`] — SPV light clients: header-only sync, Merkle transaction
 //!   proofs, checkpoint bootstrap, and the download-size accounting of
 //!   experiment E10.
@@ -26,6 +26,6 @@ pub mod light;
 pub mod sharding;
 
 pub use beacon::{BeaconNet, BeaconParams, BeaconRunStats, ScaleMsg, ScalePeer};
-pub use channels::{ChannelNetwork, PaymentChannel};
+pub use channels::PaymentChannel;
 pub use light::LightClient;
 pub use sharding::{ShardedLedger, Transfer};
