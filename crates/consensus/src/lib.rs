@@ -51,8 +51,14 @@ pub enum WireMsg {
     /// decode time. Every hop reuses the carried id for gossip dedup and the
     /// carried signing hash for admission instead of re-hashing the body.
     Tx(SealedTx),
-    /// A full block announcement.
+    /// A full block: the reply to a [`WireMsg::BlockRequest`], whose asker
+    /// may hold none of the bodies.
     Block(Arc<Block>),
+    /// A gossip peer's block relay, charged on the wire for its compact
+    /// form: the header, the coinbase and one 32-byte id per client
+    /// transaction. The receiver may use only the bodies it already holds
+    /// and asks the sender for the rest with one [`WireMsg::TxRequest`].
+    CompactBlock(Arc<Block>),
     /// A PBFT protocol message.
     Pbft(pbft::PbftMsg),
     /// A request to send the block with this hash back to the asker — the
@@ -72,15 +78,24 @@ pub enum WireMsg {
         /// Exponentially spaced canonical hashes, newest first.
         locator: Vec<Hash256>,
     },
-    /// A PBFT replica's request, sent to the proposer of the compact
-    /// proposal for `block`, for the client bodies it names that the
-    /// replica's pool lacks. Answered with one [`WireMsg::Tx`] per body the
-    /// proposer still holds, in its pool or in the stored block.
+    /// A request, sent to whoever handed over the compact form of `block`
+    /// (a relayed [`WireMsg::CompactBlock`] or a PBFT proposal), for the
+    /// client bodies it names that the asker does not hold. Answered with
+    /// one [`WireMsg::BlockTxs`].
     TxRequest {
-        /// Hash of the proposed block.
+        /// Hash of the compact block.
         block: Hash256,
-        /// Ids of the missing client transactions.
+        /// Ids of the missing client transactions, in block order.
         ids: Vec<Hash256>,
+    },
+    /// The one reply to a [`WireMsg::TxRequest`]: every body asked for that
+    /// the responder holds, in its pool or in the stored block, in the
+    /// order asked.
+    BlockTxs {
+        /// Hash of the compact block the bodies complete.
+        block: Hash256,
+        /// The bodies.
+        txs: Vec<SealedTx>,
     },
     /// A batch of canonical blocks answering a [`WireMsg::SyncRequest`],
     /// plus the responder's tip height so the asker knows whether to keep
@@ -97,26 +112,25 @@ pub enum WireMsg {
 /// re-encoding bodies on every gossip hop. (Experiments that measure exact
 /// sizes — e.g. E10 — call `encoded_len` on the payloads directly.)
 ///
-/// A PBFT `PrePrepare` is compact: the header, the coinbase and one 32-byte
-/// id per client transaction, whose bodies the replicas already pool (a
-/// replica asks the proposer for the ones it lacks with
-/// [`WireMsg::TxRequest`]).
+/// A relayed [`WireMsg::CompactBlock`] and a PBFT `PrePrepare` are compact:
+/// the header, the coinbase and one 32-byte id per client transaction,
+/// whose bodies the receiver mostly holds already (it asks for the ones it
+/// lacks with [`WireMsg::TxRequest`]). A [`WireMsg::Block`] and a
+/// [`WireMsg::SyncResponse`] carry every body.
 pub fn wire_size(msg: &WireMsg) -> usize {
     match msg {
         WireMsg::Block(b) => approx_block_size(b),
+        WireMsg::CompactBlock(b) => compact_block_size(b),
         WireMsg::Tx(tx) => approx_tx_size(tx),
         WireMsg::Pbft(m) => match m {
-            pbft::PbftMsg::PrePrepare { block, .. } => {
-                let compact = |tx: &Transaction| match tx {
-                    Transaction::Coinbase { .. } => approx_tx_size(tx),
-                    _ => 32,
-                };
-                200 + block.txs.iter().map(compact).sum::<usize>()
-            }
+            pbft::PbftMsg::PrePrepare { block, .. } => 20 + compact_block_size(block),
             _ => 100,
         },
         WireMsg::BlockRequest(_) | WireMsg::BlockNotFound(_) => 40,
         WireMsg::TxRequest { ids, .. } => 40 + 32 * ids.len(),
+        WireMsg::BlockTxs { txs, .. } => {
+            40 + txs.iter().map(|tx| approx_tx_size(tx)).sum::<usize>()
+        }
         WireMsg::SyncRequest { locator } => 16 + 32 * locator.len(),
         WireMsg::SyncResponse { blocks, .. } => {
             16 + blocks.iter().map(|b| approx_block_size(b)).sum::<usize>()
@@ -127,6 +141,16 @@ pub fn wire_size(msg: &WireMsg) -> usize {
 /// Approximate encoded size of one block (header plus body).
 fn approx_block_size(b: &Block) -> usize {
     180 + b.txs.iter().map(approx_tx_size).sum::<usize>()
+}
+
+/// Approximate encoded size of one block's compact form: the header, the
+/// coinbase, and an id in place of every other body.
+fn compact_block_size(b: &Block) -> usize {
+    let compact = |tx: &Transaction| match tx {
+        Transaction::Coinbase { .. } => approx_tx_size(tx),
+        _ => 32,
+    };
+    180 + b.txs.iter().map(compact).sum::<usize>()
 }
 
 /// Approximate encoded size of one transaction.
@@ -160,9 +184,9 @@ mod tests {
     use dcs_primitives::AccountTx;
 
     /// Every queued network event holds a `WireMsg`; its largest variant is
-    /// the sealed transaction (80 bytes) plus the tag (`TxRequest`, a hash
-    /// and a `Vec`, is 56). Growing it is a measured decision (CHANGES.md,
-    /// issue 20).
+    /// the sealed transaction (80 bytes) plus the tag (`TxRequest` and
+    /// `BlockTxs`, a hash and a `Vec`, are 56). Growing it is a measured
+    /// decision (CHANGES.md).
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn wire_msg_stays_within_88_bytes() {

@@ -36,6 +36,11 @@ impl IdMarks {
         Some(*mark & INCLUDED != 0)
     }
 
+    /// True if `id` was seen: a repeat [`IdMarks::first_sight`] would drop.
+    pub(crate) fn is_seen(&self, id: &Hash256) -> bool {
+        self.marks.get(id).is_some_and(|m| m & SEEN != 0)
+    }
+
     /// Marks `id` as on the canonical chain.
     pub(crate) fn include(&mut self, id: Hash256) {
         *self.marks.entry(id).or_insert(0) |= INCLUDED;
@@ -174,6 +179,7 @@ mod tests {
                 prop_assert_eq!(table.included(), model.included.clone());
                 for i in 0..16 {
                     prop_assert_eq!(table.is_included(&id(i)), model.included.contains(&id(i)));
+                    prop_assert_eq!(table.is_seen(&id(i)), model.seen.contains(&id(i)));
                 }
             }
         }

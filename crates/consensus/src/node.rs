@@ -107,8 +107,8 @@ pub enum Inbound {
 /// construction; it is not a run option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Relay {
-    /// Gossip: every block the peer imports and every transaction its pool
-    /// keeps goes on to every neighbor but the sender.
+    /// Gossip: every block the peer imports (in compact form) and every
+    /// transaction its pool keeps goes on to every neighbor but the sender.
     Flood,
     /// A fully connected consortium: the peer a client hands a transaction
     /// to sends it to every peer, and nothing that came from a peer goes
@@ -258,10 +258,12 @@ impl<M: StateMachine> NodeCore<M> {
     }
 
     /// [`NodeCore::on_message`] for an engine whose blocks carry a seal
-    /// only it can judge: every block a peer hands over — gossiped, the
+    /// only it can judge: every block a peer hands over — relayed, the
     /// reply to a [`WireMsg::BlockRequest`], or inside a catch-up page —
     /// meets `seal_ok` here, before the engine or the chain sees it. A
-    /// refused block is dropped (the closure does the counting).
+    /// refused block is dropped (the closure does the counting). A relayed
+    /// block whose bodies this peer lacks is held until they arrive, and
+    /// reaches the engine then, as [`Inbound::Block`].
     pub fn on_message_sealed(
         &mut self,
         from: NodeId,
@@ -274,7 +276,10 @@ impl<M: StateMachine> NodeCore<M> {
                 fresh: self.handle_tx(tx, from, ctx),
             },
             WireMsg::Block(block) if seal_ok(&block) => Inbound::Block(block),
-            WireMsg::Block(_) => Inbound::Handled,
+            WireMsg::CompactBlock(block) if seal_ok(&block) => {
+                self.receive_compact(block, from, ctx)
+            }
+            WireMsg::Block(_) | WireMsg::CompactBlock(_) => Inbound::Handled,
             WireMsg::Pbft(pbft) => Inbound::Pbft(pbft),
             WireMsg::BlockRequest(hash) => {
                 self.handle_block_request(hash, from, ctx);
@@ -284,6 +289,7 @@ impl<M: StateMachine> NodeCore<M> {
                 self.handle_tx_request(block, &ids, from, ctx);
                 Inbound::Handled
             }
+            WireMsg::BlockTxs { block, txs } => self.receive_bodies(block, txs, from, ctx),
             WireMsg::BlockNotFound(hash) => {
                 // Re-target the request at the next neighbor (round-robin)
                 // now, instead of waiting out the retry timer.
@@ -379,11 +385,12 @@ impl<M: StateMachine> NodeCore<M> {
     /// new and imported. The `Arc` is shared with the chain's store — the
     /// block is never deep-copied on this path.
     ///
-    /// A gossip peer relays what it imports: a block the chain refused, or
-    /// one that failed state validation (it is then in the chain's invalid
-    /// set), goes no further. An orphan, which cannot be judged yet, is
-    /// relayed. A consortium replica (PBFT), whose blocks travel inside its
-    /// engine's own messages, relays no block, its own included.
+    /// A gossip peer relays what it imports, in compact form
+    /// ([`WireMsg::CompactBlock`]): a block the chain refused, or one that
+    /// failed state validation (it is then in the chain's invalid set),
+    /// goes no further. An orphan, which cannot be judged yet, is relayed.
+    /// A consortium replica (PBFT), whose blocks travel inside its engine's
+    /// own messages, relays no block, its own included.
     pub fn handle_block(
         &mut self,
         block: Arc<Block>,
@@ -404,9 +411,10 @@ impl<M: StateMachine> NodeCore<M> {
         let parent = block.header.parent;
         // However the block arrived, it satisfies any outstanding request.
         self.requests.remove(&Want::Block(hash));
+        self.requests.remove(&Want::Bodies(hash));
         let event = self.ingest_block_at(Arc::clone(&block), ctx.now)?;
         if self.relay == Relay::Flood && !self.chain.invalid().contains(&hash) {
-            let msg = WireMsg::Block(block);
+            let msg = WireMsg::CompactBlock(block);
             let size = wire_size(&msg);
             match from {
                 Some(sender) => ctx.broadcast_except(sender, msg, size),
@@ -417,9 +425,12 @@ impl<M: StateMachine> NodeCore<M> {
             // Missing ancestry (e.g. after a healed partition): walk it back
             // one hop at a time from whoever showed us the descendant, with
             // a bounded retry timer so a lost request or reply cannot stall
-            // this branch forever.
+            // this branch forever. A parent held for its bodies is on its
+            // way already.
             let want = Want::Block(parent);
-            if !self.chain.tree().contains(&parent) && !self.requests.contains_key(&want) {
+            let asked = self.requests.contains_key(&want)
+                || self.requests.contains_key(&Want::Bodies(parent));
+            if !self.chain.tree().contains(&parent) && !asked {
                 self.ask(want, sender, 0, ctx);
             }
         }
@@ -474,7 +485,12 @@ impl<M: StateMachine> NodeCore<M> {
     ///
     /// The sealed transaction carries its content id, so this hot path —
     /// run once per peer per gossiped tx — never hashes the body.
-    fn handle_tx(&mut self, tx: SealedTx, from: NodeId, ctx: &mut Ctx<'_, WireMsg>) -> bool {
+    pub(crate) fn handle_tx(
+        &mut self,
+        tx: SealedTx,
+        from: NodeId,
+        ctx: &mut Ctx<'_, WireMsg>,
+    ) -> bool {
         let id = tx.id();
         let Some(included) = self.marks.first_sight(id) else {
             return false;
@@ -670,7 +686,7 @@ pub(crate) mod tests {
     use dcs_chain::NullMachine;
     use dcs_primitives::AccountTx;
 
-    fn tx(v: u64) -> Transaction {
+    pub(crate) fn tx(v: u64) -> Transaction {
         Transaction::Account(AccountTx::transfer(
             Address::from_index(1),
             Address::from_index(2),
@@ -785,7 +801,7 @@ pub(crate) mod tests {
             .filter_map(|a| match a {
                 dcs_net::Action::Send {
                     to,
-                    msg: WireMsg::Block(b),
+                    msg: WireMsg::CompactBlock(b),
                     ..
                 } if b.hash() == block.hash() => Some(*to),
                 _ => None,

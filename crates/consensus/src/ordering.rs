@@ -79,26 +79,29 @@ impl<M: StateMachine> OrderingNode<M> {
         self.core.mempool.len()
     }
 
-    fn try_cut_batch(&mut self, ctx: &mut Ctx<'_, WireMsg>, force: bool) {
-        if !self.is_my_turn() {
-            return;
-        }
-        let pending = self.pending();
-        if pending == 0 {
-            return;
-        }
-        if pending >= self.batch_size || force {
-            let height = self.core.chain.height() + 1;
+    /// Cuts a batch if it is this peer's turn and the pool holds a full one
+    /// (any, if `force`), then keeps cutting full batches: a backlog larger
+    /// than one batch drains at full rate rather than one batch per
+    /// timeout. A cut that does not move the tip (its block failed, and
+    /// the pool is as it was) ends the drain.
+    fn try_cut_batch(&mut self, ctx: &mut Ctx<'_, WireMsg>, mut force: bool) {
+        while self.is_my_turn() {
+            let pending = self.pending();
+            if pending == 0 || (pending < self.batch_size && !force) {
+                return;
+            }
+            let tip = self.core.chain.tip_hash();
             let seal = Seal::Authority {
                 view: 0,
-                sequence: height,
+                sequence: self.core.chain.height() + 1,
                 votes: 1,
             };
             let block = self.core.build_block(seal, ctx.now);
             self.core.handle_block(block, None, ctx);
-            // Immediately try again: a backlog larger than one batch should
-            // drain at full rate rather than one batch per timeout.
-            self.try_cut_batch(ctx, false);
+            if self.core.chain.tip_hash() == tip {
+                return;
+            }
+            force = false;
         }
     }
 

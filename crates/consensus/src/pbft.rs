@@ -12,8 +12,9 @@
 //! * A `PrePrepare` is compact on the wire: the header, the coinbase and one
 //!   id per client transaction ([`crate::wire_size`]). A replica prepares
 //!   only once its pool holds every body the proposal names, and asks the
-//!   proposer for the ones it lacks with one [`WireMsg::TxRequest`]. In
-//!   memory the proposal stays the leader's `Arc<Block>`: ids are content
+//!   proposer for the ones it lacks with one [`WireMsg::TxRequest`], which
+//!   the proposer answers with one [`WireMsg::BlockTxs`] (the request and
+//!   reply a gossip peer uses for a relayed compact block). In memory the proposal stays the leader's `Arc<Block>`: ids are content
 //!   addresses, so the block a replica would rebuild from its pool is that
 //!   block, and a rebuild would only deep-copy every body.
 //! * A committed block goes to nobody. A replica that falls behind — its
@@ -701,16 +702,28 @@ mod tests {
             (NodeId(0), block.hash(), &[b.id()][..])
         );
 
-        // The proposer answers from its pool: the body, to the asker only.
+        // The proposer answers from its pool: one reply carrying the body,
+        // to the asker only.
         let request = sent.into_iter().next().unwrap().1;
-        let answer = sends(deliver(&mut leader, 1, request));
-        let [(NodeId(1), WireMsg::Tx(body))] = answer.as_slice() else {
+        let mut answer = sends(deliver(&mut leader, 1, request));
+        let [(
+            NodeId(1),
+            WireMsg::BlockTxs {
+                block: answered,
+                txs,
+            },
+        )] = answer.as_slice()
+        else {
             panic!("expected the body back, got {answer:?}");
         };
-        assert_eq!(body.id(), b.id());
+        let ids: Vec<Hash256> = txs.iter().map(SealedTx::id).collect();
+        assert_eq!((*answered, ids), (block.hash(), vec![b.id()]));
 
-        // The body lands: the replica prepares, to every other replica.
-        let arrived = deliver(&mut backup, 0, WireMsg::Tx(body.clone()));
+        // The body lands and is pooled: the replica prepares, to every
+        // other replica.
+        let reply = answer.pop().unwrap().1;
+        let arrived = deliver(&mut backup, 0, reply);
+        assert!(backup.core.mempool.contains(&b.id()));
         assert_eq!(prepares(arrived), 3);
     }
 

@@ -1,11 +1,13 @@
-//! Sync between peers: one table of in-flight requests, the catch-up
-//! page ([`Want::Range`]) and orphan-parent requests ([`Want::Block`]),
-//! each with its own retry timer; and the serving side, which answers a
-//! block request from the store and a PBFT replica's request for the
-//! bodies of a compact proposal from the pool or the store. [`NodeCore`]
-//! reaches it through [`NodeCore::on_message`] and [`NodeCore::on_timer`].
+//! Sync between peers: one table of in-flight requests — the catch-up
+//! page ([`Want::Range`]), orphan-parent requests ([`Want::Block`]) and
+//! the missing bodies of a held compact block ([`Want::Bodies`]) — each
+//! with its own retry timer; and the serving side, which answers a block
+//! request from the store and a request for the bodies of a compact block
+//! (relayed, or a PBFT proposal) from the pool or the store, in one reply.
+//! [`NodeCore`] reaches it through [`NodeCore::on_message`] and
+//! [`NodeCore::on_timer`].
 
-use crate::node::{client_txs, NodeCore};
+use crate::node::{client_txs, Inbound, NodeCore, Relay};
 use crate::{wire_size, WireMsg};
 use dcs_chain::StateMachine;
 use dcs_crypto::Hash256;
@@ -35,6 +37,10 @@ const SYNC_RETRY_BASE_US: u64 = 500_000;
 const MAX_SYNC_ATTEMPTS: u32 = 8;
 /// Blocks per catch-up response batch.
 pub(crate) const SYNC_BATCH: usize = 32;
+/// Compact blocks held at once for their missing bodies. One that arrives
+/// beyond it is dropped unseen: a later copy, or a descendant's parent
+/// request, brings it again.
+const MAX_HELD_BLOCKS: usize = 64;
 
 /// What a sync request asks a neighbor for; the key of
 /// [`NodeCore`]'s one request table.
@@ -44,14 +50,26 @@ pub(crate) enum Want {
     Range,
     /// One block by hash: an orphan's missing parent.
     Block(Hash256),
+    /// The client bodies a held compact block names that this peer lacks.
+    Bodies(Hash256),
 }
 
-/// One in-flight sync request: which epoch its retry timer carries and how
-/// many times it has been (re)sent.
-#[derive(Debug, Clone, Copy)]
+/// One in-flight sync request: which epoch its retry timer carries, how
+/// many times it has been (re)sent, and, for [`Want::Bodies`], the block
+/// it holds.
+#[derive(Debug, Clone)]
 pub(crate) struct SyncAttempt {
     epoch: u64,
     attempts: u32,
+    held: Option<Held>,
+}
+
+/// A relayed compact block waiting on bodies, and the ids still missing,
+/// in block order.
+#[derive(Debug, Clone)]
+struct Held {
+    block: Arc<Block>,
+    missing: Vec<Hash256>,
 }
 
 impl<M: StateMachine> NodeCore<M> {
@@ -77,11 +95,12 @@ impl<M: StateMachine> NodeCore<M> {
         }
     }
 
-    /// Serves a [`WireMsg::TxRequest`]: each body asked for goes back to
-    /// the asker as one [`WireMsg::Tx`], taken from the pool (a refcount
-    /// bump) or, once the proposal has committed here and left the pool,
-    /// from the stored block. A body held in neither is not answered; the
-    /// asker's view timer is the backstop.
+    /// Serves a [`WireMsg::TxRequest`] with one [`WireMsg::BlockTxs`]: each
+    /// body asked for, taken from the pool (a refcount bump) or, once the
+    /// block has been imported here and its bodies left the pool, from the
+    /// stored block. A body held in neither is left out; the asker moves
+    /// on to another neighbor (a held block) or waits out its view timer
+    /// (a PBFT proposal).
     pub(crate) fn handle_tx_request(
         &self,
         block: Hash256,
@@ -90,17 +109,108 @@ impl<M: StateMachine> NodeCore<M> {
         ctx: &mut Ctx<'_, WireMsg>,
     ) {
         let stored = self.chain.tree().get(&block).and_then(|sb| sb.body());
-        for id in ids {
-            let pooled = self.mempool.get(id).cloned();
-            let tx = pooled.or_else(|| {
-                let (tx, _) = client_txs(stored?).find(|(_, stored_id)| *stored_id == id)?;
-                Some(SealedTx::from_parts(Arc::new(tx.clone()), *id))
-            });
-            if let Some(tx) = tx {
-                let msg = WireMsg::Tx(tx);
-                let size = wire_size(&msg);
-                ctx.send(from, msg, size);
+        // Ids are asked in block order, so one forward walk of the stored
+        // body serves every id the pool lacks.
+        let mut in_block = stored.into_iter().flat_map(|body| client_txs(body));
+        let txs = ids
+            .iter()
+            .filter_map(|id| {
+                let pooled = self.mempool.get(id).cloned();
+                pooled.or_else(|| {
+                    let (tx, _) = in_block.find(|(_, stored_id)| *stored_id == id)?;
+                    Some(SealedTx::from_parts(Arc::new(tx.clone()), *id))
+                })
+            })
+            .collect();
+        let msg = WireMsg::BlockTxs { block, txs };
+        let size = wire_size(&msg);
+        ctx.send(from, msg, size);
+    }
+
+    /// A relayed [`WireMsg::CompactBlock`]. A repeat — seen, or already
+    /// held — is dropped. A block whose every client body this peer holds
+    /// goes to the engine whole, as [`Inbound::Block`]. Otherwise the block
+    /// is held in the request table and its missing bodies are asked of
+    /// the sender with one [`WireMsg::TxRequest`]; held, it counts as seen,
+    /// so a copy from another neighbor is dropped.
+    ///
+    /// A body is held if it is pooled, or if it is on the canonical chain
+    /// and the store still keeps its block's body — every body, until a
+    /// pruning store has dropped one; from then on only the pool counts.
+    /// The block in memory carries every body (the modeling rule of
+    /// DESIGN.md §14): what this peer uses of it is what it holds or is
+    /// sent.
+    pub(crate) fn receive_compact(
+        &mut self,
+        block: Arc<Block>,
+        from: NodeId,
+        ctx: &mut Ctx<'_, WireMsg>,
+    ) -> Inbound {
+        let hash = block.hash();
+        let want = Want::Bodies(hash);
+        if self.marks.is_seen(&hash) || self.requests.contains_key(&want) {
+            return Inbound::Handled;
+        }
+        let stored_bodies = self.chain.tree().store_stats().bodies_pruned == 0;
+        let held = |id: &Hash256| {
+            self.mempool.contains(id) || (stored_bodies && self.marks.is_included(id))
+        };
+        let missing: Vec<Hash256> = client_txs(&block)
+            .map(|(_, id)| *id)
+            .filter(|id| !held(id))
+            .collect();
+        if missing.is_empty() {
+            return Inbound::Block(block);
+        }
+        if self.requests.range(Want::Bodies(Hash256::ZERO)..).count() >= MAX_HELD_BLOCKS {
+            return Inbound::Handled;
+        }
+        let held = Some(Held { block, missing });
+        let attempt = SyncAttempt {
+            epoch: 0,
+            attempts: 0,
+            held,
+        };
+        self.requests.insert(want, attempt);
+        self.ask(want, from, 0, ctx);
+        Inbound::Handled
+    }
+
+    /// A [`WireMsg::BlockTxs`] reply. If it answers a held block, the
+    /// bodies it carries are struck off the block's missing list: with none
+    /// left, the block goes to the engine as [`Inbound::Block`]; with some
+    /// left out, the request moves to the next neighbor at once. Any other
+    /// reply is, for a consortium replica, the bodies of a compact proposal
+    /// (pooled, as if each had arrived on its own), and, for a gossip peer,
+    /// a late answer for a block already complete (dropped).
+    pub(crate) fn receive_bodies(
+        &mut self,
+        block: Hash256,
+        txs: Vec<SealedTx>,
+        from: NodeId,
+        ctx: &mut Ctx<'_, WireMsg>,
+    ) -> Inbound {
+        let want = Want::Bodies(block);
+        let Some(held) = self.requests.get_mut(&want).and_then(|a| a.held.as_mut()) else {
+            if self.relay == Relay::Flood {
+                return Inbound::Handled;
             }
+            let mut fresh = false;
+            for tx in txs {
+                fresh |= self.handle_tx(tx, from, ctx);
+            }
+            return Inbound::Tx { fresh };
+        };
+        // The reply keeps the asked order: one merge walk strikes it off.
+        let mut sent = txs.iter().map(SealedTx::id).peekable();
+        held.missing.retain(|id| sent.next_if_eq(id).is_none());
+        if !held.missing.is_empty() {
+            self.retry(want, ctx);
+            return Inbound::Handled;
+        }
+        match self.requests.remove(&want).and_then(|a| a.held) {
+            Some(held) => Inbound::Block(held.block),
+            None => Inbound::Handled,
         }
     }
 
@@ -131,16 +241,28 @@ impl<M: StateMachine> NodeCore<M> {
         attempts: u32,
         ctx: &mut Ctx<'_, WireMsg>,
     ) {
-        let msg = match want {
-            Want::Range => WireMsg::SyncRequest {
+        let held = self.requests.remove(&want).and_then(|a| a.held);
+        let msg = match (want, &held) {
+            (Want::Range, _) => WireMsg::SyncRequest {
                 locator: self.chain.locator(),
             },
-            Want::Block(hash) => WireMsg::BlockRequest(hash),
+            (Want::Block(hash), _) => WireMsg::BlockRequest(hash),
+            (Want::Bodies(block), Some(held)) => WireMsg::TxRequest {
+                block,
+                ids: held.missing.clone(),
+            },
+            // Nothing held, nothing to ask for.
+            (Want::Bodies(_), None) => return,
         };
         let size = wire_size(&msg);
         ctx.send(peer, msg, size);
         let epoch = self.arm_sync_timer(attempts, ctx);
-        self.requests.insert(want, SyncAttempt { epoch, attempts });
+        let attempt = SyncAttempt {
+            epoch,
+            attempts,
+            held,
+        };
+        self.requests.insert(want, attempt);
     }
 
     /// Re-sends an outstanding request to the next neighbor (round-robin),
@@ -153,7 +275,10 @@ impl<M: StateMachine> NodeCore<M> {
             return;
         };
         let attempts = attempt.attempts + 1;
-        let stored = matches!(want, Want::Block(hash) if self.chain.tree().contains(&hash));
+        let stored = match want {
+            Want::Range => false,
+            Want::Block(hash) | Want::Bodies(hash) => self.chain.tree().contains(&hash),
+        };
         if stored || attempts > MAX_SYNC_ATTEMPTS || ctx.neighbors.is_empty() {
             self.requests.remove(&want);
             return;
@@ -246,11 +371,14 @@ impl<M: StateMachine> NodeCore<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::tests::{block_on, new_node, step};
-    use dcs_chain::{Chain, NullMachine};
+    use crate::node::tests::{block_on, new_node, step, tx};
+    use crate::node::Inbound;
+    use dcs_chain::{Chain, ChainEvent, NullMachine};
     use dcs_crypto::Address;
-    use dcs_primitives::ChainConfig;
+    use dcs_net::Action;
+    use dcs_primitives::{ChainConfig, Transaction};
     use dcs_sim::SimTime;
+    use proptest::prelude::*;
 
     fn sent_requests(actions: &[dcs_net::Action<WireMsg>]) -> Vec<(NodeId, Hash256)> {
         actions
@@ -485,5 +613,273 @@ mod tests {
         assert_eq!(sent_ranges(&actions), vec![NodeId(1)]);
         assert_eq!(node.sync_retries, 3);
         assert_eq!(node.catchup_rounds, 1);
+    }
+
+    /// What a PoW engine does with a message: the core's wire protocol,
+    /// then a block that reaches the engine is imported (and relayed).
+    /// Returns the import's outcome, if a block reached the engine, and
+    /// every action taken.
+    fn engine(
+        node: &mut NodeCore<NullMachine>,
+        from: usize,
+        msg: WireMsg,
+    ) -> (Option<Option<ChainEvent>>, Vec<Action<WireMsg>>) {
+        let mut verdict = None;
+        let actions = step(node, |n, ctx| {
+            if let Inbound::Block(block) = n.on_message(NodeId(from), msg, ctx) {
+                verdict = Some(n.handle_block(block, Some(NodeId(from)), ctx));
+            }
+        });
+        (verdict, actions)
+    }
+
+    /// The sends among `actions`, as (destination, message).
+    fn sends(actions: Vec<Action<WireMsg>>) -> Vec<(NodeId, WireMsg)> {
+        actions
+            .into_iter()
+            .filter_map(|a| match a {
+                Action::Send { to, msg, .. } => Some((to, msg)),
+                Action::Timer { .. } => None,
+            })
+            .collect()
+    }
+
+    fn sealed(t: &Transaction) -> SealedTx {
+        SealedTx::new(Arc::new(t.clone()))
+    }
+
+    fn compact(block: &Arc<Block>) -> WireMsg {
+        WireMsg::CompactBlock(Arc::clone(block))
+    }
+
+    /// A relayed block whose bodies the peer pools is imported at once and
+    /// relayed on in compact form; one it lacks a body of is held, asked
+    /// for once, and a copy from another neighbor meanwhile is dropped.
+    /// The one reply completes it: imported and relayed as if it had
+    /// arrived whole.
+    #[test]
+    fn a_compact_block_with_a_miss_is_held_until_the_one_reply() {
+        let (mut node, g) = new_node();
+        let (a, b) = (tx(1), tx(2));
+        node.mempool.insert(sealed(&a));
+        let whole = block_on(&g, 1, vec![a.clone()]);
+        let (verdict, actions) = engine(&mut node, 1, compact(&whole));
+        assert!(matches!(verdict, Some(Some(ChainEvent::Extended { .. }))));
+        let relayed = sends(actions);
+        assert!(matches!(
+            relayed.as_slice(),
+            [(NodeId(2), WireMsg::CompactBlock(_))]
+        ));
+        assert!(wire_size(&relayed[0].1) < wire_size(&WireMsg::Block(Arc::clone(&whole))));
+
+        let lacking = block_on(&whole, 2, vec![b.clone()]);
+        let (verdict, actions) = engine(&mut node, 1, compact(&lacking));
+        assert_eq!(verdict, None, "held, not imported");
+        let asked = sends(actions);
+        let [(NodeId(1), WireMsg::TxRequest { block, ids })] = asked.as_slice() else {
+            panic!("expected one TxRequest to the sender, got {asked:?}");
+        };
+        assert_eq!((*block, ids.clone()), (lacking.hash(), vec![b.id()]));
+        let (verdict, actions) = engine(&mut node, 2, compact(&lacking));
+        assert_eq!(
+            (verdict, sends(actions).len()),
+            (None, 0),
+            "a held copy is dropped"
+        );
+
+        let reply = WireMsg::BlockTxs {
+            block: lacking.hash(),
+            txs: vec![sealed(&b)],
+        };
+        let (verdict, actions) = engine(&mut node, 1, reply.clone());
+        assert!(matches!(verdict, Some(Some(ChainEvent::Extended { .. }))));
+        assert_eq!(node.chain.tip_hash(), lacking.hash());
+        assert!(node.requests.is_empty(), "the request ended");
+        let relayed = sends(actions);
+        assert!(matches!(
+            relayed.as_slice(),
+            [(NodeId(2), WireMsg::CompactBlock(_))]
+        ));
+        // A late duplicate reply is dropped, and the body is not pooled.
+        let (verdict, actions) = engine(&mut node, 2, reply);
+        assert_eq!((verdict, sends(actions).len()), (None, 0));
+        assert!(!node.mempool.contains(&b.id()));
+    }
+
+    /// The bodies of a compact block are served in one reply: from the
+    /// pool, or from the stored block once the block took them out of the
+    /// pool, in the order asked.
+    #[test]
+    fn a_body_request_is_served_in_one_reply_from_pool_or_store() {
+        let (mut node, g) = new_node();
+        let (a, b, c) = (tx(1), tx(2), tx(3));
+        let stored = block_on(&g, 1, vec![a.clone(), b.clone()]);
+        node.ingest_block(Arc::clone(&stored)).unwrap();
+        node.mempool.insert(sealed(&c));
+        let ask = |block: Hash256, ids: Vec<Hash256>| WireMsg::TxRequest { block, ids };
+
+        let (_, actions) = engine(&mut node, 1, ask(stored.hash(), vec![a.id(), b.id()]));
+        let served = sends(actions);
+        let [(NodeId(1), WireMsg::BlockTxs { block, txs })] = served.as_slice() else {
+            panic!("expected one reply, got {served:?}");
+        };
+        let ids: Vec<Hash256> = txs.iter().map(SealedTx::id).collect();
+        assert_eq!((*block, ids), (stored.hash(), vec![a.id(), b.id()]));
+
+        // A pooled body and one held nowhere: the reply leaves that one out.
+        let unknown = Hash256::ZERO;
+        let (_, actions) = engine(&mut node, 1, ask(unknown, vec![c.id(), tx(4).id()]));
+        let served = sends(actions);
+        let [(NodeId(1), WireMsg::BlockTxs { txs, .. })] = served.as_slice() else {
+            panic!("expected one reply, got {served:?}");
+        };
+        assert_eq!(
+            txs.iter().map(SealedTx::id).collect::<Vec<_>>(),
+            vec![c.id()]
+        );
+    }
+
+    /// A held block's request re-targets like a block request: on its
+    /// timer, and at once on a reply that left a body out; it ends when the
+    /// block arrives whole some other way.
+    #[test]
+    fn a_held_block_retargets_and_ends_when_the_block_arrives() {
+        let (mut node, g) = new_node();
+        let lacking = block_on(&g, 1, vec![tx(1), tx(2)]);
+        let (_, actions) = engine(&mut node, 1, compact(&lacking));
+        let tag = sync_timer_tags(&actions)[0];
+
+        let actions = step(&mut node, |n, ctx| assert!(n.on_timer(tag, ctx)));
+        let retried = sends(actions);
+        assert!(matches!(
+            retried.as_slice(),
+            [(NodeId(2), WireMsg::TxRequest { .. })]
+        ));
+        let short = WireMsg::BlockTxs {
+            block: lacking.hash(),
+            txs: vec![sealed(&tx(1))],
+        };
+        let (verdict, actions) = engine(&mut node, 2, short);
+        assert_eq!(verdict, None);
+        let retried = sends(actions);
+        let [(NodeId(1), WireMsg::TxRequest { ids, .. })] = retried.as_slice() else {
+            panic!("expected a re-target for the one body left, got {retried:?}");
+        };
+        assert_eq!(ids, &vec![tx(2).id()]);
+        assert_eq!(node.sync_retries, 2);
+
+        // The full block, served to some other request, ends the wait.
+        let (verdict, _) = engine(&mut node, 2, WireMsg::Block(Arc::clone(&lacking)));
+        assert!(matches!(verdict, Some(Some(ChainEvent::Extended { .. }))));
+        assert!(node.requests.is_empty());
+    }
+
+    /// At most [`MAX_HELD_BLOCKS`] blocks wait at once; one beyond is
+    /// dropped unseen, so a later copy is taken.
+    #[test]
+    fn held_blocks_are_bounded_and_one_beyond_is_not_marked_seen() {
+        let (mut node, g) = new_node();
+        for salt in 0..MAX_HELD_BLOCKS as u64 {
+            let block = block_on(&g, salt, vec![tx(salt)]);
+            let (_, actions) = engine(&mut node, 1, compact(&block));
+            assert_eq!(sends(actions).len(), 1);
+        }
+        let extra = block_on(&g, 1_000, vec![tx(1_000)]);
+        let (_, actions) = engine(&mut node, 1, compact(&extra));
+        assert!(actions.is_empty(), "nothing asked beyond the bound");
+        assert!(!node.marks.is_seen(&extra.hash()));
+        node.mempool.insert(sealed(&tx(1_000)));
+        let (verdict, _) = engine(&mut node, 2, compact(&extra));
+        assert!(
+            verdict.is_some_and(|v| v.is_some()),
+            "a later copy is imported"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A compact block plus the receiver's pool is the full block. Two
+        /// identical peers — each with a canonical block `c` of `included`
+        /// and a pool of `pooled` — are handed the same block, one whole and
+        /// one compact. The compact one asks the sender, whose pool holds
+        /// every body, for exactly the bodies it holds nowhere, and on the
+        /// one reply the engine gets the same block: same hash, same ids,
+        /// same import verdict (extension, side chain or refusal) and the
+        /// same chain after.
+        #[test]
+        fn compact_block_plus_pool_is_the_full_block(
+            included in proptest::collection::vec(0u64..12, 0..6),
+            pooled in proptest::collection::vec(0u64..12, 0..12),
+            body in proptest::collection::vec(0u64..12, 0..10),
+            on_c in any::<bool>(),
+            bad_height in any::<bool>(),
+        ) {
+            let peer = || {
+                let (mut node, g) = new_node();
+                let mut on_chain: Vec<Transaction> = included.iter().map(|&v| tx(v)).collect();
+                on_chain.dedup_by_key(|t| t.id());
+                let c = block_on(&g, 99, on_chain);
+                node.ingest_block(Arc::clone(&c)).unwrap();
+                for &v in &pooled {
+                    node.mempool.insert(sealed(&tx(v)));
+                }
+                (node, Arc::new(g), c)
+            };
+            let (mut full, g, c) = peer();
+            let (mut receiver, ..) = peer();
+            let mut txs: Vec<Transaction> = Vec::new();
+            for &v in &body {
+                if !txs.iter().any(|t| t.id() == tx(v).id()) {
+                    txs.push(tx(v));
+                }
+            }
+            let block = block_on(if on_c { &c } else { &g }, 7, txs);
+            let block = if bad_height {
+                let mut header = block.header.clone();
+                header.height += 5;
+                Arc::new(Block::new(header, block.txs.clone()))
+            } else {
+                block
+            };
+            let (mut sender, _) = new_node();
+            for v in 0..12 {
+                sender.mempool.insert(sealed(&tx(v)));
+            }
+
+            let (expect, _) = engine(&mut full, 1, WireMsg::Block(Arc::clone(&block)));
+            let (mut verdict, actions) = engine(&mut receiver, 1, compact(&block));
+            let lacking: Vec<Hash256> = client_txs(&block)
+                .map(|(_, id)| *id)
+                .filter(|id| !receiver.mempool.contains(id) && !receiver.is_included(id))
+                .collect();
+            let asked: Vec<Vec<Hash256>> = sends(actions)
+                .into_iter()
+                .filter_map(|(_, m)| match m {
+                    WireMsg::TxRequest { ids, .. } => Some(ids),
+                    _ => None,
+                })
+                .collect();
+            if lacking.is_empty() {
+                prop_assert!(asked.is_empty());
+            } else {
+                prop_assert_eq!(&asked, &vec![lacking]);
+                prop_assert_eq!(verdict, None);
+                let request = WireMsg::TxRequest { block: block.hash(), ids: asked[0].clone() };
+                let (_, served) = engine(&mut sender, 0, request);
+                let replies = sends(served);
+                prop_assert_eq!(replies.len(), 1);
+                let reply = replies.into_iter().next().unwrap().1;
+                verdict = engine(&mut receiver, 1, reply).0;
+            }
+            prop_assert_eq!(verdict, expect);
+            prop_assert_eq!(receiver.chain.tip_hash(), full.chain.tip_hash());
+            prop_assert_eq!(receiver.rejected_blocks, full.rejected_blocks);
+            let stored = |n: &NodeCore<NullMachine>| {
+                n.chain.tree().get(&block.hash()).map(|sb| (sb.hash(), sb.block().tx_ids().to_vec()))
+            };
+            prop_assert_eq!(stored(&receiver), stored(&full));
+            prop_assert_eq!(receiver.included_ids(), full.included_ids());
+        }
     }
 }
