@@ -78,10 +78,10 @@ pub enum WireMsg {
         /// Exponentially spaced canonical hashes, newest first.
         locator: Vec<Hash256>,
     },
-    /// A request, sent to whoever handed over the compact form of `block`
-    /// (a relayed [`WireMsg::CompactBlock`] or a PBFT proposal), for the
-    /// client bodies it names that the asker does not hold. Answered with
-    /// one [`WireMsg::BlockTxs`].
+    /// A request for the client bodies a held block (a relayed
+    /// [`WireMsg::CompactBlock`] or a PBFT proposal) names that the asker
+    /// lacks: to whoever handed the block over, then to the next neighbor on
+    /// a short reply or the sync timer. Answered with one [`WireMsg::BlockTxs`].
     TxRequest {
         /// Hash of the compact block.
         block: Hash256,

@@ -133,27 +133,27 @@ impl<M: StateMachine> Protocol for NgNode<M> {
 
     fn on_message(&mut self, from: NodeId, msg: WireMsg, ctx: &mut Ctx<'_, WireMsg>) {
         match self.core.on_message(from, msg, ctx) {
-            Inbound::Block(block) => {
-                let is_key = matches!(block.header.seal, Seal::Work { .. });
-                let event = self.core.handle_block(block, Some(from), ctx);
-                if event.is_some_and(|e| e.moved_tip()) {
-                    if is_key {
-                        // New leader epoch: restart mining, and take over
-                        // microblock production if the new key block is
-                        // ours (it isn't, here — but a reorg can promote
-                        // our own key block back to the tip).
-                        self.restart_mining(ctx);
-                    }
-                    self.maybe_start_leading(ctx);
-                }
-            }
             Inbound::TipMoved => {
                 // The caught-up tip may carry a new key block (new leader
                 // epoch) — restart mining and re-evaluate leadership.
                 self.restart_mining(ctx);
                 self.maybe_start_leading(ctx);
             }
-            _ => {}
+            inbound => {
+                for block in inbound.blocks() {
+                    let is_key = matches!(block.header.seal, Seal::Work { .. });
+                    let event = self.core.handle_block(block, Some(from), ctx);
+                    if event.is_some_and(|e| e.moved_tip()) {
+                        if is_key {
+                            // New leader epoch: restart mining, and take
+                            // over microblocks if the new key block is ours
+                            // (a reorg can promote our own back to the tip).
+                            self.restart_mining(ctx);
+                        }
+                        self.maybe_start_leading(ctx);
+                    }
+                }
+            }
         }
     }
 

@@ -92,6 +92,9 @@ pub enum Inbound {
     Tx {
         /// First sight of this transaction id.
         fresh: bool,
+        /// Held blocks this body completed, for the engine to take before
+        /// the transaction.
+        completed: Vec<Arc<Block>>,
     },
     /// A catch-up batch moved the canonical tip: whatever the engine was
     /// building on the old tip is stale.
@@ -101,6 +104,17 @@ pub enum Inbound {
     Block(Arc<Block>),
     /// A PBFT protocol message.
     Pbft(PbftMsg),
+}
+
+impl Inbound {
+    /// Every block this message hands the engine, in order.
+    pub fn blocks(self) -> Vec<Arc<Block>> {
+        match self {
+            Inbound::Block(block) => vec![block],
+            Inbound::Tx { completed, .. } => completed,
+            _ => Vec::new(),
+        }
+    }
 }
 
 /// What a peer forwards of what reaches it. An engine picks its rule at
@@ -262,8 +276,7 @@ impl<M: StateMachine> NodeCore<M> {
     /// reply to a [`WireMsg::BlockRequest`], or inside a catch-up page —
     /// meets `seal_ok` here, before the engine or the chain sees it. A
     /// refused block is dropped (the closure does the counting). A relayed
-    /// block whose bodies this peer lacks is held until they arrive, and
-    /// reaches the engine then, as [`Inbound::Block`].
+    /// compact block is held until its bodies arrive (`NodeCore::complete`).
     pub fn on_message_sealed(
         &mut self,
         from: NodeId,
@@ -272,12 +285,16 @@ impl<M: StateMachine> NodeCore<M> {
         seal_ok: &mut dyn FnMut(&Block) -> bool,
     ) -> Inbound {
         match msg {
-            WireMsg::Tx(tx) => Inbound::Tx {
-                fresh: self.handle_tx(tx, from, ctx),
-            },
+            WireMsg::Tx(tx) => {
+                let id = tx.id();
+                let fresh = self.handle_tx(tx, from, ctx);
+                let completed = if fresh { self.pooled(&id) } else { vec![] };
+                Inbound::Tx { fresh, completed }
+            }
             WireMsg::Block(block) if seal_ok(&block) => Inbound::Block(block),
             WireMsg::CompactBlock(block) if seal_ok(&block) => {
-                self.receive_compact(block, from, ctx)
+                let block = self.complete(block, from, ctx);
+                block.map_or(Inbound::Handled, Inbound::Block)
             }
             WireMsg::Block(_) | WireMsg::CompactBlock(_) => Inbound::Handled,
             WireMsg::Pbft(pbft) => Inbound::Pbft(pbft),
@@ -289,7 +306,7 @@ impl<M: StateMachine> NodeCore<M> {
                 self.handle_tx_request(block, &ids, from, ctx);
                 Inbound::Handled
             }
-            WireMsg::BlockTxs { block, txs } => self.receive_bodies(block, txs, from, ctx),
+            WireMsg::BlockTxs { block, txs } => self.receive_bodies(block, txs, ctx),
             WireMsg::BlockNotFound(hash) => {
                 // Re-target the request at the next neighbor (round-robin)
                 // now, instead of waiting out the retry timer.

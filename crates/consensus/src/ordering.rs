@@ -121,14 +121,16 @@ impl<M: StateMachine> Protocol for OrderingNode<M> {
     }
 
     fn on_message(&mut self, from: NodeId, msg: WireMsg, ctx: &mut Ctx<'_, WireMsg>) {
-        match self.core.on_message(from, msg, ctx) {
-            Inbound::Block(block) => {
-                self.core.handle_block(block, Some(from), ctx);
-            }
-            // A new transaction may fill a batch; a caught-up tip may have
-            // rotated the orderer role onto us at the new height.
-            Inbound::Tx { fresh: true } | Inbound::TipMoved => self.try_cut_batch(ctx, false),
-            _ => {}
+        let inbound = self.core.on_message(from, msg, ctx);
+        // A new transaction may fill a batch; a caught-up tip may have
+        // rotated the orderer role onto us at the new height. A block the
+        // transaction completed goes first, so the cut builds on it.
+        let cut = matches!(inbound, Inbound::Tx { fresh: true, .. } | Inbound::TipMoved);
+        for block in inbound.blocks() {
+            self.core.handle_block(block, Some(from), ctx);
+        }
+        if cut {
+            self.try_cut_batch(ctx, false);
         }
     }
 
@@ -155,5 +157,69 @@ impl<M: StateMachine> LedgerNode for OrderingNode<M> {
 
     fn reset_volatile(&mut self) {
         self.tick_epoch += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::tests::tx;
+    use dcs_chain::NullMachine;
+    use dcs_net::Action;
+    use dcs_primitives::SealedTx;
+    use dcs_sim::SimTime;
+    use std::sync::Arc;
+
+    /// Peer `id` of four, the orderer role rotating every block and cut at
+    /// two pending transactions.
+    fn peer(id: usize) -> OrderingNode<NullMachine> {
+        let mut config = ChainConfig::hyperledger_like();
+        config.consensus = ConsensusKind::Ordering {
+            batch_size: 2,
+            batch_timeout_us: 500_000,
+            rotate_every: 1,
+        };
+        let genesis = dcs_chain::genesis_block(&config);
+        OrderingNode::new(NodeId(id), Address::ZERO, genesis, config, NullMachine, 4)
+    }
+
+    fn deliver(node: &mut OrderingNode<NullMachine>, from: usize, msg: WireMsg) {
+        let neighbors: Vec<NodeId> = (0..4).map(NodeId).filter(|&i| i != node.core.id).collect();
+        let mut rng = dcs_sim::Rng::seed_from(1);
+        let mut actions: Vec<Action<WireMsg>> = Vec::new();
+        let mut ctx = Ctx::new(
+            node.core.id,
+            SimTime::ZERO,
+            &neighbors,
+            &mut rng,
+            &mut actions,
+        );
+        node.on_message(NodeId(from), msg, &mut ctx);
+    }
+
+    /// A transaction that completes a held block is still a fresh
+    /// transaction to the engine: peer 2 imports the block it completed,
+    /// which hands it the orderer role, and on that same transaction cuts
+    /// the two it has pending.
+    #[test]
+    fn the_body_that_completes_a_held_block_still_cuts_a_batch() {
+        let sealed = |v| SealedTx::new(Arc::new(tx(v)));
+        let mut orderer = peer(1);
+        orderer.core.mempool.insert(sealed(1));
+        let seal = Seal::Authority {
+            view: 0,
+            sequence: 1,
+            votes: 1,
+        };
+        let block = orderer.core.build_block(seal, SimTime::ZERO);
+
+        let mut next = peer(2);
+        next.core.mempool.insert(sealed(2));
+        next.core.mempool.insert(sealed(3));
+        deliver(&mut next, 1, WireMsg::CompactBlock(block));
+        assert_eq!(next.core.chain.height(), 0, "held for its one missing body");
+        deliver(&mut next, 3, WireMsg::Tx(sealed(1)));
+        assert_eq!(next.core.chain.height(), 2, "imported, then cut on top");
+        assert!(next.core.mempool.is_empty());
     }
 }

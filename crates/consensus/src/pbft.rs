@@ -11,12 +11,13 @@
 //!   no replica relays a transaction it got from another one.
 //! * A `PrePrepare` is compact on the wire: the header, the coinbase and one
 //!   id per client transaction ([`crate::wire_size`]). A replica prepares
-//!   only once its pool holds every body the proposal names, and asks the
-//!   proposer for the ones it lacks with one [`WireMsg::TxRequest`], which
-//!   the proposer answers with one [`WireMsg::BlockTxs`] (the request and
-//!   reply a gossip peer uses for a relayed compact block). In memory the proposal stays the leader's `Arc<Block>`: ids are content
-//!   addresses, so the block a replica would rebuild from its pool is that
-//!   block, and a rebuild would only deep-copy every body.
+//!   only once it holds every body the proposal names: the core holds the
+//!   proposal, as it holds a relayed compact block, until its pool or one
+//!   [`WireMsg::BlockTxs`] reply completes it. In memory the proposal stays
+//!   the leader's `Arc<Block>`: ids are content addresses, so the block a
+//!   replica would rebuild from its pool is that block, and a rebuild would
+//!   only deep-copy every body. A block a peer hands over can at most
+//!   complete a proposal; it is never imported.
 //! * A committed block goes to nobody. A replica that falls behind — its
 //!   view timer fires while it holds a commit quorum for a sequence it
 //!   cannot commit — pulls the missing blocks from the view's leader by
@@ -27,7 +28,7 @@
 //! [`LedgerNode::on_restart`]. Equivocation is not modeled (the simulator
 //! drives all honest peers from the same implementation).
 
-use crate::node::{client_txs, Inbound, LedgerNode, NodeCore, Relay};
+use crate::node::{Inbound, LedgerNode, NodeCore, Relay};
 use crate::WireMsg;
 use dcs_chain::StateMachine;
 use dcs_crypto::{Address, Hash256};
@@ -82,9 +83,9 @@ const TAG_VIEW: u64 = 2 << 40;
 #[derive(Debug, Default)]
 struct SeqState {
     candidate: Option<Arc<Block>>,
-    /// Client bodies the candidate names that this replica's pool lacked;
-    /// it prepares and commits the candidate only once this is empty.
-    missing: Vec<Hash256>,
+    /// True once this replica holds every client body the candidate names;
+    /// it prepares and commits the candidate only then.
+    complete: bool,
     prepares: BTreeSet<NodeId>,
     commits: BTreeSet<NodeId>,
     sent_prepare: bool,
@@ -215,6 +216,7 @@ impl<M: StateMachine> PbftNode<M> {
         let digest = block.hash();
         let entry = self.state.entry(seq).or_default();
         entry.candidate = Some(block.clone());
+        entry.complete = true;
         entry.prepares.insert(self.core.id);
         entry.sent_prepare = true;
         self.send_all(
@@ -236,12 +238,9 @@ impl<M: StateMachine> PbftNode<M> {
         let Some(entry) = self.state.get_mut(&seq) else {
             return;
         };
-        let Some(block) = entry.candidate.clone() else {
+        let Some(block) = entry.candidate.clone().filter(|_| entry.complete) else {
             return;
         };
-        if !entry.missing.is_empty() {
-            return;
-        }
         let digest = block.hash();
 
         if entry.prepares.len() >= quorum && !entry.sent_commit {
@@ -284,8 +283,8 @@ impl<M: StateMachine> PbftNode<M> {
         }
     }
 
-    /// Prepares `seq`'s candidate once this replica's pool holds every
-    /// body it names, then counts quorums.
+    /// Prepares `seq`'s candidate once this replica holds every body it
+    /// names, then counts quorums.
     fn prepare(&mut self, seq: u64, ctx: &mut Ctx<'_, WireMsg>) {
         let view = self.view;
         let Some(entry) = self.state.get_mut(&seq) else {
@@ -294,7 +293,7 @@ impl<M: StateMachine> PbftNode<M> {
         let Some(block) = entry.candidate.as_ref() else {
             return;
         };
-        if entry.missing.is_empty() && !entry.sent_prepare {
+        if entry.complete && !entry.sent_prepare {
             let digest = block.hash();
             entry.sent_prepare = true;
             entry.prepares.insert(self.core.id);
@@ -311,20 +310,15 @@ impl<M: StateMachine> PbftNode<M> {
         self.check_quorums(seq, ctx);
     }
 
-    /// A transaction reached the pool: a candidate that was waiting for it
-    /// may now be prepared.
-    fn bodies_arrived(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
-        let pool = &self.core.mempool;
-        let ready: Vec<u64> = self
-            .state
-            .iter_mut()
-            .filter(|(_, entry)| !entry.missing.is_empty())
-            .filter_map(|(&seq, entry)| {
-                entry.missing.retain(|id| !pool.contains(id));
-                entry.missing.is_empty().then_some(seq)
-            })
-            .collect();
-        for seq in ready {
+    /// A block the core completed, or a peer handed over: if it is the
+    /// candidate of its height, that candidate is complete and prepared.
+    /// One from an abandoned view matches nothing.
+    fn completed(&mut self, block: &Block, ctx: &mut Ctx<'_, WireMsg>) {
+        let seq = block.header.height;
+        let is_it = |c: &Arc<Block>| c.hash() == block.hash();
+        let entry = self.state.get_mut(&seq);
+        if let Some(entry) = entry.filter(|e| e.candidate.as_ref().is_some_and(is_it)) {
+            entry.complete = true;
             self.prepare(seq, ctx);
         }
     }
@@ -398,22 +392,16 @@ impl<M: StateMachine> Protocol for PbftNode<M> {
     fn on_message(&mut self, from: NodeId, msg: WireMsg, ctx: &mut Ctx<'_, WireMsg>) {
         match self.core.on_message(from, msg, ctx) {
             Inbound::Handled => {}
-            Inbound::Tx { fresh } => {
-                if fresh {
-                    self.bodies_arrived(ctx);
+            Inbound::Tx { completed, .. } => {
+                for block in completed {
+                    self.completed(&block, ctx);
                 }
                 self.try_propose(ctx);
             }
-            Inbound::Block(block) => {
-                // Replicas announce no block, so none arrives from one; a
-                // block that arrives anyway is imported. A replica the
-                // quorum left behind pulls by catch-up sync instead (the
-                // view-timer arm of `on_timer`), whose pages land as
-                // `TipMoved`.
-                if self.core.handle_block(block, Some(from), ctx).is_some() {
-                    self.chain_moved(ctx);
-                }
-            }
+            // Replicas announce no block, so a block is imported only on
+            // commit; a replica the quorum left behind pulls by catch-up
+            // sync (the view-timer arm of `on_timer`), as `TipMoved`.
+            Inbound::Block(block) => self.completed(&block, ctx),
             Inbound::TipMoved => self.chain_moved(ctx),
             Inbound::Pbft(pbft) => match pbft {
                 PbftMsg::PrePrepare { view, seq, block } => {
@@ -438,22 +426,9 @@ impl<M: StateMachine> Protocol for PbftNode<M> {
                     let entry = self.state.entry(seq).or_default();
                     if entry.candidate.is_none() {
                         // The compact proposal names its bodies by id: the
-                        // ones the pool lacks are asked of the proposer,
-                        // once.
-                        let pool = &self.core.mempool;
-                        entry.missing = client_txs(&block)
-                            .map(|(_, id)| *id)
-                            .filter(|id| !pool.contains(id))
-                            .collect();
-                        if !entry.missing.is_empty() {
-                            let msg = WireMsg::TxRequest {
-                                block: block.hash(),
-                                ids: entry.missing.clone(),
-                            };
-                            let size = crate::wire_size(&msg);
-                            ctx.send(from, msg, size);
-                        }
-                        entry.candidate = Some(block);
+                        // core completes it now, or holds it until it can.
+                        entry.candidate = Some(Arc::clone(&block));
+                        entry.complete = self.core.complete(block, from, ctx).is_some();
                     }
                     self.prepare(seq, ctx);
                 }
@@ -576,12 +551,13 @@ mod tests {
 
     type Replica = PbftNode<NullMachine>;
 
-    /// Runs one callback on `node` and returns the batch-tick tags it armed.
-    fn batch_ticks(
+    /// Runs one callback on `node`, whose neighbors are the other three
+    /// replicas; returns what it asked for.
+    fn run(
         node: &mut Replica,
         step: impl FnOnce(&mut Replica, &mut Ctx<'_, WireMsg>),
-    ) -> Vec<u64> {
-        let neighbors = [NodeId(0), NodeId(2), NodeId(3)];
+    ) -> Vec<Action<WireMsg>> {
+        let neighbors: Vec<NodeId> = (0..4).map(NodeId).filter(|&i| i != node.core.id).collect();
         let mut rng = dcs_sim::Rng::seed_from(1);
         let mut actions = Vec::new();
         let mut ctx = Ctx::new(
@@ -593,12 +569,23 @@ mod tests {
         );
         step(node, &mut ctx);
         actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::Timer { tag, .. } if tag & (0xff << 40) == TAG_BATCH => Some(*tag),
-                _ => None,
-            })
-            .collect()
+    }
+
+    /// The tags of the timers among `actions` whose kind is in `kinds`.
+    fn timers(actions: &[Action<WireMsg>], kinds: impl Fn(u64) -> bool) -> Vec<u64> {
+        let armed = actions.iter().filter_map(|a| match a {
+            Action::Timer { tag, .. } => Some(*tag),
+            Action::Send { .. } => None,
+        });
+        armed.filter(|tag| kinds(tag & (0xff << 40))).collect()
+    }
+
+    /// Runs one callback on `node` and returns the batch-tick tags it armed.
+    fn batch_ticks(
+        node: &mut Replica,
+        step: impl FnOnce(&mut Replica, &mut Ctx<'_, WireMsg>),
+    ) -> Vec<u64> {
+        timers(&run(node, step), |kind| kind == TAG_BATCH)
     }
 
     fn config() -> ChainConfig {
@@ -629,18 +616,7 @@ mod tests {
 
     /// Delivers `msg` from `from` to `node`; returns what it asked for.
     fn deliver(node: &mut Replica, from: usize, msg: WireMsg) -> Vec<Action<WireMsg>> {
-        let neighbors: Vec<NodeId> = (0..4).map(NodeId).filter(|&i| i != node.core.id).collect();
-        let mut rng = dcs_sim::Rng::seed_from(1);
-        let mut actions = Vec::new();
-        let mut ctx = Ctx::new(
-            node.core.id,
-            SimTime::ZERO,
-            &neighbors,
-            &mut rng,
-            &mut actions,
-        );
-        node.on_message(NodeId(from), msg, &mut ctx);
-        actions
+        run(node, |n, ctx| n.on_message(NodeId(from), msg, ctx))
     }
 
     /// The sends among `actions`, as (destination, message).
@@ -719,12 +695,62 @@ mod tests {
         let ids: Vec<Hash256> = txs.iter().map(SealedTx::id).collect();
         assert_eq!((*answered, ids), (block.hash(), vec![b.id()]));
 
-        // The body lands and is pooled: the replica prepares, to every
-        // other replica.
+        // The body lands: the replica prepares, to every other replica.
         let reply = answer.pop().unwrap().1;
         let arrived = deliver(&mut backup, 0, reply);
-        assert!(backup.core.mempool.contains(&b.id()));
         assert_eq!(prepares(arrived), 3);
+    }
+
+    /// A replica whose proposer never answers asks another replica when its
+    /// sync timer fires; that replica serves the body from its pool, and
+    /// the waiting replica prepares.
+    #[test]
+    fn an_unanswered_body_request_is_asked_of_another_replica() {
+        let (_, mut backup, b, block) = proposal_lacking_one_body();
+        let mut other = replica(2);
+        other.core.mempool.insert(b.clone());
+
+        let asked = deliver(&mut backup, 0, pre_prepare(&block));
+        let tags = timers(&asked, |kind| kind != TAG_BATCH && kind != TAG_VIEW);
+        let [tag] = tags.as_slice() else {
+            panic!("expected one sync timer, got {tags:?}");
+        };
+        // The proposer stays silent; the timer fires.
+        let retried = sends(run(&mut backup, |n, ctx| n.on_timer(*tag, ctx)));
+        let [(NodeId(2), request @ WireMsg::TxRequest { ids, .. })] = retried.as_slice() else {
+            panic!("expected one TxRequest to replica 2, got {retried:?}");
+        };
+        assert_eq!(ids, &vec![b.id()]);
+
+        let served = sends(deliver(&mut other, 1, request.clone()));
+        let [(NodeId(1), reply @ WireMsg::BlockTxs { .. })] = served.as_slice() else {
+            panic!("expected the body back, got {served:?}");
+        };
+        assert_eq!(prepares(deliver(&mut backup, 2, reply.clone())), 3);
+    }
+
+    /// A block a peer hands over is never imported: replica 2, not the
+    /// view's leader, gives replica 1 a block on its tip, full and compact,
+    /// and replica 1 stays at height 0.
+    #[test]
+    fn a_block_from_a_non_leader_is_never_imported() {
+        let forms: [fn(Arc<Block>) -> WireMsg; 2] = [WireMsg::Block, WireMsg::CompactBlock];
+        for form in forms {
+            let mut rogue = replica(2);
+            let mut backup = replica(1);
+            for node in [&mut rogue, &mut backup] {
+                node.core.mempool.insert(sealed(1));
+            }
+            let seal = Seal::Authority {
+                view: 0,
+                sequence: 1,
+                votes: 3,
+            };
+            let block = rogue.core.build_block(seal, SimTime::ZERO);
+            let sent = sends(deliver(&mut backup, 2, form(block)));
+            assert_eq!(backup.core.chain.height(), 0);
+            assert!(sent.is_empty(), "nothing relayed or voted: {sent:?}");
+        }
     }
 
     /// A proposal whose body never arrives is never prepared, nor

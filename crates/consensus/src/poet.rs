@@ -76,14 +76,15 @@ impl<M: StateMachine> Protocol for PoetNode<M> {
 
     fn on_message(&mut self, from: NodeId, msg: WireMsg, ctx: &mut Ctx<'_, WireMsg>) {
         match self.core.on_message(from, msg, ctx) {
-            Inbound::Block(block) => {
-                let event = self.core.handle_block(block, Some(from), ctx);
-                if event.is_some_and(|e| e.moved_tip()) {
-                    self.restart_wait(ctx);
+            Inbound::TipMoved => self.restart_wait(ctx), // wait from the caught-up tip
+            inbound => {
+                for block in inbound.blocks() {
+                    let event = self.core.handle_block(block, Some(from), ctx);
+                    if event.is_some_and(|e| e.moved_tip()) {
+                        self.restart_wait(ctx);
+                    }
                 }
             }
-            Inbound::TipMoved => self.restart_wait(ctx), // wait from the caught-up tip
-            _ => {}
         }
     }
 

@@ -5,7 +5,7 @@
 //! from propagation races — no hashing is expended, which is the point of
 //! experiment E5.
 
-use crate::node::{Inbound, LedgerNode, NodeCore};
+use crate::node::{LedgerNode, NodeCore};
 use crate::WireMsg;
 use dcs_chain::StateMachine;
 use dcs_crypto::{sha256, Address, Hash256};
@@ -155,7 +155,7 @@ impl<M: StateMachine> Protocol for PosNode<M> {
             ok
         });
         // The slot schedule is clock driven: a caught-up tip re-arms nothing.
-        if let Inbound::Block(block) = inbound {
+        for block in inbound.blocks() {
             self.core.handle_block(block, Some(from), ctx);
         }
     }

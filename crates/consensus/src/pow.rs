@@ -104,16 +104,17 @@ impl<M: StateMachine> Protocol for PowNode<M> {
 
     fn on_message(&mut self, from: NodeId, msg: WireMsg, ctx: &mut Ctx<'_, WireMsg>) {
         match self.core.on_message(from, msg, ctx) {
-            Inbound::Block(block) => {
-                // Mining restarts whenever the tip moves (the miner must
-                // build on the new best block).
-                let event = self.core.handle_block(block, Some(from), ctx);
-                if event.is_some_and(|e| e.moved_tip()) {
-                    self.restart_mining(ctx);
+            Inbound::TipMoved => self.restart_mining(ctx), // mine on the caught-up tip
+            inbound => {
+                for block in inbound.blocks() {
+                    // Mining restarts whenever the tip moves (the miner must
+                    // build on the new best block).
+                    let event = self.core.handle_block(block, Some(from), ctx);
+                    if event.is_some_and(|e| e.moved_tip()) {
+                        self.restart_mining(ctx);
+                    }
                 }
             }
-            Inbound::TipMoved => self.restart_mining(ctx), // mine on the caught-up tip
-            _ => {}
         }
     }
 

@@ -1,13 +1,14 @@
 //! Sync between peers: one table of in-flight requests — the catch-up
 //! page ([`Want::Range`]), orphan-parent requests ([`Want::Block`]) and
-//! the missing bodies of a held compact block ([`Want::Bodies`]) — each
-//! with its own retry timer; and the serving side, which answers a block
-//! request from the store and a request for the bodies of a compact block
-//! (relayed, or a PBFT proposal) from the pool or the store, in one reply.
+//! the missing bodies of a held block named by ids ([`Want::Bodies`]: a
+//! relayed compact block or a PBFT proposal, the only place either waits
+//! for bodies) — each with its own retry timer; and the serving side, which
+//! answers a block request from the store and a request for a held block's
+//! bodies from the pool or the store, in one reply.
 //! [`NodeCore`] reaches it through [`NodeCore::on_message`] and
 //! [`NodeCore::on_timer`].
 
-use crate::node::{client_txs, Inbound, NodeCore, Relay};
+use crate::node::{client_txs, Inbound, NodeCore};
 use crate::{wire_size, WireMsg};
 use dcs_chain::StateMachine;
 use dcs_crypto::Hash256;
@@ -37,9 +38,10 @@ const SYNC_RETRY_BASE_US: u64 = 500_000;
 const MAX_SYNC_ATTEMPTS: u32 = 8;
 /// Blocks per catch-up response batch.
 pub(crate) const SYNC_BATCH: usize = 32;
-/// Compact blocks held at once for their missing bodies. One that arrives
-/// beyond it is dropped unseen: a later copy, or a descendant's parent
-/// request, brings it again.
+/// Blocks held at once for their missing bodies. A relayed one that
+/// arrives beyond it is dropped unseen: a later copy, or a descendant's
+/// parent request, brings it again. A PBFT proposal beyond it is never
+/// prepared here; its view times out.
 const MAX_HELD_BLOCKS: usize = 64;
 
 /// What a sync request asks a neighbor for; the key of
@@ -50,25 +52,18 @@ pub(crate) enum Want {
     Range,
     /// One block by hash: an orphan's missing parent.
     Block(Hash256),
-    /// The client bodies a held compact block names that this peer lacks.
+    /// The client bodies a held block names that this peer lacks.
     Bodies(Hash256),
 }
 
 /// One in-flight sync request: which epoch its retry timer carries, how
 /// many times it has been (re)sent, and, for [`Want::Bodies`], the block
-/// it holds.
-#[derive(Debug, Clone)]
+/// it holds and the ids it still lacks, in block order.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SyncAttempt {
     epoch: u64,
     attempts: u32,
-    held: Option<Held>,
-}
-
-/// A relayed compact block waiting on bodies, and the ids still missing,
-/// in block order.
-#[derive(Debug, Clone)]
-struct Held {
-    block: Arc<Block>,
+    held: Option<Arc<Block>>,
     missing: Vec<Hash256>,
 }
 
@@ -99,8 +94,7 @@ impl<M: StateMachine> NodeCore<M> {
     /// body asked for, taken from the pool (a refcount bump) or, once the
     /// block has been imported here and its bodies left the pool, from the
     /// stored block. A body held in neither is left out; the asker moves
-    /// on to another neighbor (a held block) or waits out its view timer
-    /// (a PBFT proposal).
+    /// on to another neighbor at once (see [`NodeCore::receive_bodies`]).
     pub(crate) fn handle_tx_request(
         &self,
         block: Hash256,
@@ -127,91 +121,95 @@ impl<M: StateMachine> NodeCore<M> {
         ctx.send(from, msg, size);
     }
 
-    /// A relayed [`WireMsg::CompactBlock`]. A repeat — seen, or already
-    /// held — is dropped. A block whose every client body this peer holds
-    /// goes to the engine whole, as [`Inbound::Block`]. Otherwise the block
-    /// is held in the request table and its missing bodies are asked of
-    /// the sender with one [`WireMsg::TxRequest`]; held, it counts as seen,
-    /// so a copy from another neighbor is dropped.
-    ///
-    /// A body is held if it is pooled, or if it is on the canonical chain
-    /// and the store still keeps its block's body — every body, until a
-    /// pruning store has dropped one; from then on only the pool counts.
-    /// The block in memory carries every body (the modeling rule of
-    /// DESIGN.md §14): what this peer uses of it is what it holds or is
-    /// sent.
-    pub(crate) fn receive_compact(
+    /// A block named by ids (a relayed [`WireMsg::CompactBlock`] or a PBFT
+    /// proposal) from `from`. One seen or held already is dropped; one
+    /// whose every client body this peer holds is returned whole. Any other
+    /// is held (unless [`MAX_HELD_BLOCKS`] are) and its missing bodies asked
+    /// of `from` with one [`WireMsg::TxRequest`], retried like a block
+    /// request; it reaches the engine once complete, as [`Inbound::Block`]
+    /// when a reply completes it, inside [`Inbound::Tx`] when a pooled body
+    /// does. The block in memory carries every body (DESIGN.md §14's
+    /// modeling rule): this peer uses only what it holds or is sent.
+    pub(crate) fn complete(
         &mut self,
         block: Arc<Block>,
         from: NodeId,
         ctx: &mut Ctx<'_, WireMsg>,
-    ) -> Inbound {
-        let hash = block.hash();
-        let want = Want::Bodies(hash);
-        if self.marks.is_seen(&hash) || self.requests.contains_key(&want) {
-            return Inbound::Handled;
+    ) -> Option<Arc<Block>> {
+        let want = Want::Bodies(block.hash());
+        if self.marks.is_seen(&block.hash()) || self.requests.contains_key(&want) {
+            return None;
         }
-        let stored_bodies = self.chain.tree().store_stats().bodies_pruned == 0;
-        let held = |id: &Hash256| {
-            self.mempool.contains(id) || (stored_bodies && self.marks.is_included(id))
-        };
-        let missing: Vec<Hash256> = client_txs(&block)
-            .map(|(_, id)| *id)
-            .filter(|id| !held(id))
-            .collect();
+        let ids = client_txs(&block).map(|(_, id)| *id);
+        let missing: Vec<Hash256> = ids.filter(|id| !self.holds(id)).collect();
         if missing.is_empty() {
-            return Inbound::Block(block);
+            return Some(block);
         }
-        if self.requests.range(Want::Bodies(Hash256::ZERO)..).count() >= MAX_HELD_BLOCKS {
-            return Inbound::Handled;
+        if self.held().count() < MAX_HELD_BLOCKS {
+            let attempt = self.requests.entry(want).or_default();
+            (attempt.held, attempt.missing) = (Some(block), missing);
+            self.ask(want, from, 0, ctx);
         }
-        let held = Some(Held { block, missing });
-        let attempt = SyncAttempt {
-            epoch: 0,
-            attempts: 0,
-            held,
-        };
-        self.requests.insert(want, attempt);
-        self.ask(want, from, 0, ctx);
-        Inbound::Handled
+        None
+    }
+
+    /// True if this peer holds body `id`: it is pooled, or it is on the
+    /// canonical chain and the store still keeps its block's body (every
+    /// body, until a pruning store has dropped one). The one rule for what
+    /// a block named by ids lacks.
+    fn holds(&self, id: &Hash256) -> bool {
+        self.mempool.contains(id)
+            || (self.marks.is_included(id) && self.chain.tree().store_stats().bodies_pruned == 0)
+    }
+
+    /// The requests of the held blocks.
+    fn held(&mut self) -> impl Iterator<Item = (&Want, &mut SyncAttempt)> {
+        self.requests.range_mut(Want::Bodies(Hash256::ZERO)..)
+    }
+
+    /// A body first seen on its own: if this peer now holds it, it is
+    /// struck off every held block, and each block left lacking nothing
+    /// ends its request and is returned for the engine.
+    pub(crate) fn pooled(&mut self, id: &Hash256) -> Vec<Arc<Block>> {
+        // `Want::Bodies` sorts last: the table's last key says whether any
+        // block is held, without a range search on every fresh body.
+        let any_held = matches!(self.requests.keys().next_back(), Some(Want::Bodies(_)));
+        if !any_held || !self.holds(id) {
+            return Vec::new();
+        }
+        let mut done = Vec::new();
+        for (want, attempt) in self.held() {
+            attempt.missing.retain(|m| m != id);
+            done.extend(attempt.missing.is_empty().then_some(*want));
+        }
+        let mut take = |want| self.requests.remove(want)?.held;
+        done.iter().filter_map(&mut take).collect()
     }
 
     /// A [`WireMsg::BlockTxs`] reply. If it answers a held block, the
     /// bodies it carries are struck off the block's missing list: with none
     /// left, the block goes to the engine as [`Inbound::Block`]; with some
-    /// left out, the request moves to the next neighbor at once. Any other
-    /// reply is, for a consortium replica, the bodies of a compact proposal
-    /// (pooled, as if each had arrived on its own), and, for a gossip peer,
-    /// a late answer for a block already complete (dropped).
+    /// left out, the request moves to the next neighbor at once. A reply
+    /// for no held block is late and dropped; no reply is pooled.
     pub(crate) fn receive_bodies(
         &mut self,
         block: Hash256,
         txs: Vec<SealedTx>,
-        from: NodeId,
         ctx: &mut Ctx<'_, WireMsg>,
     ) -> Inbound {
         let want = Want::Bodies(block);
-        let Some(held) = self.requests.get_mut(&want).and_then(|a| a.held.as_mut()) else {
-            if self.relay == Relay::Flood {
-                return Inbound::Handled;
-            }
-            let mut fresh = false;
-            for tx in txs {
-                fresh |= self.handle_tx(tx, from, ctx);
-            }
-            return Inbound::Tx { fresh };
+        let Some(attempt) = self.requests.get_mut(&want) else {
+            return Inbound::Handled;
         };
         // The reply keeps the asked order: one merge walk strikes it off.
         let mut sent = txs.iter().map(SealedTx::id).peekable();
-        held.missing.retain(|id| sent.next_if_eq(id).is_none());
-        if !held.missing.is_empty() {
+        attempt.missing.retain(|id| sent.next_if_eq(id).is_none());
+        if !attempt.missing.is_empty() {
             self.retry(want, ctx);
             return Inbound::Handled;
         }
-        match self.requests.remove(&want).and_then(|a| a.held) {
-            Some(held) => Inbound::Block(held.block),
-            None => Inbound::Handled,
-        }
+        let held = self.requests.remove(&want).and_then(|a| a.held);
+        held.map_or(Inbound::Handled, Inbound::Block)
     }
 
     /// Starts (or restarts) catch-up sync: sends a locator-based range
@@ -233,7 +231,7 @@ impl<M: StateMachine> NodeCore<M> {
     }
 
     /// Sends the request for `want` to `peer` and arms its retry timer,
-    /// whose backoff grows with `attempts`.
+    /// whose backoff doubles with `attempts`.
     pub(crate) fn ask(
         &mut self,
         want: Want,
@@ -241,28 +239,23 @@ impl<M: StateMachine> NodeCore<M> {
         attempts: u32,
         ctx: &mut Ctx<'_, WireMsg>,
     ) {
-        let held = self.requests.remove(&want).and_then(|a| a.held);
-        let msg = match (want, &held) {
-            (Want::Range, _) => WireMsg::SyncRequest {
+        self.sync_epoch += 1;
+        let attempt = self.requests.entry(want).or_default();
+        (attempt.epoch, attempt.attempts) = (self.sync_epoch, attempts);
+        let msg = match want {
+            Want::Range => WireMsg::SyncRequest {
                 locator: self.chain.locator(),
             },
-            (Want::Block(hash), _) => WireMsg::BlockRequest(hash),
-            (Want::Bodies(block), Some(held)) => WireMsg::TxRequest {
+            Want::Block(hash) => WireMsg::BlockRequest(hash),
+            Want::Bodies(block) => WireMsg::TxRequest {
                 block,
-                ids: held.missing.clone(),
+                ids: attempt.missing.clone(),
             },
-            // Nothing held, nothing to ask for.
-            (Want::Bodies(_), None) => return,
         };
         let size = wire_size(&msg);
         ctx.send(peer, msg, size);
-        let epoch = self.arm_sync_timer(attempts, ctx);
-        let attempt = SyncAttempt {
-            epoch,
-            attempts,
-            held,
-        };
-        self.requests.insert(want, attempt);
+        let delay = SYNC_RETRY_BASE_US << attempts.min(6);
+        ctx.set_timer(SimDuration::from_micros(delay), TAG_SYNC | self.sync_epoch);
     }
 
     /// Re-sends an outstanding request to the next neighbor (round-robin),
@@ -357,22 +350,12 @@ impl<M: StateMachine> NodeCore<M> {
         }
         true
     }
-
-    /// Arms a sync retry timer with exponential backoff and returns its
-    /// epoch.
-    fn arm_sync_timer(&mut self, attempts: u32, ctx: &mut Ctx<'_, WireMsg>) -> u64 {
-        self.sync_epoch += 1;
-        let delay = SYNC_RETRY_BASE_US << attempts.min(6);
-        ctx.set_timer(SimDuration::from_micros(delay), TAG_SYNC | self.sync_epoch);
-        self.sync_epoch
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::node::tests::{block_on, new_node, step, tx};
-    use crate::node::Inbound;
     use dcs_chain::{Chain, ChainEvent, NullMachine};
     use dcs_crypto::Address;
     use dcs_net::Action;
@@ -616,9 +599,9 @@ mod tests {
     }
 
     /// What a PoW engine does with a message: the core's wire protocol,
-    /// then a block that reaches the engine is imported (and relayed).
-    /// Returns the import's outcome, if a block reached the engine, and
-    /// every action taken.
+    /// then each block that reaches the engine is imported (and relayed).
+    /// Returns the last import's outcome, if a block reached the engine,
+    /// and every action taken.
     fn engine(
         node: &mut NodeCore<NullMachine>,
         from: usize,
@@ -626,7 +609,7 @@ mod tests {
     ) -> (Option<Option<ChainEvent>>, Vec<Action<WireMsg>>) {
         let mut verdict = None;
         let actions = step(node, |n, ctx| {
-            if let Inbound::Block(block) = n.on_message(NodeId(from), msg, ctx) {
+            for block in n.on_message(NodeId(from), msg, ctx).blocks() {
                 verdict = Some(n.handle_block(block, Some(NodeId(from)), ctx));
             }
         });
@@ -772,6 +755,48 @@ mod tests {
         let (verdict, _) = engine(&mut node, 2, WireMsg::Block(Arc::clone(&lacking)));
         assert!(matches!(verdict, Some(Some(ChainEvent::Extended { .. }))));
         assert!(node.requests.is_empty());
+    }
+
+    /// A held block completes when the transaction flood pools its last
+    /// body: imported and relayed at once, with no reply needed; the reply
+    /// that lands later is dropped.
+    #[test]
+    fn a_held_block_is_imported_when_the_flood_pools_its_last_body() {
+        let (mut node, g) = new_node();
+        let lacking = block_on(&g, 1, vec![tx(1), tx(2)]);
+        engine(&mut node, 1, compact(&lacking));
+        let (verdict, _) = engine(&mut node, 2, WireMsg::Tx(sealed(&tx(1))));
+        assert_eq!(verdict, None, "one body still missing");
+        let (verdict, actions) = engine(&mut node, 2, WireMsg::Tx(sealed(&tx(2))));
+        assert!(matches!(verdict, Some(Some(ChainEvent::Extended { .. }))));
+        assert!(node.requests.is_empty(), "the request ended");
+        let relayed = sends(actions);
+        assert!(relayed.iter().any(|(to, m)| *to == NodeId(1)
+            && matches!(m, WireMsg::CompactBlock(b) if b.hash() == lacking.hash())));
+        let late = WireMsg::BlockTxs {
+            block: lacking.hash(),
+            txs: vec![sealed(&tx(1)), sealed(&tx(2))],
+        };
+        let (verdict, actions) = engine(&mut node, 1, late);
+        assert_eq!((verdict, sends(actions).len()), (None, 0));
+    }
+
+    /// One body that completes two held blocks hands both to the engine
+    /// in the same message: neither waits on a retry timer.
+    #[test]
+    fn one_body_completes_every_held_block_that_lacks_it() {
+        let (mut node, g) = new_node();
+        let (a, b) = (block_on(&g, 1, vec![tx(1)]), block_on(&g, 2, vec![tx(1)]));
+        for block in [&a, &b] {
+            let (verdict, _) = engine(&mut node, 1, compact(block));
+            assert_eq!(verdict, None, "held");
+        }
+        assert_eq!(node.requests.len(), 2);
+        engine(&mut node, 2, WireMsg::Tx(sealed(&tx(1))));
+        assert!(node.requests.is_empty(), "both requests ended");
+        for block in [&a, &b] {
+            assert!(node.chain.tree().contains(&block.hash()), "both imported");
+        }
     }
 
     /// At most [`MAX_HELD_BLOCKS`] blocks wait at once; one beyond is
