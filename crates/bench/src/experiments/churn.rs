@@ -19,7 +19,9 @@ fn at(secs: u64) -> SimTime {
 /// E18: a PBFT consortium keeps committing through `f` crashed replicas
 /// (view change replaces the dead leader), and a crashed-then-restarted
 /// node — PBFT replica or PoW miner — rebuilds from its block store and
-/// catches up to the canonical tip via the locator sync protocol.
+/// catches up to the canonical tip via the locator sync protocol. Panics
+/// unless each restarted node ends at the reference height and the
+/// replicas agree.
 pub fn e18_churn(scale: Scale) {
     println!("\nE18 — dcs-faults: crash/restart churn with catch-up recovery");
     println!("Dependability under churn (§2.3): consensus must survive fail-stop crashes");
@@ -96,6 +98,8 @@ fn pbft_leader_crash(scale: Scale) {
         "agreement at confirmation depth: {} | {result}\n",
         result.replicas_agree,
     );
+    assert_eq!(node0_end, h_end, "the restarted replica catches up");
+    assert!(result.replicas_agree, "replicas agree");
 }
 
 /// PoW, 4 miners: one crashes, misses a stretch of blocks, restarts, and
@@ -166,4 +170,6 @@ fn pow_miner_churn(scale: Scale) {
     println!("Expected shape: survivor throughput dips only by the dead miner's hash");
     println!("power, and the restarted node converges to the canonical chain within a");
     println!("few catch-up pages — dependable churn, not a permanent fork.");
+    assert_eq!(n3_end, h_end, "the restarted miner catches up");
+    assert!(result.replicas_agree, "replicas agree");
 }

@@ -25,8 +25,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Default bound on blocks parked in the orphan pool; beyond it the oldest
-/// orphans are evicted in arrival order (a gossip peer can always re-serve
-/// them via a `BlockRequest`).
+/// orphans are evicted in arrival order (the page of blocks a later orphan
+/// asks for brings back any that are canonical at its sender).
 pub const DEFAULT_ORPHAN_CAP: usize = 512;
 
 /// What a [`StoredBlock`] currently retains: the full body, or — after

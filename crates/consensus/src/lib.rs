@@ -51,9 +51,6 @@ pub enum WireMsg {
     /// decode time. Every hop reuses the carried id for gossip dedup and the
     /// carried signing hash for admission instead of re-hashing the body.
     Tx(SealedTx),
-    /// A full block: the reply to a [`WireMsg::BlockRequest`], whose asker
-    /// may hold none of the bodies.
-    Block(Arc<Block>),
     /// A gossip peer's block relay, charged on the wire for its compact
     /// form: the header, the coinbase and one 32-byte id per client
     /// transaction. The receiver may use only the bodies it already holds
@@ -61,21 +58,15 @@ pub enum WireMsg {
     CompactBlock(Arc<Block>),
     /// A PBFT protocol message.
     Pbft(pbft::PbftMsg),
-    /// A request to send the block with this hash back to the asker — the
-    /// minimal sync protocol: a peer that orphans a block walks the missing
-    /// ancestry back to a common ancestor (how healed partitions reconverge).
-    BlockRequest(Hash256),
-    /// The negative reply to a [`WireMsg::BlockRequest`] the asked peer
-    /// cannot serve (unknown hash, or a pruning node dropped the body) —
-    /// lets the requester re-target another peer instead of waiting on a
-    /// reply that never comes.
-    BlockNotFound(Hash256),
-    /// A catch-up range request: `locator` is the asker's canonical chain
-    /// sampled newest-first at exponentially growing gaps (Bitcoin-style).
-    /// The responder finds the highest locator entry on its own canonical
-    /// chain and replies with the blocks above it.
+    /// A range request, the one way a peer fetches blocks it lacks — to
+    /// catch up, and to page in the missing ancestry of an orphan (how
+    /// healed partitions reconverge). `locator` is the asker's canonical
+    /// chain sampled newest-first at exponentially growing gaps
+    /// (Bitcoin-style), led on a follow-up page by the last block of the
+    /// page before. The responder finds the first locator entry on its own
+    /// canonical chain and replies with the blocks above it.
     SyncRequest {
-        /// Exponentially spaced canonical hashes, newest first.
+        /// Block hashes, newest first.
         locator: Vec<Hash256>,
     },
     /// A request for the client bodies a held block (a relayed
@@ -99,7 +90,7 @@ pub enum WireMsg {
     },
     /// A batch of canonical blocks answering a [`WireMsg::SyncRequest`],
     /// plus the responder's tip height so the asker knows whether to keep
-    /// paging.
+    /// paging. A peer with no page request outstanding drops one unread.
     SyncResponse {
         /// Consecutive canonical blocks, oldest first (bounded batch).
         blocks: Vec<Arc<Block>>,
@@ -115,18 +106,16 @@ pub enum WireMsg {
 /// A relayed [`WireMsg::CompactBlock`] and a PBFT `PrePrepare` are compact:
 /// the header, the coinbase and one 32-byte id per client transaction,
 /// whose bodies the receiver mostly holds already (it asks for the ones it
-/// lacks with [`WireMsg::TxRequest`]). A [`WireMsg::Block`] and a
-/// [`WireMsg::SyncResponse`] carry every body.
+/// lacks with [`WireMsg::TxRequest`]). A [`WireMsg::SyncResponse`]
+/// carries every body: its asker may hold none of them.
 pub fn wire_size(msg: &WireMsg) -> usize {
     match msg {
-        WireMsg::Block(b) => approx_block_size(b),
         WireMsg::CompactBlock(b) => compact_block_size(b),
         WireMsg::Tx(tx) => approx_tx_size(tx),
         WireMsg::Pbft(m) => match m {
             pbft::PbftMsg::PrePrepare { block, .. } => 20 + compact_block_size(block),
             _ => 100,
         },
-        WireMsg::BlockRequest(_) | WireMsg::BlockNotFound(_) => 40,
         WireMsg::TxRequest { ids, .. } => 40 + 32 * ids.len(),
         WireMsg::BlockTxs { txs, .. } => {
             40 + txs.iter().map(|tx| approx_tx_size(tx)).sum::<usize>()

@@ -1,8 +1,8 @@
 //! The peer core shared by every consensus protocol: a [`Chain`] replica, a
 //! [`Mempool`], gossip dedup tables, block assembly, and the bookkeeping
 //! that returns reverted transactions to the pool after reorgs — plus the
-//! whole non-consensus wire protocol (tx gossip here; block serving and
-//! catch-up sync in the `sync` module), written once behind
+//! whole non-consensus wire protocol (tx gossip here; body serving and
+//! block sync in the `sync` module), written once behind
 //! [`NodeCore::on_message`] and [`NodeCore::on_timer`]. An engine file (`pow`, `pos`, …) wraps a
 //! `NodeCore`, implements [`LedgerNode`], and adds only its block rule, its
 //! own timers and its proposal rule.
@@ -151,11 +151,14 @@ pub struct NodeCore<M: StateMachine> {
     /// hitting a missing stored block). Always 0 in a healthy run; counted
     /// instead of panicking so a bad peer input can never abort the peer.
     pub internal_errors: u64,
-    /// Sync requests re-sent after a lost request or reply (retry timers
-    /// fired, `BlockNotFound` re-targets). Zero on a loss-free network.
+    /// Sync requests re-sent to the next neighbor: a retry timer fired on
+    /// a lost request or reply, or a page or body reply fell short (see
+    /// [`NodeCore::on_timer`]). Zero on a loss-free network whose peers
+    /// serve what they are asked.
     pub sync_retries: u64,
-    /// Catch-up rounds started (one per [`NodeCore::begin_catchup`] call,
-    /// including the follow-up pages of a multi-batch catch-up).
+    /// Pages of blocks asked for: one per [`NodeCore::begin_catchup`]
+    /// call and per orphan whose missing ancestry starts a page request,
+    /// plus each follow-up page of a multi-page fetch.
     pub catchup_rounds: u64,
     /// This peer's one trace stream. Disabled by default; install with
     /// [`NodeCore::set_tracing`].
@@ -166,8 +169,8 @@ pub struct NodeCore<M: StateMachine> {
     reported_finalized: u64,
     /// Gossip dedup and the canonical-chain index, one mark byte per id.
     pub(crate) marks: IdMarks,
-    /// Sync requests awaiting a reply: the catch-up page and the
-    /// orphan-parent requests, each with its own retry timer.
+    /// Sync requests awaiting a reply: the page of blocks and each held
+    /// block's bodies, each with its own retry timer.
     pub(crate) requests: BTreeMap<Want, SyncAttempt>,
     /// Monotonic epoch distinguishing live sync timers from stale ones.
     pub(crate) sync_epoch: u64,
@@ -260,7 +263,7 @@ impl<M: StateMachine> NodeCore<M> {
     }
 
     /// The one message entry point: runs the non-consensus wire protocol
-    /// (tx gossip, block and range serving, catch-up ingestion) and reports
+    /// (tx gossip, body and range serving, page ingestion) and reports
     /// back only what an engine can react to.
     pub fn on_message(
         &mut self,
@@ -272,11 +275,11 @@ impl<M: StateMachine> NodeCore<M> {
     }
 
     /// [`NodeCore::on_message`] for an engine whose blocks carry a seal
-    /// only it can judge: every block a peer hands over — relayed, the
-    /// reply to a [`WireMsg::BlockRequest`], or inside a catch-up page —
-    /// meets `seal_ok` here, before the engine or the chain sees it. A
-    /// refused block is dropped (the closure does the counting). A relayed
-    /// compact block is held until its bodies arrive (`NodeCore::complete`).
+    /// only it can judge: every block a peer hands over, relayed or inside
+    /// a page, meets `seal_ok` here, before the engine or the chain sees
+    /// it. A refused block is dropped (the closure does the counting). A
+    /// relayed compact block is held until its bodies arrive
+    /// (`NodeCore::complete`); a page no request asked for is dropped.
     pub fn on_message_sealed(
         &mut self,
         from: NodeId,
@@ -291,28 +294,17 @@ impl<M: StateMachine> NodeCore<M> {
                 let completed = if fresh { self.pooled(&id) } else { vec![] };
                 Inbound::Tx { fresh, completed }
             }
-            WireMsg::Block(block) if seal_ok(&block) => Inbound::Block(block),
             WireMsg::CompactBlock(block) if seal_ok(&block) => {
                 let block = self.complete(block, from, ctx);
                 block.map_or(Inbound::Handled, Inbound::Block)
             }
-            WireMsg::Block(_) | WireMsg::CompactBlock(_) => Inbound::Handled,
+            WireMsg::CompactBlock(_) => Inbound::Handled,
             WireMsg::Pbft(pbft) => Inbound::Pbft(pbft),
-            WireMsg::BlockRequest(hash) => {
-                self.handle_block_request(hash, from, ctx);
-                Inbound::Handled
-            }
             WireMsg::TxRequest { block, ids } => {
                 self.handle_tx_request(block, &ids, from, ctx);
                 Inbound::Handled
             }
             WireMsg::BlockTxs { block, txs } => self.receive_bodies(block, txs, ctx),
-            WireMsg::BlockNotFound(hash) => {
-                // Re-target the request at the next neighbor (round-robin)
-                // now, instead of waiting out the retry timer.
-                self.retry(Want::Block(hash), ctx);
-                Inbound::Handled
-            }
             WireMsg::SyncRequest { locator } => {
                 // A bounded batch of canonical blocks above the best
                 // locator match.
@@ -322,13 +314,16 @@ impl<M: StateMachine> NodeCore<M> {
                 ctx.send(from, msg, size);
                 Inbound::Handled
             }
-            WireMsg::SyncResponse { blocks, tip_height } => {
+            WireMsg::SyncResponse { blocks, tip_height }
+                if self.requests.contains_key(&Want::Range) =>
+            {
                 if self.handle_sync_response(blocks, tip_height, from, ctx, seal_ok) {
                     Inbound::TipMoved
                 } else {
                     Inbound::Handled
                 }
             }
+            WireMsg::SyncResponse { .. } => Inbound::Handled,
         }
     }
 
@@ -426,8 +421,7 @@ impl<M: StateMachine> NodeCore<M> {
             },
         );
         let parent = block.header.parent;
-        // However the block arrived, it satisfies any outstanding request.
-        self.requests.remove(&Want::Block(hash));
+        // However the block arrived, it needs no bodies asked for.
         self.requests.remove(&Want::Bodies(hash));
         let event = self.ingest_block_at(Arc::clone(&block), ctx.now)?;
         if self.relay == Relay::Flood && !self.chain.invalid().contains(&hash) {
@@ -439,16 +433,13 @@ impl<M: StateMachine> NodeCore<M> {
             }
         }
         if let (ChainEvent::Orphaned, Some(sender)) = (&event, from) {
-            // Missing ancestry (e.g. after a healed partition): walk it back
-            // one hop at a time from whoever showed us the descendant, with
-            // a bounded retry timer so a lost request or reply cannot stall
-            // this branch forever. A parent held for its bodies is on its
-            // way already.
-            let want = Want::Block(parent);
-            let asked = self.requests.contains_key(&want)
+            // Missing ancestry (e.g. after a healed partition): page it in
+            // from whoever showed us the descendant. A page on its way, or
+            // a parent held for its bodies, will bring it already.
+            let asked = self.requests.contains_key(&Want::Range)
                 || self.requests.contains_key(&Want::Bodies(parent));
-            if !self.chain.tree().contains(&parent) && !asked {
-                self.ask(want, sender, 0, ctx);
+            if !asked {
+                self.catch_up_from(sender, ctx);
             }
         }
         Some(event)

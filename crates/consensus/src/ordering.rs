@@ -122,12 +122,13 @@ impl<M: StateMachine> Protocol for OrderingNode<M> {
 
     fn on_message(&mut self, from: NodeId, msg: WireMsg, ctx: &mut Ctx<'_, WireMsg>) {
         let inbound = self.core.on_message(from, msg, ctx);
-        // A new transaction may fill a batch; a caught-up tip may have
-        // rotated the orderer role onto us at the new height. A block the
-        // transaction completed goes first, so the cut builds on it.
-        let cut = matches!(inbound, Inbound::Tx { fresh: true, .. } | Inbound::TipMoved);
+        // A new transaction may fill a batch; a tip moved by a page or by
+        // a block imported here may have rotated the orderer role onto us
+        // at the new height. A block goes in first, so the cut builds on it.
+        let mut cut = matches!(inbound, Inbound::Tx { fresh: true, .. } | Inbound::TipMoved);
         for block in inbound.blocks() {
-            self.core.handle_block(block, Some(from), ctx);
+            let event = self.core.handle_block(block, Some(from), ctx);
+            cut |= event.is_some_and(|e| e.moved_tip());
         }
         if cut {
             self.try_cut_batch(ctx, false);
@@ -219,6 +220,27 @@ mod tests {
         deliver(&mut next, 1, WireMsg::CompactBlock(block));
         assert_eq!(next.core.chain.height(), 0, "held for its one missing body");
         deliver(&mut next, 3, WireMsg::Tx(sealed(1)));
+        assert_eq!(next.core.chain.height(), 2, "imported, then cut on top");
+        assert!(next.core.mempool.is_empty());
+    }
+
+    /// The import that hands a peer the orderer role is its cue to cut:
+    /// peer 2, holding a full batch, is handed the height-1 block whole
+    /// and cuts on top of it at once, not at its next transaction or tick.
+    #[test]
+    fn the_import_that_gives_a_peer_the_turn_cuts_its_batch() {
+        let sealed = |v| SealedTx::new(Arc::new(tx(v)));
+        let seal = Seal::Authority {
+            view: 0,
+            sequence: 1,
+            votes: 1,
+        };
+        let block = peer(1).core.build_block(seal, SimTime::ZERO);
+
+        let mut next = peer(2);
+        next.core.mempool.insert(sealed(2));
+        next.core.mempool.insert(sealed(3));
+        deliver(&mut next, 1, WireMsg::CompactBlock(block));
         assert_eq!(next.core.chain.height(), 2, "imported, then cut on top");
         assert!(next.core.mempool.is_empty());
     }

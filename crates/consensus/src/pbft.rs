@@ -335,8 +335,8 @@ impl<M: StateMachine> PbftNode<M> {
     }
 
     /// The chain advanced outside this replica's own commit path (a
-    /// requested block or catch-up sync): drop buffered per-seq state at or
-    /// below the new tip and carry on from there.
+    /// catch-up page): drop buffered per-seq state at or below the new tip
+    /// and carry on from there.
     fn chain_moved(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
         let height = self.core.chain.height();
         self.state.retain(|&s, _| s > height);
@@ -730,11 +730,16 @@ mod tests {
     }
 
     /// A block a peer hands over is never imported: replica 2, not the
-    /// view's leader, gives replica 1 a block on its tip, full and compact,
-    /// and replica 1 stays at height 0.
+    /// view's leader, gives replica 1 a block on its tip, compact and as a
+    /// one-block page replica 1 never asked for, and replica 1 stays at
+    /// height 0.
     #[test]
     fn a_block_from_a_non_leader_is_never_imported() {
-        let forms: [fn(Arc<Block>) -> WireMsg; 2] = [WireMsg::Block, WireMsg::CompactBlock];
+        let page = |block| WireMsg::SyncResponse {
+            blocks: vec![block],
+            tip_height: 1,
+        };
+        let forms: [fn(Arc<Block>) -> WireMsg; 2] = [page, WireMsg::CompactBlock];
         for form in forms {
             let mut rogue = replica(2);
             let mut backup = replica(1);

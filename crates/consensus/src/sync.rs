@@ -1,10 +1,11 @@
-//! Sync between peers: one table of in-flight requests — the catch-up
-//! page ([`Want::Range`]), orphan-parent requests ([`Want::Block`]) and
-//! the missing bodies of a held block named by ids ([`Want::Bodies`]: a
-//! relayed compact block or a PBFT proposal, the only place either waits
-//! for bodies) — each with its own retry timer; and the serving side, which
-//! answers a block request from the store and a request for a held block's
-//! bodies from the pool or the store, in one reply.
+//! Sync between peers: one table of in-flight requests — the page of
+//! blocks above this replica's locator ([`Want::Range`], the one way a
+//! peer fetches blocks it lacks: catch-up after a restart or a stall, and
+//! the missing ancestry of an orphan) and the missing bodies of a held
+//! block named by ids ([`Want::Bodies`]: a relayed compact block or a PBFT
+//! proposal, the only place either waits for bodies) — each with its own
+//! retry timer; and the serving side, which answers a request for a held
+//! block's bodies from the pool or the store, in one reply.
 //! [`NodeCore`] reaches it through [`NodeCore::on_message`] and
 //! [`NodeCore::on_timer`].
 
@@ -39,57 +40,37 @@ const MAX_SYNC_ATTEMPTS: u32 = 8;
 /// Blocks per catch-up response batch.
 pub(crate) const SYNC_BATCH: usize = 32;
 /// Blocks held at once for their missing bodies. A relayed one that
-/// arrives beyond it is dropped unseen: a later copy, or a descendant's
-/// parent request, brings it again. A PBFT proposal beyond it is never
-/// prepared here; its view times out.
+/// arrives beyond it is dropped unseen: a later copy, or the page an
+/// orphaned descendant asks for, brings it again. A PBFT proposal beyond
+/// it is never prepared here; its view times out.
 const MAX_HELD_BLOCKS: usize = 64;
 
 /// What a sync request asks a neighbor for; the key of
 /// [`NodeCore`]'s one request table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Want {
-    /// A page of canonical blocks above this replica's locator (catch-up).
+    /// A page of canonical blocks above this replica's locator: catch-up,
+    /// or an orphan's missing ancestry.
     Range,
-    /// One block by hash: an orphan's missing parent.
-    Block(Hash256),
     /// The client bodies a held block names that this peer lacks.
     Bodies(Hash256),
 }
 
 /// One in-flight sync request: which epoch its retry timer carries, how
-/// many times it has been (re)sent, and, for [`Want::Bodies`], the block
-/// it holds and the ids it still lacks, in block order.
+/// many times it has been (re)sent; for [`Want::Range`], the last block
+/// of the page it stored, which leads the next locator; and for
+/// [`Want::Bodies`], the block it holds and the ids it still lacks, in
+/// block order.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SyncAttempt {
     epoch: u64,
     attempts: u32,
+    anchor: Option<Hash256>,
     held: Option<Arc<Block>>,
     missing: Vec<Hash256>,
 }
 
 impl<M: StateMachine> NodeCore<M> {
-    /// Serves a sync request: if we hold `hash` with its body resident,
-    /// send the block straight back to the asker — a refcount bump on the
-    /// stored `Arc`, not a copy. Otherwise (unknown hash, or a pruning
-    /// node dropped the body) reply [`WireMsg::BlockNotFound`] so the
-    /// asker re-targets another peer instead of waiting forever.
-    pub(crate) fn handle_block_request(
-        &mut self,
-        hash: Hash256,
-        from: NodeId,
-        ctx: &mut Ctx<'_, WireMsg>,
-    ) {
-        if let Some(body) = self.chain.tree().get(&hash).and_then(|sb| sb.body()) {
-            let msg = WireMsg::Block(Arc::clone(body));
-            let size = wire_size(&msg);
-            ctx.send(from, msg, size);
-        } else {
-            let msg = WireMsg::BlockNotFound(hash);
-            let size = wire_size(&msg);
-            ctx.send(from, msg, size);
-        }
-    }
-
     /// Serves a [`WireMsg::TxRequest`] with one [`WireMsg::BlockTxs`]: each
     /// body asked for, taken from the pool (a refcount bump) or, once the
     /// block has been imported here and its bodies left the pool, from the
@@ -125,7 +106,7 @@ impl<M: StateMachine> NodeCore<M> {
     /// proposal) from `from`. One seen or held already is dropped; one
     /// whose every client body this peer holds is returned whole. Any other
     /// is held (unless [`MAX_HELD_BLOCKS`] are) and its missing bodies asked
-    /// of `from` with one [`WireMsg::TxRequest`], retried like a block
+    /// of `from` with one [`WireMsg::TxRequest`], retried like a page
     /// request; it reaches the engine once complete, as [`Inbound::Block`]
     /// when a reply completes it, inside [`Inbound::Tx`] when a pooled body
     /// does. The block in memory carries every body (DESIGN.md §14's
@@ -215,7 +196,7 @@ impl<M: StateMachine> NodeCore<M> {
     /// Starts (or restarts) catch-up sync: sends a locator-based range
     /// request to the first neighbor and arms the retry timer. The reply
     /// handler keeps paging until this replica reaches the responder's
-    /// tip.
+    /// tip. An orphan starts the same request at the peer that sent it.
     pub fn begin_catchup(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
         let Some(&peer) = ctx.neighbors.first() else {
             return;
@@ -232,21 +213,18 @@ impl<M: StateMachine> NodeCore<M> {
 
     /// Sends the request for `want` to `peer` and arms its retry timer,
     /// whose backoff doubles with `attempts`.
-    pub(crate) fn ask(
-        &mut self,
-        want: Want,
-        peer: NodeId,
-        attempts: u32,
-        ctx: &mut Ctx<'_, WireMsg>,
-    ) {
+    fn ask(&mut self, want: Want, peer: NodeId, attempts: u32, ctx: &mut Ctx<'_, WireMsg>) {
         self.sync_epoch += 1;
         let attempt = self.requests.entry(want).or_default();
         (attempt.epoch, attempt.attempts) = (self.sync_epoch, attempts);
         let msg = match want {
             Want::Range => WireMsg::SyncRequest {
-                locator: self.chain.locator(),
+                locator: attempt
+                    .anchor
+                    .into_iter()
+                    .chain(self.chain.locator())
+                    .collect(),
             },
-            Want::Block(hash) => WireMsg::BlockRequest(hash),
             Want::Bodies(block) => WireMsg::TxRequest {
                 block,
                 ids: attempt.missing.clone(),
@@ -259,19 +237,16 @@ impl<M: StateMachine> NodeCore<M> {
     }
 
     /// Re-sends an outstanding request to the next neighbor (round-robin),
-    /// or gives up: when the block it wants is already stored, after
-    /// [`MAX_SYNC_ATTEMPTS`] retries, or with no neighbor to ask. A retry is
-    /// not a new catch-up round. Gossip of a later descendant re-triggers a
-    /// request given up on.
-    pub(crate) fn retry(&mut self, want: Want, ctx: &mut Ctx<'_, WireMsg>) {
+    /// or gives up: when the held block it wants bodies for is already
+    /// stored, after [`MAX_SYNC_ATTEMPTS`] retries, or with no neighbor to
+    /// ask. A retry is not a new catch-up round. Gossip of a later
+    /// descendant re-triggers a request given up on.
+    fn retry(&mut self, want: Want, ctx: &mut Ctx<'_, WireMsg>) {
         let Some(attempt) = self.requests.get(&want) else {
             return;
         };
         let attempts = attempt.attempts + 1;
-        let stored = match want {
-            Want::Range => false,
-            Want::Block(hash) | Want::Bodies(hash) => self.chain.tree().contains(&hash),
-        };
+        let stored = matches!(want, Want::Bodies(hash) if self.chain.tree().contains(&hash));
         if stored || attempts > MAX_SYNC_ATTEMPTS || ctx.neighbors.is_empty() {
             self.requests.remove(&want);
             return;
@@ -281,14 +256,17 @@ impl<M: StateMachine> NodeCore<M> {
         self.ask(want, peer, attempts, ctx);
     }
 
-    /// Ingests a catch-up batch. Blocks are imported without re-gossip
-    /// (peers already have them) and marked seen so later gossip copies
-    /// dedup. Returns true if the canonical tip advanced — protocols use
-    /// this to restart mining/leadership on the new tip. Keeps paging from
-    /// the same responder while still behind its tip; an empty reply from
-    /// a peer that claims more history (it pruned the needed bodies), or a
-    /// page with a block `seal_ok` refuses (nothing after it can connect),
-    /// re-targets the next neighbor.
+    /// Ingests the page an outstanding [`Want::Range`] asked for. Blocks
+    /// are imported without re-gossip (peers already have them) and marked
+    /// seen so later gossip copies dedup. Returns true if the canonical tip
+    /// advanced — protocols use this to restart mining/leadership on the
+    /// new tip. While still behind the responder's tip, a page whose last
+    /// block is now stored is paged on from that block, at the same
+    /// responder: a fork deeper than a page is fetched as a side branch
+    /// the canonical locator never names. A page that leaves its last block
+    /// unstored — empty (the responder pruned the needed bodies), cut short
+    /// by a seal `seal_ok` refuses, or ending on a refused or orphaned
+    /// block — is a failed attempt and re-targets the next neighbor.
     pub(crate) fn handle_sync_response(
         &mut self,
         blocks: Vec<Arc<Block>>,
@@ -297,15 +275,13 @@ impl<M: StateMachine> NodeCore<M> {
         ctx: &mut Ctx<'_, WireMsg>,
         seal_ok: &mut dyn FnMut(&Block) -> bool,
     ) -> bool {
-        let mut unserved = blocks.is_empty();
+        let last = blocks.last().map(|b| b.hash());
         let mut advanced = false;
         for block in blocks {
             if !seal_ok(&block) {
-                unserved = true;
                 break;
             }
             let hash = block.hash();
-            self.requests.remove(&Want::Block(hash));
             self.marks.first_sight(hash);
             if self.chain.tree().contains(&hash) {
                 continue;
@@ -313,19 +289,16 @@ impl<M: StateMachine> NodeCore<M> {
             let event = self.ingest_block_at(block, ctx.now);
             advanced |= event.is_some_and(|e| e.moved_tip());
         }
-        if self.requests.contains_key(&Want::Range) {
-            if self.chain.height() >= tip_height {
-                // Caught up to this responder's tip.
-                self.requests.remove(&Want::Range);
-            } else if unserved {
-                // The responder is ahead but served nothing usable (pruned
-                // history, forged seal): a failed attempt; re-target.
-                self.retry(Want::Range, ctx);
-            } else {
-                // Progress: page the next batch from the same responder.
-                self.catchup_rounds += 1;
-                self.ask(Want::Range, from, 0, ctx);
-            }
+        let anchor = last.filter(|hash| self.chain.tree().contains(hash));
+        if self.chain.height() >= tip_height {
+            // Caught up to this responder's tip.
+            self.requests.remove(&Want::Range);
+        } else if anchor.is_none() {
+            self.retry(Want::Range, ctx);
+        } else {
+            self.requests.entry(Want::Range).or_default().anchor = anchor;
+            self.catchup_rounds += 1;
+            self.ask(Want::Range, from, 0, ctx);
         }
         advanced
     }
@@ -357,77 +330,84 @@ mod tests {
     use super::*;
     use crate::node::tests::{block_on, new_node, step, tx};
     use dcs_chain::{Chain, ChainEvent, NullMachine};
-    use dcs_crypto::Address;
     use dcs_net::Action;
     use dcs_primitives::{ChainConfig, Transaction};
-    use dcs_sim::SimTime;
     use proptest::prelude::*;
 
-    fn sent_requests(actions: &[dcs_net::Action<WireMsg>]) -> Vec<(NodeId, Hash256)> {
+    /// The page requests among `actions`, as (destination, locator).
+    fn ranges(actions: &[Action<WireMsg>]) -> Vec<(NodeId, Vec<Hash256>)> {
         actions
             .iter()
             .filter_map(|a| match a {
-                dcs_net::Action::Send {
+                Action::Send {
                     to,
-                    msg: WireMsg::BlockRequest(h),
+                    msg: WireMsg::SyncRequest { locator },
                     ..
-                } => Some((*to, *h)),
+                } => Some((*to, locator.clone())),
                 _ => None,
             })
             .collect()
     }
 
-    fn sync_timer_tags(actions: &[dcs_net::Action<WireMsg>]) -> Vec<u64> {
+    /// Where the page requests among `actions` went.
+    fn asked(actions: &[Action<WireMsg>]) -> Vec<NodeId> {
+        ranges(actions).into_iter().map(|(to, _)| to).collect()
+    }
+
+    fn sync_timer_tags(actions: &[Action<WireMsg>]) -> Vec<u64> {
         actions
             .iter()
             .filter_map(|a| match a {
-                dcs_net::Action::Timer { tag, .. } if is_sync_tag(*tag) => Some(*tag),
+                Action::Timer { tag, .. } if is_sync_tag(*tag) => Some(*tag),
                 _ => None,
             })
             .collect()
     }
 
-    /// Regression (sync-stall #1): the orphan-parent request used to be
-    /// fire-and-forget — if it was lost, the node stalled on that branch
-    /// forever. Now a backoff timer re-sends it and the node converges.
+    /// A page of `blocks` from a responder whose tip is at `tip_height`.
+    fn page(blocks: &[&Arc<Block>], tip_height: u64) -> WireMsg {
+        let blocks = blocks.iter().map(|b| Arc::clone(b)).collect();
+        WireMsg::SyncResponse { blocks, tip_height }
+    }
+
+    /// Regression (sync-stall #1): the request an orphan makes for its
+    /// missing ancestry used to be fire-and-forget — if it was lost, the
+    /// node stalled on that branch forever. Now a backoff timer re-sends it
+    /// to the next neighbor, and the page that answers converges the node.
     #[test]
-    fn orphan_parent_request_retries_after_loss_and_converges() {
+    fn an_orphans_page_request_retries_after_loss_and_converges() {
         let (mut node, g) = new_node();
         let b1 = block_on(&g, 1, vec![]);
         let b2 = block_on(&b1, 2, vec![]);
-        let neighbors = [NodeId(1), NodeId(2)];
-        let mut rng = dcs_sim::Rng::seed_from(1);
 
-        // b2 arrives first: orphaned, parent requested from the sender.
-        let mut actions = Vec::new();
-        let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
-        node.handle_block(Arc::clone(&b2), Some(NodeId(1)), &mut ctx);
-        assert_eq!(sent_requests(&actions), vec![(NodeId(1), b1.hash())]);
+        // b2 arrives first: orphaned, a page asked of the sender.
+        let actions = step(&mut node, |n, ctx| {
+            n.handle_block(Arc::clone(&b2), Some(NodeId(1)), ctx);
+        });
+        assert_eq!(asked(&actions), vec![NodeId(1)]);
         let timers = sync_timer_tags(&actions);
         assert_eq!(timers.len(), 1, "a retry timer guards the request");
 
         // The request (or its reply) is lost; the timer fires.
-        let mut actions = Vec::new();
-        let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
-        node.on_timer(timers[0], &mut ctx);
-        let retries = sent_requests(&actions);
-        assert_eq!(retries.len(), 1, "the request was re-sent");
-        assert_eq!(retries[0].1, b1.hash());
+        let actions = step(&mut node, |n, ctx| assert!(n.on_timer(timers[0], ctx)));
+        assert_eq!(
+            asked(&actions),
+            vec![NodeId(2)],
+            "re-sent to the next neighbor"
+        );
         assert_eq!(node.sync_retries, 1);
         let retry_tag = sync_timer_tags(&actions)[0];
 
         // The retried request is answered: the node converges on b2.
-        let mut actions = Vec::new();
-        let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
-        node.handle_block(Arc::clone(&b1), Some(retries[0].0), &mut ctx);
+        step(&mut node, |n, ctx| {
+            n.on_message(NodeId(2), page(&[&b1, &b2], 2), ctx);
+        });
         assert_eq!(node.chain.tip_hash(), b2.hash(), "converged");
-        assert_eq!(node.chain.height(), 2);
+        assert!(node.requests.is_empty(), "caught up: the request ended");
 
         // The stale timer is inert: no further requests go out.
-        let mut actions = Vec::new();
-        let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
-        node.on_timer(retry_tag, &mut ctx);
-        assert!(sent_requests(&actions).is_empty());
+        let actions = step(&mut node, |n, ctx| assert!(n.on_timer(retry_tag, ctx)));
+        assert!(actions.is_empty());
         assert_eq!(node.sync_retries, 1);
     }
 
@@ -436,16 +416,12 @@ mod tests {
         let (mut node, g) = new_node();
         let b1 = block_on(&g, 1, vec![]);
         let b2 = block_on(&b1, 2, vec![]);
-        let neighbors = [NodeId(1), NodeId(2)];
-        let mut rng = dcs_sim::Rng::seed_from(1);
-        let mut actions = Vec::new();
-        let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
-        node.handle_block(b2, Some(NodeId(1)), &mut ctx);
+        let actions = step(&mut node, |n, ctx| {
+            n.handle_block(b2, Some(NodeId(1)), ctx);
+        });
         let mut tag = sync_timer_tags(&actions)[0];
         for _ in 0..64 {
-            let mut actions = Vec::new();
-            let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
-            node.on_timer(tag, &mut ctx);
+            let actions = step(&mut node, |n, ctx| assert!(n.on_timer(tag, ctx)));
             match sync_timer_tags(&actions).first() {
                 Some(t) => tag = *t,
                 None => break,
@@ -458,146 +434,131 @@ mod tests {
         );
     }
 
-    /// Regression (sync-stall #2): a peer asked for an unknown or pruned
-    /// body used to stay silent, leaving the asker waiting forever. Now it
-    /// answers `BlockNotFound`.
+    /// Regression (sync-stall #2): a page that leaves its last block
+    /// unstored is a failed attempt, re-targeted at the next neighbor at
+    /// once rather than paged again from the same responder (which would
+    /// serve the same page forever): the empty page of a pruning peer that
+    /// no longer holds the bodies asked for, a page ending on a block the
+    /// chain refuses, and one ending on an orphan.
     #[test]
-    fn block_request_for_unknown_or_pruned_body_answers_not_found() {
+    fn an_unserved_page_retargets_the_next_neighbor() {
         use dcs_chain::PrunedStore;
+        let (mut node, g) = new_node();
         let mut cfg = ChainConfig::bitcoin_like();
         cfg.confirmation_depth = 2;
-        let genesis = dcs_chain::genesis_block(&cfg);
-        let mut node = NodeCore::new(
-            NodeId(0),
-            Address::from_index(0),
-            genesis.clone(),
-            cfg.clone(),
-            NullMachine,
-        );
-        node.chain = Chain::with_store(genesis.clone(), cfg, NullMachine, PrunedStore::new(0));
-        let mut tip = Arc::new(genesis);
-        let mut hashes = Vec::new();
-        for i in 0..10 {
-            tip = block_on(&tip, i, vec![]);
-            hashes.push(tip.hash());
-            node.ingest_block(Arc::clone(&tip)).unwrap();
+        let mut pruning = new_node().0;
+        pruning.chain = Chain::with_store(g.clone(), cfg, NullMachine, PrunedStore::new(0));
+        let mut tip = Arc::new(g.clone());
+        for salt in 0..10 {
+            tip = block_on(&tip, salt, vec![]);
+            pruning.ingest_block(Arc::clone(&tip)).unwrap();
         }
-        let pruned = hashes[0];
-        assert!(
-            node.chain.tree().get(&pruned).unwrap().body().is_none(),
-            "the early body must be pruned for this test"
-        );
+        let actions = step(&mut node, |n, ctx| {
+            n.handle_block(block_on(&tip, 10, vec![]), Some(NodeId(1)), ctx);
+        });
+        let [(NodeId(1), locator)] = &ranges(&actions)[..] else {
+            panic!("expected one page request, to the sender");
+        };
+        let request = WireMsg::SyncRequest {
+            locator: locator.clone(),
+        };
+        let served = sends(step(&mut pruning, |n, ctx| {
+            n.on_message(NodeId(0), request, ctx);
+        }));
+        let [(NodeId(0), empty @ WireMsg::SyncResponse { blocks, .. })] = served.as_slice() else {
+            panic!("expected one page back, got {served:?}");
+        };
+        assert!(blocks.is_empty(), "the pruned bodies are not served");
 
-        let neighbors = [NodeId(1)];
-        let mut rng = dcs_sim::Rng::seed_from(1);
-        let mut actions = Vec::new();
-        let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
-        node.handle_block_request(pruned, NodeId(1), &mut ctx);
-        node.handle_block_request(Hash256::ZERO, NodeId(1), &mut ctx); // unknown
-        let not_found: Vec<Hash256> = actions
-            .iter()
-            .filter_map(|a| match a {
-                dcs_net::Action::Send {
-                    to: NodeId(1),
-                    msg: WireMsg::BlockNotFound(h),
-                    ..
-                } => Some(*h),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(not_found, vec![pruned, Hash256::ZERO]);
-
-        // A resident body is still served as a full block.
-        let mut actions = Vec::new();
-        let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
-        node.handle_block_request(tip.hash(), NodeId(1), &mut ctx);
-        assert!(matches!(
-            actions.as_slice(),
-            [dcs_net::Action::Send {
-                msg: WireMsg::Block(_),
-                ..
-            }]
-        ));
+        let b1 = block_on(&g, 20, vec![]);
+        let mut refused = (*block_on(&b1, 21, vec![])).clone();
+        refused.header.height = 7;
+        let refused = Arc::new(Block::new(refused.header, vec![]));
+        let orphan = block_on(&block_on(&b1, 22, vec![]), 23, vec![]);
+        let pages = [
+            (1, empty.clone(), NodeId(2)),
+            (2, page(&[&b1, &refused], 10), NodeId(1)),
+            (1, page(&[&b1, &orphan], 10), NodeId(2)),
+        ];
+        for (from, reply, next) in pages {
+            let actions = step(&mut node, |n, ctx| {
+                n.on_message(NodeId(from), reply, ctx);
+            });
+            assert_eq!(asked(&actions), vec![next]);
+        }
+        assert_eq!(node.sync_retries, 3);
+        assert_eq!(node.catchup_rounds, 1, "a re-target is not a new round");
     }
 
+    /// An orphan and a catch-up share the one page request: an orphan that
+    /// arrives while a page is outstanding, or whose parent is held for its
+    /// bodies, asks for nothing more; the one request retries on its own
+    /// timer, and the page that answers it brings the orphan's parent.
     #[test]
-    fn block_not_found_retargets_the_next_neighbor() {
-        let (mut node, g) = new_node();
-        let b1 = block_on(&g, 1, vec![]);
-        let b2 = block_on(&b1, 2, vec![]);
-        let neighbors = [NodeId(1), NodeId(2)];
-        let mut rng = dcs_sim::Rng::seed_from(1);
-        let mut actions = Vec::new();
-        let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
-        node.handle_block(b2, Some(NodeId(1)), &mut ctx);
-        assert_eq!(sent_requests(&actions), vec![(NodeId(1), b1.hash())]);
-
-        // Peer 1 cannot serve it: the request immediately moves to peer 2.
-        let mut actions = Vec::new();
-        let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
-        node.on_message(NodeId(1), WireMsg::BlockNotFound(b1.hash()), &mut ctx);
-        assert_eq!(sent_requests(&actions), vec![(NodeId(2), b1.hash())]);
-        assert_eq!(node.sync_retries, 1);
-    }
-
-    fn sent_ranges(actions: &[dcs_net::Action<WireMsg>]) -> Vec<NodeId> {
-        actions
-            .iter()
-            .filter_map(|a| match a {
-                dcs_net::Action::Send {
-                    to,
-                    msg: WireMsg::SyncRequest { .. },
-                    ..
-                } => Some(*to),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The catch-up page and an orphan-parent request share one table, not
-    /// one timer: each retries on its own, and a block ends only the
-    /// request that wants it.
-    #[test]
-    fn a_catch_up_page_and_an_orphan_request_retry_and_end_apart() {
+    fn an_orphan_and_a_catch_up_share_the_one_page_request() {
         let (mut node, g) = new_node();
         let b1 = block_on(&g, 1, vec![]);
         let b2 = block_on(&b1, 2, vec![]);
 
         let actions = step(&mut node, |n, ctx| n.begin_catchup(ctx));
-        assert_eq!(sent_ranges(&actions), vec![NodeId(1)]);
+        assert_eq!(asked(&actions), vec![NodeId(1)]);
         let range = sync_timer_tags(&actions)[0];
         let actions = step(&mut node, |n, ctx| {
             n.handle_block(Arc::clone(&b2), Some(NodeId(2)), ctx);
         });
-        assert_eq!(sent_requests(&actions), vec![(NodeId(2), b1.hash())]);
-        let block = sync_timer_tags(&actions)[0];
-        assert_eq!(node.requests.len(), 2, "both in flight");
+        assert!(asked(&actions).is_empty(), "the page on its way will do");
+        assert_eq!(node.requests.len(), 1);
 
-        // Each timer re-sends only its own request, to the next neighbor.
-        let actions = step(&mut node, |n, ctx| assert!(n.on_timer(block, ctx)));
-        assert_eq!(sent_requests(&actions), vec![(NodeId(2), b1.hash())]);
-        assert!(sent_ranges(&actions).is_empty());
-        let block = sync_timer_tags(&actions)[0];
+        // The one timer re-sends the one request, to the next neighbor.
         let actions = step(&mut node, |n, ctx| assert!(n.on_timer(range, ctx)));
-        assert_eq!(sent_ranges(&actions), vec![NodeId(2)]);
-        assert!(sent_requests(&actions).is_empty());
-        let range = sync_timer_tags(&actions)[0];
-        assert_eq!(node.sync_retries, 2);
+        assert_eq!(asked(&actions), vec![NodeId(2)]);
+        assert_eq!(node.sync_retries, 1);
         assert_eq!(node.catchup_rounds, 1, "a retry is not a new round");
+        let range = sync_timer_tags(&actions)[0];
 
-        // The parent arrives: it ends the block request, not the page.
+        // The page brings the parent: the orphan connects and the request
+        // ends.
         step(&mut node, |n, ctx| {
-            n.handle_block(Arc::clone(&b1), Some(NodeId(2)), ctx);
+            n.on_message(NodeId(2), page(&[&b1, &b2], 2), ctx);
         });
         assert_eq!(node.chain.tip_hash(), b2.hash());
-        let actions = step(&mut node, |n, ctx| assert!(n.on_timer(block, ctx)));
-        assert!(actions.is_empty(), "the block request ended");
         let actions = step(&mut node, |n, ctx| assert!(n.on_timer(range, ctx)));
-        assert_eq!(sent_ranges(&actions), vec![NodeId(1)]);
-        assert_eq!(node.sync_retries, 3);
+        assert!(actions.is_empty(), "the request ended");
+
+        // A parent held for its bodies is on its way already.
+        let held = block_on(&b2, 3, vec![tx(1)]);
+        engine(&mut node, 1, compact(&held));
+        let actions = step(&mut node, |n, ctx| {
+            n.handle_block(block_on(&held, 4, vec![]), Some(NodeId(1)), ctx);
+        });
+        assert!(asked(&actions).is_empty());
         assert_eq!(node.catchup_rounds, 1);
     }
 
+    /// A fork deeper than a page heals page by page: the first page of the
+    /// responder's branch is stored as a side branch, which the canonical
+    /// locator does not name, so the follow-up asks the same responder for
+    /// what lies above that page's last block, put first in the locator.
+    #[test]
+    fn a_follow_up_page_is_asked_from_the_last_block_stored() {
+        let (mut node, g) = new_node();
+        let mut tip = Arc::new(g.clone());
+        for salt in 0..3 {
+            tip = block_on(&tip, salt, vec![]);
+            node.ingest_block(Arc::clone(&tip)).unwrap();
+        }
+        let b1 = block_on(&g, 10, vec![]);
+        let b2 = block_on(&b1, 11, vec![]);
+        step(&mut node, |n, ctx| n.catch_up_from(NodeId(2), ctx));
+        let actions = step(&mut node, |n, ctx| {
+            n.on_message(NodeId(2), page(&[&b1, &b2], 40), ctx);
+        });
+        assert_eq!(node.chain.tip_hash(), tip.hash(), "a side branch");
+        assert!(node.chain.tree().contains(&b2.hash()));
+        let locator = [vec![b2.hash()], node.chain.locator()].concat();
+        assert_eq!(ranges(&actions), vec![(NodeId(2), locator)]);
+        assert_eq!(node.catchup_rounds, 2);
+    }
     /// What a PoW engine does with a message: the core's wire protocol,
     /// then each block that reaches the engine is imported (and relayed).
     /// Returns the last import's outcome, if a block reached the engine,
@@ -653,7 +614,7 @@ mod tests {
             relayed.as_slice(),
             [(NodeId(2), WireMsg::CompactBlock(_))]
         ));
-        assert!(wire_size(&relayed[0].1) < wire_size(&WireMsg::Block(Arc::clone(&whole))));
+        assert!(wire_size(&relayed[0].1) < wire_size(&page(&[&whole], 1)));
 
         let lacking = block_on(&whole, 2, vec![b.clone()]);
         let (verdict, actions) = engine(&mut node, 1, compact(&lacking));
@@ -722,9 +683,9 @@ mod tests {
         );
     }
 
-    /// A held block's request re-targets like a block request: on its
+    /// A held block's request re-targets like a page request: on its
     /// timer, and at once on a reply that left a body out; it ends when the
-    /// block arrives whole some other way.
+    /// block is imported some other way.
     #[test]
     fn a_held_block_retargets_and_ends_when_the_block_arrives() {
         let (mut node, g) = new_node();
@@ -751,9 +712,12 @@ mod tests {
         assert_eq!(ids, &vec![tx(2).id()]);
         assert_eq!(node.sync_retries, 2);
 
-        // The full block, served to some other request, ends the wait.
-        let (verdict, _) = engine(&mut node, 2, WireMsg::Block(Arc::clone(&lacking)));
-        assert!(matches!(verdict, Some(Some(ChainEvent::Extended { .. }))));
+        // The whole block, handed to the engine some other way, ends the
+        // wait.
+        step(&mut node, |n, ctx| {
+            let verdict = n.handle_block(Arc::clone(&lacking), Some(NodeId(2)), ctx);
+            assert!(matches!(verdict, Some(ChainEvent::Extended { .. })));
+        });
         assert!(node.requests.is_empty());
     }
 
@@ -826,8 +790,8 @@ mod tests {
 
         /// A compact block plus the receiver's pool is the full block. Two
         /// identical peers — each with a canonical block `c` of `included`
-        /// and a pool of `pooled` — are handed the same block, one whole and
-        /// one compact. The compact one asks the sender, whose pool holds
+        /// and a pool of `pooled` — are handed the same block, one whole
+        /// (straight to the engine) and one compact. The compact one asks the sender, whose pool holds
         /// every body, for exactly the bodies it holds nowhere, and on the
         /// one reply the engine gets the same block: same hash, same ids,
         /// same import verdict (extension, side chain or refusal) and the
@@ -872,7 +836,8 @@ mod tests {
                 sender.mempool.insert(sealed(&tx(v)));
             }
 
-            let (expect, _) = engine(&mut full, 1, WireMsg::Block(Arc::clone(&block)));
+            let mut expect = None;
+            step(&mut full, |n, ctx| expect = Some(n.handle_block(Arc::clone(&block), Some(NodeId(1)), ctx)));
             let (mut verdict, actions) = engine(&mut receiver, 1, compact(&block));
             let lacking: Vec<Hash256> = client_txs(&block)
                 .map(|(_, id)| *id)

@@ -42,10 +42,12 @@ pub struct SimResult {
     /// Broken internal invariants survived at runtime (chain-manager and
     /// node-core counters), summed over all peers. Zero on a healthy run.
     pub internal_errors: u64,
-    /// Sync requests re-sent after a timeout or a `BlockNotFound`, summed
-    /// over all peers.
+    /// Sync requests re-sent to another neighbor, after a retry timer fired
+    /// or a page or body reply fell short, summed over all peers.
     pub sync_retries: u64,
-    /// Catch-up pages requested by recovering nodes, summed over all peers.
+    /// Pages of blocks requested — by restarted or stalled nodes catching
+    /// up and by orphans paging in their missing ancestry — summed over all
+    /// peers.
     pub catchup_rounds: u64,
     /// True when all replicas agree on the chain up to the confirmation
     /// depth.

@@ -391,6 +391,48 @@ fn partition_forks_then_heals_into_one_chain() {
     );
 }
 
+/// A fork far deeper than one catch-up page heals: 200 one-second slots of
+/// a 5 | 5 split leave each side ~100 blocks on its own branch. After the
+/// heal, an orphaned slot block makes its receiver page the sender's branch
+/// in, each follow-up page asked from the last block the one before stored,
+/// so the side branch grows page by page until fork choice takes it.
+#[test]
+fn a_fork_deeper_than_a_page_heals_in_a_few_pages() {
+    let mut params = NetworkParams::<Pos> {
+        nodes: 10,
+        ..Default::default()
+    };
+    params.chain.consensus = ConsensusKind::ProofOfStake { slot_us: 1_000_000 };
+    params.net.topology = Topology::Complete;
+    let mut runner = build(&params, 71, |_| NullMachine);
+    let groups: Vec<u32> = (0..10).map(|i| u32::from(i >= 5)).collect();
+    runner.net_mut().set_partition(groups);
+    runner.run_until(at(200));
+    let (a, b) = (runner.node(NodeId(0)), runner.node(NodeId(9)));
+    assert_ne!(a.core().chain.tip_hash(), b.core().chain.tip_hash());
+    let depth = a.core().chain.height().min(b.core().chain.height());
+    assert!(
+        depth > 2 * 32,
+        "each side is {depth}+ blocks deep, past two pages"
+    );
+
+    runner.net_mut().heal_partition();
+    runner.run_until(at(500));
+    let submitted = std::collections::HashMap::new();
+    let result = collect(runner.nodes(), &submitted, SimDuration::from_secs(500));
+    assert!(
+        result.replicas_agree,
+        "post-heal the network must reconverge"
+    );
+    // Measured at seed 71: 1 retry and 37 pages. The one-ancestor-per-
+    // round-trip walk this replaced healed the same run with 702 retries.
+    assert!(
+        result.sync_retries <= 10,
+        "{} sync retries to heal",
+        result.sync_retries
+    );
+}
+
 #[test]
 fn ghost_vs_longest_chain_under_fast_blocks() {
     // E2 in miniature: at aggressive block rates, GHOST keeps a committee
@@ -560,10 +602,12 @@ fn pbft_replica_cut_off_from_the_quorum_pulls_what_it_missed() {
     }
 }
 
-/// A peer that tallies what is delivered to it: block messages by form,
-/// body requests and their replies, and the transactions gossiped in.
+/// A peer that tallies what is delivered to it: blocks by form (whole
+/// blocks come only in catch-up pages), body requests and their replies,
+/// and the transactions gossiped in.
 struct Counting<P> {
     peer: P,
+    /// Blocks delivered whole, in catch-up pages.
     full_blocks_in: u64,
     compact_blocks_in: u64,
     /// Wire bytes charged to the compact blocks delivered.
@@ -599,7 +643,7 @@ impl<P: dcs_net::Protocol<Msg = WireMsg>> dcs_net::Protocol for Counting<P> {
 
     fn on_message(&mut self, from: NodeId, msg: Self::Msg, ctx: &mut dcs_net::Ctx<'_, Self::Msg>) {
         match &msg {
-            WireMsg::Block(_) => self.full_blocks_in += 1,
+            WireMsg::SyncResponse { blocks, .. } => self.full_blocks_in += blocks.len() as u64,
             WireMsg::CompactBlock(block) => {
                 self.compact_blocks_in += 1;
                 self.compact_bytes_in += dcs_consensus::wire_size(&msg) as u64;
