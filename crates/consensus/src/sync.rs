@@ -559,6 +559,7 @@ mod tests {
         assert_eq!(ranges(&actions), vec![(NodeId(2), locator)]);
         assert_eq!(node.catchup_rounds, 2);
     }
+
     /// What a PoW engine does with a message: the core's wire protocol,
     /// then each block that reaches the engine is imported (and relayed).
     /// Returns the last import's outcome, if a block reached the engine,
@@ -791,11 +792,11 @@ mod tests {
         /// A compact block plus the receiver's pool is the full block. Two
         /// identical peers — each with a canonical block `c` of `included`
         /// and a pool of `pooled` — are handed the same block, one whole
-        /// (straight to the engine) and one compact. The compact one asks the sender, whose pool holds
-        /// every body, for exactly the bodies it holds nowhere, and on the
-        /// one reply the engine gets the same block: same hash, same ids,
-        /// same import verdict (extension, side chain or refusal) and the
-        /// same chain after.
+        /// (straight to the engine) and one compact. The compact one asks
+        /// the sender, whose pool holds every body, for exactly the bodies
+        /// it holds nowhere, and on the one reply the engine gets the same
+        /// block: same hash, same ids, same import verdict (extension, side
+        /// chain or refusal) and the same chain after.
         #[test]
         fn compact_block_plus_pool_is_the_full_block(
             included in proptest::collection::vec(0u64..12, 0..6),
@@ -837,7 +838,9 @@ mod tests {
             }
 
             let mut expect = None;
-            step(&mut full, |n, ctx| expect = Some(n.handle_block(Arc::clone(&block), Some(NodeId(1)), ctx)));
+            step(&mut full, |n, ctx| {
+                expect = Some(n.handle_block(Arc::clone(&block), Some(NodeId(1)), ctx));
+            });
             let (mut verdict, actions) = engine(&mut receiver, 1, compact(&block));
             let lacking: Vec<Hash256> = client_txs(&block)
                 .map(|(_, id)| *id)
