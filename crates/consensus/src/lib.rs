@@ -50,7 +50,19 @@ pub enum WireMsg {
     /// its signing hash — the in-memory analogue of computing both once at
     /// decode time. Every hop reuses the carried id for gossip dedup and the
     /// carried signing hash for admission instead of re-hashing the body.
+    /// Gossip pushes a body this way from the peer a client handed it to,
+    /// and on every hop when it is under 1 KiB; a larger one is announced
+    /// ([`WireMsg::TxAnnounce`]) and pulled.
     Tx(SealedTx),
+    /// A gossip peer's notice of the large bodies its pool took since its
+    /// last notice, flushed to each neighbor every 100 ms, leaving out the
+    /// neighbor each body came from. The receiver asks the announcer for the
+    /// ones it has not seen, while its pool has room, with one
+    /// [`WireMsg::TxRequest`].
+    TxAnnounce {
+        /// Ids of the announced transactions, in the order pooled.
+        ids: Vec<Hash256>,
+    },
     /// A gossip peer's block relay, charged on the wire for its compact
     /// form: the header, the coinbase and one 32-byte id per client
     /// transaction. The receiver may use only the bodies it already holds
@@ -69,22 +81,26 @@ pub enum WireMsg {
         /// Block hashes, newest first.
         locator: Vec<Hash256>,
     },
-    /// A request for the client bodies a held block (a relayed
-    /// [`WireMsg::CompactBlock`] or a PBFT proposal) names that the asker
-    /// lacks: to whoever handed the block over, then to the next neighbor on
-    /// a short reply or the sync timer. Answered with one [`WireMsg::BlockTxs`].
+    /// A request for client bodies the asker lacks: those a held block (a
+    /// relayed [`WireMsg::CompactBlock`] or a PBFT proposal) names, asked of
+    /// whoever handed the block over, or those a [`WireMsg::TxAnnounce`]
+    /// named, asked of the first announcer. A short reply or the sync timer
+    /// moves it to the next neighbor (for announced bodies, the next
+    /// announcer). Answered with one [`WireMsg::BlockTxs`].
     TxRequest {
-        /// Hash of the compact block.
-        block: Hash256,
-        /// Ids of the missing client transactions, in block order.
+        /// What the request is for, echoed by the reply: the held block's
+        /// hash, or for announced bodies the first id asked.
+        key: Hash256,
+        /// Ids of the missing client transactions, in block (or announced)
+        /// order.
         ids: Vec<Hash256>,
     },
     /// The one reply to a [`WireMsg::TxRequest`]: every body asked for that
     /// the responder holds, in its pool or in the stored block, in the
     /// order asked.
     BlockTxs {
-        /// Hash of the compact block the bodies complete.
-        block: Hash256,
+        /// The request's key.
+        key: Hash256,
         /// The bodies.
         txs: Vec<SealedTx>,
     },
@@ -116,6 +132,7 @@ pub fn wire_size(msg: &WireMsg) -> usize {
             pbft::PbftMsg::PrePrepare { block, .. } => 20 + compact_block_size(block),
             _ => 100,
         },
+        WireMsg::TxAnnounce { ids } => 16 + 32 * ids.len(),
         WireMsg::TxRequest { ids, .. } => 40 + 32 * ids.len(),
         WireMsg::BlockTxs { txs, .. } => {
             40 + txs.iter().map(|tx| approx_tx_size(tx)).sum::<usize>()

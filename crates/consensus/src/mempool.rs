@@ -168,6 +168,11 @@ impl Mempool {
         self.live
     }
 
+    /// How many more transactions the pool can take.
+    pub(crate) fn room(&self) -> usize {
+        self.capacity.saturating_sub(self.live)
+    }
+
     /// True when no transactions are pending.
     pub fn is_empty(&self) -> bool {
         self.live == 0

@@ -1,22 +1,23 @@
 //! The peer core shared by every consensus protocol: a [`Chain`] replica, a
 //! [`Mempool`], gossip dedup tables, block assembly, and the bookkeeping
 //! that returns reverted transactions to the pool after reorgs — plus the
-//! whole non-consensus wire protocol (tx gossip here; body serving and
-//! block sync in the `sync` module), written once behind
-//! [`NodeCore::on_message`] and [`NodeCore::on_timer`]. An engine file (`pow`, `pos`, …) wraps a
+//! whole non-consensus wire protocol (tx gossip and its announcements here;
+//! body pulls, body serving and block sync in the `sync` module), written
+//! once behind [`NodeCore::on_message`] and [`NodeCore::on_timer`]. An
+//! engine file (`pow`, `pos`, …) wraps a
 //! `NodeCore`, implements [`LedgerNode`], and adds only its block rule, its
 //! own timers and its proposal rule.
 
 use crate::marks::IdMarks;
 use crate::mempool::{InsertOutcome, Mempool};
 use crate::pbft::PbftMsg;
-use crate::sync::{SyncAttempt, Want, SYNC_BATCH};
-use crate::{wire_size, WireMsg};
+use crate::sync::{SyncAttempt, Want, SYNC_BATCH, TAG_FLUSH};
+use crate::{approx_tx_size, wire_size, WireMsg};
 use dcs_chain::{Chain, ChainEvent, StateMachine};
 use dcs_crypto::{Address, Hash256};
 use dcs_net::{Ctx, NodeId, Protocol};
 use dcs_primitives::{Block, BlockHeader, ChainConfig, Seal, SealedTx, Transaction};
-use dcs_sim::SimTime;
+use dcs_sim::{SimDuration, SimTime};
 use dcs_trace::{
     EntityKind, Id as TraceId, ImportOutcome, RejectReason, TraceConfig, TraceEvent, Tracer, ORIGIN,
 };
@@ -25,6 +26,12 @@ use std::sync::Arc;
 
 /// Mempool capacity of every peer core.
 const MEMPOOL_CAP: usize = 100_000;
+/// A gossiped body at least this large (by [`approx_tx_size`]) is announced
+/// and pulled rather than pushed on each hop: every witnessed body is, an
+/// unsigned transfer is not.
+const ANNOUNCE_MIN_BYTES: usize = 1_024;
+/// How long a large body waits at most for its peer's next announcement.
+const ANNOUNCE_EVERY_US: u64 = 100_000;
 
 /// A consensus peer: one engine rule around one [`NodeCore`]. Metrics,
 /// tracing, experiments and the fault driver are written once against this
@@ -123,6 +130,10 @@ impl Inbound {
 pub(crate) enum Relay {
     /// Gossip: every block the peer imports (in compact form) and every
     /// transaction its pool keeps goes on to every neighbor but the sender.
+    /// A body under 1 KiB is pushed; a larger one only by the peer a client
+    /// handed it to (none of its neighbors can hold it yet), and on later
+    /// hops announced by id and pulled by whoever lacks it, so it crosses
+    /// each link about once.
     Flood,
     /// A fully connected consortium: the peer a client hands a transaction
     /// to sends it to every peer, and nothing that came from a peer goes
@@ -177,6 +188,16 @@ pub struct NodeCore<M: StateMachine> {
     /// What this peer forwards ([`Relay::Flood`] unless the engine says
     /// otherwise).
     pub(crate) relay: Relay,
+    /// Large bodies pooled since the last announcement, each with the
+    /// neighbor it came from. A flush timer is armed whenever this is
+    /// non-empty.
+    pub(crate) announce: Vec<(Hash256, NodeId)>,
+    /// Announced ids asked for and not yet received, each with the key of
+    /// the [`Want::Announced`] request that asks for it.
+    pub(crate) pulls: dcs_crypto::IdMap<Hash256>, // dcs-lint: allow(hash-collections) — probed by id, never iterated
+    /// The epoch of the armed pull sweep, if one is armed (see
+    /// `NodeCore::sweep_pulls`).
+    pub(crate) sweep: Option<u64>,
 }
 
 impl<M: StateMachine> NodeCore<M> {
@@ -205,6 +226,9 @@ impl<M: StateMachine> NodeCore<M> {
             requests: BTreeMap::new(),
             sync_epoch: 0,
             relay: Relay::Flood,
+            announce: Vec::new(),
+            pulls: Default::default(),
+            sweep: None,
         }
     }
 
@@ -263,7 +287,7 @@ impl<M: StateMachine> NodeCore<M> {
     }
 
     /// The one message entry point: runs the non-consensus wire protocol
-    /// (tx gossip, body and range serving, page ingestion) and reports
+    /// (tx gossip and pulls, body and range serving, page ingestion) and reports
     /// back only what an engine can react to.
     pub fn on_message(
         &mut self,
@@ -300,11 +324,15 @@ impl<M: StateMachine> NodeCore<M> {
             }
             WireMsg::CompactBlock(_) => Inbound::Handled,
             WireMsg::Pbft(pbft) => Inbound::Pbft(pbft),
-            WireMsg::TxRequest { block, ids } => {
-                self.handle_tx_request(block, &ids, from, ctx);
+            WireMsg::TxAnnounce { ids } => {
+                self.handle_announce(&ids, from, ctx);
                 Inbound::Handled
             }
-            WireMsg::BlockTxs { block, txs } => self.receive_bodies(block, txs, ctx),
+            WireMsg::TxRequest { key, ids } => {
+                self.handle_tx_request(key, &ids, from, ctx);
+                Inbound::Handled
+            }
+            WireMsg::BlockTxs { key, txs } => self.receive_bodies(key, txs, from, ctx),
             WireMsg::SyncRequest { locator } => {
                 // A bounded batch of canonical blocks above the best
                 // locator match.
@@ -449,7 +477,11 @@ impl<M: StateMachine> NodeCore<M> {
     /// path after a crash. The chain resets its machine to genesis state,
     /// re-runs fork choice over the stored tree and replays the winner; the
     /// mempool contents, gossip dedup tables, and inclusion index are
-    /// volatile and re-derived. Every stored block, side branches included,
+    /// volatile and re-derived, and so are the announcements not yet sent
+    /// and the bodies asked for: the timer that would have sent or re-asked
+    /// them may have fired while the peer was down, and a sweep that fires
+    /// after the restart is stale. Every stored block, side branches
+    /// included,
     /// is marked seen, so a re-gossiped copy of one is dropped as a repeat
     /// rather than imported again and counted rejected; canonical
     /// transactions are marked seen and included, so catch-up traffic does
@@ -463,6 +495,9 @@ impl<M: StateMachine> NodeCore<M> {
         self.mempool.clear();
         self.report_pool();
         self.requests.clear();
+        self.announce.clear();
+        self.pulls.clear();
+        self.sweep = None;
         let mut tx_ids = Vec::new();
         for hash in &self.chain.canonical()[1..] {
             if let Some(body) = self.chain.tree().get(hash).and_then(|sb| sb.body()) {
@@ -486,6 +521,15 @@ impl<M: StateMachine> NodeCore<M> {
     /// run whose pools never fill and that carries no forged witness relays
     /// every first-seen body.
     ///
+    /// How a [`Relay::Flood`] peer relays depends on who handed it the body
+    /// and its size. The peer a client handed it to pushes it to every
+    /// neighbor, as does any peer with a body under 1 KiB. A larger body
+    /// from a neighbor is queued and announced by id
+    /// ([`WireMsg::TxAnnounce`]) on the next flush, at most 100 ms later,
+    /// to every neighbor but the one it came from; a neighbor that lacks it
+    /// pulls it. A queued id that has left the pool by the flush (a block
+    /// took it) is not announced.
+    ///
     /// A [`Relay::Direct`] peer forwards only what a client handed it (the
     /// fabric delivers a client's transaction as if from the peer itself),
     /// and admission still decides that relay; a body from another peer is
@@ -503,6 +547,7 @@ impl<M: StateMachine> NodeCore<M> {
         let Some(included) = self.marks.first_sight(id) else {
             return false;
         };
+        self.arrived(&id);
         self.emit(
             ctx.now.as_micros(),
             TraceEvent::FirstSeen {
@@ -537,12 +582,42 @@ impl<M: StateMachine> NodeCore<M> {
             }
             matches!(outcome, InsertOutcome::Added | InsertOutcome::Duplicate)
         };
-        if relay && (self.relay == Relay::Flood || from == self.id) {
+        let push = match self.relay {
+            Relay::Flood => from == self.id || approx_tx_size(&tx) < ANNOUNCE_MIN_BYTES,
+            Relay::Direct => from == self.id,
+        };
+        if relay && push {
             let msg = WireMsg::Tx(tx);
             let size = wire_size(&msg);
             ctx.broadcast_except(from, msg, size);
+        } else if relay && self.relay == Relay::Flood {
+            if self.announce.is_empty() {
+                let every = SimDuration::from_micros(ANNOUNCE_EVERY_US);
+                ctx.set_timer(every, TAG_FLUSH);
+            }
+            self.announce.push((id, from));
         }
         true
+    }
+
+    /// Sends the queued announcements: to each neighbor one
+    /// [`WireMsg::TxAnnounce`] naming every queued id still pooled but
+    /// those that neighbor sent.
+    pub(crate) fn flush_announcements(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+        let mut queue = std::mem::take(&mut self.announce);
+        queue.retain(|(id, _)| self.mempool.contains(id));
+        for &to in ctx.neighbors {
+            let ids: Vec<Hash256> = queue
+                .iter()
+                .filter(|(_, from)| *from != to)
+                .map(|(id, _)| *id)
+                .collect();
+            if !ids.is_empty() {
+                let msg = WireMsg::TxAnnounce { ids };
+                let size = wire_size(&msg);
+                ctx.send(to, msg, size);
+            }
+        }
     }
 
     /// Moves the pool and the canonical marks with the chain. An extension
@@ -703,6 +778,15 @@ pub(crate) mod tests {
         ))
     }
 
+    /// A transfer carrying a 1 KiB payload: as large on the wire as a
+    /// witnessed one, so gossip announces it rather than pushing it.
+    pub(crate) fn large(v: u64) -> Transaction {
+        let mut transfer =
+            AccountTx::transfer(Address::from_index(3), Address::from_index(4), v, v);
+        transfer.payload = dcs_primitives::TxPayload::Data(vec![0; ANNOUNCE_MIN_BYTES]);
+        Transaction::Account(transfer)
+    }
+
     pub(crate) fn block_on(parent: &Block, salt: u64, txs: Vec<Transaction>) -> Arc<Block> {
         Arc::new(Block::new(
             BlockHeader::new(
@@ -748,12 +832,21 @@ pub(crate) mod tests {
         node: &mut NodeCore<NullMachine>,
         f: impl FnOnce(&mut NodeCore<NullMachine>, &mut Ctx<'_, WireMsg>),
     ) -> Vec<dcs_net::Action<WireMsg>> {
+        step_at(node, SimTime::ZERO, f)
+    }
+
+    /// [`step`] at sim time `now`.
+    pub(crate) fn step_at(
+        node: &mut NodeCore<NullMachine>,
+        now: SimTime,
+        f: impl FnOnce(&mut NodeCore<NullMachine>, &mut Ctx<'_, WireMsg>),
+    ) -> Vec<dcs_net::Action<WireMsg>> {
         let neighbors = [NodeId(1), NodeId(2)];
         let mut rng = dcs_sim::Rng::seed_from(1);
         let mut actions = Vec::new();
         f(
             node,
-            &mut Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions),
+            &mut Ctx::new(NodeId(0), now, &neighbors, &mut rng, &mut actions),
         );
         actions
     }
@@ -1033,14 +1126,38 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// Hands `tx` to `node` from peer 1 of neighbors 1, 2 and 3; returns
-    /// whether it was fresh and where it was relayed.
-    fn offer(node: &mut NodeCore<NullMachine>, tx: SealedTx) -> (bool, Vec<(NodeId, Hash256)>) {
+    /// Runs `f` on `node` with neighbors 1, 2 and 3; returns what it asked
+    /// for.
+    fn among_three(
+        node: &mut NodeCore<NullMachine>,
+        f: impl FnOnce(&mut NodeCore<NullMachine>, &mut Ctx<'_, WireMsg>),
+    ) -> Vec<dcs_net::Action<WireMsg>> {
         let neighbors = [NodeId(1), NodeId(2), NodeId(3)];
         let mut rng = dcs_sim::Rng::seed_from(1);
         let mut actions = Vec::new();
-        let mut ctx = Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions);
-        let fresh = node.handle_tx(tx, NodeId(1), &mut ctx);
+        f(
+            node,
+            &mut Ctx::new(NodeId(0), SimTime::ZERO, &neighbors, &mut rng, &mut actions),
+        );
+        actions
+    }
+
+    /// Hands `tx` to `node` from peer `from` of neighbors 1, 2 and 3 (0 is
+    /// a client); returns whether it was fresh and what `node` did.
+    fn hand(
+        node: &mut NodeCore<NullMachine>,
+        from: usize,
+        tx: SealedTx,
+    ) -> (bool, Vec<dcs_net::Action<WireMsg>>) {
+        let mut fresh = false;
+        let actions = among_three(node, |n, ctx| fresh = n.handle_tx(tx, NodeId(from), ctx));
+        (fresh, actions)
+    }
+
+    /// Hands `tx` to `node` from peer 1 of neighbors 1, 2 and 3; returns
+    /// whether it was fresh and where it was relayed.
+    fn offer(node: &mut NodeCore<NullMachine>, tx: SealedTx) -> (bool, Vec<(NodeId, Hash256)>) {
+        let (fresh, actions) = hand(node, 1, tx);
         (fresh, relayed(&actions))
     }
 
@@ -1055,6 +1172,62 @@ pub(crate) mod tests {
         );
         assert!(node.mempool.contains(&id));
         assert_eq!(offer(&mut node, t), (false, vec![]), "a repeat is dropped");
+    }
+
+    /// A large body from a neighbor is not pushed: it waits for the flush,
+    /// which announces its id to every neighbor but the sender, unless a
+    /// block took it out of the pool meanwhile. A small one from a neighbor
+    /// is pushed, and so is a large one a client handed over: no neighbor
+    /// can hold it yet.
+    #[test]
+    fn a_large_body_is_announced_unless_a_client_handed_it_over() {
+        let (mut node, g) = new_node();
+        let flush_armed = |actions: &[dcs_net::Action<WireMsg>]| {
+            let flush =
+                |a: &_| matches!(a, dcs_net::Action::Timer { tag, .. } if *tag == TAG_FLUSH);
+            actions.iter().any(flush)
+        };
+        let announced = |node: &mut NodeCore<NullMachine>| -> Vec<(NodeId, Vec<Hash256>)> {
+            let actions = among_three(node, |n, ctx| assert!(n.on_timer(TAG_FLUSH, ctx)));
+            let notice = |a| match a {
+                dcs_net::Action::Send {
+                    to,
+                    msg: WireMsg::TxAnnounce { ids },
+                    ..
+                } => (to, ids),
+                other => panic!("expected announcements only, got {other:?}"),
+            };
+            actions.into_iter().map(notice).collect()
+        };
+        let sealed = |t: Transaction| SealedTx::new(Arc::new(t));
+        let (big, small, later) = (sealed(large(1)), sealed(tx(1)), sealed(large(2)));
+
+        let (fresh, actions) = hand(&mut node, 1, big.clone());
+        assert!(fresh && relayed(&actions).is_empty(), "not pushed");
+        assert!(flush_armed(&actions));
+        let (_, actions) = hand(&mut node, 1, small.clone());
+        let pushed = vec![(NodeId(2), small.id()), (NodeId(3), small.id())];
+        assert_eq!(relayed(&actions), pushed);
+        let (_, actions) = hand(&mut node, 2, later.clone());
+        assert!(!flush_armed(&actions), "the armed flush sends it too");
+        assert_eq!(
+            announced(&mut node),
+            vec![
+                (NodeId(1), vec![later.id()]),
+                (NodeId(2), vec![big.id()]),
+                (NodeId(3), vec![big.id(), later.id()]),
+            ]
+        );
+
+        hand(&mut node, 1, sealed(large(3)));
+        node.ingest_block(block_on(&g, 1, vec![large(3)])).unwrap();
+        assert_eq!(announced(&mut node), vec![], "a block took it first");
+
+        let handed = sealed(large(4));
+        let id = handed.id();
+        let (_, actions) = hand(&mut node, 0, handed);
+        let pushed = vec![(NodeId(1), id), (NodeId(2), id), (NodeId(3), id)];
+        assert_eq!(relayed(&actions), pushed);
     }
 
     #[test]

@@ -670,7 +670,7 @@ mod tests {
         let (mut leader, mut backup, b, block) = proposal_lacking_one_body();
 
         let sent = sends(deliver(&mut backup, 0, pre_prepare(&block)));
-        let [(to, WireMsg::TxRequest { block: asked, ids })] = sent.as_slice() else {
+        let [(to, WireMsg::TxRequest { key: asked, ids })] = sent.as_slice() else {
             panic!("expected one TxRequest and nothing else, got {sent:?}");
         };
         assert_eq!(
@@ -682,14 +682,7 @@ mod tests {
         // to the asker only.
         let request = sent.into_iter().next().unwrap().1;
         let mut answer = sends(deliver(&mut leader, 1, request));
-        let [(
-            NodeId(1),
-            WireMsg::BlockTxs {
-                block: answered,
-                txs,
-            },
-        )] = answer.as_slice()
-        else {
+        let [(NodeId(1), WireMsg::BlockTxs { key: answered, txs })] = answer.as_slice() else {
             panic!("expected the body back, got {answer:?}");
         };
         let ids: Vec<Hash256> = txs.iter().map(SealedTx::id).collect();

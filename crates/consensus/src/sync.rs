@@ -1,12 +1,13 @@
 //! Sync between peers: one table of in-flight requests — the page of
 //! blocks above this replica's locator ([`Want::Range`], the one way a
 //! peer fetches blocks it lacks: catch-up after a restart or a stall, and
-//! the missing ancestry of an orphan) and the missing bodies of a held
-//! block named by ids ([`Want::Bodies`]: a relayed compact block or a PBFT
-//! proposal, the only place either waits for bodies) — each with its own
-//! retry timer; and the serving side, which answers a request for a held
-//! block's bodies from the pool or the store, in one reply.
-//! [`NodeCore`] reaches it through [`NodeCore::on_message`] and
+//! the missing ancestry of an orphan), the announced bodies a peer pulls
+//! ([`Want::Announced`]) and the missing bodies of a held block named by
+//! ids ([`Want::Bodies`]: a relayed compact block or a PBFT proposal, the
+//! only place either waits for bodies) — each retried on a timer: its own,
+//! or for pulls the peer's one sweep timer; and the serving side,
+//! which answers a request for bodies from the pool or the store, in one
+//! reply. [`NodeCore`] reaches it through [`NodeCore::on_message`] and
 //! [`NodeCore::on_timer`].
 
 use crate::node::{client_txs, Inbound, NodeCore};
@@ -23,11 +24,17 @@ use std::sync::Arc;
 /// sync tag can never collide with PBFT/NG kinds (`1 << 40`, `2 << 40`) or
 /// with the raw epoch counters PoW and PoET use (small integers).
 const TAG_SYNC: u64 = 0x5C << 40;
+/// Timer tag of the announcement flush ([`NodeCore::flush_announcements`]),
+/// one kind above the sync retries.
+pub(crate) const TAG_FLUSH: u64 = 0x5D << 40;
+/// Timer-tag kind of the pull sweep ([`NodeCore::sweep_pulls`]).
+const TAG_SWEEP: u64 = 0x5E << 40;
 
 const TAG_KIND_MASK: u64 = 0xff << 40;
 
 /// True if `tag` belongs to the [`NodeCore`] sync machinery
 /// ([`NodeCore::on_timer`] consumes these).
+#[cfg(test)]
 fn is_sync_tag(tag: u64) -> bool {
     tag & TAG_KIND_MASK == TAG_SYNC
 }
@@ -39,6 +46,9 @@ const SYNC_RETRY_BASE_US: u64 = 500_000;
 const MAX_SYNC_ATTEMPTS: u32 = 8;
 /// Blocks per catch-up response batch.
 pub(crate) const SYNC_BATCH: usize = 32;
+/// Announced ids a peer asks for at once. An announcement beyond it is not
+/// pulled; a later one, or the block that carries the body, brings it.
+const MAX_PULLS: usize = 4_096;
 /// Blocks held at once for their missing bodies. A relayed one that
 /// arrives beyond it is dropped unseen: a later copy, or the page an
 /// orphaned descendant asks for, brings it again. A PBFT proposal beyond
@@ -52,38 +62,49 @@ pub(crate) enum Want {
     /// A page of canonical blocks above this replica's locator: catch-up,
     /// or an orphan's missing ancestry.
     Range,
-    /// The client bodies a held block names that this peer lacks.
+    /// Announced bodies this peer lacks, keyed by the first id asked.
+    Announced(Hash256),
+    /// The client bodies a held block names that this peer lacks. It sorts
+    /// last: [`NodeCore::pooled`] reads the table's last key to learn
+    /// whether any block is held, and the held blocks are one range.
     Bodies(Hash256),
 }
 
-/// One in-flight sync request: which epoch its retry timer carries, how
-/// many times it has been (re)sent; for [`Want::Range`], the last block
-/// of the page it stored, which leads the next locator; and for
-/// [`Want::Bodies`], the block it holds and the ids it still lacks, in
-/// block order.
+/// One in-flight sync request: which epoch its retry timer carries (for
+/// [`Want::Announced`], the sim time in µs from which the sweep re-asks),
+/// how many times it has been (re)sent; for [`Want::Range`], the last
+/// block of the page it stored, which leads the next locator; for
+/// [`Want::Bodies`], the block it holds; for both body requests, the ids it
+/// still lacks, in block (or announced) order; and for
+/// [`Want::Announced`], the neighbors that announced them, the first asked
+/// first.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SyncAttempt {
     epoch: u64,
+    due_us: u64,
     attempts: u32,
     anchor: Option<Hash256>,
     held: Option<Arc<Block>>,
     missing: Vec<Hash256>,
+    announcers: Vec<NodeId>,
 }
 
 impl<M: StateMachine> NodeCore<M> {
     /// Serves a [`WireMsg::TxRequest`] with one [`WireMsg::BlockTxs`]: each
     /// body asked for, taken from the pool (a refcount bump) or, once the
-    /// block has been imported here and its bodies left the pool, from the
-    /// stored block. A body held in neither is left out; the asker moves
-    /// on to another neighbor at once (see [`NodeCore::receive_bodies`]).
+    /// block `key` names has been imported here and its bodies left the
+    /// pool, from the stored block. A body held in neither is left out; the
+    /// asker moves on to another neighbor at once (see
+    /// [`NodeCore::receive_bodies`]). Announced bodies are served from the
+    /// pool alone: their key names no block.
     pub(crate) fn handle_tx_request(
         &self,
-        block: Hash256,
+        key: Hash256,
         ids: &[Hash256],
         from: NodeId,
         ctx: &mut Ctx<'_, WireMsg>,
     ) {
-        let stored = self.chain.tree().get(&block).and_then(|sb| sb.body());
+        let stored = self.chain.tree().get(&key).and_then(|sb| sb.body());
         // Ids are asked in block order, so one forward walk of the stored
         // body serves every id the pool lacks.
         let mut in_block = stored.into_iter().flat_map(|body| client_txs(body));
@@ -97,9 +118,84 @@ impl<M: StateMachine> NodeCore<M> {
                 })
             })
             .collect();
-        let msg = WireMsg::BlockTxs { block, txs };
+        let msg = WireMsg::BlockTxs { key, txs };
         let size = wire_size(&msg);
         ctx.send(from, msg, size);
+    }
+
+    /// A [`WireMsg::TxAnnounce`] from `from`. The ids this peer has not
+    /// seen and does not hold are asked of `from` in one
+    /// [`WireMsg::TxRequest`], keyed by the first, while the pool has room
+    /// for every body in flight and fewer than [`MAX_PULLS`] are. An id
+    /// already asked of another announcer is not asked twice; `from` is
+    /// noted as a further place to ask.
+    pub(crate) fn handle_announce(
+        &mut self,
+        ids: &[Hash256],
+        from: NodeId,
+        ctx: &mut Ctx<'_, WireMsg>,
+    ) {
+        let mut asked: Vec<Hash256> = Vec::new();
+        for &id in ids {
+            if !self.lacks(&id) {
+                continue;
+            }
+            if let Some(key) = self.pulls.get(&id) {
+                let attempt = self.requests.get_mut(&Want::Announced(*key));
+                if let Some(attempt) = attempt.filter(|a| !a.announcers.contains(&from)) {
+                    attempt.announcers.push(from);
+                }
+                continue;
+            }
+            let in_flight = self.pulls.len();
+            if in_flight >= MAX_PULLS || in_flight >= self.mempool.room() {
+                break;
+            }
+            let key = *asked.first().unwrap_or(&id);
+            self.pulls.insert(id, key);
+            asked.push(id);
+        }
+        let Some(&key) = asked.first() else {
+            return;
+        };
+        // A request left under this key (its first id came back to the pool
+        // and left it again) takes the new ids too.
+        let want = Want::Announced(key);
+        let attempt = self.requests.entry(want).or_default();
+        if attempt.missing.is_empty() {
+            attempt.missing = asked;
+        } else {
+            attempt.missing.extend(asked);
+        }
+        if !attempt.announcers.contains(&from) {
+            attempt.announcers.push(from);
+        }
+        self.ask(want, from, 0, ctx);
+    }
+
+    /// True if body `id` is worth asking for: this peer has not seen it on
+    /// the wire and does not hold it.
+    fn lacks(&self, id: &Hash256) -> bool {
+        !self.marks.is_seen(id) && !self.holds(id)
+    }
+
+    /// A body first seen, by whatever path: if it was asked for after an
+    /// announcement, it is struck off that request, which ends once it
+    /// lacks nothing.
+    pub(crate) fn arrived(&mut self, id: &Hash256) {
+        if self.pulls.is_empty() {
+            return;
+        }
+        let Some(key) = self.pulls.remove(id) else {
+            return;
+        };
+        let want = Want::Announced(key);
+        if let Some(attempt) = self.requests.get_mut(&want) {
+            attempt.missing.retain(|m| m != id);
+            if attempt.missing.is_empty() {
+                self.requests.remove(&want);
+            }
+        }
     }
 
     /// A block named by ids (a relayed [`WireMsg::CompactBlock`] or a PBFT
@@ -167,30 +263,83 @@ impl<M: StateMachine> NodeCore<M> {
         done.iter().filter_map(&mut take).collect()
     }
 
-    /// A [`WireMsg::BlockTxs`] reply. If it answers a held block, the
-    /// bodies it carries are struck off the block's missing list: with none
-    /// left, the block goes to the engine as [`Inbound::Block`]; with some
-    /// left out, the request moves to the next neighbor at once. A reply
-    /// for no held block is late and dropped; no reply is pooled.
+    /// A [`WireMsg::BlockTxs`] reply. The bodies it carries are struck off
+    /// the request it answers by id, so one that reached the pool between
+    /// request and reply (and left the list then) does not make the reply
+    /// look short. If it answers a held block: with nothing left missing,
+    /// the block goes to the engine as [`Inbound::Block`]; with some left
+    /// out, the request moves to the next neighbor at once. Those bodies
+    /// are not pooled. If it answers announced bodies, each is handled as
+    /// if gossiped in by `from` (pooled, announced on, completing held
+    /// blocks), and the request ends, or on a short reply moves to the next
+    /// announcer. A reply for no request in flight is late and dropped.
     pub(crate) fn receive_bodies(
         &mut self,
-        block: Hash256,
+        key: Hash256,
         txs: Vec<SealedTx>,
+        from: NodeId,
         ctx: &mut Ctx<'_, WireMsg>,
     ) -> Inbound {
-        let want = Want::Bodies(block);
+        let want = if self.requests.contains_key(&Want::Bodies(key)) {
+            Want::Bodies(key)
+        } else {
+            Want::Announced(key)
+        };
         let Some(attempt) = self.requests.get_mut(&want) else {
             return Inbound::Handled;
         };
-        // The reply keeps the asked order: one merge walk strikes it off.
-        let mut sent = txs.iter().map(SealedTx::id).peekable();
-        attempt.missing.retain(|id| sent.next_if_eq(id).is_none());
+        let mut sent: Vec<Hash256> = txs.iter().map(SealedTx::id).collect();
+        sent.sort_unstable();
+        attempt.missing.retain(|id| sent.binary_search(id).is_err());
         if !attempt.missing.is_empty() {
+            // An announcer that answered short holds no more of them.
+            attempt.announcers.retain(|&peer| peer != from);
             self.retry(want, ctx);
+        } else if let Some(block) = self.requests.remove(&want).and_then(|a| a.held) {
+            return Inbound::Block(block);
+        }
+        if let Want::Bodies(_) = want {
             return Inbound::Handled;
         }
-        let held = self.requests.remove(&want).and_then(|a| a.held);
-        held.map_or(Inbound::Handled, Inbound::Block)
+        let (mut fresh, mut completed) = (false, Vec::new());
+        for tx in txs {
+            let id = tx.id();
+            if self.handle_tx(tx, from, ctx) {
+                fresh = true;
+                completed.extend(self.pooled(&id));
+            }
+        }
+        Inbound::Tx { fresh, completed }
+    }
+
+    /// Ends a request: the table forgets it, and an [`Want::Announced`]
+    /// one's ids are free to be asked again.
+    fn end(&mut self, want: Want) {
+        let Some(attempt) = self.requests.remove(&want) else {
+            return;
+        };
+        if let Want::Announced(_) = want {
+            for id in &attempt.missing {
+                self.pulls.remove(id);
+            }
+        }
+    }
+
+    /// Strikes off a pull the ids this peer no longer lacks (a block
+    /// brought them, or the pool took them back), freeing them.
+    fn prune_pull(&mut self, want: Want) {
+        let Some(attempt) = self.requests.get_mut(&want) else {
+            return;
+        };
+        let missing = std::mem::take(&mut attempt.missing);
+        let (kept, gone): (Vec<Hash256>, Vec<Hash256>) =
+            missing.into_iter().partition(|id| self.lacks(id));
+        for id in &gone {
+            self.pulls.remove(id);
+        }
+        if let Some(attempt) = self.requests.get_mut(&want) {
+            attempt.missing = kept;
+        }
     }
 
     /// Starts (or restarts) catch-up sync: sends a locator-based range
@@ -212,11 +361,14 @@ impl<M: StateMachine> NodeCore<M> {
     }
 
     /// Sends the request for `want` to `peer` and arms its retry timer,
-    /// whose backoff doubles with `attempts`.
+    /// whose backoff doubles with `attempts`; a pull instead falls due for
+    /// the sweep to re-ask then, which adds no timer per pull.
     fn ask(&mut self, want: Want, peer: NodeId, attempts: u32, ctx: &mut Ctx<'_, WireMsg>) {
         self.sync_epoch += 1;
+        let delay = SYNC_RETRY_BASE_US << attempts.min(6);
         let attempt = self.requests.entry(want).or_default();
         (attempt.epoch, attempt.attempts) = (self.sync_epoch, attempts);
+        attempt.due_us = ctx.now.as_micros() + delay;
         let msg = match want {
             Want::Range => WireMsg::SyncRequest {
                 locator: attempt
@@ -225,34 +377,87 @@ impl<M: StateMachine> NodeCore<M> {
                     .chain(self.chain.locator())
                     .collect(),
             },
-            Want::Bodies(block) => WireMsg::TxRequest {
-                block,
+            Want::Announced(key) | Want::Bodies(key) => WireMsg::TxRequest {
+                key,
                 ids: attempt.missing.clone(),
             },
         };
         let size = wire_size(&msg);
         ctx.send(peer, msg, size);
-        let delay = SYNC_RETRY_BASE_US << attempts.min(6);
-        ctx.set_timer(SimDuration::from_micros(delay), TAG_SYNC | self.sync_epoch);
+        if let Want::Announced(_) = want {
+            self.arm_sweep(ctx);
+        } else {
+            ctx.set_timer(SimDuration::from_micros(delay), TAG_SYNC | self.sync_epoch);
+        }
     }
 
-    /// Re-sends an outstanding request to the next neighbor (round-robin),
-    /// or gives up: when the held block it wants bodies for is already
-    /// stored, after [`MAX_SYNC_ATTEMPTS`] retries, or with no neighbor to
-    /// ask. A retry is not a new catch-up round. Gossip of a later
-    /// descendant re-triggers a request given up on.
+    /// Arms the pull sweep, [`SYNC_RETRY_BASE_US`] out, unless it is armed.
+    /// Each arming takes a fresh epoch, so a sweep armed before a crash is
+    /// stale after the restart.
+    fn arm_sweep(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+        if self.sweep.is_none() {
+            self.sync_epoch += 1;
+            self.sweep = Some(self.sync_epoch);
+            let every = SimDuration::from_micros(SYNC_RETRY_BASE_US);
+            ctx.set_timer(every, TAG_SWEEP | self.sync_epoch);
+        }
+    }
+
+    /// The pull sweep: re-asks each pull that is due, and re-arms while any
+    /// is in flight. One timer per peer serves every pull.
+    fn sweep_pulls(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+        self.sweep = None;
+        let now = ctx.now.as_micros();
+        let due: Vec<Want> = self
+            .pulling()
+            .filter(|(_, attempt)| attempt.due_us <= now)
+            .map(|(want, _)| *want)
+            .collect();
+        for want in due {
+            self.retry(want, ctx);
+        }
+        if self.pulling().next().is_some() {
+            self.arm_sweep(ctx);
+        }
+    }
+
+    /// The requests for announced bodies.
+    fn pulling(&self) -> impl Iterator<Item = (&Want, &SyncAttempt)> {
+        let pulls = Want::Announced(Hash256::ZERO)..Want::Bodies(Hash256::ZERO);
+        self.requests.range(pulls)
+    }
+
+    /// Re-sends an outstanding request to the next neighbor (round-robin;
+    /// for announced bodies, the next announcer that has not answered
+    /// short, asking only for what this peer still lacks), or gives up:
+    /// when the held block it wants bodies for is already stored, when no
+    /// announced body is still lacked, after [`MAX_SYNC_ATTEMPTS`] retries,
+    /// or with no one left to ask. A retry is not a new catch-up round.
+    /// Gossip of a later descendant, or a later announcement, re-triggers a
+    /// request given up on.
     fn retry(&mut self, want: Want, ctx: &mut Ctx<'_, WireMsg>) {
+        if let Want::Announced(_) = want {
+            self.prune_pull(want);
+        }
         let Some(attempt) = self.requests.get(&want) else {
             return;
         };
         let attempts = attempt.attempts + 1;
-        let stored = matches!(want, Want::Bodies(hash) if self.chain.tree().contains(&hash));
-        if stored || attempts > MAX_SYNC_ATTEMPTS || ctx.neighbors.is_empty() {
-            self.requests.remove(&want);
+        let peers = match want {
+            Want::Announced(_) => &attempt.announcers[..],
+            _ => ctx.neighbors,
+        };
+        let done = match want {
+            Want::Bodies(hash) => self.chain.tree().contains(&hash),
+            Want::Announced(_) => attempt.missing.is_empty(),
+            Want::Range => false,
+        };
+        if done || attempts > MAX_SYNC_ATTEMPTS || peers.is_empty() {
+            self.end(want);
             return;
         }
         self.sync_retries += 1;
-        let peer = ctx.neighbors[attempts as usize % ctx.neighbors.len()];
+        let peer = peers[attempts as usize % peers.len()];
         self.ask(want, peer, attempts, ctx);
     }
 
@@ -304,22 +509,28 @@ impl<M: StateMachine> NodeCore<M> {
     }
 
     /// The one timer entry point. Returns false for a tag outside the sync
-    /// namespace — that timer is the engine's. A sync timer is consumed
-    /// here: if the request it guards is still outstanding, re-send with
-    /// doubled backoff to the next neighbor; stale epochs (the reply
-    /// arrived meanwhile) are ignored.
+    /// and announcement namespaces — that timer is the engine's. These are
+    /// consumed here: the flush sends the queued announcements; the live
+    /// sweep re-asks the pulls that are due; a sync timer whose request is
+    /// still outstanding re-sends it with doubled backoff to the next
+    /// neighbor. Stale epochs are ignored.
     pub fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, WireMsg>) -> bool {
-        if !is_sync_tag(tag) {
-            return false;
-        }
         let epoch = tag & !TAG_KIND_MASK;
-        let want = self
-            .requests
-            .iter()
-            .find(|(_, a)| a.epoch == epoch)
-            .map(|(want, _)| *want);
-        if let Some(want) = want {
-            self.retry(want, ctx);
+        match tag & TAG_KIND_MASK {
+            TAG_FLUSH => self.flush_announcements(ctx),
+            TAG_SWEEP if self.sweep == Some(epoch) => self.sweep_pulls(ctx),
+            TAG_SWEEP => {}
+            TAG_SYNC => {
+                let want = self
+                    .requests
+                    .iter()
+                    .find(|(_, a)| a.epoch == epoch)
+                    .map(|(want, _)| *want);
+                if let Some(want) = want {
+                    self.retry(want, ctx);
+                }
+            }
+            _ => return false,
         }
         true
     }
@@ -328,11 +539,13 @@ impl<M: StateMachine> NodeCore<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::tests::{block_on, new_node, step, tx};
+    use crate::node::tests::{block_on, large, new_node, step, step_at, tx};
     use dcs_chain::{Chain, ChainEvent, NullMachine};
     use dcs_net::Action;
     use dcs_primitives::{ChainConfig, Transaction};
+    use dcs_sim::SimTime;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// The page requests among `actions`, as (destination, locator).
     fn ranges(actions: &[Action<WireMsg>]) -> Vec<(NodeId, Vec<Hash256>)> {
@@ -621,7 +834,7 @@ mod tests {
         let (verdict, actions) = engine(&mut node, 1, compact(&lacking));
         assert_eq!(verdict, None, "held, not imported");
         let asked = sends(actions);
-        let [(NodeId(1), WireMsg::TxRequest { block, ids })] = asked.as_slice() else {
+        let [(NodeId(1), WireMsg::TxRequest { key: block, ids })] = asked.as_slice() else {
             panic!("expected one TxRequest to the sender, got {asked:?}");
         };
         assert_eq!((*block, ids.clone()), (lacking.hash(), vec![b.id()]));
@@ -633,7 +846,7 @@ mod tests {
         );
 
         let reply = WireMsg::BlockTxs {
-            block: lacking.hash(),
+            key: lacking.hash(),
             txs: vec![sealed(&b)],
         };
         let (verdict, actions) = engine(&mut node, 1, reply.clone());
@@ -661,11 +874,11 @@ mod tests {
         let stored = block_on(&g, 1, vec![a.clone(), b.clone()]);
         node.ingest_block(Arc::clone(&stored)).unwrap();
         node.mempool.insert(sealed(&c));
-        let ask = |block: Hash256, ids: Vec<Hash256>| WireMsg::TxRequest { block, ids };
+        let ask = |block: Hash256, ids: Vec<Hash256>| WireMsg::TxRequest { key: block, ids };
 
         let (_, actions) = engine(&mut node, 1, ask(stored.hash(), vec![a.id(), b.id()]));
         let served = sends(actions);
-        let [(NodeId(1), WireMsg::BlockTxs { block, txs })] = served.as_slice() else {
+        let [(NodeId(1), WireMsg::BlockTxs { key: block, txs })] = served.as_slice() else {
             panic!("expected one reply, got {served:?}");
         };
         let ids: Vec<Hash256> = txs.iter().map(SealedTx::id).collect();
@@ -701,7 +914,7 @@ mod tests {
             [(NodeId(2), WireMsg::TxRequest { .. })]
         ));
         let short = WireMsg::BlockTxs {
-            block: lacking.hash(),
+            key: lacking.hash(),
             txs: vec![sealed(&tx(1))],
         };
         let (verdict, actions) = engine(&mut node, 2, short);
@@ -739,7 +952,7 @@ mod tests {
         assert!(relayed.iter().any(|(to, m)| *to == NodeId(1)
             && matches!(m, WireMsg::CompactBlock(b) if b.hash() == lacking.hash())));
         let late = WireMsg::BlockTxs {
-            block: lacking.hash(),
+            key: lacking.hash(),
             txs: vec![sealed(&tx(1)), sealed(&tx(2))],
         };
         let (verdict, actions) = engine(&mut node, 1, late);
@@ -786,8 +999,339 @@ mod tests {
         );
     }
 
+    /// A body that reaches the pool between a held block's request and its
+    /// reply is struck off already; the full reply completes the block and
+    /// is not taken for a short one, so nobody else is asked for it.
+    #[test]
+    fn a_body_pooled_before_the_reply_does_not_make_it_short() {
+        let (mut node, g) = new_node();
+        let lacking = block_on(&g, 1, vec![tx(1), tx(2)]);
+        engine(&mut node, 1, compact(&lacking));
+        let (verdict, _) = engine(&mut node, 2, WireMsg::Tx(sealed(&tx(1))));
+        assert_eq!(verdict, None, "one body still missing");
+        let reply = WireMsg::BlockTxs {
+            key: lacking.hash(),
+            txs: vec![sealed(&tx(1)), sealed(&tx(2))],
+        };
+        let (verdict, actions) = engine(&mut node, 1, reply);
+        let retried: Vec<(NodeId, WireMsg)> = sends(actions)
+            .into_iter()
+            .filter(|(_, m)| matches!(m, WireMsg::TxRequest { .. }))
+            .collect();
+        assert!(retried.is_empty(), "retried: {retried:?}");
+        assert!(matches!(verdict, Some(Some(ChainEvent::Extended { .. }))));
+        assert_eq!(node.sync_retries, 0);
+    }
+
+    /// The requests among `actions`, as (destination, key, ids).
+    fn requests(actions: Vec<Action<WireMsg>>) -> Vec<(NodeId, Hash256, Vec<Hash256>)> {
+        sends(actions)
+            .into_iter()
+            .filter_map(|(to, m)| match m {
+                WireMsg::TxRequest { key, ids } => Some((to, key, ids)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn announce(ids: &[&Transaction]) -> WireMsg {
+        WireMsg::TxAnnounce {
+            ids: ids.iter().map(|t| t.id()).collect(),
+        }
+    }
+
+    /// Announced bodies the peer lacks are asked of the first announcer in
+    /// one request, and an id in flight is not asked again of a later
+    /// announcer; one pooled already is not asked at all. The one
+    /// reply pools them as if gossiped in by the announcer: a held block
+    /// they complete reaches the engine, and they are announced on to every
+    /// neighbor but that announcer.
+    #[test]
+    fn announced_bodies_are_pulled_once_from_the_first_announcer() {
+        let (mut node, g) = new_node();
+        let (a, b, c, pooled) = (large(1), large(2), large(3), large(4));
+        node.mempool.insert(sealed(&pooled));
+        let (_, actions) = engine(&mut node, 1, announce(&[&a, &b, &pooled]));
+        assert_eq!(
+            requests(actions),
+            vec![(NodeId(1), a.id(), vec![a.id(), b.id()])]
+        );
+        let (_, actions) = engine(&mut node, 2, announce(&[&b, &c]));
+        assert_eq!(
+            requests(actions),
+            vec![(NodeId(2), c.id(), vec![c.id()])],
+            "b is on its way already"
+        );
+        let held = block_on(&g, 1, vec![a.clone()]);
+        let (verdict, _) = engine(&mut node, 2, compact(&held));
+        assert_eq!(verdict, None, "held for a");
+
+        let reply = WireMsg::BlockTxs {
+            key: a.id(),
+            txs: vec![sealed(&a), sealed(&b)],
+        };
+        let (verdict, actions) = engine(&mut node, 1, reply);
+        assert!(matches!(verdict, Some(Some(ChainEvent::Extended { .. }))));
+        assert!(node.mempool.contains(&b.id()));
+        let flush = actions
+            .iter()
+            .any(|a| matches!(a, Action::Timer { tag, .. } if *tag == TAG_FLUSH));
+        assert!(flush, "pulled bodies are announced on");
+        let announced = sends(step(
+            &mut node,
+            |n, ctx| assert!(n.on_timer(TAG_FLUSH, ctx)),
+        ));
+        let [(NodeId(2), WireMsg::TxAnnounce { ids })] = announced.as_slice() else {
+            panic!("expected one announcement, to the other neighbor, got {announced:?}");
+        };
+        assert_eq!(ids, &vec![b.id()], "a left the pool with its block");
+        assert_eq!(node.requests.len(), 1, "only c is still asked for");
+        assert_eq!(node.sync_retries, 0);
+    }
+
+    /// A pull whose reply is lost is re-asked of the next announcer when
+    /// the sweep finds it due; one answered short moves on at once, to an
+    /// announcer that has not answered short, and only for what the peer
+    /// still lacks. With nothing left lacking, the request ends quietly.
+    #[test]
+    fn a_lost_or_short_pull_re_asks_another_announcer() {
+        let (mut node, g) = new_node();
+        let (a, b) = (large(1), large(2));
+        let (_, actions) = engine(&mut node, 1, announce(&[&a, &b]));
+        let sweep: Vec<u64> = actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Timer { tag, .. } if tag & TAG_KIND_MASK == TAG_SWEEP => Some(*tag),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sweep.len(), 1, "one sweep guards the pulls");
+        assert!(
+            sync_timer_tags(&actions).is_empty(),
+            "and no timer per pull"
+        );
+        engine(&mut node, 2, announce(&[&a, &b]));
+
+        let early = step(&mut node, |n, ctx| assert!(n.on_timer(sweep[0], ctx)));
+        assert!(requests(early).is_empty(), "not due yet");
+        let due = SimTime::ZERO + SimDuration::from_micros(SYNC_RETRY_BASE_US);
+        let next = node.sweep.map(|epoch| TAG_SWEEP | epoch).unwrap();
+        let retried = step_at(&mut node, due, |n, ctx| assert!(n.on_timer(next, ctx)));
+        assert_eq!(
+            requests(retried),
+            vec![(NodeId(2), a.id(), vec![a.id(), b.id()])]
+        );
+
+        // b reaches the chain some other way; 2 answers with neither.
+        node.ingest_block(block_on(&g, 1, vec![b.clone()])).unwrap();
+        let short = WireMsg::BlockTxs {
+            key: a.id(),
+            txs: vec![],
+        };
+        let (_, actions) = engine(&mut node, 2, short.clone());
+        assert_eq!(
+            requests(actions),
+            vec![(NodeId(1), a.id(), vec![a.id()])],
+            "back to 1, for a alone"
+        );
+        assert_eq!(node.sync_retries, 2);
+
+        // 1 answers short too: nobody is left to ask.
+        let (_, actions) = engine(&mut node, 1, short);
+        assert!(requests(actions).is_empty());
+        assert!(node.requests.is_empty() && node.pulls.is_empty());
+        // A later announcement asks again.
+        let (_, actions) = engine(&mut node, 2, announce(&[&a]));
+        assert_eq!(requests(actions), vec![(NodeId(2), a.id(), vec![a.id()])]);
+    }
+
+    /// A pool without room asks for nothing; an id a block brought is not
+    /// lacked.
+    #[test]
+    fn a_full_pool_pulls_nothing() {
+        let (mut node, _) = new_node();
+        node.mempool = crate::Mempool::new(1);
+        node.mempool.insert(sealed(&tx(9)));
+        let (_, actions) = engine(&mut node, 1, announce(&[&large(1)]));
+        assert!(requests(actions).is_empty());
+        assert!(node.pulls.is_empty());
+    }
+
+    /// A restart forgets queued announcements, pulls and the sweep: a
+    /// flush or sweep timer that fired while the peer was down is lost, so
+    /// the peer arms fresh ones for what it takes after the restart, and a
+    /// sweep armed before the crash is stale.
+    #[test]
+    fn a_restart_forgets_announcements_and_pulls_and_arms_afresh() {
+        let (mut node, _) = new_node();
+        engine(&mut node, 1, WireMsg::Tx(sealed(&large(1))));
+        let (_, actions) = engine(&mut node, 1, announce(&[&large(2)]));
+        let old_sweep = node.sweep.map(|epoch| TAG_SWEEP | epoch).unwrap();
+        assert_eq!(requests(actions).len(), 1);
+
+        node.rebuild_from_store();
+        assert!(node.announce.is_empty() && node.pulls.is_empty() && node.requests.is_empty());
+        let (_, actions) = engine(&mut node, 1, WireMsg::Tx(sealed(&large(3))));
+        assert!(
+            actions
+                .iter()
+                .any(|a| matches!(a, Action::Timer { tag, .. } if *tag == TAG_FLUSH)),
+            "a fresh flush"
+        );
+        let (_, actions) = engine(&mut node, 2, announce(&[&large(2)]));
+        assert_eq!(requests(actions).len(), 1, "asked again");
+        let late = SimTime::ZERO + SimDuration::from_secs(60);
+        let stale = step_at(
+            &mut node,
+            late,
+            |n, ctx| assert!(n.on_timer(old_sweep, ctx)),
+        );
+        assert!(stale.is_empty(), "the pre-crash sweep is stale");
+    }
+
+    /// A few peer cores wired as a ring plus `chords`, with the messages
+    /// and timers their steps left in flight, and a tally of the bodies
+    /// handed to each peer.
+    struct Mesh {
+        peers: Vec<NodeCore<NullMachine>>,
+        neighbors: Vec<Vec<NodeId>>,
+        /// (to, from, message).
+        wire: Vec<(usize, usize, WireMsg)>,
+        /// (peer, tag).
+        timers: Vec<(usize, u64)>,
+        bodies_in: BTreeMap<(usize, Hash256), u32>,
+    }
+
+    impl Mesh {
+        fn new(n: usize, chords: &[(usize, usize)]) -> Self {
+            let mut links = BTreeSet::new();
+            let ring = (0..n).map(|i| (i, (i + 1) % n));
+            for (a, b) in ring.chain(chords.iter().map(|&(a, b)| (a % n, b % n))) {
+                if a != b {
+                    links.insert((a.min(b), a.max(b)));
+                }
+            }
+            let mut neighbors = vec![Vec::new(); n];
+            for &(a, b) in &links {
+                neighbors[a].push(NodeId(b));
+                neighbors[b].push(NodeId(a));
+            }
+            let peers = (0..n)
+                .map(|i| {
+                    let (mut node, _) = new_node();
+                    node.id = NodeId(i);
+                    node
+                })
+                .collect();
+            Mesh {
+                peers,
+                neighbors,
+                wire: Vec::new(),
+                timers: Vec::new(),
+                bodies_in: BTreeMap::new(),
+            }
+        }
+
+        /// Runs `f` on peer `at`, putting what it sends and arms in flight.
+        fn act(
+            &mut self,
+            at: usize,
+            f: impl FnOnce(&mut NodeCore<NullMachine>, &mut Ctx<'_, WireMsg>),
+        ) {
+            let mut rng = dcs_sim::Rng::seed_from(1);
+            let mut actions = Vec::new();
+            let neighbors = &self.neighbors[at];
+            let mut ctx = Ctx::new(NodeId(at), SimTime::ZERO, neighbors, &mut rng, &mut actions);
+            f(&mut self.peers[at], &mut ctx);
+            for action in actions {
+                match action {
+                    Action::Send { to, msg, .. } => self.wire.push((to.0, at, msg)),
+                    Action::Timer { tag, .. } => self.timers.push((at, tag)),
+                }
+            }
+        }
+
+        /// Delivers one message as a gossip engine takes it.
+        fn deliver(&mut self, to: usize, from: usize, msg: WireMsg) {
+            let bodies = match &msg {
+                WireMsg::Tx(tx) => vec![tx.id()],
+                WireMsg::BlockTxs { txs, .. } => txs.iter().map(SealedTx::id).collect(),
+                _ => vec![],
+            };
+            for id in bodies {
+                *self.bodies_in.entry((to, id)).or_default() += 1;
+            }
+            self.act(to, |n, ctx| {
+                for block in n.on_message(NodeId(from), msg, ctx).blocks() {
+                    n.handle_block(block, Some(NodeId(from)), ctx);
+                }
+            });
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Announce-and-pull leaves every pool holding what a flood would.
+        /// A few peers on a ring with chords, unbounded pools, bodies large
+        /// and small handed to random peers, and messages and flushes taken
+        /// in a random order: a flood over a connected overlay pools every
+        /// body at every peer, and so does this. On a loss-free run every
+        /// pull ends, and a large body reaches a peer once, or twice when a
+        /// pull outran the push from the peer a client handed it to.
+        #[test]
+        fn announce_and_pull_pools_what_a_flood_pools(
+            peers in 3usize..7,
+            chords in proptest::collection::vec((0usize..7, 0usize..7), 0..4),
+            bodies in proptest::collection::vec((any::<bool>(), 0usize..7), 1..10),
+            order in proptest::collection::vec(0usize..1_000, 1..64),
+        ) {
+            let mut mesh = Mesh::new(peers, &chords);
+            let mut all = BTreeSet::new();
+            for (i, &(big, contact)) in bodies.iter().enumerate() {
+                let body = if big { large(i as u64) } else { tx(i as u64) };
+                all.insert(body.id());
+                let at = contact % peers;
+                mesh.wire.push((at, at, WireMsg::Tx(sealed(&body))));
+            }
+            // A re-armed sweep never starves the wire: no two timers in a row
+            // while a message waits.
+            let mut timed = false;
+            for &turn in order.iter().cycle().take(100_000) {
+                if mesh.wire.is_empty() && mesh.timers.is_empty() {
+                    break;
+                }
+                let fire = turn % 4 == 0 && !timed && !mesh.timers.is_empty();
+                timed = mesh.wire.is_empty() || fire;
+                if timed {
+                    let (at, tag) = mesh.timers.remove(0);
+                    mesh.act(at, |n, ctx| assert!(n.on_timer(tag, ctx)));
+                } else {
+                    let (to, from, msg) = mesh.wire.remove(turn % mesh.wire.len());
+                    mesh.deliver(to, from, msg);
+                }
+            }
+            prop_assert!(mesh.wire.is_empty() && mesh.timers.is_empty(), "a pull never ended");
+            for (i, peer) in mesh.peers.iter().enumerate() {
+                let pooled: BTreeSet<Hash256> =
+                    all.iter().copied().filter(|id| peer.mempool.contains(id)).collect();
+                prop_assert_eq!(&pooled, &all, "peer {}", i);
+                prop_assert!(peer.requests.is_empty() && peer.pulls.is_empty());
+                prop_assert_eq!(peer.sync_retries, 0);
+            }
+            // A neighbor of the peer a client handed a large body to may
+            // pull it before the push arrives; nobody else gets it twice.
+            for (i, &(big, contact)) in bodies.iter().enumerate() {
+                let id = if big { large(i as u64) } else { tx(i as u64) }.id();
+                let pushed_to = &mesh.neighbors[contact % peers];
+                for peer in 0..peers {
+                    let got = mesh.bodies_in.get(&(peer, id)).copied().unwrap_or(0);
+                    let most = 1 + u32::from(pushed_to.contains(&NodeId(peer)));
+                    prop_assert!(got >= 1);
+                    prop_assert!(!big || got <= most, "peer {} got a large body {} times", peer, got);
+                }
+            }
+        }
 
         /// A compact block plus the receiver's pool is the full block. Two
         /// identical peers — each with a canonical block `c` of `included`
@@ -858,7 +1402,7 @@ mod tests {
             } else {
                 prop_assert_eq!(&asked, &vec![lacking]);
                 prop_assert_eq!(verdict, None);
-                let request = WireMsg::TxRequest { block: block.hash(), ids: asked[0].clone() };
+                let request = WireMsg::TxRequest { key: block.hash(), ids: asked[0].clone() };
                 let (_, served) = engine(&mut sender, 0, request);
                 let replies = sends(served);
                 prop_assert_eq!(replies.len(), 1);
