@@ -56,9 +56,9 @@ pub enum WireMsg {
     Tx(SealedTx),
     /// A gossip peer's notice of the large bodies its pool took since its
     /// last notice, flushed to each neighbor every 100 ms, leaving out the
-    /// neighbor each body came from. The receiver asks the announcer for the
-    /// ones it has not seen, while its pool has room, with one
-    /// [`WireMsg::TxRequest`].
+    /// neighbors each body came from or was announced by. The receiver asks
+    /// the announcer for the ones it has not seen, while its pool has room,
+    /// with one [`WireMsg::TxRequest`].
     TxAnnounce {
         /// Ids of the announced transactions, in the order pooled.
         ids: Vec<Hash256>,
@@ -84,12 +84,12 @@ pub enum WireMsg {
     /// A request for client bodies the asker lacks: those a held block (a
     /// relayed [`WireMsg::CompactBlock`] or a PBFT proposal) names, asked of
     /// whoever handed the block over, or those a [`WireMsg::TxAnnounce`]
-    /// named, asked of the first announcer. A short reply or the sync timer
+    /// named, asked of the first announcer. A short reply or its retry timer
     /// moves it to the next neighbor (for announced bodies, the next
     /// announcer). Answered with one [`WireMsg::BlockTxs`].
     TxRequest {
         /// What the request is for, echoed by the reply: the held block's
-        /// hash, or for announced bodies the first id asked.
+        /// hash, or for announced bodies an id asked.
         key: Hash256,
         /// Ids of the missing client transactions, in block (or announced)
         /// order.

@@ -11,7 +11,7 @@
 use crate::marks::IdMarks;
 use crate::mempool::{InsertOutcome, Mempool};
 use crate::pbft::PbftMsg;
-use crate::sync::{SyncAttempt, Want, SYNC_BATCH, TAG_FLUSH};
+use crate::sync::{Pull, SyncAttempt, Want, SYNC_BATCH, TAG_FLUSH};
 use crate::{approx_tx_size, wire_size, WireMsg};
 use dcs_chain::{Chain, ChainEvent, StateMachine};
 use dcs_crypto::{Address, Hash256};
@@ -180,8 +180,9 @@ pub struct NodeCore<M: StateMachine> {
     reported_finalized: u64,
     /// Gossip dedup and the canonical-chain index, one mark byte per id.
     pub(crate) marks: IdMarks,
-    /// Sync requests awaiting a reply: the page of blocks and each held
-    /// block's bodies, each with its own retry timer.
+    /// Sync requests awaiting a reply: the page of blocks, each pull of
+    /// announced bodies and each held block's bodies, each with its own
+    /// retry timer.
     pub(crate) requests: BTreeMap<Want, SyncAttempt>,
     /// Monotonic epoch distinguishing live sync timers from stale ones.
     pub(crate) sync_epoch: u64,
@@ -189,15 +190,12 @@ pub struct NodeCore<M: StateMachine> {
     /// otherwise).
     pub(crate) relay: Relay,
     /// Large bodies pooled since the last announcement, each with the
-    /// neighbor it came from. A flush timer is armed whenever this is
-    /// non-empty.
+    /// neighbor it came from and then, in the entries that follow it, the
+    /// other neighbors that announced it here. A flush timer is armed
+    /// whenever this is non-empty.
     pub(crate) announce: Vec<(Hash256, NodeId)>,
-    /// Announced ids asked for and not yet received, each with the key of
-    /// the [`Want::Announced`] request that asks for it.
-    pub(crate) pulls: dcs_crypto::IdMap<Hash256>, // dcs-lint: allow(hash-collections) — probed by id, never iterated
-    /// The epoch of the armed pull sweep, if one is armed (see
-    /// `NodeCore::sweep_pulls`).
-    pub(crate) sweep: Option<u64>,
+    /// Announced ids asked for and not yet received.
+    pub(crate) pulls: dcs_crypto::IdMap<Pull>, // dcs-lint: allow(hash-collections) — probed by id, never iterated
 }
 
 impl<M: StateMachine> NodeCore<M> {
@@ -228,7 +226,6 @@ impl<M: StateMachine> NodeCore<M> {
             relay: Relay::Flood,
             announce: Vec::new(),
             pulls: Default::default(),
-            sweep: None,
         }
     }
 
@@ -479,15 +476,14 @@ impl<M: StateMachine> NodeCore<M> {
     /// mempool contents, gossip dedup tables, and inclusion index are
     /// volatile and re-derived, and so are the announcements not yet sent
     /// and the bodies asked for: the timer that would have sent or re-asked
-    /// them may have fired while the peer was down, and a sweep that fires
-    /// after the restart is stale. Every stored block, side branches
-    /// included,
-    /// is marked seen, so a re-gossiped copy of one is dropped as a repeat
-    /// rather than imported again and counted rejected; canonical
-    /// transactions are marked seen and included, so catch-up traffic does
-    /// not re-gossip old history. The pool keeps its capacity and admission
-    /// pipeline; lifetime counters survive. Rebuild errors land in
-    /// [`NodeCore::internal_errors`] rather than aborting.
+    /// them may have fired while the peer was down, and a retry timer that
+    /// fires after the restart finds no request of its epoch. Every stored
+    /// block, side branches included, is marked seen, so a re-gossiped copy
+    /// of one is dropped as a repeat rather than imported again and counted
+    /// rejected; canonical transactions are marked seen and included, so
+    /// catch-up traffic does not re-gossip old history. The pool keeps its
+    /// capacity and admission pipeline; lifetime counters survive. Rebuild
+    /// errors land in [`NodeCore::internal_errors`] rather than aborting.
     pub fn rebuild_from_store(&mut self) {
         if self.chain.rebuild_from_store().is_err() {
             self.internal_errors += 1;
@@ -497,7 +493,6 @@ impl<M: StateMachine> NodeCore<M> {
         self.requests.clear();
         self.announce.clear();
         self.pulls.clear();
-        self.sweep = None;
         let mut tx_ids = Vec::new();
         for hash in &self.chain.canonical()[1..] {
             if let Some(body) = self.chain.tree().get(hash).and_then(|sb| sb.body()) {
@@ -526,9 +521,9 @@ impl<M: StateMachine> NodeCore<M> {
     /// neighbor, as does any peer with a body under 1 KiB. A larger body
     /// from a neighbor is queued and announced by id
     /// ([`WireMsg::TxAnnounce`]) on the next flush, at most 100 ms later,
-    /// to every neighbor but the one it came from; a neighbor that lacks it
-    /// pulls it. A queued id that has left the pool by the flush (a block
-    /// took it) is not announced.
+    /// to every neighbor but the one it came from and those that announced
+    /// it here; a neighbor that lacks it pulls it. A queued id that has
+    /// left the pool by the flush (a block took it) is not announced.
     ///
     /// A [`Relay::Direct`] peer forwards only what a client handed it (the
     /// fabric delivers a client's transaction as if from the peer itself),
@@ -547,7 +542,7 @@ impl<M: StateMachine> NodeCore<M> {
         let Some(included) = self.marks.first_sight(id) else {
             return false;
         };
-        self.arrived(&id);
+        let announcers = self.arrived(&id);
         self.emit(
             ctx.now.as_micros(),
             TraceEvent::FirstSeen {
@@ -596,21 +591,25 @@ impl<M: StateMachine> NodeCore<M> {
                 ctx.set_timer(every, TAG_FLUSH);
             }
             self.announce.push((id, from));
+            let others = announcers.into_iter().filter(|&peer| peer != from);
+            self.announce.extend(others.map(|peer| (id, peer)));
         }
         true
     }
 
     /// Sends the queued announcements: to each neighbor one
     /// [`WireMsg::TxAnnounce`] naming every queued id still pooled but
-    /// those that neighbor sent.
+    /// those that neighbor sent or announced here.
     pub(crate) fn flush_announcements(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
         let mut queue = std::mem::take(&mut self.announce);
         queue.retain(|(id, _)| self.mempool.contains(id));
+        // An id's entries are adjacent: the queue takes them at once.
+        let per_id: Vec<&[(Hash256, NodeId)]> = queue.chunk_by(|a, b| a.0 == b.0).collect();
         for &to in ctx.neighbors {
-            let ids: Vec<Hash256> = queue
+            let ids: Vec<Hash256> = per_id
                 .iter()
-                .filter(|(_, from)| *from != to)
-                .map(|(id, _)| *id)
+                .filter(|holders| holders.iter().all(|(_, from)| *from != to))
+                .map(|holders| holders[0].0)
                 .collect();
             if !ids.is_empty() {
                 let msg = WireMsg::TxAnnounce { ids };

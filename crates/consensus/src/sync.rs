@@ -4,11 +4,10 @@
 //! the missing ancestry of an orphan), the announced bodies a peer pulls
 //! ([`Want::Announced`]) and the missing bodies of a held block named by
 //! ids ([`Want::Bodies`]: a relayed compact block or a PBFT proposal, the
-//! only place either waits for bodies) — each retried on a timer: its own,
-//! or for pulls the peer's one sweep timer; and the serving side,
-//! which answers a request for bodies from the pool or the store, in one
-//! reply. [`NodeCore`] reaches it through [`NodeCore::on_message`] and
-//! [`NodeCore::on_timer`].
+//! only place either waits for bodies) — each retried on its own timer;
+//! and the serving side, which answers a request for bodies from the pool
+//! or the store, in one reply. [`NodeCore`] reaches it through
+//! [`NodeCore::on_message`] and [`NodeCore::on_timer`].
 
 use crate::node::{client_txs, Inbound, NodeCore};
 use crate::{wire_size, WireMsg};
@@ -27,17 +26,8 @@ const TAG_SYNC: u64 = 0x5C << 40;
 /// Timer tag of the announcement flush ([`NodeCore::flush_announcements`]),
 /// one kind above the sync retries.
 pub(crate) const TAG_FLUSH: u64 = 0x5D << 40;
-/// Timer-tag kind of the pull sweep ([`NodeCore::sweep_pulls`]).
-const TAG_SWEEP: u64 = 0x5E << 40;
 
 const TAG_KIND_MASK: u64 = 0xff << 40;
-
-/// True if `tag` belongs to the [`NodeCore`] sync machinery
-/// ([`NodeCore::on_timer`] consumes these).
-#[cfg(test)]
-fn is_sync_tag(tag: u64) -> bool {
-    tag & TAG_KIND_MASK == TAG_SYNC
-}
 
 /// Base retry backoff for lost sync requests (doubles per attempt).
 const SYNC_RETRY_BASE_US: u64 = 500_000;
@@ -70,33 +60,53 @@ pub(crate) enum Want {
     Bodies(Hash256),
 }
 
-/// One in-flight sync request: which epoch its retry timer carries (for
-/// [`Want::Announced`], the sim time in µs from which the sweep re-asks),
-/// how many times it has been (re)sent; for [`Want::Range`], the last
+/// One in-flight sync request: which epoch its retry timer carries, how
+/// many times it has been (re)sent; for [`Want::Range`], the last
 /// block of the page it stored, which leads the next locator; for
-/// [`Want::Bodies`], the block it holds; for both body requests, the ids it
-/// still lacks, in block (or announced) order; and for
-/// [`Want::Announced`], the neighbors that announced them, the first asked
-/// first.
+/// [`Want::Bodies`], the block it holds; and for both body requests, the
+/// ids it still lacks, in block (or announced) order.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SyncAttempt {
     epoch: u64,
-    due_us: u64,
     attempts: u32,
     anchor: Option<Hash256>,
     held: Option<Arc<Block>>,
     missing: Vec<Hash256>,
+}
+
+/// An announced id asked for and not yet received: the key of the
+/// [`Want::Announced`] request that asks for it, and the neighbors that
+/// announced it here, the first asked first and none that answered short.
+#[derive(Debug, Clone)]
+pub(crate) struct Pull {
+    key: Hash256,
     announcers: Vec<NodeId>,
+}
+
+/// The ids a request for `want` asks for, of those it lacks: a held
+/// block leaves out the bodies pulled after an announcement, whose replies
+/// are on their way; a pull asks for every one.
+fn askable<'a>(
+    want: Want,
+    missing: &'a [Hash256],
+    pulls: &'a dcs_crypto::IdMap<Pull>, // dcs-lint: allow(hash-collections) — probed by id, never iterated
+) -> impl Iterator<Item = &'a Hash256> {
+    let pulling = matches!(want, Want::Announced(_));
+    missing
+        .iter()
+        .filter(move |id| pulling || !pulls.contains_key(*id))
 }
 
 impl<M: StateMachine> NodeCore<M> {
     /// Serves a [`WireMsg::TxRequest`] with one [`WireMsg::BlockTxs`]: each
     /// body asked for, taken from the pool (a refcount bump) or, once the
     /// block `key` names has been imported here and its bodies left the
-    /// pool, from the stored block. A body held in neither is left out; the
-    /// asker moves on to another neighbor at once (see
-    /// [`NodeCore::receive_bodies`]). Announced bodies are served from the
-    /// pool alone: their key names no block.
+    /// pool, from the stored block. Announced bodies, whose key names no
+    /// block, are served from the pool or, once on the canonical chain,
+    /// from the tip block: an announced body leaves the pool for a block,
+    /// most often the newest, before all its neighbors have pulled it. A
+    /// body held nowhere so is left out; the asker moves on to another
+    /// neighbor at once (see [`NodeCore::receive_bodies`]).
     pub(crate) fn handle_tx_request(
         &self,
         key: Hash256,
@@ -104,16 +114,27 @@ impl<M: StateMachine> NodeCore<M> {
         from: NodeId,
         ctx: &mut Ctx<'_, WireMsg>,
     ) {
-        let stored = self.chain.tree().get(&key).and_then(|sb| sb.body());
+        let body = |hash: &Hash256| self.chain.tree().get(hash).and_then(|sb| sb.body());
+        let stored = body(&key);
         // Ids are asked in block order, so one forward walk of the stored
         // body serves every id the pool lacks.
         let mut in_block = stored.into_iter().flat_map(|body| client_txs(body));
+        let tip = if stored.is_none() {
+            body(&self.chain.tip_hash())
+        } else {
+            None
+        };
         let txs = ids
             .iter()
             .filter_map(|id| {
                 let pooled = self.mempool.get(id).cloned();
                 pooled.or_else(|| {
-                    let (tx, _) = in_block.find(|(_, stored_id)| *stored_id == id)?;
+                    let (tx, _) = match tip {
+                        Some(tip) if self.marks.is_included(id) => {
+                            client_txs(tip).find(|(_, stored_id)| *stored_id == id)
+                        }
+                        _ => in_block.find(|(_, stored_id)| *stored_id == id),
+                    }?;
                     Some(SealedTx::from_parts(Arc::new(tx.clone()), *id))
                 })
             })
@@ -125,8 +146,10 @@ impl<M: StateMachine> NodeCore<M> {
 
     /// A [`WireMsg::TxAnnounce`] from `from`. The ids this peer has not
     /// seen and does not hold are asked of `from` in one
-    /// [`WireMsg::TxRequest`], keyed by the first, while the pool has room
-    /// for every body in flight and fewer than [`MAX_PULLS`] are. An id
+    /// [`WireMsg::TxRequest`] while the pool has room for every body in
+    /// flight and fewer than [`MAX_PULLS`] are. The request is keyed by
+    /// the first of them no live request is keyed by, so each is new (with
+    /// none free, nothing is asked; a later announcement asks). An id
     /// already asked of another announcer is not asked twice; `from` is
     /// noted as a further place to ask.
     pub(crate) fn handle_announce(
@@ -140,36 +163,28 @@ impl<M: StateMachine> NodeCore<M> {
             if !self.lacks(&id) {
                 continue;
             }
-            if let Some(key) = self.pulls.get(&id) {
-                let attempt = self.requests.get_mut(&Want::Announced(*key));
-                if let Some(attempt) = attempt.filter(|a| !a.announcers.contains(&from)) {
-                    attempt.announcers.push(from);
+            if let Some(pull) = self.pulls.get_mut(&id) {
+                if !pull.announcers.contains(&from) {
+                    pull.announcers.push(from);
                 }
                 continue;
             }
-            let in_flight = self.pulls.len();
+            let in_flight = self.pulls.len() + asked.len();
             if in_flight >= MAX_PULLS || in_flight >= self.mempool.room() {
                 break;
             }
-            let key = *asked.first().unwrap_or(&id);
-            self.pulls.insert(id, key);
             asked.push(id);
         }
-        let Some(&key) = asked.first() else {
+        let free = |id: &&Hash256| !self.requests.contains_key(&Want::Announced(**id));
+        let Some(&key) = asked.iter().find(free) else {
             return;
         };
-        // A request left under this key (its first id came back to the pool
-        // and left it again) takes the new ids too.
+        for &id in &asked {
+            let announcers = vec![from];
+            self.pulls.insert(id, Pull { key, announcers });
+        }
         let want = Want::Announced(key);
-        let attempt = self.requests.entry(want).or_default();
-        if attempt.missing.is_empty() {
-            attempt.missing = asked;
-        } else {
-            attempt.missing.extend(asked);
-        }
-        if !attempt.announcers.contains(&from) {
-            attempt.announcers.push(from);
-        }
+        self.requests.entry(want).or_default().missing = asked;
         self.ask(want, from, 0, ctx);
     }
 
@@ -181,28 +196,31 @@ impl<M: StateMachine> NodeCore<M> {
 
     /// A body first seen, by whatever path: if it was asked for after an
     /// announcement, it is struck off that request, which ends once it
-    /// lacks nothing.
-    pub(crate) fn arrived(&mut self, id: &Hash256) {
+    /// lacks nothing. Returns the neighbors that announced it here (none
+    /// if it was not asked for): they hold it.
+    pub(crate) fn arrived(&mut self, id: &Hash256) -> Vec<NodeId> {
         if self.pulls.is_empty() {
-            return;
+            return Vec::new();
         }
-        let Some(key) = self.pulls.remove(id) else {
-            return;
+        let Some(pull) = self.pulls.remove(id) else {
+            return Vec::new();
         };
-        let want = Want::Announced(key);
+        let want = Want::Announced(pull.key);
         if let Some(attempt) = self.requests.get_mut(&want) {
             attempt.missing.retain(|m| m != id);
             if attempt.missing.is_empty() {
                 self.requests.remove(&want);
             }
         }
+        pull.announcers
     }
 
     /// A block named by ids (a relayed [`WireMsg::CompactBlock`] or a PBFT
     /// proposal) from `from`. One seen or held already is dropped; one
     /// whose every client body this peer holds is returned whole. Any other
     /// is held (unless [`MAX_HELD_BLOCKS`] are) and its missing bodies asked
-    /// of `from` with one [`WireMsg::TxRequest`], retried like a page
+    /// of `from` with one [`WireMsg::TxRequest`] (less those pulled after
+    /// an announcement: their replies are on the way), retried like a page
     /// request; it reaches the engine once complete, as [`Inbound::Block`]
     /// when a reply completes it, inside [`Inbound::Tx`] when a pooled body
     /// does. The block in memory carries every body (DESIGN.md §14's
@@ -268,11 +286,12 @@ impl<M: StateMachine> NodeCore<M> {
     /// request and reply (and left the list then) does not make the reply
     /// look short. If it answers a held block: with nothing left missing,
     /// the block goes to the engine as [`Inbound::Block`]; with some left
-    /// out, the request moves to the next neighbor at once. Those bodies
-    /// are not pooled. If it answers announced bodies, each is handled as
-    /// if gossiped in by `from` (pooled, announced on, completing held
-    /// blocks), and the request ends, or on a short reply moves to the next
-    /// announcer. A reply for no request in flight is late and dropped.
+    /// out that no pull brings, the request moves to the next neighbor at
+    /// once. Those bodies are not pooled. If it answers announced bodies,
+    /// each is handled as if gossiped in by `from` (pooled, announced on,
+    /// completing held blocks), and the request ends, or on a short reply
+    /// moves to the next announcer. A reply for no request in flight is
+    /// late and dropped.
     pub(crate) fn receive_bodies(
         &mut self,
         key: Hash256,
@@ -291,12 +310,23 @@ impl<M: StateMachine> NodeCore<M> {
         let mut sent: Vec<Hash256> = txs.iter().map(SealedTx::id).collect();
         sent.sort_unstable();
         attempt.missing.retain(|id| sent.binary_search(id).is_err());
-        if !attempt.missing.is_empty() {
-            // An announcer that answered short holds no more of them.
-            attempt.announcers.retain(|&peer| peer != from);
+        if askable(want, &attempt.missing, &self.pulls)
+            .next()
+            .is_some()
+        {
+            if let Want::Announced(_) = want {
+                // An announcer that answered short holds no more of them.
+                for id in &attempt.missing {
+                    if let Some(pull) = self.pulls.get_mut(id) {
+                        pull.announcers.retain(|&peer| peer != from);
+                    }
+                }
+            }
             self.retry(want, ctx);
-        } else if let Some(block) = self.requests.remove(&want).and_then(|a| a.held) {
-            return Inbound::Block(block);
+        } else if attempt.missing.is_empty() {
+            if let Some(block) = self.requests.remove(&want).and_then(|a| a.held) {
+                return Inbound::Block(block);
+            }
         }
         if let Want::Bodies(_) = want {
             return Inbound::Handled;
@@ -361,14 +391,11 @@ impl<M: StateMachine> NodeCore<M> {
     }
 
     /// Sends the request for `want` to `peer` and arms its retry timer,
-    /// whose backoff doubles with `attempts`; a pull instead falls due for
-    /// the sweep to re-ask then, which adds no timer per pull.
+    /// whose backoff doubles with `attempts`.
     fn ask(&mut self, want: Want, peer: NodeId, attempts: u32, ctx: &mut Ctx<'_, WireMsg>) {
         self.sync_epoch += 1;
-        let delay = SYNC_RETRY_BASE_US << attempts.min(6);
         let attempt = self.requests.entry(want).or_default();
         (attempt.epoch, attempt.attempts) = (self.sync_epoch, attempts);
-        attempt.due_us = ctx.now.as_micros() + delay;
         let msg = match want {
             Want::Range => WireMsg::SyncRequest {
                 locator: attempt
@@ -379,52 +406,17 @@ impl<M: StateMachine> NodeCore<M> {
             },
             Want::Announced(key) | Want::Bodies(key) => WireMsg::TxRequest {
                 key,
-                ids: attempt.missing.clone(),
+                ids: askable(want, &attempt.missing, &self.pulls)
+                    .copied()
+                    .collect(),
             },
         };
-        let size = wire_size(&msg);
-        ctx.send(peer, msg, size);
-        if let Want::Announced(_) = want {
-            self.arm_sweep(ctx);
-        } else {
-            ctx.set_timer(SimDuration::from_micros(delay), TAG_SYNC | self.sync_epoch);
+        if !matches!(&msg, WireMsg::TxRequest { ids, .. } if ids.is_empty()) {
+            let size = wire_size(&msg);
+            ctx.send(peer, msg, size);
         }
-    }
-
-    /// Arms the pull sweep, [`SYNC_RETRY_BASE_US`] out, unless it is armed.
-    /// Each arming takes a fresh epoch, so a sweep armed before a crash is
-    /// stale after the restart.
-    fn arm_sweep(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
-        if self.sweep.is_none() {
-            self.sync_epoch += 1;
-            self.sweep = Some(self.sync_epoch);
-            let every = SimDuration::from_micros(SYNC_RETRY_BASE_US);
-            ctx.set_timer(every, TAG_SWEEP | self.sync_epoch);
-        }
-    }
-
-    /// The pull sweep: re-asks each pull that is due, and re-arms while any
-    /// is in flight. One timer per peer serves every pull.
-    fn sweep_pulls(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
-        self.sweep = None;
-        let now = ctx.now.as_micros();
-        let due: Vec<Want> = self
-            .pulling()
-            .filter(|(_, attempt)| attempt.due_us <= now)
-            .map(|(want, _)| *want)
-            .collect();
-        for want in due {
-            self.retry(want, ctx);
-        }
-        if self.pulling().next().is_some() {
-            self.arm_sweep(ctx);
-        }
-    }
-
-    /// The requests for announced bodies.
-    fn pulling(&self) -> impl Iterator<Item = (&Want, &SyncAttempt)> {
-        let pulls = Want::Announced(Hash256::ZERO)..Want::Bodies(Hash256::ZERO);
-        self.requests.range(pulls)
+        let delay = SYNC_RETRY_BASE_US << attempts.min(6);
+        ctx.set_timer(SimDuration::from_micros(delay), TAG_SYNC | self.sync_epoch);
     }
 
     /// Re-sends an outstanding request to the next neighbor (round-robin;
@@ -443,8 +435,12 @@ impl<M: StateMachine> NodeCore<M> {
             return;
         };
         let attempts = attempt.attempts + 1;
+        let announcers;
         let peers = match want {
-            Want::Announced(_) => &attempt.announcers[..],
+            Want::Announced(_) => {
+                announcers = self.announcers_of(&attempt.missing);
+                &announcers[..]
+            }
             _ => ctx.neighbors,
         };
         let done = match want {
@@ -459,6 +455,20 @@ impl<M: StateMachine> NodeCore<M> {
         self.sync_retries += 1;
         let peer = peers[attempts as usize % peers.len()];
         self.ask(want, peer, attempts, ctx);
+    }
+
+    /// The neighbors that announced any of `ids` and have not answered
+    /// short, in the order they announced.
+    fn announcers_of(&self, ids: &[Hash256]) -> Vec<NodeId> {
+        let mut peers = Vec::new();
+        for pull in ids.iter().filter_map(|id| self.pulls.get(id)) {
+            for &peer in &pull.announcers {
+                if !peers.contains(&peer) {
+                    peers.push(peer);
+                }
+            }
+        }
+        peers
     }
 
     /// Ingests the page an outstanding [`Want::Range`] asked for. Blocks
@@ -510,16 +520,14 @@ impl<M: StateMachine> NodeCore<M> {
 
     /// The one timer entry point. Returns false for a tag outside the sync
     /// and announcement namespaces — that timer is the engine's. These are
-    /// consumed here: the flush sends the queued announcements; the live
-    /// sweep re-asks the pulls that are due; a sync timer whose request is
-    /// still outstanding re-sends it with doubled backoff to the next
-    /// neighbor. Stale epochs are ignored.
+    /// consumed here: the flush sends the queued announcements; a sync
+    /// timer whose request is still outstanding re-sends it with doubled
+    /// backoff to the next neighbor (for announced bodies, the next
+    /// announcer). Stale epochs are ignored.
     pub fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, WireMsg>) -> bool {
         let epoch = tag & !TAG_KIND_MASK;
         match tag & TAG_KIND_MASK {
             TAG_FLUSH => self.flush_announcements(ctx),
-            TAG_SWEEP if self.sweep == Some(epoch) => self.sweep_pulls(ctx),
-            TAG_SWEEP => {}
             TAG_SYNC => {
                 let want = self
                     .requests
@@ -571,7 +579,7 @@ mod tests {
         actions
             .iter()
             .filter_map(|a| match a {
-                Action::Timer { tag, .. } if is_sync_tag(*tag) => Some(*tag),
+                Action::Timer { tag, .. } if tag & TAG_KIND_MASK == TAG_SYNC => Some(*tag),
                 _ => None,
             })
             .collect()
@@ -1045,16 +1053,16 @@ mod tests {
     /// announcer; one pooled already is not asked at all. The one
     /// reply pools them as if gossiped in by the announcer: a held block
     /// they complete reaches the engine, and they are announced on to every
-    /// neighbor but that announcer.
+    /// neighbor but those that announced them here.
     #[test]
     fn announced_bodies_are_pulled_once_from_the_first_announcer() {
         let (mut node, g) = new_node();
-        let (a, b, c, pooled) = (large(1), large(2), large(3), large(4));
+        let (a, b, c, d, pooled) = (large(1), large(2), large(3), large(5), large(4));
         node.mempool.insert(sealed(&pooled));
-        let (_, actions) = engine(&mut node, 1, announce(&[&a, &b, &pooled]));
+        let (_, actions) = engine(&mut node, 1, announce(&[&a, &b, &d, &pooled]));
         assert_eq!(
             requests(actions),
-            vec![(NodeId(1), a.id(), vec![a.id(), b.id()])]
+            vec![(NodeId(1), a.id(), vec![a.id(), b.id(), d.id()])]
         );
         let (_, actions) = engine(&mut node, 2, announce(&[&b, &c]));
         assert_eq!(
@@ -1068,7 +1076,7 @@ mod tests {
 
         let reply = WireMsg::BlockTxs {
             key: a.id(),
-            txs: vec![sealed(&a), sealed(&b)],
+            txs: vec![sealed(&a), sealed(&b), sealed(&d)],
         };
         let (verdict, actions) = engine(&mut node, 1, reply);
         assert!(matches!(verdict, Some(Some(ChainEvent::Extended { .. }))));
@@ -1084,13 +1092,13 @@ mod tests {
         let [(NodeId(2), WireMsg::TxAnnounce { ids })] = announced.as_slice() else {
             panic!("expected one announcement, to the other neighbor, got {announced:?}");
         };
-        assert_eq!(ids, &vec![b.id()], "a left the pool with its block");
+        assert_eq!(ids, &vec![d.id()], "a left the pool, and 2 announced b");
         assert_eq!(node.requests.len(), 1, "only c is still asked for");
         assert_eq!(node.sync_retries, 0);
     }
 
     /// A pull whose reply is lost is re-asked of the next announcer when
-    /// the sweep finds it due; one answered short moves on at once, to an
+    /// its retry timer fires; one answered short moves on at once, to an
     /// announcer that has not answered short, and only for what the peer
     /// still lacks. With nothing left lacking, the request ends quietly.
     #[test]
@@ -1098,25 +1106,11 @@ mod tests {
         let (mut node, g) = new_node();
         let (a, b) = (large(1), large(2));
         let (_, actions) = engine(&mut node, 1, announce(&[&a, &b]));
-        let sweep: Vec<u64> = actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::Timer { tag, .. } if tag & TAG_KIND_MASK == TAG_SWEEP => Some(*tag),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(sweep.len(), 1, "one sweep guards the pulls");
-        assert!(
-            sync_timer_tags(&actions).is_empty(),
-            "and no timer per pull"
-        );
+        let timers = sync_timer_tags(&actions);
+        assert_eq!(timers.len(), 1, "one retry timer guards the pull");
         engine(&mut node, 2, announce(&[&a, &b]));
 
-        let early = step(&mut node, |n, ctx| assert!(n.on_timer(sweep[0], ctx)));
-        assert!(requests(early).is_empty(), "not due yet");
-        let due = SimTime::ZERO + SimDuration::from_micros(SYNC_RETRY_BASE_US);
-        let next = node.sweep.map(|epoch| TAG_SWEEP | epoch).unwrap();
-        let retried = step_at(&mut node, due, |n, ctx| assert!(n.on_timer(next, ctx)));
+        let retried = step(&mut node, |n, ctx| assert!(n.on_timer(timers[0], ctx)));
         assert_eq!(
             requests(retried),
             vec![(NodeId(2), a.id(), vec![a.id(), b.id()])]
@@ -1145,6 +1139,69 @@ mod tests {
         assert_eq!(requests(actions), vec![(NodeId(2), a.id(), vec![a.id()])]);
     }
 
+    /// A held block does not ask again for a body already pulled after an
+    /// announcement: its request names the rest, a reply with the rest
+    /// is not short, and the pulled body completes the block. With every
+    /// missing body pulled, the block asks nothing and waits on its timer.
+    #[test]
+    fn a_held_block_leaves_a_pulled_body_to_its_pull() {
+        let (mut node, g) = new_node();
+        let (a, b) = (large(1), large(2));
+        engine(&mut node, 1, announce(&[&a]));
+        let held = block_on(&g, 1, vec![a.clone(), b.clone()]);
+        let (_, actions) = engine(&mut node, 2, compact(&held));
+        assert_eq!(
+            requests(actions),
+            vec![(NodeId(2), held.hash(), vec![b.id()])]
+        );
+        let rest = WireMsg::BlockTxs {
+            key: held.hash(),
+            txs: vec![sealed(&b)],
+        };
+        let (verdict, actions) = engine(&mut node, 2, rest);
+        assert_eq!(verdict, None, "a is still on its way");
+        assert!(requests(actions).is_empty(), "not short");
+        let pulled = WireMsg::BlockTxs {
+            key: a.id(),
+            txs: vec![sealed(&a)],
+        };
+        let (verdict, _) = engine(&mut node, 1, pulled);
+        assert!(matches!(verdict, Some(Some(ChainEvent::Extended { .. }))));
+        assert!(node.requests.is_empty() && node.pulls.is_empty());
+
+        let (mut node, g) = new_node();
+        engine(&mut node, 1, announce(&[&a]));
+        let (_, actions) = engine(&mut node, 2, compact(&block_on(&g, 1, vec![a.clone()])));
+        assert_eq!(sync_timer_tags(&actions).len(), 1);
+        assert!(requests(actions).is_empty());
+        assert_eq!(node.sync_retries, 0);
+    }
+
+    /// An announced body that left the pool for the tip block since it was
+    /// announced is still served; one held nowhere is left out.
+    #[test]
+    fn an_announced_body_in_the_tip_block_is_still_served() {
+        let (mut node, g) = new_node();
+        let (a, never) = (large(1), large(2));
+        node.mempool.insert(sealed(&a));
+        node.ingest_block(block_on(&g, 1, vec![a.clone()])).unwrap();
+        assert!(!node.mempool.contains(&a.id()));
+        let request = WireMsg::TxRequest {
+            key: a.id(),
+            ids: vec![a.id(), never.id()],
+        };
+        let (_, actions) = engine(&mut node, 1, request);
+        let replies = sends(actions);
+        let [(NodeId(1), WireMsg::BlockTxs { key, txs })] = replies.as_slice() else {
+            panic!("expected one reply, got {replies:?}");
+        };
+        assert_eq!(*key, a.id());
+        assert_eq!(
+            txs.iter().map(SealedTx::id).collect::<Vec<_>>(),
+            vec![a.id()]
+        );
+    }
+
     /// A pool without room asks for nothing; an id a block brought is not
     /// lacked.
     #[test]
@@ -1157,16 +1214,16 @@ mod tests {
         assert!(node.pulls.is_empty());
     }
 
-    /// A restart forgets queued announcements, pulls and the sweep: a
-    /// flush or sweep timer that fired while the peer was down is lost, so
-    /// the peer arms fresh ones for what it takes after the restart, and a
-    /// sweep armed before the crash is stale.
+    /// A restart forgets queued announcements and pulls: a flush or retry
+    /// timer that fired while the peer was down is lost, so the peer arms
+    /// fresh ones for what it takes after the restart, and a retry timer
+    /// armed before the crash is stale.
     #[test]
     fn a_restart_forgets_announcements_and_pulls_and_arms_afresh() {
         let (mut node, _) = new_node();
         engine(&mut node, 1, WireMsg::Tx(sealed(&large(1))));
         let (_, actions) = engine(&mut node, 1, announce(&[&large(2)]));
-        let old_sweep = node.sweep.map(|epoch| TAG_SWEEP | epoch).unwrap();
+        let old_retry = sync_timer_tags(&actions)[0];
         assert_eq!(requests(actions).len(), 1);
 
         node.rebuild_from_store();
@@ -1184,9 +1241,9 @@ mod tests {
         let stale = step_at(
             &mut node,
             late,
-            |n, ctx| assert!(n.on_timer(old_sweep, ctx)),
+            |n, ctx| assert!(n.on_timer(old_retry, ctx)),
         );
-        assert!(stale.is_empty(), "the pre-crash sweep is stale");
+        assert!(stale.is_empty(), "the pre-crash retry timer is stale");
     }
 
     /// A few peer cores wired as a ring plus `chords`, with the messages
@@ -1294,18 +1351,20 @@ mod tests {
                 let at = contact % peers;
                 mesh.wire.push((at, at, WireMsg::Tx(sealed(&body))));
             }
-            // A re-armed sweep never starves the wire: no two timers in a row
-            // while a message waits.
-            let mut timed = false;
             for &turn in order.iter().cycle().take(100_000) {
-                if mesh.wire.is_empty() && mesh.timers.is_empty() {
-                    break;
-                }
-                let fire = turn % 4 == 0 && !timed && !mesh.timers.is_empty();
-                timed = mesh.wire.is_empty() || fire;
-                if timed {
-                    let (at, tag) = mesh.timers.remove(0);
+                // A flush may fire while messages wait; a retry timer only
+                // once none does: on a loss-free run every reply beats it.
+                let flush = mesh.timers.iter().position(|&(_, tag)| tag == TAG_FLUSH);
+                let fire = match flush {
+                    Some(i) if turn % 4 == 0 || mesh.wire.is_empty() => Some(i),
+                    _ if mesh.wire.is_empty() => (!mesh.timers.is_empty()).then_some(0),
+                    _ => None,
+                };
+                if let Some(i) = fire {
+                    let (at, tag) = mesh.timers.remove(i);
                     mesh.act(at, |n, ctx| assert!(n.on_timer(tag, ctx)));
+                } else if mesh.wire.is_empty() {
+                    break;
                 } else {
                     let (to, from, msg) = mesh.wire.remove(turn % mesh.wire.len());
                     mesh.deliver(to, from, msg);
